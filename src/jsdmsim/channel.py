@@ -197,7 +197,11 @@ def build_covariances(scn: Scenario, n_quad: int = DEFAULT_N_QUAD) -> Covariance
 
 @dataclass
 class ChannelRealization:
-    """Instantaneous channel taps: ``taps[g][l]`` is M x K_g, zero off-support."""
+    """Instantaneous channel taps: ``taps[g][l]`` is M x K_g, zero off-support.
+
+    A block of realizations (see :func:`sample_channels` with ``trials``)
+    stacks them along leading axes: ``taps[g][l]`` is then (T, M, K_g).
+    """
 
     scenario: Scenario
     taps: list[dict[int, np.ndarray]]
@@ -208,25 +212,44 @@ class ChannelRealization:
         return self.taps[g].get(delay, np.zeros(shape, dtype=complex))
 
 
-def sample_channels(cov: CovarianceSet, seed,
-                    groups: list[int] | None = None) -> ChannelRealization:
+def _group_taps(cov: CovarianceSet, g: int, rngs) -> dict[int, np.ndarray]:
+    """Correlated Rayleigh taps of group g, one realization per generator.
+
+    Each generator draws one (delays, users, 2, M) standard-normal block: the
+    real then imaginary parts of every user at every active delay, so a seed
+    yields the same taps alone or inside a block.  Returns each active
+    delay's (len(rngs), M, K) taps.
+    """
+    spec = cov.scenario.groups[g]
+    m = cov.scenario.n_antennas
+    shape = (len(spec.delays), spec.n_users, 2, m)
+    z = np.stack([rng.standard_normal(shape) for rng in rngs])
+    z = (z[..., 0, :] + 1j * z[..., 1, :]) / np.sqrt(2.0)
+    sqrts = np.array([[cov.sqrt_factor(g, k, delay) for k in range(spec.n_users)]
+                      for delay in spec.delays])
+    h = np.ascontiguousarray((sqrts @ z[..., None])[..., 0].swapaxes(-1, -2))
+    return {delay: h[:, i] for i, delay in enumerate(spec.delays)}
+
+
+def sample_channels(cov: CovarianceSet, seed, groups: list[int] | None = None,
+                    trials=None) -> ChannelRealization:
     """Draw one correlated Rayleigh realization, independent across users/delays.
 
     Deterministic for a given seed.  ``groups`` restricts sampling to the
     listed group indices (others come back as zero taps), which the
-    semi-analytic capacity path uses to skip interferer channels.
+    semi-analytic capacity path uses to skip interferer channels.  With
+    ``trials`` (a sequence of trial indices), trial t is the realization
+    ``sample_channels(cov, [seed, t], groups)`` would draw, and every tap
+    gains a leading trial axis.
     """
-    rng = np.random.default_rng(seed)
     scn = cov.scenario
-    m = scn.n_antennas
     wanted = range(scn.n_groups) if groups is None else groups
     taps: list[dict[int, np.ndarray]] = [{} for _ in range(scn.n_groups)]
+    if trials is None:
+        rngs = [np.random.default_rng(seed)]
+    else:
+        rngs = [np.random.default_rng([seed, t]) for t in trials]
     for g in wanted:
-        spec = scn.groups[g]
-        for delay in spec.delays:
-            h = np.zeros((m, spec.n_users), dtype=complex)
-            for k in range(spec.n_users):
-                z = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2.0)
-                h[:, k] = cov.sqrt_factor(g, k, delay) @ z
-            taps[g][delay] = h
+        taps[g] = {delay: h if trials is not None else h[0]
+                   for delay, h in _group_taps(cov, g, rngs).items()}
     return ChannelRealization(scn, taps)

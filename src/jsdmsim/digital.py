@@ -5,6 +5,8 @@ D_g streams; what remains per frequency bin is a small D_g x K_g channel that
 either a zero-forcing or an LMMSE combiner inverts.  The LMMSE variant uses
 the statistical reduced-dimension interference-plus-noise covariance, never
 the instantaneous interferer channels, which are unknown at the receiver.
+Every function accepts a block of realizations stacked along leading axes and
+combines all of its bins with one stacked ``inv`` or ``solve``.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ class EffectiveChannel:
     """Reduced-dimension taps and their N-point DFT across bins.
 
     ``taps[l]`` is D x K for l = 0..L-1 (zeros on inactive delays);
-    ``freq[k]`` is its DFT sum_l taps[l] e^{-j 2 pi k l / N}.
+    ``freq[k]`` is its DFT sum_l taps[l] e^{-j 2 pi k l / N}.  A block of
+    realizations adds leading axes: taps (..., L, D, K), freq (..., N, D, K).
     """
 
     taps: np.ndarray
@@ -43,18 +46,18 @@ class EffectiveChannel:
 
     @property
     def n_bins(self) -> int:
-        return self.freq.shape[0]
+        return self.freq.shape[-3]
 
 
 @dataclass(frozen=True)
 class CombinerBank:
-    """Per-bin combiners ``w[k]`` (D x K); applied as w[k]^H to bin k."""
+    """Per-bin combiners ``w[..., k, :, :]`` (D x K); applied as w^H to bin k."""
 
     w: np.ndarray
 
     @property
     def n_bins(self) -> int:
-        return self.w.shape[0]
+        return self.w.shape[-3]
 
 
 def effective_channel(s: np.ndarray, real: ChannelRealization, g_src: int,
@@ -62,19 +65,26 @@ def effective_channel(s: np.ndarray, real: ChannelRealization, g_src: int,
     """Project group ``g_src``'s channel taps through beamformer ``s``.
 
     ``s`` is the overall analog stage including compensation.  ``n`` is the
-    SC-FDE block length and must cover the delay spread.
+    SC-FDE block length and must cover the delay spread.  A block of
+    realizations is projected and transformed in one product and one FFT.
     """
     scn = real.scenario
     if n < scn.n_taps:
         raise ValueError(f"block length {n} shorter than delay spread {scn.n_taps}")
     s = np.asarray(s, dtype=complex)
-    d = s.shape[1]
-    k_users = scn.groups[g_src].n_users
-    taps = np.zeros((scn.n_taps, d, k_users), dtype=complex)
-    for delay, h in real.taps[g_src].items():
-        taps[delay] = s.conj().T @ h
-    freq = np.fft.fft(taps, n=n, axis=0)
+    group = real.taps[g_src]
+    h = np.stack(list(group.values()), axis=-3)
+    taps = np.zeros(h.shape[:-3] + (scn.n_taps, s.shape[1], h.shape[-1]), dtype=complex)
+    taps[..., list(group), :, :] = s.conj().T @ h
+    freq = np.fft.fft(taps, n=n, axis=-3)
     return EffectiveChannel(taps, freq)
+
+
+def _singular_bin(bad: np.ndarray) -> SingularBinError:
+    """Error naming the first rank-deficient (realization, bin) of a bad-bin mask."""
+    *lead, bin_idx = np.argwhere(bad)[0]
+    where = f" of realization {tuple(int(i) for i in lead)}" if lead else ""
+    return SingularBinError(f"effective channel at bin {bin_idx}{where} is rank deficient")
 
 
 def zf_combiners(eff: EffectiveChannel) -> CombinerBank:
@@ -83,19 +93,19 @@ def zf_combiners(eff: EffectiveChannel) -> CombinerBank:
     Guarantees W_k^H Lambda_k = I on every bin; a rank-deficient bin raises
     SingularBinError naming the bin instead of silently regularizing.
     """
-    n, d, k = eff.freq.shape
+    d, k = eff.freq.shape[-2:]
     if d < k:
         raise SingularBinError(f"zero-forcing needs D >= K, got D={d}, K={k}")
-    w = np.empty_like(eff.freq)
-    for bin_idx in range(n):
-        lam = eff.freq[bin_idx]
-        gram = lam.conj().T @ lam
-        try:
-            w[bin_idx] = lam @ np.linalg.inv(gram)
-        except np.linalg.LinAlgError as exc:
-            raise SingularBinError(f"effective channel at bin {bin_idx} is rank deficient") from exc
-        if not np.all(np.isfinite(w[bin_idx])):
-            raise SingularBinError(f"effective channel at bin {bin_idx} is rank deficient")
+    lam = eff.freq
+    gram = lam.conj().swapaxes(-1, -2) @ lam
+    try:
+        w = lam @ np.linalg.inv(gram)
+    except np.linalg.LinAlgError as exc:
+        # inv and det share one LU factorization: det is 0 exactly where inv failed
+        raise _singular_bin(np.linalg.det(gram) == 0) from exc
+    bad = ~np.isfinite(w).all(axis=(-2, -1))
+    if bad.any():
+        raise _singular_bin(bad)
     return CombinerBank(w)
 
 
@@ -108,10 +118,6 @@ def lmmse_combiners(eff: EffectiveChannel, rd: ReducedStatistics, symbol_energy:
     rank-deficient bins, so there is no failure mode here.
     """
     e = symbol_energy / n_users
-    n = eff.n_bins
-    w = np.empty_like(eff.freq)
-    for bin_idx in range(n):
-        lam = eff.freq[bin_idx]
-        cov = e * (lam @ lam.conj().T) + rd.r_eta
-        w[bin_idx] = np.linalg.solve(cov, e * lam)
-    return CombinerBank(w)
+    lam = eff.freq
+    cov = e * (lam @ lam.conj().swapaxes(-1, -2)) + rd.r_eta
+    return CombinerBank(np.linalg.solve(cov, e * lam))

@@ -1,11 +1,16 @@
 """Config parsing, the experiment runner and the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import jsdmsim
 from jsdmsim.cli import main
 from jsdmsim.config import ConfigError, load_config, parse_config
 from jsdmsim.runner import run
@@ -250,3 +255,14 @@ class TestCli:
     def test_run_missing_config(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 1
         assert "not found" in capsys.readouterr().err
+
+    def test_module_entry_point_runs(self, tmp_path):
+        # ``python -m jsdmsim.cli`` must dispatch to main, not import and exit 0
+        src = str(Path(jsdmsim.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "jsdmsim.cli", "run", str(tmp_path / "nope.cfg")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode != 0
+        assert "error: config file not found" in proc.stderr

@@ -88,6 +88,19 @@ class TestZfCombiners:
         with pytest.raises(SingularBinError, match="bin 1"):
             zf_combiners(eff)
 
+    @pytest.mark.parametrize("trial, bin_idx, column", [
+        (2, 5, [1 + 1j, 2, -1j]),   # duplicate exact column: singular Gram matrix
+        (1, 3, [np.nan, 1, 0]),     # non-finite entry: inv returns NaN without raising
+    ])
+    def test_bad_bin_named_in_stack(self, trial, bin_idx, column):
+        rng = np.random.default_rng(9)
+        freq = rng.standard_normal((4, 8, 3, 2)) + 1j * rng.standard_normal((4, 8, 3, 2))
+        freq[trial, bin_idx, :, 0] = freq[trial, bin_idx, :, 1] = column
+        eff = type(toy_effective()[3])(np.zeros((4, 1, 3, 2), dtype=complex), freq)
+        with pytest.raises(SingularBinError,
+                           match=rf"bin {bin_idx} of realization \({trial},\)"):
+            zf_combiners(eff)
+
 
 class TestLmmseCombiners:
     def test_high_snr_reaches_zf(self):

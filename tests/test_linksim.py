@@ -13,7 +13,7 @@ from jsdmsim import (
     reduce,
     sample_channels,
 )
-from jsdmsim.digital import effective_channel, zf_combiners
+from jsdmsim.digital import effective_channel, lmmse_combiners, zf_combiners
 from jsdmsim.linksim import (
     BlockConfig,
     bussgang_report,
@@ -249,3 +249,41 @@ class TestErgodicCapacity:
         a = ergodic_capacity(scn, cov, geb.s, 0, "zf", n=16, trials=8, seed=13)
         b = ergodic_capacity(scn, cov, geb.s, 0, "zf", n=16, trials=8, seed=13)
         assert np.array_equal(a.samples, b.samples)
+
+    @pytest.mark.parametrize("combiner", ["zf", "lmmse"])
+    def test_trial_blocks_match_per_trial_composition(self, combiner):
+        # 37 trials: the last trial block is partial
+        scn = two_group_toy()
+        cov = build_covariances(scn)
+        stats = group_statistics(cov, scn, 0)
+        geb = compute_geb(stats, 4)
+        rd = reduce(stats, geb.s)
+        spec = scn.groups[0]
+        cap = ergodic_capacity(scn, cov, geb.s, 0, combiner, n=16, trials=37, seed=2024)
+        for t in range(37):
+            real = sample_channels(cov, [2024, t], groups=[0])
+            eff = effective_channel(geb.s, real, 0, 16)
+            if combiner == "zf":
+                bank = zf_combiners(eff)
+            else:
+                bank = lmmse_combiners(eff, rd, spec.symbol_energy, spec.n_users)
+            expected = [bussgang_report(eff, bank, rd, spec.symbol_energy, spec.n_users,
+                                        user).capacity for user in range(spec.n_users)]
+            assert_allclose(cap.samples[t], expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("combiner, pinned", [
+        ("zf", {0: [5.9989009805608, 6.272485634223555],
+                16: [7.393855731682256, 7.757143799620456],
+                36: [8.34912604785892, 9.877564054578144]}),
+        ("lmmse", {0: [6.0085371769592255, 6.283674780346255],
+                   16: [7.398894375141141, 7.7632805550126935],
+                   36: [8.349446791732165, 9.87801840098563]}),
+    ])
+    def test_pinned_samples(self, combiner, pinned):
+        # values of the per-trial implementation; a change in the draw stream moves them
+        scn = two_group_toy()
+        cov = build_covariances(scn)
+        geb = compute_geb(group_statistics(cov, scn, 0), 4)
+        cap = ergodic_capacity(scn, cov, geb.s, 0, combiner, n=16, trials=37, seed=2024)
+        for t, values in pinned.items():
+            assert_allclose(cap.samples[t], values, rtol=1e-12)
