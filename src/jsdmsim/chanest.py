@@ -20,6 +20,7 @@ from .statistics import ReducedStatistics
 
 __all__ = [
     "PilotBlock",
+    "PilotCovariances",
     "PilotDesignError",
     "StackedEffectiveChannel",
     "build_pilots",
@@ -27,6 +28,7 @@ __all__ = [
     "lmmse_estimator",
     "ls_estimator",
     "nmse",
+    "pilot_covariances",
     "pilots_from_sequences",
     "receive_pilots",
     "stack_effective",
@@ -174,25 +176,52 @@ def stack_effective(real: ChannelRealization, s: np.ndarray, g: int) -> np.ndarr
     return out
 
 
-def _pilot_covariances(pilots: PilotBlock, r_h: np.ndarray,
-                       rd_eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(R_ybar, R_ybar_h) for the stacked pilot observation model."""
-    d = rd_eta.shape[0]
+@dataclass(frozen=True)
+class PilotCovariances:
+    """R_ybar and R_ybar_h of the stacked pilot observation model.
+
+    ``inputs`` are the (pilots, stacked, rd) objects they were built from;
+    :func:`lmmse_estimator` and :func:`nmse` accept them only together with
+    those same objects.
+    """
+
+    inputs: tuple
+    r_y: np.ndarray
+    r_yh: np.ndarray
+
+
+def pilot_covariances(pilots: PilotBlock, stacked: StackedEffectiveChannel,
+                      rd: ReducedStatistics) -> PilotCovariances:
+    """R_ybar and R_ybar_h for one (pilots, stacked channel, statistics) triple.
+
+    Both estimators and :func:`nmse` need them; a caller that evaluates an
+    estimator's nMSE builds them once and passes them to both.
+    """
+    d = rd.r_eta.shape[0]
     phi = np.kron(pilots.x, np.eye(d))
-    r_yh = phi @ r_h
-    r_y = r_yh @ phi.conj().T + np.kron(np.eye(pilots.length), rd_eta)
-    return 0.5 * (r_y + r_y.conj().T), r_yh
+    r_yh = phi @ stacked.r_h
+    r_y = r_yh @ phi.conj().T + np.kron(np.eye(pilots.length), rd.r_eta)
+    return PilotCovariances((pilots, stacked, rd), 0.5 * (r_y + r_y.conj().T), r_yh)
+
+
+def _pilot_covariances(pilots, stacked, rd, given: PilotCovariances | None) -> PilotCovariances:
+    if given is None:
+        return pilot_covariances(pilots, stacked, rd)
+    if any(a is not b for a, b in zip(given.inputs, (pilots, stacked, rd))):
+        raise ValueError("pilot_cov was built from other pilots, channel or statistics")
+    return given
 
 
 def lmmse_estimator(pilots: PilotBlock, stacked: StackedEffectiveChannel,
-                    rd: ReducedStatistics) -> np.ndarray:
+                    rd: ReducedStatistics, pilot_cov: PilotCovariances | None = None) -> np.ndarray:
     """LMMSE estimator matrix Z with estimate = Z^H ybar.
 
     Z = R_ybar^{-1} R_ybar_h; always well posed because the noise term
-    I_T kron R_eta_rd is positive definite.
+    I_T kron R_eta_rd is positive definite.  ``pilot_cov`` is
+    :func:`pilot_covariances` of these same inputs, if already built.
     """
-    r_y, r_yh = _pilot_covariances(pilots, stacked.r_h, rd.r_eta)
-    return np.linalg.solve(r_y, r_yh)
+    pc = _pilot_covariances(pilots, stacked, rd, pilot_cov)
+    return np.linalg.solve(pc.r_y, pc.r_yh)
 
 
 def ls_estimator(pilots: PilotBlock, active_delays, n_streams: int) -> np.ndarray:
@@ -228,17 +257,19 @@ def ls_estimator(pilots: PilotBlock, active_delays, n_streams: int) -> np.ndarra
 
 
 def nmse(z: np.ndarray, pilots: PilotBlock, stacked: StackedEffectiveChannel,
-         rd: ReducedStatistics) -> float:
+         rd: ReducedStatistics, pilot_cov: PilotCovariances | None = None) -> float:
     """Closed-form normalized MSE of an estimator matrix (no Monte Carlo).
 
     [tr R_h + tr(Z^H R_ybar Z) - 2 Re tr(Z^H R_ybar_h)] / tr R_h.
     LMMSE estimators land in [0, 1]; LS estimators may exceed 1 at low SNR
     (noise amplification through the normal equations), which is expected.
+    ``pilot_cov`` is :func:`pilot_covariances` of these same inputs, if
+    already built.
     """
     tr_h = np.trace(stacked.r_h).real
     if tr_h <= 0:
         raise ValueError("stacked channel covariance has zero trace; nMSE undefined")
-    r_y, r_yh = _pilot_covariances(pilots, stacked.r_h, rd.r_eta)
-    quad = np.sum(z.conj() * (r_y @ z)).real
-    cross = np.sum(z.conj() * r_yh).real
+    pc = _pilot_covariances(pilots, stacked, rd, pilot_cov)
+    quad = np.sum(z.conj() * (pc.r_y @ z)).real
+    cross = np.sum(z.conj() * pc.r_yh).real
     return float((tr_h + quad - 2.0 * cross) / tr_h)

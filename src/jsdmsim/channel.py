@@ -18,10 +18,12 @@ from .linalg import psd_sqrt
 __all__ = [
     "ChannelRealization",
     "CovarianceSet",
+    "FixedCovariances",
     "GroupSpec",
     "Scenario",
     "build_covariances",
     "ccm_one_ring",
+    "fixed_covariances",
     "sample_channels",
     "steering",
 ]
@@ -172,27 +174,55 @@ class CovarianceSet:
         return cache[delay]
 
 
-def build_covariances(scn: Scenario, n_quad: int = DEFAULT_N_QUAD) -> CovarianceSet:
+def _group_ccms(scn: Scenario, g: int, n_quad: int) -> list[dict[int, np.ndarray]]:
+    spec = scn.groups[g]
+    aoa = scn.effective_aoa(g)
+    per_mpc = spec.gain / len(spec.delays)
+    return [{delay: ccm_one_ring(aoa[k, i], spec.spread[k, i], per_mpc[k], scn.n_antennas, n_quad)
+             for i, delay in enumerate(spec.delays)}
+            for k in range(spec.n_users)]
+
+
+@dataclass(frozen=True)
+class FixedCovariances:
+    """CCMs of a scenario's non-mobile groups, keyed by group index.
+
+    They are the same at every shifting angle, so a sweep builds them once
+    (:func:`fixed_covariances`) and hands them to :func:`build_covariances`
+    at each angle.  ``scenario`` and ``n_quad`` record what they were built
+    from.
+    """
+
+    scenario: Scenario
+    n_quad: int
+    ccms: dict[int, list[dict[int, np.ndarray]]]
+
+
+def fixed_covariances(scn: Scenario, n_quad: int = DEFAULT_N_QUAD) -> FixedCovariances:
+    """Build the non-mobile groups' CCMs of ``scn`` once, for any phi."""
+    return FixedCovariances(scn, n_quad, {g: _group_ccms(scn, g, n_quad)
+                                          for g, spec in enumerate(scn.groups) if not spec.mobile})
+
+
+def build_covariances(scn: Scenario, n_quad: int = DEFAULT_N_QUAD,
+                      fixed: FixedCovariances | None = None) -> CovarianceSet:
     """One-ring CCMs for every user and active MPC of the scenario.
 
     Each user's total gain is split equally across its active MPCs, so the
     per-delay traces sum back to the user's gain.  Mobile-group mean angles
     are offset by the scenario's shifting angle before construction.
+    ``fixed`` supplies the non-mobile groups' CCMs, shared rather than
+    rebuilt; it must come from :func:`fixed_covariances` of this scenario
+    (at any phi, so with the very same groups) and the same ``n_quad``.
     """
-    m = scn.n_antennas
-    ccms: list[list[dict[int, np.ndarray]]] = []
-    for g, spec in enumerate(scn.groups):
-        aoa = scn.effective_aoa(g)
-        per_mpc = spec.gain / len(spec.delays)
-        group: list[dict[int, np.ndarray]] = []
-        for k in range(spec.n_users):
-            user = {
-                delay: ccm_one_ring(aoa[k, i], spec.spread[k, i], per_mpc[k], m, n_quad)
-                for i, delay in enumerate(spec.delays)
-            }
-            group.append(user)
-        ccms.append(group)
-    return CovarianceSet(scn, ccms)
+    shared = {}
+    if fixed is not None:
+        if (fixed.scenario.groups is not scn.groups
+                or fixed.scenario.n_antennas != scn.n_antennas or fixed.n_quad != n_quad):
+            raise ValueError("fixed covariances were built for another scenario or n_quad")
+        shared = fixed.ccms
+    return CovarianceSet(scn, [shared[g] if g in shared else _group_ccms(scn, g, n_quad)
+                               for g in range(scn.n_groups)])
 
 
 @dataclass

@@ -250,6 +250,10 @@ def parse_config(text: str) -> ExperimentConfig:
     noise = _typed(scn_raw, "noise_power", float, required=True, lineno_hint=" in [scenario]")
     phi0 = _typed(scn_raw, "phi", float, default=0.0)
     block_length = _typed(scn_raw, "block_length", int, default=64)
+    if block_length < taps:
+        key = "block_length" if ("block_length", None) in scn_raw else "taps"
+        raise ConfigError(f"line {scn_raw[(key, None)][1]}: block_length {block_length}"
+                          f" is shorter than the delay spread (taps = {taps})")
 
     group_ids = sorted(int(arg) for name, arg in raw.sections if name == "group")
     if not group_ids:
@@ -300,6 +304,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
     num_raw = raw.section("numerics")
     n_quad = _typed(num_raw, "n_quad", int, default=200)
+    if n_quad < 8:
+        raise ConfigError(f"line {num_raw[('n_quad', None)][1]}: n_quad must be >= 8")
     tol = _typed(num_raw, "tol", float, default=1e-8)
     max_iter = _typed(num_raw, "max_iter", int, default=500)
     n_restarts = _typed(num_raw, "n_restarts", int, default=20)

@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .linalg import fix_phases, generalized_hermitian_eig, qr
-from .statistics import GroupStatistics
+from .statistics import GroupStatistics, _check_rank
 
 __all__ = ["UnconstrainedBeamformer", "compute_geb", "reduced_mutual_info"]
 
@@ -59,10 +58,9 @@ def reduced_mutual_info(stats: GroupStatistics, s: np.ndarray) -> float:
     right-multiplication of S by any invertible matrix.
     """
     s = np.asarray(s, dtype=complex)
-    if np.linalg.matrix_rank(s) < s.shape[1]:
-        raise ValueError("beamformer must have full column rank")
+    _check_rank(s)
     r_s_rd = s.conj().T @ stats.r_s @ s
     r_eta_rd = s.conj().T @ stats.r_eta @ s
-    ratio = sla.solve(r_eta_rd, r_s_rd, assume_a="pos")
+    ratio = np.linalg.solve(r_eta_rd, r_s_rd)
     _, logdet = np.linalg.slogdet(np.eye(s.shape[1]) + ratio)
     return float(logdet / np.log(2.0))

@@ -3,6 +3,13 @@
 Every decomposition used elsewhere in the package goes through this module so
 that ordering conventions (descending eigenvalues), phase conventions and
 tolerance handling live in one place.  All functions are pure.
+
+Decompositions and solves use ``numpy.linalg`` only.  numpy and scipy each
+ship their own OpenBLAS, each with its own thread pool; a sweep that
+alternates between them (scipy triangular solves between numpy products)
+leaves one pool's spinning workers on the core the other needs, and on two
+cores a 32 x 200 product that takes 0.06 ms on its own took 2 ms inside a
+sweep.  Keeping every call on numpy's library keeps one pool.
 """
 
 from __future__ import annotations
@@ -10,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 __all__ = [
     "DefinitenessError",
@@ -129,11 +135,11 @@ def generalized_hermitian_eig(a, b) -> EigDecomposition:
         )
 
     chol = np.linalg.cholesky(b)
-    # C = L^-1 A L^-H via two triangular solves.
-    tmp = sla.solve_triangular(chol, a, lower=True)
-    c = sla.solve_triangular(chol, tmp.conj().T, lower=True).conj().T
+    # C = L^-1 A L^-H via two solves (numpy's LU; see the module docstring).
+    tmp = np.linalg.solve(chol, a)
+    c = np.linalg.solve(chol, tmp.conj().T).conj().T
     dec = hermitian_eig(c)
-    vectors = sla.solve_triangular(chol.conj().T, dec.vectors, lower=False)
+    vectors = np.linalg.solve(chol.conj().T, dec.vectors)
     vectors /= np.linalg.norm(vectors, axis=0, keepdims=True)
     return EigDecomposition(dec.values, fix_phases(vectors))
 

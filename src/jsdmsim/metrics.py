@@ -6,6 +6,12 @@ SINR and (optionally) channel-estimation nMSE.  A failed angle records an
 error marker and the sweep continues.  Everything is deterministic given the
 master seed; angles are independent jobs, so they can be mapped in parallel
 with ordered collection.
+
+Only the mobile groups move with phi, so the sweep's one invariant is the
+non-mobile groups' CCMs: :func:`phi_sweep` builds them once
+(:func:`~jsdmsim.channel.fixed_covariances`), every angle shares them, bit
+for bit equal to a rebuild, and :attr:`SweepResult.fixed` hands them to later
+passes at other angles (the runner's beampattern).
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import chanest, constrained, linksim
-from .channel import Scenario, build_covariances
+from .channel import FixedCovariances, Scenario, build_covariances, fixed_covariances
 from .geb import compute_geb
 from .linalg import qr
 from .statistics import expected_sinr, group_statistics, reduce
@@ -92,6 +98,8 @@ class SweepSettings:
                 raise ValueError(f"unknown combiner {name!r}")
         if self.estimator not in ("lmmse", "ls", "none"):
             raise ValueError(f"unknown estimator {self.estimator!r}")
+        if self.n_quad < 8:
+            raise ValueError("n_quad must be >= 8")
 
 
 @dataclass(frozen=True)
@@ -114,11 +122,13 @@ class SweepResult:
 
     ``beampatterns[name]`` (when capture is on) is an (n_phi, n_theta) array
     aligned with ``phi_grid``; rows are NaN only for angles whose beamformer
-    failed, which also show up in :meth:`errors`.
+    failed, which also show up in :meth:`errors`.  ``fixed`` holds the
+    non-mobile groups' CCMs the sweep built once.
     """
 
     phi_grid: np.ndarray
     settings: SweepSettings
+    fixed: FixedCovariances
     records: list[PhiRecord] = field(default_factory=list)
     beampatterns: dict[str, np.ndarray] = field(default_factory=dict)
 
@@ -184,13 +194,13 @@ def _derived_seed(master, *tokens) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
 
-def _evaluate_phi(scn: Scenario, phi: float, phi_index: int,
+def _evaluate_phi(fixed: FixedCovariances, phi: float, phi_index: int,
                   cfg: SweepSettings) -> tuple[list[PhiRecord], dict]:
     records: list[PhiRecord] = []
     patterns: dict[str, np.ndarray | None] = {}
     try:
-        scn_phi = scn.with_phi(phi)
-        cov = build_covariances(scn_phi, n_quad=cfg.n_quad)
+        scn_phi = fixed.scenario.with_phi(phi)
+        cov = build_covariances(scn_phi, n_quad=cfg.n_quad, fixed=fixed)
         stats = group_statistics(cov, scn_phi, cfg.group)
         geb = compute_geb(stats, scn_phi.groups[cfg.group].n_chains)
     except Exception as exc:  # noqa: BLE001 - sweep must survive bad angles
@@ -232,11 +242,12 @@ def _estimation_nmse(scn: Scenario, cov, stats, s_eff: np.ndarray, cfg: SweepSet
                                   energy=cfg.pilot_energy)
     stacked = chanest.effective_covariance(cov, scn, s_eff, cfg.group)
     rd = reduce(stats, s_eff)
+    pilot_cov = chanest.pilot_covariances(pilots, stacked, rd)
     if cfg.estimator == "lmmse":
-        z = chanest.lmmse_estimator(pilots, stacked, rd)
+        z = chanest.lmmse_estimator(pilots, stacked, rd, pilot_cov)
     else:
         z = chanest.ls_estimator(pilots, scn.groups[cfg.group].delays, s_eff.shape[1])
-    return chanest.nmse(z, pilots, stacked, rd)
+    return chanest.nmse(z, pilots, stacked, rd, pilot_cov)
 
 
 def phi_sweep(scn: Scenario, phi_grid, settings: SweepSettings) -> SweepResult:
@@ -244,19 +255,21 @@ def phi_sweep(scn: Scenario, phi_grid, settings: SweepSettings) -> SweepResult:
 
     Angles are independent given the master seed; with ``settings.threads``
     greater than one they run on a thread pool and are collected in grid
-    order, so the result is identical either way.
+    order, so the result is identical either way.  The non-mobile groups'
+    CCMs are built once, shared read-only by every angle and returned as
+    ``result.fixed``.
     """
     phi_grid = np.atleast_1d(np.asarray(phi_grid, dtype=float))
     if np.any(np.abs(phi_grid) > 90.0):
         raise ValueError("shifting angles must stay within the -90..90 degree scan range")
-    result = SweepResult(phi_grid, settings)
+    result = SweepResult(phi_grid, settings, fixed_covariances(scn, settings.n_quad))
     if settings.threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=settings.threads) as pool:
-            futures = [pool.submit(_evaluate_phi, scn, float(phi), i, settings)
+            futures = [pool.submit(_evaluate_phi, result.fixed, float(phi), i, settings)
                        for i, phi in enumerate(phi_grid)]
             outputs = [fut.result() for fut in futures]
     else:
-        outputs = [_evaluate_phi(scn, float(phi), i, settings)
+        outputs = [_evaluate_phi(result.fixed, float(phi), i, settings)
                    for i, phi in enumerate(phi_grid)]
     per_phi_patterns = []
     for records, patterns in outputs:

@@ -24,8 +24,9 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .channel import build_covariances
+from .channel import FixedCovariances, build_covariances
 from .config import ExperimentConfig
+from .geb import compute_geb
 from .metrics import beampattern, build_beamformer, cdf, phi_sweep, _derived_seed
 from .statistics import group_statistics
 
@@ -67,7 +68,8 @@ def run(cfg: ExperimentConfig, out_dir, seed: int | None = None, threads: int = 
 
     _write_results(out / "results.csv", result, db)
     _write_cdf(out / "cdf.csv", result, cfg)
-    pattern_failures = _write_beampattern(out / "beampattern.csv", cfg, master_seed, db)
+    pattern_failures = _write_beampattern(out / "beampattern.csv", cfg, result.fixed,
+                                          master_seed, db)
 
     failures = [{"phi": r.phi, "beamformer": r.beamformer, "combiner": r.combiner,
                  "error": r.error} for r in result.errors()]
@@ -135,16 +137,20 @@ def _write_cdf(path: Path, result, cfg: ExperimentConfig) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_beampattern(path: Path, cfg: ExperimentConfig, master_seed: int,
-                       db: bool) -> list[dict]:
-    """Write the reference-angle beampatterns; returns per-beamformer failures."""
+def _write_beampattern(path: Path, cfg: ExperimentConfig, fixed: FixedCovariances,
+                       master_seed: int, db: bool) -> list[dict]:
+    """Write the reference-angle beampatterns; returns per-beamformer failures.
+
+    Reuses the sweep's non-mobile CCMs and solves the GEB once for every design.
+    """
     out_cfg = cfg.output
     lines = [f"beamformer,theta,{'power_db' if db else 'power'}"]
     failures = []
     try:
         scn = cfg.scenario.with_phi(out_cfg.beampattern_phi)
-        cov = build_covariances(scn, n_quad=cfg.n_quad)
+        cov = build_covariances(scn, n_quad=cfg.n_quad, fixed=fixed)
         stats = group_statistics(cov, scn, cfg.group)
+        geb = compute_geb(stats, scn.groups[cfg.group].n_chains)
     except Exception as exc:  # noqa: BLE001 - flagged in the manifest instead
         path.write_text("\n".join(lines) + "\n")
         return [{"phi": out_cfg.beampattern_phi, "beamformer": name,
@@ -157,7 +163,7 @@ def _write_beampattern(path: Path, cfg: ExperimentConfig, master_seed: int,
     for name in cfg.beamformers:
         try:
             s_eff = build_beamformer(name, scn, stats, cfg.group, settings,
-                                     _derived_seed(master_seed, -1, 1))
+                                     _derived_seed(master_seed, -1, 1), geb=geb)
             values = beampattern(s_eff, thetas)
         except Exception as exc:  # noqa: BLE001
             failures.append({"phi": out_cfg.beampattern_phi, "beamformer": name,

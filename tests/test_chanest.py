@@ -16,12 +16,12 @@ from jsdmsim import (
 from jsdmsim.chanest import (
     PilotDesignError,
     StackedEffectiveChannel,
-    _pilot_covariances,
     build_pilots,
     effective_covariance,
     lmmse_estimator,
     ls_estimator,
     nmse,
+    pilot_covariances,
     pilots_from_sequences,
     receive_pilots,
     stack_effective,
@@ -98,7 +98,7 @@ class TestReceivePilots:
         rd = reduce(stats, geb.s)
         pilots = build_pilots(scn, 0, 4, seed=11)
         stacked = effective_covariance(cov, scn, geb.s, 0)
-        r_y, _ = _pilot_covariances(pilots, stacked.r_h, rd.r_eta)
+        r_y = pilot_covariances(pilots, stacked, rd).r_y
         draws = 8000
         dim = pilots.length * 2
         acc = np.zeros((dim, dim), dtype=complex)
@@ -235,6 +235,24 @@ class TestNmse:
             v_lm = nmse(lmmse_estimator(pilots, stacked, rd), pilots, stacked, rd)
             v_ls = nmse(ls_estimator(pilots, scn.groups[0].delays, 3), pilots, stacked, rd)
             assert v_lm <= v_ls
+
+    def test_shared_pilot_covariances_give_identical_values(self):
+        scn, _, geb, rd, stacked = self.toy()
+        pilots = build_pilots(scn, 0, 8, seed=3)
+        shared = pilot_covariances(pilots, stacked, rd)
+        z = lmmse_estimator(pilots, stacked, rd)
+        assert np.array_equal(lmmse_estimator(pilots, stacked, rd, shared), z)
+        assert nmse(z, pilots, stacked, rd, shared) == nmse(z, pilots, stacked, rd)
+
+    def test_pilot_covariances_of_other_inputs_rejected(self):
+        scn, _, geb, rd, stacked = self.toy()
+        pilots = build_pilots(scn, 0, 8, seed=3)
+        other = pilot_covariances(build_pilots(scn, 0, 8, seed=4), stacked, rd)
+        z = lmmse_estimator(pilots, stacked, rd)
+        with pytest.raises(ValueError, match="other pilots"):
+            lmmse_estimator(pilots, stacked, rd, other)
+        with pytest.raises(ValueError, match="other pilots"):
+            nmse(z, pilots, stacked, rd, other)
 
     def test_lmmse_in_unit_interval(self):
         scn, _, geb, rd, stacked = self.toy()

@@ -1,5 +1,6 @@
 """Config parsing, the experiment runner and the command-line interface."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -185,8 +186,8 @@ class TestRunner:
 
     def test_partial_failures_flagged(self, tmp_path):
         # block length below the delay spread fails every angle at run time
-        text = desk_config_text().replace("block_length = 32", "block_length = 8")
-        cfg = parse_config(text)
+        # (parse_config rejects it, so the config is edited after parsing)
+        cfg = dataclasses.replace(parse_config(desk_config_text()), block_length=8)
         manifest = run(cfg, tmp_path / "out")
         assert manifest["exit_code"] == 2
         assert manifest["partial"] is True

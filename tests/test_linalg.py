@@ -1,11 +1,16 @@
 """Contracts of the dense linear-algebra kernels."""
 
+import os
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import jsdmsim
 from jsdmsim import ccm_one_ring
 from jsdmsim.linalg import (
     DefinitenessError,
@@ -96,6 +101,61 @@ class TestGeneralizedEig:
     def test_indefinite_b_rejected(self):
         with pytest.raises(DefinitenessError, match="eigenvalue"):
             generalized_hermitian_eig(np.eye(2), np.diag([1.0, -0.5]))
+
+    def test_pivoting_pencil_matches_scipy(self):
+        # Cholesky factor with |L_ij| > L_jj below the diagonal: an LU solve
+        # with partial pivoting swaps rows where a triangular solve would not
+        sla = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(0)
+        m = 6
+        low = np.tril(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)), -1)
+        low += np.diag(rng.uniform(0.5, 1.0, m))
+        b = low @ low.conj().T
+        chol = np.linalg.cholesky(b)
+        assert np.any(np.abs(np.tril(chol, -1)) > np.diag(chol).real[None, :])
+        a = random_hermitian(rng, m)
+        dec = generalized_hermitian_eig(a, b)
+        values, vectors = sla.eigh(a, b)
+        values, vectors = values[::-1], vectors[:, ::-1]
+        assert np.min(np.abs(np.diff(values))) > 1e-3  # simple spectrum: spans are single vectors
+        assert_allclose(dec.values, values, rtol=0, atol=1e-10 * np.abs(values).max())
+        vectors = vectors / np.linalg.norm(vectors, axis=0)
+        for i in range(m):
+            ours = np.outer(dec.vectors[:, i], dec.vectors[:, i].conj())
+            ref = np.outer(vectors[:, i], vectors[:, i].conj())
+            assert np.linalg.norm(ours - ref) <= 1e-10
+
+    def test_singular_psd_b_rejected(self):
+        rng = np.random.default_rng(25)
+        with pytest.raises(DefinitenessError, match="eigenvalue"):
+            generalized_hermitian_eig(np.eye(5), random_psd(rng, 5, rank=3))
+
+
+def test_package_never_loads_scipy_linalg():
+    # numpy and scipy each bundle an OpenBLAS with its own thread pool; the
+    # package keeps to numpy's, so a sweep must not import scipy.linalg
+    script = """
+import sys
+import numpy as np
+import jsdmsim, jsdmsim.cli, jsdmsim.runner
+from jsdmsim import GroupSpec, Scenario, SweepSettings, phi_sweep
+groups = (
+    GroupSpec(2, 4, 1000.0, (0, 2), np.array([[-10.0, 20.0], [-9.0, 21.0]]), 2.0, 1.0,
+              mobile=True),
+    GroupSpec(2, 4, 100.0, (1, 3), np.array([[40.0, -35.0], [41.0, -34.0]]), 2.0, 1.0),
+)
+settings = SweepSettings(group=0, beamformers=("geb", "dft", "pe-am"), combiners=("zf", "lmmse"),
+                         trials=2, block_length=16, seed=1)
+result = phi_sweep(Scenario(16, 4, 1.0, groups), [0.0, 5.0], settings)
+assert not result.errors(), result.errors()
+print("scipy.linalg" in sys.modules)
+"""
+    src = str(Path(jsdmsim.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 class TestSvd:

@@ -1,5 +1,7 @@
 """Beampatterns, shifting-angle sweeps and outage tabulation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -13,7 +15,9 @@ from jsdmsim import (
     steering,
 )
 from jsdmsim.linalg import RankError
+from jsdmsim import metrics
 from jsdmsim.linksim import ergodic_capacity
+from jsdmsim.channel import fixed_covariances
 from jsdmsim.metrics import SweepSettings, _derived_seed, build_beamformer, phi_sweep
 
 from conftest import random_orthonormal, table1_scenario, two_group_toy
@@ -178,3 +182,77 @@ class TestPhiSweep:
         for a, b in zip(r1.records, r4.records):
             assert a.phi == b.phi
             assert np.array_equal(a.capacity, b.capacity)
+
+
+def _two_mobile_groups():
+    scn = table1_scenario(m=16)
+    groups = list(scn.groups)
+    groups[2] = dataclasses.replace(groups[2], mobile=True)
+    return dataclasses.replace(scn, groups=tuple(groups)), 0
+
+
+class TestFixedCovariances:
+    """Each angle's shared CCMs give a sweep equal, bit for bit, to a rebuild."""
+
+    CASES = {
+        # evaluated group mobile, interferers fixed: R_s moves, R_eta does not
+        "mobile-group": lambda: (table1_scenario(m=16), 0),
+        # evaluated group fixed, one interferer mobile: R_s is invariant, R_eta moves
+        "fixed-group": lambda: (table1_scenario(m=16), 2),
+        # two mobile groups: R_eta moves with the second one
+        "two-mobile": _two_mobile_groups,
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_each_angle_equals_a_rebuild(self, case, monkeypatch):
+        scn, group = self.CASES[case]()
+        phis = [-3.0, 0.0, 4.5]
+        settings = SweepSettings(group=group, beamformers=("geb", "dft"), combiners=("zf",),
+                                 trials=2, block_length=32, seed=5)
+        built, solved = [], []
+        original_build, original_geb = metrics.build_covariances, metrics.compute_geb
+
+        def recording_build(scn_phi, **kwargs):
+            built.append((scn_phi, original_build(scn_phi, **kwargs)))
+            return built[-1][1]
+
+        def recording_geb(stats, n_chains):
+            solved.append((stats, original_geb(stats, n_chains)))
+            return solved[-1][1]
+
+        monkeypatch.setattr(metrics, "build_covariances", recording_build)
+        monkeypatch.setattr(metrics, "compute_geb", recording_geb)
+        result = phi_sweep(scn, phis, settings)
+        assert not result.errors()
+        assert [s.phi for s, _ in built] == phis and len(solved) == len(phis)
+
+        for phi, (scn_phi, cov), (stats, geb) in zip(phis, built, solved):
+            ref_scn = scn.with_phi(phi)
+            ref_cov = build_covariances(ref_scn, n_quad=settings.n_quad)
+            ref_stats = group_statistics(ref_cov, ref_scn, group)
+            ref_geb = compute_geb(ref_stats, ref_scn.groups[group].n_chains)
+            assert scn_phi == ref_scn
+            for g, spec in enumerate(scn.groups):
+                # the non-mobile groups' CCMs are the sweep's, built once
+                assert (cov.ccms[g] is result.fixed.ccms.get(g)) != spec.mobile
+                for k in range(spec.n_users):
+                    for delay in spec.delays:
+                        assert np.array_equal(cov.ccms[g][k][delay], ref_cov.ccms[g][k][delay])
+            assert np.array_equal(stats.r_s, ref_stats.r_s)
+            assert np.array_equal(stats.r_eta, ref_stats.r_eta)
+            assert np.array_equal(geb.s, ref_geb.s)
+            assert np.array_equal(geb.gen_eigenvalues, ref_geb.gen_eigenvalues)
+
+    def test_shared_only_with_their_own_scenario_and_quadrature(self):
+        scn = two_group_toy()
+        fixed = fixed_covariances(scn, n_quad=64)
+        cov = build_covariances(scn.with_phi(7.0), n_quad=64, fixed=fixed)
+        assert cov.ccms[1] is fixed.ccms[1]
+        with pytest.raises(ValueError, match="another scenario or n_quad"):
+            build_covariances(scn.with_phi(7.0), n_quad=65, fixed=fixed)
+        with pytest.raises(ValueError, match="another scenario or n_quad"):
+            build_covariances(two_group_toy(), n_quad=64, fixed=fixed)
+
+    def test_bad_quadrature_rejected_before_the_sweep(self):
+        with pytest.raises(ValueError, match="n_quad"):
+            SweepSettings(group=0, n_quad=4)
