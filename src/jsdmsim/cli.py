@@ -1,10 +1,10 @@
 """Command-line entry point: run experiments, validate configs, emit scenarios.
 
-    jsdmsim run CONFIG [--out DIR] [--seed N] [--threads N] [--db]
+    jsdmsim run CONFIG [--out DIR] [--seed N] [--db]
     jsdmsim validate CONFIG
     jsdmsim scenario table1 [--scale M] [--phi-step S] [--trials N] [-o FILE]
 
-Environment overrides: JSDMSIM_OUT (output directory), JSDMSIM_THREADS.
+Environment override: JSDMSIM_OUT (output directory).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", type=Path)
     p_run.add_argument("--out", type=Path, default=None, help="output directory")
     p_run.add_argument("--seed", type=int, default=None, help="override the master seed")
-    p_run.add_argument("--threads", type=int, default=None, help="worker threads over angles")
     p_run.add_argument("--db", action="store_true", help="emit power-ratio columns in dB")
 
     p_val = sub.add_parser("validate", help="parse and validate a config")
@@ -58,11 +57,8 @@ def _cmd_run(args) -> int:
     out_dir = args.out or os.environ.get("JSDMSIM_OUT")
     if out_dir is None:
         out_dir = cfg.output.directory or "results"
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("JSDMSIM_THREADS", "1"))
     try:
-        manifest = run(cfg, out_dir, seed=args.seed, threads=threads, db=args.db)
+        manifest = run(cfg, out_dir, seed=args.seed, db=args.db)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -33,7 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from .channel import GroupSpec, Scenario
-from .metrics import BEAMFORMER_NAMES, SweepSettings
+from .linksim import COMBINER_NAMES
+from .metrics import DESIGNS, ESTIMATOR_NAMES, SUBARRAY_MASKS, SweepSettings, check_names
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_config"]
 
@@ -95,13 +96,13 @@ class ExperimentConfig:
         count = int(np.floor((self.phi_stop - self.phi_start) / self.phi_step + 1e-9)) + 1
         return self.phi_start + self.phi_step * np.arange(max(count, 1))
 
-    def sweep_settings(self, threads: int = 1) -> SweepSettings:
+    def sweep_settings(self) -> SweepSettings:
         return SweepSettings(
             group=self.group, beamformers=self.beamformers, combiners=self.combiners,
             estimator=self.estimator, pilot_length=self.pilot_length,
             pilot_energy=self.pilot_energy, block_length=self.block_length,
             trials=self.trials, seed=self.seed, n_quad=self.n_quad, tol=self.tol,
-            max_iter=self.max_iter, n_restarts=self.n_restarts, threads=threads)
+            max_iter=self.max_iter, n_restarts=self.n_restarts)
 
 
 class _RawConfig:
@@ -229,10 +230,10 @@ def _enum_list(section: dict, key: str, allowed, required=False, default=()):
     names = tuple(value.split())
     if not names:
         raise ConfigError(f"line {lineno}: {key!r} must list at least one name")
-    for name in names:
-        if name not in allowed:
-            raise ConfigError(f"line {lineno}: unknown {key[:-1]} {name!r}"
-                              f" (allowed: {' '.join(sorted(allowed))})")
+    try:
+        check_names(key[:-1], names, allowed)
+    except ValueError as exc:
+        raise ConfigError(f"line {lineno}: {exc}") from None
     if len(set(names)) != len(names):
         raise ConfigError(f"line {lineno}: duplicate names in {key!r}")
     return names
@@ -248,6 +249,9 @@ def parse_config(text: str) -> ExperimentConfig:
     antennas = _typed(scn_raw, "antennas", int, required=True, lineno_hint=" in [scenario]")
     taps = _typed(scn_raw, "taps", int, required=True, lineno_hint=" in [scenario]")
     noise = _typed(scn_raw, "noise_power", float, required=True, lineno_hint=" in [scenario]")
+    if not noise > 0:
+        raise ConfigError(f"line {scn_raw[('noise_power', None)][1]}: noise_power must be"
+                          f" positive, got {noise:g}")
     phi0 = _typed(scn_raw, "phi", float, default=0.0)
     block_length = _typed(scn_raw, "block_length", int, default=64)
     if block_length < taps:
@@ -271,11 +275,13 @@ def parse_config(text: str) -> ExperimentConfig:
     run_raw = raw.section("run")
     if run_raw is None:
         raise ConfigError("missing [run] section")
-    beamformers = _enum_list(run_raw, "beamformers", set(BEAMFORMER_NAMES), required=True)
-    combiners = _enum_list(run_raw, "combiners", {"zf", "lmmse"}, required=True)
+    beamformers = _enum_list(run_raw, "beamformers", DESIGNS, required=True)
+    combiners = _enum_list(run_raw, "combiners", COMBINER_NAMES, required=True)
     estimator = _typed(run_raw, "estimator", str, default="none")
-    if estimator not in ("lmmse", "ls", "none"):
-        raise ConfigError(f"unknown estimator {estimator!r}")
+    try:
+        check_names("estimator", (estimator,), ESTIMATOR_NAMES)
+    except ValueError as exc:
+        raise ConfigError(f"line {run_raw[('estimator', None)][1]}: {exc}") from None
     group_1based = _typed(run_raw, "group", int)
     if group_1based is None:
         mobile_ids = [i + 1 for i, g in enumerate(groups) if g.mobile]
@@ -284,6 +290,14 @@ def parse_config(text: str) -> ExperimentConfig:
         group_1based = mobile_ids[0]
     if not 1 <= group_1based <= len(groups):
         raise ConfigError(f"[run] group {group_1based} out of range 1..{len(groups)}")
+    chains = groups[group_1based - 1].n_chains
+    for name in beamformers:
+        if name in SUBARRAY_MASKS:
+            try:
+                SUBARRAY_MASKS[name](antennas, chains)
+            except ValueError as exc:
+                raise ConfigError(f"line {run_raw[('beamformers', None)][1]}: {name} on"
+                                  f" group {group_1based}: {exc}") from None
 
     sweep_raw = raw.section("sweep")
     if sweep_raw is None:
@@ -317,7 +331,7 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("estimator set but [estimation] section missing")
 
     out_raw = raw.section("output")
-    formats = _enum_list(out_raw, "formats", {"csv"}, default=("csv",))
+    formats = _enum_list(out_raw, "formats", ("csv",), default=("csv",))
     output = OutputSettings(
         directory=_typed(out_raw, "directory", str, default=None),
         formats=formats,

@@ -25,6 +25,7 @@ from .statistics import ReducedStatistics, group_statistics, reduce
 __all__ = [
     "BlockConfig",
     "BlockResult",
+    "COMBINER_NAMES",
     "CapacityEstimate",
     "UserLinkReport",
     "bussgang_report",
@@ -32,6 +33,8 @@ __all__ = [
     "simulate_block",
 ]
 
+# The per-bin digital combiners ergodic_capacity can apply.
+COMBINER_NAMES = ("zf", "lmmse")
 
 # Trials per stacked link evaluation.  Blocks of 8 to 64 trials run equally
 # fast; the temporaries grow with the block (table1 at 32 antennas, 200
@@ -196,7 +199,7 @@ def ergodic_capacity(scn: Scenario, cov: CovarianceSet, s_eff: np.ndarray, group
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if combiner not in ("zf", "lmmse"):
+    if combiner not in COMBINER_NAMES:
         raise ValueError(f"unknown combiner {combiner!r}")
     spec = scn.groups[group]
     e = spec.symbol_energy / spec.n_users

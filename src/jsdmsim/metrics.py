@@ -1,11 +1,11 @@
 """Beampattern evaluation, shifting-angle sweeps and outage tabulation.
 
-The sweep moves the mobile group's angular profile, rebuilds its covariances
-and beamformers at every shifting angle, and evaluates capacity, expected
-SINR and (optionally) channel-estimation nMSE.  A failed angle records an
-error marker and the sweep continues.  Everything is deterministic given the
-master seed; angles are independent jobs, so they can be mapped in parallel
-with ordered collection.
+The sweep moves the mobile group's angular profile and, angle by angle,
+rebuilds its covariances and beamformers (:func:`angle_design`, then
+:data:`DESIGNS`) and evaluates capacity, expected SINR and (optionally)
+channel-estimation nMSE.  A numerical failure (:data:`ANGLE_ERRORS`) records
+an error marker and the sweep continues; any other exception propagates.
+Everything is deterministic given the master seed.
 
 Only the mobile groups move with phi, so the sweep's one invariant is the
 non-mobile groups' CCMs: :func:`phi_sweep` builds them once
@@ -16,29 +16,77 @@ passes at other angles (the runner's beampattern).
 
 from __future__ import annotations
 
-import concurrent.futures
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import chanest, constrained, linksim
-from .channel import FixedCovariances, Scenario, build_covariances, fixed_covariances
-from .geb import compute_geb
+from .channel import (CovarianceSet, FixedCovariances, Scenario, _steering_many,
+                      build_covariances, fixed_covariances)
+from .geb import UnconstrainedBeamformer, compute_geb
 from .linalg import qr
-from .statistics import expected_sinr, group_statistics, reduce
+from .linksim import COMBINER_NAMES
+from .statistics import GroupStatistics, expected_sinr, group_statistics, reduce
 
 __all__ = [
-    "BEAMFORMER_NAMES",
+    "ANGLE_ERRORS",
+    "DESIGNS",
+    "ESTIMATOR_NAMES",
+    "SUBARRAY_MASKS",
     "PhiRecord",
     "SweepResult",
     "SweepSettings",
+    "angle_design",
     "beampattern",
+    "build_beamformer",
     "cdf",
+    "check_names",
     "phi_sweep",
 ]
 
-BEAMFORMER_NAMES = ("geb", "dft", "pe", "pe-am", "fixed-ordered", "fixed-interlaced", "dynamic")
+# The design table below, COMBINER_NAMES and this are the only name lists.
+ESTIMATOR_NAMES = ("none", "lmmse", "ls")
+
+# Failures that belong to one angle or one design: ValueError covers the
+# package's error types and numpy.linalg.LinAlgError.
+ANGLE_ERRORS = (ValueError, constrained.CandidateExhaustionError)
+
+# Connection mask mask(M, D) of each fixed-subarray design.
+SUBARRAY_MASKS = {
+    "fixed-ordered": constrained.ordered_mask,
+    "fixed-interlaced": constrained.interlaced_mask,
+}
+
+
+def _fixed_subarray(mask):
+    return lambda geb, stats, scn, group, cfg, seed: constrained.fixed_subarray(
+        geb, mask(scn.n_antennas, scn.groups[group].n_chains), tol=cfg.tol,
+        max_iter=cfg.max_iter, seed=seed)[0].effective()
+
+
+# Design name -> design(geb, stats, scn, group, cfg, seed), the effective
+# analog stage (including compensation).  Entries look up ``constrained.<fn>``
+# when called, so wrappers installed on that module see every call.
+DESIGNS = {
+    "geb": lambda geb, stats, scn, group, cfg, seed: geb.s,
+    "dft": lambda geb, stats, scn, group, cfg, seed:
+        constrained.dft_beamformer(scn, group).effective(),
+    "pe": lambda geb, stats, scn, group, cfg, seed:
+        constrained.phase_extraction(geb).effective(),
+    "pe-am": lambda geb, stats, scn, group, cfg, seed:
+        constrained.pe_am(geb, tol=cfg.tol, max_iter=cfg.max_iter)[0].effective(),
+    **{name: _fixed_subarray(mask) for name, mask in SUBARRAY_MASKS.items()},
+    "dynamic": lambda geb, stats, scn, group, cfg, seed: constrained.dynamic_subarray(
+        geb, stats, n_restarts=cfg.n_restarts, seed=seed, tol=cfg.tol,
+        max_iter=cfg.max_iter)[0].effective(),
+}
+
+
+def check_names(kind: str, names, allowed) -> None:
+    """Raise ValueError naming the first of ``names`` not in ``allowed``."""
+    for name in names:
+        if name not in allowed:
+            raise ValueError(f"unknown {kind} {name!r} (allowed: {' '.join(allowed)})")
 
 
 def beampattern(s: np.ndarray, theta_grid: np.ndarray) -> np.ndarray:
@@ -49,10 +97,7 @@ def beampattern(s: np.ndarray, theta_grid: np.ndarray) -> np.ndarray:
     """
     s = np.asarray(s, dtype=complex)
     q, _ = qr(s)  # rank deficiency surfaces here as RankError
-    m = s.shape[0]
-    k = np.arange(m)[:, None]
-    sines = np.sin(np.deg2rad(np.asarray(theta_grid, dtype=float)))[None, :]
-    u = np.exp(1j * np.pi * k * sines) / math.sqrt(m)
+    u = _steering_many(theta_grid, s.shape[0])
     return np.sum(np.abs(q.conj().T @ u) ** 2, axis=0)
 
 
@@ -67,11 +112,7 @@ def cdf(values, grid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SweepSettings:
-    """Everything the per-angle pipeline needs besides the scenario.
-
-    ``beampattern_grid`` (a vector of angles in degrees) switches on per-angle
-    beampattern capture for every beamformer under test.
-    """
+    """Everything the per-angle pipeline needs besides the scenario."""
 
     group: int
     beamformers: tuple[str, ...] = ("geb",)
@@ -86,18 +127,11 @@ class SweepSettings:
     tol: float = 1e-8
     max_iter: int = 500
     n_restarts: int = 20
-    threads: int = 1
-    beampattern_grid: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        for name in self.beamformers:
-            if name not in BEAMFORMER_NAMES:
-                raise ValueError(f"unknown beamformer {name!r}")
-        for name in self.combiners:
-            if name not in ("zf", "lmmse"):
-                raise ValueError(f"unknown combiner {name!r}")
-        if self.estimator not in ("lmmse", "ls", "none"):
-            raise ValueError(f"unknown estimator {self.estimator!r}")
+        check_names("beamformer", self.beamformers, DESIGNS)
+        check_names("combiner", self.combiners, COMBINER_NAMES)
+        check_names("estimator", (self.estimator,), ESTIMATOR_NAMES)
         if self.n_quad < 8:
             raise ValueError("n_quad must be >= 8")
 
@@ -120,17 +154,13 @@ class PhiRecord:
 class SweepResult:
     """Per-angle records plus convenience reductions over the sweep.
 
-    ``beampatterns[name]`` (when capture is on) is an (n_phi, n_theta) array
-    aligned with ``phi_grid``; rows are NaN only for angles whose beamformer
-    failed, which also show up in :meth:`errors`.  ``fixed`` holds the
-    non-mobile groups' CCMs the sweep built once.
+    ``fixed`` holds the non-mobile groups' CCMs the sweep built once.
     """
 
     phi_grid: np.ndarray
     settings: SweepSettings
     fixed: FixedCovariances
     records: list[PhiRecord] = field(default_factory=list)
-    beampatterns: dict[str, np.ndarray] = field(default_factory=dict)
 
     def select(self, beamformer: str, combiner: str) -> list[PhiRecord]:
         return [r for r in self.records
@@ -158,35 +188,10 @@ def build_beamformer(name: str, scn: Scenario, stats, group: int, cfg: SweepSett
     ``geb`` may carry a precomputed unconstrained design so sweeps solve the
     covariance pencil once per angle.
     """
-    spec = scn.groups[group]
+    check_names("beamformer", (name,), DESIGNS)
     if geb is None:
-        geb = compute_geb(stats, spec.n_chains)
-    if name == "geb":
-        return geb.s
-    if name == "dft":
-        return dft_effective(scn, group)
-    if name == "pe":
-        return constrained.phase_extraction(geb).effective()
-    if name == "pe-am":
-        cb, _ = constrained.pe_am(geb, tol=cfg.tol, max_iter=cfg.max_iter)
-        return cb.effective()
-    if name == "fixed-ordered":
-        mask = constrained.ordered_mask(scn.n_antennas, spec.n_chains)
-        cb, _ = constrained.fixed_subarray(geb, mask, tol=cfg.tol, max_iter=cfg.max_iter, seed=seed)
-        return cb.effective()
-    if name == "fixed-interlaced":
-        mask = constrained.interlaced_mask(scn.n_antennas, spec.n_chains)
-        cb, _ = constrained.fixed_subarray(geb, mask, tol=cfg.tol, max_iter=cfg.max_iter, seed=seed)
-        return cb.effective()
-    if name == "dynamic":
-        cb, _ = constrained.dynamic_subarray(geb, stats, n_restarts=cfg.n_restarts,
-                                             seed=seed, tol=cfg.tol, max_iter=cfg.max_iter)
-        return cb.effective()
-    raise ValueError(f"unknown beamformer {name!r}")
-
-
-def dft_effective(scn: Scenario, group: int) -> np.ndarray:
-    return constrained.dft_beamformer(scn, group).effective()
+        geb = compute_geb(stats, scn.groups[group].n_chains)
+    return DESIGNS[name](geb, stats, scn, group, cfg, seed)
 
 
 def _derived_seed(master, *tokens) -> int:
@@ -194,34 +199,40 @@ def _derived_seed(master, *tokens) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
 
-def _evaluate_phi(fixed: FixedCovariances, phi: float, phi_index: int,
-                  cfg: SweepSettings) -> tuple[list[PhiRecord], dict]:
-    records: list[PhiRecord] = []
-    patterns: dict[str, np.ndarray | None] = {}
-    try:
-        scn_phi = fixed.scenario.with_phi(phi)
-        cov = build_covariances(scn_phi, n_quad=cfg.n_quad, fixed=fixed)
-        stats = group_statistics(cov, scn_phi, cfg.group)
-        geb = compute_geb(stats, scn_phi.groups[cfg.group].n_chains)
-    except Exception as exc:  # noqa: BLE001 - sweep must survive bad angles
-        return ([PhiRecord(phi, name, comb, error=f"{type(exc).__name__}: {exc}")
-                 for name in cfg.beamformers for comb in cfg.combiners],
-                {name: None for name in cfg.beamformers})
+def angle_design(fixed: FixedCovariances, phi: float, cfg: SweepSettings
+                 ) -> tuple[Scenario, CovarianceSet, GroupStatistics, UnconstrainedBeamformer]:
+    """Scenario, covariances, evaluated-group statistics and GEB at one angle.
 
+    The non-mobile groups' CCMs come from ``fixed``, built once per sweep.
+    """
+    scn = fixed.scenario.with_phi(phi)
+    cov = build_covariances(scn, n_quad=cfg.n_quad, fixed=fixed)
+    stats = group_statistics(cov, scn, cfg.group)
+    return scn, cov, stats, compute_geb(stats, scn.groups[cfg.group].n_chains)
+
+
+def _error(phi: float, name: str, comb: str, exc: Exception) -> PhiRecord:
+    return PhiRecord(phi, name, comb, error=f"{type(exc).__name__}: {exc}")
+
+
+def _evaluate_phi(fixed: FixedCovariances, phi: float, phi_index: int,
+                  cfg: SweepSettings) -> list[PhiRecord]:
+    try:
+        scn_phi, cov, stats, geb = angle_design(fixed, phi, cfg)
+    except ANGLE_ERRORS as exc:
+        return [_error(phi, name, comb, exc) for name in cfg.beamformers for comb in cfg.combiners]
+
+    records: list[PhiRecord] = []
     for name in cfg.beamformers:
         try:
             s_eff = build_beamformer(name, scn_phi, stats, cfg.group, cfg,
                                      _derived_seed(cfg.seed, phi_index, 1), geb=geb)
             score = expected_sinr(stats, s_eff)
-            if cfg.beampattern_grid is not None:
-                patterns[name] = beampattern(s_eff, np.asarray(cfg.beampattern_grid))
             est_nmse = None
             if cfg.estimator != "none":
                 est_nmse = _estimation_nmse(scn_phi, cov, stats, s_eff, cfg, phi_index)
-        except Exception as exc:  # noqa: BLE001
-            records.extend(PhiRecord(phi, name, comb, error=f"{type(exc).__name__}: {exc}")
-                           for comb in cfg.combiners)
-            patterns[name] = None
+        except ANGLE_ERRORS as exc:
+            records.extend(_error(phi, name, comb, exc) for comb in cfg.combiners)
             continue
         for comb in cfg.combiners:
             try:
@@ -230,9 +241,9 @@ def _evaluate_phi(fixed: FixedCovariances, phi: float, phi_index: int,
                     trials=cfg.trials, seed=_derived_seed(cfg.seed, phi_index, 2))
                 records.append(PhiRecord(phi, name, comb, cap.mean, cap.stderr,
                                          score, est_nmse))
-            except Exception as exc:  # noqa: BLE001
-                records.append(PhiRecord(phi, name, comb, error=f"{type(exc).__name__}: {exc}"))
-    return records, patterns
+            except ANGLE_ERRORS as exc:
+                records.append(_error(phi, name, comb, exc))
+    return records
 
 
 def _estimation_nmse(scn: Scenario, cov, stats, s_eff: np.ndarray, cfg: SweepSettings,
@@ -251,36 +262,15 @@ def _estimation_nmse(scn: Scenario, cov, stats, s_eff: np.ndarray, cfg: SweepSet
 
 
 def phi_sweep(scn: Scenario, phi_grid, settings: SweepSettings) -> SweepResult:
-    """Evaluate the configured pipeline at every shifting angle.
+    """Evaluate the configured pipeline at every shifting angle, in grid order.
 
-    Angles are independent given the master seed; with ``settings.threads``
-    greater than one they run on a thread pool and are collected in grid
-    order, so the result is identical either way.  The non-mobile groups'
-    CCMs are built once, shared read-only by every angle and returned as
-    ``result.fixed``.
+    The non-mobile groups' CCMs are built once, shared by every angle and
+    returned as ``result.fixed``.
     """
     phi_grid = np.atleast_1d(np.asarray(phi_grid, dtype=float))
     if np.any(np.abs(phi_grid) > 90.0):
         raise ValueError("shifting angles must stay within the -90..90 degree scan range")
     result = SweepResult(phi_grid, settings, fixed_covariances(scn, settings.n_quad))
-    if settings.threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=settings.threads) as pool:
-            futures = [pool.submit(_evaluate_phi, result.fixed, float(phi), i, settings)
-                       for i, phi in enumerate(phi_grid)]
-            outputs = [fut.result() for fut in futures]
-    else:
-        outputs = [_evaluate_phi(result.fixed, float(phi), i, settings)
-                   for i, phi in enumerate(phi_grid)]
-    per_phi_patterns = []
-    for records, patterns in outputs:
-        result.records.extend(records)
-        per_phi_patterns.append(patterns)
-    if settings.beampattern_grid is not None:
-        n_theta = len(settings.beampattern_grid)
-        for name in settings.beamformers:
-            grid = np.full((len(phi_grid), n_theta), np.nan)
-            for i, patterns in enumerate(per_phi_patterns):
-                if patterns.get(name) is not None:
-                    grid[i] = patterns[name]
-            result.beampatterns[name] = grid
+    for i, phi in enumerate(phi_grid):
+        result.records.extend(_evaluate_phi(result.fixed, float(phi), i, settings))
     return result

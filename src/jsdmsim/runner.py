@@ -24,11 +24,9 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .channel import FixedCovariances, build_covariances
-from .config import ExperimentConfig
-from .geb import compute_geb
-from .metrics import beampattern, build_beamformer, cdf, phi_sweep, _derived_seed
-from .statistics import group_statistics
+from .config import ExperimentConfig, OutputSettings
+from .metrics import (ANGLE_ERRORS, PhiRecord, SweepResult, angle_design, beampattern,
+                      build_beamformer, cdf, phi_sweep, _derived_seed, _error)
 
 __all__ = ["run"]
 
@@ -47,8 +45,7 @@ def _db(x: float) -> float:
     return 10.0 * math.log10(x) if x > 0 else -math.inf
 
 
-def run(cfg: ExperimentConfig, out_dir, seed: int | None = None, threads: int = 1,
-        db: bool = False) -> dict:
+def run(cfg: ExperimentConfig, out_dir, seed: int | None = None, db: bool = False) -> dict:
     """Execute the configured sweep and write all result files.
 
     Returns the manifest dictionary; its ``exit_code`` is 0 on full success
@@ -60,7 +57,7 @@ def run(cfg: ExperimentConfig, out_dir, seed: int | None = None, threads: int = 
     out.mkdir(parents=True, exist_ok=True)
     master_seed = cfg.seed if seed is None else int(seed)
 
-    settings = cfg.sweep_settings(threads=threads)
+    settings = cfg.sweep_settings()
     if master_seed != cfg.seed:
         settings = dataclasses.replace(settings, seed=master_seed)
     phis = cfg.phi_values()
@@ -68,15 +65,12 @@ def run(cfg: ExperimentConfig, out_dir, seed: int | None = None, threads: int = 
 
     _write_results(out / "results.csv", result, db)
     _write_cdf(out / "cdf.csv", result, cfg)
-    pattern_failures = _write_beampattern(out / "beampattern.csv", cfg, result.fixed,
-                                          master_seed, db)
+    pattern_failures = _write_beampattern(out / "beampattern.csv", cfg.output, result, db)
 
     failures = [{"phi": r.phi, "beamformer": r.beamformer, "combiner": r.combiner,
-                 "error": r.error} for r in result.errors()]
-    failures.extend(pattern_failures)
+                 "error": r.error} for r in result.errors() + pattern_failures]
     manifest = {
         "seed": master_seed,
-        "threads": threads,
         "db": db,
         "phi": {"start": cfg.phi_start, "stop": cfg.phi_stop, "step": cfg.phi_step,
                 "count": int(len(phis))},
@@ -137,38 +131,30 @@ def _write_cdf(path: Path, result, cfg: ExperimentConfig) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_beampattern(path: Path, cfg: ExperimentConfig, fixed: FixedCovariances,
-                       master_seed: int, db: bool) -> list[dict]:
+def _write_beampattern(path: Path, out_cfg: OutputSettings, result: SweepResult,
+                       db: bool) -> list[PhiRecord]:
     """Write the reference-angle beampatterns; returns per-beamformer failures.
 
-    Reuses the sweep's non-mobile CCMs and solves the GEB once for every design.
+    Starts from the sweep's non-mobile CCMs and solves the GEB once for every design.
     """
-    out_cfg = cfg.output
+    settings, phi = result.settings, out_cfg.beampattern_phi
     lines = [f"beamformer,theta,{'power_db' if db else 'power'}"]
     failures = []
     try:
-        scn = cfg.scenario.with_phi(out_cfg.beampattern_phi)
-        cov = build_covariances(scn, n_quad=cfg.n_quad, fixed=fixed)
-        stats = group_statistics(cov, scn, cfg.group)
-        geb = compute_geb(stats, scn.groups[cfg.group].n_chains)
-    except Exception as exc:  # noqa: BLE001 - flagged in the manifest instead
+        scn, _, stats, geb = angle_design(result.fixed, phi, settings)
+    except ANGLE_ERRORS as exc:  # flagged in the manifest instead
         path.write_text("\n".join(lines) + "\n")
-        return [{"phi": out_cfg.beampattern_phi, "beamformer": name,
-                 "combiner": "(beampattern)", "error": f"{type(exc).__name__}: {exc}"}
-                for name in cfg.beamformers]
+        return [_error(phi, name, "(beampattern)", exc) for name in settings.beamformers]
     n_pts = int(round((out_cfg.beampattern_stop - out_cfg.beampattern_start)
                       / out_cfg.beampattern_step)) + 1
     thetas = out_cfg.beampattern_start + out_cfg.beampattern_step * np.arange(n_pts)
-    settings = cfg.sweep_settings()
-    for name in cfg.beamformers:
+    for name in settings.beamformers:
         try:
-            s_eff = build_beamformer(name, scn, stats, cfg.group, settings,
-                                     _derived_seed(master_seed, -1, 1), geb=geb)
+            s_eff = build_beamformer(name, scn, stats, settings.group, settings,
+                                     _derived_seed(settings.seed, -1, 1), geb=geb)
             values = beampattern(s_eff, thetas)
-        except Exception as exc:  # noqa: BLE001
-            failures.append({"phi": out_cfg.beampattern_phi, "beamformer": name,
-                             "combiner": "(beampattern)",
-                             "error": f"{type(exc).__name__}: {exc}"})
+        except ANGLE_ERRORS as exc:
+            failures.append(_error(phi, name, "(beampattern)", exc))
             continue
         for theta, val in zip(thetas, values):
             v = _db(float(val)) if db else float(val)

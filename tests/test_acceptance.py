@@ -482,8 +482,8 @@ n_restarts = 5
 beampattern_step = 1.0
 """
     cfg = parse_config(text)
-    run(cfg, tmp_path / "a", threads=1)
-    run(cfg, tmp_path / "b", threads=1)
+    run(cfg, tmp_path / "a")
+    run(cfg, tmp_path / "b")
     for name in ("results.csv", "cdf.csv", "beampattern.csv"):
         a = (tmp_path / "a" / name).read_bytes()
         b = (tmp_path / "b" / name).read_bytes()

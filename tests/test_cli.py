@@ -162,10 +162,9 @@ class TestRunner:
 
     def test_manifest_contents(self, tmp_path):
         cfg = parse_config(desk_config_text())
-        run(cfg, tmp_path / "out", seed=99, threads=2)
+        run(cfg, tmp_path / "out", seed=99)
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["seed"] == 99
-        assert manifest["threads"] == 2
         assert manifest["failures"] == []
         assert manifest["numerics"]["tol"] == 1e-8
         assert "numpy" in manifest["versions"]
@@ -173,9 +172,10 @@ class TestRunner:
     def test_beampattern_stage_failure_flagged(self, tmp_path):
         # a chain count that does not divide the array breaks the fixed designs
         # at every stage; the run completes with every failure in the manifest
-        text = desk_config_text(beamformers="geb fixed-ordered", combiners="zf",
-                                estimator="none", m=18)
-        cfg = parse_config(text)
+        # (parse_config rejects it, so the array is resized after parsing)
+        cfg = parse_config(desk_config_text(beamformers="geb fixed-ordered", combiners="zf",
+                                            estimator="none"))
+        cfg = dataclasses.replace(cfg, scenario=dataclasses.replace(cfg.scenario, n_antennas=18))
         manifest = run(cfg, tmp_path / "out")
         assert manifest["exit_code"] == 2
         pattern_rows = [f for f in manifest["failures"] if f["combiner"] == "(beampattern)"]
@@ -242,16 +242,6 @@ class TestCli:
         monkeypatch.setenv("JSDMSIM_OUT", str(tmp_path / "envout"))
         assert main(["run", str(cfg_file)]) == 0
         assert (tmp_path / "envout" / "results.csv").is_file()
-
-    def test_env_threads_override(self, tmp_path, monkeypatch):
-        cfg_file = tmp_path / "desk.cfg"
-        cfg_file.write_text(desk_config_text(beamformers="geb", combiners="zf",
-                                             estimator="none", trials=2, phi="0.0 2.0 1.0"))
-        monkeypatch.setenv("JSDMSIM_THREADS", "3")
-        out = tmp_path / "out"
-        assert main(["run", str(cfg_file), "--out", str(out)]) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["threads"] == 3
 
     def test_run_missing_config(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 1
