@@ -18,6 +18,7 @@ from .channel import (
     ccm_one_ring,
     sample_channels,
     steering,
+    steering_matrix,
 )
 from .constrained import (
     AmTrace,
@@ -66,4 +67,5 @@ __all__ = [
     "reduced_mutual_info",
     "sample_channels",
     "steering",
+    "steering_matrix",
 ]

@@ -1,9 +1,9 @@
 """Scenario geometry, one-ring covariance construction and channel sampling.
 
 Angles are degrees at every interface and converted to radians exactly once,
-inside :func:`steering`.  A scenario describes a uniform linear array serving
-user groups, each group having a handful of active multipath components (MPCs)
-with narrow angular spread.  Mobile groups get their mean angles shifted by
+inside :func:`steering_matrix`.  A scenario describes a uniform linear array
+serving user groups, each group having a handful of active multipath
+components (MPCs) with narrow angular spread.  Mobile groups get their mean angles shifted by
 the scenario's ``phi`` before covariances are built.
 """
 
@@ -26,27 +26,28 @@ __all__ = [
     "fixed_covariances",
     "sample_channels",
     "steering",
+    "steering_matrix",
 ]
 
 DEFAULT_N_QUAD = 200
 
 
-def steering(theta_deg: float, m: int) -> np.ndarray:
-    """Unit-norm steering vector of an M-antenna half-wavelength ULA.
+def steering_matrix(thetas_deg, m: int) -> np.ndarray:
+    """Unit-norm steering vectors of an M-antenna half-wavelength ULA, as columns.
 
-    Entry k is exp(j * k * pi * sin(theta)) / sqrt(M) for k = 0..M-1.
+    Column i is exp(j * k * pi * sin(theta_i)) / sqrt(M) for k = 0..M-1; the
+    result has shape (M, len(thetas_deg)).
     """
     if m < 1:
         raise ValueError("antenna count must be >= 1")
-    k = np.arange(m)
-    return np.exp(1j * np.pi * np.sin(np.deg2rad(theta_deg)) * k) / np.sqrt(m)
-
-
-def _steering_many(thetas_deg: np.ndarray, m: int) -> np.ndarray:
-    """Stack of steering vectors, shape (M, len(thetas))."""
     k = np.arange(m)[:, None]
     s = np.sin(np.deg2rad(np.asarray(thetas_deg, dtype=float)))[None, :]
     return np.exp(1j * np.pi * k * s) / np.sqrt(m)
+
+
+def steering(theta_deg: float, m: int) -> np.ndarray:
+    """The steering vector of one angle: the one column of :func:`steering_matrix`."""
+    return steering_matrix([theta_deg], m)[:, 0]
 
 
 def ccm_one_ring(mu: float, delta: float, power: float, m: int,
@@ -64,7 +65,7 @@ def ccm_one_ring(mu: float, delta: float, power: float, m: int,
     if power <= 0:
         raise ValueError("power must be positive")
     offsets = (np.arange(n_quad) + 0.5) / n_quad - 0.5
-    u = _steering_many(mu + delta * offsets, m)
+    u = steering_matrix(mu + delta * offsets, m)
     r = (u @ u.conj().T) / n_quad
     r = 0.5 * (r + r.conj().T)
     return r * (power / np.trace(r).real)

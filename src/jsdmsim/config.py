@@ -34,7 +34,8 @@ import numpy as np
 
 from .channel import GroupSpec, Scenario
 from .linksim import COMBINER_NAMES
-from .metrics import DESIGNS, ESTIMATOR_NAMES, SUBARRAY_MASKS, SweepSettings, check_names
+from .metrics import (DESIGNS, ESTIMATOR_NAMES, SUBARRAY_MASKS, SweepSettings, check_names,
+                      check_numeric)
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_config"]
 
@@ -317,18 +318,38 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("[mc] trials must be >= 1")
 
     num_raw = raw.section("numerics")
-    n_quad = _typed(num_raw, "n_quad", int, default=200)
-    if n_quad < 8:
-        raise ConfigError(f"line {num_raw[('n_quad', None)][1]}: n_quad must be >= 8")
-    tol = _typed(num_raw, "tol", float, default=1e-8)
-    max_iter = _typed(num_raw, "max_iter", int, default=500)
-    n_restarts = _typed(num_raw, "n_restarts", int, default=20)
+    numerics = {"n_quad": _typed(num_raw, "n_quad", int, default=200),
+                "tol": _typed(num_raw, "tol", float, default=1e-8),
+                "max_iter": _typed(num_raw, "max_iter", int, default=500),
+                "n_restarts": _typed(num_raw, "n_restarts", int, default=20)}
+    for key, value in numerics.items():
+        try:
+            check_numeric(key, value)
+        except ValueError as exc:  # the defaults pass, so the key has a line
+            raise ConfigError(f"line {num_raw[(key, None)][1]}: {exc}") from None
 
     est_raw = raw.section("estimation")
     pilot_length = _typed(est_raw, "pilot_length", int, default=16)
     pilot_energy = _typed(est_raw, "pilot_energy", float, default=None)
     if estimator != "none" and est_raw is None:
         raise ConfigError("estimator set but [estimation] section missing")
+    if estimator == "ls":
+        # Otherwise the pruned LS pilot matrix is rank deficient at every angle:
+        # fewer rows than columns, or two columns that are the same cyclic shift.
+        where = (est_raw.get(("pilot_length", None)) or run_raw[("estimator", None)])[1]
+        evaluated = groups[group_1based - 1]
+        unknowns = evaluated.n_users * len(evaluated.delays)
+        if pilot_length < unknowns:
+            raise ConfigError(f"line {where}: pilot_length {pilot_length} is shorter than the"
+                              f" {unknowns} users x active delays of group {group_1based},"
+                              " which the ls estimator needs")
+        shifts: dict[int, int] = {}
+        for delay in evaluated.delays:
+            first = shifts.setdefault(delay % pilot_length, delay)
+            if first != delay:
+                raise ConfigError(f"line {where}: active delays {first} and {delay} of group"
+                                  f" {group_1based} coincide modulo pilot_length {pilot_length},"
+                                  " so the ls estimator cannot tell them apart")
 
     out_raw = raw.section("output")
     formats = _enum_list(out_raw, "formats", ("csv",), default=("csv",))
@@ -346,7 +367,7 @@ def parse_config(text: str) -> ExperimentConfig:
         estimator=estimator, group=group_1based - 1, phi_start=phi_start,
         phi_stop=phi_stop, phi_step=phi_step, trials=trials, seed=seed,
         block_length=block_length, pilot_length=pilot_length, pilot_energy=pilot_energy,
-        n_quad=n_quad, tol=tol, max_iter=max_iter, n_restarts=n_restarts, output=output)
+        **numerics, output=output)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -75,8 +75,10 @@ class ConstrainedBeamformer:
     """Phase-shifter beamformer, its connection mask and compensation matrix.
 
     Nonzero entries of ``s_c`` have modulus 1/sqrt(M) exactly where
-    ``connection`` is 1.  ``s_cm`` is the digital-baseband compensation
-    factor; the stage applied to data is ``effective()`` = s_c @ s_cm.
+    ``connection`` is 1.  ``connection`` is all ones (fully connected) or a
+    subarray mask that passes :func:`_check_mask`.  ``s_cm`` is the
+    digital-baseband compensation factor; the stage applied to data is
+    ``effective()`` = s_c @ s_cm.
     """
 
     s_c: np.ndarray
@@ -85,16 +87,9 @@ class ConstrainedBeamformer:
 
     def __post_init__(self):
         mask = np.asarray(self.connection)
-        m, d = self.s_c.shape
-        if mask.shape != (m, d):
-            raise MaskError(f"mask shape {mask.shape} does not match beamformer {(m, d)}")
-        if not np.all((mask == 0) | (mask == 1)):
-            raise MaskError("connection mask must be binary")
-        row_sums = mask.sum(axis=1)
-        if not (np.all(row_sums == d) or np.all(row_sums == 1)):
-            raise MaskError("rows must connect to exactly one chain (or all, if fully connected)")
-        if np.any(mask.sum(axis=0) < 1):
-            raise MaskError("every RF chain must connect to at least one antenna")
+        m = self.s_c.shape[0]
+        if mask.shape != self.s_c.shape or not np.all(mask == 1):  # all ones: fully connected
+            _check_mask(mask, self.s_c.shape)
         mags = np.abs(self.s_c)
         if np.any(mags[mask == 0] != 0):
             raise ValueError("beamformer has energy outside the connection mask")
@@ -250,8 +245,15 @@ def interlaced_mask(m: int, d: int) -> np.ndarray:
     return np.kron(np.ones((m // d, 1), dtype=int), np.eye(d, dtype=int))
 
 
-def _check_mask(mask: np.ndarray) -> np.ndarray:
+def _check_mask(mask, shape) -> np.ndarray:
+    """A subarray connection mask of beamformer shape (M, D), as integers.
+
+    Binary, each antenna on exactly one RF chain, and no chain without
+    antennas; raises MaskError otherwise.
+    """
     mask = np.asarray(mask)
+    if mask.shape != tuple(shape):
+        raise MaskError(f"mask shape {mask.shape} does not match beamformer {tuple(shape)}")
     if not np.all((mask == 0) | (mask == 1)):
         raise MaskError("connection mask must be binary")
     if np.any(mask.sum(axis=1) != 1):
@@ -274,9 +276,7 @@ def fixed_subarray(s_geb, connection, init_phases: np.ndarray | None = None,
     """
     s = _geb_matrix(s_geb)
     m, d = s.shape
-    mask = _check_mask(connection)
-    if mask.shape != (m, d):
-        raise MaskError(f"mask shape {mask.shape} does not match beamformer {(m, d)}")
+    mask = _check_mask(connection, s.shape)
     chain_of = np.argmax(mask, axis=1)
     rows = np.arange(m)
 
@@ -309,6 +309,46 @@ def fixed_subarray(s_geb, connection, init_phases: np.ndarray | None = None,
     return ConstrainedBeamformer(s_c, s_cm, mask), trace
 
 
+def _connection_search(s: np.ndarray, seeds, tol: float,
+                       max_iter: int) -> tuple[np.ndarray, list[AmTrace]]:
+    """Run the connection search of :func:`dynamic_connection` for every seed.
+
+    The restarts run in lockstep as one (R, M, D) stack: one stacked SVD and
+    one stacked product per iteration, and a restart leaves the active set
+    once it converges.  Restart r's candidate and residuals are bit for bit
+    those of ``dynamic_connection(s, seeds[r])``: it draws from its own
+    generator, and its residual is the norm of its own (M, D) slice.
+    """
+    m, d = s.shape
+    rows = np.arange(m)
+    s_t = np.zeros((len(seeds), m, d), dtype=complex)
+    for r, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        phases = rng.uniform(0.0, 2.0 * np.pi, m)  # each stream draws phases, then chains
+        s_t[r, rows, rng.integers(0, d, m)] = np.exp(1j * phases)
+
+    s_h = s.conj().T
+    scale = max(np.linalg.norm(s), 1e-300)
+    residuals: list[list[float]] = [[] for _ in seeds]
+    converged = [False] * len(seeds)
+    active = np.arange(len(seeds))
+    for _ in range(max_iter):
+        if not active.size:
+            break
+        u, _, v = svd(s_h @ s_t[active])
+        p = s @ (u @ v.conj().swapaxes(-1, -2))
+        best = np.argmax(np.abs(p), axis=2)[..., None]
+        fresh = np.zeros_like(p)
+        np.put_along_axis(fresh, best, np.exp(1j * np.angle(np.take_along_axis(p, best, 2))), 2)
+        s_t[active] = fresh
+        gap = p - fresh
+        for i, r in enumerate(active):
+            residuals[r].append(float(np.linalg.norm(gap[i])))
+            converged[r] = _converged(residuals[r], tol, scale)
+        active = active[[not converged[r] for r in active]]
+    return s_t, [AmTrace(np.array(res), len(res), conv) for res, conv in zip(residuals, converged)]
+
+
 def dynamic_connection(s_geb, seed, tol: float = DEFAULT_TOL,
                        max_iter: int = DEFAULT_MAX_ITER) -> tuple[np.ndarray, AmTrace]:
     """Search a connection pattern jointly with unit-modulus entries.
@@ -318,31 +358,11 @@ def dynamic_connection(s_geb, seed, tol: float = DEFAULT_TOL,
     its largest-magnitude entry of S_geb A, replaced by its unit-modulus
     phase (ties go to the lowest chain index).  Entries are unit modulus, not
     1/sqrt(M); the candidate may leave a chain unconnected, which the caller
-    must screen out.
+    must screen out.  This is one restart of the stacked search that
+    :func:`dynamic_subarray` runs.
     """
-    s = _geb_matrix(s_geb)
-    m, d = s.shape
-    rng = np.random.default_rng(seed)
-    rows = np.arange(m)
-
-    s_t = np.zeros((m, d), dtype=complex)
-    s_t[rows, rng.integers(0, d, m)] = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, m))
-
-    scale = max(np.linalg.norm(s), 1e-300)
-    residuals: list[float] = []
-    converged = False
-    for _ in range(max_iter):
-        u, _, v = svd(s.conj().T @ s_t)
-        rot = u @ v.conj().T
-        p = s @ rot
-        best = np.argmax(np.abs(p), axis=1)
-        s_t = np.zeros((m, d), dtype=complex)
-        s_t[rows, best] = np.exp(1j * np.angle(p[rows, best]))
-        residuals.append(float(np.linalg.norm(p - s_t)))
-        if _converged(residuals, tol, scale):
-            converged = True
-            break
-    return s_t, AmTrace(np.array(residuals), len(residuals), converged)
+    candidates, traces = _connection_search(_geb_matrix(s_geb), [seed], tol, max_iter)
+    return candidates[0], traces[0]
 
 
 def dynamic_subarray(s_geb, stats: GroupStatistics, n_restarts: int = DEFAULT_RESTARTS,
@@ -350,21 +370,21 @@ def dynamic_subarray(s_geb, stats: GroupStatistics, n_restarts: int = DEFAULT_RE
                      max_iter: int = DEFAULT_MAX_ITER) -> tuple[ConstrainedBeamformer, AmTrace]:
     """Full dynamic subarray design: restart, score, refine.
 
-    Runs the connection search ``n_restarts`` times (seeds ``seed + t``),
-    scores candidates that connect every chain by their expected SINR (others
-    score 0), then refines the best candidate's mask and phases with the
-    fixed-subarray loop.  Raises if no restart produced a usable connection.
+    Runs the connection search ``n_restarts`` times as one stacked search
+    (seeds ``seed + t`` for t = 1..n_restarts), scores candidates that
+    connect every chain by their expected SINR (others score 0), then
+    refines the best candidate's mask and phases with the fixed-subarray
+    loop.  Raises if no restart produced a usable connection.
     """
     if n_restarts < 1:
         raise ValueError("n_restarts must be >= 1")
     s = _geb_matrix(s_geb)
 
-    candidates: list[np.ndarray] = []
+    candidates, _ = _connection_search(s, [seed + t + 1 for t in range(n_restarts)],
+                                       tol, max_iter)
     scores = np.zeros(n_restarts)
     valid = np.zeros(n_restarts, dtype=bool)
-    for t in range(n_restarts):
-        cand, _ = dynamic_connection(s, seed + t + 1, tol=tol, max_iter=max_iter)
-        candidates.append(cand)
+    for t, cand in enumerate(candidates):
         if np.all(np.abs(cand).sum(axis=0) >= 0.5):
             valid[t] = True
             scores[t] = expected_sinr(stats, cand)

@@ -62,12 +62,19 @@ class EigDecomposition:
     vectors: np.ndarray
 
 
-def _as_complex_matrix(a, name: str) -> np.ndarray:
+def _as_complex_stack(a, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2:
-        raise ValueError(f"{name} must be a 2-D matrix, got shape {a.shape}")
+    if a.ndim < 2:
+        raise ValueError(f"{name} must be a matrix or a stack of matrices, got shape {a.shape}")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise ValueError(f"{name} contains non-finite entries")
+    return a
+
+
+def _as_complex_matrix(a, name: str) -> np.ndarray:
+    a = _as_complex_stack(a, name)
+    if a.ndim != 2:
+        raise ValueError(f"{name} must be a 2-D matrix, got shape {a.shape}")
     return a
 
 
@@ -148,11 +155,12 @@ def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Singular value decomposition A = U diag(s) V^H.
 
     Returns (U, s, V) -- note V, not V^H.  Singular values are non-negative
-    descending; U and V have orthonormal columns.
+    descending; U and V have orthonormal columns.  A stack (..., m, n) is
+    decomposed matrix by matrix, each exactly as it would be on its own.
     """
-    a = _as_complex_matrix(a, "A")
+    a = _as_complex_stack(a, "A")
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    return u, s, vh.conj().T
+    return u, s, vh.conj().swapaxes(-1, -2)
 
 
 def qr(a) -> tuple[np.ndarray, np.ndarray]:

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import chanest, constrained, linksim
-from .channel import (CovarianceSet, FixedCovariances, Scenario, _steering_many,
-                      build_covariances, fixed_covariances)
+from .channel import (CovarianceSet, FixedCovariances, Scenario, build_covariances,
+                      fixed_covariances)
 from .geb import UnconstrainedBeamformer, compute_geb
 from .linalg import qr
 from .linksim import COMBINER_NAMES
@@ -32,6 +32,7 @@ __all__ = [
     "ANGLE_ERRORS",
     "DESIGNS",
     "ESTIMATOR_NAMES",
+    "NUMERICS_RULES",
     "SUBARRAY_MASKS",
     "PhiRecord",
     "SweepResult",
@@ -41,6 +42,7 @@ __all__ = [
     "build_beamformer",
     "cdf",
     "check_names",
+    "check_numeric",
     "phi_sweep",
 ]
 
@@ -82,6 +84,24 @@ DESIGNS = {
 }
 
 
+# Numerics every angle needs: key -> (rule, what the rule asks).  A value
+# that breaks its rule would fail every angle (or, for max_iter, skip every
+# alternating-minimization step), so configs and settings reject it up front.
+NUMERICS_RULES = {
+    "n_quad": (lambda v: v >= 8, ">= 8"),
+    "tol": (lambda v: v > 0, "positive"),
+    "max_iter": (lambda v: v >= 1, ">= 1"),
+    "n_restarts": (lambda v: v >= 1, ">= 1"),
+}
+
+
+def check_numeric(key: str, value) -> None:
+    """Raise ValueError when ``value`` breaks the NUMERICS_RULES rule of ``key``."""
+    rule, wanted = NUMERICS_RULES[key]
+    if not rule(value):
+        raise ValueError(f"{key} must be {wanted}, got {value!r}")
+
+
 def check_names(kind: str, names, allowed) -> None:
     """Raise ValueError naming the first of ``names`` not in ``allowed``."""
     for name in names:
@@ -89,16 +109,17 @@ def check_names(kind: str, names, allowed) -> None:
             raise ValueError(f"unknown {kind} {name!r} (allowed: {' '.join(allowed)})")
 
 
-def beampattern(s: np.ndarray, theta_grid: np.ndarray) -> np.ndarray:
+def beampattern(s: np.ndarray, steering: np.ndarray) -> np.ndarray:
     """Power of each steering direction inside the beamformer's column space.
 
     B(theta) = u^H S (S^H S)^{-1} S^H u, a projection, so values live in
-    [0, 1] and depend only on span(S).
+    [0, 1] and depend only on span(S).  ``steering`` holds the directions
+    u as columns, an M x n :func:`~jsdmsim.channel.steering_matrix`, so a
+    pass over several designs builds it once.
     """
     s = np.asarray(s, dtype=complex)
     q, _ = qr(s)  # rank deficiency surfaces here as RankError
-    u = _steering_many(theta_grid, s.shape[0])
-    return np.sum(np.abs(q.conj().T @ u) ** 2, axis=0)
+    return np.sum(np.abs(q.conj().T @ steering) ** 2, axis=0)
 
 
 def cdf(values, grid) -> np.ndarray:
@@ -132,8 +153,8 @@ class SweepSettings:
         check_names("beamformer", self.beamformers, DESIGNS)
         check_names("combiner", self.combiners, COMBINER_NAMES)
         check_names("estimator", (self.estimator,), ESTIMATOR_NAMES)
-        if self.n_quad < 8:
-            raise ValueError("n_quad must be >= 8")
+        for key in NUMERICS_RULES:
+            check_numeric(key, getattr(self, key))
 
 
 @dataclass(frozen=True)

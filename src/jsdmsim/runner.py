@@ -24,6 +24,7 @@ import numpy as np
 import scipy
 
 from . import __version__
+from .channel import steering_matrix
 from .config import ExperimentConfig, OutputSettings
 from .metrics import (ANGLE_ERRORS, PhiRecord, SweepResult, angle_design, beampattern,
                       build_beamformer, cdf, phi_sweep, _derived_seed, _error)
@@ -135,7 +136,8 @@ def _write_beampattern(path: Path, out_cfg: OutputSettings, result: SweepResult,
                        db: bool) -> list[PhiRecord]:
     """Write the reference-angle beampatterns; returns per-beamformer failures.
 
-    Starts from the sweep's non-mobile CCMs and solves the GEB once for every design.
+    Starts from the sweep's non-mobile CCMs, solves the GEB once, and builds
+    the steering matrix and the theta column once for every design.
     """
     settings, phi = result.settings, out_cfg.beampattern_phi
     lines = [f"beamformer,theta,{'power_db' if db else 'power'}"]
@@ -148,16 +150,18 @@ def _write_beampattern(path: Path, out_cfg: OutputSettings, result: SweepResult,
     n_pts = int(round((out_cfg.beampattern_stop - out_cfg.beampattern_start)
                       / out_cfg.beampattern_step)) + 1
     thetas = out_cfg.beampattern_start + out_cfg.beampattern_step * np.arange(n_pts)
+    steering = steering_matrix(thetas, scn.n_antennas)
+    theta_col = [_fmt(float(theta)) for theta in thetas]
     for name in settings.beamformers:
         try:
             s_eff = build_beamformer(name, scn, stats, settings.group, settings,
                                      _derived_seed(settings.seed, -1, 1), geb=geb)
-            values = beampattern(s_eff, thetas)
+            values = beampattern(s_eff, steering)
         except ANGLE_ERRORS as exc:
             failures.append(_error(phi, name, "(beampattern)", exc))
             continue
-        for theta, val in zip(thetas, values):
+        for theta, val in zip(theta_col, values):
             v = _db(float(val)) if db else float(val)
-            lines.append(f"{name},{_fmt(float(theta))},{_fmt(v)}")
+            lines.append(f"{name},{theta},{_fmt(v)}")
     path.write_text("\n".join(lines) + "\n")
     return failures

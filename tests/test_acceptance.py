@@ -26,6 +26,7 @@ from jsdmsim import (
     reduce,
     reduced_mutual_info,
     sample_channels,
+    steering_matrix,
 )
 from jsdmsim import chanest, linksim
 from jsdmsim.config import parse_config
@@ -81,7 +82,7 @@ def test_criterion_02_cost_and_beampattern_invariance():
     stats = group_statistics(build_covariances(scn), scn, 0)
     geb = compute_geb(stats, 4)
     base_cost = reduced_mutual_info(stats, geb.s)
-    grid = np.arange(-90.0, 90.01, 0.5)
+    grid = steering_matrix(np.arange(-90.0, 90.01, 0.5), 32)
     base_pattern = beampattern(geb.s, grid)
     rng = np.random.default_rng(1002)
     for _ in range(100):
@@ -303,9 +304,9 @@ def test_criterion_11_geb_nulls_below_dft():
     s_dft = build_beamformer("dft", scn, stats, 0, cfg, 0)
     own = scn.effective_aoa(0).ravel()
     interferers = np.concatenate([scn.effective_aoa(g).ravel() for g in (1, 2, 3)])
-    own_peak = beampattern(s_geb, own).max()
-    geb_int = beampattern(s_geb, interferers)
-    dft_int = beampattern(s_dft, interferers)
+    own_peak = beampattern(s_geb, steering_matrix(own, 32)).max()
+    geb_int = beampattern(s_geb, steering_matrix(interferers, 32))
+    dft_int = beampattern(s_dft, steering_matrix(interferers, 32))
     assert np.all(geb_int <= 0.01 * own_peak), "null not 20 dB below own-cluster peak"
     assert np.all(geb_int < dft_int)
     depth_db = 10 * np.log10(geb_int.max() / own_peak)

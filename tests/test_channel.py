@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from jsdmsim import build_covariances, ccm_one_ring, sample_channels, steering
+from jsdmsim import build_covariances, ccm_one_ring, sample_channels, steering, steering_matrix
 
 from conftest import table1_scenario, two_group_toy
 
@@ -31,6 +31,15 @@ class TestSteering:
             t1, t2 = rng.uniform(-90, 90, 2)
             val = np.abs(np.vdot(steering(t1, 32), steering(t2, 32)))
             assert val <= 1.0 + 1e-12
+
+    def test_each_column_of_the_matrix_is_the_single_vector(self):
+        thetas = np.array([-73.2, -11.0, 0.0, 4.5, 30.0, 88.9])
+        u = steering_matrix(thetas, 64)
+        assert u.shape == (64, thetas.size)
+        for i, theta in enumerate(thetas):
+            assert np.array_equal(u[:, i], steering(theta, 64))
+        with pytest.raises(ValueError, match="antenna count"):
+            steering_matrix(thetas, 0)
 
 
 class TestOneRingCcm:

@@ -169,6 +169,29 @@ class TestRunner:
         assert manifest["numerics"]["tol"] == 1e-8
         assert "numpy" in manifest["versions"]
 
+    def test_beampattern_rows_equal_each_design_on_a_fresh_steering_matrix(self, tmp_path):
+        from jsdmsim import beampattern, steering_matrix
+        from jsdmsim.channel import fixed_covariances
+        from jsdmsim.metrics import _derived_seed, angle_design, build_beamformer
+        cfg = parse_config(desk_config_text(beamformers="geb pe-am fixed-ordered dynamic",
+                                            combiners="zf", estimator="none"))
+        run(cfg, tmp_path)
+        rows = [line.split(",") for line in
+                (tmp_path / "beampattern.csv").read_text().splitlines()[1:]]
+        out, settings = cfg.output, cfg.sweep_settings()
+        scn, _, stats, geb = angle_design(fixed_covariances(cfg.scenario, cfg.n_quad),
+                                          out.beampattern_phi, settings)
+        count = int(round((out.beampattern_stop - out.beampattern_start)
+                          / out.beampattern_step)) + 1
+        thetas = out.beampattern_start + out.beampattern_step * np.arange(count)
+        expected = []
+        for name in cfg.beamformers:
+            s_eff = build_beamformer(name, scn, stats, cfg.group, settings,
+                                     _derived_seed(cfg.seed, -1, 1), geb=geb)
+            values = beampattern(s_eff, steering_matrix(thetas, scn.n_antennas))
+            expected += [[name, f"{t:.9g}", f"{v:.9g}"] for t, v in zip(thetas, values)]
+        assert rows == expected
+
     def test_beampattern_stage_failure_flagged(self, tmp_path):
         # a chain count that does not divide the array breaks the fixed designs
         # at every stage; the run completes with every failure in the manifest

@@ -116,3 +116,76 @@ class TestNameTable:
         with pytest.raises(ConfigError,
                            match=rf"^line {line_of(text, key)}: unknown {kind} 'bogus' {allowed}"):
             parse_config(text)
+
+
+class TestNumerics:
+    """tol, max_iter and n_restarts values that would fail (or skip) every angle."""
+
+    @pytest.mark.parametrize("key, value, rule", [
+        ("tol", "0", "positive"), ("tol", "-1e-8", "positive"), ("tol", "nan", "positive"),
+        ("max_iter", "0", ">= 1"), ("max_iter", "-3", ">= 1"),
+        ("n_restarts", "0", ">= 1"),
+    ])
+    def test_rejected_with_its_line(self, key, value, rule):
+        text = re.sub(rf"(?m)^{key}\s*=.*$", f"{key} = {value}", bundled_text())
+        with pytest.raises(ConfigError,
+                           match=rf"^line {line_of(text, key)}: {key} must be {re.escape(rule)}"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("field, value", [("tol", 0.0), ("tol", -1e-8), ("max_iter", 0),
+                                              ("n_restarts", 0), ("n_quad", 4)])
+    def test_sweep_settings_reject_them(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be"):
+            SweepSettings(group=0, **{field: value})
+
+    def test_validate_reports_it(self, tmp_path, capsys):
+        path = tmp_path / "no_restarts.cfg"
+        path.write_text(re.sub(r"(?m)^n_restarts\s*=.*$", "n_restarts = 0", bundled_text()))
+        assert main(["validate", str(path)]) != 0
+        assert "n_restarts must be >= 1" in capsys.readouterr().err
+
+
+class TestLsPilotLength:
+    """With estimator = ls, the pilots must be at least users x active delays long."""
+
+    @staticmethod
+    def ls_text(pilot_length):
+        text = re.sub(r"(?m)^estimator\s*=.*$", "estimator = ls", bundled_text())
+        return re.sub(r"(?m)^pilot_length\s*=.*$", f"pilot_length = {pilot_length}", text)
+
+    def test_shorter_rejected_with_its_line(self):
+        text = self.ls_text(5)  # group 1: 2 users x 3 active delays
+        with pytest.raises(ConfigError, match=rf"^line {line_of(text, r'pilot_length')}:"
+                                              r" pilot_length 5 is shorter than the 6 users"):
+            parse_config(text)
+
+    def test_boundary_is_the_estimator_rule(self):
+        from jsdmsim.chanest import PilotDesignError, build_pilots, ls_estimator
+        # delays 0, 4, 5: six unknowns and no two delays alike modulo 6
+        cfg = parse_config(self.ls_text(6).replace("mpc 11 =", "mpc 4 =", 1))
+        scn, spec = cfg.scenario, cfg.scenario.groups[cfg.group]
+        assert ls_estimator(build_pilots(scn, cfg.group, 6, 1), spec.delays, 4).shape[0] == 24
+        with pytest.raises(PilotDesignError):
+            ls_estimator(build_pilots(scn, cfg.group, 5, 1), spec.delays, 4)
+
+    def test_aliased_delays_rejected_with_its_line(self):
+        from jsdmsim.chanest import PilotDesignError, build_pilots, ls_estimator
+        text = self.ls_text(6)  # delays 5 and 11 are the same cyclic shift of 6 pilots
+        with pytest.raises(ConfigError, match=rf"^line {line_of(text, r'pilot_length')}:"
+                                              r" active delays 5 and 11 of group 1 coincide"):
+            parse_config(text)
+        cfg = parse_config(self.ls_text(7))
+        with pytest.raises(PilotDesignError):
+            ls_estimator(build_pilots(cfg.scenario, cfg.group, 6, 1), (0, 5, 11), 4)
+
+    def test_default_length_names_the_estimator_line(self):
+        text = re.sub(r"(?m)^pilot_length\s*=.*$\n", "", self.ls_text(0))
+        extra = "".join(f"mpc {delay} = 0.5 1.5\n" for delay in (13, 14, 15, 16, 18, 19))
+        text = text.replace("mpc 11 = 16.5 17.5\n", "mpc 11 = 16.5 17.5\n" + extra, 1)
+        with pytest.raises(ConfigError, match=rf"^line {line_of(text, r'estimator')}:"
+                                              r" pilot_length 16 is shorter than the 18 users"):
+            parse_config(text)
+
+    def test_other_estimators_unaffected(self):
+        text = re.sub(r"(?m)^pilot_length\s*=.*$", "pilot_length = 5", bundled_text())
+        assert parse_config(text).pilot_length == 5

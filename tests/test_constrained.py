@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import hypothesis
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from jsdmsim import (
@@ -20,7 +22,8 @@ from jsdmsim import (
     pe_am,
     phase_extraction,
 )
-from jsdmsim.constrained import CandidateExhaustionError, MaskError
+from jsdmsim.constrained import (CandidateExhaustionError, ConstrainedBeamformer, MaskError,
+                                 _connection_search)
 from jsdmsim.linalg import svd
 
 from conftest import random_orthonormal, random_unitary, table1_scenario, two_group_toy
@@ -82,10 +85,10 @@ class TestDftBeamformer:
         assert column_indices(cb.s_c).tolist() == expect
 
     def test_beam_points_at_cluster(self):
-        from jsdmsim import beampattern
+        from jsdmsim import beampattern, steering_matrix
         scn = table1_scenario(m=64)
         cb = dft_beamformer(scn, 1)
-        own = beampattern(cb.effective(), np.array([41.0, 21.0]))
+        own = beampattern(cb.effective(), steering_matrix([41.0, 21.0], 64))
         assert np.all(own > 0.5)
 
     def test_fewer_chains_than_clusters(self):
@@ -288,6 +291,108 @@ class TestDynamicConnection:
         for _ in range(2000):
             a = random_unitary(rng, d)
             assert base <= np.linalg.norm(s @ a - cand) + 1e-12
+
+
+def loop_connection(s, seed, tol=1e-8, max_iter=500):
+    """The connection search as one restart's own loop: the reference for the stack."""
+    m, d = s.shape
+    rng = np.random.default_rng(seed)
+    rows = np.arange(m)
+    s_t = np.zeros((m, d), dtype=complex)
+    s_t[rows, rng.integers(0, d, m)] = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, m))
+    scale = max(np.linalg.norm(s), 1e-300)
+    residuals = []
+    for _ in range(max_iter):
+        u, _, v = svd(s.conj().T @ s_t)
+        p = s @ (u @ v.conj().T)
+        best = np.argmax(np.abs(p), axis=1)
+        s_t = np.zeros((m, d), dtype=complex)
+        s_t[rows, best] = np.exp(1j * np.angle(p[rows, best]))
+        residuals.append(float(np.linalg.norm(p - s_t)))
+        r = residuals[-1]
+        if r <= 1e-14 * scale or (len(residuals) > 1 and abs(residuals[-2] - r)
+                                  <= tol * max(residuals[-2], 1e-300)):
+            return s_t, residuals, True
+    return s_t, residuals, False
+
+
+def assert_stack_matches_each_restart(s, seeds, max_iter):
+    """Bit equality of every stacked restart with its own search, both ways."""
+    candidates, traces = _connection_search(s, seeds, 1e-8, max_iter)
+    assert candidates.shape == (len(seeds), *s.shape)
+    for cand, trace, sd in zip(candidates, traces, seeds):
+        one, one_trace = dynamic_connection(s, sd, max_iter=max_iter)
+        ref, ref_residuals, ref_converged = loop_connection(s, sd, max_iter=max_iter)
+        for got, got_trace in ((cand, trace), (one, one_trace)):
+            assert np.array_equal(got, ref)
+            assert np.array_equal(got_trace.residuals, np.array(ref_residuals))
+            assert got_trace.iterations == len(ref_residuals)
+            assert got_trace.converged == ref_converged
+    return traces
+
+
+class TestStackedRestarts:
+    def test_mixed_convergence_and_cap(self):
+        s = random_orthonormal(np.random.default_rng(32), 16, 4)
+        traces = assert_stack_matches_each_restart(s, list(range(1, 9)), max_iter=10)
+        assert len({t.iterations for t in traces if t.converged}) >= 3
+        capped = [t for t in traces if not t.converged]
+        assert capped and all(t.iterations == 10 for t in capped)
+
+    @hypothesis.seed(20260518)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(m=st.integers(1, 12), d=st.integers(1, 4), restarts=st.integers(1, 6),
+           max_iter=st.integers(1, 25), first=st.integers(0, 2**31), draw=st.integers(0, 2**31),
+           orthonormal=st.booleans())
+    def test_every_restart_equals_its_own_search(self, m, d, restarts, max_iter, first, draw,
+                                                 orthonormal):
+        d = min(d, m)
+        rng = np.random.default_rng(draw)
+        if orthonormal:
+            s = random_orthonormal(rng, m, d)
+        else:
+            s = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
+        assert_stack_matches_each_restart(s, [first + t for t in range(restarts)], max_iter)
+
+    def test_non_finite_beamformer_rejected(self):
+        s = np.ones((6, 2), dtype=complex)
+        s[3, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            _connection_search(s, [1, 2], 1e-8, 5)
+
+    def test_dynamic_subarray_runs_one_stacked_search(self, monkeypatch):
+        import jsdmsim.constrained as module
+        calls = []
+
+        def recorded(s, seeds, tol, max_iter):
+            calls.append(list(seeds))
+            return _connection_search(s, seeds, tol, max_iter)
+
+        monkeypatch.setattr(module, "_connection_search", recorded)
+        geb, stats = geb_for(two_group_toy())
+        dynamic_subarray(geb, stats, n_restarts=4, seed=3)
+        assert calls == [[4, 5, 6, 7]]
+
+
+class TestMaskRule:
+    @pytest.mark.parametrize("mask, message", [
+        (np.array([[1, 0], [0, 2], [1, 0], [0, 1]]), "binary"),
+        (np.array([[1, 1], [0, 1], [1, 0], [0, 1]]), "exactly one RF chain"),
+        (np.array([[1, 0], [1, 0], [1, 0], [1, 0]]), r"RF chain\(s\) \[1\] have no antennas"),
+        (np.ones((4, 3), dtype=int), "does not match"),
+    ])
+    def test_both_entry_points_apply_one_rule(self, mask, message):
+        s_c = np.full((4, 2), 0.5, dtype=complex)
+        with pytest.raises(MaskError, match=message):
+            fixed_subarray(s_c, mask)
+        with pytest.raises(MaskError, match=message):
+            ConstrainedBeamformer(s_c, np.eye(2, dtype=complex), mask)
+
+    def test_fully_connected_only_for_constrained_beamformer(self):
+        s_c = np.full((4, 2), 0.5, dtype=complex)
+        ConstrainedBeamformer(s_c, np.eye(2, dtype=complex), np.ones((4, 2), dtype=int))
+        with pytest.raises(MaskError, match="exactly one RF chain"):
+            fixed_subarray(s_c, np.ones((4, 2), dtype=int))
 
 
 class TestDynamicSubarray:

@@ -13,6 +13,7 @@ from jsdmsim import (
     compute_geb,
     group_statistics,
     steering,
+    steering_matrix,
 )
 from jsdmsim.linalg import RankError
 from jsdmsim import metrics
@@ -30,19 +31,19 @@ class TestBeampattern:
         rng = np.random.default_rng(1)
         other = random_orthonormal(rng, m, 2)
         s = np.column_stack([u, other[:, 0]])
-        assert beampattern(s, np.array([14.0]))[0] == pytest.approx(1.0, abs=1e-10)
+        assert beampattern(s, steering_matrix([14.0], m))[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_projector_bounds(self):
         rng = np.random.default_rng(2)
         s = random_orthonormal(rng, 24, 5)
-        values = beampattern(s, np.linspace(-90, 90, 721))
+        values = beampattern(s, steering_matrix(np.linspace(-90, 90, 721), 24))
         assert np.all(values >= -1e-12)
         assert np.all(values <= 1.0 + 1e-12)
 
     def test_invariant_under_invertible_right_factor(self):
         rng = np.random.default_rng(3)
         s = random_orthonormal(rng, 16, 4)
-        grid = np.linspace(-90, 90, 181)
+        grid = steering_matrix(np.linspace(-90, 90, 181), 16)
         base = beampattern(s, grid)
         for _ in range(10):
             a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -53,7 +54,7 @@ class TestBeampattern:
         s = np.zeros((8, 2), dtype=complex)
         s[:, 0] = 1.0
         with pytest.raises((RankError, ValueError)):
-            beampattern(s, np.array([0.0]))
+            beampattern(s, steering_matrix([0.0], 8))
 
     def test_geb_suppresses_interferers_below_dft(self):
         scn = table1_scenario(m=32, mobile_db=40.0, interferer_db=40.0, phi=10.0)
@@ -64,9 +65,9 @@ class TestBeampattern:
         s_dft = build_beamformer("dft", scn, stats, 0, settings, 0)
         own = np.concatenate([scn.effective_aoa(0).ravel()])
         interferers = np.concatenate([scn.effective_aoa(g).ravel() for g in (1, 2, 3)])
-        geb_own = beampattern(s_geb, own).max()
-        geb_int = beampattern(s_geb, interferers)
-        dft_int = beampattern(s_dft, interferers)
+        geb_own = beampattern(s_geb, steering_matrix(own, 32)).max()
+        geb_int = beampattern(s_geb, steering_matrix(interferers, 32))
+        dft_int = beampattern(s_dft, steering_matrix(interferers, 32))
         assert np.all(geb_int <= 1e-2 * geb_own)  # 20 dB below
         assert np.all(geb_int < dft_int)
 
