@@ -77,14 +77,14 @@ def _cmd_validate(args) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    scn = cfg.scenario
+    scn, sweep = cfg.scenario, cfg.sweep
     print(f"OK: {args.config}")
     print(f"  {scn.n_antennas} antennas, {scn.n_groups} groups, {scn.n_taps} taps, "
-          f"evaluated group {cfg.group + 1}")
-    print(f"  beamformers: {' '.join(cfg.beamformers)}; combiners: {' '.join(cfg.combiners)}; "
-          f"estimator: {cfg.estimator}")
+          f"evaluated group {sweep.group + 1}")
+    print(f"  beamformers: {' '.join(sweep.beamformers)}; "
+          f"combiners: {' '.join(sweep.combiners)}; estimator: {sweep.estimator}")
     print(f"  sweep {cfg.phi_start}..{cfg.phi_stop} step {cfg.phi_step} "
-          f"({len(cfg.phi_values())} angles), {cfg.trials} trials, seed {cfg.seed}")
+          f"({len(cfg.phi_values())} angles), {sweep.trials} trials, seed {sweep.seed}")
     return 0
 
 

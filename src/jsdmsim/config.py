@@ -18,24 +18,26 @@ Sections and their keys (* marks required):
     [sweep]      phi_start* phi_stop* phi_step*
     [mc]         trials* seed*
     [numerics]   n_quad tol max_iter n_restarts
-    [output]     directory formats beampattern_phi
+    [output]     directory beampattern_phi
                  beampattern_start beampattern_stop beampattern_step
 
-Unknown sections or keys are rejected with their line number.  Mobile groups
-state their AoAs relative to the sweep's shifting angle.
+Keys left out keep the defaults of :class:`OutputSettings` and
+:class:`~jsdmsim.metrics.SweepSettings`.  Unknown sections or keys, and values
+that would fail every angle, are rejected with their line number.  Mobile
+groups state their AoAs relative to the sweep's shifting angle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .channel import GroupSpec, Scenario
 from .linksim import COMBINER_NAMES
-from .metrics import (DESIGNS, ESTIMATOR_NAMES, SUBARRAY_MASKS, SweepSettings, check_names,
-                      check_numeric)
+from .metrics import (DESIGNS, ESTIMATOR_NAMES, NUMERICS_RULES, SUBARRAY_MASKS, SweepSettings,
+                      check_names, check_numeric)
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_config"]
 
@@ -53,15 +55,16 @@ _SECTION_KEYS = {
     "sweep": {"phi_start", "phi_stop", "phi_step"},
     "mc": {"trials", "seed"},
     "numerics": {"n_quad", "tol", "max_iter", "n_restarts"},
-    "output": {"directory", "formats", "beampattern_phi", "beampattern_start",
-               "beampattern_stop", "beampattern_step"},
+    "output": {"directory", "beampattern_phi", "beampattern_start", "beampattern_stop",
+               "beampattern_step"},
 }
 
 
 @dataclass(frozen=True)
 class OutputSettings:
+    """Output directory and the grid of the reference-angle beampattern."""
+
     directory: str | None = None
-    formats: tuple[str, ...] = ("csv",)
     beampattern_phi: float = 10.0
     beampattern_start: float = -90.0
     beampattern_stop: float = 90.0
@@ -70,40 +73,37 @@ class OutputSettings:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description ready to drive the runner."""
+    """Validated experiment: the scenario, the per-angle ``sweep`` settings,
+    the shifting-angle grid and the outputs."""
 
     scenario: Scenario
-    beamformers: tuple[str, ...]
-    combiners: tuple[str, ...]
-    estimator: str
-    group: int
+    sweep: SweepSettings
     phi_start: float
     phi_stop: float
     phi_step: float
-    trials: int
-    seed: int
-    block_length: int = 64
-    pilot_length: int = 16
-    pilot_energy: float | None = None
-    n_quad: int = 200
-    tol: float = 1e-8
-    max_iter: int = 500
-    n_restarts: int = 20
-    output: OutputSettings = field(default_factory=OutputSettings)
+    output: OutputSettings
 
     def phi_values(self) -> np.ndarray:
-        if self.phi_step <= 0:
-            raise ConfigError("phi_step must be positive")
+        _check_range(self, "phi_")
         count = int(np.floor((self.phi_stop - self.phi_start) / self.phi_step + 1e-9)) + 1
         return self.phi_start + self.phi_step * np.arange(max(count, 1))
 
-    def sweep_settings(self) -> SweepSettings:
-        return SweepSettings(
-            group=self.group, beamformers=self.beamformers, combiners=self.combiners,
-            estimator=self.estimator, pilot_length=self.pilot_length,
-            pilot_energy=self.pilot_energy, block_length=self.block_length,
-            trials=self.trials, seed=self.seed, n_quad=self.n_quad, tol=self.tol,
-            max_iter=self.max_iter, n_restarts=self.n_restarts)
+
+def _check_range(settings, prefix: str, section=None) -> None:
+    """The one rule of a ``<prefix>start/stop/step`` grid: step > 0 and stop >= start.
+
+    With the raw ``section``, the error cites the stop's line, or the start's
+    when the stop is a default."""
+    start, stop, step = (getattr(settings, prefix + end) for end in ("start", "stop", "step"))
+    if not step > 0:
+        blame, msg = ("step",), f"{prefix}step must be positive, got {step:g}"
+    elif not stop >= start:
+        blame, msg = ("stop", "start"), f"{prefix}stop {stop:g} is below {prefix}start {start:g}"
+    else:
+        return
+    if section is None:
+        raise ConfigError(msg)
+    raise ConfigError(f"line {_line(section, *(prefix + end for end in blame))}: {msg}")
 
 
 class _RawConfig:
@@ -112,8 +112,11 @@ class _RawConfig:
     def __init__(self):
         self.sections: dict[tuple[str, str | None], dict[tuple[str, str | None], tuple[str, int]]] = {}
 
-    def section(self, name: str, arg: str | None = None):
-        return self.sections.get((name, arg))
+    def section(self, name: str, arg: str | None = None, required=False):
+        section = self.sections.get((name, arg))
+        if section is None and required:
+            raise ConfigError(f"missing [{name}] section")
+        return section
 
 
 def _tokenize(text: str) -> _RawConfig:
@@ -163,22 +166,39 @@ def _tokenize(text: str) -> _RawConfig:
     return raw
 
 
-def _typed(section: dict, key: str, kind, default=None, required=False, lineno_hint=""):
-    item = section.get((key, None)) if section is not None else None
+def _line(section: dict, *keys: str) -> int:
+    """Line of the first of ``keys`` that ``section`` sets."""
+    return next(section[(key, None)][1] for key in keys if (key, None) in section)
+
+
+def _typed(section: dict, key: str, kind, required=False, lineno_hint=""):
+    """``key`` parsed as ``kind`` (None when unset), checked with its line
+    against its NUMERICS_RULES rule, if it has one."""
+    item = section.get((key, None))
     if item is None:
         if required:
             raise ConfigError(f"missing required key {key!r}{lineno_hint}")
-        return default
-    value, lineno = item
+        return None
+    text, lineno = item
     try:
-        if kind is bool:
-            lowered = value.lower()
-            if lowered not in ("true", "false"):
-                raise ValueError
-            return lowered == "true"
-        return kind(value)
-    except ValueError:
-        raise ConfigError(f"line {lineno}: cannot parse {key!r} value {value!r}") from None
+        value = {"true": True, "false": False}[text.lower()] if kind is bool else kind(text)
+    except (KeyError, ValueError):
+        raise ConfigError(f"line {lineno}: cannot parse {key!r} value {text!r}") from None
+    if key in NUMERICS_RULES:
+        try:
+            check_numeric(key, value)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
+    return value
+
+
+def _given(section: dict, kinds: dict) -> dict:
+    """Typed values of the keys of ``kinds`` that ``section`` sets; keys left
+    out keep the default of the dataclass the values go to."""
+    if section is None:
+        return {}
+    return {key: _typed(section, key, kind) for key, kind in kinds.items()
+            if (key, None) in section}
 
 
 def _group_from(raw_grp: dict, gid: int, lineno_hint: str) -> GroupSpec:
@@ -186,7 +206,6 @@ def _group_from(raw_grp: dict, gid: int, lineno_hint: str) -> GroupSpec:
     chains = _typed(raw_grp, "chains", int, required=True, lineno_hint=lineno_hint)
     spread = _typed(raw_grp, "spread", float, required=True, lineno_hint=lineno_hint)
     gain = _typed(raw_grp, "gain", float, required=True, lineno_hint=lineno_hint)
-    mobile = _typed(raw_grp, "mobile", bool, default=False)
     energy_db = _typed(raw_grp, "symbol_energy_db", float)
     energy = _typed(raw_grp, "symbol_energy", float)
     if (energy_db is None) == (energy is None):
@@ -216,17 +235,15 @@ def _group_from(raw_grp: dict, gid: int, lineno_hint: str) -> GroupSpec:
     aoa = np.array([aoas for _, aoas, _ in mpcs], dtype=float).T  # users x delays
     try:
         return GroupSpec(users, chains, energy, delays, aoa, np.full_like(aoa, spread),
-                         np.full(users, gain), mobile)
+                         np.full(users, gain), **_given(raw_grp, {"mobile": bool}))
     except ValueError as exc:
         raise ConfigError(f"group {gid}: {exc}") from None
 
 
-def _enum_list(section: dict, key: str, allowed, required=False, default=()):
-    item = section.get((key, None)) if section is not None else None
+def _enum_list(section: dict, key: str, allowed):
+    item = section.get((key, None))
     if item is None:
-        if required:
-            raise ConfigError(f"missing required key {key!r} in [run]")
-        return tuple(default)
+        raise ConfigError(f"missing required key {key!r} in [run]")
     value, lineno = item
     names = tuple(value.split())
     if not names:
@@ -241,24 +258,19 @@ def _enum_list(section: dict, key: str, allowed, required=False, default=()):
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a configuration document."""
+    """Parse and validate a configuration document.
+
+    Rules on one key apply, with its line, as the key is read; rules across
+    keys read the built settings."""
     raw = _tokenize(text)
 
-    scn_raw = raw.section("scenario")
-    if scn_raw is None:
-        raise ConfigError("missing [scenario] section")
+    scn_raw = raw.section("scenario", required=True)
     antennas = _typed(scn_raw, "antennas", int, required=True, lineno_hint=" in [scenario]")
     taps = _typed(scn_raw, "taps", int, required=True, lineno_hint=" in [scenario]")
     noise = _typed(scn_raw, "noise_power", float, required=True, lineno_hint=" in [scenario]")
     if not noise > 0:
-        raise ConfigError(f"line {scn_raw[('noise_power', None)][1]}: noise_power must be"
+        raise ConfigError(f"line {_line(scn_raw, 'noise_power')}: noise_power must be"
                           f" positive, got {noise:g}")
-    phi0 = _typed(scn_raw, "phi", float, default=0.0)
-    block_length = _typed(scn_raw, "block_length", int, default=64)
-    if block_length < taps:
-        key = "block_length" if ("block_length", None) in scn_raw else "taps"
-        raise ConfigError(f"line {scn_raw[(key, None)][1]}: block_length {block_length}"
-                          f" is shorter than the delay spread (taps = {taps})")
 
     group_ids = sorted(int(arg) for name, arg in raw.sections if name == "group")
     if not group_ids:
@@ -269,20 +281,19 @@ def parse_config(text: str) -> ExperimentConfig:
               for gid in group_ids]
 
     try:
-        scenario = Scenario(antennas, taps, noise, tuple(groups), phi=phi0)
+        scenario = Scenario(antennas, taps, noise, tuple(groups),
+                            **_given(scn_raw, {"phi": float}))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    run_raw = raw.section("run")
-    if run_raw is None:
-        raise ConfigError("missing [run] section")
-    beamformers = _enum_list(run_raw, "beamformers", DESIGNS, required=True)
-    combiners = _enum_list(run_raw, "combiners", COMBINER_NAMES, required=True)
-    estimator = _typed(run_raw, "estimator", str, default="none")
+    run_raw = raw.section("run", required=True)
+    beamformers = _enum_list(run_raw, "beamformers", DESIGNS)
+    combiners = _enum_list(run_raw, "combiners", COMBINER_NAMES)
+    estimator = _given(run_raw, {"estimator": str})
     try:
-        check_names("estimator", (estimator,), ESTIMATOR_NAMES)
+        check_names("estimator", tuple(estimator.values()), ESTIMATOR_NAMES)
     except ValueError as exc:
-        raise ConfigError(f"line {run_raw[('estimator', None)][1]}: {exc}") from None
+        raise ConfigError(f"line {_line(run_raw, 'estimator')}: {exc}") from None
     group_1based = _typed(run_raw, "group", int)
     if group_1based is None:
         mobile_ids = [i + 1 for i, g in enumerate(groups) if g.mobile]
@@ -297,47 +308,36 @@ def parse_config(text: str) -> ExperimentConfig:
             try:
                 SUBARRAY_MASKS[name](antennas, chains)
             except ValueError as exc:
-                raise ConfigError(f"line {run_raw[('beamformers', None)][1]}: {name} on"
+                raise ConfigError(f"line {_line(run_raw, 'beamformers')}: {name} on"
                                   f" group {group_1based}: {exc}") from None
 
-    sweep_raw = raw.section("sweep")
-    if sweep_raw is None:
-        raise ConfigError("missing [sweep] section")
+    sweep_raw = raw.section("sweep", required=True)
     phi_start = _typed(sweep_raw, "phi_start", float, required=True, lineno_hint=" in [sweep]")
     phi_stop = _typed(sweep_raw, "phi_stop", float, required=True, lineno_hint=" in [sweep]")
     phi_step = _typed(sweep_raw, "phi_step", float, required=True, lineno_hint=" in [sweep]")
-    if phi_step <= 0 or phi_stop < phi_start:
-        raise ConfigError("[sweep] needs phi_step > 0 and phi_stop >= phi_start")
 
-    mc_raw = raw.section("mc")
-    if mc_raw is None:
-        raise ConfigError("missing [mc] section")
-    trials = _typed(mc_raw, "trials", int, required=True, lineno_hint=" in [mc]")
-    seed = _typed(mc_raw, "seed", int, required=True, lineno_hint=" in [mc]")
-    if trials < 1:
-        raise ConfigError("[mc] trials must be >= 1")
-
-    num_raw = raw.section("numerics")
-    numerics = {"n_quad": _typed(num_raw, "n_quad", int, default=200),
-                "tol": _typed(num_raw, "tol", float, default=1e-8),
-                "max_iter": _typed(num_raw, "max_iter", int, default=500),
-                "n_restarts": _typed(num_raw, "n_restarts", int, default=20)}
-    for key, value in numerics.items():
-        try:
-            check_numeric(key, value)
-        except ValueError as exc:  # the defaults pass, so the key has a line
-            raise ConfigError(f"line {num_raw[(key, None)][1]}: {exc}") from None
-
+    mc_raw = raw.section("mc", required=True)
     est_raw = raw.section("estimation")
-    pilot_length = _typed(est_raw, "pilot_length", int, default=16)
-    pilot_energy = _typed(est_raw, "pilot_energy", float, default=None)
-    if estimator != "none" and est_raw is None:
+    sweep = SweepSettings(
+        group=group_1based - 1, beamformers=beamformers, combiners=combiners,
+        trials=_typed(mc_raw, "trials", int, required=True, lineno_hint=" in [mc]"),
+        seed=_typed(mc_raw, "seed", int, required=True, lineno_hint=" in [mc]"),
+        **estimator, **_given(scn_raw, {"block_length": int}),
+        **_given(est_raw, {"pilot_length": int, "pilot_energy": float}),
+        **_given(raw.section("numerics"),
+                 {"n_quad": int, "tol": float, "max_iter": int, "n_restarts": int}))
+
+    if sweep.block_length < taps:
+        raise ConfigError(f"line {_line(scn_raw, 'block_length', 'taps')}: block_length"
+                          f" {sweep.block_length} is shorter than the delay spread"
+                          f" (taps = {taps})")
+    if sweep.estimator != "none" and est_raw is None:
         raise ConfigError("estimator set but [estimation] section missing")
-    if estimator == "ls":
+    if sweep.estimator == "ls":
         # Otherwise the pruned LS pilot matrix is rank deficient at every angle:
         # fewer rows than columns, or two columns that are the same cyclic shift.
         where = (est_raw.get(("pilot_length", None)) or run_raw[("estimator", None)])[1]
-        evaluated = groups[group_1based - 1]
+        evaluated, pilot_length = groups[sweep.group], sweep.pilot_length
         unknowns = evaluated.n_users * len(evaluated.delays)
         if pilot_length < unknowns:
             raise ConfigError(f"line {where}: pilot_length {pilot_length} is shorter than the"
@@ -352,22 +352,13 @@ def parse_config(text: str) -> ExperimentConfig:
                                   " so the ls estimator cannot tell them apart")
 
     out_raw = raw.section("output")
-    formats = _enum_list(out_raw, "formats", ("csv",), default=("csv",))
-    output = OutputSettings(
-        directory=_typed(out_raw, "directory", str, default=None),
-        formats=formats,
-        beampattern_phi=_typed(out_raw, "beampattern_phi", float, default=10.0),
-        beampattern_start=_typed(out_raw, "beampattern_start", float, default=-90.0),
-        beampattern_stop=_typed(out_raw, "beampattern_stop", float, default=90.0),
-        beampattern_step=_typed(out_raw, "beampattern_step", float, default=0.05),
-    )
-
-    return ExperimentConfig(
-        scenario=scenario, beamformers=beamformers, combiners=combiners,
-        estimator=estimator, group=group_1based - 1, phi_start=phi_start,
-        phi_stop=phi_stop, phi_step=phi_step, trials=trials, seed=seed,
-        block_length=block_length, pilot_length=pilot_length, pilot_energy=pilot_energy,
-        **numerics, output=output)
+    output = OutputSettings(**_given(out_raw, {
+        "directory": str, "beampattern_phi": float, "beampattern_start": float,
+        "beampattern_stop": float, "beampattern_step": float}))
+    cfg = ExperimentConfig(scenario, sweep, phi_start, phi_stop, phi_step, output)
+    _check_range(cfg, "phi_", sweep_raw)
+    _check_range(output, "beampattern_", out_raw)
+    return cfg
 
 
 def load_config(path) -> ExperimentConfig:

@@ -45,22 +45,18 @@ _TRIAL_BLOCK = 16
 
 @dataclass(frozen=True)
 class BlockConfig:
-    """Block length, cyclic prefix and Monte Carlo bookkeeping.
+    """Block length and cyclic prefix of one symbol-level block.
 
     The cyclic prefix is absorbed analytically through circular indexing, so
     ``cp_len`` only has to satisfy the length contract (defaults to the
-    scenario delay spread at use sites when None).
+    scenario delay spread at use sites when None).  Symbols are unit-energy
+    QPSK; :func:`simulate_block` takes the block's seed as an argument.
     """
 
     n: int = 64
     cp_len: int | None = None
-    constellation: str = "qpsk"
-    trials: int = 200
-    seed: int = 0
 
     def __post_init__(self):
-        if self.constellation != "qpsk":
-            raise ValueError("only unit-energy QPSK is supported for symbol-level runs")
         if self.cp_len is not None and self.cp_len < 0:
             raise ValueError("cyclic prefix length must be non-negative")
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import chanest, constrained, linksim
-from .channel import (CovarianceSet, FixedCovariances, Scenario, build_covariances,
-                      fixed_covariances)
+from .channel import (DEFAULT_N_QUAD, CovarianceSet, FixedCovariances, Scenario,
+                      build_covariances, fixed_covariances)
 from .geb import UnconstrainedBeamformer, compute_geb
 from .linalg import qr
 from .linksim import COMBINER_NAMES
@@ -84,7 +84,7 @@ DESIGNS = {
 }
 
 
-# Numerics every angle needs: key -> (rule, what the rule asks).  A value
+# Settings every angle needs: key -> (rule, what the rule asks).  A value
 # that breaks its rule would fail every angle (or, for max_iter, skip every
 # alternating-minimization step), so configs and settings reject it up front.
 NUMERICS_RULES = {
@@ -92,6 +92,9 @@ NUMERICS_RULES = {
     "tol": (lambda v: v > 0, "positive"),
     "max_iter": (lambda v: v >= 1, ">= 1"),
     "n_restarts": (lambda v: v >= 1, ">= 1"),
+    "pilot_length": (lambda v: v >= 1, ">= 1"),
+    "pilot_energy": (lambda v: v is None or v > 0, "positive"),
+    "trials": (lambda v: v >= 1, ">= 1"),
 }
 
 
@@ -133,7 +136,8 @@ def cdf(values, grid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SweepSettings:
-    """Everything the per-angle pipeline needs besides the scenario."""
+    """Everything the per-angle pipeline needs besides the scenario; a config
+    key left out keeps the default here."""
 
     group: int
     beamformers: tuple[str, ...] = ("geb",)
@@ -144,10 +148,10 @@ class SweepSettings:
     block_length: int = 64
     trials: int = 200
     seed: int = 0
-    n_quad: int = 200
-    tol: float = 1e-8
-    max_iter: int = 500
-    n_restarts: int = 20
+    n_quad: int = DEFAULT_N_QUAD
+    tol: float = constrained.DEFAULT_TOL
+    max_iter: int = constrained.DEFAULT_MAX_ITER
+    n_restarts: int = constrained.DEFAULT_RESTARTS
 
     def __post_init__(self):
         check_names("beamformer", self.beamformers, DESIGNS)

@@ -56,31 +56,27 @@ def run(cfg: ExperimentConfig, out_dir, seed: int | None = None, db: bool = Fals
     t0 = time.monotonic()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    master_seed = cfg.seed if seed is None else int(seed)
-
-    settings = cfg.sweep_settings()
-    if master_seed != cfg.seed:
-        settings = dataclasses.replace(settings, seed=master_seed)
+    settings = cfg.sweep if seed is None else dataclasses.replace(cfg.sweep, seed=int(seed))
     phis = cfg.phi_values()
     result = phi_sweep(cfg.scenario, phis, settings)
 
     _write_results(out / "results.csv", result, db)
-    _write_cdf(out / "cdf.csv", result, cfg)
+    _write_cdf(out / "cdf.csv", result)
     pattern_failures = _write_beampattern(out / "beampattern.csv", cfg.output, result, db)
 
     failures = [{"phi": r.phi, "beamformer": r.beamformer, "combiner": r.combiner,
                  "error": r.error} for r in result.errors() + pattern_failures]
     manifest = {
-        "seed": master_seed,
+        "seed": settings.seed,
         "db": db,
         "phi": {"start": cfg.phi_start, "stop": cfg.phi_stop, "step": cfg.phi_step,
                 "count": int(len(phis))},
-        "trials": cfg.trials,
-        "beamformers": list(cfg.beamformers),
-        "combiners": list(cfg.combiners),
-        "estimator": cfg.estimator,
-        "numerics": {"n_quad": cfg.n_quad, "tol": cfg.tol, "max_iter": cfg.max_iter,
-                     "n_restarts": cfg.n_restarts},
+        "trials": settings.trials,
+        "beamformers": list(settings.beamformers),
+        "combiners": list(settings.combiners),
+        "estimator": settings.estimator,
+        "numerics": {"n_quad": settings.n_quad, "tol": settings.tol,
+                     "max_iter": settings.max_iter, "n_restarts": settings.n_restarts},
         "outputs": ["results.csv", "cdf.csv", "beampattern.csv"],
         "failures": failures,
         "partial": bool(failures),
@@ -111,10 +107,10 @@ def _write_results(path: Path, result, db: bool) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_cdf(path: Path, result, cfg: ExperimentConfig) -> None:
+def _write_cdf(path: Path, result: SweepResult) -> None:
     populations = {}
-    for name in cfg.beamformers:
-        for comb in cfg.combiners:
+    for name in result.settings.beamformers:
+        for comb in result.settings.combiners:
             vals = result.per_phi_capacity(name, comb)
             if vals.size:
                 populations[(name, comb)] = vals

@@ -89,7 +89,7 @@ class TestConfigParsing:
                                    [[-15.5, -2.5, 16.5], [-14.5, -1.5, 17.5]])
         np.testing.assert_allclose(scn.groups[0].spread, 2.0)
         np.testing.assert_allclose(scn.groups[0].gain, 1.0)
-        assert cfg.group == 0
+        assert cfg.sweep.group == 0
         assert cfg.phi_step == pytest.approx(0.1)
 
     def test_missing_required_key(self):
@@ -178,16 +178,16 @@ class TestRunner:
         run(cfg, tmp_path)
         rows = [line.split(",") for line in
                 (tmp_path / "beampattern.csv").read_text().splitlines()[1:]]
-        out, settings = cfg.output, cfg.sweep_settings()
-        scn, _, stats, geb = angle_design(fixed_covariances(cfg.scenario, cfg.n_quad),
+        out, settings = cfg.output, cfg.sweep
+        scn, _, stats, geb = angle_design(fixed_covariances(cfg.scenario, cfg.sweep.n_quad),
                                           out.beampattern_phi, settings)
         count = int(round((out.beampattern_stop - out.beampattern_start)
                           / out.beampattern_step)) + 1
         thetas = out.beampattern_start + out.beampattern_step * np.arange(count)
         expected = []
-        for name in cfg.beamformers:
-            s_eff = build_beamformer(name, scn, stats, cfg.group, settings,
-                                     _derived_seed(cfg.seed, -1, 1), geb=geb)
+        for name in cfg.sweep.beamformers:
+            s_eff = build_beamformer(name, scn, stats, cfg.sweep.group, settings,
+                                     _derived_seed(cfg.sweep.seed, -1, 1), geb=geb)
             values = beampattern(s_eff, steering_matrix(thetas, scn.n_antennas))
             expected += [[name, f"{t:.9g}", f"{v:.9g}"] for t, v in zip(thetas, values)]
         assert rows == expected
@@ -210,7 +210,8 @@ class TestRunner:
     def test_partial_failures_flagged(self, tmp_path):
         # block length below the delay spread fails every angle at run time
         # (parse_config rejects it, so the config is edited after parsing)
-        cfg = dataclasses.replace(parse_config(desk_config_text()), block_length=8)
+        cfg = parse_config(desk_config_text())
+        cfg = dataclasses.replace(cfg, sweep=dataclasses.replace(cfg.sweep, block_length=8))
         manifest = run(cfg, tmp_path / "out")
         assert manifest["exit_code"] == 2
         assert manifest["partial"] is True
@@ -250,7 +251,7 @@ class TestCli:
         cfg = load_config(out)
         assert cfg.scenario.n_antennas == 32
         assert cfg.phi_step == pytest.approx(1.0)
-        assert cfg.trials == 200
+        assert cfg.sweep.trials == 200
         # unscaled emission keeps the canonical values
         full = tmp_path / "full_t1.cfg"
         assert main(["scenario", "table1", "-o", str(full)]) == 0

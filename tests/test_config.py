@@ -1,14 +1,18 @@
 """Config rules that must fail in parse_config rather than at every angle of a run."""
 
 import re
+from dataclasses import fields
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from jsdmsim import build_covariances, group_statistics
+from jsdmsim import build_covariances, config, group_statistics
+from jsdmsim.channel import DEFAULT_N_QUAD
 from jsdmsim.cli import main
-from jsdmsim.config import ConfigError, parse_config
+from jsdmsim.config import ConfigError, ExperimentConfig, OutputSettings, parse_config
+from jsdmsim.constrained import DEFAULT_MAX_ITER, DEFAULT_RESTARTS, DEFAULT_TOL
 from jsdmsim.linksim import COMBINER_NAMES
 from jsdmsim.metrics import DESIGNS, ESTIMATOR_NAMES, SweepSettings, build_beamformer
 
@@ -41,7 +45,7 @@ class TestBlockLength:
 
     def test_equal_to_taps_accepted(self):
         text = re.sub(r"(?m)^block_length\s*=.*$", "block_length = 32", bundled_text())
-        assert parse_config(text).block_length == 32
+        assert parse_config(text).sweep.block_length == 32
 
     def test_validate_reports_it(self, tmp_path, capsys):
         path = tmp_path / "short.cfg"
@@ -84,7 +88,7 @@ class TestSubarrayChains:
         lines = text.splitlines()
         second = [i for i, line in enumerate(lines) if line.startswith("chains")][1]
         lines[second] = "chains = 3"
-        assert parse_config("\n".join(lines)).beamformers == ("fixed-ordered",)
+        assert parse_config("\n".join(lines)).sweep.beamformers == ("fixed-ordered",)
 
 
 class TestNameTable:
@@ -133,7 +137,9 @@ class TestNumerics:
             parse_config(text)
 
     @pytest.mark.parametrize("field, value", [("tol", 0.0), ("tol", -1e-8), ("max_iter", 0),
-                                              ("n_restarts", 0), ("n_quad", 4)])
+                                              ("n_restarts", 0), ("n_quad", 4),
+                                              ("pilot_length", 0), ("pilot_energy", 0.0),
+                                              ("trials", 0)])
     def test_sweep_settings_reject_them(self, field, value):
         with pytest.raises(ValueError, match=rf"^{field} must be"):
             SweepSettings(group=0, **{field: value})
@@ -163,10 +169,10 @@ class TestLsPilotLength:
         from jsdmsim.chanest import PilotDesignError, build_pilots, ls_estimator
         # delays 0, 4, 5: six unknowns and no two delays alike modulo 6
         cfg = parse_config(self.ls_text(6).replace("mpc 11 =", "mpc 4 =", 1))
-        scn, spec = cfg.scenario, cfg.scenario.groups[cfg.group]
-        assert ls_estimator(build_pilots(scn, cfg.group, 6, 1), spec.delays, 4).shape[0] == 24
+        scn, spec = cfg.scenario, cfg.scenario.groups[cfg.sweep.group]
+        assert ls_estimator(build_pilots(scn, cfg.sweep.group, 6, 1), spec.delays, 4).shape[0] == 24
         with pytest.raises(PilotDesignError):
-            ls_estimator(build_pilots(scn, cfg.group, 5, 1), spec.delays, 4)
+            ls_estimator(build_pilots(scn, cfg.sweep.group, 5, 1), spec.delays, 4)
 
     def test_aliased_delays_rejected_with_its_line(self):
         from jsdmsim.chanest import PilotDesignError, build_pilots, ls_estimator
@@ -176,7 +182,7 @@ class TestLsPilotLength:
             parse_config(text)
         cfg = parse_config(self.ls_text(7))
         with pytest.raises(PilotDesignError):
-            ls_estimator(build_pilots(cfg.scenario, cfg.group, 6, 1), (0, 5, 11), 4)
+            ls_estimator(build_pilots(cfg.scenario, cfg.sweep.group, 6, 1), (0, 5, 11), 4)
 
     def test_default_length_names_the_estimator_line(self):
         text = re.sub(r"(?m)^pilot_length\s*=.*$\n", "", self.ls_text(0))
@@ -188,4 +194,128 @@ class TestLsPilotLength:
 
     def test_other_estimators_unaffected(self):
         text = re.sub(r"(?m)^pilot_length\s*=.*$", "pilot_length = 5", bundled_text())
-        assert parse_config(text).pilot_length == 5
+        assert parse_config(text).sweep.pilot_length == 5
+
+
+class TestPilotsAndTrials:
+    """Pilot and trial values that would fail every angle, from the same rule table."""
+
+    @staticmethod
+    def text_with(key, value):
+        text = bundled_text().replace("pilot_length = 10\n",
+                                      "pilot_length = 10\npilot_energy = 1.0\n", 1)
+        return re.sub(rf"(?m)^{key}\s*=.*$", f"{key} = {value}", text)
+
+    @pytest.mark.parametrize("key, value, rule", [
+        ("pilot_length", "0", ">= 1"), ("pilot_length", "-2", ">= 1"),
+        ("pilot_energy", "0", "positive"), ("pilot_energy", "-1.0", "positive"),
+        ("trials", "0", ">= 1"),
+    ])
+    def test_rejected_with_its_line(self, key, value, rule):
+        text = self.text_with(key, value)
+        with pytest.raises(ConfigError,
+                           match=rf"^line {line_of(text, key)}: {key} must be {re.escape(rule)}"):
+            parse_config(text)
+
+    def test_boundary_values_accepted(self):
+        assert parse_config(self.text_with("pilot_length", "1")).sweep.pilot_length == 1
+        assert parse_config(self.text_with("pilot_energy", "0.5")).sweep.pilot_energy == 0.5
+        assert parse_config(self.text_with("trials", "1")).sweep.trials == 1
+
+
+class TestRanges:
+    """One rule for the sweep and beampattern grids: step > 0 and stop >= start."""
+
+    @staticmethod
+    def text_with(key, value):
+        text, hits = re.subn(rf"(?m)^{key}\s*=.*$", f"{key} = {value}", bundled_text())
+        return text if hits else text + f"{key} = {value}\n"  # [output] is the last section
+
+    @pytest.mark.parametrize("key, value, blamed, message", [
+        ("phi_step", "0", "phi_step", "phi_step must be positive, got 0"),
+        ("phi_step", "-0.1", "phi_step", "phi_step must be positive, got -0.1"),
+        ("phi_stop", "-50", "phi_stop", "phi_stop -50 is below phi_start -45"),
+        ("phi_start", "50", "phi_stop", "phi_stop 45 is below phi_start 50"),
+        ("beampattern_step", "0", "beampattern_step", "beampattern_step must be positive, got 0"),
+        ("beampattern_step", "-0.05", "beampattern_step",
+         "beampattern_step must be positive, got -0.05"),
+        ("beampattern_stop", "-100", "beampattern_stop",
+         "beampattern_stop -100 is below beampattern_start -90"),
+        # the stop is a default, so the start's line is cited
+        ("beampattern_start", "100", "beampattern_start",
+         "beampattern_stop 90 is below beampattern_start 100"),
+    ])
+    def test_rejected_with_the_offending_line(self, key, value, blamed, message):
+        text = self.text_with(key, value)
+        with pytest.raises(ConfigError, match=rf"^line {line_of(text, blamed)}: {message}$"):
+            parse_config(text)
+
+    def test_single_point_grids_accepted(self):
+        cfg = parse_config(self.text_with("phi_stop", "-45"))
+        assert list(cfg.phi_values()) == [-45.0]
+        cfg = parse_config(self.text_with("beampattern_start", "90"))
+        assert cfg.output.beampattern_start == cfg.output.beampattern_stop == 90.0
+
+    def test_validate_reports_it(self, tmp_path, capsys):
+        path = tmp_path / "no_step.cfg"
+        path.write_text(self.text_with("beampattern_step", "0"))
+        assert main(["validate", str(path)]) != 0
+        assert "beampattern_step must be positive" in capsys.readouterr().err
+
+
+class TestDefaults:
+    """Each default lives in the dataclass field it fills, and nowhere in the parser."""
+
+    def test_left_out_keys_take_the_dataclass_defaults(self):
+        text = re.sub(r"(?ms)^\[numerics\].*?(?=^\[)", "", bundled_text())
+        text = re.sub(r"(?m)^(block_length|pilot_length|beampattern_phi)\s*=.*\n", "", text)
+        cfg = parse_config(text)
+        assert cfg.sweep == SweepSettings(group=0, beamformers=("geb", "pe", "pe-am", "dft"),
+                                          combiners=("zf", "lmmse"), estimator="lmmse",
+                                          trials=200, seed=1)
+        assert cfg.output == OutputSettings()
+        numerics = (cfg.sweep.n_quad, cfg.sweep.tol, cfg.sweep.max_iter, cfg.sweep.n_restarts)
+        assert numerics == (DEFAULT_N_QUAD, DEFAULT_TOL, DEFAULT_MAX_ITER, DEFAULT_RESTARTS)
+
+    def test_experiment_config_adds_only_what_the_sweep_does_not_own(self):
+        assert [f.name for f in fields(ExperimentConfig)] == [
+            "scenario", "sweep", "phi_start", "phi_stop", "phi_step", "output"]
+
+    def test_formats_rejected_with_its_line(self):
+        text = bundled_text() + "formats = csv\n"
+        with pytest.raises(ConfigError, match=rf"^line {line_of(text, r'formats')}:"
+                                              r" unknown key 'formats' in section \[output\]"):
+            parse_config(text)
+
+
+def _keys(line):
+    """Lower-case key names on one line of key documentation, without annotations."""
+    line = re.sub(r"\([^()]*\)|<[^<>]*>", "", line)
+    return {tok.rstrip("*") for tok in line.split() if re.fullmatch(r"[a-z_]+\*?", tok)}
+
+
+class TestDocumentedKeys:
+    """The config docstring and README list exactly the keys the parser accepts."""
+
+    def test_docstring_grammar(self):
+        block = config.__doc__.split("Sections and their keys")[1].split("\n\n")[1]
+        documented, section = {}, None
+        for line in block.splitlines():
+            header = re.match(r"\s*\[(\w+)[^\]]*\]", line)
+            if header:
+                section, line = header.group(1), line[header.end():]
+            documented.setdefault(section, set()).update(_keys(line))
+        assert documented == config._SECTION_KEYS
+
+    def test_readme_sections_and_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("Sections and keys")[1].split("\n\n")[1]
+        documented = {}
+        for bullet in re.split(r"(?m)^- ", block)[1:]:
+            bullet = " ".join(bullet.split())
+            section = re.match(r"`\[(\w+)", bullet).group(1)
+            body = re.sub(r"\([^()]*\)", "", bullet.split("—", 1)[1])
+            first_sentence = body.split(". ")[0]
+            documented[section] = set().union(
+                *(_keys(code.split()[0]) for code in re.findall(r"`([^`]+)`", first_sentence)))
+        assert documented == config._SECTION_KEYS

@@ -39,7 +39,7 @@ class TestSimulateBlock:
         s = random_orthonormal(rng, scn.n_antennas, 2)
         eff = effective_channel(s, real, 0, 8)
         bank = zf_combiners(eff)
-        cfg = BlockConfig(n=8, trials=1)
+        cfg = BlockConfig(n=8)
         res = simulate_block(scn, real, {0: s}, {0: bank}, cfg, seed=5)
         assert_allclose(res.estimates[0], res.symbols[0], atol=1e-10)
 
