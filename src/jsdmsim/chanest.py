@@ -22,7 +22,6 @@ __all__ = [
     "PilotBlock",
     "PilotCovariances",
     "PilotDesignError",
-    "StackedEffectiveChannel",
     "build_pilots",
     "effective_covariance",
     "lmmse_estimator",
@@ -56,19 +55,6 @@ class PilotBlock:
     energy: float
     sequences: np.ndarray
     x: np.ndarray
-
-
-@dataclass(frozen=True)
-class StackedEffectiveChannel:
-    """Block-diagonal covariance of the stacked effective channel.
-
-    Stacking is user-major, then delay, then stream: K blocks of size L*D,
-    each itself block-diagonal across delays.  ``h_bar`` carries an actual
-    stacked realization when one is attached.
-    """
-
-    r_h: np.ndarray
-    h_bar: np.ndarray | None = None
 
 
 def _equivalent_matrix(sequences: np.ndarray, taps: int, energy: float) -> np.ndarray:
@@ -145,8 +131,12 @@ def receive_pilots(pilots: PilotBlock, real: ChannelRealization, s: np.ndarray,
 
 
 def effective_covariance(cov: CovarianceSet, scn: Scenario, s: np.ndarray,
-                         g: int) -> StackedEffectiveChannel:
-    """Covariance of the stacked intra-group effective channel after ``s``."""
+                         g: int) -> np.ndarray:
+    """Covariance R_h of the stacked intra-group effective channel after ``s``.
+
+    Stacking is user-major, then delay, then stream: K blocks of size L*D,
+    each itself block-diagonal across delays.
+    """
     s = np.asarray(s, dtype=complex)
     d = s.shape[1]
     spec = scn.groups[g]
@@ -158,7 +148,7 @@ def effective_covariance(cov: CovarianceSet, scn: Scenario, s: np.ndarray,
             block = s.conj().T @ cov.ccms[g][u][delay] @ s
             lo = (u * taps + delay) * d
             r_h[lo:lo + d, lo:lo + d] = 0.5 * (block + block.conj().T)
-    return StackedEffectiveChannel(r_h)
+    return r_h
 
 
 def stack_effective(real: ChannelRealization, s: np.ndarray, g: int) -> np.ndarray:
@@ -178,49 +168,33 @@ def stack_effective(real: ChannelRealization, s: np.ndarray, g: int) -> np.ndarr
 
 @dataclass(frozen=True)
 class PilotCovariances:
-    """R_ybar and R_ybar_h of the stacked pilot observation model.
+    """R_ybar and R_ybar_h of the stacked pilot observation model, and tr R_h."""
 
-    ``inputs`` are the (pilots, stacked, rd) objects they were built from;
-    :func:`lmmse_estimator` and :func:`nmse` accept them only together with
-    those same objects.
-    """
-
-    inputs: tuple
     r_y: np.ndarray
     r_yh: np.ndarray
+    tr_h: float
 
 
-def pilot_covariances(pilots: PilotBlock, stacked: StackedEffectiveChannel,
+def pilot_covariances(pilots: PilotBlock, r_h: np.ndarray,
                       rd: ReducedStatistics) -> PilotCovariances:
-    """R_ybar and R_ybar_h for one (pilots, stacked channel, statistics) triple.
+    """Second-order model of the pilot observation for pilots, R_h and statistics.
 
-    Both estimators and :func:`nmse` need them; a caller that evaluates an
-    estimator's nMSE builds them once and passes them to both.
+    ``r_h`` is :func:`effective_covariance`.  :func:`lmmse_estimator` and
+    :func:`nmse` both take the result, so an estimate's nMSE builds it once.
     """
     d = rd.r_eta.shape[0]
     phi = np.kron(pilots.x, np.eye(d))
-    r_yh = phi @ stacked.r_h
+    r_yh = phi @ r_h
     r_y = r_yh @ phi.conj().T + np.kron(np.eye(pilots.length), rd.r_eta)
-    return PilotCovariances((pilots, stacked, rd), 0.5 * (r_y + r_y.conj().T), r_yh)
+    return PilotCovariances(0.5 * (r_y + r_y.conj().T), r_yh, np.trace(r_h).real)
 
 
-def _pilot_covariances(pilots, stacked, rd, given: PilotCovariances | None) -> PilotCovariances:
-    if given is None:
-        return pilot_covariances(pilots, stacked, rd)
-    if any(a is not b for a, b in zip(given.inputs, (pilots, stacked, rd))):
-        raise ValueError("pilot_cov was built from other pilots, channel or statistics")
-    return given
-
-
-def lmmse_estimator(pilots: PilotBlock, stacked: StackedEffectiveChannel,
-                    rd: ReducedStatistics, pilot_cov: PilotCovariances | None = None) -> np.ndarray:
+def lmmse_estimator(pc: PilotCovariances) -> np.ndarray:
     """LMMSE estimator matrix Z with estimate = Z^H ybar.
 
     Z = R_ybar^{-1} R_ybar_h; always well posed because the noise term
-    I_T kron R_eta_rd is positive definite.  ``pilot_cov`` is
-    :func:`pilot_covariances` of these same inputs, if already built.
+    I_T kron R_eta_rd is positive definite.
     """
-    pc = _pilot_covariances(pilots, stacked, rd, pilot_cov)
     return np.linalg.solve(pc.r_y, pc.r_yh)
 
 
@@ -256,20 +230,16 @@ def ls_estimator(pilots: PilotBlock, active_delays, n_streams: int) -> np.ndarra
     return z
 
 
-def nmse(z: np.ndarray, pilots: PilotBlock, stacked: StackedEffectiveChannel,
-         rd: ReducedStatistics, pilot_cov: PilotCovariances | None = None) -> float:
+def nmse(z: np.ndarray, pc: PilotCovariances) -> float:
     """Closed-form normalized MSE of an estimator matrix (no Monte Carlo).
 
     [tr R_h + tr(Z^H R_ybar Z) - 2 Re tr(Z^H R_ybar_h)] / tr R_h.
     LMMSE estimators land in [0, 1]; LS estimators may exceed 1 at low SNR
     (noise amplification through the normal equations), which is expected.
-    ``pilot_cov`` is :func:`pilot_covariances` of these same inputs, if
-    already built.
     """
-    tr_h = np.trace(stacked.r_h).real
+    tr_h = pc.tr_h
     if tr_h <= 0:
         raise ValueError("stacked channel covariance has zero trace; nMSE undefined")
-    pc = _pilot_covariances(pilots, stacked, rd, pilot_cov)
     quad = np.sum(z.conj() * (pc.r_y @ z)).real
     cross = np.sum(z.conj() * pc.r_yh).real
     return float((tr_h + quad - 2.0 * cross) / tr_h)

@@ -154,17 +154,13 @@ class CovarianceSet:
     """Per-user per-delay channel covariance matrices of a scenario.
 
     ``ccms[g][k]`` maps an active delay index to an M x M Hermitian PSD
-    matrix; inactive delays are implicitly zero (see :meth:`ccm`).  Square
-    roots used for sampling are cached lazily.
+    matrix; inactive delays are absent and implicitly zero.  Square roots
+    used for sampling are cached lazily.
     """
 
     scenario: Scenario
     ccms: list[list[dict[int, np.ndarray]]]
     _sqrts: list[list[dict[int, np.ndarray]]] = field(default_factory=list, repr=False)
-
-    def ccm(self, g: int, user: int, delay: int) -> np.ndarray:
-        m = self.scenario.n_antennas
-        return self.ccms[g][user].get(delay, np.zeros((m, m), dtype=complex))
 
     def sqrt_factor(self, g: int, user: int, delay: int) -> np.ndarray:
         if not self._sqrts:
@@ -228,7 +224,7 @@ def build_covariances(scn: Scenario, n_quad: int = DEFAULT_N_QUAD,
 
 @dataclass
 class ChannelRealization:
-    """Instantaneous channel taps: ``taps[g][l]`` is M x K_g, zero off-support.
+    """Instantaneous channel taps: ``taps[g][l]`` is M x K_g at each active delay.
 
     A block of realizations (see :func:`sample_channels` with ``trials``)
     stacks them along leading axes: ``taps[g][l]`` is then (T, M, K_g).
@@ -236,11 +232,6 @@ class ChannelRealization:
 
     scenario: Scenario
     taps: list[dict[int, np.ndarray]]
-
-    def tap(self, g: int, delay: int) -> np.ndarray:
-        scn = self.scenario
-        shape = (scn.n_antennas, scn.groups[g].n_users)
-        return self.taps[g].get(delay, np.zeros(shape, dtype=complex))
 
 
 def _group_taps(cov: CovarianceSet, g: int, rngs) -> dict[int, np.ndarray]:

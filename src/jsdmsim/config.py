@@ -9,7 +9,7 @@ Grammar (one construct per line, ``#`` starts a comment anywhere):
 
 Sections and their keys (* marks required):
 
-    [scenario]   antennas* taps* noise_power*  phi  block_length
+    [scenario]   antennas* taps* noise_power*  block_length
     [group N]    users* chains* spread* gain*  mobile
                  symbol_energy_db | symbol_energy  (exactly one)
                  mpc D = <one mean AoA in degrees per user>   (one per delay)
@@ -24,7 +24,8 @@ Sections and their keys (* marks required):
 Keys left out keep the defaults of :class:`OutputSettings` and
 :class:`~jsdmsim.metrics.SweepSettings`.  Unknown sections or keys, and values
 that would fail every angle, are rejected with their line number.  Mobile
-groups state their AoAs relative to the sweep's shifting angle.
+groups state their AoAs relative to the sweep's shifting angle; the sweep
+grid and ``beampattern_phi`` stay within -90..90 degrees.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 from .channel import GroupSpec, Scenario
 from .linksim import COMBINER_NAMES
 from .metrics import (DESIGNS, ESTIMATOR_NAMES, NUMERICS_RULES, SUBARRAY_MASKS, SweepSettings,
-                      check_names, check_numeric)
+                      check_names, check_numeric, check_scan_range)
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_config"]
 
@@ -47,7 +48,7 @@ class ConfigError(ValueError):
 
 
 _SECTION_KEYS = {
-    "scenario": {"antennas", "taps", "noise_power", "phi", "block_length"},
+    "scenario": {"antennas", "taps", "noise_power", "block_length"},
     "group": {"users", "chains", "symbol_energy_db", "symbol_energy",
               "spread", "gain", "mobile", "mpc"},
     "run": {"beamformers", "combiners", "estimator", "group"},
@@ -84,15 +85,14 @@ class ExperimentConfig:
     output: OutputSettings
 
     def phi_values(self) -> np.ndarray:
-        _check_range(self, "phi_")
         count = int(np.floor((self.phi_stop - self.phi_start) / self.phi_step + 1e-9)) + 1
         return self.phi_start + self.phi_step * np.arange(max(count, 1))
 
 
-def _check_range(settings, prefix: str, section=None) -> None:
+def _check_range(settings, prefix: str, section) -> None:
     """The one rule of a ``<prefix>start/stop/step`` grid: step > 0 and stop >= start.
 
-    With the raw ``section``, the error cites the stop's line, or the start's
+    The error cites the stop's line in the raw ``section``, or the start's
     when the stop is a default."""
     start, stop, step = (getattr(settings, prefix + end) for end in ("start", "stop", "step"))
     if not step > 0:
@@ -101,8 +101,6 @@ def _check_range(settings, prefix: str, section=None) -> None:
         blame, msg = ("stop", "start"), f"{prefix}stop {stop:g} is below {prefix}start {start:g}"
     else:
         return
-    if section is None:
-        raise ConfigError(msg)
     raise ConfigError(f"line {_line(section, *(prefix + end for end in blame))}: {msg}")
 
 
@@ -281,8 +279,7 @@ def parse_config(text: str) -> ExperimentConfig:
               for gid in group_ids]
 
     try:
-        scenario = Scenario(antennas, taps, noise, tuple(groups),
-                            **_given(scn_raw, {"phi": float}))
+        scenario = Scenario(antennas, taps, noise, tuple(groups))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -358,6 +355,13 @@ def parse_config(text: str) -> ExperimentConfig:
     cfg = ExperimentConfig(scenario, sweep, phi_start, phi_stop, phi_step, output)
     _check_range(cfg, "phi_", sweep_raw)
     _check_range(output, "beampattern_", out_raw)
+    phis = cfg.phi_values()
+    for section, key, phi in ((sweep_raw, "phi_start", phis[0]), (sweep_raw, "phi_stop", phis[-1]),
+                              (out_raw, "beampattern_phi", output.beampattern_phi)):
+        try:
+            check_scan_range(phi)
+        except ValueError as exc:
+            raise ConfigError(f"line {_line(section, key)}: angle {phi:g}: {exc}") from None
     return cfg
 
 

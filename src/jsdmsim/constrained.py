@@ -125,7 +125,7 @@ def _converged(residuals: list[float], tol: float, scale: float) -> bool:
 # Fully connected designs
 
 
-def dft_beamformer(scn: Scenario, g: int, n_chains: int | None = None) -> ConstrainedBeamformer:
+def dft_beamformer(scn: Scenario, g: int) -> ConstrainedBeamformer:
     """Select DFT codebook columns pointing at the group's MPC clusters.
 
     Column k of the codebook is the unit-modulus vector with spatial frequency
@@ -136,10 +136,7 @@ def dft_beamformer(scn: Scenario, g: int, n_chains: int | None = None) -> Constr
     interference-aware by construction.
     """
     m = scn.n_antennas
-    spec = scn.groups[g]
-    d = spec.n_chains if n_chains is None else n_chains
-    if d > m:
-        raise ValueError(f"cannot select {d} columns from an {m}-point codebook")
+    d = scn.groups[g].n_chains  # Scenario keeps it <= m
 
     cluster_aoa = scn.effective_aoa(g).mean(axis=0)
     targets = np.pi * np.sin(np.deg2rad(cluster_aoa))

@@ -43,6 +43,7 @@ __all__ = [
     "cdf",
     "check_names",
     "check_numeric",
+    "check_scan_range",
     "phi_sweep",
 ]
 
@@ -112,6 +113,12 @@ def check_names(kind: str, names, allowed) -> None:
             raise ValueError(f"unknown {kind} {name!r} (allowed: {' '.join(allowed)})")
 
 
+def check_scan_range(phis) -> None:
+    """Raise ValueError unless every shifting angle lies within -90..90 degrees."""
+    if np.any(np.abs(np.asarray(phis, dtype=float)) > 90.0):
+        raise ValueError("shifting angles must stay within the -90..90 degree scan range")
+
+
 def beampattern(s: np.ndarray, steering: np.ndarray) -> np.ndarray:
     """Power of each steering direction inside the beamformer's column space.
 
@@ -169,7 +176,6 @@ class PhiRecord:
     beamformer: str
     combiner: str
     capacity: np.ndarray | None = None
-    capacity_stderr: np.ndarray | None = None
     expected_sinr: float | None = None
     nmse: float | None = None
     error: str | None = None
@@ -187,35 +193,23 @@ class SweepResult:
     fixed: FixedCovariances
     records: list[PhiRecord] = field(default_factory=list)
 
-    def select(self, beamformer: str, combiner: str) -> list[PhiRecord]:
-        return [r for r in self.records
-                if r.beamformer == beamformer and r.combiner == combiner and r.error is None]
-
-    def mean_capacity(self, beamformer: str, combiner: str) -> float:
-        """Average capacity over angles and users."""
-        recs = self.select(beamformer, combiner)
-        if not recs:
-            raise ValueError(f"no successful records for {beamformer}/{combiner}")
-        return float(np.mean([r.capacity.mean() for r in recs]))
-
     def per_phi_capacity(self, beamformer: str, combiner: str) -> np.ndarray:
-        """User-averaged capacity per angle (outage/CDF population)."""
-        return np.array([r.capacity.mean() for r in self.select(beamformer, combiner)])
+        """User-averaged capacity per successful angle (outage/CDF population)."""
+        return np.array([r.capacity.mean() for r in self.records if r.error is None
+                         and (r.beamformer, r.combiner) == (beamformer, combiner)])
 
     def errors(self) -> list[PhiRecord]:
         return [r for r in self.records if r.error is not None]
 
 
 def build_beamformer(name: str, scn: Scenario, stats, group: int, cfg: SweepSettings,
-                     seed, geb=None) -> np.ndarray:
+                     seed, geb: UnconstrainedBeamformer) -> np.ndarray:
     """Effective analog stage (including compensation) for one design name.
 
-    ``geb`` may carry a precomputed unconstrained design so sweeps solve the
-    covariance pencil once per angle.
+    ``geb`` is the angle's unconstrained design (:func:`angle_design`), so
+    each angle solves the covariance pencil once for all its designs.
     """
     check_names("beamformer", (name,), DESIGNS)
-    if geb is None:
-        geb = compute_geb(stats, scn.groups[group].n_chains)
     return DESIGNS[name](geb, stats, scn, group, cfg, seed)
 
 
@@ -264,8 +258,7 @@ def _evaluate_phi(fixed: FixedCovariances, phi: float, phi_index: int,
                 cap = linksim.ergodic_capacity(
                     scn_phi, cov, s_eff, cfg.group, combiner=comb, n=cfg.block_length,
                     trials=cfg.trials, seed=_derived_seed(cfg.seed, phi_index, 2))
-                records.append(PhiRecord(phi, name, comb, cap.mean, cap.stderr,
-                                         score, est_nmse))
+                records.append(PhiRecord(phi, name, comb, cap.mean, score, est_nmse))
             except ANGLE_ERRORS as exc:
                 records.append(_error(phi, name, comb, exc))
     return records
@@ -276,14 +269,13 @@ def _estimation_nmse(scn: Scenario, cov, stats, s_eff: np.ndarray, cfg: SweepSet
     pilots = chanest.build_pilots(scn, cfg.group, cfg.pilot_length,
                                   _derived_seed(cfg.seed, phi_index, 3),
                                   energy=cfg.pilot_energy)
-    stacked = chanest.effective_covariance(cov, scn, s_eff, cfg.group)
-    rd = reduce(stats, s_eff)
-    pilot_cov = chanest.pilot_covariances(pilots, stacked, rd)
+    r_h = chanest.effective_covariance(cov, scn, s_eff, cfg.group)
+    pc = chanest.pilot_covariances(pilots, r_h, reduce(stats, s_eff))
     if cfg.estimator == "lmmse":
-        z = chanest.lmmse_estimator(pilots, stacked, rd, pilot_cov)
+        z = chanest.lmmse_estimator(pc)
     else:
         z = chanest.ls_estimator(pilots, scn.groups[cfg.group].delays, s_eff.shape[1])
-    return chanest.nmse(z, pilots, stacked, rd, pilot_cov)
+    return chanest.nmse(z, pc)
 
 
 def phi_sweep(scn: Scenario, phi_grid, settings: SweepSettings) -> SweepResult:
@@ -293,8 +285,7 @@ def phi_sweep(scn: Scenario, phi_grid, settings: SweepSettings) -> SweepResult:
     returned as ``result.fixed``.
     """
     phi_grid = np.atleast_1d(np.asarray(phi_grid, dtype=float))
-    if np.any(np.abs(phi_grid) > 90.0):
-        raise ValueError("shifting angles must stay within the -90..90 degree scan range")
+    check_scan_range(phi_grid)
     result = SweepResult(phi_grid, settings, fixed_covariances(scn, settings.n_quad))
     for i, phi in enumerate(phi_grid):
         result.records.extend(_evaluate_phi(result.fixed, float(phi), i, settings))

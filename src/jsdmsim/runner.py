@@ -27,7 +27,8 @@ from . import __version__
 from .channel import steering_matrix
 from .config import ExperimentConfig, OutputSettings
 from .metrics import (ANGLE_ERRORS, PhiRecord, SweepResult, angle_design, beampattern,
-                      build_beamformer, cdf, phi_sweep, _derived_seed, _error)
+                      build_beamformer, cdf, check_scan_range, phi_sweep, _derived_seed,
+                      _error)
 
 __all__ = ["run"]
 
@@ -139,6 +140,7 @@ def _write_beampattern(path: Path, out_cfg: OutputSettings, result: SweepResult,
     lines = [f"beamformer,theta,{'power_db' if db else 'power'}"]
     failures = []
     try:
+        check_scan_range(phi)
         scn, _, stats, geb = angle_design(result.fixed, phi, settings)
     except ANGLE_ERRORS as exc:  # flagged in the manifest instead
         path.write_text("\n".join(lines) + "\n")

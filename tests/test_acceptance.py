@@ -244,9 +244,10 @@ def test_criterion_09_fully_connected_capacity_ordering():
         scn = table1_scenario(m=32, mobile_db=40.0, interferer_db=20.0, chains=6, phi=phi)
         cov = build_covariances(scn)
         stats = group_statistics(cov, scn, 0)
+        geb = compute_geb(stats, 6)
         cfg = SweepSettings(group=0)
         for n in names:
-            s = build_beamformer(n, scn, stats, 0, cfg, _derived_seed(3, i, 1))
+            s = build_beamformer(n, scn, stats, 0, cfg, _derived_seed(3, i, 1), geb)
             cap = linksim.ergodic_capacity(scn, cov, s, 0, "lmmse", n=64, trials=200,
                                            seed=_derived_seed(3, i, 2))
             samples[n].append(cap.samples.mean(axis=1))
@@ -300,8 +301,9 @@ def test_criterion_11_geb_nulls_below_dft():
     scn = table1_scenario(m=32, mobile_db=40.0, interferer_db=40.0, phi=10.0)
     stats = group_statistics(build_covariances(scn), scn, 0)
     cfg = SweepSettings(group=0)
-    s_geb = build_beamformer("geb", scn, stats, 0, cfg, 0)
-    s_dft = build_beamformer("dft", scn, stats, 0, cfg, 0)
+    geb = compute_geb(stats, 4)
+    s_geb = build_beamformer("geb", scn, stats, 0, cfg, 0, geb)
+    s_dft = build_beamformer("dft", scn, stats, 0, cfg, 0, geb)
     own = scn.effective_aoa(0).ravel()
     interferers = np.concatenate([scn.effective_aoa(g).ravel() for g in (1, 2, 3)])
     own_peak = beampattern(s_geb, steering_matrix(own, 32)).max()
@@ -320,7 +322,7 @@ def test_criterion_12_nmse_grid():
     stats = group_statistics(cov, scn, 0)
     geb = compute_geb(stats, 4)
     rd = reduce(stats, geb.s)
-    stacked = chanest.effective_covariance(cov, scn, geb.s, 0)
+    r_h = chanest.effective_covariance(cov, scn, geb.s, 0)
     t_grid = (8, 12, 16, 24)
     e_grid = (0.5, 2.0, 8.0, 32.0)
     lm = np.zeros((4, 4))
@@ -328,18 +330,18 @@ def test_criterion_12_nmse_grid():
     for a, t_len in enumerate(t_grid):
         for b, energy in enumerate(e_grid):
             pilots = chanest.build_pilots(scn, 0, t_len, seed=[5, t_len], energy=energy)
-            lm[a, b] = chanest.nmse(chanest.lmmse_estimator(pilots, stacked, rd),
-                                    pilots, stacked, rd)
-            ls[a, b] = chanest.nmse(chanest.ls_estimator(pilots, scn.groups[0].delays, 4),
-                                    pilots, stacked, rd)
+            pc = chanest.pilot_covariances(pilots, r_h, rd)
+            lm[a, b] = chanest.nmse(chanest.lmmse_estimator(pc), pc)
+            ls[a, b] = chanest.nmse(chanest.ls_estimator(pilots, scn.groups[0].delays, 4), pc)
     assert np.all(lm <= ls), "LMMSE must not lose to LS anywhere on the grid"
     assert np.all(np.diff(lm, axis=0) <= 0), "LMMSE nMSE must not grow with T"
     assert np.all(np.diff(ls, axis=0) <= 0), "LS nMSE must not grow with T"
 
     # closed form against Monte Carlo at one grid point
     pilots = chanest.build_pilots(scn, 0, 8, seed=[5, 8], energy=2.0)
-    z = chanest.lmmse_estimator(pilots, stacked, rd)
-    closed = chanest.nmse(z, pilots, stacked, rd)
+    pc = chanest.pilot_covariances(pilots, r_h, rd)
+    z = chanest.lmmse_estimator(pc)
+    closed = chanest.nmse(z, pc)
     err = ref = 0.0
     for t in range(5000):
         real = sample_channels(cov, [1012, t])

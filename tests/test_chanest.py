@@ -15,7 +15,6 @@ from jsdmsim import (
 )
 from jsdmsim.chanest import (
     PilotDesignError,
-    StackedEffectiveChannel,
     build_pilots,
     effective_covariance,
     lmmse_estimator,
@@ -97,8 +96,8 @@ class TestReceivePilots:
         geb = compute_geb(stats, 2)
         rd = reduce(stats, geb.s)
         pilots = build_pilots(scn, 0, 4, seed=11)
-        stacked = effective_covariance(cov, scn, geb.s, 0)
-        r_y = pilot_covariances(pilots, stacked, rd).r_y
+        r_h = effective_covariance(cov, scn, geb.s, 0)
+        r_y = pilot_covariances(pilots, r_h, rd).r_y
         draws = 8000
         dim = pilots.length * 2
         acc = np.zeros((dim, dim), dtype=complex)
@@ -125,9 +124,9 @@ class TestLmmseEstimator:
         scn = sparse_single_group()
         pilots = build_pilots(scn, 0, 6, seed=1)
         size = 1 * scn.n_taps * 2
-        stacked = StackedEffectiveChannel(np.zeros((size, size), dtype=complex))
+        r_h = np.zeros((size, size), dtype=complex)
         rd = ReducedStatistics(np.zeros((2, 2), dtype=complex), np.eye(2, dtype=complex))
-        z = lmmse_estimator(pilots, stacked, rd)
+        z = lmmse_estimator(pilot_covariances(pilots, r_h, rd))
         assert np.max(np.abs(z)) <= 1e-14
 
     def test_scalar_toy_hand_formula(self):
@@ -137,10 +136,10 @@ class TestLmmseEstimator:
         pilots = pilots_from_sequences(scn, 0, seq, energy=4.0)
         s = np.array([[1.0], [0.0], [0.0]], dtype=complex)
         rho = (s.conj().T @ build_covariances(scn).ccms[0][0][0] @ s)[0, 0].real
-        stacked = StackedEffectiveChannel(np.array([[rho]], dtype=complex))
+        r_h = np.array([[rho]], dtype=complex)
         rd = ReducedStatistics(np.zeros((1, 1), dtype=complex),
                                np.array([[0.25]], dtype=complex))
-        z = lmmse_estimator(pilots, stacked, rd)
+        z = lmmse_estimator(pilot_covariances(pilots, r_h, rd))
         x = pilots.x[0, 0]
         assert_allclose(z[0, 0], x * rho / (abs(x) ** 2 * rho + 0.25), rtol=1e-12)
 
@@ -155,8 +154,8 @@ class TestLmmseEstimator:
         stats = group_statistics(cov, scn, 0)
         geb = compute_geb(stats, 2)
         rd = reduce(stats, geb.s)
-        stacked = effective_covariance(cov, scn, geb.s, 0)
-        z_lm = lmmse_estimator(pilots, stacked, rd)
+        r_h = effective_covariance(cov, scn, geb.s, 0)
+        z_lm = lmmse_estimator(pilot_covariances(pilots, r_h, rd))
         z_ls = ls_estimator(pilots, scn.groups[0].delays, 2)
         real = sample_channels(cov, 5)
         ybar = receive_pilots(pilots, real, geb.s, scn, seed=6)
@@ -196,12 +195,13 @@ class TestLsEstimator:
         stats = group_statistics(cov, scn, 0)
         geb = compute_geb(stats, 2)
         rd = reduce(stats, geb.s)
-        stacked = effective_covariance(cov, scn, geb.s, 0)
+        r_h = effective_covariance(cov, scn, geb.s, 0)
         wins = 0
         for seed in range(100):
             pilots = build_pilots(scn, 0, 8, seed=seed)  # T = L: square full system
-            pruned = nmse(ls_estimator(pilots, (0, 3), 2), pilots, stacked, rd)
-            full = nmse(ls_estimator(pilots, range(8), 2), pilots, stacked, rd)
+            pc = pilot_covariances(pilots, r_h, rd)
+            pruned = nmse(ls_estimator(pilots, (0, 3), 2), pc)
+            full = nmse(ls_estimator(pilots, range(8), 2), pc)
             wins += pruned < full
         assert wins == 100
 
@@ -219,52 +219,40 @@ class TestNmse:
         stats = group_statistics(cov, scn, 0)
         geb = compute_geb(stats, 3)
         rd = reduce(stats, geb.s)
-        stacked = effective_covariance(cov, scn, geb.s, 0)
-        return scn, cov, geb, rd, stacked
+        r_h = effective_covariance(cov, scn, geb.s, 0)
+        return scn, cov, geb, rd, r_h
+
+    @staticmethod
+    def lmmse_nmse(pilots, r_h, rd):
+        pc = pilot_covariances(pilots, r_h, rd)
+        return nmse(lmmse_estimator(pc), pc)
 
     def test_zero_estimator_gives_one(self):
-        scn, _, geb, rd, stacked = self.toy()
+        scn, _, geb, rd, r_h = self.toy()
         pilots = build_pilots(scn, 0, 6, seed=1)
-        z = np.zeros((6 * 3, stacked.r_h.shape[0]), dtype=complex)
-        assert nmse(z, pilots, stacked, rd) == pytest.approx(1.0)
+        z = np.zeros((6 * 3, r_h.shape[0]), dtype=complex)
+        assert nmse(z, pilot_covariances(pilots, r_h, rd)) == pytest.approx(1.0)
 
     def test_lmmse_below_ls(self):
-        scn, _, geb, rd, stacked = self.toy()
+        scn, _, geb, rd, r_h = self.toy()
         for t_len in (8, 16, 32):
             pilots = build_pilots(scn, 0, t_len, seed=2)
-            v_lm = nmse(lmmse_estimator(pilots, stacked, rd), pilots, stacked, rd)
-            v_ls = nmse(ls_estimator(pilots, scn.groups[0].delays, 3), pilots, stacked, rd)
+            pc = pilot_covariances(pilots, r_h, rd)
+            v_lm = nmse(lmmse_estimator(pc), pc)
+            v_ls = nmse(ls_estimator(pilots, scn.groups[0].delays, 3), pc)
             assert v_lm <= v_ls
 
-    def test_shared_pilot_covariances_give_identical_values(self):
-        scn, _, geb, rd, stacked = self.toy()
-        pilots = build_pilots(scn, 0, 8, seed=3)
-        shared = pilot_covariances(pilots, stacked, rd)
-        z = lmmse_estimator(pilots, stacked, rd)
-        assert np.array_equal(lmmse_estimator(pilots, stacked, rd, shared), z)
-        assert nmse(z, pilots, stacked, rd, shared) == nmse(z, pilots, stacked, rd)
-
-    def test_pilot_covariances_of_other_inputs_rejected(self):
-        scn, _, geb, rd, stacked = self.toy()
-        pilots = build_pilots(scn, 0, 8, seed=3)
-        other = pilot_covariances(build_pilots(scn, 0, 8, seed=4), stacked, rd)
-        z = lmmse_estimator(pilots, stacked, rd)
-        with pytest.raises(ValueError, match="other pilots"):
-            lmmse_estimator(pilots, stacked, rd, other)
-        with pytest.raises(ValueError, match="other pilots"):
-            nmse(z, pilots, stacked, rd, other)
-
     def test_lmmse_in_unit_interval(self):
-        scn, _, geb, rd, stacked = self.toy()
+        scn, _, geb, rd, r_h = self.toy()
         pilots = build_pilots(scn, 0, 8, seed=3)
-        val = nmse(lmmse_estimator(pilots, stacked, rd), pilots, stacked, rd)
-        assert 0.0 <= val <= 1.0
+        assert 0.0 <= self.lmmse_nmse(pilots, r_h, rd) <= 1.0
 
     def test_closed_form_matches_monte_carlo(self):
-        scn, cov, geb, rd, stacked = self.toy()
+        scn, cov, geb, rd, r_h = self.toy()
         pilots = build_pilots(scn, 0, 8, seed=4)
-        z = lmmse_estimator(pilots, stacked, rd)
-        closed = nmse(z, pilots, stacked, rd)
+        pc = pilot_covariances(pilots, r_h, rd)
+        z = lmmse_estimator(pc)
+        closed = nmse(z, pc)
         err = 0.0
         ref = 0.0
         trials = 5000
@@ -277,28 +265,28 @@ class TestNmse:
         assert abs(err / ref - closed) <= 0.03 * closed
 
     def test_monotone_in_pilot_energy(self):
-        scn, _, geb, rd, stacked = self.toy()
+        scn, _, geb, rd, r_h = self.toy()
         seq = build_pilots(scn, 0, 8, seed=5).sequences
         values = []
         for energy in (0.5, 1.0, 2.0, 4.0, 8.0):
             pilots = pilots_from_sequences(scn, 0, seq, energy=energy)
-            values.append(nmse(lmmse_estimator(pilots, stacked, rd), pilots, stacked, rd))
+            values.append(self.lmmse_nmse(pilots, r_h, rd))
         assert np.all(np.diff(values) < 0)
 
     def test_monotone_in_pilot_length(self):
-        scn, _, geb, rd, stacked = self.toy()
+        scn, _, geb, rd, r_h = self.toy()
         values = []
         for t_len in (4, 8, 16, 32, 64):
             pilots = build_pilots(scn, 0, t_len, seed=6)
-            values.append(nmse(lmmse_estimator(pilots, stacked, rd), pilots, stacked, rd))
+            values.append(self.lmmse_nmse(pilots, r_h, rd))
         assert np.all(np.diff(values) < 0)
 
     def test_zero_trace_rejected(self):
-        scn, _, geb, rd, _ = self.toy()
+        scn, _, geb, rd, r_h = self.toy()
         pilots = build_pilots(scn, 0, 4, seed=7)
-        empty = StackedEffectiveChannel(np.zeros_like(rd.r_eta, dtype=complex))
+        empty = pilot_covariances(pilots, np.zeros_like(r_h), rd)
         with pytest.raises(ValueError, match="trace"):
-            nmse(np.zeros((4 * 3, 3), dtype=complex), pilots, empty, rd)
+            nmse(np.zeros((4 * 3, r_h.shape[0]), dtype=complex), empty)
 
 
 class TestOtherGroupRobustness:
@@ -312,10 +300,11 @@ class TestOtherGroupRobustness:
         stats = group_statistics(cov, scn, 0)
         geb = compute_geb(stats, 4)
         rd = reduce(stats, geb.s)
-        stacked = effective_covariance(cov, scn, geb.s, 0)
+        r_h = effective_covariance(cov, scn, geb.s, 0)
         pilots = build_pilots(scn, 0, 8, seed=8)
-        z = lmmse_estimator(pilots, stacked, rd)
-        closed = nmse(z, pilots, stacked, rd)
+        pc = pilot_covariances(pilots, r_h, rd)
+        z = lmmse_estimator(pc)
+        closed = nmse(z, pc)
 
         spec2 = scn.groups[1]
         amp = np.sqrt(spec2.symbol_energy / spec2.n_users)

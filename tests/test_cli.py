@@ -222,6 +222,17 @@ class TestRunner:
         assert rows[0].startswith("phi,")
         assert len(rows) == 1
 
+    def test_beampattern_angle_outside_scan_range_flagged(self, tmp_path):
+        # parse_config rejects it, so the config is edited after parsing
+        cfg = parse_config(desk_config_text(beamformers="geb dft", estimator="none"))
+        cfg = dataclasses.replace(cfg, output=dataclasses.replace(cfg.output,
+                                                                  beampattern_phi=120.0))
+        manifest = run(cfg, tmp_path / "out")
+        assert manifest["exit_code"] == 2
+        assert [f["beamformer"] for f in manifest["failures"]] == ["geb", "dft"]
+        assert all("scan range" in f["error"] for f in manifest["failures"])
+        assert (tmp_path / "out" / "beampattern.csv").read_text() == "beamformer,theta,power\n"
+
 
 class TestCli:
     def test_validate_ok(self, tmp_path, capsys):

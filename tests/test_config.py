@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jsdmsim import build_covariances, config, group_statistics
+from jsdmsim import build_covariances, compute_geb, config, group_statistics
 from jsdmsim.channel import DEFAULT_N_QUAD
 from jsdmsim.cli import main
 from jsdmsim.config import ConfigError, ExperimentConfig, OutputSettings, parse_config
@@ -99,7 +99,8 @@ class TestNameTable:
         scn = two_group_toy()
         stats = group_statistics(build_covariances(scn, n_quad=64), scn, 0)
         settings = SweepSettings(group=0, beamformers=(name,), n_quad=64, n_restarts=3)
-        s_eff = build_beamformer(name, scn, stats, 0, settings, seed=1)
+        geb = compute_geb(stats, scn.groups[0].n_chains)
+        s_eff = build_beamformer(name, scn, stats, 0, settings, seed=1, geb=geb)
         assert s_eff.shape == (scn.n_antennas, scn.groups[0].n_chains)
         assert np.all(np.isfinite(s_eff))
 
@@ -263,6 +264,41 @@ class TestRanges:
         assert "beampattern_step must be positive" in capsys.readouterr().err
 
 
+class TestScanRange:
+    """Shifting angles outside -90..90 degrees fail in parse_config, not in the run."""
+
+    SCAN = "shifting angles must stay within the -90..90 degree scan range"
+
+    @pytest.mark.parametrize("edits, blamed, message", [
+        ({"phi_start": "-100", "phi_stop": "-99"}, "phi_start", "angle -100"),
+        ({"phi_stop": "95"}, "phi_stop", "angle 95"),
+        # the grid's last angle, not the stop, is what must lie in range
+        ({"phi_start": "86", "phi_stop": "92.5", "phi_step": "2"}, "phi_stop", "angle 92"),
+        ({"beampattern_phi": "120"}, "beampattern_phi", "angle 120"),
+    ])
+    def test_rejected_with_the_offending_line(self, edits, blamed, message):
+        text = bundled_text()
+        for key, value in edits.items():
+            text = re.sub(rf"(?m)^{key}\s*=.*$", f"{key} = {value}", text)
+        with pytest.raises(ConfigError,
+                           match=rf"^line {line_of(text, blamed)}: {message}: {self.SCAN}$"):
+            parse_config(text)
+
+    def test_grid_ending_inside_the_range_accepted(self):
+        text = re.sub(r"(?m)^phi_start\s*=.*$", "phi_start = 80", bundled_text())
+        text = re.sub(r"(?m)^phi_stop\s*=.*$", "phi_stop = 90.5", text)
+        text = re.sub(r"(?m)^phi_step\s*=.*$", "phi_step = 1", text)
+        assert parse_config(text).phi_values()[-1] == 90.0
+
+    def test_validate_reports_it(self, tmp_path, capsys):
+        path = tmp_path / "far.cfg"
+        text = re.sub(r"(?m)^phi_start\s*=.*$", "phi_start = -100", bundled_text())
+        path.write_text(re.sub(r"(?m)^phi_stop\s*=.*$", "phi_stop = -99", text))
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"line {line_of(text, 'phi_start')}: angle -100: {self.SCAN}" in err
+
+
 class TestDefaults:
     """Each default lives in the dataclass field it fills, and nowhere in the parser."""
 
@@ -281,10 +317,13 @@ class TestDefaults:
         assert [f.name for f in fields(ExperimentConfig)] == [
             "scenario", "sweep", "phi_start", "phi_stop", "phi_step", "output"]
 
-    def test_formats_rejected_with_its_line(self):
-        text = bundled_text() + "formats = csv\n"
-        with pytest.raises(ConfigError, match=rf"^line {line_of(text, r'formats')}:"
-                                              r" unknown key 'formats' in section \[output\]"):
+    @pytest.mark.parametrize("section, key, value", [("output", "formats", "csv"),
+                                                     ("scenario", "phi", "33")],
+                             ids=["formats", "phi"])
+    def test_formats_rejected_with_its_line(self, section, key, value):
+        text = bundled_text().replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=rf"^line {line_of(text, key + ' =')}:"
+                                              rf" unknown key '{key}' in section \[{section}\]"):
             parse_config(text)
 
 

@@ -92,8 +92,8 @@ class TestDftBeamformer:
         assert np.all(own > 0.5)
 
     def test_fewer_chains_than_clusters(self):
-        scn = table1_scenario(m=32)  # group 0 has 3 clusters
-        cb = dft_beamformer(scn, 0, n_chains=2)
+        scn = table1_scenario(m=32, chains=2)  # group 0 has 3 clusters
+        cb = dft_beamformer(scn, 0)
         assert cb.s_c.shape == (32, 2)
         assert len(set(column_indices(cb.s_c))) == 2
 

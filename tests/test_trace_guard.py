@@ -1,0 +1,57 @@
+"""The traced benchmark run still resolves every function it wraps.
+
+``perfbench/tracing.py`` wraps the jsdmsim functions its ``TRACED`` table
+names and reads ``samples``, ``n_bins`` and ``iterations`` off their results.
+A deletion or rename in ``src`` that breaks either crashes a traced benchmark
+run; this test fails first, on a 16-antenna, 1-angle, 2-trial run of every
+design.
+"""
+
+import json
+import re
+import subprocess
+import sys
+from importlib import resources
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import importlib, json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+from jsdmsim import config, runner
+import tracing
+
+tracer = tracing.Tracer()
+tracer.install()
+missing = [f"{layer}.{name}" for layer, names in tracing.TRACED.items() for name in names
+           if not hasattr(getattr(importlib.import_module(f"jsdmsim.{layer}"), name),
+                          "__wrapped__")]
+manifest = runner.run(config.parse_config(sys.stdin.read()), sys.argv[3])
+print(json.dumps({"missing": missing, "failures": manifest["failures"],
+                  "summary": tracer.summary()}))
+"""
+
+
+def small_config() -> str:
+    text = resources.files("jsdmsim.configs").joinpath("table1.cfg").read_text()
+    edits = {"antennas": "16", "phi_start": "10", "phi_stop": "10", "trials": "2",
+             "beamformers": "geb dft pe pe-am fixed-ordered fixed-interlaced dynamic"}
+    for key, value in edits.items():
+        text, hits = re.subn(rf"(?m)^{key}\s*=.*$", f"{key} = {value}", text)
+        assert hits == 1, key
+    return text
+
+
+def test_traced_run_resolves_every_traced_name(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(ROOT / "perfbench"), str(ROOT / "src"),
+         str(tmp_path / "out")],
+        input=small_config(), capture_output=True, text=True, timeout=300, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["missing"] == []
+    assert report["failures"] == []
+    summary = report["summary"]
+    assert summary["metrics.phi_sweep.calls"] == 1
+    assert summary["linksim.trials"] > 0
