@@ -4,29 +4,33 @@ Capacity evaluation is semi-analytic: given an instantaneous intra-group
 effective channel, the soft symbol estimate decomposes into a scaled true
 symbol plus uncorrelated residual, whose moments are closed-form in the
 per-bin combiners and the reduced interference-plus-noise covariance.  Monte
-Carlo enters only across channel realizations, which are evaluated in blocks of
-trials: one stacked draw, projection and FFT per block, then the combiners of
-every (trial, bin) pair in one stacked ``inv`` or ``solve`` and the moments of
-every user in one batched product.  The symbol-level simulator
+Carlo enters only across channel realizations.  One link pass per angle
+(:func:`ergodic_capacity`) evaluates every (design, combiner) pair against
+the same draws, in blocks of trials: one stacked draw per block, one
+projection and FFT per design, then the combiners of every (trial, bin) pair
+in one stacked ``inv`` or ``solve`` and the moments of every user in one
+batched product.  The symbol-level simulator
 exists as an independent cross-validation path (unit-energy QPSK).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelRealization, CovarianceSet, Scenario, sample_channels
 from .digital import CombinerBank, EffectiveChannel, effective_channel, lmmse_combiners, zf_combiners
-from .statistics import ReducedStatistics, group_statistics, reduce
+from .statistics import GroupStatistics, ReducedStatistics, reduce
 
 __all__ = [
     "BlockConfig",
     "BlockResult",
     "COMBINER_NAMES",
     "CapacityEstimate",
+    "LinkPass",
     "UserLinkReport",
     "bussgang_report",
     "ergodic_capacity",
@@ -86,6 +90,33 @@ class CapacityEstimate:
     mean: np.ndarray
     stderr: np.ndarray
     samples: np.ndarray
+
+
+@dataclass(frozen=True)
+class LinkPass:
+    """Capacity samples of every (design, combiner) pair of one link pass.
+
+    ``samples[t, i, j]`` holds trial t's per-user capacities of design
+    ``designs[i]`` with combiner ``combiners[j]``; a failed pair's entries
+    are NaN and ``errors`` holds its ValueError.
+    """
+
+    designs: tuple[str, ...]
+    combiners: tuple[str, ...]
+    samples: np.ndarray
+    errors: dict[tuple[str, str], ValueError]
+
+    def estimate(self, design: str, combiner: str) -> CapacityEstimate:
+        """The pair's mean, standard error and samples; raises the pair's error."""
+        if (design, combiner) in self.errors:
+            raise self.errors[(design, combiner)]
+        samples = np.ascontiguousarray(
+            self.samples[:, self.designs.index(design), self.combiners.index(combiner)])
+        trials = len(samples)
+        mean = samples.mean(axis=0)
+        stderr = (samples.std(axis=0, ddof=1) / math.sqrt(trials) if trials > 1
+                  else np.zeros_like(mean))
+        return CapacityEstimate(mean, stderr, samples)
 
 
 def _qpsk(rng: np.random.Generator, shape) -> np.ndarray:
@@ -182,35 +213,72 @@ def bussgang_report(eff: EffectiveChannel, combiners: CombinerBank, rd: ReducedS
     return UserLinkReport(complex(a), float(b_power), float(sinr), float(capacity))
 
 
-def ergodic_capacity(scn: Scenario, cov: CovarianceSet, s_eff: np.ndarray, group: int,
-                     combiner: str = "zf", n: int = 64, trials: int = 200,
-                     seed=0) -> CapacityEstimate:
-    """Mean per-user capacity over channel realizations, analog stage fixed.
+def ergodic_capacity(cov: CovarianceSet, stats: GroupStatistics, designs: Mapping[str, np.ndarray],
+                     group: int, combiners: tuple[str, ...] = ("zf",), n: int = 64,
+                     trials: int = 200, seed=0) -> LinkPass:
+    """Per-user capacity of every (design, combiner) pair over shared channel draws.
 
-    Only the evaluated group's channels need sampling; interference enters
-    through its statistical reduced covariance.  Trial t draws its channel
-    from the seed ``[seed, t]``, so results are reproducible and independent
-    of the trial block size.  Trials are evaluated in blocks of
-    ``_TRIAL_BLOCK``, each block with one stacked combiner and moment pass.
+    ``designs`` maps a name to its effective analog stage; ``stats`` is the
+    evaluated group's statistics of ``cov``.  Only that group's channels are
+    sampled; interference enters through its statistical reduced covariance.
+    Trial t draws its channel from the seed ``[seed, t]``, so results are
+    reproducible and independent of the trial block size and of the other
+    pairs.  Each block of ``_TRIAL_BLOCK`` trials is drawn once, projected
+    once per design and combined once per pair.  A ValueError fails only the
+    pairs it belongs to, which are then skipped; any other exception
+    propagates.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if combiner not in COMBINER_NAMES:
-        raise ValueError(f"unknown combiner {combiner!r}")
-    spec = scn.groups[group]
+    for comb in combiners:
+        if comb not in COMBINER_NAMES:
+            raise ValueError(f"unknown combiner {comb!r}")
+    spec = cov.scenario.groups[group]
     e = spec.symbol_energy / spec.n_users
-    stats = group_statistics(cov, scn, group)
-    rd = reduce(stats, s_eff)
-    samples = np.zeros((trials, spec.n_users))
+    names = tuple(designs)
+    samples = np.full((trials, len(names), len(combiners), spec.n_users), np.nan)
+    errors: dict[tuple[str, str], ValueError] = {}
+
+    def pending(name):
+        return [comb for comb in combiners if (name, comb) not in errors]
+
+    def fail(name, combs, exc):
+        errors.update({(name, comb): exc for comb in combs})
+
+    reduced = {}
+    for name in names:
+        try:
+            reduced[name] = reduce(stats, designs[name])
+        except ValueError as exc:
+            fail(name, combiners, exc)
     for start in range(0, trials, _TRIAL_BLOCK):
+        if not any(pending(name) for name in names):
+            break
         block = range(start, min(start + _TRIAL_BLOCK, trials))
-        real = sample_channels(cov, seed, groups=[group], trials=block)
-        eff = effective_channel(s_eff, real, group, n)
-        if combiner == "zf":
-            bank = zf_combiners(eff)
-        else:
-            bank = lmmse_combiners(eff, rd, spec.symbol_energy, spec.n_users)
-        samples[start:block.stop] = _capacity(*_link_moments(eff, bank, rd, e), e)[2]
-    mean = samples.mean(axis=0)
-    stderr = samples.std(axis=0, ddof=1) / math.sqrt(trials) if trials > 1 else np.zeros_like(mean)
-    return CapacityEstimate(mean, stderr, samples)
+        try:
+            real = sample_channels(cov, seed, groups=[group], trials=block)
+        except ValueError as exc:
+            for name in names:
+                fail(name, pending(name), exc)
+            break
+        for i, name in enumerate(names):
+            combs = pending(name)
+            if not combs:
+                continue
+            try:
+                eff = effective_channel(designs[name], real, group, n)
+            except ValueError as exc:
+                fail(name, combs, exc)
+                continue
+            rd = reduced[name]
+            for comb in combs:
+                try:
+                    if comb == "zf":
+                        bank = zf_combiners(eff)
+                    else:
+                        bank = lmmse_combiners(eff, rd, spec.symbol_energy, spec.n_users)
+                    samples[block.start:block.stop, i, combiners.index(comb)] = _capacity(
+                        *_link_moments(eff, bank, rd, e), e)[2]
+                except ValueError as exc:
+                    fail(name, [comb], exc)
+    return LinkPass(names, tuple(combiners), samples, errors)

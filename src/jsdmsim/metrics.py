@@ -2,10 +2,14 @@
 
 The sweep moves the mobile group's angular profile and, angle by angle,
 rebuilds its covariances and beamformers (:func:`angle_design`, then
-:data:`DESIGNS`) and evaluates capacity, expected SINR and (optionally)
-channel-estimation nMSE.  A numerical failure (:data:`ANGLE_ERRORS`) records
-an error marker and the sweep continues; any other exception propagates.
-Everything is deterministic given the master seed.
+:data:`DESIGNS`), with each design's expected SINR and (optionally)
+channel-estimation nMSE.  One link pass
+(:func:`~jsdmsim.linksim.ergodic_capacity`) then evaluates the capacity of
+every surviving design with every combiner against the same channel draws.
+A numerical failure (:data:`ANGLE_ERRORS`) records an error marker for the
+angle, design or (design, combiner) pair it belongs to and the sweep
+continues; any other exception propagates.  Everything is deterministic given
+the master seed.
 
 Only the mobile groups move with phi, so the sweep's one invariant is the
 non-mobile groups' CCMs: :func:`phi_sweep` builds them once
@@ -241,7 +245,9 @@ def _evaluate_phi(fixed: FixedCovariances, phi: float, phi_index: int,
     except ANGLE_ERRORS as exc:
         return [_error(phi, name, comb, exc) for name in cfg.beamformers for comb in cfg.combiners]
 
-    records: list[PhiRecord] = []
+    designs: dict[str, np.ndarray] = {}
+    scores: dict[str, tuple[float, float | None]] = {}
+    failed: dict[str, Exception] = {}
     for name in cfg.beamformers:
         try:
             s_eff = build_beamformer(name, scn_phi, stats, cfg.group, cfg,
@@ -251,16 +257,22 @@ def _evaluate_phi(fixed: FixedCovariances, phi: float, phi_index: int,
             if cfg.estimator != "none":
                 est_nmse = _estimation_nmse(scn_phi, cov, stats, s_eff, cfg, phi_index)
         except ANGLE_ERRORS as exc:
-            records.extend(_error(phi, name, comb, exc) for comb in cfg.combiners)
+            failed[name] = exc
             continue
+        designs[name], scores[name] = s_eff, (score, est_nmse)
+    link = linksim.ergodic_capacity(cov, stats, designs, cfg.group, cfg.combiners,
+                                    n=cfg.block_length, trials=cfg.trials,
+                                    seed=_derived_seed(cfg.seed, phi_index, 2))
+
+    records: list[PhiRecord] = []
+    for name in cfg.beamformers:
         for comb in cfg.combiners:
-            try:
-                cap = linksim.ergodic_capacity(
-                    scn_phi, cov, s_eff, cfg.group, combiner=comb, n=cfg.block_length,
-                    trials=cfg.trials, seed=_derived_seed(cfg.seed, phi_index, 2))
-                records.append(PhiRecord(phi, name, comb, cap.mean, score, est_nmse))
-            except ANGLE_ERRORS as exc:
+            exc = failed.get(name) or link.errors.get((name, comb))
+            if exc is not None:
                 records.append(_error(phi, name, comb, exc))
+            else:
+                records.append(PhiRecord(phi, name, comb, link.estimate(name, comb).mean,
+                                         *scores[name]))
     return records
 
 

@@ -248,8 +248,8 @@ def test_criterion_09_fully_connected_capacity_ordering():
         cfg = SweepSettings(group=0)
         for n in names:
             s = build_beamformer(n, scn, stats, 0, cfg, _derived_seed(3, i, 1), geb)
-            cap = linksim.ergodic_capacity(scn, cov, s, 0, "lmmse", n=64, trials=200,
-                                           seed=_derived_seed(3, i, 2))
+            cap = linksim.ergodic_capacity(cov, stats, {n: s}, 0, ("lmmse",), n=64, trials=200,
+                                           seed=_derived_seed(3, i, 2)).estimate(n, "lmmse")
             samples[n].append(cap.samples.mean(axis=1))
     arr = {n: np.concatenate(v) for n, v in samples.items()}
     means = {n: arr[n].mean() for n in names}
@@ -281,8 +281,9 @@ def test_criterion_10_subarray_capacity_ordering():
         cb_i, _ = fixed_subarray(geb, interlaced_mask(m, d), seed=seed)
         for name, cb in (("dynamic", dyn), ("ordered", cb_o), ("interlaced", cb_i)):
             for comb in ("zf", "lmmse"):
-                cap = linksim.ergodic_capacity(scn, cov, cb.effective(), 0, comb, n=64,
-                                               trials=200, seed=_derived_seed(3, i, 2))
+                cap = linksim.ergodic_capacity(cov, stats, {name: cb.effective()}, 0, (comb,),
+                                               n=64, trials=200,
+                                               seed=_derived_seed(3, i, 2)).estimate(name, comb)
                 caps[(name, comb)].append(cap.samples.mean(axis=1))
     arr = {k: np.concatenate(v) for k, v in caps.items()}
     for comb in ("zf", "lmmse"):

@@ -446,8 +446,9 @@ class TestDynamicSubarray:
             for name, cb, tr in (("dynamic", dyn, tr_d), ("ordered", cb_o, tr_o),
                                  ("interlaced", cb_i, tr_i)):
                 fits[name].append(tr.residuals[-1])
-                cap = linksim.ergodic_capacity(scn, cov, cb.effective(), 0, "lmmse",
-                                               n=32, trials=25, seed=60 + i)
+                cap = linksim.ergodic_capacity(cov, stats, {name: cb.effective()}, 0,
+                                               ("lmmse",), n=32, trials=25,
+                                               seed=60 + i).estimate(name, "lmmse")
                 caps[name].append(cap.mean.mean())
         assert np.mean(caps["dynamic"]) >= np.mean(caps["ordered"])
         assert np.mean(caps["dynamic"]) >= np.mean(caps["interlaced"])

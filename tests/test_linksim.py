@@ -1,7 +1,9 @@
 """SC-FDE block simulation against the semi-analytic link evaluation."""
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from jsdmsim import (
@@ -13,7 +15,10 @@ from jsdmsim import (
     reduce,
     sample_channels,
 )
-from jsdmsim.digital import effective_channel, lmmse_combiners, zf_combiners
+from jsdmsim import linksim
+from jsdmsim.constrained import dft_beamformer, phase_extraction
+from jsdmsim.digital import (EffectiveChannel, SingularBinError, effective_channel,
+                             lmmse_combiners, zf_combiners)
 from jsdmsim.linksim import (
     BlockConfig,
     bussgang_report,
@@ -21,7 +26,7 @@ from jsdmsim.linksim import (
     simulate_block,
 )
 
-from conftest import random_orthonormal, two_group_toy
+from conftest import random_orthonormal, random_unitary, two_group_toy
 
 
 def flat_single_user(noise=0.0, m=4):
@@ -227,7 +232,8 @@ class TestErgodicCapacity:
             cov = build_covariances(scn)
             stats = group_statistics(cov, scn, 0)
             geb = compute_geb(stats, 4)
-            cap = ergodic_capacity(scn, cov, geb.s, 0, "zf", n=16, trials=30, seed=77)
+            cap = ergodic_capacity(cov, stats, {"geb": geb.s}, 0, ("zf",), n=16, trials=30,
+                                  seed=77).estimate("geb", "zf")
             means.append(cap.mean.mean())
         assert np.all(np.diff(means) > 0)
 
@@ -236,7 +242,8 @@ class TestErgodicCapacity:
         cov = build_covariances(scn)
         stats = group_statistics(cov, scn, 0)
         geb = compute_geb(stats, 4)
-        cap = ergodic_capacity(scn, cov, geb.s, 0, "lmmse", n=16, trials=12, seed=5)
+        cap = ergodic_capacity(cov, stats, {"geb": geb.s}, 0, ("lmmse",), n=16, trials=12,
+                              seed=5).estimate("geb", "lmmse")
         assert cap.mean.shape == (2,) and cap.stderr.shape == (2,)
         assert cap.samples.shape == (12, 2)
         assert np.all(cap.stderr >= 0)
@@ -246,8 +253,8 @@ class TestErgodicCapacity:
         cov = build_covariances(scn)
         stats = group_statistics(cov, scn, 0)
         geb = compute_geb(stats, 4)
-        a = ergodic_capacity(scn, cov, geb.s, 0, "zf", n=16, trials=8, seed=13)
-        b = ergodic_capacity(scn, cov, geb.s, 0, "zf", n=16, trials=8, seed=13)
+        a = ergodic_capacity(cov, stats, {"geb": geb.s}, 0, ("zf",), n=16, trials=8, seed=13)
+        b = ergodic_capacity(cov, stats, {"geb": geb.s}, 0, ("zf",), n=16, trials=8, seed=13)
         assert np.array_equal(a.samples, b.samples)
 
     @pytest.mark.parametrize("combiner", ["zf", "lmmse"])
@@ -259,7 +266,8 @@ class TestErgodicCapacity:
         geb = compute_geb(stats, 4)
         rd = reduce(stats, geb.s)
         spec = scn.groups[0]
-        cap = ergodic_capacity(scn, cov, geb.s, 0, combiner, n=16, trials=37, seed=2024)
+        cap = ergodic_capacity(cov, stats, {"geb": geb.s}, 0, (combiner,), n=16, trials=37,
+                               seed=2024).estimate("geb", combiner)
         for t in range(37):
             real = sample_channels(cov, [2024, t], groups=[0])
             eff = effective_channel(geb.s, real, 0, 16)
@@ -283,7 +291,117 @@ class TestErgodicCapacity:
         # values of the per-trial implementation; a change in the draw stream moves them
         scn = two_group_toy()
         cov = build_covariances(scn)
-        geb = compute_geb(group_statistics(cov, scn, 0), 4)
-        cap = ergodic_capacity(scn, cov, geb.s, 0, combiner, n=16, trials=37, seed=2024)
+        stats = group_statistics(cov, scn, 0)
+        geb = compute_geb(stats, 4)
+        cap = ergodic_capacity(cov, stats, {"geb": geb.s}, 0, (combiner,), n=16, trials=37,
+                               seed=2024).estimate("geb", combiner)
         for t, values in pinned.items():
             assert_allclose(cap.samples[t], values, rtol=1e-12)
+
+
+def three_designs():
+    """Toy scenario, its covariances and statistics, and three of its designs."""
+    scn = two_group_toy()
+    cov = build_covariances(scn)
+    stats = group_statistics(cov, scn, 0)
+    geb = compute_geb(stats, 4)
+    designs = {"geb": geb.s, "pe": phase_extraction(geb).effective(),
+               "dft": dft_beamformer(scn, 0).effective()}
+    return cov, stats, designs
+
+
+class TestLinkPass:
+    """One pass draws each trial block once for every (design, combiner) pair."""
+
+    def test_every_pair_equals_its_own_pass(self):
+        # 37 trials: the last trial block is partial
+        cov, stats, designs = three_designs()
+        link = ergodic_capacity(cov, stats, designs, 0, ("zf", "lmmse"), n=16, trials=37,
+                                seed=2024)
+        assert link.samples.shape == (37, 3, 2, 2) and not link.errors
+        for i, name in enumerate(designs):
+            for j, comb in enumerate(("zf", "lmmse")):
+                alone = ergodic_capacity(cov, stats, {name: designs[name]}, 0, (comb,), n=16,
+                                         trials=37, seed=2024)
+                assert np.array_equal(link.samples[:, i, j], alone.samples[:, 0, 0])
+                est, ref = link.estimate(name, comb), alone.estimate(name, comb)
+                assert np.array_equal(est.samples, ref.samples)
+                assert np.array_equal(est.mean, ref.mean)
+                assert np.array_equal(est.stderr, ref.stderr)
+
+    def test_singular_bin_fails_only_its_pair(self, monkeypatch):
+        # bin 3 of trial 21 (realization 5 of the second block) of the pe
+        # design's channel is zeroed on the way into its zf bank only
+        cov, stats, designs = three_designs()
+        clean = ergodic_capacity(cov, stats, designs, 0, ("zf", "lmmse"), n=16, trials=37,
+                                 seed=2024)
+        projected, faulty_zf = [], []
+
+        def recording_effective_channel(s, real, g, n):
+            eff = effective_channel(s, real, g, n)
+            if s is designs["pe"]:
+                projected.append(eff)
+            return eff
+
+        def planted_zf(eff):
+            if any(eff is p for p in projected):
+                faulty_zf.append(eff)
+                if len(faulty_zf) == 2:
+                    freq = eff.freq.copy()
+                    freq[5, 3] = 0.0
+                    eff = EffectiveChannel(eff.taps, freq)
+            return zf_combiners(eff)
+
+        monkeypatch.setattr(linksim, "effective_channel", recording_effective_channel)
+        monkeypatch.setattr(linksim, "zf_combiners", planted_zf)
+        link = ergodic_capacity(cov, stats, designs, 0, ("zf", "lmmse"), n=16, trials=37,
+                                seed=2024)
+        assert list(link.errors) == [("pe", "zf")]
+        message = "effective channel at bin 3 of realization (5,) is rank deficient"
+        with pytest.raises(SingularBinError) as excinfo:
+            link.estimate("pe", "zf")
+        assert str(excinfo.value) == message
+        # the failed pair is not evaluated in the third block; pe's lmmse pair is
+        assert len(faulty_zf) == 2 and len(projected) == 3
+        for i, name in enumerate(designs):
+            for j, comb in enumerate(("zf", "lmmse")):
+                if (name, comb) != ("pe", "zf"):
+                    assert np.array_equal(link.samples[:, i, j], clean.samples[:, i, j])
+
+
+def random_link_case(m, trials, chains, phi, draw):
+    """A toy scenario at ``phi``, its statistics and a random M x D design."""
+    scn = two_group_toy(m=m, chains=chains, phi=phi)
+    cov = build_covariances(scn, n_quad=64)
+    rng = np.random.default_rng(draw)
+    return cov, group_statistics(cov, scn, 0), random_orthonormal(rng, m, chains), rng
+
+
+LINK_CASES = dict(m=st.integers(8, 16), trials=st.integers(2, 8), chains=st.integers(2, 4),
+                  phi=st.floats(-30.0, 30.0), draw=st.integers(0, 2**31), seed=st.integers(0, 2**31))
+
+
+class TestLinkPassProperties:
+    """The paper's combiner invariants over random small scenarios."""
+
+    @hypothesis.seed(20261018)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(**LINK_CASES)
+    def test_lmmse_at_least_zf_per_trial_and_user(self, m, trials, chains, phi, draw, seed):
+        cov, stats, s, _ = random_link_case(m, trials, chains, phi, draw)
+        link = ergodic_capacity(cov, stats, {"s": s}, 0, ("zf", "lmmse"), n=16, trials=trials,
+                                seed=seed)
+        zf, lmmse = link.estimate("s", "zf").samples, link.estimate("s", "lmmse").samples
+        assert np.all(lmmse >= zf - 1e-9 * (1.0 + zf))
+
+    @hypothesis.seed(20261019)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(**LINK_CASES)
+    def test_capacity_invariant_under_unitary_right_factor(self, m, trials, chains, phi, draw,
+                                                           seed):
+        cov, stats, s, rng = random_link_case(m, trials, chains, phi, draw)
+        designs = {"s": s, "su": s @ random_unitary(rng, chains)}
+        link = ergodic_capacity(cov, stats, designs, 0, ("zf", "lmmse"), n=16, trials=trials,
+                                seed=seed)
+        assert not link.errors
+        assert_allclose(link.samples[:, 1], link.samples[:, 0], rtol=1e-9, atol=1e-12)

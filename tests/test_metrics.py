@@ -16,7 +16,7 @@ from jsdmsim import (
     steering_matrix,
 )
 from jsdmsim.linalg import RankError
-from jsdmsim import metrics
+from jsdmsim import linksim, metrics
 from jsdmsim.linksim import ergodic_capacity
 from jsdmsim.channel import fixed_covariances
 from jsdmsim.metrics import SweepSettings, _derived_seed, build_beamformer, phi_sweep
@@ -123,8 +123,8 @@ class TestPhiSweep:
         cov = build_covariances(scn_phi, n_quad=settings.n_quad)
         stats = group_statistics(cov, scn_phi, 0)
         geb = compute_geb(stats, 4)
-        cap = ergodic_capacity(scn_phi, cov, geb.s, 0, "zf", n=16, trials=5,
-                               seed=_derived_seed(11, 0, 2))
+        cap = ergodic_capacity(cov, stats, {"geb": geb.s}, 0, ("zf",), n=16, trials=5,
+                               seed=_derived_seed(11, 0, 2)).estimate("geb", "zf")
         assert_allclose(rec.capacity, cap.mean, atol=1e-12)
 
     def test_grid_refinement_stable(self):
@@ -161,6 +161,17 @@ class TestPhiSweep:
         settings = SweepSettings(group=0, trials=1, block_length=16)
         with pytest.raises(TypeError, match="planted"):
             phi_sweep(two_group_toy(), [0.0, 1.0], settings)
+
+    def test_programming_error_in_the_link_pass_propagates(self, monkeypatch):
+        # a ValueError in one pair's combiner fails that pair; a TypeError is a bug
+        def broken_zf(eff):
+            raise TypeError("planted")
+
+        monkeypatch.setattr(linksim, "zf_combiners", broken_zf)
+        settings = SweepSettings(group=0, beamformers=("geb", "dft"), combiners=("lmmse", "zf"),
+                                 trials=1, block_length=16)
+        with pytest.raises(TypeError, match="planted"):
+            phi_sweep(two_group_toy(), [0.0], settings)
 
 
 def _two_mobile_groups():

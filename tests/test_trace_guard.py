@@ -55,3 +55,6 @@ def test_traced_run_resolves_every_traced_name(tmp_path):
     summary = report["summary"]
     assert summary["metrics.phi_sweep.calls"] == 1
     assert summary["linksim.trials"] > 0
+    # one link pass per angle, one channel draw per trial block
+    assert summary["linksim.ergodic_capacity.calls"] == 1
+    assert summary["channel.sample_channels.calls"] == 1
