@@ -299,14 +299,20 @@ def parse_config(text: str) -> ExperimentConfig:
         group_1based = mobile_ids[0]
     if not 1 <= group_1based <= len(groups):
         raise ConfigError(f"[run] group {group_1based} out of range 1..{len(groups)}")
-    chains = groups[group_1based - 1].n_chains
+    evaluated = groups[group_1based - 1]
     for name in beamformers:
         if name in SUBARRAY_MASKS:
             try:
-                SUBARRAY_MASKS[name](antennas, chains)
+                SUBARRAY_MASKS[name](antennas, evaluated.n_chains)
             except ValueError as exc:
                 raise ConfigError(f"line {_line(run_raw, 'beamformers')}: {name} on"
                                   f" group {group_1based}: {exc}") from None
+    if "zf" in combiners and evaluated.n_chains < evaluated.n_users:
+        # Otherwise every zf pair fails at every angle: D x K bins with D < K
+        # have no zero-forcing combiner.
+        raise ConfigError(f"line {_line(raw.section('group', str(group_1based)), 'chains')}:"
+                          f" zf on group {group_1based} needs chains >= users, got"
+                          f" {evaluated.n_chains} chains for {evaluated.n_users} users")
 
     sweep_raw = raw.section("sweep", required=True)
     phi_start = _typed(sweep_raw, "phi_start", float, required=True, lineno_hint=" in [sweep]")
@@ -334,7 +340,7 @@ def parse_config(text: str) -> ExperimentConfig:
         # Otherwise the pruned LS pilot matrix is rank deficient at every angle:
         # fewer rows than columns, or two columns that are the same cyclic shift.
         where = (est_raw.get(("pilot_length", None)) or run_raw[("estimator", None)])[1]
-        evaluated, pilot_length = groups[sweep.group], sweep.pilot_length
+        pilot_length = sweep.pilot_length
         unknowns = evaluated.n_users * len(evaluated.delays)
         if pilot_length < unknowns:
             raise ConfigError(f"line {where}: pilot_length {pilot_length} is shorter than the"

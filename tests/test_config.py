@@ -91,6 +91,32 @@ class TestSubarrayChains:
         assert parse_config("\n".join(lines)).sweep.beamformers == ("fixed-ordered",)
 
 
+class TestZfChains:
+    """zf needs at least as many RF chains as users in the evaluated group."""
+
+    def test_fewer_chains_than_users_rejected_with_the_chains_line(self):
+        text = re.sub(r"(?m)^chains\s*=.*$", "chains = 1", bundled_text(), count=1)
+        with pytest.raises(ConfigError, match=rf"^line {line_of(text, r'chains')}: zf on group 1"
+                                              r" needs chains >= users, got 1 chains for 2 users"):
+            parse_config(text)
+
+    def test_lmmse_only_and_interferers_unaffected(self):
+        text = re.sub(r"(?m)^chains\s*=.*$", "chains = 1", bundled_text(), count=1)
+        lmmse_only = re.sub(r"(?m)^combiners\s*=.*$", "combiners = lmmse", text)
+        assert parse_config(lmmse_only).sweep.combiners == ("lmmse",)
+        # chains = 1 on an interferer only: the evaluated group keeps 4 chains
+        lines = bundled_text().splitlines()
+        second = [i for i, line in enumerate(lines) if line.startswith("chains")][1]
+        lines[second] = "chains = 1"
+        assert parse_config("\n".join(lines)).sweep.combiners == ("zf", "lmmse")
+
+    def test_validate_reports_it(self, tmp_path, capsys):
+        path = tmp_path / "one_chain.cfg"
+        path.write_text(re.sub(r"(?m)^chains\s*=.*$", "chains = 1", bundled_text(), count=1))
+        assert main(["validate", str(path)]) != 0
+        assert "needs chains >= users" in capsys.readouterr().err
+
+
 class TestNameTable:
     """The design, combiner and estimator tables are the only lists of names."""
 

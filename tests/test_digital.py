@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from jsdmsim import build_covariances, compute_geb, group_statistics, reduce, sample_channels
 from jsdmsim.digital import SingularBinError, effective_channel, lmmse_combiners, zf_combiners
+from jsdmsim.linalg import DefinitenessError
 from jsdmsim.linksim import bussgang_report
 from jsdmsim.statistics import ReducedStatistics
 
@@ -78,6 +79,13 @@ class TestZfCombiners:
             lam = freq[k][:, 0]
             assert_allclose(bank.w[k][:, 0], lam / np.linalg.norm(lam) ** 2, atol=1e-12)
 
+    def test_stack_matches_lapack_inverse(self):
+        rng = np.random.default_rng(12)
+        freq = rng.standard_normal((3, 5, 4, 2)) + 1j * rng.standard_normal((3, 5, 4, 2))
+        eff = type(toy_effective()[3])(np.zeros((3, 1, 4, 2), dtype=complex), freq)
+        expected = freq @ np.linalg.inv(freq.conj().swapaxes(-1, -2) @ freq)
+        assert_allclose(zf_combiners(eff).w, expected, rtol=1e-12, atol=0)
+
     def test_rank_deficient_bin_named(self):
         freq = np.zeros((2, 3, 2), dtype=complex)
         freq[0, :, 0] = [1, 0, 0]
@@ -127,6 +135,24 @@ class TestLmmseCombiners:
         bank = lmmse_combiners(eff, rd, e, 1)
         expected = e * lam[0, 0, 0] / (e * abs(lam[0, 0, 0]) ** 2 + sigma2)
         assert_allclose(bank.w[0, 0, 0], expected, rtol=1e-12)
+
+    def test_push_through_matches_direct_solve(self):
+        # R^-1 Lambda (Lambda^H R^-1 Lambda + I/E)^-1 = (E Lambda Lambda^H + R)^-1 E Lambda
+        rng = np.random.default_rng(13)
+        freq = rng.standard_normal((3, 5, 4, 2)) + 1j * rng.standard_normal((3, 5, 4, 2))
+        eff = type(toy_effective()[3])(np.zeros((3, 1, 4, 2), dtype=complex), freq)
+        x = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+        r_eta = x @ x.conj().T / 6 + 0.2 * np.eye(4)
+        rd = ReducedStatistics(np.zeros((4, 4), dtype=complex), r_eta)
+        e = 7.5 / 2
+        expected = np.linalg.solve(e * freq @ freq.conj().swapaxes(-1, -2) + r_eta, e * freq)
+        assert_allclose(lmmse_combiners(eff, rd, 7.5, 2).w, expected, rtol=1e-12, atol=0)
+
+    def test_indefinite_interference_covariance_rejected(self):
+        _, _, _, eff = toy_effective(n=8)
+        rd = ReducedStatistics(np.zeros((4, 4), dtype=complex), np.diag([1.0, 1.0, 0.0, 1.0]))
+        with pytest.raises(DefinitenessError, match="not positive definite"):
+            lmmse_combiners(eff, rd, 1.0, 2)
 
     def test_conjugate_symmetric_for_real_taps(self):
         rng = np.random.default_rng(7)

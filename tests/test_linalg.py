@@ -18,6 +18,7 @@ from jsdmsim.linalg import (
     RankError,
     generalized_hermitian_eig,
     hermitian_eig,
+    hermitian_inverse,
     psd_sqrt,
     qr,
     svd,
@@ -232,6 +233,56 @@ class TestPsdSqrt:
     def test_material_negative_rejected(self):
         with pytest.raises(PsdError):
             psd_sqrt(np.diag([1.0, -0.1]))
+
+
+def indices_first(a):
+    """The (K, K, *batch) view of a (*batch, K, K) stack."""
+    return np.moveaxis(a, (-2, -1), (0, 1))
+
+
+class TestHermitianInverse:
+    """The batched K x K kernel, matrix indices first, against numpy's LAPACK."""
+
+    @pytest.mark.parametrize("batch", [(), (5,), (3, 7)])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_inv_and_solve(self, k, batch):
+        rng = np.random.default_rng(100 * k + len(batch))
+        x = rng.standard_normal(batch + (k + 2, k)) + 1j * rng.standard_normal(batch + (k + 2, k))
+        a = x.conj().swapaxes(-1, -2) @ x + 0.1 * np.eye(k)
+        b = rng.standard_normal(batch + (k, 3)) + 1j * rng.standard_normal(batch + (k, 3))
+        inv, bad = hermitian_inverse(indices_first(a))
+        assert bad.shape == batch and not bad.any()
+        inv = np.moveaxis(inv, (0, 1), (-2, -1))
+        ref = np.linalg.inv(a)
+        assert np.all(np.linalg.norm(inv - ref, axis=(-2, -1))
+                      <= 1e-12 * np.linalg.norm(ref, axis=(-2, -1)))
+        ref = np.linalg.solve(a, b)
+        assert np.all(np.linalg.norm(inv @ b - ref, axis=(-2, -1))
+                      <= 1e-12 * np.linalg.norm(ref, axis=(-2, -1)))
+
+    @pytest.mark.parametrize("fault, column", [
+        ("duplicate", 1), ("zero", 0), ("zero", 1), ("nan", 0), ("nan", 1)])
+    def test_bad_pivot_flags_only_its_matrix(self, fault, column):
+        # matrix 4 of the stack gets an exact duplicate column, a zero column
+        # or a NaN entry; its Gram matrix meets a zero or NaN pivot
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((6, 3, 2)) + 1j * rng.standard_normal((6, 3, 2))
+        if fault == "duplicate":
+            x[4, :, 0] = x[4, :, column] = [1 + 1j, 2, -1j]
+        elif fault == "zero":
+            x[4, :, column] = 0.0
+        else:
+            x[4, 1, column] = np.nan
+        inv, bad = hermitian_inverse(indices_first(x.conj().swapaxes(-1, -2) @ x))
+        assert bad.tolist() == [False, False, False, False, True, False]
+        assert np.isfinite(np.delete(inv, 4, axis=-1)).all()
+
+    def test_indefinite_flagged(self):
+        assert hermitian_inverse(np.diag([1.0, -2.0]))[1]
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="stack"):
+            hermitian_inverse(np.ones((2, 3, 4)))
 
 
 @pytest.mark.parametrize("op", ["eig", "gen", "svd", "qr", "sqrt"])
