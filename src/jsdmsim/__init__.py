@@ -34,7 +34,7 @@ from .constrained import (
 )
 from .geb import UnconstrainedBeamformer, compute_geb, reduced_mutual_info
 from .metrics import SweepSettings, beampattern, cdf, phi_sweep
-from .statistics import GroupStatistics, ReducedStatistics, expected_sinr, group_statistics, reduce
+from .statistics import GroupStatistics, expected_sinr, group_statistics, reduce
 
 __all__ = [
     "AmTrace",
@@ -43,7 +43,6 @@ __all__ = [
     "CovarianceSet",
     "GroupSpec",
     "GroupStatistics",
-    "ReducedStatistics",
     "Scenario",
     "SweepSettings",
     "UnconstrainedBeamformer",

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, CovarianceSet, Scenario
-from .statistics import ReducedStatistics
 
 __all__ = [
     "PilotBlock",
@@ -176,16 +175,18 @@ class PilotCovariances:
 
 
 def pilot_covariances(pilots: PilotBlock, r_h: np.ndarray,
-                      rd: ReducedStatistics) -> PilotCovariances:
-    """Second-order model of the pilot observation for pilots, R_h and statistics.
+                      r_eta_rd: np.ndarray) -> PilotCovariances:
+    """Second-order model of the pilot observation for pilots, R_h and R_eta_rd.
 
-    ``r_h`` is :func:`effective_covariance`.  :func:`lmmse_estimator` and
-    :func:`nmse` both take the result, so an estimate's nMSE builds it once.
+    ``r_h`` is :func:`effective_covariance` and ``r_eta_rd`` the reduced
+    interference-plus-noise covariance (:func:`statistics.reduce`).
+    :func:`lmmse_estimator` and :func:`nmse` both take the result, so an
+    estimate's nMSE builds it once.
     """
-    d = rd.r_eta.shape[0]
+    d = r_eta_rd.shape[0]
     phi = np.kron(pilots.x, np.eye(d))
     r_yh = phi @ r_h
-    r_y = r_yh @ phi.conj().T + np.kron(np.eye(pilots.length), rd.r_eta)
+    r_y = r_yh @ phi.conj().T + np.kron(np.eye(pilots.length), r_eta_rd)
     return PilotCovariances(0.5 * (r_y + r_y.conj().T), r_yh, np.trace(r_h).real)
 
 

@@ -5,12 +5,11 @@ D_g streams; what remains per frequency bin is a small D_g x K_g channel that
 either a zero-forcing or an LMMSE combiner inverts.  The LMMSE variant uses
 the statistical reduced-dimension interference-plus-noise covariance, never
 the instantaneous interferer channels, which are unknown at the receiver.
-Every function accepts a block of realizations stacked along leading axes.
-Internally the per-bin algebra runs on arrays with the matrix indices first,
-(D, K, B) over the B flattened (realization, bin) pairs, so each product and
-each K x K inverse (:func:`linalg.hermitian_inverse`) is a handful of
-elementwise operations along the whole block; the public (..., N, D, K)
-arrays are views of them.
+Every array keeps the matrix indices first (see :class:`EffectiveChannel`),
+so the per-bin algebra runs on (D, K, B) views over the B flattened
+(realization, bin) pairs: each product and each K x K inverse
+(:func:`linalg.hermitian_inverse`) is a handful of elementwise operations
+along the whole block.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import numpy as np
 
 from .channel import ChannelRealization
 from .linalg import DefinitenessError, hermitian_inverse
-from .statistics import ReducedStatistics
 
 __all__ = [
     "CombinerBank",
@@ -30,7 +28,6 @@ __all__ = [
     "effective_channel",
     "gram",
     "lmmse_combiners",
-    "matrix_first",
     "zf_combiners",
 ]
 
@@ -41,11 +38,12 @@ class SingularBinError(ValueError):
 
 @dataclass(frozen=True)
 class EffectiveChannel:
-    """Reduced-dimension taps and their N-point DFT across bins.
+    """Reduced-dimension taps and their N-point DFT across bins, matrix indices first.
 
-    ``taps[l]`` is D x K for l = 0..L-1 (zeros on inactive delays);
-    ``freq[k]`` is its DFT sum_l taps[l] e^{-j 2 pi k l / N}.  A block of
-    realizations adds leading axes: taps (..., L, D, K), freq (..., N, D, K).
+    ``taps[:, :, l]`` is D x K for l = 0..L-1 (zeros on inactive delays);
+    ``freq[:, :, k]`` is its DFT sum_l taps[:, :, l] e^{-j 2 pi k l / N}.  A
+    block of realizations adds axes between the matrix indices and the last:
+    taps (D, K, ..., L), freq (D, K, ..., N).
     """
 
     taps: np.ndarray
@@ -53,28 +51,21 @@ class EffectiveChannel:
 
     @property
     def n_bins(self) -> int:
-        return self.freq.shape[-3]
+        return self.freq.shape[-1]
 
 
 @dataclass(frozen=True)
 class CombinerBank:
-    """Per-bin combiners ``w[..., k, :, :]`` (D x K); applied as w^H to bin k."""
+    """Per-bin combiners ``w[:, :, ..., k]`` (D x K), applied as w^H to bin k.
+
+    Shaped (D, K, ..., N) like :attr:`EffectiveChannel.freq`.
+    """
 
     w: np.ndarray
 
     @property
     def n_bins(self) -> int:
-        return self.w.shape[-3]
-
-
-def matrix_first(x: np.ndarray) -> np.ndarray:
-    """The (D, K, B) view (or copy) of a (..., N, D, K) stack, B = prod(...) * N."""
-    return np.moveaxis(x, (-2, -1), (0, 1)).reshape(x.shape[-2], x.shape[-1], -1)
-
-
-def _public(x: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
-    """The (*lead, D, K) view of a (D, K, B) array, the inverse of :func:`matrix_first`."""
-    return np.moveaxis(x.reshape(x.shape[:2] + lead), (0, 1), (-2, -1))
+        return self.w.shape[-1]
 
 
 def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -98,8 +89,7 @@ def effective_channel(s: np.ndarray, real: ChannelRealization, g_src: int,
 
     ``s`` is the overall analog stage including compensation.  ``n`` is the
     SC-FDE block length and must cover the delay spread.  A block of
-    realizations is projected and transformed in one product and one FFT;
-    ``freq`` is a view of the transform's (D, K, ..., N) array.
+    realizations is projected and transformed in one product and one FFT.
     """
     scn = real.scenario
     if n < scn.n_taps:
@@ -107,12 +97,9 @@ def effective_channel(s: np.ndarray, real: ChannelRealization, g_src: int,
     s = np.asarray(s, dtype=complex)
     group = real.taps[g_src]
     h = np.stack(list(group.values()), axis=-3)
-    taps = np.zeros(h.shape[:-3] + (scn.n_taps, s.shape[1], h.shape[-1]), dtype=complex)
-    taps[..., list(group), :, :] = s.conj().T @ h
-    # the transform keeps its input's memory order, so the input is made
-    # contiguous in the (D, K, ..., L) order the combiners read
-    freq = np.fft.fft(np.ascontiguousarray(np.moveaxis(taps, (-2, -1), (0, 1))), n=n, axis=-1)
-    return EffectiveChannel(taps, np.moveaxis(freq, (0, 1), (-2, -1)))
+    taps = np.zeros((s.shape[1], h.shape[-1]) + h.shape[:-3] + (scn.n_taps,), dtype=complex)
+    taps[..., list(group)] = np.moveaxis(s.conj().T @ h, (-2, -1), (0, 1))
+    return EffectiveChannel(taps, np.fft.fft(taps, n=n, axis=-1))
 
 
 def _singular_bin(bad: np.ndarray) -> SingularBinError:
@@ -126,27 +113,28 @@ def zf_combiners(eff: EffectiveChannel) -> CombinerBank:
     """Zero-forcing bank W_k = Lambda_k (Lambda_k^H Lambda_k)^{-1}.
 
     Guarantees W_k^H Lambda_k = I on every bin; a bin whose Gram matrix meets
-    a non-positive pivot, or whose combiner is not finite, raises
-    SingularBinError naming the bin instead of silently regularizing.
+    a bad pivot (:func:`linalg.hermitian_inverse`), or whose combiner is not
+    finite, raises SingularBinError naming the bin instead of silently
+    regularizing.
     """
-    d, k = eff.freq.shape[-2:]
+    d, k = eff.freq.shape[:2]
     if d < k:
         raise SingularBinError(f"zero-forcing needs D >= K, got D={d}, K={k}")
-    lead = eff.freq.shape[:-2]
-    lam = matrix_first(eff.freq)
+    lam = eff.freq.reshape(d, k, -1)
     gram_inv, bad = hermitian_inverse(gram(lam, lam))
     w = _times(lam, gram_inv)
     bad |= ~np.isfinite(w).all(axis=(0, 1))
     if bad.any():
-        raise _singular_bin(bad.reshape(lead))
-    return CombinerBank(_public(w, lead))
+        raise _singular_bin(bad.reshape(eff.freq.shape[2:]))
+    return CombinerBank(w.reshape(eff.freq.shape))
 
 
-def lmmse_combiners(eff: EffectiveChannel, rd: ReducedStatistics, symbol_energy: float,
+def lmmse_combiners(eff: EffectiveChannel, r_eta_rd: np.ndarray, symbol_energy: float,
                     n_users: int) -> CombinerBank:
     """LMMSE bank W_k = (E Lambda_k Lambda_k^H + R)^{-1} E Lambda_k, R = R_eta_rd.
 
-    E = symbol_energy / n_users is the per-user symbol energy.  Evaluated in
+    ``r_eta_rd`` is S^H R_eta S (:func:`statistics.reduce`) and E =
+    symbol_energy / n_users is the per-user symbol energy.  Evaluated in
     the push-through form W_k = R^{-1} Lambda_k (Lambda_k^H R^{-1} Lambda_k + I/E)^{-1}:
     one D x D inverse of R for the whole block, then K x K inverses per bin.
     The positive-definite reduced interference-plus-noise covariance keeps
@@ -154,13 +142,13 @@ def lmmse_combiners(eff: EffectiveChannel, rd: ReducedStatistics, symbol_energy:
     positive definite raises DefinitenessError.
     """
     e = symbol_energy / n_users
-    lead = eff.freq.shape[:-2]
-    lam = matrix_first(eff.freq)
-    r_inv, bad = hermitian_inverse(rd.r_eta)
+    d, k = eff.freq.shape[:2]
+    lam = eff.freq.reshape(d, k, -1)
+    r_inv, bad = hermitian_inverse(r_eta_rd)
     if bad:
         raise DefinitenessError("reduced interference-plus-noise covariance is not positive definite")
-    y = (r_inv @ lam.reshape(lam.shape[0], -1)).reshape(lam.shape)
+    y = (r_inv @ lam.reshape(d, -1)).reshape(lam.shape)
     m = gram(lam, y)
-    m[range(m.shape[0]), range(m.shape[0])] += 1.0 / e
+    m[range(k), range(k)] += 1.0 / e
     # m >= I/E, so no pivot of a finite channel's m can fail
-    return CombinerBank(_public(_times(y, hermitian_inverse(m)[0]), lead))
+    return CombinerBank(_times(y, hermitian_inverse(m)[0]).reshape(eff.freq.shape))

@@ -41,6 +41,10 @@ __all__ = [
 PSD_CLIP_RTOL = 1e-10
 # Beyond this the matrix is materially indefinite and we refuse.
 PSD_FAIL_RTOL = 1e-6
+# A Gauss-Jordan pivot at or below this fraction of its matrix's diagonal
+# entry marks a numerically singular matrix (a rank-deficient Gram matrix
+# whose round-off leaves a tiny positive pivot).
+PIVOT_RTOL = 1e-12
 
 
 class DefinitenessError(ValueError):
@@ -162,21 +166,23 @@ def hermitian_inverse(a) -> tuple[np.ndarray, np.ndarray]:
 
     ``a`` has shape (K, K, *batch); returns ``(inv, bad)`` with ``inv[:, :, b]``
     the inverse of ``a[:, :, b]`` and ``bad`` (shape ``batch``) marking the
-    matrices with a non-positive or non-finite pivot, whose inverses are
-    meaningless.  Unpivoted in-place Gauss-Jordan over K: every step runs on
-    the whole stack at once.  Rows are divided by the pivot, not multiplied by
-    its reciprocal, so the Gram matrix of two identical columns meets an exact
-    zero pivot.
+    matrices whose inverses are meaningless: those with a pivot that is not
+    finite, not positive, or at most ``PIVOT_RTOL`` times the matrix's own
+    diagonal entry in its row.  Unpivoted in-place Gauss-Jordan over K: every
+    step runs on the whole stack at once.  Rows are divided by the pivot, not
+    multiplied by its reciprocal, so the Gram matrix of two identical columns
+    often meets an exact zero pivot; the relative test catches the rest.
     """
     inv = np.array(a, dtype=complex)
     if inv.ndim < 2 or inv.shape[0] != inv.shape[1]:
         raise ValueError(f"expected a (K, K, ...) stack, got shape {inv.shape}")
     k = inv.shape[0]
+    floor = PIVOT_RTOL * inv[range(k), range(k)].real
     bad = np.zeros(inv.shape[2:], dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         for j in range(k):
             pivot = inv[j, j].real.copy()
-            bad |= ~(pivot > 0) | ~np.isfinite(pivot)
+            bad |= ~(pivot > 0) | ~(pivot > floor[j]) | ~np.isfinite(pivot)
             inv[j, j] = 1.0
             # a complex array divided by a real one would take numpy's complex
             # division, which multiplies by a reciprocal

@@ -8,9 +8,13 @@ Carlo enters only across channel realizations.  One link pass per angle
 (:func:`ergodic_capacity`) evaluates every (design, combiner) pair against
 the same draws, in blocks of trials: one stacked draw per block, one
 projection and FFT per design, then the combiners and the moments of every
-(trial, bin) pair as elementwise operations on (D, K, trial x bin) arrays
-(see :mod:`digital`).  The symbol-level simulator
-exists as an independent cross-validation path (unit-energy QPSK).
+(trial, bin) pair as elementwise operations on (D, K, trial x bin) views
+of the matrix-first arrays (see :mod:`digital`).  The reduced
+interference-plus-noise covariance S^H R_eta S (:func:`statistics.reduce`)
+is the one statistical input.  The symbol-level simulator
+(:func:`simulate_block`) exists as an independent cross-validation path
+(unit-energy QPSK); it applies the channel circularly, so the cyclic prefix
+is implicit.
 """
 
 from __future__ import annotations
@@ -21,13 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, CovarianceSet, Scenario, sample_channels
+from .channel import ChannelRealization, CovarianceSet, sample_channels
 from .digital import (CombinerBank, EffectiveChannel, effective_channel, gram,
-                      lmmse_combiners, matrix_first, zf_combiners)
-from .statistics import GroupStatistics, ReducedStatistics, reduce
+                      lmmse_combiners, zf_combiners)
+from .statistics import GroupStatistics, reduce
 
 __all__ = [
-    "BlockConfig",
     "BlockResult",
     "COMBINER_NAMES",
     "CapacityEstimate",
@@ -47,24 +50,6 @@ COMBINER_NAMES = ("zf", "lmmse")
 # the sweep's traced peak memory grows with the block: 2.2 MB at 16 trials,
 # 4.2 MB at 64, 11.7 MB for all 200 at once.
 _TRIAL_BLOCK = 16
-
-
-@dataclass(frozen=True)
-class BlockConfig:
-    """Block length and cyclic prefix of one symbol-level block.
-
-    The cyclic prefix is absorbed analytically through circular indexing, so
-    ``cp_len`` only has to satisfy the length contract (defaults to the
-    scenario delay spread at use sites when None).  Symbols are unit-energy
-    QPSK; :func:`simulate_block` takes the block's seed as an argument.
-    """
-
-    n: int = 64
-    cp_len: int | None = None
-
-    def __post_init__(self):
-        if self.cp_len is not None and self.cp_len < 0:
-            raise ValueError("cyclic prefix length must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -125,20 +110,19 @@ def _qpsk(rng: np.random.Generator, shape) -> np.ndarray:
     return np.exp(1j * (np.pi / 4 + np.pi / 2 * rng.integers(0, 4, shape)))
 
 
-def simulate_block(scn: Scenario, real: ChannelRealization, beamformers: dict[int, np.ndarray],
-                   combiners: dict[int, CombinerBank], cfg: BlockConfig, seed) -> BlockResult:
-    """Run one SC-FDE block through the full receive chain.
+def simulate_block(real: ChannelRealization, beamformers: dict[int, np.ndarray],
+                   combiners: dict[int, CombinerBank], n: int, seed) -> BlockResult:
+    """Run one SC-FDE block of length ``n`` through the full receive chain.
 
-    All groups transmit i.i.d. QPSK at per-user energy E_s/K; the circular
-    channel applies each active tap to the cyclically delayed symbol stream.
-    Groups listed in ``beamformers``/``combiners`` get demodulated: analog
-    projection, normalized DFT, per-bin combining, inverse DFT.
+    All groups of ``real.scenario`` transmit i.i.d. QPSK at per-user energy
+    E_s/K; the circular channel applies each active tap to the cyclically
+    delayed symbol stream.  Groups listed in ``beamformers``/``combiners``
+    get demodulated: analog projection, normalized DFT, per-bin combining,
+    inverse DFT.
     """
-    n = cfg.n
+    scn = real.scenario
     if n < scn.n_taps:
         raise ValueError(f"block length {n} shorter than delay spread {scn.n_taps}")
-    if (cfg.cp_len if cfg.cp_len is not None else scn.n_taps) < scn.n_taps:
-        raise ValueError("cyclic prefix must cover the delay spread")
     rng = np.random.default_rng(seed)
 
     symbols: dict[int, np.ndarray] = {}
@@ -158,12 +142,12 @@ def simulate_block(scn: Scenario, real: ChannelRealization, beamformers: dict[in
             raise ValueError(f"combiner bank of group {g} built for N={bank.n_bins}, not {n}")
         y_red = np.asarray(s, dtype=complex).conj().T @ y
         y_freq = np.fft.fft(y_red, axis=1) / np.sqrt(n)
-        x_freq = np.einsum("ndk,dn->kn", bank.w.conj(), y_freq)
+        x_freq = np.einsum("dkn,dn->kn", bank.w.conj(), y_freq)
         estimates[g] = np.fft.ifft(x_freq, axis=1) * np.sqrt(n)
     return BlockResult(symbols, estimates)
 
 
-def _link_moments(eff: EffectiveChannel, combiners: CombinerBank, rd: ReducedStatistics,
+def _link_moments(eff: EffectiveChannel, combiners: CombinerBank, r_eta_rd: np.ndarray,
                   e: float) -> tuple[np.ndarray, np.ndarray]:
     """Amplitude a and soft-output power E|x^|^2 of every user, shape (..., K).
 
@@ -173,15 +157,15 @@ def _link_moments(eff: EffectiveChannel, combiners: CombinerBank, rd: ReducedSta
     """
     if eff.n_bins != combiners.n_bins:
         raise ValueError("effective channel and combiners disagree on block length")
-    w, lam = matrix_first(combiners.w), matrix_first(eff.freq)
-    d, k = w.shape[:2]
+    d, k = eff.freq.shape[:2]
+    w, lam = combiners.w.reshape(d, k, -1), eff.freq.reshape(d, k, -1)
     rows = gram(w, lam)
     a = rows[range(k), range(k)]
     sig = e * (np.abs(rows) ** 2).sum(axis=1)
     # one product over every bin and user: R_eta_rd is shared by the whole stack
-    r_w = (rd.r_eta @ w.reshape(d, -1)).reshape(w.shape)
+    r_w = (r_eta_rd @ w.reshape(d, -1)).reshape(w.shape)
     noise = (w.conj() * r_w).sum(axis=0).real
-    per_bin = (k,) + eff.freq.shape[:-2]
+    per_bin = (k,) + eff.freq.shape[2:]
     a, power = (np.moveaxis(x.reshape(per_bin).mean(axis=-1), 0, -1) for x in (a, sig + noise))
     return a, power
 
@@ -203,7 +187,7 @@ def _capacity(a: np.ndarray, est_power: np.ndarray, e: float):
     return b_power, sinr, np.log2(1.0 + sinr)
 
 
-def bussgang_report(eff: EffectiveChannel, combiners: CombinerBank, rd: ReducedStatistics,
+def bussgang_report(eff: EffectiveChannel, combiners: CombinerBank, r_eta_rd: np.ndarray,
                     symbol_energy: float, n_users: int, user: int) -> UserLinkReport:
     """Closed-form amplitude, residual power, SINR and capacity of one user.
 
@@ -212,7 +196,7 @@ def bussgang_report(eff: EffectiveChannel, combiners: CombinerBank, rd: ReducedS
     Deterministic given its inputs.
     """
     e = symbol_energy / n_users
-    a, est_power = _link_moments(eff, combiners, rd, e)
+    a, est_power = _link_moments(eff, combiners, r_eta_rd, e)
     a, est_power = a[..., user], est_power[..., user]
     b_power, sinr, capacity = _capacity(a, est_power, e)
     return UserLinkReport(complex(a), float(b_power), float(sinr), float(capacity))
@@ -275,15 +259,15 @@ def ergodic_capacity(cov: CovarianceSet, stats: GroupStatistics, designs: Mappin
             except ValueError as exc:
                 fail(name, combs, exc)
                 continue
-            rd = reduced[name]
+            r_eta_rd = reduced[name]
             for comb in combs:
                 try:
                     if comb == "zf":
                         bank = zf_combiners(eff)
                     else:
-                        bank = lmmse_combiners(eff, rd, spec.symbol_energy, spec.n_users)
+                        bank = lmmse_combiners(eff, r_eta_rd, spec.symbol_energy, spec.n_users)
                     samples[block.start:block.stop, i, combiners.index(comb)] = _capacity(
-                        *_link_moments(eff, bank, rd, e), e)[2]
+                        *_link_moments(eff, bank, r_eta_rd, e), e)[2]
                 except ValueError as exc:
                     fail(name, [comb], exc)
     return LinkPass(names, tuple(combiners), samples, errors)

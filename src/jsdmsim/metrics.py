@@ -192,7 +192,6 @@ class SweepResult:
     ``fixed`` holds the non-mobile groups' CCMs the sweep built once.
     """
 
-    phi_grid: np.ndarray
     settings: SweepSettings
     fixed: FixedCovariances
     records: list[PhiRecord] = field(default_factory=list)
@@ -298,7 +297,7 @@ def phi_sweep(scn: Scenario, phi_grid, settings: SweepSettings) -> SweepResult:
     """
     phi_grid = np.atleast_1d(np.asarray(phi_grid, dtype=float))
     check_scan_range(phi_grid)
-    result = SweepResult(phi_grid, settings, fixed_covariances(scn, settings.n_quad))
+    result = SweepResult(settings, fixed_covariances(scn, settings.n_quad))
     for i, phi in enumerate(phi_grid):
         result.records.extend(_evaluate_phi(result.fixed, float(phi), i, settings))
     return result

@@ -1,9 +1,10 @@
 """Group-level signal/interference covariance algebra in full and reduced dimension.
 
-The full-dimension pair (R_s, R_eta) drives the eigenbeamformer design; the
-reduced pair (after a candidate beamformer S) drives the LMMSE combiners, the
-channel estimators and the expected-SINR score used to rank dynamic-subarray
-candidates.  Delay sums always run over all active MPCs including tap 0.
+The full-dimension pair (R_s, R_eta) drives the eigenbeamformer design and
+the expected-SINR score.  After a candidate beamformer S, the link layer
+needs one reduced quantity, S^H R_eta S (:func:`reduce`): the LMMSE
+combiners, the link moments and the channel estimators' pilot model read it.
+Delay sums always run over all active MPCs including tap 0.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from .channel import CovarianceSet, Scenario
 
 __all__ = [
     "GroupStatistics",
-    "ReducedStatistics",
     "expected_sinr",
     "group_statistics",
     "reduce",
@@ -26,14 +26,6 @@ __all__ = [
 @dataclass(frozen=True)
 class GroupStatistics:
     """Intended-group signal covariance and interference-plus-noise covariance."""
-
-    r_s: np.ndarray
-    r_eta: np.ndarray
-
-
-@dataclass(frozen=True)
-class ReducedStatistics:
-    """The same pair congruence-transformed by a beamformer: S^H R S."""
 
     r_s: np.ndarray
     r_eta: np.ndarray
@@ -75,11 +67,11 @@ def _check_rank(s: np.ndarray) -> None:
         raise ValueError("beamformer must have full column rank")
 
 
-def reduce(stats: GroupStatistics, s: np.ndarray) -> ReducedStatistics:
-    """Congruence-transform the statistics by a full-column-rank beamformer."""
+def reduce(stats: GroupStatistics, s: np.ndarray) -> np.ndarray:
+    """Reduced interference-plus-noise covariance S^H R_eta S of a full-column-rank S."""
     s = np.asarray(s, dtype=complex)
     _check_rank(s)
-    return ReducedStatistics(s.conj().T @ stats.r_s @ s, s.conj().T @ stats.r_eta @ s)
+    return s.conj().T @ stats.r_eta @ s
 
 
 def expected_sinr(stats: GroupStatistics, s: np.ndarray) -> float:

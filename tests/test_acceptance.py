@@ -34,7 +34,6 @@ from jsdmsim.digital import effective_channel, lmmse_combiners, zf_combiners
 from jsdmsim.linalg import svd
 from jsdmsim.metrics import SweepSettings, _derived_seed, build_beamformer
 from jsdmsim.runner import run
-from jsdmsim.statistics import ReducedStatistics
 
 from conftest import (
     merged_group_scenario,
@@ -205,14 +204,13 @@ def test_criterion_07_zf_contract_and_lmmse_limit():
         eff = effective_channel(geb.s, real, 0, 64)
         bank = zf_combiners(eff)
         for k in range(64):
-            assert np.max(np.abs(bank.w[k].conj().T @ eff.freq[k] - np.eye(2))) <= 1e-10
+            assert np.max(np.abs(bank.w[..., k].conj().T @ eff.freq[..., k] - np.eye(2))) <= 1e-10
     # LMMSE -> ZF when interference is absent and E_s/N_0 = 1e6
     real = sample_channels(cov, 77, groups=[0])
     eff = effective_channel(geb.s, real, 0, 64)
-    rd = ReducedStatistics(np.zeros((4, 4), dtype=complex), np.eye(4, dtype=complex))
-    bank = lmmse_combiners(eff, rd, symbol_energy=2 * 1e6, n_users=2)
+    bank = lmmse_combiners(eff, np.eye(4, dtype=complex), symbol_energy=2 * 1e6, n_users=2)
     for k in range(64):
-        assert np.max(np.abs(bank.w[k].conj().T @ eff.freq[k] - np.eye(2))) <= 1e-3
+        assert np.max(np.abs(bank.w[..., k].conj().T @ eff.freq[..., k] - np.eye(2))) <= 1e-3
     report(7, "ZF unbiased to 1e-10 on all bins/trials; LMMSE within 1e-3 of ZF at SNR 1e6")
 
 
@@ -388,7 +386,6 @@ def test_criterion_13_bussgang_cross_validation():
             bank = lmmse_combiners(eff, rd, spec.symbol_energy, spec.n_users)
         user = int(rng.integers(0, k))
         rep = linksim.bussgang_report(eff, bank, rd, spec.symbol_energy, spec.n_users, user)
-        cfg = linksim.BlockConfig(n=n)
         others = [g for g in range(scn.n_groups) if g != 0]
         resid = 0.0
         count = 0
@@ -400,7 +397,7 @@ def test_criterion_13_bussgang_cross_validation():
                 fresh = sample_channels(cov, [1016, case, t], groups=others)
                 merged = [real.taps[0]] + [fresh.taps[g] for g in others]
                 block_real = type(real)(scn, merged)
-            res = linksim.simulate_block(scn, block_real, {0: geb.s}, {0: bank}, cfg,
+            res = linksim.simulate_block(block_real, {0: geb.s}, {0: bank}, n,
                                          seed=[1015, case, t])
             x = res.symbols[0][user]
             xh = res.estimates[0][user]

@@ -25,7 +25,6 @@ from jsdmsim.chanest import (
     receive_pilots,
     stack_effective,
 )
-from jsdmsim.statistics import ReducedStatistics
 
 from conftest import random_orthonormal, two_group_toy
 
@@ -125,8 +124,7 @@ class TestLmmseEstimator:
         pilots = build_pilots(scn, 0, 6, seed=1)
         size = 1 * scn.n_taps * 2
         r_h = np.zeros((size, size), dtype=complex)
-        rd = ReducedStatistics(np.zeros((2, 2), dtype=complex), np.eye(2, dtype=complex))
-        z = lmmse_estimator(pilot_covariances(pilots, r_h, rd))
+        z = lmmse_estimator(pilot_covariances(pilots, r_h, np.eye(2, dtype=complex)))
         assert np.max(np.abs(z)) <= 1e-14
 
     def test_scalar_toy_hand_formula(self):
@@ -137,9 +135,7 @@ class TestLmmseEstimator:
         s = np.array([[1.0], [0.0], [0.0]], dtype=complex)
         rho = (s.conj().T @ build_covariances(scn).ccms[0][0][0] @ s)[0, 0].real
         r_h = np.array([[rho]], dtype=complex)
-        rd = ReducedStatistics(np.zeros((1, 1), dtype=complex),
-                               np.array([[0.25]], dtype=complex))
-        z = lmmse_estimator(pilot_covariances(pilots, r_h, rd))
+        z = lmmse_estimator(pilot_covariances(pilots, r_h, np.array([[0.25]], dtype=complex)))
         x = pilots.x[0, 0]
         assert_allclose(z[0, 0], x * rho / (abs(x) ** 2 * rho + 0.25), rtol=1e-12)
 

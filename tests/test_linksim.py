@@ -19,12 +19,7 @@ from jsdmsim import linksim
 from jsdmsim.constrained import dft_beamformer, phase_extraction
 from jsdmsim.digital import (EffectiveChannel, SingularBinError, effective_channel,
                              lmmse_combiners, zf_combiners)
-from jsdmsim.linksim import (
-    BlockConfig,
-    bussgang_report,
-    ergodic_capacity,
-    simulate_block,
-)
+from jsdmsim.linksim import bussgang_report, ergodic_capacity, simulate_block
 
 from conftest import random_orthonormal, random_unitary, two_group_toy
 
@@ -44,8 +39,7 @@ class TestSimulateBlock:
         s = random_orthonormal(rng, scn.n_antennas, 2)
         eff = effective_channel(s, real, 0, 8)
         bank = zf_combiners(eff)
-        cfg = BlockConfig(n=8)
-        res = simulate_block(scn, real, {0: s}, {0: bank}, cfg, seed=5)
+        res = simulate_block(real, {0: s}, {0: bank}, 8, seed=5)
         assert_allclose(res.estimates[0], res.symbols[0], atol=1e-10)
 
     def test_noiseless_square_per_bin_inversion(self):
@@ -60,7 +54,7 @@ class TestSimulateBlock:
         s = random_orthonormal(rng, 6, 2)
         eff = effective_channel(s, real, 0, 8)
         bank = zf_combiners(eff)
-        res = simulate_block(scn, real, {0: s}, {0: bank}, BlockConfig(n=8), seed=6)
+        res = simulate_block(real, {0: s}, {0: bank}, 8, seed=6)
         assert_allclose(res.estimates[0], res.symbols[0], atol=1e-9)
 
     def test_seed_reproducibility(self):
@@ -71,9 +65,8 @@ class TestSimulateBlock:
         geb = compute_geb(stats, 4)
         eff = effective_channel(geb.s, real, 0, 16)
         bank = zf_combiners(eff)
-        cfg = BlockConfig(n=16)
-        a = simulate_block(scn, real, {0: geb.s}, {0: bank}, cfg, seed=9)
-        b = simulate_block(scn, real, {0: geb.s}, {0: bank}, cfg, seed=9)
+        a = simulate_block(real, {0: geb.s}, {0: bank}, 16, seed=9)
+        b = simulate_block(real, {0: geb.s}, {0: bank}, 16, seed=9)
         assert np.array_equal(a.estimates[0], b.estimates[0])
         assert np.array_equal(a.symbols[1], b.symbols[1])
 
@@ -84,7 +77,7 @@ class TestSimulateBlock:
         total = 0.0
         for t in range(blocks):
             real = sample_channels(cov, [11, t])
-            res = simulate_block(scn, real, {}, {}, BlockConfig(n=n), seed=[12, t])
+            res = simulate_block(real, {}, {}, n, seed=[12, t])
             # reconstruct y energy: re-run the channel sum explicitly
             y = np.zeros((scn.n_antennas, n), dtype=complex)
             for g in range(scn.n_groups):
@@ -99,12 +92,11 @@ class TestSimulateBlock:
             expected += spec.symbol_energy / spec.n_users * trace_sum
         assert abs(measured - expected) <= 0.05 * expected
 
-    def test_cyclic_prefix_too_short_rejected(self):
+    def test_short_block_rejected(self):
         scn = two_group_toy()
-        cov = build_covariances(scn)
-        real = sample_channels(cov, 2)
-        with pytest.raises(ValueError, match="cyclic prefix"):
-            simulate_block(scn, real, {}, {}, BlockConfig(n=16, cp_len=1), seed=1)
+        real = sample_channels(build_covariances(scn), 2)
+        with pytest.raises(ValueError, match="block length"):
+            simulate_block(real, {}, {}, scn.n_taps - 1, seed=1)
 
 
 class TestBussgangReport:
@@ -134,7 +126,7 @@ class TestBussgangReport:
         real = sample_channels(cov, 21)
         eff = effective_channel(s, real, 0, 4)
         bank = zf_combiners(eff)
-        lam = eff.freq[0]
+        lam = eff.freq[..., 0]
         inv_gram = np.linalg.inv(lam.conj().T @ lam)
         for user in range(2):
             rep = bussgang_report(eff, bank, rd, 3.0, 2, user)
@@ -154,13 +146,12 @@ class TestBussgangReport:
         bank = zf_combiners(eff)
         spec = scn.groups[0]
         rep = bussgang_report(eff, bank, rd, spec.symbol_energy, spec.n_users, 0)
-        cfg = BlockConfig(n=n)
         num = 0.0
         den = 0.0
         count = 0
         est_power = 0.0
         for t in range(blocks):
-            res = simulate_block(scn, real, {0: geb.s}, {0: bank}, cfg, seed=[77, t])
+            res = simulate_block(real, {0: geb.s}, {0: bank}, n, seed=[77, t])
             x = res.symbols[0][0]
             xh = res.estimates[0][0]
             num += np.vdot(x, xh)
@@ -186,11 +177,10 @@ class TestBussgangReport:
         spec = scn.groups[0]
         rep = bussgang_report(eff, bank, rd, spec.symbol_energy, spec.n_users, 1)
         blocks = 800  # ~1e5 symbols
-        cfg = BlockConfig(n=n)
         resid = 0.0
         count = 0
         for t in range(blocks):
-            res = simulate_block(scn, real, {0: geb.s}, {0: bank}, cfg, seed=[31, t])
+            res = simulate_block(real, {0: geb.s}, {0: bank}, n, seed=[31, t])
             x = res.symbols[0][1]
             xh = res.estimates[0][1]
             resid += np.sum(np.abs(xh - rep.a * x) ** 2)
@@ -218,7 +208,7 @@ class TestErgodicCapacity:
             eff = effective_channel(s, real, 0, 4)
             rep = bussgang_report(eff, zf_combiners(eff), rd, 2.0, 1, 0)
             assert_allclose(rep.a, 1.0, atol=1e-9)
-            h = eff.freq[0][:, 0]
+            h = eff.freq[:, 0, 0]
             directions.append(h / np.linalg.norm(h))
         base = directions[0]
         for d in directions[1:]:
@@ -348,7 +338,7 @@ class TestLinkPass:
                 faulty_zf.append(eff)
                 if len(faulty_zf) == 2:
                     freq = eff.freq.copy()
-                    freq[5, 3] = 0.0
+                    freq[..., 5, 3] = 0.0
                     eff = EffectiveChannel(eff.taps, freq)
             return zf_combiners(eff)
 
