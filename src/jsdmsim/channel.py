@@ -1,10 +1,11 @@
 """Scenario geometry, one-ring covariance construction and channel sampling.
 
 Angles are degrees at every interface and converted to radians exactly once,
-inside :func:`steering_matrix`.  A scenario describes a uniform linear array
-serving user groups, each group having a handful of active multipath
-components (MPCs) with narrow angular spread.  Mobile groups get their mean angles shifted by
-the scenario's ``phi`` before covariances are built.
+inside :func:`steering_matrix` and :func:`ccm_one_ring`.  A scenario describes
+a uniform linear array serving user groups, each group having a handful of
+active multipath components (MPCs) with narrow angular spread.  Mobile groups
+get their mean angles shifted by the scenario's ``phi`` before covariances are
+built, in one :func:`ccm_one_ring` call per group and one square root call.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .linalg import psd_sqrt
 
@@ -50,25 +52,36 @@ def steering(theta_deg: float, m: int) -> np.ndarray:
     return steering_matrix([theta_deg], m)[:, 0]
 
 
-def ccm_one_ring(mu: float, delta: float, power: float, m: int,
-                 n_quad: int = DEFAULT_N_QUAD) -> np.ndarray:
-    """One-ring covariance for a cluster at mean angle ``mu`` (degrees).
+def ccm_one_ring(mu, delta, power, m: int, n_quad: int = DEFAULT_N_QUAD) -> np.ndarray:
+    """One-ring covariances of clusters at mean angles ``mu`` (degrees), shape (*B, M, M).
 
-    Midpoint-rule quadrature of the uniform angular power profile over
-    [mu - delta/2, mu + delta/2]; the result is rescaled so its trace equals
-    ``power`` exactly, so quadrature error never perturbs total power.
+    ``mu``, ``delta`` and ``power`` broadcast to the batch shape B.  Midpoint-rule quadrature
+    of the uniform angular power profile over [mu - delta/2, mu + delta/2], rescaled so the
+    trace equals ``power`` exactly.  The result is Hermitian Toeplitz with first column
+    c_d = (1/(n M)) sum_q exp(j pi d sin theta_q): one ``exp`` per node and a running product
+    over d, so no (B, M, n) table is formed.
     """
-    if delta <= 0:
+    mu, delta, power = np.broadcast_arrays(mu, delta, power)
+    if m < 1:
+        raise ValueError("antenna count must be >= 1")
+    if np.any(delta <= 0):
         raise ValueError("angular spread must be positive")
     if n_quad < 8:
         raise ValueError("n_quad must be >= 8")
-    if power <= 0:
+    if np.any(power <= 0):
         raise ValueError("power must be positive")
     offsets = (np.arange(n_quad) + 0.5) / n_quad - 0.5
-    u = steering_matrix(mu + delta * offsets, m)
-    r = (u @ u.conj().T) / n_quad
-    r = 0.5 * (r + r.conj().T)
-    return r * (power / np.trace(r).real)
+    w = np.exp(1j * np.pi * np.sin(np.deg2rad(mu[..., None] + delta[..., None] * offsets)))
+    col = np.empty(mu.shape + (m,), dtype=complex)
+    node = np.ones_like(w)
+    for d in range(m):
+        col[..., d] = node.sum(axis=-1)
+        node *= w
+    # the trace is m * n_quad, exactly
+    col *= (power / (m * n_quad))[..., None]
+    # row a of the window below is [c_a, c_(a-1), ..., c_(a-M+1)], c_(-d) = conj(c_d)
+    line = np.concatenate([col[..., :0:-1].conj(), col], axis=-1)
+    return sliding_window_view(line, m, axis=-1)[..., ::-1].copy()
 
 
 @dataclass(frozen=True)
@@ -153,31 +166,34 @@ class Scenario:
 class CovarianceSet:
     """Per-user per-delay channel covariance matrices of a scenario.
 
-    ``ccms[g][k]`` maps an active delay index to an M x M Hermitian PSD
-    matrix; inactive delays are absent and implicitly zero.  Square roots
-    used for sampling are cached lazily.
+    ``stacks[g]``: group g's CCMs as one (L, K, M, M) array, active delays in ``delays`` order;
+    ``ccms[g][k][delay]``: user k's M x M Hermitian PSD matrix, a view into it (inactive delays
+    absent, implicitly zero).  :meth:`factors` caches one :func:`psd_sqrt` call per group.
     """
 
     scenario: Scenario
+    stacks: list[np.ndarray]
     ccms: list[list[dict[int, np.ndarray]]]
-    _sqrts: list[list[dict[int, np.ndarray]]] = field(default_factory=list, repr=False)
+    _factors: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+
+    def factors(self, g: int) -> np.ndarray:
+        """Hermitian square roots of group g's CCMs, laid out as ``stacks[g]``."""
+        if g not in self._factors:
+            self._factors[g] = psd_sqrt(self.stacks[g])
+        return self._factors[g]
 
     def sqrt_factor(self, g: int, user: int, delay: int) -> np.ndarray:
-        if not self._sqrts:
-            self._sqrts = [[{} for _ in grp] for grp in self.ccms]
-        cache = self._sqrts[g][user]
-        if delay not in cache:
-            cache[delay] = psd_sqrt(self.ccms[g][user][delay])
-        return cache[delay]
+        """The square root of ``ccms[g][user][delay]``: a view into :meth:`factors`."""
+        return self.factors(g)[self.scenario.groups[g].delays.index(delay), user]
 
 
-def _group_ccms(scn: Scenario, g: int, n_quad: int) -> list[dict[int, np.ndarray]]:
+def _group_ccms(scn: Scenario, g: int, n_quad: int) -> tuple[np.ndarray, list[dict]]:
+    """Group g's (L, K, M, M) CCM stack from one :func:`ccm_one_ring` call, and its views."""
     spec = scn.groups[g]
-    aoa = scn.effective_aoa(g)
-    per_mpc = spec.gain / len(spec.delays)
-    return [{delay: ccm_one_ring(aoa[k, i], spec.spread[k, i], per_mpc[k], scn.n_antennas, n_quad)
-             for i, delay in enumerate(spec.delays)}
-            for k in range(spec.n_users)]
+    stack = ccm_one_ring(scn.effective_aoa(g).T, spec.spread.T, spec.gain / len(spec.delays),
+                         scn.n_antennas, n_quad)
+    return stack, [{delay: stack[i, k] for i, delay in enumerate(spec.delays)}
+                   for k in range(spec.n_users)]
 
 
 @dataclass(frozen=True)
@@ -186,19 +202,21 @@ class FixedCovariances:
 
     They are the same at every shifting angle, so a sweep builds them once
     (:func:`fixed_covariances`) and hands them to :func:`build_covariances`
-    at each angle.  ``scenario`` and ``n_quad`` record what they were built
-    from.
+    at each angle, laid out as in :class:`CovarianceSet`.  ``scenario`` and
+    ``n_quad`` record what they were built from.
     """
 
     scenario: Scenario
     n_quad: int
+    stacks: dict[int, np.ndarray]
     ccms: dict[int, list[dict[int, np.ndarray]]]
 
 
 def fixed_covariances(scn: Scenario, n_quad: int = DEFAULT_N_QUAD) -> FixedCovariances:
     """Build the non-mobile groups' CCMs of ``scn`` once, for any phi."""
-    return FixedCovariances(scn, n_quad, {g: _group_ccms(scn, g, n_quad)
-                                          for g, spec in enumerate(scn.groups) if not spec.mobile})
+    built = {g: _group_ccms(scn, g, n_quad) for g, spec in enumerate(scn.groups) if not spec.mobile}
+    return FixedCovariances(scn, n_quad, {g: stack for g, (stack, _) in built.items()},
+                            {g: views for g, (_, views) in built.items()})
 
 
 def build_covariances(scn: Scenario, n_quad: int = DEFAULT_N_QUAD,
@@ -217,9 +235,9 @@ def build_covariances(scn: Scenario, n_quad: int = DEFAULT_N_QUAD,
         if (fixed.scenario.groups is not scn.groups
                 or fixed.scenario.n_antennas != scn.n_antennas or fixed.n_quad != n_quad):
             raise ValueError("fixed covariances were built for another scenario or n_quad")
-        shared = fixed.ccms
-    return CovarianceSet(scn, [shared[g] if g in shared else _group_ccms(scn, g, n_quad)
-                               for g in range(scn.n_groups)])
+        shared = {g: (stack, fixed.ccms[g]) for g, stack in fixed.stacks.items()}
+    built = [shared[g] if g in shared else _group_ccms(scn, g, n_quad) for g in range(scn.n_groups)]
+    return CovarianceSet(scn, [stack for stack, _ in built], [views for _, views in built])
 
 
 @dataclass
@@ -247,9 +265,7 @@ def _group_taps(cov: CovarianceSet, g: int, rngs) -> dict[int, np.ndarray]:
     shape = (len(spec.delays), spec.n_users, 2, m)
     z = np.stack([rng.standard_normal(shape) for rng in rngs])
     z = (z[..., 0, :] + 1j * z[..., 1, :]) / np.sqrt(2.0)
-    sqrts = np.array([[cov.sqrt_factor(g, k, delay) for k in range(spec.n_users)]
-                      for delay in spec.delays])
-    h = np.ascontiguousarray((sqrts @ z[..., None])[..., 0].swapaxes(-1, -2))
+    h = np.ascontiguousarray((cov.factors(g) @ z[..., None])[..., 0].swapaxes(-1, -2))
     return {delay: h[:, i] for i, delay in enumerate(spec.delays)}
 
 

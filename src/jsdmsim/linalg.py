@@ -36,10 +36,8 @@ __all__ = [
     "svd",
 ]
 
-# Relative threshold below which negative eigenvalues of a nominally PSD
-# matrix are treated as quadrature/round-off noise and clipped to zero.
-PSD_CLIP_RTOL = 1e-10
-# Beyond this the matrix is materially indefinite and we refuse.
+# Negative eigenvalues of a nominally PSD matrix down to this fraction of its
+# largest |eigenvalue| are round-off and clipped to zero; beyond it we refuse.
 PSD_FAIL_RTOL = 1e-6
 # A Gauss-Jordan pivot at or below this fraction of its matrix's diagonal
 # entry marks a numerically singular matrix (a rank-deficient Gram matrix
@@ -89,17 +87,28 @@ def _as_complex_matrix(a, name: str) -> np.ndarray:
 
 
 def _require_square(a: np.ndarray, name: str) -> None:
-    if a.shape[0] != a.shape[1]:
+    if a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
 
 
+def _index(at) -> str:
+    """``[i, j]`` naming one matrix of a stack, empty for a lone matrix."""
+    return f"{[int(i) for i in at]}" if len(at) else ""
+
+
 def _symmetrize(a: np.ndarray, name: str) -> np.ndarray:
-    # Absorbs accumulation error; rejects material asymmetry (caller bug).
-    scale = np.linalg.norm(a)
-    asym = np.linalg.norm(a - a.conj().T)
-    if scale > 0 and asym > 1e-6 * scale:
-        raise ValueError(f"{name} is not Hermitian (relative asymmetry {asym / scale:.3e})")
-    return 0.5 * (a + a.conj().T)
+    # Absorbs round-off; rejects material asymmetry (caller bug) in any matrix of a stack.
+    sym = a.conj().swapaxes(-1, -2)
+    scale, asym = (np.sqrt(np.einsum("...ij,...ij->...", x.real, x.real)
+                           + np.einsum("...ij,...ij->...", x.imag, x.imag)) for x in (a, a - sym))
+    bad = asym > 1e-6 * scale
+    if np.any(bad):
+        at = tuple(np.argwhere(bad)[0])
+        raise ValueError(f"{name}{_index(at)} is not Hermitian"
+                         f" (relative asymmetry {asym[at] / scale[at]:.3e})")
+    sym += a
+    sym *= 0.5
+    return sym
 
 
 def fix_phases(v: np.ndarray) -> np.ndarray:
@@ -227,18 +236,23 @@ def qr(a) -> tuple[np.ndarray, np.ndarray]:
 
 
 def psd_sqrt(r) -> np.ndarray:
-    """Hermitian square root V diag(sqrt(lambda)) V^H of a PSD matrix.
+    """Hermitian square roots V diag(sqrt(lambda)) V^H of one PSD matrix or a stack (..., M, M).
 
-    Tiny negative eigenvalues (>= -1e-10 * ||R||, quadrature round-off) are
-    clipped to zero; materially negative ones raise PsdError.
+    Each matrix is checked on its own: not Hermitian to 1e-6 is rejected; an eigenvalue
+    below -1e-6 times its own largest |eigenvalue| raises PsdError, smaller negative ones
+    are clipped to zero.  One ``eigh`` decomposes the stack (the root does not depend on
+    eigenvector phases); each product overwrites its own eigenvectors, so no second stack.
     """
-    r = _as_complex_matrix(r, "R")
+    r = _as_complex_stack(r, "R")
     _require_square(r, "R")
-    dec = hermitian_eig(r)
-    scale = np.abs(dec.values).max() if dec.values.size else 0.0
-    if scale > 0 and dec.values.min() < -PSD_FAIL_RTOL * scale:
-        raise PsdError(
-            f"matrix is not PSD: eigenvalue {dec.values.min():.6e} below -1e-6*||R||"
-        )
-    vals = np.clip(dec.values, 0.0, None)
-    return (dec.vectors * np.sqrt(vals)[np.newaxis, :]) @ dec.vectors.conj().T
+    values, vectors = np.linalg.eigh(_symmetrize(r, "R"))
+    lowest = values.min(axis=-1, initial=0.0)
+    bad = lowest < -PSD_FAIL_RTOL * np.abs(values).max(axis=-1, initial=0.0)
+    if np.any(bad):
+        at = tuple(np.argwhere(bad)[0])
+        raise PsdError(f"R{_index(at)} is not PSD: eigenvalue {lowest[at]:.6e}"
+                       " below -1e-6*||R||")
+    roots = np.sqrt(np.clip(values, 0.0, None))
+    for i in np.ndindex(values.shape[:-1]):
+        vectors[i] = (vectors[i] * roots[i]) @ vectors[i].conj().T
+    return vectors

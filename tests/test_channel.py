@@ -1,10 +1,15 @@
 """Steering vectors, one-ring covariances and correlated channel sampling."""
 
+import tracemalloc
+
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from jsdmsim import build_covariances, ccm_one_ring, sample_channels, steering, steering_matrix
+from jsdmsim.channel import fixed_covariances
 
 from conftest import table1_scenario, two_group_toy
 
@@ -72,6 +77,90 @@ class TestOneRingCcm:
             ccm_one_ring(0.0, -1.0, 1.0, 8)
         with pytest.raises(ValueError):
             ccm_one_ring(0.0, 1.0, 1.0, 8, n_quad=4)
+
+
+def dense_one_ring(mu, delta, power, m, n_quad):
+    """Midpoint-rule oracle: u u^H / n_quad over the quadrature nodes, trace rescaled."""
+    offsets = (np.arange(n_quad) + 0.5) / n_quad - 0.5
+    u = steering_matrix(mu + delta * offsets, m)
+    r = u @ u.conj().T / n_quad
+    return r * (power / np.trace(r).real)
+
+
+class TestToeplitzOneRing:
+    """The one-column Toeplitz build against the dense quadrature it replaces."""
+
+    @hypothesis.seed(20261020)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(mu=st.floats(-90.0, 90.0), delta=st.floats(0.0, 10.0, exclude_min=True),
+           power=st.floats(1e-3, 1e3), m=st.integers(1, 160), n_quad=st.integers(8, 400))
+    def test_matches_dense_oracle(self, mu, delta, power, m, n_quad):
+        r = ccm_one_ring(mu, delta, power, m, n_quad)
+        oracle = dense_one_ring(mu, delta, power, m, n_quad)
+        assert r.shape == (m, m)
+        assert np.linalg.norm(r - oracle) <= 1e-12 * np.linalg.norm(oracle)
+        assert np.array_equal(r, r.conj().T)
+
+    @hypothesis.seed(20261021)
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(batch=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+           m=st.integers(1, 48), n_quad=st.integers(8, 64), draw=st.integers(0, 2**31))
+    def test_stack_equals_each_call_bit_for_bit(self, batch, m, n_quad, draw):
+        rng = np.random.default_rng(draw)
+        mu = rng.uniform(-90.0, 90.0, batch)
+        delta = rng.uniform(0.01, 10.0, batch)
+        # power broadcasts along the last batch axis only
+        power = rng.uniform(0.1, 2.0, batch[-1])
+        stack = ccm_one_ring(mu, delta, power, m, n_quad)
+        assert stack.shape == (*batch, m, m)
+        for i in np.ndindex(*batch):
+            assert np.array_equal(stack[i], ccm_one_ring(mu[i], delta[i], power[i[-1]], m,
+                                                         n_quad))
+
+    def test_every_element_checked(self):
+        mu = np.zeros((2, 3))
+        delta = np.ones((2, 3))
+        delta[1, 2] = 0.0
+        with pytest.raises(ValueError, match="spread"):
+            ccm_one_ring(mu, delta, 1.0, 8)
+        with pytest.raises(ValueError, match="power"):
+            ccm_one_ring(mu, 1.0, [1.0, 1.0, -1.0], 8)
+        with pytest.raises(ValueError, match="antenna count"):
+            ccm_one_ring(mu, 1.0, 1.0, 0)
+
+    def test_group_ccms_are_views_into_one_stack(self):
+        scn = table1_scenario(m=16, phi=3.0)
+        cov = build_covariances(scn)
+        for g, spec in enumerate(scn.groups):
+            stack = cov.stacks[g]
+            assert stack.shape == (len(spec.delays), spec.n_users, 16, 16)
+            for k in range(spec.n_users):
+                for i, delay in enumerate(spec.delays):
+                    assert np.shares_memory(cov.ccms[g][k][delay], stack)
+                    assert np.array_equal(cov.ccms[g][k][delay], ccm_one_ring(
+                        scn.effective_aoa(g)[k, i], spec.spread[k, i],
+                        spec.gain[k] / len(spec.delays), 16))
+
+
+class TestOneAngleMemory:
+    def test_peak_at_most_twice_what_is_kept(self):
+        """One table1 angle at 128 antennas: covariances plus every mobile square root."""
+        scn = table1_scenario(m=128)
+        fixed = fixed_covariances(scn)
+        scn_phi = scn.with_phi(10.0)
+        spec = scn_phi.groups[0]
+        tracemalloc.start()
+        try:
+            cov = build_covariances(scn_phi, fixed=fixed)
+            roots = [cov.sqrt_factor(0, k, delay) for k in range(spec.n_users)
+                     for delay in spec.delays]
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(roots) == 6
+        # the mobile CCMs and their roots: 2 x 6 matrices of 128 x 128 complex
+        assert kept >= 2 * 6 * 128 * 128 * 16
+        assert peak <= 2.0 * kept
 
 
 class TestBuildCovariances:
@@ -189,6 +278,20 @@ class TestSampleChannels:
         r2 = cov.ccms[0][1][0]
         sigma = np.sqrt(np.outer(np.diag(r1).real, np.diag(r2).real) / n_draws)
         assert np.all(np.abs(cross) <= 3.0 * sigma)
+
+    def test_one_factor_stack_per_group(self):
+        scn = two_group_toy()
+        cov = build_covariances(scn)
+        factors = cov.factors(0)
+        assert cov.factors(0) is factors
+        spec = scn.groups[0]
+        for k in range(spec.n_users):
+            for i, delay in enumerate(spec.delays):
+                root = cov.sqrt_factor(0, k, delay)
+                assert np.shares_memory(root, factors)
+                assert np.array_equal(root, factors[i, k])
+                r = cov.ccms[0][k][delay]
+                assert np.linalg.norm(root @ root - r) <= 1e-10 * np.linalg.norm(r)
 
     def test_restricted_groups(self):
         cov = build_covariances(two_group_toy())

@@ -6,8 +6,10 @@ import sys
 import zlib
 from pathlib import Path
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import jsdmsim
@@ -233,6 +235,84 @@ class TestPsdSqrt:
     def test_material_negative_rejected(self):
         with pytest.raises(PsdError):
             psd_sqrt(np.diag([1.0, -0.1]))
+
+
+def eigh_root(r):
+    """Oracle square root of one PSD matrix, from its own decomposition."""
+    values, vectors = np.linalg.eigh(r)
+    return (vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.conj().T
+
+
+def psd_stack(rng, batch, n):
+    """Random full-rank PSD matrices of spread-out scales, shape (*batch, n, n)."""
+    stack = np.empty((*batch, n, n), dtype=complex)
+    for i in np.ndindex(*batch):
+        stack[i] = random_psd(rng, n) * 10.0 ** rng.uniform(-3, 3)
+    return stack
+
+
+class TestPsdSqrtStack:
+    """One eigh on the whole stack, every check per matrix."""
+
+    @hypothesis.seed(20261022)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(batch=st.lists(st.integers(1, 3), min_size=1, max_size=3), n=st.integers(1, 24),
+           draw=st.integers(0, 2**31))
+    def test_stack_equals_each_own_root(self, batch, n, draw):
+        stack = psd_stack(np.random.default_rng(draw), batch, n)
+        roots = psd_sqrt(stack)
+        assert roots.shape == stack.shape
+        for i in np.ndindex(*batch):
+            scale = np.linalg.norm(roots[i])
+            assert np.linalg.norm(roots[i] - psd_sqrt(stack[i])) <= 1e-10 * scale
+            assert np.linalg.norm(roots[i] - eigh_root(stack[i])) <= 1e-10 * scale
+            assert (np.linalg.norm(roots[i] @ roots[i] - stack[i])
+                    <= 1e-10 * np.linalg.norm(stack[i]))
+
+    def test_one_indefinite_member_raises(self):
+        stack = psd_stack(np.random.default_rng(1), (2, 3), 6)
+        stack[1, 2] -= 0.1 * np.linalg.eigvalsh(stack[1, 2]).max() * np.eye(6)
+        with pytest.raises(PsdError, match=r"R\[1, 2\] is not PSD"):
+            psd_sqrt(stack)
+
+    def test_definiteness_judged_against_each_matrix_own_scale(self):
+        small = np.diag([1.0, -1e-3])
+        with pytest.raises(PsdError):
+            psd_sqrt(np.stack([1e9 * np.eye(2), small]))
+        tiny = np.diag([1.0, -1e-12])
+        roots = psd_sqrt(np.stack([1e-9 * np.eye(2), tiny]))
+        assert_allclose(roots[1], np.diag([1.0, 0.0]), atol=1e-12)
+
+    def test_one_non_hermitian_member_rejected(self):
+        stack = psd_stack(np.random.default_rng(2), (4,), 5)
+        stack[3, 0, 1] += 1e-3 * np.linalg.norm(stack[3])
+        with pytest.raises(ValueError, match=r"R\[3\] is not Hermitian"):
+            psd_sqrt(stack)
+
+    def test_zero_member_returns_zeros(self):
+        stack = psd_stack(np.random.default_rng(3), (3,), 7)
+        stack[1] = 0.0
+        roots = psd_sqrt(stack)
+        assert np.array_equal(roots[1], np.zeros((7, 7)))
+        for i in (0, 2):
+            assert np.linalg.norm(roots[i] @ roots[i] - stack[i]) <= 1e-10 * np.linalg.norm(
+                stack[i])
+
+    def test_bad_shapes_and_entries(self):
+        with pytest.raises(ValueError, match="square"):
+            psd_sqrt(np.zeros((2, 3, 4)))
+        with pytest.raises(ValueError, match="matrix"):
+            psd_sqrt(np.ones(3))
+        stack = np.stack([np.eye(3), np.eye(3)])
+        stack[1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            psd_sqrt(stack)
+
+    def test_input_not_modified(self):
+        stack = psd_stack(np.random.default_rng(4), (2,), 4)
+        copy = stack.copy()
+        psd_sqrt(stack)
+        assert np.array_equal(stack, copy)
 
 
 def indices_first(a):

@@ -58,3 +58,8 @@ def test_traced_run_resolves_every_traced_name(tmp_path):
     # one link pass per angle, one channel draw per trial block
     assert summary["linksim.ergodic_capacity.calls"] == 1
     assert summary["channel.sample_channels.calls"] == 1
+    # one stacked covariance build per group: the mobile group, the three fixed groups
+    # once per sweep, and the mobile group again for the beampattern angle
+    assert summary["channel.ccm_one_ring.calls"] == 5
+    # one batched square root for the one sampled group at the one angle
+    assert summary["channel.psd_sqrt.calls"] == 1
