@@ -6,6 +6,14 @@ channel through a Kronecker-structured pilot matrix.  LMMSE and (pruned) LS
 estimators operate entirely in reduced dimension.  Other groups never need to
 be synchronized: they enter only through the reduced interference-plus-noise
 covariance, so the estimators are insensitive to their actual sequences.
+
+Only the active (user, delay) pairs carry a channel: a tap outside the
+group's active delays is zero, so it has no block in the model.  The stacked
+effective channel, its covariance R_h (:func:`effective_covariance`), the
+pilot model (:func:`pilot_covariances`), both estimators and :func:`nmse`
+run over the active blocks only, stacked user-major, then active delay in
+the order given, then stream: K * L_active * D entries, not K * taps * D.
+The taps left out are known zeros, so they add no error to the nMSE.
 """
 
 from __future__ import annotations
@@ -129,40 +137,30 @@ def receive_pilots(pilots: PilotBlock, real: ChannelRealization, s: np.ndarray,
     return (s.conj().T @ y).T.reshape(-1)
 
 
-def effective_covariance(cov: CovarianceSet, scn: Scenario, s: np.ndarray,
-                         g: int) -> np.ndarray:
-    """Covariance R_h of the stacked intra-group effective channel after ``s``.
+def effective_covariance(cov: CovarianceSet, s: np.ndarray, g: int) -> np.ndarray:
+    """Covariance R_h of group g's stacked active effective channel after ``s``.
 
-    Stacking is user-major, then delay, then stream: K blocks of size L*D,
-    each itself block-diagonal across delays.
+    Stacking is user-major, then active delay in ``delays`` order, then
+    stream: block-diagonal with one D x D block S^H C S per active (user,
+    delay) CCM C.
     """
     s = np.asarray(s, dtype=complex)
     d = s.shape[1]
-    spec = scn.groups[g]
-    taps = scn.n_taps
-    size = spec.n_users * taps * d
-    r_h = np.zeros((size, size), dtype=complex)
-    for u in range(spec.n_users):
-        for delay in spec.delays:
-            block = s.conj().T @ cov.ccms[g][u][delay] @ s
-            lo = (u * taps + delay) * d
-            r_h[lo:lo + d, lo:lo + d] = 0.5 * (block + block.conj().T)
-    return r_h
+    # (L, K, D, D) reduced CCMs from one batched product, then user-major
+    blocks = (s.conj().T @ cov.stacks[g] @ s).swapaxes(0, 1).reshape(-1, d, d)
+    blocks = 0.5 * (blocks + blocks.conj().swapaxes(-1, -2))
+    n = blocks.shape[0]
+    r_h = np.zeros((n, d, n, d), dtype=complex)
+    r_h[np.arange(n), :, np.arange(n), :] = blocks
+    return r_h.reshape(n * d, n * d)
 
 
 def stack_effective(real: ChannelRealization, s: np.ndarray, g: int) -> np.ndarray:
-    """Stack one realization's intra-group effective channel (user, delay, stream)."""
-    scn = real.scenario
+    """Stack one realization's active intra-group effective channel (user, delay, stream)."""
     s = np.asarray(s, dtype=complex)
-    d = s.shape[1]
-    spec = scn.groups[g]
-    out = np.zeros(spec.n_users * scn.n_taps * d, dtype=complex)
-    for delay, h in real.taps[g].items():
-        eff = s.conj().T @ h
-        for u in range(spec.n_users):
-            lo = (u * scn.n_taps + delay) * d
-            out[lo:lo + d] = eff[:, u]
-    return out
+    # (D, K) per active delay -> (K, L, D)
+    eff = np.stack([s.conj().T @ h for h in real.taps[g].values()])
+    return eff.transpose(2, 0, 1).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -174,17 +172,29 @@ class PilotCovariances:
     tr_h: float
 
 
-def pilot_covariances(pilots: PilotBlock, r_h: np.ndarray,
-                      r_eta_rd: np.ndarray) -> PilotCovariances:
-    """Second-order model of the pilot observation for pilots, R_h and R_eta_rd.
+def _active_columns(pilots: PilotBlock, delays) -> np.ndarray:
+    """The columns of ``pilots.x`` of every user at ``delays``, user-major."""
+    delays = [int(l) for l in delays]
+    taps = pilots.n_taps
+    if any(l < 0 or l >= taps for l in delays):
+        raise ValueError("active delay outside pilot matrix range")
+    if len(set(delays)) != len(delays):
+        raise ValueError("active delays must be distinct")
+    k = pilots.sequences.shape[0]
+    return pilots.x[:, [u * taps + l for u in range(k) for l in delays]]
 
-    ``r_h`` is :func:`effective_covariance` and ``r_eta_rd`` the reduced
-    interference-plus-noise covariance (:func:`statistics.reduce`).
-    :func:`lmmse_estimator` and :func:`nmse` both take the result, so an
-    estimate's nMSE builds it once.
+
+def pilot_covariances(pilots: PilotBlock, delays, r_h: np.ndarray,
+                      r_eta_rd: np.ndarray) -> PilotCovariances:
+    """Second-order model of the pilot observation over the (user, delay) pairs at ``delays``.
+
+    ``r_h`` is :func:`effective_covariance` (stacked over the same ``delays``)
+    and ``r_eta_rd`` the reduced interference-plus-noise covariance
+    (:func:`statistics.reduce`).  :func:`lmmse_estimator` and :func:`nmse`
+    both take the result, so an estimate's nMSE builds it once.
     """
     d = r_eta_rd.shape[0]
-    phi = np.kron(pilots.x, np.eye(d))
+    phi = np.kron(_active_columns(pilots, delays), np.eye(d))
     r_yh = phi @ r_h
     r_y = r_yh @ phi.conj().T + np.kron(np.eye(pilots.length), r_eta_rd)
     return PilotCovariances(0.5 * (r_y + r_y.conj().T), r_yh, np.trace(r_h).real)
@@ -200,35 +210,23 @@ def lmmse_estimator(pc: PilotCovariances) -> np.ndarray:
 
 
 def ls_estimator(pilots: PilotBlock, active_delays, n_streams: int) -> np.ndarray:
-    """Least-squares estimator pruned to the active delays.
+    """Least-squares estimator over the active delays, in their given order.
 
-    Columns of the pilot matrix belonging to inactive taps are removed before
-    inverting the normal equations, then zeroed columns are re-inserted so
-    inactive-tap estimates are exactly zero.  Needs the pruned matrix to have
-    full column rank (roughly T >= K * #active).  ``n_streams`` is the
-    beamformer's output dimension D.
+    Only the pilot matrix's columns of the active taps enter the normal
+    equations, and the estimate has one entry per active (user, delay,
+    stream): the inactive taps are known zeros and get none.  Needs the
+    pruned matrix to have full column rank (roughly T >= K * #active).
+    ``n_streams`` is the beamformer's output dimension D.
     """
-    active = sorted(set(int(l) for l in active_delays))
-    taps = pilots.n_taps
-    if any(l < 0 or l >= taps for l in active):
-        raise ValueError("active delay outside pilot matrix range")
-    k = pilots.sequences.shape[0]
-    keep = [u * taps + l for u in range(k) for l in active]
-    x_p = pilots.x[:, keep]
+    x_p = _active_columns(pilots, active_delays)
     sing = np.linalg.svd(x_p, compute_uv=False)
     if x_p.shape[0] < x_p.shape[1] or sing[-1] <= 1e-10 * sing[0]:
         raise PilotDesignError(
             f"pruned pilot matrix (T={pilots.length}, cols={x_p.shape[1]}) is rank"
             " deficient; increase the pilot length"
         )
-    gram = x_p.conj().T @ x_p
-    core = np.linalg.solve(gram, x_p.conj().T).conj().T
-    d = int(n_streams)
-    z = np.zeros((pilots.length * d, k * taps * d), dtype=complex)
-    z_p = np.kron(core, np.eye(d))
-    for c, col in enumerate(keep):
-        z[:, col * d:(col + 1) * d] = z_p[:, c * d:(c + 1) * d]
-    return z
+    core = np.linalg.solve(x_p.conj().T @ x_p, x_p.conj().T).conj().T
+    return np.kron(core, np.eye(int(n_streams)))
 
 
 def nmse(z: np.ndarray, pc: PilotCovariances) -> float:

@@ -4,6 +4,26 @@ Every decomposition used elsewhere in the package goes through this module so
 that ordering conventions (descending eigenvalues), phase conventions and
 tolerance handling live in one place.  All functions are pure.
 
+Every covariance of the uniform-linear-array model is Hermitian Toeplitz: the
+one-ring CCMs, their sums and the GEB pencil (R_s, R_eta = N_0 I + sum of
+interferer CCMs).  A Hermitian Toeplitz matrix is centro-Hermitian
+(J conj(R) J = R, J the exchange matrix), so the sparse unitary
+
+    Q = [[I, 0, jI], [0, sqrt(2), 0], [J, 0, -jJ]] / sqrt(2)
+
+(the middle row and column only for odd M) maps it to the real symmetric
+W = Q^H R Q with the same eigenvalues, and a real symmetric S back to the
+centro-Hermitian Q S Q^H (Lee, *Centrohermitian and skew-centrohermitian
+matrices*, LAA 1980; Haardt & Nossek, *Unitary ESPRIT*, IEEE TSP 1995).  Q has
+two nonzeros per column, so both maps are O(M^2): each entry combines the
+entries (i, j), (i, M-1-j), (M-1-i, j) and (M-1-i, M-1-j).
+:func:`psd_sqrt` and :func:`generalized_hermitian_eig` take Hermitian
+Toeplitz input and run every decomposition on W in real arithmetic, on one
+path with no complex fallback.  The check is what the map needs: Q^H R Q must
+be real and symmetric to a relative 1e-6 (R Hermitian and centro-Hermitian,
+which every Hermitian Toeplitz matrix is); anything else is rejected, naming
+the matrix of a stack that failed.
+
 Stacks of many small matrices (the per-bin K x K systems of the link layer)
 are inverted by :func:`hermitian_inverse` as elementwise array operations
 along the stack, with the matrix indices first; a LAPACK call per 2 x 2 or
@@ -29,7 +49,6 @@ __all__ = [
     "PsdError",
     "RankError",
     "generalized_hermitian_eig",
-    "hermitian_eig",
     "hermitian_inverse",
     "psd_sqrt",
     "qr",
@@ -39,10 +58,15 @@ __all__ = [
 # Negative eigenvalues of a nominally PSD matrix down to this fraction of its
 # largest |eigenvalue| are round-off and clipped to zero; beyond it we refuse.
 PSD_FAIL_RTOL = 1e-6
+# Q^H R Q of a Hermitian Toeplitz R is real symmetric; a larger relative
+# departure (imaginary part or asymmetry, Frobenius norm) rejects the input.
+TOEPLITZ_RTOL = 1e-6
 # A Gauss-Jordan pivot at or below this fraction of its matrix's diagonal
 # entry marks a numerically singular matrix (a rank-deficient Gram matrix
 # whose round-off leaves a tiny positive pivot).
 PIVOT_RTOL = 1e-12
+
+_SQRT_HALF = np.sqrt(0.5)
 
 
 class DefinitenessError(ValueError):
@@ -96,19 +120,101 @@ def _index(at) -> str:
     return f"{[int(i) for i in at]}" if len(at) else ""
 
 
-def _symmetrize(a: np.ndarray, name: str) -> np.ndarray:
-    # Absorbs round-off; rejects material asymmetry (caller bug) in any matrix of a stack.
-    sym = a.conj().swapaxes(-1, -2)
-    scale, asym = (np.sqrt(np.einsum("...ij,...ij->...", x.real, x.real)
-                           + np.einsum("...ij,...ij->...", x.imag, x.imag)) for x in (a, a - sym))
-    bad = asym > 1e-6 * scale
+def _to_real(r: np.ndarray, name: str) -> np.ndarray:
+    """W = Re(Q^H R Q) of a Hermitian Toeplitz stack, real symmetric, checked per matrix.
+
+    Re(Q^H R Q) = Q^H C Q / 2 with C = R + J conj(R) J, whose last n rows mirror its
+    first k = M - n, so W is gathered from those rows, block by block (first k and
+    last n indices).  Q^H R Q is real symmetric exactly when R is Hermitian and
+    centro-Hermitian, as every Hermitian Toeplitz matrix is.  A matrix whose
+    Q^H R Q departs from that by more than TOEPLITZ_RTOL of its norm is rejected:
+    its imaginary part has norm ||R - J conj(R) J|| / 2, and ||C||^2 +
+    ||R - J conj(R) J||^2 = 4 ||R||^2.  The round-off that remains is absorbed by
+    returning the symmetric part.
+    """
+    r = np.ascontiguousarray(r)
+    m = r.shape[-1]
+    n = m // 2
+    k = m - n
+    c = np.conjugate(r[..., ::-1, ::-1][..., :k, :])
+    c += r[..., :k, :]
+    e, o = c.real, c.imag
+    e_flip, o_flip = e[..., ::-1], o[..., ::-1]
+    w = np.empty(r.shape)
+    np.add(e[..., :k, :k], e_flip[..., :k, :k], out=w[..., :k, :k])
+    np.subtract(o_flip[..., :k, :n], o[..., :k, :n], out=w[..., :k, k:])
+    np.add(o[..., :n, :k], o_flip[..., :n, :k], out=w[..., k:, :k])
+    np.subtract(e[..., :n, :n], e_flip[..., :n, :n], out=w[..., k:, k:])
+    w *= 0.5
+    # odd M: the middle row and column of C pair with themselves, twice Q's sqrt(2)
+    w[..., n:k, :] *= _SQRT_HALF
+    w[..., :, n:k] *= _SQRT_HALF
+
+    def sq(x):
+        return np.einsum("...ij,...ij->...", x, x)
+
+    # squared norms of complex stacks, as real (..., rows, 2 columns) views
+    norm = sq(r.view(np.float64))
+    imag = np.maximum(norm - 0.25 * (sq(c.view(np.float64)) + sq(c[..., :n, :].view(np.float64))),
+                      0.0)
+    del c, e, o, e_flip, o_flip
+    asym = w - w.swapaxes(-1, -2)
+    # ||Y - Re(Y)^T||^2 = ||Re Y - Re Y^T||^2 + ||Im Y||^2 for Y = Q^H R Q, against ||Y||^2
+    defect = np.sqrt(sq(asym) + imag)
+    scale = np.sqrt(norm)
+    bad = defect > TOEPLITZ_RTOL * scale
     if np.any(bad):
         at = tuple(np.argwhere(bad)[0])
-        raise ValueError(f"{name}{_index(at)} is not Hermitian"
-                         f" (relative asymmetry {asym[at] / scale[at]:.3e})")
-    sym += a
-    sym *= 0.5
-    return sym
+        raise ValueError(f"{name}{_index(at)} is not Hermitian Toeplitz"
+                         f" (relative departure {defect[at] / scale[at]:.3e})")
+    asym *= 0.5
+    w -= asym
+    return w
+
+
+def _from_real(w: np.ndarray) -> np.ndarray:
+    """Q W Q^H of a real symmetric stack W: a Hermitian centro-Hermitian stack S.
+
+    The first n rows come from W's blocks (first k = M - n and last n indices),
+    the middle row of odd M from W's middle row, and the last n rows mirror the
+    first: S[M-1-i] = conj(S[i] reversed).
+    """
+    m = w.shape[-1]
+    n = m // 2
+    k = m - n
+    s = np.empty(w.shape, dtype=complex)
+    top = s[..., :n, :]
+    near, far = top[..., :n], top[..., ::-1][..., :n]  # columns j and M-1-j, j < n
+    ss, sd, ds, dd = w[..., :n, :n], w[..., :n, k:], w[..., k:, :n], w[..., k:, k:]
+    np.add(ss, dd, out=near.real)
+    np.subtract(ds, sd, out=near.imag)
+    np.subtract(ss, dd, out=far.real)
+    np.add(sd, ds, out=far.imag)
+    top *= 0.5
+    if k > n:  # odd M: the middle column of the first n rows, and the middle row
+        np.multiply(w[..., :n, n], _SQRT_HALF, out=top[..., n].real)
+        np.multiply(w[..., k:, n], _SQRT_HALF, out=top[..., n].imag)
+        middle = s[..., n, :]
+        np.multiply(w[..., n, :n], _SQRT_HALF, out=middle[..., :n].real)
+        np.multiply(w[..., n, k:], -_SQRT_HALF, out=middle[..., :n].imag)
+        np.conjugate(middle[..., :n][..., ::-1], out=middle[..., k:])
+        middle[..., n] = w[..., n, n]
+    np.conjugate(top[..., ::-1], out=s[..., ::-1, :][..., :n, :])
+    return s
+
+
+def _q_times(x: np.ndarray) -> np.ndarray:
+    """Q x for a real stack x (..., M, N), as a complex stack."""
+    m = x.shape[-2]
+    n = m // 2
+    k = m - n
+    out = np.empty(x.shape, dtype=complex)
+    top = out[..., :n, :]
+    np.multiply(x[..., :n, :], _SQRT_HALF, out=top.real)
+    np.multiply(x[..., k:, :], _SQRT_HALF, out=top.imag)
+    out[..., n:k, :] = x[..., n:k, :]
+    np.conjugate(top, out=out[..., ::-1, :][..., :n, :])
+    return out
 
 
 def fix_phases(v: np.ndarray) -> np.ndarray:
@@ -121,27 +227,16 @@ def fix_phases(v: np.ndarray) -> np.ndarray:
     return v * phase.conj()[np.newaxis, :]
 
 
-def hermitian_eig(a) -> EigDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
-
-    The input is symmetrized as (A + A^H)/2 before decomposition.  Satisfies
-    A v_i = lambda_i v_i with residual <= 1e-8 * ||A|| and mutually
-    orthonormal eigenvectors.
-    """
-    a = _as_complex_matrix(a, "A")
-    _require_square(a, "A")
-    a = _symmetrize(a, "A")
-    values, vectors = np.linalg.eigh(a)
-    order = np.argsort(values)[::-1]
-    return EigDecomposition(values[order].real, fix_phases(vectors[:, order]))
-
-
 def generalized_hermitian_eig(a, b) -> EigDecomposition:
-    """Solve A v = lambda B v for Hermitian A and positive-definite B.
+    """Solve A v = lambda B v for Hermitian Toeplitz A and positive-definite Hermitian Toeplitz B.
 
-    Reduced via the Cholesky factor B = L L^H to a standard Hermitian problem
-    C = L^-1 A L^-H; eigenvalues come back descending, eigenvectors are
-    B-orthogonal and normalized to unit Euclidean norm.
+    Both are mapped to real symmetric W_A, W_B (see the module docstring), and
+    W_B's Cholesky factor L reduces the pencil to the standard real symmetric
+    problem L^-1 W_A L^-T; each of its eigenvectors x gives v = Q L^-T x.
+    Eigenvalues come back descending, eigenvectors are B-orthogonal and
+    normalized to unit Euclidean norm.  Entries i and M-1-i of such a v are
+    complex conjugates, so their magnitudes tie exactly and the phase fix
+    takes the first of them.
     """
     a = _as_complex_matrix(a, "A")
     b = _as_complex_matrix(b, "B")
@@ -149,10 +244,10 @@ def generalized_hermitian_eig(a, b) -> EigDecomposition:
     _require_square(b, "B")
     if a.shape != b.shape:
         raise ValueError(f"A and B must have equal shape, got {a.shape} vs {b.shape}")
-    a = _symmetrize(a, "A")
-    b = _symmetrize(b, "B")
+    w_a = _to_real(a, "A")
+    w_b = _to_real(b, "B")
 
-    b_eigs = np.linalg.eigvalsh(b)
+    b_eigs = np.linalg.eigvalsh(w_b)
     scale = np.abs(b_eigs).max() if b_eigs.size else 0.0
     if b_eigs.size == 0 or b_eigs[0] <= 1e-12 * scale:
         raise DefinitenessError(
@@ -160,14 +255,12 @@ def generalized_hermitian_eig(a, b) -> EigDecomposition:
             f" (largest {scale:.6e})"
         )
 
-    chol = np.linalg.cholesky(b)
-    # C = L^-1 A L^-H via two solves (numpy's LU; see the module docstring).
-    tmp = np.linalg.solve(chol, a)
-    c = np.linalg.solve(chol, tmp.conj().T).conj().T
-    dec = hermitian_eig(c)
-    vectors = np.linalg.solve(chol.conj().T, dec.vectors)
+    # L^-1 from numpy's LU (see the module docstring), applied by three products
+    inv = np.linalg.inv(np.linalg.cholesky(w_b))
+    values, vectors = np.linalg.eigh(inv @ w_a @ inv.T)
+    vectors = inv.T @ vectors[:, ::-1]
     vectors /= np.linalg.norm(vectors, axis=0, keepdims=True)
-    return EigDecomposition(dec.values, fix_phases(vectors))
+    return EigDecomposition(values[::-1].copy(), fix_phases(_q_times(vectors)))
 
 
 def hermitian_inverse(a) -> tuple[np.ndarray, np.ndarray]:
@@ -236,16 +329,16 @@ def qr(a) -> tuple[np.ndarray, np.ndarray]:
 
 
 def psd_sqrt(r) -> np.ndarray:
-    """Hermitian square roots V diag(sqrt(lambda)) V^H of one PSD matrix or a stack (..., M, M).
+    """Hermitian square roots Q V diag(sqrt(lambda)) V^T Q^H of one PSD Hermitian Toeplitz matrix
+    or a stack (..., M, M), from one real ``eigh`` of the stack's W = Q^H R Q.
 
-    Each matrix is checked on its own: not Hermitian to 1e-6 is rejected; an eigenvalue
-    below -1e-6 times its own largest |eigenvalue| raises PsdError, smaller negative ones
-    are clipped to zero.  One ``eigh`` decomposes the stack (the root does not depend on
-    eigenvector phases); each product overwrites its own eigenvectors, so no second stack.
+    Each matrix is checked on its own: not Hermitian Toeplitz to 1e-6 is rejected; an
+    eigenvalue below -1e-6 times its own largest |eigenvalue| raises PsdError, smaller
+    negative ones are clipped to zero.  Each real product overwrites its own eigenvectors.
     """
     r = _as_complex_stack(r, "R")
     _require_square(r, "R")
-    values, vectors = np.linalg.eigh(_symmetrize(r, "R"))
+    values, vectors = np.linalg.eigh(_to_real(r, "R"))
     lowest = values.min(axis=-1, initial=0.0)
     bad = lowest < -PSD_FAIL_RTOL * np.abs(values).max(axis=-1, initial=0.0)
     if np.any(bad):
@@ -254,5 +347,5 @@ def psd_sqrt(r) -> np.ndarray:
                        " below -1e-6*||R||")
     roots = np.sqrt(np.clip(values, 0.0, None))
     for i in np.ndindex(values.shape[:-1]):
-        vectors[i] = (vectors[i] * roots[i]) @ vectors[i].conj().T
-    return vectors
+        vectors[i] = (vectors[i] * roots[i]) @ vectors[i].T
+    return _from_real(vectors)

@@ -46,10 +46,13 @@ COMBINER_NAMES = ("zf", "lmmse")
 
 # Trials per stacked link evaluation.  On table1 at 32 antennas with 200
 # trials, the link pass runs equally fast with blocks of 16 to 200 trials
-# (about 0.15 s for two angles; 0.24 s at 8 and 0.35 s at 4 trials), while
-# the sweep's traced peak memory grows with the block: 2.2 MB at 16 trials,
-# 4.2 MB at 64, 11.7 MB for all 200 at once.
-_TRIAL_BLOCK = 16
+# (about 0.15 s for two angles; 0.24 s at 8 and 0.35 s at 4 trials); at 128
+# antennas (the 11-angle full-scale table1 sweep) blocks of 64 run about 10%
+# faster than blocks of 16.  The 32-antenna two-angle sweep's traced peak
+# memory grows with the block: 1.7 MB at 16 trials, 4.2 MB at 64, 11.7 MB for
+# all 200 at once.  Trial t always draws from [seed, t], so the block size
+# leaves every result bit for bit unchanged.
+_TRIAL_BLOCK = 64
 
 
 @dataclass(frozen=True)

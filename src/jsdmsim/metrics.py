@@ -254,7 +254,7 @@ def _evaluate_phi(fixed: FixedCovariances, phi: float, phi_index: int,
             score = expected_sinr(stats, s_eff)
             est_nmse = None
             if cfg.estimator != "none":
-                est_nmse = _estimation_nmse(scn_phi, cov, stats, s_eff, cfg, phi_index)
+                est_nmse = _estimation_nmse(cov, stats, s_eff, cfg, phi_index)
         except ANGLE_ERRORS as exc:
             failed[name] = exc
             continue
@@ -275,17 +275,19 @@ def _evaluate_phi(fixed: FixedCovariances, phi: float, phi_index: int,
     return records
 
 
-def _estimation_nmse(scn: Scenario, cov, stats, s_eff: np.ndarray, cfg: SweepSettings,
+def _estimation_nmse(cov: CovarianceSet, stats, s_eff: np.ndarray, cfg: SweepSettings,
                      phi_index: int) -> float:
+    scn = cov.scenario
+    delays = scn.groups[cfg.group].delays
     pilots = chanest.build_pilots(scn, cfg.group, cfg.pilot_length,
                                   _derived_seed(cfg.seed, phi_index, 3),
                                   energy=cfg.pilot_energy)
-    r_h = chanest.effective_covariance(cov, scn, s_eff, cfg.group)
-    pc = chanest.pilot_covariances(pilots, r_h, reduce(stats, s_eff))
+    r_h = chanest.effective_covariance(cov, s_eff, cfg.group)
+    pc = chanest.pilot_covariances(pilots, delays, r_h, reduce(stats, s_eff))
     if cfg.estimator == "lmmse":
         z = chanest.lmmse_estimator(pc)
     else:
-        z = chanest.ls_estimator(pilots, scn.groups[cfg.group].delays, s_eff.shape[1])
+        z = chanest.ls_estimator(pilots, delays, s_eff.shape[1])
     return chanest.nmse(z, pc)
 
 

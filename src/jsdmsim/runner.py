@@ -21,7 +21,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .channel import steering_matrix
@@ -82,8 +81,7 @@ def run(cfg: ExperimentConfig, out_dir, seed: int | None = None, db: bool = Fals
         "failures": failures,
         "partial": bool(failures),
         "exit_code": 2 if failures else 0,
-        "versions": {"jsdmsim": __version__, "numpy": np.__version__,
-                     "scipy": scipy.__version__},
+        "versions": {"jsdmsim": __version__, "numpy": np.__version__},
         "wall_time_s": round(time.monotonic() - t0, 3),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")

@@ -84,11 +84,29 @@ def random_hermitian(rng, n):
     return 0.5 * (z + z.conj().T)
 
 
-def random_psd(rng, n, rank=None):
+def toeplitz_from_column(col):
+    """The Hermitian Toeplitz matrix whose first column is ``col`` (col[0] made real)."""
+    col = np.array(col, dtype=complex)
+    col[0] = col[0].real
+    lag = np.subtract.outer(np.arange(col.size), np.arange(col.size))
+    return np.where(lag >= 0, col[np.abs(lag)], col[np.abs(lag)].conj())
+
+
+def random_toeplitz(rng, n):
+    """Random Hermitian Toeplitz matrix, in general indefinite."""
+    return toeplitz_from_column(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+def random_toeplitz_psd(rng, n, rank=None):
+    """Hermitian Toeplitz PSD matrix: ``rank`` weighted unit-modulus steering outer products.
+
+    Rank min(rank, n) at distinct random angles; ``rank`` defaults to n.
+    """
     rank = n if rank is None else rank
-    z = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
-    return z @ z.conj().T / rank
+    u = np.exp(1j * np.pi * np.outer(np.arange(n), np.sin(rng.uniform(-np.pi / 2, np.pi / 2,
+                                                                      rank))))
+    return (u * rng.uniform(0.5, 1.5, rank)) @ u.conj().T * (2.0 / rank)
 
 
-def random_pd(rng, n):
-    return random_psd(rng, n) + 0.1 * np.eye(n)
+def random_toeplitz_pd(rng, n):
+    return random_toeplitz_psd(rng, n) + 0.1 * np.eye(n)

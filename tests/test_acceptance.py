@@ -321,7 +321,7 @@ def test_criterion_12_nmse_grid():
     stats = group_statistics(cov, scn, 0)
     geb = compute_geb(stats, 4)
     rd = reduce(stats, geb.s)
-    r_h = chanest.effective_covariance(cov, scn, geb.s, 0)
+    r_h = chanest.effective_covariance(cov, geb.s, 0)
     t_grid = (8, 12, 16, 24)
     e_grid = (0.5, 2.0, 8.0, 32.0)
     lm = np.zeros((4, 4))
@@ -329,7 +329,7 @@ def test_criterion_12_nmse_grid():
     for a, t_len in enumerate(t_grid):
         for b, energy in enumerate(e_grid):
             pilots = chanest.build_pilots(scn, 0, t_len, seed=[5, t_len], energy=energy)
-            pc = chanest.pilot_covariances(pilots, r_h, rd)
+            pc = chanest.pilot_covariances(pilots, scn.groups[0].delays, r_h, rd)
             lm[a, b] = chanest.nmse(chanest.lmmse_estimator(pc), pc)
             ls[a, b] = chanest.nmse(chanest.ls_estimator(pilots, scn.groups[0].delays, 4), pc)
     assert np.all(lm <= ls), "LMMSE must not lose to LS anywhere on the grid"
@@ -338,7 +338,7 @@ def test_criterion_12_nmse_grid():
 
     # closed form against Monte Carlo at one grid point
     pilots = chanest.build_pilots(scn, 0, 8, seed=[5, 8], energy=2.0)
-    pc = chanest.pilot_covariances(pilots, r_h, rd)
+    pc = chanest.pilot_covariances(pilots, scn.groups[0].delays, r_h, rd)
     z = chanest.lmmse_estimator(pc)
     closed = chanest.nmse(z, pc)
     err = ref = 0.0

@@ -95,8 +95,8 @@ class TestReceivePilots:
         geb = compute_geb(stats, 2)
         rd = reduce(stats, geb.s)
         pilots = build_pilots(scn, 0, 4, seed=11)
-        r_h = effective_covariance(cov, scn, geb.s, 0)
-        r_y = pilot_covariances(pilots, r_h, rd).r_y
+        r_h = effective_covariance(cov, geb.s, 0)
+        r_y = pilot_covariances(pilots, scn.groups[0].delays, r_h, rd).r_y
         draws = 8000
         dim = pilots.length * 2
         acc = np.zeros((dim, dim), dtype=complex)
@@ -122,9 +122,10 @@ class TestLmmseEstimator:
     def test_zero_prior_gives_zero_estimator(self):
         scn = sparse_single_group()
         pilots = build_pilots(scn, 0, 6, seed=1)
-        size = 1 * scn.n_taps * 2
+        size = 1 * len(scn.groups[0].delays) * 2
         r_h = np.zeros((size, size), dtype=complex)
-        z = lmmse_estimator(pilot_covariances(pilots, r_h, np.eye(2, dtype=complex)))
+        z = lmmse_estimator(pilot_covariances(pilots, scn.groups[0].delays, r_h,
+                                              np.eye(2, dtype=complex)))
         assert np.max(np.abs(z)) <= 1e-14
 
     def test_scalar_toy_hand_formula(self):
@@ -135,7 +136,8 @@ class TestLmmseEstimator:
         s = np.array([[1.0], [0.0], [0.0]], dtype=complex)
         rho = (s.conj().T @ build_covariances(scn).ccms[0][0][0] @ s)[0, 0].real
         r_h = np.array([[rho]], dtype=complex)
-        z = lmmse_estimator(pilot_covariances(pilots, r_h, np.array([[0.25]], dtype=complex)))
+        z = lmmse_estimator(pilot_covariances(pilots, (0,), r_h,
+                                              np.array([[0.25]], dtype=complex)))
         x = pilots.x[0, 0]
         assert_allclose(z[0, 0], x * rho / (abs(x) ** 2 * rho + 0.25), rtol=1e-12)
 
@@ -150,8 +152,8 @@ class TestLmmseEstimator:
         stats = group_statistics(cov, scn, 0)
         geb = compute_geb(stats, 2)
         rd = reduce(stats, geb.s)
-        r_h = effective_covariance(cov, scn, geb.s, 0)
-        z_lm = lmmse_estimator(pilot_covariances(pilots, r_h, rd))
+        r_h = effective_covariance(cov, geb.s, 0)
+        z_lm = lmmse_estimator(pilot_covariances(pilots, scn.groups[0].delays, r_h, rd))
         z_ls = ls_estimator(pilots, scn.groups[0].delays, 2)
         real = sample_channels(cov, 5)
         ybar = receive_pilots(pilots, real, geb.s, scn, seed=6)
@@ -174,6 +176,8 @@ class TestLsEstimator:
         assert_allclose(est, truth, atol=1e-10)
 
     def test_inactive_taps_estimated_exactly_zero(self):
+        # the inactive taps are known zeros: the estimate has entries for the
+        # active (delay, stream) pairs only, from the pruned normal equations
         scn = sparse_single_group(m=5, taps=6, delays=(0, 2))
         cov = build_covariances(scn)
         real = sample_channels(cov, 7)
@@ -181,9 +185,12 @@ class TestLsEstimator:
         s = random_orthonormal(rng, 5, 2)
         pilots = build_pilots(scn, 0, 8, seed=9)
         z = ls_estimator(pilots, (0, 2), 2)
-        est = z.conj().T @ receive_pilots(pilots, real, s, scn, seed=10)
-        est = est.reshape(6, 2)  # (delay, stream) for the single user
-        assert np.array_equal(est[[1, 3, 4, 5]], np.zeros((4, 2), dtype=complex))
+        ybar = receive_pilots(pilots, real, s, scn, seed=10)
+        est = z.conj().T @ ybar
+        assert est.shape == (2 * 2,)  # (active delay, stream) for the single user
+        x_p = pilots.x[:, [0, 2]]
+        ref = np.linalg.lstsq(x_p, ybar.reshape(8, 2), rcond=None)[0]
+        assert_allclose(est.reshape(2, 2), ref, atol=1e-12 * np.abs(ref).max())
 
     def test_pruning_beats_full_ls(self):
         scn = sparse_single_group(m=4, taps=8, delays=(0, 3), users=1, noise=0.5)
@@ -191,13 +198,18 @@ class TestLsEstimator:
         stats = group_statistics(cov, scn, 0)
         geb = compute_geb(stats, 2)
         rd = reduce(stats, geb.s)
-        r_h = effective_covariance(cov, scn, geb.s, 0)
+        r_h = effective_covariance(cov, geb.s, 0)
+        # the same covariance over all 8 taps: zero blocks at the inactive ones
+        r_full = np.zeros((8, 2, 8, 2), dtype=complex)
+        r_full[[0, 3], :, [0, 3], :] = r_h.reshape(2, 2, 2, 2)[[0, 1], :, [0, 1], :]
+        r_full = r_full.reshape(16, 16)
         wins = 0
         for seed in range(100):
             pilots = build_pilots(scn, 0, 8, seed=seed)  # T = L: square full system
-            pc = pilot_covariances(pilots, r_h, rd)
+            pc = pilot_covariances(pilots, (0, 3), r_h, rd)
             pruned = nmse(ls_estimator(pilots, (0, 3), 2), pc)
-            full = nmse(ls_estimator(pilots, range(8), 2), pc)
+            pc_full = pilot_covariances(pilots, range(8), r_full, rd)
+            full = nmse(ls_estimator(pilots, range(8), 2), pc_full)
             wins += pruned < full
         assert wins == 100
 
@@ -215,25 +227,27 @@ class TestNmse:
         stats = group_statistics(cov, scn, 0)
         geb = compute_geb(stats, 3)
         rd = reduce(stats, geb.s)
-        r_h = effective_covariance(cov, scn, geb.s, 0)
+        r_h = effective_covariance(cov, geb.s, 0)
         return scn, cov, geb, rd, r_h
 
-    @staticmethod
-    def lmmse_nmse(pilots, r_h, rd):
-        pc = pilot_covariances(pilots, r_h, rd)
+    DELAYS = two_group_toy().groups[0].delays
+
+    def lmmse_nmse(self, pilots, r_h, rd):
+        pc = pilot_covariances(pilots, self.DELAYS, r_h, rd)
         return nmse(lmmse_estimator(pc), pc)
 
     def test_zero_estimator_gives_one(self):
         scn, _, geb, rd, r_h = self.toy()
         pilots = build_pilots(scn, 0, 6, seed=1)
         z = np.zeros((6 * 3, r_h.shape[0]), dtype=complex)
-        assert nmse(z, pilot_covariances(pilots, r_h, rd)) == pytest.approx(1.0)
+        pc = pilot_covariances(pilots, scn.groups[0].delays, r_h, rd)
+        assert nmse(z, pc) == pytest.approx(1.0)
 
     def test_lmmse_below_ls(self):
         scn, _, geb, rd, r_h = self.toy()
         for t_len in (8, 16, 32):
             pilots = build_pilots(scn, 0, t_len, seed=2)
-            pc = pilot_covariances(pilots, r_h, rd)
+            pc = pilot_covariances(pilots, scn.groups[0].delays, r_h, rd)
             v_lm = nmse(lmmse_estimator(pc), pc)
             v_ls = nmse(ls_estimator(pilots, scn.groups[0].delays, 3), pc)
             assert v_lm <= v_ls
@@ -246,7 +260,7 @@ class TestNmse:
     def test_closed_form_matches_monte_carlo(self):
         scn, cov, geb, rd, r_h = self.toy()
         pilots = build_pilots(scn, 0, 8, seed=4)
-        pc = pilot_covariances(pilots, r_h, rd)
+        pc = pilot_covariances(pilots, scn.groups[0].delays, r_h, rd)
         z = lmmse_estimator(pc)
         closed = nmse(z, pc)
         err = 0.0
@@ -277,10 +291,34 @@ class TestNmse:
             values.append(self.lmmse_nmse(pilots, r_h, rd))
         assert np.all(np.diff(values) < 0)
 
+    def test_active_blocks_equal_dense_model(self):
+        # the model over every tap, with zero blocks at the inactive ones, gives the
+        # same LMMSE and LS nMSE as the model over the active blocks alone
+        scn, _, geb, rd, r_h = self.toy()
+        delays, taps, users, d = self.DELAYS, scn.n_taps, scn.groups[0].n_users, 3
+        n = users * len(delays)
+        active = [u * taps + l for u in range(users) for l in delays]
+        dense = np.zeros((users * taps, d, users * taps, d), dtype=complex)
+        dense[np.ix_(active, range(d), active, range(d))] = r_h.reshape(n, d, n, d)
+        dense = dense.reshape(users * taps * d, -1)
+        columns = (np.array(active)[:, None] * d + np.arange(d)).ravel()
+        for seed in range(3):
+            pilots = build_pilots(scn, 0, 8, seed=seed)
+            pc = pilot_covariances(pilots, delays, r_h, rd)
+            pc_dense = pilot_covariances(pilots, range(taps), dense, rd)
+            assert_allclose(pc_dense.r_y, pc.r_y, rtol=0, atol=1e-12 * np.abs(pc.r_y).max())
+            lm, lm_dense = nmse(lmmse_estimator(pc), pc), nmse(lmmse_estimator(pc_dense), pc_dense)
+            z_ls = ls_estimator(pilots, delays, d)
+            z_dense = np.zeros((8 * d, users * taps * d), dtype=complex)
+            z_dense[:, columns] = z_ls
+            ls, ls_dense = nmse(z_ls, pc), nmse(z_dense, pc_dense)
+            assert lm == pytest.approx(lm_dense, rel=1e-12)
+            assert ls == pytest.approx(ls_dense, rel=1e-12)
+
     def test_zero_trace_rejected(self):
         scn, _, geb, rd, r_h = self.toy()
         pilots = build_pilots(scn, 0, 4, seed=7)
-        empty = pilot_covariances(pilots, np.zeros_like(r_h), rd)
+        empty = pilot_covariances(pilots, scn.groups[0].delays, np.zeros_like(r_h), rd)
         with pytest.raises(ValueError, match="trace"):
             nmse(np.zeros((4 * 3, r_h.shape[0]), dtype=complex), empty)
 
@@ -296,9 +334,9 @@ class TestOtherGroupRobustness:
         stats = group_statistics(cov, scn, 0)
         geb = compute_geb(stats, 4)
         rd = reduce(stats, geb.s)
-        r_h = effective_covariance(cov, scn, geb.s, 0)
+        r_h = effective_covariance(cov, geb.s, 0)
         pilots = build_pilots(scn, 0, 8, seed=8)
-        pc = pilot_covariances(pilots, r_h, rd)
+        pc = pilot_covariances(pilots, scn.groups[0].delays, r_h, rd)
         z = lmmse_estimator(pc)
         closed = nmse(z, pc)
 

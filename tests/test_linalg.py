@@ -18,40 +18,52 @@ from jsdmsim.linalg import (
     DefinitenessError,
     PsdError,
     RankError,
+    _from_real,
+    _q_times,
+    _to_real,
     generalized_hermitian_eig,
-    hermitian_eig,
     hermitian_inverse,
     psd_sqrt,
     qr,
     svd,
 )
 
-from conftest import random_hermitian, random_pd, random_psd
+from conftest import (random_hermitian, random_toeplitz, random_toeplitz_pd, random_toeplitz_psd,
+                      toeplitz_from_column)
+
+
+def standard_eig(a):
+    """The standard problem A v = lambda v, as the pencil (A, I)."""
+    a = np.asarray(a)
+    return generalized_hermitian_eig(a, np.eye(a.shape[-1]))
 
 
 class TestHermitianEig:
+    """The standard Hermitian Toeplitz eigenproblem, solved as the pencil (A, I)."""
+
     def test_identity(self):
-        dec = hermitian_eig(np.eye(2))
+        dec = standard_eig(np.eye(2))
         assert_allclose(dec.values, [1.0, 1.0])
         assert_allclose(dec.vectors.conj().T @ dec.vectors, np.eye(2), atol=1e-12)
 
     def test_diagonal(self):
-        dec = hermitian_eig(np.diag([3.0, 1.0]))
+        # eigenvalues 3 and 1 with eigenvectors (1, 1) and (1, -1)
+        dec = standard_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert_allclose(dec.values, [3.0, 1.0])
-        # columns equal e1, e2 up to phase
-        assert_allclose(np.abs(dec.vectors), np.eye(2), atol=1e-12)
+        assert_allclose(np.abs(dec.vectors), np.full((2, 2), np.sqrt(0.5)), atol=1e-12)
+        assert_allclose(np.abs(np.vdot(dec.vectors[:, 0], [1.0, 1.0])), np.sqrt(2.0), atol=1e-12)
 
     def test_random_reconstruction(self):
         rng = np.random.default_rng(11)
-        a = random_hermitian(rng, 5)
-        dec = hermitian_eig(a)
+        a = random_toeplitz(rng, 5)
+        dec = standard_eig(a)
         rebuilt = (dec.vectors * dec.values) @ dec.vectors.conj().T
         assert np.linalg.norm(rebuilt - a) <= 1e-9
 
     def test_residual_and_orthonormality(self):
         rng = np.random.default_rng(12)
-        a = random_hermitian(rng, 24)
-        dec = hermitian_eig(a)
+        a = random_toeplitz(rng, 24)
+        dec = standard_eig(a)
         res = np.linalg.norm(a @ dec.vectors - dec.vectors * dec.values)
         assert res <= 1e-8 * np.linalg.norm(a)
         assert_allclose(dec.vectors.conj().T @ dec.vectors, np.eye(24), atol=1e-10)
@@ -59,64 +71,68 @@ class TestHermitianEig:
 
     def test_nonsquare_rejected(self):
         with pytest.raises(ValueError, match="square"):
-            hermitian_eig(np.ones((2, 3)))
+            generalized_hermitian_eig(np.ones((2, 3)), np.eye(2))
 
     def test_nonfinite_rejected(self):
         a = np.eye(3, dtype=complex)
         a[0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            hermitian_eig(a)
+            standard_eig(a)
 
 
 class TestGeneralizedEig:
     def test_identity_b_reduces_to_standard(self):
         rng = np.random.default_rng(21)
-        a = random_hermitian(rng, 6)
+        a = random_toeplitz(rng, 6)
         gen = generalized_hermitian_eig(a, np.eye(6))
-        std = hermitian_eig(a)
-        assert_allclose(gen.values, std.values, atol=1e-10)
+        assert_allclose(gen.values, np.linalg.eigvalsh(a)[::-1], atol=1e-10)
 
     def test_analytic_2x2(self):
-        dec = generalized_hermitian_eig(np.diag([2.0, 1.0]), np.diag([1.0, 2.0]))
-        assert_allclose(dec.values, [2.0, 0.5], atol=1e-12)
+        # commuting pair: A has eigenvalues 3, 1 and B 1, 3 on (1, 1) and (1, -1)
+        dec = generalized_hermitian_eig(np.array([[2.0, 1.0], [1.0, 2.0]]),
+                                        np.array([[2.0, -1.0], [-1.0, 2.0]]))
+        assert_allclose(dec.values, [3.0, 1.0 / 3.0], atol=1e-12)
 
     def test_residual(self):
         rng = np.random.default_rng(22)
-        a = random_psd(rng, 4)
-        b = random_pd(rng, 4)
+        a = random_toeplitz_psd(rng, 4)
+        b = random_toeplitz_pd(rng, 4)
         dec = generalized_hermitian_eig(a, b)
         res = np.linalg.norm(a @ dec.vectors - (b @ dec.vectors) * dec.values)
         assert res <= 1e-8 * (np.linalg.norm(a) + np.linalg.norm(b))
         assert_allclose(np.linalg.norm(dec.vectors, axis=0), np.ones(4), atol=1e-10)
 
     def test_congruence_invariance(self):
+        # the congruences that keep Toeplitz structure: T = c diag(exp(j w k)) J^p
         rng = np.random.default_rng(23)
         for _ in range(20):
             n = int(rng.integers(2, 12))
-            a = random_hermitian(rng, n)
-            b = random_pd(rng, n)
-            t = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            t += n * np.eye(n)  # keep it comfortably invertible
+            a = random_toeplitz(rng, n)
+            b = random_toeplitz_pd(rng, n)
+            c = complex(rng.uniform(0.2, 5.0) * np.exp(2j * np.pi * rng.uniform()))
+            t = c * np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi) * np.arange(n)))
+            if rng.integers(2):
+                t = t[:, ::-1]
             base = generalized_hermitian_eig(a, b).values
             moved = generalized_hermitian_eig(t.conj().T @ a @ t, t.conj().T @ b @ t).values
             assert_allclose(moved, base, rtol=1e-6, atol=1e-9 * max(1.0, np.abs(base).max()))
 
     def test_indefinite_b_rejected(self):
+        # B has eigenvalues 1.25 and -0.75
         with pytest.raises(DefinitenessError, match="eigenvalue"):
-            generalized_hermitian_eig(np.eye(2), np.diag([1.0, -0.5]))
+            generalized_hermitian_eig(np.eye(2), np.array([[0.25, 1.0], [1.0, 0.25]]))
 
     def test_pivoting_pencil_matches_scipy(self):
-        # Cholesky factor with |L_ij| > L_jj below the diagonal: an LU solve
-        # with partial pivoting swaps rows where a triangular solve would not
+        # a strongly correlated B: below the diagonal its Cholesky factor (and
+        # that of its real image W_B) has |L_ij| > L_jj, where the LU behind
+        # numpy's inverse of L swaps rows and a triangular solve would not
         sla = pytest.importorskip("scipy.linalg")
         rng = np.random.default_rng(0)
         m = 6
-        low = np.tril(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)), -1)
-        low += np.diag(rng.uniform(0.5, 1.0, m))
-        b = low @ low.conj().T
-        chol = np.linalg.cholesky(b)
-        assert np.any(np.abs(np.tril(chol, -1)) > np.diag(chol).real[None, :])
-        a = random_hermitian(rng, m)
+        b = ccm_one_ring(20.0, 10.0, 1.0, m) + 0.01 * np.eye(m)
+        for factor in (np.linalg.cholesky(b), np.linalg.cholesky(_to_real(b, "B"))):
+            assert np.any(np.abs(np.tril(factor, -1)) > np.abs(np.diag(factor))[None, :])
+        a = random_toeplitz(rng, m)
         dec = generalized_hermitian_eig(a, b)
         values, vectors = sla.eigh(a, b)
         values, vectors = values[::-1], vectors[:, ::-1]
@@ -131,12 +147,13 @@ class TestGeneralizedEig:
     def test_singular_psd_b_rejected(self):
         rng = np.random.default_rng(25)
         with pytest.raises(DefinitenessError, match="eigenvalue"):
-            generalized_hermitian_eig(np.eye(5), random_psd(rng, 5, rank=3))
+            generalized_hermitian_eig(np.eye(5), random_toeplitz_psd(rng, 5, rank=3))
 
 
 def test_package_never_loads_scipy_linalg():
     # numpy and scipy each bundle an OpenBLAS with its own thread pool; the
-    # package keeps to numpy's, so a sweep must not import scipy.linalg
+    # package keeps to numpy's, so neither importing the runner nor a sweep
+    # may load any part of scipy
     script = """
 import sys
 import numpy as np
@@ -151,14 +168,14 @@ settings = SweepSettings(group=0, beamformers=("geb", "dft", "pe-am"), combiners
                          trials=2, block_length=16, seed=1)
 result = phi_sweep(Scenario(16, 4, 1.0, groups), [0.0, 5.0], settings)
 assert not result.errors(), result.errors()
-print("scipy.linalg" in sys.modules)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
     src = str(Path(jsdmsim.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=env, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 class TestSvd:
@@ -220,7 +237,9 @@ class TestPsdSqrt:
         assert_allclose(psd_sqrt(np.eye(3)), np.eye(3), atol=1e-12)
 
     def test_diagonal(self):
-        assert_allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-12)
+        # eigenvalues 9 and 4 on (1, 1) and (1, -1): the root has 3 and 2 there
+        r = np.array([[6.5, 2.5], [2.5, 6.5]])
+        assert_allclose(psd_sqrt(r), [[2.5, 0.5], [0.5, 2.5]], atol=1e-12)
 
     def test_one_ring_square(self):
         r = ccm_one_ring(12.0, 2.0, 0.7, 24)
@@ -228,13 +247,91 @@ class TestPsdSqrt:
         assert np.linalg.norm(root @ root.conj().T - r) <= 1e-8 * np.linalg.norm(r)
 
     def test_tiny_negative_clipped(self):
-        r = np.diag([1.0, -1e-12])
-        root = psd_sqrt(r)
-        assert_allclose(root, np.diag([1.0, 0.0]), atol=1e-10)
+        root = psd_sqrt(two_by_two(1.0, -1e-12))
+        assert_allclose(root, np.full((2, 2), 0.5), atol=1e-10)
 
     def test_material_negative_rejected(self):
         with pytest.raises(PsdError):
-            psd_sqrt(np.diag([1.0, -0.1]))
+            psd_sqrt(two_by_two(1.0, -0.1))
+
+
+def two_by_two(first, second):
+    """The 2 x 2 Hermitian Toeplitz matrix with eigenvalues ``first`` on (1, 1) and ``second``
+    on (1, -1)."""
+    return toeplitz_from_column([0.5 * (first + second), 0.5 * (first - second)]).real
+
+
+class TestToeplitzTransform:
+    """The sparse unitary Q and the real symmetric image W = Q^H R Q of Hermitian Toeplitz R."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 16, 17, 128])
+    def test_q_unitary_and_image_real_symmetric(self, m):
+        q = _q_times(np.eye(m))
+        assert np.linalg.norm(q.conj().T @ q - np.eye(m)) <= 1e-14 * m
+        # two nonzeros per column, one in the middle column of odd M
+        assert np.count_nonzero(q) == 2 * m - m % 2
+        rng = np.random.default_rng(m)
+        stack = np.stack([[random_toeplitz(rng, m) for _ in range(3)] for _ in range(2)])
+        w = _to_real(stack, "R")
+        assert w.dtype == np.float64 and w.shape == stack.shape
+        assert np.array_equal(w, w.swapaxes(-1, -2))
+        dense = q.conj().T @ stack @ q
+        scale = np.linalg.norm(stack, axis=(-2, -1))[..., None, None]
+        assert np.all(np.abs(dense.imag) <= 1e-13 * scale)
+        assert np.all(np.abs(w - dense.real) <= 1e-13 * scale)
+        assert_allclose(np.linalg.eigvalsh(w), np.linalg.eigvalsh(stack), atol=1e-12 * scale.max())
+        assert np.all(np.abs(_from_real(w) - stack) <= 1e-13 * scale)
+        # Q S Q^H of any real symmetric S, and Q x of any real x
+        sym = rng.standard_normal((2, m, m))
+        sym += sym.swapaxes(-1, -2)
+        assert_allclose(_from_real(sym), q @ sym @ q.conj().T, rtol=0, atol=1e-13 * m)
+        x = rng.standard_normal((m, 3))
+        assert_allclose(_q_times(x), q @ x, rtol=0, atol=1e-14 * m)
+
+    @pytest.mark.parametrize("m", [2, 3, 16, 17])
+    def test_non_toeplitz_rejected_with_index(self, m):
+        rng = np.random.default_rng(100 + m)
+        stack = np.stack([[random_toeplitz_psd(rng, m) for _ in range(3)] for _ in range(2)])
+        psd_sqrt(stack)
+        bent = stack.copy()
+        bent[1, 2] = random_hermitian(rng, m) @ random_hermitian(rng, m).conj().T
+        with pytest.raises(ValueError, match=r"R\[1, 2\] is not Hermitian Toeplitz"):
+            psd_sqrt(bent)
+        # centro-Hermitian (J conj(X) J = X) but not Hermitian: its image is real, not symmetric
+        x = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        bent[1, 2] = x + x[::-1, ::-1].conj()
+        with pytest.raises(ValueError, match=r"R\[1, 2\] is not Hermitian Toeplitz"):
+            psd_sqrt(bent)
+        # judged against each matrix's own norm, not the stack's largest
+        scaled = np.stack([1e9 * stack[0, 0], stack[0, 1]])
+        scaled[1, 0, 0] += 1e-3 * np.linalg.norm(scaled[1])
+        with pytest.raises(ValueError, match=r"R\[1\] is not Hermitian Toeplitz"):
+            psd_sqrt(scaled)
+        a, b = stack[0, 0], stack[0, 1] + np.eye(m)
+        generalized_hermitian_eig(a, b)
+        bent_a, bent_b = a.copy(), b.copy()
+        for other in (bent_a, bent_b):
+            # a Hermitian matrix whose diagonal is not constant
+            other[0, 0] += 1e-3 * np.linalg.norm(other)
+        with pytest.raises(ValueError, match="A is not Hermitian Toeplitz"):
+            generalized_hermitian_eig(bent_a, b)
+        with pytest.raises(ValueError, match="B is not Hermitian Toeplitz"):
+            generalized_hermitian_eig(a, bent_b)
+
+    @hypothesis.seed(20261018)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(batch=st.lists(st.integers(1, 3), min_size=0, max_size=2), m=st.integers(1, 40),
+           rank=st.integers(1, 40), draw=st.integers(0, 2**31))
+    def test_square_of_psd_sqrt_returns_r(self, batch, m, rank, draw):
+        rng = np.random.default_rng(draw)
+        stack = np.empty((*batch, m, m), dtype=complex)
+        for i in np.ndindex(*batch):
+            stack[i] = random_toeplitz_psd(rng, m, rank) * 10.0 ** rng.uniform(-3, 3)
+        roots = psd_sqrt(stack)
+        for i in np.ndindex(*batch):
+            scale = np.linalg.norm(stack[i])
+            assert np.linalg.norm(roots[i] - roots[i].conj().T) <= 1e-12 * np.sqrt(scale)
+            assert np.linalg.norm(roots[i] @ roots[i] - stack[i]) <= 1e-10 * scale
 
 
 def eigh_root(r):
@@ -244,10 +341,10 @@ def eigh_root(r):
 
 
 def psd_stack(rng, batch, n):
-    """Random full-rank PSD matrices of spread-out scales, shape (*batch, n, n)."""
+    """Random positive-definite Hermitian Toeplitz matrices of spread-out scales, (*batch, n, n)."""
     stack = np.empty((*batch, n, n), dtype=complex)
     for i in np.ndindex(*batch):
-        stack[i] = random_psd(rng, n) * 10.0 ** rng.uniform(-3, 3)
+        stack[i] = random_toeplitz_pd(rng, n) * 10.0 ** rng.uniform(-3, 3)
     return stack
 
 
@@ -276,12 +373,12 @@ class TestPsdSqrtStack:
             psd_sqrt(stack)
 
     def test_definiteness_judged_against_each_matrix_own_scale(self):
-        small = np.diag([1.0, -1e-3])
+        small = two_by_two(1.0, -1e-3)
         with pytest.raises(PsdError):
             psd_sqrt(np.stack([1e9 * np.eye(2), small]))
-        tiny = np.diag([1.0, -1e-12])
+        tiny = two_by_two(1.0, -1e-12)
         roots = psd_sqrt(np.stack([1e-9 * np.eye(2), tiny]))
-        assert_allclose(roots[1], np.diag([1.0, 0.0]), atol=1e-12)
+        assert_allclose(roots[1], np.full((2, 2), 0.5), atol=1e-12)
 
     def test_one_non_hermitian_member_rejected(self):
         stack = psd_stack(np.random.default_rng(2), (4,), 5)
@@ -372,13 +469,13 @@ def test_reconstruction_property_1000_instances(op):
     for _ in range(1000):
         n = int(rng.integers(1, 65))
         if op == "eig":
-            a = random_hermitian(rng, n)
-            dec = hermitian_eig(a)
+            a = random_toeplitz(rng, n)
+            dec = standard_eig(a)
             err = np.linalg.norm((dec.vectors * dec.values) @ dec.vectors.conj().T - a)
             assert err <= 1e-8 * max(np.linalg.norm(a), 1.0)
         elif op == "gen":
-            a = random_hermitian(rng, n)
-            b = random_pd(rng, n)
+            a = random_toeplitz(rng, n)
+            b = random_toeplitz_pd(rng, n)
             dec = generalized_hermitian_eig(a, b)
             res = np.linalg.norm(a @ dec.vectors - (b @ dec.vectors) * dec.values)
             assert res <= 1e-8 * (np.linalg.norm(a) + np.linalg.norm(b))
@@ -394,6 +491,6 @@ def test_reconstruction_property_1000_instances(op):
             assert np.linalg.norm(q @ r - a) <= 1e-9 * max(np.linalg.norm(a), 1.0)
             assert np.linalg.norm(q.conj().T @ q - np.eye(n)) <= 1e-10
         else:
-            a = random_psd(rng, n)
+            a = random_toeplitz_psd(rng, n)
             root = psd_sqrt(a)
             assert np.linalg.norm(root @ root.conj().T - a) <= 1e-8 * max(np.linalg.norm(a), 1.0)

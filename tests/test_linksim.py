@@ -270,16 +270,17 @@ class TestErgodicCapacity:
             assert_allclose(cap.samples[t], expected, rtol=1e-12)
 
     @pytest.mark.parametrize("combiner, pinned", [
-        ("zf", {0: [5.998900981991012, 6.272485634719231],
-                16: [7.393855733296494, 7.757143799606607],
-                36: [8.349126046872605, 9.877564054384464]}),
-        ("lmmse", {0: [6.00853717837579, 6.28367478083952],
-                   16: [7.398894376756144, 7.763280554991077],
-                   36: [8.349446790744247, 9.878018400792763]}),
+        ("zf", {0: [5.998900980592998, 6.272485632314111],
+                16: [7.393855732722327, 7.75714379959634],
+                36: [8.349126047662667, 9.877564054190323]}),
+        ("lmmse", {0: [6.008537176989793, 6.283674778452405],
+                   16: [7.398894376183876, 7.763280554986295],
+                   36: [8.349446791536455, 9.878018400600517]}),
     ])
     def test_pinned_samples(self, combiner, pinned):
-        # values with Toeplitz CCMs and one stacked square root per group; a change in
-        # the draw stream or in those factors' rounding moves them
+        # values with Toeplitz CCMs, one stacked square root per group and the real
+        # Toeplitz-transform square roots and GEB; a change in the draw stream or in
+        # those factors' rounding moves them
         scn = two_group_toy()
         cov = build_covariances(scn)
         stats = group_statistics(cov, scn, 0)
@@ -322,7 +323,9 @@ class TestLinkPass:
 
     def test_singular_bin_fails_only_its_pair(self, monkeypatch):
         # bin 3 of trial 21 (realization 5 of the second block) of the pe
-        # design's channel is zeroed on the way into its zf bank only
+        # design's channel is zeroed on the way into its zf bank only; blocks
+        # of 16 trials split the 37 trials into three blocks
+        monkeypatch.setattr(linksim, "_TRIAL_BLOCK", 16)
         cov, stats, designs = three_designs()
         clean = ergodic_capacity(cov, stats, designs, 0, ("zf", "lmmse"), n=16, trials=37,
                                  seed=2024)
