@@ -6,6 +6,8 @@ a uniform linear array serving user groups, each group having a handful of
 active multipath components (MPCs) with narrow angular spread.  Mobile groups
 get their mean angles shifted by the scenario's ``phi`` before covariances are
 built, in one :func:`ccm_one_ring` call per group and one square root call.
+A block of shifting angles is built the same way, with one more leading axis
+on every mobile group's stack and one call per group for the whole block.
 """
 
 from __future__ import annotations
@@ -156,10 +158,16 @@ class Scenario:
     def with_phi(self, phi: float) -> "Scenario":
         return replace(self, phi=phi)
 
-    def effective_aoa(self, g: int) -> np.ndarray:
-        """Mean AoAs of group g with the mobile shift applied."""
+    def effective_aoa(self, g: int, phis=None) -> np.ndarray:
+        """Mean AoAs of group g with the mobile shift applied.
+
+        ``phis``, a 1-D array of shifting angles used instead of the scenario's
+        own, gives a mobile group's AoAs a leading axis, one entry per angle.
+        """
         spec = self.groups[g]
-        return spec.mean_aoa + (self.phi if spec.mobile else 0.0)
+        if not spec.mobile:
+            return spec.mean_aoa + 0.0
+        return spec.mean_aoa + (self.phi if phis is None else phis[:, None, None])
 
 
 @dataclass
@@ -169,11 +177,16 @@ class CovarianceSet:
     ``stacks[g]``: group g's CCMs as one (L, K, M, M) array, active delays in ``delays`` order;
     ``ccms[g][k][delay]``: user k's M x M Hermitian PSD matrix, a view into it (inactive delays
     absent, implicitly zero).  :meth:`factors` caches one :func:`psd_sqrt` call per group.
+
+    A block of angles (``phis``, the scenario's own phi unused) gives every mobile group's stack
+    and views one more leading axis, one entry per angle; :meth:`angles` splits it into one set
+    per angle, views into the block's stacks and into any factors it cached.
     """
 
     scenario: Scenario
     stacks: list[np.ndarray]
     ccms: list[list[dict[int, np.ndarray]]]
+    phis: np.ndarray | None = None
     _factors: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
     def factors(self, g: int) -> np.ndarray:
@@ -184,16 +197,34 @@ class CovarianceSet:
 
     def sqrt_factor(self, g: int, user: int, delay: int) -> np.ndarray:
         """The square root of ``ccms[g][user][delay]``: a view into :meth:`factors`."""
-        return self.factors(g)[self.scenario.groups[g].delays.index(delay), user]
+        return self.factors(g)[..., self.scenario.groups[g].delays.index(delay), user, :, :]
+
+    def angles(self) -> list["CovarianceSet"]:
+        """One set per angle of a block, at its own phi; a non-mobile group's stack, views
+        and factors are the block's own objects."""
+        groups = self.scenario.groups
+        return [CovarianceSet(
+            self.scenario.with_phi(float(phi)),
+            [stack[b] if spec.mobile else stack for spec, stack in zip(groups, self.stacks)],
+            [_views(spec, stack[b]) if spec.mobile else views
+             for spec, stack, views in zip(groups, self.stacks, self.ccms)],
+            _factors={g: f[b] if groups[g].mobile else f for g, f in self._factors.items()})
+            for b, phi in enumerate(self.phis)]
 
 
-def _group_ccms(scn: Scenario, g: int, n_quad: int) -> tuple[np.ndarray, list[dict]]:
-    """Group g's (L, K, M, M) CCM stack from one :func:`ccm_one_ring` call, and its views."""
+def _views(spec: GroupSpec, stack: np.ndarray) -> list[dict[int, np.ndarray]]:
+    """``ccms[g]`` of a group's stack: user k's CCM at each active delay, a view."""
+    return [{delay: stack[..., i, k, :, :] for i, delay in enumerate(spec.delays)}
+            for k in range(spec.n_users)]
+
+
+def _group_ccms(scn: Scenario, g: int, n_quad: int, phis=None) -> tuple[np.ndarray, list[dict]]:
+    """Group g's (L, K, M, M) CCM stack from one :func:`ccm_one_ring` call, and its views;
+    a mobile group's stack gains a leading axis with ``phis``."""
     spec = scn.groups[g]
-    stack = ccm_one_ring(scn.effective_aoa(g).T, spec.spread.T, spec.gain / len(spec.delays),
-                         scn.n_antennas, n_quad)
-    return stack, [{delay: stack[i, k] for i, delay in enumerate(spec.delays)}
-                   for k in range(spec.n_users)]
+    stack = ccm_one_ring(scn.effective_aoa(g, phis).swapaxes(-1, -2), spec.spread.T,
+                         spec.gain / len(spec.delays), scn.n_antennas, n_quad)
+    return stack, _views(spec, stack)
 
 
 @dataclass(frozen=True)
@@ -220,7 +251,7 @@ def fixed_covariances(scn: Scenario, n_quad: int = DEFAULT_N_QUAD) -> FixedCovar
 
 
 def build_covariances(scn: Scenario, n_quad: int = DEFAULT_N_QUAD,
-                      fixed: FixedCovariances | None = None) -> CovarianceSet:
+                      fixed: FixedCovariances | None = None, phis=None) -> CovarianceSet:
     """One-ring CCMs for every user and active MPC of the scenario.
 
     Each user's total gain is split equally across its active MPCs, so the
@@ -229,6 +260,9 @@ def build_covariances(scn: Scenario, n_quad: int = DEFAULT_N_QUAD,
     ``fixed`` supplies the non-mobile groups' CCMs, shared rather than
     rebuilt; it must come from :func:`fixed_covariances` of this scenario
     (at any phi, so with the very same groups) and the same ``n_quad``.
+    ``phis``, a 1-D array of shifting angles, builds a block instead: each
+    mobile group's CCMs at every angle from one :func:`ccm_one_ring` call,
+    each angle's bit for bit what a one-angle build gives.
     """
     shared = {}
     if fixed is not None:
@@ -236,8 +270,11 @@ def build_covariances(scn: Scenario, n_quad: int = DEFAULT_N_QUAD,
                 or fixed.scenario.n_antennas != scn.n_antennas or fixed.n_quad != n_quad):
             raise ValueError("fixed covariances were built for another scenario or n_quad")
         shared = {g: (stack, fixed.ccms[g]) for g, stack in fixed.stacks.items()}
-    built = [shared[g] if g in shared else _group_ccms(scn, g, n_quad) for g in range(scn.n_groups)]
-    return CovarianceSet(scn, [stack for stack, _ in built], [views for _, views in built])
+    if phis is not None:
+        phis = np.asarray(phis, dtype=float)
+    built = [shared[g] if g in shared else _group_ccms(scn, g, n_quad, phis)
+             for g in range(scn.n_groups)]
+    return CovarianceSet(scn, [stack for stack, _ in built], [views for _, views in built], phis)
 
 
 @dataclass

@@ -103,13 +103,6 @@ def _as_complex_stack(a, name: str) -> np.ndarray:
     return a
 
 
-def _as_complex_matrix(a, name: str) -> np.ndarray:
-    a = _as_complex_stack(a, name)
-    if a.ndim != 2:
-        raise ValueError(f"{name} must be a 2-D matrix, got shape {a.shape}")
-    return a
-
-
 def _require_square(a: np.ndarray, name: str) -> None:
     if a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
@@ -218,13 +211,14 @@ def _q_times(x: np.ndarray) -> np.ndarray:
 
 
 def fix_phases(v: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive."""
+    """Rotate each column so its largest-magnitude entry is real positive (of each
+    matrix of a stack)."""
     v = np.array(v, dtype=complex)
-    idx = np.argmax(np.abs(v), axis=0)
-    lead = v[idx, np.arange(v.shape[1])]
+    idx = np.argmax(np.abs(v), axis=-2)
+    lead = np.take_along_axis(v, idx[..., np.newaxis, :], axis=-2)[..., 0, :]
     mag = np.abs(lead)
     phase = np.where(mag > 0, lead / np.where(mag > 0, mag, 1.0), 1.0)
-    return v * phase.conj()[np.newaxis, :]
+    return v * phase.conj()[..., np.newaxis, :]
 
 
 def generalized_hermitian_eig(a, b) -> EigDecomposition:
@@ -237,30 +231,39 @@ def generalized_hermitian_eig(a, b) -> EigDecomposition:
     normalized to unit Euclidean norm.  Entries i and M-1-i of such a v are
     complex conjugates, so their magnitudes tie exactly and the phase fix
     takes the first of them.
+
+    A and B may be stacks (..., M, M) whose leading shapes broadcast, one pencil
+    per matrix of the result; a lone B shared by a stack of A is mapped,
+    checked and factored once.  Each pencil is solved exactly as it would be
+    on its own, and a failure names the matrix of a stack it belongs to.
     """
-    a = _as_complex_matrix(a, "A")
-    b = _as_complex_matrix(b, "B")
+    a = _as_complex_stack(a, "A")
+    b = _as_complex_stack(b, "B")
     _require_square(a, "A")
     _require_square(b, "B")
-    if a.shape != b.shape:
+    if a.shape[-1] != b.shape[-1]:
         raise ValueError(f"A and B must have equal shape, got {a.shape} vs {b.shape}")
+    np.broadcast_shapes(a.shape, b.shape)  # ValueError unless the stacks broadcast
     w_a = _to_real(a, "A")
     w_b = _to_real(b, "B")
 
     b_eigs = np.linalg.eigvalsh(w_b)
-    scale = np.abs(b_eigs).max() if b_eigs.size else 0.0
-    if b_eigs.size == 0 or b_eigs[0] <= 1e-12 * scale:
+    scale = np.abs(b_eigs).max(axis=-1, initial=0.0)
+    bad = ~(b_eigs[..., 0] > 1e-12 * scale)
+    if np.any(bad):
+        at = tuple(np.argwhere(bad)[0])
         raise DefinitenessError(
-            f"B is not positive definite: smallest eigenvalue {b_eigs[0]:.6e}"
-            f" (largest {scale:.6e})"
+            f"B{_index(at)} is not positive definite: smallest eigenvalue {b_eigs[at][0]:.6e}"
+            f" (largest {scale[at]:.6e})"
         )
 
     # L^-1 from numpy's LU (see the module docstring), applied by three products
     inv = np.linalg.inv(np.linalg.cholesky(w_b))
-    values, vectors = np.linalg.eigh(inv @ w_a @ inv.T)
-    vectors = inv.T @ vectors[:, ::-1]
-    vectors /= np.linalg.norm(vectors, axis=0, keepdims=True)
-    return EigDecomposition(values[::-1].copy(), fix_phases(_q_times(vectors)))
+    inv_t = inv.swapaxes(-1, -2)
+    values, vectors = np.linalg.eigh(inv @ w_a @ inv_t)
+    vectors = inv_t @ vectors[..., ::-1]
+    vectors /= np.linalg.norm(vectors, axis=-2, keepdims=True)
+    return EigDecomposition(values[..., ::-1].copy(), fix_phases(_q_times(vectors)))
 
 
 def hermitian_inverse(a) -> tuple[np.ndarray, np.ndarray]:
@@ -310,22 +313,25 @@ def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def qr(a) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR decomposition A = Q R with R's diagonal real positive.
+    """Thin QR decomposition A = Q R with R's diagonal real positive, of a matrix or
+    of each matrix of a stack (..., m, n).
 
     Requires full column rank; rank deficiency (|R_ii| < 1e-12 ||A||) raises
-    RankError.
+    RankError, naming the matrix of a stack it belongs to.
     """
-    a = _as_complex_matrix(a, "A")
-    if a.shape[0] < a.shape[1]:
+    a = _as_complex_stack(a, "A")
+    if a.shape[-2] < a.shape[-1]:
         raise ValueError(f"QR requires m >= n, got shape {a.shape}")
     q, r = np.linalg.qr(a)
-    diag = np.diag(r)
-    scale = np.linalg.norm(a)
-    bad = np.abs(diag) < 1e-12 * scale
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    scale = np.linalg.norm(a, axis=(-2, -1))
+    bad = np.abs(diag) < 1e-12 * scale[..., np.newaxis]
     if np.any(bad):
-        raise RankError(f"rank-deficient input: |R[{int(np.argmax(bad))}, same]| below 1e-12*||A||")
+        at = np.argwhere(bad)[0]
+        raise RankError(f"rank-deficient input{_index(at[:-1])}: |R[{int(at[-1])}, same]|"
+                        " below 1e-12*||A||")
     phases = diag / np.abs(diag)
-    return q * phases[np.newaxis, :], phases.conj()[:, np.newaxis] * r
+    return q * phases[..., np.newaxis, :], phases.conj()[..., :, np.newaxis] * r
 
 
 def psd_sqrt(r) -> np.ndarray:

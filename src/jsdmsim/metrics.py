@@ -1,14 +1,19 @@
 """Beampattern evaluation, shifting-angle sweeps and outage tabulation.
 
-The sweep moves the mobile group's angular profile and, angle by angle,
-rebuilds its covariances and beamformers (:func:`angle_design`, then
-:data:`DESIGNS`), with each design's expected SINR and (optionally)
-channel-estimation nMSE.  One link pass
+The sweep moves the mobile group's angular profile and rebuilds its
+covariances, statistics, GEB and sampling square roots in contiguous blocks
+of angles (:func:`angle_design`): one covariance build, one pencil call and
+one square-root call per block, with a shared R_eta factored once, and as
+many angles per block as keep the mobile CCMs within a byte budget
+(``_DESIGN_BLOCK_BYTES``).  Each angle then gets its beamformers
+(:data:`DESIGNS`), with each design's expected SINR and (optionally)
+channel-estimation nMSE, and its own seeds.  One link pass
 (:func:`~jsdmsim.linksim.ergodic_capacity`) then evaluates the capacity of
 every surviving design with every combiner against the same channel draws.
 A numerical failure (:data:`ANGLE_ERRORS`) records an error marker for the
 angle, design or (design, combiner) pair it belongs to and the sweep
-continues; any other exception propagates.  Everything is deterministic given
+continues (a block whose design fails is designed again angle by angle);
+any other exception propagates.  Everything is deterministic given
 the master seed.
 
 Only the mobile groups move with phi, so the sweep's one invariant is the
@@ -57,6 +62,18 @@ ESTIMATOR_NAMES = ("none", "lmmse", "ls")
 # Failures that belong to one angle or one design: ValueError covers the
 # package's error types and numpy.linalg.LinAlgError.
 ANGLE_ERRORS = (ValueError, constrained.CandidateExhaustionError)
+
+# Bytes of mobile-group CCMs that phi_sweep designs in one block of angles
+# (768 KiB; a block always holds at least one angle).  On table1 that is 8
+# angles at 32 antennas and one at 128 (six 128 x 128 complex CCMs, what a
+# one-angle design holds); the block's square roots take as much again.  On
+# 2 cores, table1's design stage at 32 antennas took 3.1-3.5 ms per angle
+# one angle at a time and about 2 ms in blocks of 8 or 16, where the eigh
+# calls of the square roots are half of what is left.  A whole 91-angle
+# sweep's peak resident memory grew by 0.3-2.3 MB with blocks of 8 and by
+# 5.7 MB with blocks of 16.  Every angle's results are bit for bit the same
+# at any block size.
+_DESIGN_BLOCK_BYTES = 3 << 18
 
 # Connection mask mask(M, D) of each fixed-subarray design.
 SUBARRAY_MASKS = {
@@ -221,28 +238,54 @@ def _derived_seed(master, *tokens) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
 
-def angle_design(fixed: FixedCovariances, phi: float, cfg: SweepSettings
-                 ) -> tuple[Scenario, CovarianceSet, GroupStatistics, UnconstrainedBeamformer]:
-    """Scenario, covariances, evaluated-group statistics and GEB at one angle.
+def angle_design(fixed: FixedCovariances, phi, cfg: SweepSettings, roots: bool = False
+                 ) -> list[tuple[Scenario, CovarianceSet, GroupStatistics,
+                                 UnconstrainedBeamformer]]:
+    """Scenario, covariances, evaluated-group statistics and GEB at each angle of a block.
 
-    The non-mobile groups' CCMs come from ``fixed``, built once per sweep.
+    ``phi`` is a 1-D block of shifting angles, or one angle: the block-free
+    case, with no block axis anywhere, so a failure reads as a one-angle run's.
+    Each mobile group's CCMs of the block come from one
+    :func:`~jsdmsim.channel.ccm_one_ring` call, the statistics sum along the
+    block axis (R_eta stays one matrix when no other group moves) and one
+    pencil call solves every angle, mapping, checking and factoring a shared
+    R_eta once; each angle's results are bit for bit a one-angle run's.  The
+    non-mobile groups' CCMs come from ``fixed``, built once per sweep.  With
+    ``roots``, one :func:`~jsdmsim.linalg.psd_sqrt` call on the evaluated
+    group's CCMs fills every angle's factor cache; when it fails, the caches
+    stay empty and each angle computes (and fails on) its own roots when its
+    channels are drawn.
     """
-    scn = fixed.scenario.with_phi(phi)
-    cov = build_covariances(scn, n_quad=cfg.n_quad, fixed=fixed)
-    stats = group_statistics(cov, scn, cfg.group)
-    return scn, cov, stats, compute_geb(stats, scn.groups[cfg.group].n_chains)
+    lone = np.ndim(phi) == 0
+    cov = build_covariances(fixed.scenario.with_phi(phi) if lone else fixed.scenario,
+                            n_quad=cfg.n_quad, fixed=fixed, phis=None if lone else phi)
+    stats = group_statistics(cov, cfg.group)
+    geb = compute_geb(stats, fixed.scenario.groups[cfg.group].n_chains)
+    if roots:
+        try:
+            cov.factors(cfg.group)
+        except ANGLE_ERRORS:
+            pass
+    if lone:
+        return [(cov.scenario, cov, stats, geb)]
+    return [(angle.scenario, angle, stats.angle(b), geb.angle(b))
+            for b, angle in enumerate(cov.angles())]
 
 
 def _error(phi: float, name: str, comb: str, exc: Exception) -> PhiRecord:
     return PhiRecord(phi, name, comb, error=f"{type(exc).__name__}: {exc}")
 
 
-def _evaluate_phi(fixed: FixedCovariances, phi: float, phi_index: int,
-                  cfg: SweepSettings) -> list[PhiRecord]:
-    try:
-        scn_phi, cov, stats, geb = angle_design(fixed, phi, cfg)
-    except ANGLE_ERRORS as exc:
-        return [_error(phi, name, comb, exc) for name in cfg.beamformers for comb in cfg.combiners]
+def _evaluate_phi(design, phi: float, phi_index: int, cfg: SweepSettings) -> list[PhiRecord]:
+    """Records of one angle from its :func:`angle_design` entry, or from the error it raised."""
+    if isinstance(design, Exception):
+        return [_error(phi, name, comb, design)
+                for name in cfg.beamformers for comb in cfg.combiners]
+    scn_phi, cov, stats, geb = design
+    # the pilots draw from a seed of the angle alone, so every design shares them
+    pilots = None if cfg.estimator == "none" else chanest.build_pilots(
+        scn_phi, cfg.group, cfg.pilot_length, _derived_seed(cfg.seed, phi_index, 3),
+        energy=cfg.pilot_energy)
 
     designs: dict[str, np.ndarray] = {}
     scores: dict[str, tuple[float, float | None]] = {}
@@ -253,8 +296,8 @@ def _evaluate_phi(fixed: FixedCovariances, phi: float, phi_index: int,
                                      _derived_seed(cfg.seed, phi_index, 1), geb=geb)
             score = expected_sinr(stats, s_eff)
             est_nmse = None
-            if cfg.estimator != "none":
-                est_nmse = _estimation_nmse(cov, stats, s_eff, cfg, phi_index)
+            if pilots is not None:
+                est_nmse = _estimation_nmse(cov, stats, s_eff, cfg, pilots)
         except ANGLE_ERRORS as exc:
             failed[name] = exc
             continue
@@ -276,12 +319,8 @@ def _evaluate_phi(fixed: FixedCovariances, phi: float, phi_index: int,
 
 
 def _estimation_nmse(cov: CovarianceSet, stats, s_eff: np.ndarray, cfg: SweepSettings,
-                     phi_index: int) -> float:
-    scn = cov.scenario
-    delays = scn.groups[cfg.group].delays
-    pilots = chanest.build_pilots(scn, cfg.group, cfg.pilot_length,
-                                  _derived_seed(cfg.seed, phi_index, 3),
-                                  energy=cfg.pilot_energy)
+                     pilots: chanest.PilotBlock) -> float:
+    delays = cov.scenario.groups[cfg.group].delays
     r_h = chanest.effective_covariance(cov, s_eff, cfg.group)
     pc = chanest.pilot_covariances(pilots, delays, r_h, reduce(stats, s_eff))
     if cfg.estimator == "lmmse":
@@ -291,15 +330,42 @@ def _estimation_nmse(cov: CovarianceSet, stats, s_eff: np.ndarray, cfg: SweepSet
     return chanest.nmse(z, pc)
 
 
+def _block_size(scn: Scenario) -> int:
+    """Angles per design block: as many as keep the mobile CCMs within _DESIGN_BLOCK_BYTES."""
+    per_angle = sum(len(spec.delays) * spec.n_users * scn.n_antennas ** 2 * 16
+                    for spec in scn.groups if spec.mobile)
+    return max(1, _DESIGN_BLOCK_BYTES // max(per_angle, 1))
+
+
+def _lone_design(fixed: FixedCovariances, phi: float, cfg: SweepSettings):
+    """One angle's :func:`angle_design` entry, or the error it raised."""
+    try:
+        return angle_design(fixed, phi, cfg, roots=True)[0]
+    except ANGLE_ERRORS as exc:
+        return exc
+
+
 def phi_sweep(scn: Scenario, phi_grid, settings: SweepSettings) -> SweepResult:
     """Evaluate the configured pipeline at every shifting angle, in grid order.
 
     The non-mobile groups' CCMs are built once, shared by every angle and
-    returned as ``result.fixed``.
+    returned as ``result.fixed``.  The grid is designed in contiguous blocks
+    (:func:`angle_design`, with the evaluated group's square roots) of as many
+    angles as keep the block's mobile CCMs within ``_DESIGN_BLOCK_BYTES``; a
+    block that fails is designed again one angle at a time, so a failure
+    stays with its angle.  Every angle is then evaluated on its own, with its
+    own seeds.
     """
     phi_grid = np.atleast_1d(np.asarray(phi_grid, dtype=float))
     check_scan_range(phi_grid)
     result = SweepResult(settings, fixed_covariances(scn, settings.n_quad))
-    for i, phi in enumerate(phi_grid):
-        result.records.extend(_evaluate_phi(result.fixed, float(phi), i, settings))
+    size = _block_size(scn)
+    for start in range(0, len(phi_grid), size):
+        block = phi_grid[start:start + size]
+        try:
+            designs = angle_design(result.fixed, block, settings, roots=True)
+        except ANGLE_ERRORS:
+            designs = [_lone_design(result.fixed, float(phi), settings) for phi in block]
+        for i, (phi, design) in enumerate(zip(block, designs), start):
+            result.records.extend(_evaluate_phi(design, float(phi), i, settings))
     return result

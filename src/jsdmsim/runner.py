@@ -139,7 +139,7 @@ def _write_beampattern(path: Path, out_cfg: OutputSettings, result: SweepResult,
     failures = []
     try:
         check_scan_range(phi)
-        scn, _, stats, geb = angle_design(result.fixed, phi, settings)
+        [(scn, _, stats, geb)] = angle_design(result.fixed, phi, settings)
     except ANGLE_ERRORS as exc:  # flagged in the manifest instead
         path.write_text("\n".join(lines) + "\n")
         return [_error(phi, name, "(beampattern)", exc) for name in settings.beamformers]

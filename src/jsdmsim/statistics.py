@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CovarianceSet, Scenario
+from .channel import CovarianceSet
 
 __all__ = [
     "GroupStatistics",
@@ -25,30 +25,44 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GroupStatistics:
-    """Intended-group signal covariance and interference-plus-noise covariance."""
+    """Intended-group signal covariance and interference-plus-noise covariance.
+
+    Statistics of a block of angles (:func:`group_statistics` of a block
+    :class:`~jsdmsim.channel.CovarianceSet`) stack either matrix along a
+    leading axis, one entry per angle, when it moves with the angle; a matrix
+    that does not move stays one M x M matrix.  :meth:`angle` picks one angle.
+    """
 
     r_s: np.ndarray
     r_eta: np.ndarray
 
+    def angle(self, b: int) -> "GroupStatistics":
+        """Angle b of a block."""
+        return GroupStatistics(*(x if x.ndim == 2 else x[b] for x in (self.r_s, self.r_eta)))
+
 
 def _group_sum(cov: CovarianceSet, g: int) -> np.ndarray:
-    """Sum of all CCMs of group g over users and active delays."""
+    """Sum of all CCMs of group g over users and active delays (of each angle of a block)."""
     spec = cov.scenario.groups[g]
-    m = cov.scenario.n_antennas
-    total = np.zeros((m, m), dtype=complex)
+    stack = cov.stacks[g]
+    total = np.zeros(stack.shape[:-4] + stack.shape[-2:], dtype=complex)
     for k in range(spec.n_users):
-        for delay in spec.delays:
-            total += cov.ccms[g][k][delay]
+        for i in range(len(spec.delays)):
+            total += stack[..., i, k, :, :]
     return total
 
 
-def group_statistics(cov: CovarianceSet, scn: Scenario, g: int) -> GroupStatistics:
+def group_statistics(cov: CovarianceSet, g: int) -> GroupStatistics:
     """Signal and interference-plus-noise covariances of group g.
 
     r_s   = (E_s / K_g)  * sum over g's users and delays of the CCMs,
     r_eta = sum over other groups g' of (E_s' / K_g') * their CCM sum
-            + N_0 * I.
+            + N_0 * I,
+    summed in that order (groups, then users, then delays).  For a block
+    ``cov`` each sum runs along the block axis, and r_eta stays one M x M
+    matrix when no other group moves with the angle.
     """
+    scn = cov.scenario
     if not 0 <= g < scn.n_groups:
         raise ValueError(f"unknown group index {g}")
     m = scn.n_antennas
@@ -59,7 +73,7 @@ def group_statistics(cov: CovarianceSet, scn: Scenario, g: int) -> GroupStatisti
             continue
         spec = scn.groups[other]
         r_eta = r_eta + (spec.symbol_energy / spec.n_users) * _group_sum(cov, other)
-    return GroupStatistics(0.5 * (r_s + r_s.conj().T), 0.5 * (r_eta + r_eta.conj().T))
+    return GroupStatistics(*(0.5 * (r + r.conj().swapaxes(-1, -2)) for r in (r_s, r_eta)))
 
 
 def _check_rank(s: np.ndarray) -> None:

@@ -66,7 +66,7 @@ def test_criterion_01_geb_optimality():
     rng = np.random.default_rng(1001)
     for _ in range(10):
         scn = random_desk_scenario(rng)
-        stats = group_statistics(build_covariances(scn), scn, 0)
+        stats = group_statistics(build_covariances(scn), 0)
         d = 4
         geb = compute_geb(stats, d)
         best = reduced_mutual_info(stats, geb.s)
@@ -78,7 +78,7 @@ def test_criterion_01_geb_optimality():
 
 def test_criterion_02_cost_and_beampattern_invariance():
     scn = table1_scenario(m=32, phi=10.0)
-    stats = group_statistics(build_covariances(scn), scn, 0)
+    stats = group_statistics(build_covariances(scn), 0)
     geb = compute_geb(stats, 4)
     base_cost = reduced_mutual_info(stats, geb.s)
     grid = steering_matrix(np.arange(-90.0, 90.01, 0.5), 32)
@@ -100,7 +100,7 @@ def test_criterion_02_cost_and_beampattern_invariance():
 def test_criterion_03_reduced_covariance_matches_model():
     scn = table1_scenario(m=32, phi=10.0)
     cov = build_covariances(scn)
-    stats = group_statistics(cov, scn, 0)
+    stats = group_statistics(cov, 0)
     geb = compute_geb(stats, 4)
     spec = scn.groups[0]
     model = geb.s.conj().T @ stats.r_s @ geb.s
@@ -197,7 +197,7 @@ def test_criterion_06_procrustes_step_optimality():
 def test_criterion_07_zf_contract_and_lmmse_limit():
     scn = table1_scenario(m=32, phi=10.0)
     cov = build_covariances(scn)
-    stats = group_statistics(cov, scn, 0)
+    stats = group_statistics(cov, 0)
     geb = compute_geb(stats, 4)
     for t in range(20):
         real = sample_channels(cov, [1007, t], groups=[0])
@@ -217,7 +217,7 @@ def test_criterion_07_zf_contract_and_lmmse_limit():
 def test_criterion_08_lmmse_at_least_zf():
     scn = table1_scenario(m=32, phi=10.0)
     cov = build_covariances(scn)
-    stats = group_statistics(cov, scn, 0)
+    stats = group_statistics(cov, 0)
     geb = compute_geb(stats, 4)
     s_eff = phase_extraction(geb).effective()  # leaves residual interference
     rd = reduce(stats, s_eff)
@@ -241,7 +241,7 @@ def test_criterion_09_fully_connected_capacity_ordering():
     for i, phi in enumerate(phis):
         scn = table1_scenario(m=32, mobile_db=40.0, interferer_db=20.0, chains=6, phi=phi)
         cov = build_covariances(scn)
-        stats = group_statistics(cov, scn, 0)
+        stats = group_statistics(cov, 0)
         geb = compute_geb(stats, 6)
         cfg = SweepSettings(group=0)
         for n in names:
@@ -271,7 +271,7 @@ def test_criterion_10_subarray_capacity_ordering():
     for i, phi in enumerate(phis):
         scn = merged_group_scenario(m=m, chains=d, phi=float(phi))
         cov = build_covariances(scn)
-        stats = group_statistics(cov, scn, 0)
+        stats = group_statistics(cov, 0)
         geb = compute_geb(stats, d)
         seed = _derived_seed(3, i, 1)
         dyn, _ = dynamic_subarray(geb, stats, n_restarts=20, seed=seed)
@@ -298,7 +298,7 @@ def test_criterion_10_subarray_capacity_ordering():
 
 def test_criterion_11_geb_nulls_below_dft():
     scn = table1_scenario(m=32, mobile_db=40.0, interferer_db=40.0, phi=10.0)
-    stats = group_statistics(build_covariances(scn), scn, 0)
+    stats = group_statistics(build_covariances(scn), 0)
     cfg = SweepSettings(group=0)
     geb = compute_geb(stats, 4)
     s_geb = build_beamformer("geb", scn, stats, 0, cfg, 0, geb)
@@ -318,7 +318,7 @@ def test_criterion_11_geb_nulls_below_dft():
 def test_criterion_12_nmse_grid():
     scn = table1_scenario(m=32, phi=10.0)
     cov = build_covariances(scn)
-    stats = group_statistics(cov, scn, 0)
+    stats = group_statistics(cov, 0)
     geb = compute_geb(stats, 4)
     rd = reduce(stats, geb.s)
     r_h = chanest.effective_covariance(cov, geb.s, 0)
@@ -373,7 +373,7 @@ def test_criterion_13_bussgang_cross_validation():
                                     aoa, 2.0, 1.0))
         scn = Scenario(m, taps, 1.0, tuple(groups))
         cov = build_covariances(scn)
-        stats = group_statistics(cov, scn, 0)
+        stats = group_statistics(cov, 0)
         geb = compute_geb(stats, d)
         rd = reduce(stats, geb.s)
         real = sample_channels(cov, [1014, case], groups=[0])

@@ -91,7 +91,7 @@ class TestReceivePilots:
     def test_monte_carlo_covariance_matches_model(self):
         scn = two_group_toy(m=8)
         cov = build_covariances(scn)
-        stats = group_statistics(cov, scn, 0)
+        stats = group_statistics(cov, 0)
         geb = compute_geb(stats, 2)
         rd = reduce(stats, geb.s)
         pilots = build_pilots(scn, 0, 4, seed=11)
@@ -111,7 +111,7 @@ class TestReceivePilots:
         scn = two_group_toy()
         cov = build_covariances(scn)
         real = sample_channels(cov, 1)
-        stats = group_statistics(cov, scn, 0)
+        stats = group_statistics(cov, 0)
         geb = compute_geb(stats, 4)
         for t_len in (4, 8):
             pilots = build_pilots(scn, 0, t_len, seed=2)
@@ -149,7 +149,7 @@ class TestLmmseEstimator:
         gram = pilots.x.conj().T @ pilots.x
         assert_allclose(gram, t_len * np.eye(4), atol=1e-9)  # ideal autocorrelation
         cov = build_covariances(scn)
-        stats = group_statistics(cov, scn, 0)
+        stats = group_statistics(cov, 0)
         geb = compute_geb(stats, 2)
         rd = reduce(stats, geb.s)
         r_h = effective_covariance(cov, geb.s, 0)
@@ -195,7 +195,7 @@ class TestLsEstimator:
     def test_pruning_beats_full_ls(self):
         scn = sparse_single_group(m=4, taps=8, delays=(0, 3), users=1, noise=0.5)
         cov = build_covariances(scn)
-        stats = group_statistics(cov, scn, 0)
+        stats = group_statistics(cov, 0)
         geb = compute_geb(stats, 2)
         rd = reduce(stats, geb.s)
         r_h = effective_covariance(cov, geb.s, 0)
@@ -224,7 +224,7 @@ class TestNmse:
     def toy(self):
         scn = two_group_toy(m=8)
         cov = build_covariances(scn)
-        stats = group_statistics(cov, scn, 0)
+        stats = group_statistics(cov, 0)
         geb = compute_geb(stats, 3)
         rd = reduce(stats, geb.s)
         r_h = effective_covariance(cov, geb.s, 0)
@@ -331,7 +331,7 @@ class TestOtherGroupRobustness:
         # the closed form once the eigenbeamformer has suppressed the groups
         scn = two_group_toy(m=16)
         cov = build_covariances(scn)
-        stats = group_statistics(cov, scn, 0)
+        stats = group_statistics(cov, 0)
         geb = compute_geb(stats, 4)
         rd = reduce(stats, geb.s)
         r_h = effective_covariance(cov, geb.s, 0)

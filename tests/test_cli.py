@@ -179,8 +179,8 @@ class TestRunner:
         rows = [line.split(",") for line in
                 (tmp_path / "beampattern.csv").read_text().splitlines()[1:]]
         out, settings = cfg.output, cfg.sweep
-        scn, _, stats, geb = angle_design(fixed_covariances(cfg.scenario, cfg.sweep.n_quad),
-                                          out.beampattern_phi, settings)
+        [(scn, _, stats, geb)] = angle_design(fixed_covariances(cfg.scenario, cfg.sweep.n_quad),
+                                            out.beampattern_phi, settings)
         count = int(round((out.beampattern_stop - out.beampattern_start)
                           / out.beampattern_step)) + 1
         thetas = out.beampattern_start + out.beampattern_step * np.arange(count)

@@ -123,7 +123,7 @@ class TestNameTable:
     @pytest.mark.parametrize("name", list(DESIGNS))
     def test_every_design_builds_an_m_by_d_beamformer(self, name):
         scn = two_group_toy()
-        stats = group_statistics(build_covariances(scn, n_quad=64), scn, 0)
+        stats = group_statistics(build_covariances(scn, n_quad=64), 0)
         settings = SweepSettings(group=0, beamformers=(name,), n_quad=64, n_restarts=3)
         geb = compute_geb(stats, scn.groups[0].n_chains)
         s_eff = build_beamformer(name, scn, stats, 0, settings, seed=1, geb=geb)

@@ -30,7 +30,7 @@ from conftest import random_orthonormal, random_unitary, table1_scenario, two_gr
 
 
 def geb_for(scn, g=0, d=None):
-    stats = group_statistics(build_covariances(scn), scn, g)
+    stats = group_statistics(build_covariances(scn), g)
     return compute_geb(stats, d or scn.groups[g].n_chains), stats
 
 
@@ -438,7 +438,7 @@ class TestDynamicSubarray:
         for i, phi in enumerate(phis):
             scn = merged_group_scenario(m=m, chains=d, phi=phi)
             cov = build_covariances(scn)
-            stats = group_statistics(cov, scn, 0)
+            stats = group_statistics(cov, 0)
             geb = compute_geb(stats, d)
             dyn, tr_d = dynamic_subarray(geb, stats, n_restarts=15, seed=50 + i)
             cb_o, tr_o = fixed_subarray(geb, ordered_mask(m, d), seed=50 + i)

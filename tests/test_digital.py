@@ -15,7 +15,7 @@ from conftest import two_group_toy
 def toy_effective(n=16, seed=3):
     scn = two_group_toy()
     cov = build_covariances(scn)
-    stats = group_statistics(cov, scn, 0)
+    stats = group_statistics(cov, 0)
     geb = compute_geb(stats, 4)
     real = sample_channels(cov, seed)
     eff = effective_channel(geb.s, real, 0, n)
@@ -58,7 +58,7 @@ class TestLayout:
     def test_block_arrays_share_one_matrix_first_layout(self):
         scn = two_group_toy()
         cov = build_covariances(scn)
-        stats = group_statistics(cov, scn, 0)
+        stats = group_statistics(cov, 0)
         s = compute_geb(stats, 4).s
         real = sample_channels(cov, 4, groups=[0], trials=range(3))
         n = 16
@@ -202,7 +202,7 @@ class TestLmmseBeatsZf:
         from jsdmsim import phase_extraction
         scn = two_group_toy(e1_db=20.0, e2_db=25.0)
         cov = build_covariances(scn)
-        stats = group_statistics(cov, scn, 0)
+        stats = group_statistics(cov, 0)
         geb = compute_geb(stats, 4)
         s_eff = phase_extraction(geb).effective()
         r_eta_rd = reduce(stats, s_eff)

@@ -26,7 +26,7 @@ from conftest import random_orthonormal, table1_scenario, two_group_toy
 
 def toy_stats():
     scn = two_group_toy()
-    return group_statistics(build_covariances(scn), scn, 0), scn
+    return group_statistics(build_covariances(scn), 0), scn
 
 
 class TestComputeGeb:
@@ -112,7 +112,7 @@ class TestReducedMutualInfo:
 
     def test_monotone_in_chain_count(self):
         scn = table1_scenario(m=16)
-        stats = group_statistics(build_covariances(scn), scn, 0)
+        stats = group_statistics(build_covariances(scn), 0)
         values = [reduced_mutual_info(stats, compute_geb(stats, d).s) for d in range(1, 7)]
         assert np.all(np.diff(values) >= -1e-9)
 
@@ -149,7 +149,7 @@ class TestGebOptimality:
     @given(data=st.data())
     def test_geb_beats_every_constrained_design(self, parity, data):
         scn, chains = data.draw(pencil_scenarios(parity))
-        stats = group_statistics(build_covariances(scn, n_quad=64), scn, 0)
+        stats = group_statistics(build_covariances(scn, n_quad=64), 0)
         geb = compute_geb(stats, chains)
         best = reduced_mutual_info(stats, geb.s)
         cfg = SweepSettings(group=0, beamformers=tuple(DESIGNS), n_restarts=4)

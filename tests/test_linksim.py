@@ -61,7 +61,7 @@ class TestSimulateBlock:
         scn = two_group_toy()
         cov = build_covariances(scn)
         real = sample_channels(cov, 2)
-        stats = group_statistics(cov, scn, 0)
+        stats = group_statistics(cov, 0)
         geb = compute_geb(stats, 4)
         eff = effective_channel(geb.s, real, 0, 16)
         bank = zf_combiners(eff)
@@ -103,7 +103,7 @@ class TestBussgangReport:
     def test_zero_combiner_gives_zero_capacity(self):
         scn = two_group_toy()
         cov = build_covariances(scn)
-        stats = group_statistics(cov, scn, 0)
+        stats = group_statistics(cov, 0)
         geb = compute_geb(stats, 4)
         real = sample_channels(cov, 4)
         eff = effective_channel(geb.s, real, 0, 8)
@@ -119,7 +119,7 @@ class TestBussgangReport:
             GroupSpec(2, 4, 3.0, (0,), np.array([[5.0], [9.0]]), 2.0, 1.0),
         ))
         cov = build_covariances(scn)
-        stats = group_statistics(cov, scn, 0)
+        stats = group_statistics(cov, 0)
         rng = np.random.default_rng(8)
         s = random_orthonormal(rng, 6, 4)
         rd = reduce(stats, s)
@@ -137,7 +137,7 @@ class TestBussgangReport:
     def test_empirical_amplitude_matches_within_3_sigma(self):
         scn = two_group_toy(m=8)
         cov = build_covariances(scn)
-        stats = group_statistics(cov, scn, 0)
+        stats = group_statistics(cov, 0)
         geb = compute_geb(stats, 4)
         rd = reduce(stats, geb.s)
         real = sample_channels(cov, 31)
@@ -167,7 +167,7 @@ class TestBussgangReport:
     def test_semi_analytic_sinr_matches_symbol_level(self):
         scn = two_group_toy(m=8, e1_db=15.0, e2_db=15.0)
         cov = build_covariances(scn)
-        stats = group_statistics(cov, scn, 0)
+        stats = group_statistics(cov, 0)
         geb = compute_geb(stats, 4)
         rd = reduce(stats, geb.s)
         real = sample_channels(cov, 17)
@@ -198,7 +198,7 @@ class TestErgodicCapacity:
             GroupSpec(1, 2, 2.0, (0,), np.array([[23.0]]), 1e-9, 1.0),
         ))
         cov = build_covariances(scn)
-        stats = group_statistics(cov, scn, 0)
+        stats = group_statistics(cov, 0)
         rng = np.random.default_rng(3)
         s = random_orthonormal(rng, 8, 2)
         rd = reduce(stats, s)
@@ -220,7 +220,7 @@ class TestErgodicCapacity:
         for e_db in (10.0, 15.0, 20.0, 25.0, 30.0):
             scn = two_group_toy(e1_db=e_db)
             cov = build_covariances(scn)
-            stats = group_statistics(cov, scn, 0)
+            stats = group_statistics(cov, 0)
             geb = compute_geb(stats, 4)
             cap = ergodic_capacity(cov, stats, {"geb": geb.s}, 0, ("zf",), n=16, trials=30,
                                   seed=77).estimate("geb", "zf")
@@ -230,7 +230,7 @@ class TestErgodicCapacity:
     def test_mean_and_stderr_shapes(self):
         scn = two_group_toy()
         cov = build_covariances(scn)
-        stats = group_statistics(cov, scn, 0)
+        stats = group_statistics(cov, 0)
         geb = compute_geb(stats, 4)
         cap = ergodic_capacity(cov, stats, {"geb": geb.s}, 0, ("lmmse",), n=16, trials=12,
                               seed=5).estimate("geb", "lmmse")
@@ -241,7 +241,7 @@ class TestErgodicCapacity:
     def test_reproducible(self):
         scn = two_group_toy()
         cov = build_covariances(scn)
-        stats = group_statistics(cov, scn, 0)
+        stats = group_statistics(cov, 0)
         geb = compute_geb(stats, 4)
         a = ergodic_capacity(cov, stats, {"geb": geb.s}, 0, ("zf",), n=16, trials=8, seed=13)
         b = ergodic_capacity(cov, stats, {"geb": geb.s}, 0, ("zf",), n=16, trials=8, seed=13)
@@ -252,7 +252,7 @@ class TestErgodicCapacity:
         # 37 trials: the last trial block is partial
         scn = two_group_toy()
         cov = build_covariances(scn)
-        stats = group_statistics(cov, scn, 0)
+        stats = group_statistics(cov, 0)
         geb = compute_geb(stats, 4)
         rd = reduce(stats, geb.s)
         spec = scn.groups[0]
@@ -283,7 +283,7 @@ class TestErgodicCapacity:
         # those factors' rounding moves them
         scn = two_group_toy()
         cov = build_covariances(scn)
-        stats = group_statistics(cov, scn, 0)
+        stats = group_statistics(cov, 0)
         geb = compute_geb(stats, 4)
         cap = ergodic_capacity(cov, stats, {"geb": geb.s}, 0, (combiner,), n=16, trials=37,
                                seed=2024).estimate("geb", combiner)
@@ -295,7 +295,7 @@ def three_designs():
     """Toy scenario, its covariances and statistics, and three of its designs."""
     scn = two_group_toy()
     cov = build_covariances(scn)
-    stats = group_statistics(cov, scn, 0)
+    stats = group_statistics(cov, 0)
     geb = compute_geb(stats, 4)
     designs = {"geb": geb.s, "pe": phase_extraction(geb).effective(),
                "dft": dft_beamformer(scn, 0).effective()}
@@ -368,7 +368,7 @@ def random_link_case(m, trials, chains, phi, draw):
     scn = two_group_toy(m=m, chains=chains, phi=phi)
     cov = build_covariances(scn, n_quad=64)
     rng = np.random.default_rng(draw)
-    return cov, group_statistics(cov, scn, 0), random_orthonormal(rng, m, chains), rng
+    return cov, group_statistics(cov, 0), random_orthonormal(rng, m, chains), rng
 
 
 LINK_CASES = dict(m=st.integers(8, 16), trials=st.integers(2, 8), chains=st.integers(2, 4),

@@ -16,7 +16,7 @@ from jsdmsim import (
     steering_matrix,
 )
 from jsdmsim.linalg import RankError
-from jsdmsim import linksim, metrics
+from jsdmsim import channel, chanest, linksim, metrics
 from jsdmsim.linksim import ergodic_capacity
 from jsdmsim.channel import fixed_covariances
 from jsdmsim.metrics import SweepSettings, _derived_seed, build_beamformer, phi_sweep
@@ -59,7 +59,7 @@ class TestBeampattern:
     def test_geb_suppresses_interferers_below_dft(self):
         scn = table1_scenario(m=32, mobile_db=40.0, interferer_db=40.0, phi=10.0)
         cov = build_covariances(scn)
-        stats = group_statistics(cov, scn, 0)
+        stats = group_statistics(cov, 0)
         settings = SweepSettings(group=0)
         geb = compute_geb(stats, 4)
         s_geb = build_beamformer("geb", scn, stats, 0, settings, 0, geb)
@@ -121,7 +121,7 @@ class TestPhiSweep:
 
         scn_phi = scn.with_phi(4.0)
         cov = build_covariances(scn_phi, n_quad=settings.n_quad)
-        stats = group_statistics(cov, scn_phi, 0)
+        stats = group_statistics(cov, 0)
         geb = compute_geb(stats, 4)
         cap = ergodic_capacity(cov, stats, {"geb": geb.s}, 0, ("zf",), n=16, trials=5,
                                seed=_derived_seed(11, 0, 2)).estimate("geb", "zf")
@@ -145,6 +145,23 @@ class TestPhiSweep:
         result = phi_sweep(scn, [0.0, 1.0], settings)
         assert len(result.errors()) == 2
         assert all(r.error is not None for r in result.records)
+
+    def test_pilots_built_once_per_angle(self, monkeypatch):
+        # every design of an angle shares its pilots: they draw from the angle's seed alone
+        seeds = []
+        original = chanest.build_pilots
+
+        def counting(scn, g, length, seed, energy=None):
+            seeds.append(seed)
+            return original(scn, g, length, seed, energy=energy)
+
+        monkeypatch.setattr(chanest, "build_pilots", counting)
+        settings = SweepSettings(group=0, beamformers=tuple(metrics.DESIGNS), combiners=("zf",),
+                                 estimator="lmmse", trials=1, block_length=64, seed=2)
+        result = phi_sweep(table1_scenario(m=16), [0.0, 3.0], settings)
+        assert len(settings.beamformers) == 7
+        assert not result.errors() and all(r.nmse is not None for r in result.records)
+        assert seeds == [_derived_seed(2, i, 3) for i in range(2)]
 
     def test_out_of_range_phi_rejected(self):
         scn = two_group_toy()
@@ -174,6 +191,12 @@ class TestPhiSweep:
             phi_sweep(two_group_toy(), [0.0], settings)
 
 
+def _mobile_bytes(scn):
+    """Bytes of one angle's mobile-group CCMs, the unit of the design block budget."""
+    return sum(len(spec.delays) * spec.n_users * scn.n_antennas ** 2 * 16
+               for spec in scn.groups if spec.mobile)
+
+
 def _two_mobile_groups():
     scn = table1_scenario(m=16)
     groups = list(scn.groups)
@@ -199,39 +222,110 @@ class TestFixedCovariances:
         phis = [-3.0, 0.0, 4.5]
         settings = SweepSettings(group=group, beamformers=("geb", "dft"), combiners=("zf",),
                                  trials=2, block_length=32, seed=5)
-        built, solved = [], []
-        original_build, original_geb = metrics.build_covariances, metrics.compute_geb
+        original_build, original_evaluate = metrics.build_covariances, metrics._evaluate_phi
 
         def recording_build(scn_phi, **kwargs):
-            built.append((scn_phi, original_build(scn_phi, **kwargs)))
-            return built[-1][1]
+            blocks.append(kwargs["phis"])
+            return original_build(scn_phi, **kwargs)
 
-        def recording_geb(stats, n_chains):
-            solved.append((stats, original_geb(stats, n_chains)))
-            return solved[-1][1]
+        def recording_evaluate(design, phi, phi_index, cfg):
+            scn_phi, cov, stats, geb = design
+            built.append((scn_phi, cov))
+            solved.append((stats, geb))
+            return original_evaluate(design, phi, phi_index, cfg)
+
+        def counting_sqrt(r):
+            rooted.append(r.shape)
+            return original_sqrt(r)
+
+        original_sqrt = channel.psd_sqrt
+        monkeypatch.setattr(metrics, "build_covariances", recording_build)
+        monkeypatch.setattr(metrics, "_evaluate_phi", recording_evaluate)
+        monkeypatch.setattr(channel, "psd_sqrt", counting_sqrt)
+        # design blocks of 1, 2 and 5 angles (one block, larger than the grid)
+        for block in (1, 2, 5):
+            monkeypatch.setattr(metrics, "_DESIGN_BLOCK_BYTES", block * _mobile_bytes(scn))
+            built, solved, blocks, rooted = [], [], [], []
+            result = phi_sweep(scn, phis, settings)
+            assert not result.errors()
+            assert [list(b) for b in blocks] == [phis[i:i + block] for i in range(0, 3, block)]
+            # one square root call per block, before the link pass needs it
+            assert len(rooted) == len(blocks)
+            assert [s.phi for s, _ in built] == phis and len(solved) == len(phis)
+
+            for phi, (scn_phi, cov), (stats, geb) in zip(phis, built, solved):
+                ref_scn = scn.with_phi(phi)
+                ref_cov = build_covariances(ref_scn, n_quad=settings.n_quad)
+                ref_stats = group_statistics(ref_cov, group)
+                ref_geb = compute_geb(ref_stats, ref_scn.groups[group].n_chains)
+                assert scn_phi == ref_scn
+                for g, spec in enumerate(scn.groups):
+                    # the non-mobile groups' CCMs are the sweep's, built once
+                    assert (cov.ccms[g] is result.fixed.ccms.get(g)) != spec.mobile
+                    for k in range(spec.n_users):
+                        for delay in spec.delays:
+                            assert np.array_equal(cov.ccms[g][k][delay],
+                                                  ref_cov.ccms[g][k][delay])
+                assert np.array_equal(stats.r_s, ref_stats.r_s)
+                assert np.array_equal(stats.r_eta, ref_stats.r_eta)
+                assert np.array_equal(geb.s, ref_geb.s)
+                assert np.array_equal(geb.gen_eigenvalues, ref_geb.gen_eigenvalues)
+                # the block's square roots, filled before the link pass
+                assert group in cov._factors
+                assert np.array_equal(cov.factors(group), ref_cov.factors(group))
+
+    @pytest.mark.parametrize("fault", ["toeplitz", "psd"])
+    def test_failure_stays_with_its_angle(self, fault, monkeypatch):
+        """A fault planted at the middle angle of a 3-angle block fails that angle alone,
+        with the message its one-angle design or link pass gives."""
+        scn = table1_scenario(m=16)
+        phis, bad = [-3.0, 0.0, 4.5], 0.0
+        settings = SweepSettings(group=0, beamformers=("geb", "dft"), combiners=("zf", "lmmse"),
+                                 trials=2, block_length=32, seed=5)
+        clean = phi_sweep(scn, phis, settings)
+        original, mu_bad = channel.ccm_one_ring, scn.groups[0].mean_aoa[0, 0] + bad
+
+        def planted(mu, delta, power, m, n_quad=channel.DEFAULT_N_QUAD):
+            out = original(mu, delta, power, m, n_quad)
+            hit = np.asarray(mu)[..., 0, 0] == mu_bad
+            if fault == "toeplitz":  # Hermitian once summed, but not Toeplitz
+                out[hit, ..., 0, 1] += 0.5
+            else:  # Toeplitz, but indefinite: the GEB stands, the square roots fail
+                out[hit] -= 10.0 * np.eye(m)
+            return out
+
+        monkeypatch.setattr(channel, "ccm_one_ring", planted)
+        blocks = []
+        original_build = metrics.build_covariances
+
+        def recording_build(scn_phi, **kwargs):
+            blocks.append(kwargs["phis"])
+            return original_build(scn_phi, **kwargs)
 
         monkeypatch.setattr(metrics, "build_covariances", recording_build)
-        monkeypatch.setattr(metrics, "compute_geb", recording_geb)
         result = phi_sweep(scn, phis, settings)
-        assert not result.errors()
-        assert [s.phi for s, _ in built] == phis and len(solved) == len(phis)
-
-        for phi, (scn_phi, cov), (stats, geb) in zip(phis, built, solved):
-            ref_scn = scn.with_phi(phi)
-            ref_cov = build_covariances(ref_scn, n_quad=settings.n_quad)
-            ref_stats = group_statistics(ref_cov, ref_scn, group)
-            ref_geb = compute_geb(ref_stats, ref_scn.groups[group].n_chains)
-            assert scn_phi == ref_scn
-            for g, spec in enumerate(scn.groups):
-                # the non-mobile groups' CCMs are the sweep's, built once
-                assert (cov.ccms[g] is result.fixed.ccms.get(g)) != spec.mobile
-                for k in range(spec.n_users):
-                    for delay in spec.delays:
-                        assert np.array_equal(cov.ccms[g][k][delay], ref_cov.ccms[g][k][delay])
-            assert np.array_equal(stats.r_s, ref_stats.r_s)
-            assert np.array_equal(stats.r_eta, ref_stats.r_eta)
-            assert np.array_equal(geb.s, ref_geb.s)
-            assert np.array_equal(geb.gen_eigenvalues, ref_geb.gen_eigenvalues)
+        assert blocks[0] is not None and list(blocks[0]) == phis
+        # a failed square root leaves the block standing; a failed design redoes it angle by angle
+        assert blocks[1:] == ([] if fault == "psd" else [None] * 3)
+        failed = result.errors()
+        assert len(failed) == 4 and {r.phi for r in failed} == {bad}
+        if fault == "toeplitz":
+            with pytest.raises(ValueError) as info:
+                metrics.angle_design(result.fixed, bad, settings)
+            expected = f"ValueError: {info.value}"
+            assert expected.startswith("ValueError: A is not Hermitian Toeplitz")
+        else:
+            [(_, cov, stats, _)] = metrics.angle_design(result.fixed, bad, settings)
+            with pytest.raises(ValueError) as info:
+                cov.factors(0)
+            expected = f"PsdError: {info.value}"
+            assert expected.startswith("PsdError: R[0, 0] is not PSD")
+        assert all(r.error == expected for r in failed)
+        for rec, ref in zip(result.records, clean.records):
+            if rec.phi != bad:
+                assert rec.error is None
+                assert np.array_equal(rec.capacity, ref.capacity)
+                assert rec.expected_sinr == ref.expected_sinr
 
     def test_shared_only_with_their_own_scenario_and_quadrature(self):
         scn = two_group_toy()
