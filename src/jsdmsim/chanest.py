@@ -104,14 +104,15 @@ def build_pilots(scn: Scenario, g: int, length: int, seed,
 
 
 def receive_pilots(pilots: PilotBlock, real: ChannelRealization, s: np.ndarray,
-                   scn: Scenario, seed) -> np.ndarray:
-    """Stacked post-beamformer observation over the pilot window.
+                   seed) -> np.ndarray:
+    """Stacked post-beamformer observation over the pilot window of ``real.scenario``.
 
     The intended group transmits its pilots (cyclic prefix absorbed through
     cyclic indexing); every other group is in asynchronous data mode and
     transmits random QPSK at its data energy.  Returns the (T*D,) vector of
     vertically concatenated reduced observations.
     """
+    scn = real.scenario
     g = pilots.group
     t_len = pilots.length
     s = np.asarray(s, dtype=complex)

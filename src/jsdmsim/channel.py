@@ -31,6 +31,7 @@ __all__ = [
     "sample_channels",
     "steering",
     "steering_matrix",
+    "white_coefficients",
 ]
 
 DEFAULT_N_QUAD = 200
@@ -289,21 +290,25 @@ class ChannelRealization:
     taps: list[dict[int, np.ndarray]]
 
 
-def _group_taps(cov: CovarianceSet, g: int, rngs) -> dict[int, np.ndarray]:
-    """Correlated Rayleigh taps of group g, one realization per generator.
+def white_coefficients(scn: Scenario, g: int, seeds) -> np.ndarray:
+    """Unit-variance circular complex normals z of group g, one draw per seed, shape (T, L, K, M).
 
-    Each generator draws one (delays, users, 2, M) standard-normal block: the
-    real then imaginary parts of every user at every active delay, so a seed
-    yields the same taps alone or inside a block.  Returns each active
-    delay's (len(rngs), M, K) taps.
+    Each seed's generator draws one (delays, users, 2, M) standard-normal block: the real
+    then imaginary parts of every user at every active delay, so a seed yields the same
+    coefficients alone or inside a block.  A tap is R^{1/2} z with R its CCM.
     """
-    spec = cov.scenario.groups[g]
-    m = cov.scenario.n_antennas
-    shape = (len(spec.delays), spec.n_users, 2, m)
-    z = np.stack([rng.standard_normal(shape) for rng in rngs])
-    z = (z[..., 0, :] + 1j * z[..., 1, :]) / np.sqrt(2.0)
+    spec = scn.groups[g]
+    shape = (len(spec.delays), spec.n_users, 2, scn.n_antennas)
+    z = np.stack([np.random.default_rng(seed).standard_normal(shape) for seed in seeds])
+    return (z[..., 0, :] + 1j * z[..., 1, :]) / np.sqrt(2.0)
+
+
+def _group_taps(cov: CovarianceSet, g: int, seeds) -> dict[int, np.ndarray]:
+    """Correlated Rayleigh taps of group g, one realization per seed: each active delay's
+    (len(seeds), M, K) taps R^{1/2} z (:func:`white_coefficients`)."""
+    z = white_coefficients(cov.scenario, g, seeds)
     h = np.ascontiguousarray((cov.factors(g) @ z[..., None])[..., 0].swapaxes(-1, -2))
-    return {delay: h[:, i] for i, delay in enumerate(spec.delays)}
+    return {delay: h[:, i] for i, delay in enumerate(cov.scenario.groups[g].delays)}
 
 
 def sample_channels(cov: CovarianceSet, seed, groups: list[int] | None = None,
@@ -311,20 +316,18 @@ def sample_channels(cov: CovarianceSet, seed, groups: list[int] | None = None,
     """Draw one correlated Rayleigh realization, independent across users/delays.
 
     Deterministic for a given seed.  ``groups`` restricts sampling to the
-    listed group indices (others come back as zero taps), which the
-    semi-analytic capacity path uses to skip interferer channels.  With
-    ``trials`` (a sequence of trial indices), trial t is the realization
+    listed group indices (others come back as zero taps).  With ``trials``
+    (a sequence of trial indices), trial t is the realization
     ``sample_channels(cov, [seed, t], groups)`` would draw, and every tap
-    gains a leading trial axis.
+    gains a leading trial axis.  The link pass draws the same white
+    coefficients (:func:`white_coefficients`) and projects them before
+    colouring, so it never forms these M-antenna taps.
     """
     scn = cov.scenario
     wanted = range(scn.n_groups) if groups is None else groups
     taps: list[dict[int, np.ndarray]] = [{} for _ in range(scn.n_groups)]
-    if trials is None:
-        rngs = [np.random.default_rng(seed)]
-    else:
-        rngs = [np.random.default_rng([seed, t]) for t in trials]
+    seeds = [seed] if trials is None else [[seed, t] for t in trials]
     for g in wanted:
         taps[g] = {delay: h if trials is not None else h[0]
-                   for delay, h in _group_taps(cov, g, rngs).items()}
+                   for delay, h in _group_taps(cov, g, seeds).items()}
     return ChannelRealization(scn, taps)

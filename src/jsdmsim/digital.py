@@ -9,7 +9,10 @@ Every array keeps the matrix indices first (see :class:`EffectiveChannel`),
 so the per-bin algebra runs on (D, K, B) views over the B flattened
 (realization, bin) pairs: each product and each K x K inverse
 (:func:`linalg.hermitian_inverse`) is a handful of elementwise operations
-along the whole block.
+along the whole block.  :func:`dft_of_taps` is the one path from reduced
+taps to bins.  Beside the explicit banks, :func:`zf_capacity` and
+:func:`lmmse_capacity` give the capacity behind each bank in closed form
+from per-bin K x K matrices (:func:`bin_grams`), without forming it.
 """
 
 from __future__ import annotations
@@ -25,9 +28,13 @@ __all__ = [
     "CombinerBank",
     "EffectiveChannel",
     "SingularBinError",
+    "bin_grams",
+    "dft_of_taps",
     "effective_channel",
     "gram",
+    "lmmse_capacity",
     "lmmse_combiners",
+    "zf_capacity",
     "zf_combiners",
 ]
 
@@ -83,23 +90,33 @@ def gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _times(a.conj().transpose(1, 0, 2), b)
 
 
+def dft_of_taps(active: np.ndarray, delays, n_taps: int, n: int) -> EffectiveChannel:
+    """The effective channel of reduced taps ``active`` (D, K, ..., L) at the active ``delays``.
+
+    The one path from taps to bins: the taps are placed on a zero (D, K, ..., n_taps) grid
+    and transformed by one N-point FFT along the last axis.  ``n`` is the SC-FDE block
+    length and must cover the delay spread ``n_taps``.
+    """
+    if n < n_taps:
+        raise ValueError(f"block length {n} shorter than delay spread {n_taps}")
+    taps = np.zeros(active.shape[:-1] + (n_taps,), dtype=complex)
+    taps[..., list(delays)] = active
+    return EffectiveChannel(taps, np.fft.fft(taps, n=n, axis=-1))
+
+
 def effective_channel(s: np.ndarray, real: ChannelRealization, g_src: int,
                       n: int) -> EffectiveChannel:
     """Project group ``g_src``'s channel taps through beamformer ``s``.
 
-    ``s`` is the overall analog stage including compensation.  ``n`` is the
-    SC-FDE block length and must cover the delay spread.  A block of
-    realizations is projected and transformed in one product and one FFT.
+    ``s`` is the overall analog stage including compensation.  A block of
+    realizations is projected in one product and transformed by
+    :func:`dft_of_taps`.
     """
-    scn = real.scenario
-    if n < scn.n_taps:
-        raise ValueError(f"block length {n} shorter than delay spread {scn.n_taps}")
     s = np.asarray(s, dtype=complex)
     group = real.taps[g_src]
     h = np.stack(list(group.values()), axis=-3)
-    taps = np.zeros((s.shape[1], h.shape[-1]) + h.shape[:-3] + (scn.n_taps,), dtype=complex)
-    taps[..., list(group)] = np.moveaxis(s.conj().T @ h, (-2, -1), (0, 1))
-    return EffectiveChannel(taps, np.fft.fft(taps, n=n, axis=-1))
+    return dft_of_taps(np.moveaxis(s.conj().T @ h, (-2, -1), (0, 1)), list(group),
+                       real.scenario.n_taps, n)
 
 
 def _singular_bin(bad: np.ndarray) -> SingularBinError:
@@ -152,3 +169,59 @@ def lmmse_combiners(eff: EffectiveChannel, r_eta_rd: np.ndarray, symbol_energy: 
     m[range(k), range(k)] += 1.0 / e
     # m >= I/E, so no pivot of a finite channel's m can fail
     return CombinerBank(_times(y, hermitian_inverse(m)[0]).reshape(eff.freq.shape))
+
+
+def bin_grams(eff: EffectiveChannel, weights: np.ndarray) -> np.ndarray:
+    """Per-bin K x K matrices Lambda_k^H diag(w) Lambda_k, one per row w of ``weights``.
+
+    ``weights`` is real, (n, D); the result is (n, K, K, ...) like ``eff.freq`` with one more
+    leading axis.  Every row is a weighted sum over the D streams of the one product
+    stack conj(Lambda[d, i]) Lambda[d, j], taken by one matrix product: with R =
+    U diag(sigma) U^H and the channel seen through S U, rows 1, sigma and 1 / sigma give
+    Lambda_k^H Lambda_k, Lambda_k^H R Lambda_k and Lambda_k^H R^-1 Lambda_k at once.
+    """
+    d, k = eff.freq.shape[:2]
+    lam = eff.freq.reshape(d, k, -1)
+    products = lam.conj()[:, :, np.newaxis] * lam[:, np.newaxis]
+    # real weights act on the real and imaginary parts alike: one real product
+    grams = np.asarray(weights, dtype=float) @ products.reshape(d, -1).view(float)
+    return grams.view(complex).reshape((len(weights), k, k) + eff.freq.shape[2:])
+
+
+def zf_capacity(g: np.ndarray, h: np.ndarray, symbol_energy: float,
+                n_users: int) -> np.ndarray:
+    """Per-user capacity behind the zero-forcing bank, in closed form, shape (..., K).
+
+    ``g`` and ``h`` are (K, K, ..., N) stacks of G_k = Lambda_k^H Lambda_k and
+    Lambda_k^H R Lambda_k (:func:`bin_grams`).  ZF gives W_k^H Lambda_k = I, so each
+    user's amplitude is 1 and its residual the noise [G_k^-1 Lambda_k^H R Lambda_k
+    G_k^-1]_uu: C_u = log2(1 + E / mean_k of it), E = symbol_energy / n_users.  The
+    rule of :func:`zf_combiners` holds: a bad pivot of G_k or a non-finite noise raises
+    SingularBinError naming the bin.  No combiner is formed.
+    """
+    e = symbol_energy / n_users
+    k = g.shape[0]
+    gram_inv, bad = hermitian_inverse(g.reshape(k, k, -1))
+    noise = (_times(gram_inv, h.reshape(k, k, -1)) * gram_inv.transpose(1, 0, 2)).sum(axis=1).real
+    bad |= ~np.isfinite(noise).all(axis=0)
+    if bad.any():
+        raise _singular_bin(bad.reshape(g.shape[2:]))
+    noise = np.maximum(noise.reshape((k,) + g.shape[2:]).mean(axis=-1), 0.0)
+    with np.errstate(divide="ignore"):
+        return np.moveaxis(np.log2(1.0 + e / noise), 0, -1)
+
+
+def lmmse_capacity(m: np.ndarray, symbol_energy: float, n_users: int) -> np.ndarray:
+    """Per-user capacity behind the LMMSE bank, in closed form, shape (..., K).
+
+    ``m`` is the (K, K, ..., N) stack of Lambda_k^H R^-1 Lambda_k (:func:`bin_grams`).
+    With M_k = Lambda_k^H R^-1 Lambda_k + I/E (E = symbol_energy / n_users),
+    W_k^H Lambda_k = I - M_k^-1 / E and E|x^_u|^2 = E - [M_k^-1]_uu, so the Bussgang
+    SINR is E / m_u - 1 with m_u = mean_k [M_k^-1]_uu, and C_u = -log2(m_u / E).
+    M_k >= I/E, so no pivot of a finite channel's M_k can fail.  No combiner is formed.
+    """
+    e = symbol_energy / n_users
+    k = m.shape[0]
+    m = m + np.eye(k).reshape((k, k) + (1,) * (m.ndim - 2)) / e
+    mse = hermitian_inverse(m)[0][range(k), range(k)].real
+    return np.moveaxis(-np.log2(mse.mean(axis=-1) / e), 0, -1)

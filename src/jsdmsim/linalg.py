@@ -271,32 +271,38 @@ def hermitian_inverse(a) -> tuple[np.ndarray, np.ndarray]:
 
     ``a`` has shape (K, K, *batch); returns ``(inv, bad)`` with ``inv[:, :, b]``
     the inverse of ``a[:, :, b]`` and ``bad`` (shape ``batch``) marking the
-    matrices whose inverses are meaningless: those with a pivot that is not
-    finite, not positive, or at most ``PIVOT_RTOL`` times the matrix's own
+    matrices whose inverses are meaningless, and NaN: those with a pivot that is
+    not finite, not positive, or at most ``PIVOT_RTOL`` times the matrix's own
     diagonal entry in its row.  Unpivoted in-place Gauss-Jordan over K: every
-    step runs on the whole stack at once.  Rows are divided by the pivot, not
-    multiplied by its reciprocal, so the Gram matrix of two identical columns
-    often meets an exact zero pivot; the relative test catches the rest.
+    step runs on the whole stack at once, eliminating one row at a time (a
+    (K, K, batch) temporary costs more than its arithmetic).  Rows are divided
+    by the pivot, not multiplied by its reciprocal, so the Gram matrix of two
+    identical columns often meets an exact zero pivot; the relative test
+    catches the rest.
     """
     inv = np.array(a, dtype=complex)
     if inv.ndim < 2 or inv.shape[0] != inv.shape[1]:
         raise ValueError(f"expected a (K, K, ...) stack, got shape {inv.shape}")
     k = inv.shape[0]
-    floor = PIVOT_RTOL * inv[range(k), range(k)].real
+    # a pivot must exceed this (and be finite); a NaN diagonal entry stays NaN and fails
+    floor = np.maximum(PIVOT_RTOL * inv[range(k), range(k)].real, 0.0)
     bad = np.zeros(inv.shape[2:], dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         for j in range(k):
             pivot = inv[j, j].real.copy()
-            bad |= ~(pivot > 0) | ~(pivot > floor[j]) | ~np.isfinite(pivot)
+            bad |= ~(pivot > floor[j]) | (pivot == np.inf)
             inv[j, j] = 1.0
             # a complex array divided by a real one would take numpy's complex
             # division, which multiplies by a reciprocal
             inv[j].real /= pivot
             inv[j].imag /= pivot
-            factor = inv[:, j].copy()
-            factor[j] = 0.0
-            inv[:, j] -= factor
-            inv -= factor[:, np.newaxis] * inv[j]
+            for i in range(k):
+                if i != j:
+                    factor = inv[i, j].copy()
+                    inv[i, j] = 0.0
+                    inv[i] -= factor * inv[j]
+    if bad.any():
+        inv[..., bad] = np.nan
     return inv, bad
 
 

@@ -2,19 +2,25 @@
 
 Capacity evaluation is semi-analytic: given an instantaneous intra-group
 effective channel, the soft symbol estimate decomposes into a scaled true
-symbol plus uncorrelated residual, whose moments are closed-form in the
-per-bin combiners and the reduced interference-plus-noise covariance.  Monte
-Carlo enters only across channel realizations.  One link pass per angle
-(:func:`ergodic_capacity`) evaluates every (design, combiner) pair against
-the same draws, in blocks of trials: one stacked draw per block, one
-projection and FFT per design, then the combiners and the moments of every
-(trial, bin) pair as elementwise operations on (D, K, trial x bin) views
-of the matrix-first arrays (see :mod:`digital`).  The reduced
-interference-plus-noise covariance S^H R_eta S (:func:`statistics.reduce`)
-is the one statistical input.  The symbol-level simulator
-(:func:`simulate_block`) exists as an independent cross-validation path
-(unit-energy QPSK); it applies the channel circularly, so the cyclic prefix
-is implicit.
+symbol plus uncorrelated residual (Bussgang), whose moments are closed-form
+in the per-bin channel and the reduced interference-plus-noise covariance
+R = S^H R_eta S (:func:`statistics.reduce`), the one statistical input.
+Monte Carlo enters only across channel realizations.  One link pass per
+angle (:func:`ergodic_capacity`) evaluates every (design, combiner) pair
+against the same draws, in the reduced dimension: each tap is R^{1/2} z,
+so each design projects the group's square roots once, P = (S U)^H R^{1/2}
+with R = U diag(sigma) U^H, and each block of trials draws its white
+coefficients z once.  Per design and block the taps P z go through one FFT
+(:func:`digital.dft_of_taps`) and one product stack gives every per-bin
+K x K matrix (:func:`digital.bin_grams`); ZF and LMMSE capacities then
+follow in closed form (:func:`digital.zf_capacity`,
+:func:`digital.lmmse_capacity`), with no M-antenna channel and no combiner
+formed.  The explicit path (``sample_channels``, ``effective_channel``, the
+combiner banks, ``_link_moments``, ``_capacity`` and :func:`bussgang_report`)
+computes the same capacities from explicit combiners; the tests compare the
+two.  The symbol-level simulator (:func:`simulate_block`) exists as an
+independent cross-validation path (unit-energy QPSK); it applies the
+channel circularly, so the cyclic prefix is implicit.
 """
 
 from __future__ import annotations
@@ -25,10 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, CovarianceSet, sample_channels
-from .digital import (CombinerBank, EffectiveChannel, effective_channel, gram,
-                      lmmse_combiners, zf_combiners)
-from .statistics import GroupStatistics, reduce
+from .channel import ChannelRealization, CovarianceSet, white_coefficients
+from .digital import (CombinerBank, EffectiveChannel, SingularBinError, bin_grams, dft_of_taps,
+                      gram, lmmse_capacity, zf_capacity)
+from .linalg import DefinitenessError, hermitian_inverse
 
 __all__ = [
     "BlockResult",
@@ -44,13 +50,15 @@ __all__ = [
 # The per-bin digital combiners ergodic_capacity can apply.
 COMBINER_NAMES = ("zf", "lmmse")
 
-# Trials per stacked link evaluation.  On table1 at 32 antennas with 200
-# trials, the link pass runs equally fast with blocks of 16 to 200 trials
-# (about 0.15 s for two angles; 0.24 s at 8 and 0.35 s at 4 trials); at 128
-# antennas (the 11-angle full-scale table1 sweep) blocks of 64 run about 10%
-# faster than blocks of 16.  The 32-antenna two-angle sweep's traced peak
-# memory grows with the block: 1.7 MB at 16 trials, 4.2 MB at 64, 11.7 MB for
-# all 200 at once.  Trial t always draws from [seed, t], so the block size
+# Trials per stacked link evaluation.  On 2 cores, table1 at 32 antennas with
+# 200 trials (two angles, four designs, both combiners) ran its link pass in
+# 0.08-0.10 s with blocks of 64 or 200 trials, 0.11 s at 16, 0.14 s at 8 and
+# 0.22 s at 4; the 11-angle full-scale table1 sweep (128 antennas) in
+# 0.50-0.65 s with blocks of 64 or 200 and 0.66 s at 16, with about 15% noise
+# between runs.  Traced peak memory grows with the block: the 32-antenna
+# sweep's is 1.8 MB at 16 trials, 4.3 MB at 64 and 12.0 MB for all 200 at
+# once; the full-scale sweep's 11.1 MB at 16 or 64 and 19.7 MB at 200.  Trial
+# t always draws from [seed, t] and is projected on its own, so the block size
 # leaves every result bit for bit unchanged.
 _TRIAL_BLOCK = 64
 
@@ -205,30 +213,51 @@ def bussgang_report(eff: EffectiveChannel, combiners: CombinerBank, r_eta_rd: np
     return UserLinkReport(complex(a), float(b_power), float(sinr), float(capacity))
 
 
-def ergodic_capacity(cov: CovarianceSet, stats: GroupStatistics, designs: Mapping[str, np.ndarray],
+def _eigenbasis(s: np.ndarray, r_eta_rd: np.ndarray, roots: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """A design's projected roots (S U)^H R^{1/2} and its :func:`digital.bin_grams` weights.
+
+    R = S^H R_eta S = U diag(sigma) U^H.  Seen through S U, a unitary right factor that
+    leaves every capacity unchanged, the reduced covariance is diag(sigma), so the rows 1,
+    sigma and 1 / sigma give G_k, Lambda_k^H R Lambda_k and Lambda_k^H R^-1 Lambda_k (the
+    last row is zero unless R is positive definite).  ``roots`` are the group's Hermitian
+    square roots, (L, K, M, M); the projection is (L, K, D, M).
+    """
+    sigma, u = np.linalg.eigh(r_eta_rd)
+    inverse = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=sigma > 0)
+    s_u = np.asarray(s, dtype=complex) @ u
+    return s_u.conj().T @ roots, np.stack([np.ones_like(sigma), sigma, inverse])
+
+
+def ergodic_capacity(cov: CovarianceSet, designs: Mapping[str, tuple[np.ndarray, np.ndarray]],
                      group: int, combiners: tuple[str, ...] = ("zf",), n: int = 64,
                      trials: int = 200, seed=0) -> LinkPass:
     """Per-user capacity of every (design, combiner) pair over shared channel draws.
 
-    ``designs`` maps a name to its effective analog stage; ``stats`` is the
-    evaluated group's statistics of ``cov``.  Only that group's channels are
-    sampled; interference enters through its statistical reduced covariance.
-    Trial t draws its channel from the seed ``[seed, t]``, so results are
-    reproducible and independent of the trial block size and of the other
-    pairs.  Each block of ``_TRIAL_BLOCK`` trials is drawn once, projected
-    once per design and combined once per pair.  A ValueError fails only the
-    pairs it belongs to, which are then skipped; any other exception
-    propagates.
+    ``designs`` maps a name to its effective analog stage S and its reduced
+    interference-plus-noise covariance S^H R_eta S (:func:`statistics.reduce`).
+    Only group ``group``'s channels are drawn; interference enters through
+    the reduced covariance.  Trial t draws the white coefficients z of
+    ``sample_channels(cov, [seed, t])`` (:func:`channel.white_coefficients`),
+    so results are reproducible and independent of the trial block size and
+    of the other pairs.  Each design projects the group's square roots once
+    (:func:`_eigenbasis`); each block of ``_TRIAL_BLOCK`` trials is drawn
+    once, its taps P z go through one FFT per design (:func:`digital.dft_of_taps`),
+    one product stack gives every per-bin K x K matrix (:func:`digital.bin_grams`),
+    and each pair's capacities follow in closed form (:func:`digital.zf_capacity`,
+    :func:`digital.lmmse_capacity`).  A ValueError fails only the pairs it
+    belongs to, which are then skipped; any other exception propagates.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     for comb in combiners:
         if comb not in COMBINER_NAMES:
             raise ValueError(f"unknown combiner {comb!r}")
-    spec = cov.scenario.groups[group]
-    e = spec.symbol_energy / spec.n_users
+    scn = cov.scenario
+    spec = scn.groups[group]
+    k = spec.n_users
     names = tuple(designs)
-    samples = np.full((trials, len(names), len(combiners), spec.n_users), np.nan)
+    samples = np.full((trials, len(names), len(combiners), k), np.nan)
     errors: dict[tuple[str, str], ValueError] = {}
 
     def pending(name):
@@ -237,40 +266,46 @@ def ergodic_capacity(cov: CovarianceSet, stats: GroupStatistics, designs: Mappin
     def fail(name, combs, exc):
         errors.update({(name, comb): exc for comb in combs})
 
-    reduced = {}
+    prepared = {}
     for name in names:
+        s, r_eta_rd = designs[name]
         try:
-            reduced[name] = reduce(stats, designs[name])
+            prepared[name] = _eigenbasis(s, r_eta_rd, cov.factors(group))
         except ValueError as exc:
             fail(name, combiners, exc)
+            continue
+        projected, weights = prepared[name]
+        d = projected.shape[-2]
+        if "zf" in combiners and d < k:
+            fail(name, ["zf"], SingularBinError(f"zero-forcing needs D >= K, got D={d}, K={k}"))
+        # R must pass the pivot test and have positive eigenvalues (a positive 1 / sigma row)
+        if "lmmse" in combiners and (hermitian_inverse(r_eta_rd)[1] or not np.all(weights[2] > 0)):
+            fail(name, ["lmmse"], DefinitenessError(
+                "reduced interference-plus-noise covariance is not positive definite"))
     for start in range(0, trials, _TRIAL_BLOCK):
         if not any(pending(name) for name in names):
             break
         block = range(start, min(start + _TRIAL_BLOCK, trials))
-        try:
-            real = sample_channels(cov, seed, groups=[group], trials=block)
-        except ValueError as exc:
-            for name in names:
-                fail(name, pending(name), exc)
-            break
+        # (T, L, K, M, 1): one matrix-vector product per (trial, delay, user), so no
+        # trial's taps depend on how many trials share its block
+        z = white_coefficients(scn, group, [[seed, t] for t in block])[..., np.newaxis]
         for i, name in enumerate(names):
             combs = pending(name)
             if not combs:
                 continue
+            projected, weights = prepared[name]
             try:
-                eff = effective_channel(designs[name], real, group, n)
+                eff = dft_of_taps((projected @ z)[..., 0].transpose(3, 2, 0, 1), spec.delays,
+                                  scn.n_taps, n)
             except ValueError as exc:
                 fail(name, combs, exc)
                 continue
-            r_eta_rd = reduced[name]
+            g, h, m = bin_grams(eff, weights)
             for comb in combs:
                 try:
-                    if comb == "zf":
-                        bank = zf_combiners(eff)
-                    else:
-                        bank = lmmse_combiners(eff, r_eta_rd, spec.symbol_energy, spec.n_users)
-                    samples[block.start:block.stop, i, combiners.index(comb)] = _capacity(
-                        *_link_moments(eff, bank, r_eta_rd, e), e)[2]
+                    samples[block.start:block.stop, i, combiners.index(comb)] = (
+                        zf_capacity(g, h, spec.symbol_energy, k) if comb == "zf"
+                        else lmmse_capacity(m, spec.symbol_energy, k))
                 except ValueError as exc:
                     fail(name, [comb], exc)
     return LinkPass(names, tuple(combiners), samples, errors)

@@ -7,7 +7,9 @@ one square-root call per block, with a shared R_eta factored once, and as
 many angles per block as keep the mobile CCMs within a byte budget
 (``_DESIGN_BLOCK_BYTES``).  Each angle then gets its beamformers
 (:data:`DESIGNS`), with each design's expected SINR and (optionally)
-channel-estimation nMSE, and its own seeds.  One link pass
+channel-estimation nMSE, and its own seeds; each design's S^H R_eta S
+(:func:`~jsdmsim.statistics.reduce`, which checks its rank) is built once
+and serves the estimation and the link pass.  One link pass
 (:func:`~jsdmsim.linksim.ergodic_capacity`) then evaluates the capacity of
 every surviving design with every combiner against the same channel draws.
 A numerical failure (:data:`ANGLE_ERRORS`) records an error marker for the
@@ -254,7 +256,7 @@ def angle_design(fixed: FixedCovariances, phi, cfg: SweepSettings, roots: bool =
     ``roots``, one :func:`~jsdmsim.linalg.psd_sqrt` call on the evaluated
     group's CCMs fills every angle's factor cache; when it fails, the caches
     stay empty and each angle computes (and fails on) its own roots when its
-    channels are drawn.
+    link pass projects them.
     """
     lone = np.ndim(phi) == 0
     cov = build_covariances(fixed.scenario.with_phi(phi) if lone else fixed.scenario,
@@ -287,22 +289,24 @@ def _evaluate_phi(design, phi: float, phi_index: int, cfg: SweepSettings) -> lis
         scn_phi, cfg.group, cfg.pilot_length, _derived_seed(cfg.seed, phi_index, 3),
         energy=cfg.pilot_energy)
 
-    designs: dict[str, np.ndarray] = {}
+    designs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     scores: dict[str, tuple[float, float | None]] = {}
     failed: dict[str, Exception] = {}
     for name in cfg.beamformers:
         try:
             s_eff = build_beamformer(name, scn_phi, stats, cfg.group, cfg,
                                      _derived_seed(cfg.seed, phi_index, 1), geb=geb)
+            # the design's one rank check; estimation and the link pass read the result
+            r_eta_rd = reduce(stats, s_eff)
             score = expected_sinr(stats, s_eff)
             est_nmse = None
             if pilots is not None:
-                est_nmse = _estimation_nmse(cov, stats, s_eff, cfg, pilots)
+                est_nmse = _estimation_nmse(cov, s_eff, r_eta_rd, cfg, pilots)
         except ANGLE_ERRORS as exc:
             failed[name] = exc
             continue
-        designs[name], scores[name] = s_eff, (score, est_nmse)
-    link = linksim.ergodic_capacity(cov, stats, designs, cfg.group, cfg.combiners,
+        designs[name], scores[name] = (s_eff, r_eta_rd), (score, est_nmse)
+    link = linksim.ergodic_capacity(cov, designs, cfg.group, cfg.combiners,
                                     n=cfg.block_length, trials=cfg.trials,
                                     seed=_derived_seed(cfg.seed, phi_index, 2))
 
@@ -318,11 +322,11 @@ def _evaluate_phi(design, phi: float, phi_index: int, cfg: SweepSettings) -> lis
     return records
 
 
-def _estimation_nmse(cov: CovarianceSet, stats, s_eff: np.ndarray, cfg: SweepSettings,
-                     pilots: chanest.PilotBlock) -> float:
+def _estimation_nmse(cov: CovarianceSet, s_eff: np.ndarray, r_eta_rd: np.ndarray,
+                     cfg: SweepSettings, pilots: chanest.PilotBlock) -> float:
     delays = cov.scenario.groups[cfg.group].delays
     r_h = chanest.effective_covariance(cov, s_eff, cfg.group)
-    pc = chanest.pilot_covariances(pilots, delays, r_h, reduce(stats, s_eff))
+    pc = chanest.pilot_covariances(pilots, delays, r_h, r_eta_rd)
     if cfg.estimator == "lmmse":
         z = chanest.lmmse_estimator(pc)
     else:

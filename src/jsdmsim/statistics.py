@@ -89,13 +89,13 @@ def reduce(stats: GroupStatistics, s: np.ndarray) -> np.ndarray:
 
 
 def expected_sinr(stats: GroupStatistics, s: np.ndarray) -> float:
-    """Trace-ratio SINR of the group after beamformer ``s``.
+    """Trace-ratio SINR of the group after a nonzero beamformer ``s``.
 
     tr(S^H R_s S) / tr(S^H R_eta S); scale-invariant in S, strictly positive
-    denominator whenever the noise power is.
+    denominator whenever the noise power is.  A trace ratio needs no column
+    rank: a design's rank is checked once, by :func:`reduce`.
     """
     s = np.asarray(s, dtype=complex)
-    _check_rank(s)
     num = np.trace(s.conj().T @ stats.r_s @ s).real
     den = np.trace(s.conj().T @ stats.r_eta @ s).real
     return num / den

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from jsdmsim import GroupSpec, Scenario
+from jsdmsim import GroupSpec, Scenario, reduce
 
 
 def table1_scenario(m=32, mobile_db=30.0, interferer_db=20.0, chains=4, phi=0.0):
@@ -67,6 +67,11 @@ def desk_scenario():
 @pytest.fixture(scope="session")
 def toy_scenario():
     return two_group_toy()
+
+
+def with_reduced(stats, designs):
+    """The link pass's input: each design with its S^H R_eta S."""
+    return {name: (s, reduce(stats, s)) for name, s in designs.items()}
 
 
 def random_orthonormal(rng, m, d):

@@ -40,6 +40,7 @@ from conftest import (
     random_orthonormal,
     random_unitary,
     table1_scenario,
+    with_reduced,
 )
 
 
@@ -246,8 +247,9 @@ def test_criterion_09_fully_connected_capacity_ordering():
         cfg = SweepSettings(group=0)
         for n in names:
             s = build_beamformer(n, scn, stats, 0, cfg, _derived_seed(3, i, 1), geb)
-            cap = linksim.ergodic_capacity(cov, stats, {n: s}, 0, ("lmmse",), n=64, trials=200,
-                                           seed=_derived_seed(3, i, 2)).estimate(n, "lmmse")
+            cap = linksim.ergodic_capacity(cov, with_reduced(stats, {n: s}), 0, ("lmmse",), n=64,
+                                           trials=200, seed=_derived_seed(3, i, 2)
+                                           ).estimate(n, "lmmse")
             samples[n].append(cap.samples.mean(axis=1))
     arr = {n: np.concatenate(v) for n, v in samples.items()}
     means = {n: arr[n].mean() for n in names}
@@ -279,8 +281,8 @@ def test_criterion_10_subarray_capacity_ordering():
         cb_i, _ = fixed_subarray(geb, interlaced_mask(m, d), seed=seed)
         for name, cb in (("dynamic", dyn), ("ordered", cb_o), ("interlaced", cb_i)):
             for comb in ("zf", "lmmse"):
-                cap = linksim.ergodic_capacity(cov, stats, {name: cb.effective()}, 0, (comb,),
-                                               n=64, trials=200,
+                cap = linksim.ergodic_capacity(cov, with_reduced(stats, {name: cb.effective()}),
+                                               0, (comb,), n=64, trials=200,
                                                seed=_derived_seed(3, i, 2)).estimate(name, comb)
                 caps[(name, comb)].append(cap.samples.mean(axis=1))
     arr = {k: np.concatenate(v) for k, v in caps.items()}
@@ -344,7 +346,7 @@ def test_criterion_12_nmse_grid():
     err = ref = 0.0
     for t in range(5000):
         real = sample_channels(cov, [1012, t])
-        ybar = chanest.receive_pilots(pilots, real, geb.s, scn, seed=[1013, t])
+        ybar = chanest.receive_pilots(pilots, real, geb.s, seed=[1013, t])
         truth = chanest.stack_effective(real, geb.s, 0)
         err += np.sum(np.abs(z.conj().T @ ybar - truth) ** 2)
         ref += np.sum(np.abs(truth) ** 2)

@@ -84,7 +84,7 @@ class TestReceivePilots:
         rng = np.random.default_rng(8)
         s = random_orthonormal(rng, 4, 2)
         pilots = build_pilots(scn, 0, 1, seed=9)
-        ybar = receive_pilots(pilots, real, s, scn, seed=10)
+        ybar = receive_pilots(pilots, real, s, seed=10)
         expected = pilots.x[0, 0] * (s.conj().T @ real.taps[0][0][:, 0])
         assert_allclose(ybar, expected, atol=1e-12)
 
@@ -102,7 +102,7 @@ class TestReceivePilots:
         acc = np.zeros((dim, dim), dtype=complex)
         for t in range(draws):
             real = sample_channels(cov, [13, t])
-            y = receive_pilots(pilots, real, geb.s, scn, seed=[14, t])
+            y = receive_pilots(pilots, real, geb.s, seed=[14, t])
             acc += np.outer(y, y.conj())
         acc /= draws
         assert np.linalg.norm(acc - r_y) <= 0.05 * np.linalg.norm(r_y)
@@ -115,7 +115,7 @@ class TestReceivePilots:
         geb = compute_geb(stats, 4)
         for t_len in (4, 8):
             pilots = build_pilots(scn, 0, t_len, seed=2)
-            assert receive_pilots(pilots, real, geb.s, scn, seed=3).shape == (t_len * 4,)
+            assert receive_pilots(pilots, real, geb.s, seed=3).shape == (t_len * 4,)
 
 
 class TestLmmseEstimator:
@@ -156,7 +156,7 @@ class TestLmmseEstimator:
         z_lm = lmmse_estimator(pilot_covariances(pilots, scn.groups[0].delays, r_h, rd))
         z_ls = ls_estimator(pilots, scn.groups[0].delays, 2)
         real = sample_channels(cov, 5)
-        ybar = receive_pilots(pilots, real, geb.s, scn, seed=6)
+        ybar = receive_pilots(pilots, real, geb.s, seed=6)
         est_lm = z_lm.conj().T @ ybar
         est_ls = z_ls.conj().T @ ybar
         assert np.linalg.norm(est_lm - est_ls) <= 1e-3 * np.linalg.norm(est_ls)
@@ -171,7 +171,7 @@ class TestLsEstimator:
         s = random_orthonormal(rng, 5, 2)
         pilots = build_pilots(scn, 0, 8, seed=5)
         z = ls_estimator(pilots, (0, 2), 2)
-        est = z.conj().T @ receive_pilots(pilots, real, s, scn, seed=6)
+        est = z.conj().T @ receive_pilots(pilots, real, s, seed=6)
         truth = stack_effective(real, s, 0)
         assert_allclose(est, truth, atol=1e-10)
 
@@ -185,7 +185,7 @@ class TestLsEstimator:
         s = random_orthonormal(rng, 5, 2)
         pilots = build_pilots(scn, 0, 8, seed=9)
         z = ls_estimator(pilots, (0, 2), 2)
-        ybar = receive_pilots(pilots, real, s, scn, seed=10)
+        ybar = receive_pilots(pilots, real, s, seed=10)
         est = z.conj().T @ ybar
         assert est.shape == (2 * 2,)  # (active delay, stream) for the single user
         x_p = pilots.x[:, [0, 2]]
@@ -268,7 +268,7 @@ class TestNmse:
         trials = 5000
         for t in range(trials):
             real = sample_channels(cov, [21, t])
-            ybar = receive_pilots(pilots, real, geb.s, scn, seed=[22, t])
+            ybar = receive_pilots(pilots, real, geb.s, seed=[22, t])
             truth = stack_effective(real, geb.s, 0)
             err += np.sum(np.abs(z.conj().T @ ybar - truth) ** 2)
             ref += np.sum(np.abs(truth) ** 2)

@@ -26,7 +26,8 @@ from jsdmsim.constrained import (CandidateExhaustionError, ConstrainedBeamformer
                                  _connection_search)
 from jsdmsim.linalg import svd
 
-from conftest import random_orthonormal, random_unitary, table1_scenario, two_group_toy
+from conftest import (random_orthonormal, random_unitary, table1_scenario, two_group_toy,
+                      with_reduced)
 
 
 def geb_for(scn, g=0, d=None):
@@ -446,8 +447,8 @@ class TestDynamicSubarray:
             for name, cb, tr in (("dynamic", dyn, tr_d), ("ordered", cb_o, tr_o),
                                  ("interlaced", cb_i, tr_i)):
                 fits[name].append(tr.residuals[-1])
-                cap = linksim.ergodic_capacity(cov, stats, {name: cb.effective()}, 0,
-                                               ("lmmse",), n=32, trials=25,
+                cap = linksim.ergodic_capacity(cov, with_reduced(stats, {name: cb.effective()}),
+                                               0, ("lmmse",), n=32, trials=25,
                                                seed=60 + i).estimate(name, "lmmse")
                 caps[name].append(cap.mean.mean())
         assert np.mean(caps["dynamic"]) >= np.mean(caps["ordered"])

@@ -453,6 +453,7 @@ class TestHermitianInverse:
         inv, bad = hermitian_inverse(indices_first(x.conj().swapaxes(-1, -2) @ x))
         assert bad.tolist() == [False, False, False, False, True, False]
         assert np.isfinite(np.delete(inv, 4, axis=-1)).all()
+        assert np.isnan(inv[..., 4]).all()
 
     def test_indefinite_flagged(self):
         assert hermitian_inverse(np.diag([1.0, -2.0]))[1]

@@ -16,12 +16,12 @@ from jsdmsim import (
     steering_matrix,
 )
 from jsdmsim.linalg import RankError
-from jsdmsim import channel, chanest, linksim, metrics
+from jsdmsim import channel, chanest, linksim, metrics, statistics
 from jsdmsim.linksim import ergodic_capacity
 from jsdmsim.channel import fixed_covariances
 from jsdmsim.metrics import SweepSettings, _derived_seed, build_beamformer, phi_sweep
 
-from conftest import random_orthonormal, table1_scenario, two_group_toy
+from conftest import random_orthonormal, table1_scenario, two_group_toy, with_reduced
 
 
 class TestBeampattern:
@@ -123,8 +123,8 @@ class TestPhiSweep:
         cov = build_covariances(scn_phi, n_quad=settings.n_quad)
         stats = group_statistics(cov, 0)
         geb = compute_geb(stats, 4)
-        cap = ergodic_capacity(cov, stats, {"geb": geb.s}, 0, ("zf",), n=16, trials=5,
-                               seed=_derived_seed(11, 0, 2)).estimate("geb", "zf")
+        cap = ergodic_capacity(cov, with_reduced(stats, {"geb": geb.s}), 0, ("zf",), n=16,
+                               trials=5, seed=_derived_seed(11, 0, 2)).estimate("geb", "zf")
         assert_allclose(rec.capacity, cap.mean, atol=1e-12)
 
     def test_grid_refinement_stable(self):
@@ -180,15 +180,54 @@ class TestPhiSweep:
             phi_sweep(two_group_toy(), [0.0, 1.0], settings)
 
     def test_programming_error_in_the_link_pass_propagates(self, monkeypatch):
-        # a ValueError in one pair's combiner fails that pair; a TypeError is a bug
-        def broken_zf(eff):
+        # a ValueError in one pair's kernel fails that pair; a TypeError is a bug
+        def broken_zf(g, h, symbol_energy, n_users):
             raise TypeError("planted")
 
-        monkeypatch.setattr(linksim, "zf_combiners", broken_zf)
+        monkeypatch.setattr(linksim, "zf_capacity", broken_zf)
         settings = SweepSettings(group=0, beamformers=("geb", "dft"), combiners=("lmmse", "zf"),
                                  trials=1, block_length=16)
         with pytest.raises(TypeError, match="planted"):
             phi_sweep(two_group_toy(), [0.0], settings)
+
+    def test_one_rank_check_per_angle_and_design(self, monkeypatch):
+        # one reduce per design checks its rank, and its S^H R_eta S serves the estimation
+        # and the link pass; a rank-deficient design fails only its own pairs
+        checks = []
+        check_rank = statistics._check_rank
+
+        def counting_check(s):
+            checks.append(s)
+            check_rank(s)
+
+        monkeypatch.setattr(statistics, "_check_rank", counting_check)
+        settings = SweepSettings(group=0, beamformers=tuple(metrics.DESIGNS),
+                                 combiners=("zf", "lmmse"), estimator="lmmse", trials=3,
+                                 block_length=16)
+        phis = [0.0, 7.0]
+        clean = phi_sweep(two_group_toy(), phis, settings)
+        assert not clean.errors()
+        assert len(checks) == len(phis) * len(metrics.DESIGNS)
+
+        def copied_column(geb, stats, scn, group, cfg, seed):
+            s = geb.s.copy()
+            s[:, 1] = s[:, 0]
+            return s
+
+        monkeypatch.setitem(metrics.DESIGNS, "dft", copied_column)
+        checks.clear()
+        result = phi_sweep(two_group_toy(), phis, settings)
+        assert len(checks) == len(phis) * len(metrics.DESIGNS)
+        assert len(result.records) == len(clean.records)
+        for rec, ref in zip(result.records, clean.records):
+            assert (rec.phi, rec.beamformer, rec.combiner) == (ref.phi, ref.beamformer,
+                                                               ref.combiner)
+            if rec.beamformer == "dft":
+                assert rec.error == "ValueError: beamformer must have full column rank"
+            else:
+                assert rec.error is None
+                assert np.array_equal(rec.capacity, ref.capacity)
+                assert (rec.expected_sinr, rec.nmse) == (ref.expected_sinr, ref.nmse)
 
 
 def _mobile_bytes(scn):
