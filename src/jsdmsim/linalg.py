@@ -34,11 +34,19 @@ scipy each ship their own OpenBLAS, each with its own thread pool; a sweep that
 alternates between them (scipy triangular solves between numpy products)
 leaves one pool's spinning workers on the core the other needs, and on two
 cores a 32 x 200 product that takes 0.06 ms on its own took 2 ms inside a
-sweep.  Keeping every call on numpy's library keeps one pool.
+sweep.  Keeping every call on numpy's library keeps one pool.  Even that one
+pool gains nothing here: OpenBLAS hands some small calls (the ``eigh`` of a
+32 x 32 matrix, a 4 x 32 x 3601 product) to its workers, and after each job a
+worker spins for a while before it sleeps.  A sweep with a few such calls per
+second keeps a second core busy for its whole run, and when another process
+wants that core the sweep runs up to twice as slowly.  :func:`one_blas_thread`,
+the one function here that is not pure, runs a block on one OpenBLAS thread.
 """
 
 from __future__ import annotations
 
+import ctypes
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +58,7 @@ __all__ = [
     "RankError",
     "generalized_hermitian_eig",
     "hermitian_inverse",
+    "one_blas_thread",
     "psd_sqrt",
     "qr",
     "svd",
@@ -304,6 +313,55 @@ def hermitian_inverse(a) -> tuple[np.ndarray, np.ndarray]:
     if bad.any():
         inv[..., bad] = np.nan
     return inv, bad
+
+
+def _openblas_thread_controls() -> list[tuple]:
+    """(get, set) of the thread count of every OpenBLAS mapped into this process.
+
+    Read from ``/proc/self/maps``; numpy's wheels name the functions
+    ``scipy_openblas_*_num_threads64_``, other builds ``openblas_*_num_threads``.
+    Empty where there is no such map or no such library.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split(None, 5)[5].strip() for line in maps if "openblas" in line})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                               ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.restype, set_.argtypes, set_.restype = ctypes.c_int, [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return controls
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block with one thread in every loaded OpenBLAS, then restore each count.
+
+    The package's products and decompositions give the same bits on one thread
+    as on several, and so do its CSVs.  Where no OpenBLAS can be found the block
+    runs as it is.
+    The counts are process-wide, so blocks in concurrent threads share them.
+    """
+    controls = _openblas_thread_controls()
+    previous = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(controls, previous):
+            set_(count)
 
 
 def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__
 from .channel import steering_matrix
 from .config import ExperimentConfig, OutputSettings
+from .linalg import one_blas_thread
 from .metrics import (ANGLE_ERRORS, PhiRecord, SweepResult, angle_design, beampattern,
                       build_beamformer, cdf, check_scan_range, phi_sweep, _derived_seed,
                       _error)
@@ -58,11 +59,12 @@ def run(cfg: ExperimentConfig, out_dir, seed: int | None = None, db: bool = Fals
     out.mkdir(parents=True, exist_ok=True)
     settings = cfg.sweep if seed is None else dataclasses.replace(cfg.sweep, seed=int(seed))
     phis = cfg.phi_values()
-    result = phi_sweep(cfg.scenario, phis, settings)
-
-    _write_results(out / "results.csv", result, db)
-    _write_cdf(out / "cdf.csv", result)
-    pattern_failures = _write_beampattern(out / "beampattern.csv", cfg.output, result, db)
+    # every matrix here is small; BLAS worker threads would only spin beside the run
+    with one_blas_thread():
+        result = phi_sweep(cfg.scenario, phis, settings)
+        _write_results(out / "results.csv", result, db)
+        _write_cdf(out / "cdf.csv", result)
+        pattern_failures = _write_beampattern(out / "beampattern.csv", cfg.output, result, db)
 
     failures = [{"phi": r.phi, "beamformer": r.beamformer, "combiner": r.combiner,
                  "error": r.error} for r in result.errors() + pattern_failures]

@@ -146,6 +146,27 @@ class TestRunner:
         for name in ("results.csv", "cdf.csv", "beampattern.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_sweep_and_outputs_run_on_one_blas_thread(self, tmp_path, monkeypatch):
+        from jsdmsim import runner
+        from jsdmsim.linalg import _openblas_thread_controls
+
+        controls = _openblas_thread_controls()
+        seen = []
+        sweep, write = runner.phi_sweep, runner._write_beampattern
+
+        def counted(f):
+            def call(*args, **kwargs):
+                seen.append([get() for get, _ in controls])
+                return f(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(runner, "phi_sweep", counted(sweep))
+        monkeypatch.setattr(runner, "_write_beampattern", counted(write))
+        before = [get() for get, _ in controls]
+        run(parse_config(desk_config_text(estimator="none")), tmp_path / "out")
+        assert seen == [[1] * len(controls)] * 2
+        assert [get() for get, _ in controls] == before
+
     def test_beamformer_labels_in_csv(self, tmp_path):
         cfg = parse_config(desk_config_text(beamformers="geb dft", combiners="zf",
                                             estimator="none"))

@@ -19,10 +19,12 @@ from jsdmsim.linalg import (
     PsdError,
     RankError,
     _from_real,
+    _openblas_thread_controls,
     _q_times,
     _to_real,
     generalized_hermitian_eig,
     hermitian_inverse,
+    one_blas_thread,
     psd_sqrt,
     qr,
     svd,
@@ -176,6 +178,46 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
                          env=env, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+class TestOneBlasThread:
+    def counts(self):
+        controls = _openblas_thread_controls()
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        # numpy's own OpenBLAS must be found, or the block silently keeps its threads
+        assert controls or "openblas" not in blas.lower()
+        return lambda: [get() for get, _ in controls]
+
+    def test_block_runs_on_one_thread_and_restores_the_count(self):
+        counts = self.counts()
+        before = counts()
+        with one_blas_thread():
+            assert counts() == [1] * len(before)
+        assert counts() == before
+
+    def test_count_restored_when_the_block_raises(self):
+        counts = self.counts()
+        before = counts()
+        with pytest.raises(RuntimeError), one_blas_thread():
+            raise RuntimeError("inside")
+        assert counts() == before
+
+    def test_results_do_not_depend_on_the_thread_count(self):
+        rng = np.random.default_rng(3)
+        a = random_toeplitz(rng, 48)
+        b = random_toeplitz_pd(rng, 48)
+        s = rng.standard_normal((48, 4)) + 1j * rng.standard_normal((48, 4))
+        u = np.exp(1j * rng.standard_normal((48, 3601)))
+
+        def work():
+            dec = generalized_hermitian_eig(a, b)
+            return dec.values, dec.vectors, psd_sqrt(b), s.conj().T @ u
+
+        threaded = work()
+        with one_blas_thread():
+            single = work()
+        for x, y in zip(threaded, single):
+            assert np.array_equal(x, y)
 
 
 class TestSvd:
