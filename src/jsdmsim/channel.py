@@ -175,18 +175,17 @@ class Scenario:
 class CovarianceSet:
     """Per-user per-delay channel covariance matrices of a scenario.
 
-    ``stacks[g]``: group g's CCMs as one (L, K, M, M) array, active delays in ``delays`` order;
-    ``ccms[g][k][delay]``: user k's M x M Hermitian PSD matrix, a view into it (inactive delays
-    absent, implicitly zero).  :meth:`factors` caches one :func:`psd_sqrt` call per group.
+    ``stacks[g][i, k]``: group g's M x M Hermitian PSD CCM of user k at its i-th active delay
+    (``delays[i]``; inactive delays are absent, implicitly zero).  :meth:`factors` caches one
+    :func:`psd_sqrt` call per group, laid out the same way.
 
     A block of angles (``phis``, the scenario's own phi unused) gives every mobile group's stack
-    and views one more leading axis, one entry per angle; :meth:`angles` splits it into one set
-    per angle, views into the block's stacks and into any factors it cached.
+    one more leading axis, one entry per angle; :meth:`angles` splits it into one set per angle,
+    views into the block's stacks and into any factors it cached.
     """
 
     scenario: Scenario
     stacks: list[np.ndarray]
-    ccms: list[list[dict[int, np.ndarray]]]
     phis: np.ndarray | None = None
     _factors: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
@@ -196,36 +195,23 @@ class CovarianceSet:
             self._factors[g] = psd_sqrt(self.stacks[g])
         return self._factors[g]
 
-    def sqrt_factor(self, g: int, user: int, delay: int) -> np.ndarray:
-        """The square root of ``ccms[g][user][delay]``: a view into :meth:`factors`."""
-        return self.factors(g)[..., self.scenario.groups[g].delays.index(delay), user, :, :]
-
     def angles(self) -> list["CovarianceSet"]:
-        """One set per angle of a block, at its own phi; a non-mobile group's stack, views
-        and factors are the block's own objects."""
+        """One set per angle of a block, at its own phi; a non-mobile group's stack and
+        factors are the block's own objects."""
         groups = self.scenario.groups
         return [CovarianceSet(
             self.scenario.with_phi(float(phi)),
             [stack[b] if spec.mobile else stack for spec, stack in zip(groups, self.stacks)],
-            [_views(spec, stack[b]) if spec.mobile else views
-             for spec, stack, views in zip(groups, self.stacks, self.ccms)],
             _factors={g: f[b] if groups[g].mobile else f for g, f in self._factors.items()})
             for b, phi in enumerate(self.phis)]
 
 
-def _views(spec: GroupSpec, stack: np.ndarray) -> list[dict[int, np.ndarray]]:
-    """``ccms[g]`` of a group's stack: user k's CCM at each active delay, a view."""
-    return [{delay: stack[..., i, k, :, :] for i, delay in enumerate(spec.delays)}
-            for k in range(spec.n_users)]
-
-
-def _group_ccms(scn: Scenario, g: int, n_quad: int, phis=None) -> tuple[np.ndarray, list[dict]]:
-    """Group g's (L, K, M, M) CCM stack from one :func:`ccm_one_ring` call, and its views;
-    a mobile group's stack gains a leading axis with ``phis``."""
+def _group_ccms(scn: Scenario, g: int, n_quad: int, phis=None) -> np.ndarray:
+    """Group g's (L, K, M, M) CCM stack from one :func:`ccm_one_ring` call; a mobile
+    group's stack gains a leading axis with ``phis``."""
     spec = scn.groups[g]
-    stack = ccm_one_ring(scn.effective_aoa(g, phis).swapaxes(-1, -2), spec.spread.T,
-                         spec.gain / len(spec.delays), scn.n_antennas, n_quad)
-    return stack, _views(spec, stack)
+    return ccm_one_ring(scn.effective_aoa(g, phis).swapaxes(-1, -2), spec.spread.T,
+                        spec.gain / len(spec.delays), scn.n_antennas, n_quad)
 
 
 @dataclass(frozen=True)
@@ -241,14 +227,12 @@ class FixedCovariances:
     scenario: Scenario
     n_quad: int
     stacks: dict[int, np.ndarray]
-    ccms: dict[int, list[dict[int, np.ndarray]]]
 
 
 def fixed_covariances(scn: Scenario, n_quad: int = DEFAULT_N_QUAD) -> FixedCovariances:
     """Build the non-mobile groups' CCMs of ``scn`` once, for any phi."""
-    built = {g: _group_ccms(scn, g, n_quad) for g, spec in enumerate(scn.groups) if not spec.mobile}
-    return FixedCovariances(scn, n_quad, {g: stack for g, (stack, _) in built.items()},
-                            {g: views for g, (_, views) in built.items()})
+    return FixedCovariances(scn, n_quad, {g: _group_ccms(scn, g, n_quad)
+                                          for g, spec in enumerate(scn.groups) if not spec.mobile})
 
 
 def build_covariances(scn: Scenario, n_quad: int = DEFAULT_N_QUAD,
@@ -270,12 +254,11 @@ def build_covariances(scn: Scenario, n_quad: int = DEFAULT_N_QUAD,
         if (fixed.scenario.groups is not scn.groups
                 or fixed.scenario.n_antennas != scn.n_antennas or fixed.n_quad != n_quad):
             raise ValueError("fixed covariances were built for another scenario or n_quad")
-        shared = {g: (stack, fixed.ccms[g]) for g, stack in fixed.stacks.items()}
+        shared = fixed.stacks
     if phis is not None:
         phis = np.asarray(phis, dtype=float)
-    built = [shared[g] if g in shared else _group_ccms(scn, g, n_quad, phis)
-             for g in range(scn.n_groups)]
-    return CovarianceSet(scn, [stack for stack, _ in built], [views for _, views in built], phis)
+    return CovarianceSet(scn, [shared[g] if g in shared else _group_ccms(scn, g, n_quad, phis)
+                               for g in range(scn.n_groups)], phis)
 
 
 @dataclass

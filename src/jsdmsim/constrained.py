@@ -5,9 +5,11 @@ extraction refined by alternating minimization with a unitary compensation
 matrix) and partially connected ones (fixed ordered/interlaced subarrays, and
 a dynamic design that searches the antenna-to-chain connection itself).
 
-All alternating loops minimize a Frobenius distance to the unconstrained
-beamformer; each half-step is the exact minimizer of its block, so the
-recorded residual sequences are non-increasing.
+PE-AM, the fixed subarrays and the dynamic connection search (alternating
+minimization as in PE-AltMin, Yu, Shen, Zhang and Letaief, IEEE JSTSP 2016)
+run through one loop, :func:`_alternate`, and supply only its step.  Each
+half-step exactly minimizes, over its block, a Frobenius distance to the
+unconstrained beamformer, so the recorded residual sequences are non-increasing.
 """
 
 from __future__ import annotations
@@ -51,9 +53,10 @@ class CandidateExhaustionError(RuntimeError):
 
 @dataclass(frozen=True)
 class AmTrace:
-    """Residual history of an alternating-minimization run.
+    """Residual history of one member of the :func:`_alternate` loop.
 
-    Residuals are non-increasing (each half-step is an exact block minimizer).
+    Residuals, the norms of the step's gap after each iteration, are non-increasing
+    (each half-step is an exact block minimizer).
     ``raw_score``/``refined_score`` are only set by the dynamic subarray
     search: the expected SINR of the winning raw candidate and of the refined
     beamformer (the search does not guarantee an ordering between them).
@@ -119,6 +122,37 @@ def _converged(residuals: list[float], tol: float, scale: float) -> bool:
         return False
     prev = residuals[-2]
     return abs(prev - r) <= tol * max(prev, 1e-300)
+
+
+def _alternate(s: np.ndarray, cand: np.ndarray, step, tol: float,
+               max_iter: int) -> tuple[np.ndarray, np.ndarray, list[AmTrace]]:
+    """The one alternating-minimization loop, run from every start of the (R, M, D) ``cand``.
+
+    ``step`` maps the unconverged candidates, an (n, M, D) stack, to their next candidates,
+    their (n, D, D) compensation (or rotation) matrices and their gaps; a member's residual is
+    the Frobenius norm of its gap, and it leaves the stack once :func:`_converged` fires on
+    its residuals (scaled by ||s||).  Returns ``cand`` updated in place, the last matrices and
+    one :class:`AmTrace` per member, each bit for bit what a stack of that member alone gives.
+    """
+    if not (tol > 0 and max_iter >= 1):
+        raise ValueError(f"alternating minimization needs tol > 0 and max_iter >= 1,"
+                         f" got tol={tol!r}, max_iter={max_iter!r}")
+    n, _, d = cand.shape
+    comp = np.empty((n, d, d), dtype=complex)
+    scale = max(np.linalg.norm(s), 1e-300)
+    residuals: list[list[float]] = [[] for _ in range(n)]
+    converged = [False] * n
+    active = np.arange(n)
+    for _ in range(max_iter):
+        cand[active], comp[active], gap = step(cand[active])
+        for i, r in enumerate(active):
+            residuals[r].append(float(np.linalg.norm(gap[i])))
+            converged[r] = _converged(residuals[r], tol, scale)
+        active = active[[not converged[r] for r in active]]
+        if not active.size:
+            break
+    return cand, comp, [AmTrace(np.array(res), len(res), conv)
+                        for res, conv in zip(residuals, converged)]
 
 
 # ---------------------------------------------------------------------------
@@ -202,26 +236,19 @@ def pe_am(s_geb, tol: float = DEFAULT_TOL,
     residual ||S_geb S_cm^H - S_c||_F stalls in relative terms (or hits an
     exact fit).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     s = _geb_matrix(s_geb)
     m, d = s.shape
-    scale = max(np.linalg.norm(s), 1e-300)
-    s_c = _unit_phases(s, m)
-    s_cm = np.eye(d, dtype=complex)
-    residuals: list[float] = []
-    converged = False
-    for _ in range(max_iter):
-        u, _, v = svd(s.conj().T @ s_c)
-        s_cm = v @ u.conj().T
-        s_c = _unit_phases(s @ s_cm.conj().T, m)
-        residuals.append(float(np.linalg.norm(s @ s_cm.conj().T - s_c)))
-        if _converged(residuals, tol, scale):
-            converged = True
-            break
-    trace = AmTrace(np.array(residuals), len(residuals), converged)
-    mask = np.ones((m, d), dtype=int)
-    return ConstrainedBeamformer(s_c, s_cm, mask), trace
+    s_h = s.conj().T
+
+    def step(s_c):
+        u, _, v = svd(s_h @ s_c)
+        s_cm = v @ u.conj().swapaxes(-1, -2)
+        rotated = s @ s_cm.conj().swapaxes(-1, -2)
+        fresh = _unit_phases(rotated, m)
+        return fresh, s_cm, rotated - fresh
+
+    s_c, s_cm, traces = _alternate(s, _unit_phases(s, m)[None], step, tol, max_iter)
+    return ConstrainedBeamformer(s_c[0], s_cm[0], np.ones((m, d), dtype=int)), traces[0]
 
 
 # ---------------------------------------------------------------------------
@@ -284,37 +311,28 @@ def fixed_subarray(s_geb, connection, init_phases: np.ndarray | None = None,
         raise ValueError("init_phases must be a length-M vector")
 
     def build(beta):
-        s_c = np.zeros((m, d), dtype=complex)
-        s_c[rows, chain_of] = np.exp(1j * beta) / np.sqrt(m)
+        s_c = np.zeros(beta.shape[:-1] + (m, d), dtype=complex)
+        s_c[..., rows, chain_of] = np.exp(1j * beta) / np.sqrt(m)
         return s_c
 
-    scale = max(np.linalg.norm(s), 1e-300)
-    s_c = build(phases)
-    s_cm = np.eye(d, dtype=complex)
-    residuals: list[float] = []
-    converged = False
-    for _ in range(max_iter):
-        gram = s_c.conj().T @ s_c
-        s_cm = np.linalg.solve(gram, s_c.conj().T @ s)
-        inner = (s @ s_cm.conj().T)[rows, chain_of]
-        s_c = build(np.angle(inner))
-        residuals.append(float(np.linalg.norm(s - s_c @ s_cm)))
-        if _converged(residuals, tol, scale):
-            converged = True
-            break
-    trace = AmTrace(np.array(residuals), len(residuals), converged)
-    return ConstrainedBeamformer(s_c, s_cm, mask), trace
+    def step(s_c):
+        s_c_h = s_c.conj().swapaxes(-1, -2)
+        s_cm = np.linalg.solve(s_c_h @ s_c, s_c_h @ s)
+        fresh = build(np.angle((s @ s_cm.conj().swapaxes(-1, -2))[:, rows, chain_of]))
+        return fresh, s_cm, s - fresh @ s_cm
+
+    s_c, s_cm, traces = _alternate(s, build(phases)[None], step, tol, max_iter)
+    return ConstrainedBeamformer(s_c[0], s_cm[0], mask), traces[0]
 
 
 def _connection_search(s: np.ndarray, seeds, tol: float,
                        max_iter: int) -> tuple[np.ndarray, list[AmTrace]]:
     """Run the connection search of :func:`dynamic_connection` for every seed.
 
-    The restarts run in lockstep as one (R, M, D) stack: one stacked SVD and
-    one stacked product per iteration, and a restart leaves the active set
-    once it converges.  Restart r's candidate and residuals are bit for bit
-    those of ``dynamic_connection(s, seeds[r])``: it draws from its own
-    generator, and its residual is the norm of its own (M, D) slice.
+    The restarts are the members of one :func:`_alternate` stack: one stacked
+    SVD and product per iteration.  Restart r draws its start from its own
+    generator, so its candidate and trace are bit for bit those of
+    ``dynamic_connection(s, seeds[r])``.
     """
     m, d = s.shape
     rows = np.arange(m)
@@ -325,25 +343,18 @@ def _connection_search(s: np.ndarray, seeds, tol: float,
         s_t[r, rows, rng.integers(0, d, m)] = np.exp(1j * phases)
 
     s_h = s.conj().T
-    scale = max(np.linalg.norm(s), 1e-300)
-    residuals: list[list[float]] = [[] for _ in seeds]
-    converged = [False] * len(seeds)
-    active = np.arange(len(seeds))
-    for _ in range(max_iter):
-        if not active.size:
-            break
-        u, _, v = svd(s_h @ s_t[active])
-        p = s @ (u @ v.conj().swapaxes(-1, -2))
+
+    def step(cand):
+        u, _, v = svd(s_h @ cand)
+        rotation = u @ v.conj().swapaxes(-1, -2)
+        p = s @ rotation
         best = np.argmax(np.abs(p), axis=2)[..., None]
         fresh = np.zeros_like(p)
         np.put_along_axis(fresh, best, np.exp(1j * np.angle(np.take_along_axis(p, best, 2))), 2)
-        s_t[active] = fresh
-        gap = p - fresh
-        for i, r in enumerate(active):
-            residuals[r].append(float(np.linalg.norm(gap[i])))
-            converged[r] = _converged(residuals[r], tol, scale)
-        active = active[[not converged[r] for r in active]]
-    return s_t, [AmTrace(np.array(res), len(res), conv) for res, conv in zip(residuals, converged)]
+        return fresh, rotation, p - fresh
+
+    candidates, _, traces = _alternate(s, s_t, step, tol, max_iter)
+    return candidates, traces
 
 
 def dynamic_connection(s_geb, seed, tol: float = DEFAULT_TOL,
@@ -379,27 +390,18 @@ def dynamic_subarray(s_geb, stats: GroupStatistics, n_restarts: int = DEFAULT_RE
 
     candidates, _ = _connection_search(s, [seed + t + 1 for t in range(n_restarts)],
                                        tol, max_iter)
-    scores = np.zeros(n_restarts)
-    valid = np.zeros(n_restarts, dtype=bool)
-    for t, cand in enumerate(candidates):
-        if np.all(np.abs(cand).sum(axis=0) >= 0.5):
-            valid[t] = True
-            scores[t] = expected_sinr(stats, cand)
+    valid = np.all(np.abs(candidates).sum(axis=1) >= 0.5, axis=1)
     if not valid.any():
         raise CandidateExhaustionError(
             f"no connection candidate used every RF chain after {n_restarts} restarts;"
-            " increase n_restarts"
-        )
+            " increase n_restarts")
+    scores = np.array([expected_sinr(stats, c) if ok else 0.0 for c, ok in zip(candidates, valid)])
     best = int(np.argmax(scores))
     if not valid[best]:  # all valid scores were 0; fall back to the first valid one
         best = int(np.argmax(valid))
-    best_score = scores[best]
-    best_cand = candidates[best]
 
-    mask = (np.abs(best_cand) > 0.5).astype(int)
-    rows = np.arange(s.shape[0])
-    init_phases = np.angle(best_cand[rows, np.argmax(mask, axis=1)])
+    mask = (np.abs(candidates[best]) > 0.5).astype(int)
+    init_phases = np.angle(candidates[best][np.arange(len(mask)), np.argmax(mask, axis=1)])
     cb, trace = fixed_subarray(s, mask, init_phases=init_phases, tol=tol, max_iter=max_iter)
-    trace = replace(trace, raw_score=float(best_score),
-                    refined_score=float(expected_sinr(stats, cb.effective())))
-    return cb, trace
+    return cb, replace(trace, raw_score=float(scores[best]),
+                       refined_score=float(expected_sinr(stats, cb.effective())))

@@ -74,6 +74,16 @@ def with_reduced(stats, designs):
     return {name: (s, reduce(stats, s)) for name, s in designs.items()}
 
 
+def ccm(cov, g, k, delay):
+    """User k's CCM in group g at an active ``delay``: a slice of ``cov.stacks[g]``."""
+    return cov.stacks[g][cov.scenario.groups[g].delays.index(delay), k]
+
+
+def sqrt_factor(cov, g, k, delay):
+    """The Hermitian square root of ``ccm(cov, g, k, delay)``: a slice of ``cov.factors(g)``."""
+    return cov.factors(g)[cov.scenario.groups[g].delays.index(delay), k]
+
+
 def random_orthonormal(rng, m, d):
     z = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
     q, _ = np.linalg.qr(z)

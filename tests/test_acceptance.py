@@ -112,7 +112,7 @@ def test_criterion_03_reduced_covariance_matches_model():
     amp = np.sqrt(spec.symbol_energy / spec.n_users)
     acc = np.zeros((len(bins), 4, 4), dtype=complex)
     rng = np.random.default_rng(1003)
-    factors = [[cov.sqrt_factor(0, k, l) for l in spec.delays] for k in range(2)]
+    factors = [[cov.factors(0)[i, k] for i in range(len(spec.delays))] for k in range(2)]
     phase_l = np.exp(-2j * np.pi * np.outer(bins, spec.delays) / n)
     for _ in range(n_blocks):
         taps_eff = np.empty((len(spec.delays), 4, 2), dtype=complex)

@@ -26,7 +26,7 @@ from jsdmsim.chanest import (
     stack_effective,
 )
 
-from conftest import random_orthonormal, two_group_toy
+from conftest import ccm, random_orthonormal, two_group_toy
 
 
 def sparse_single_group(m=6, taps=8, delays=(0, 3), users=1, noise=0.1, energy=10.0):
@@ -134,7 +134,7 @@ class TestLmmseEstimator:
         seq = np.array([[np.exp(0.7j)]])
         pilots = pilots_from_sequences(scn, 0, seq, energy=4.0)
         s = np.array([[1.0], [0.0], [0.0]], dtype=complex)
-        rho = (s.conj().T @ build_covariances(scn).ccms[0][0][0] @ s)[0, 0].real
+        rho = (s.conj().T @ ccm(build_covariances(scn), 0, 0, 0) @ s)[0, 0].real
         r_h = np.array([[rho]], dtype=complex)
         z = lmmse_estimator(pilot_covariances(pilots, (0,), r_h,
                                               np.array([[0.25]], dtype=complex)))

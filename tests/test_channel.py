@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from jsdmsim import build_covariances, ccm_one_ring, sample_channels, steering, steering_matrix
 from jsdmsim.channel import fixed_covariances
 
-from conftest import table1_scenario, two_group_toy
+from conftest import ccm, sqrt_factor, table1_scenario, two_group_toy
 
 
 class TestSteering:
@@ -135,9 +135,8 @@ class TestToeplitzOneRing:
             stack = cov.stacks[g]
             assert stack.shape == (len(spec.delays), spec.n_users, 16, 16)
             for k in range(spec.n_users):
-                for i, delay in enumerate(spec.delays):
-                    assert np.shares_memory(cov.ccms[g][k][delay], stack)
-                    assert np.array_equal(cov.ccms[g][k][delay], ccm_one_ring(
+                for i in range(len(spec.delays)):
+                    assert np.array_equal(stack[i, k], ccm_one_ring(
                         scn.effective_aoa(g)[k, i], spec.spread[k, i],
                         spec.gain[k] / len(spec.delays), 16))
 
@@ -152,7 +151,7 @@ class TestOneAngleMemory:
         tracemalloc.start()
         try:
             cov = build_covariances(scn_phi, fixed=fixed)
-            roots = [cov.sqrt_factor(0, k, delay) for k in range(spec.n_users)
+            roots = [sqrt_factor(cov, 0, k, delay) for k in range(spec.n_users)
                      for delay in spec.delays]
             kept, peak = tracemalloc.get_traced_memory()
         finally:
@@ -169,7 +168,7 @@ class TestBuildCovariances:
         cov = build_covariances(scn)
         # Group 1 has MPC delays {0, 5, 11}: each carries a third of the gain
         for delay in (0, 5, 11):
-            assert_allclose(np.trace(cov.ccms[0][0][delay]).real, 1.0 / 3.0, rtol=1e-12)
+            assert_allclose(np.trace(ccm(cov, 0, 0, delay)).real, 1.0 / 3.0, rtol=1e-12)
 
     def test_shift_equals_shifted_angles(self):
         scn5 = table1_scenario(phi=5.0)
@@ -183,23 +182,25 @@ class TestBuildCovariances:
                                  (hand,) + shifted.groups[1:], phi=0.0)
         cov_hand = build_covariances(scn_hand)
         for delay in (0, 5, 11):
-            assert_allclose(cov5.ccms[0][1][delay], cov_hand.ccms[0][1][delay], atol=1e-14)
+            assert_allclose(ccm(cov5, 0, 1, delay), ccm(cov_hand, 0, 1, delay), atol=1e-14)
         # non-mobile groups are untouched by phi
         cov0 = build_covariances(table1_scenario(phi=0.0))
-        assert_allclose(cov5.ccms[1][0][3], cov0.ccms[1][0][3], atol=1e-15)
+        assert_allclose(ccm(cov5, 1, 0, 3), ccm(cov0, 1, 0, 3), atol=1e-15)
 
     def test_total_gain_preserved(self):
         scn = two_group_toy()
         cov = build_covariances(scn)
         for g, spec in enumerate(scn.groups):
             for k in range(spec.n_users):
-                total = sum(np.trace(cov.ccms[g][k][d]).real for d in spec.delays)
+                total = sum(np.trace(ccm(cov, g, k, d)).real for d in spec.delays)
                 assert_allclose(total, spec.gain[k], rtol=1e-6)
 
     def test_inactive_delay_is_zero(self):
         scn = two_group_toy()
         cov = build_covariances(scn)
-        assert 3 not in cov.ccms[0][0]
+        # the stack holds the active delays only
+        assert 3 not in scn.groups[0].delays
+        assert cov.stacks[0].shape[0] == len(scn.groups[0].delays)
 
 
 class TestScenarioValidation:
@@ -255,11 +256,11 @@ class TestSampleChannels:
         m = scn.n_antennas
         acc = np.zeros((m, m), dtype=complex)
         rng = np.random.default_rng(99)
-        a = cov.sqrt_factor(0, 0, 0)
+        a = sqrt_factor(cov, 0, 0, 0)
         z = (rng.standard_normal((m, n_draws)) + 1j * rng.standard_normal((m, n_draws)))
         h = a @ (z / np.sqrt(2.0))
         acc = h @ h.conj().T / n_draws
-        r = cov.ccms[0][0][0]
+        r = ccm(cov, 0, 0, 0)
         assert np.linalg.norm(acc - r) <= 0.05 * np.trace(r).real
 
     def test_cross_covariance_independent_users(self):
@@ -267,15 +268,15 @@ class TestSampleChannels:
         cov = build_covariances(scn)
         n_draws = 20000
         m = scn.n_antennas
-        a1 = cov.sqrt_factor(0, 0, 0)
-        a2 = cov.sqrt_factor(0, 1, 0)
+        a1 = sqrt_factor(cov, 0, 0, 0)
+        a2 = sqrt_factor(cov, 0, 1, 0)
         rng = np.random.default_rng(4)
         z1 = (rng.standard_normal((m, n_draws)) + 1j * rng.standard_normal((m, n_draws))) / np.sqrt(2)
         z2 = (rng.standard_normal((m, n_draws)) + 1j * rng.standard_normal((m, n_draws))) / np.sqrt(2)
         h1, h2 = a1 @ z1, a2 @ z2
         cross = h1 @ h2.conj().T / n_draws
-        r1 = cov.ccms[0][0][0]
-        r2 = cov.ccms[0][1][0]
+        r1 = ccm(cov, 0, 0, 0)
+        r2 = ccm(cov, 0, 1, 0)
         sigma = np.sqrt(np.outer(np.diag(r1).real, np.diag(r2).real) / n_draws)
         assert np.all(np.abs(cross) <= 3.0 * sigma)
 
@@ -287,10 +288,10 @@ class TestSampleChannels:
         spec = scn.groups[0]
         for k in range(spec.n_users):
             for i, delay in enumerate(spec.delays):
-                root = cov.sqrt_factor(0, k, delay)
+                root = sqrt_factor(cov, 0, k, delay)
                 assert np.shares_memory(root, factors)
                 assert np.array_equal(root, factors[i, k])
-                r = cov.ccms[0][k][delay]
+                r = ccm(cov, 0, k, delay)
                 assert np.linalg.norm(root @ root - r) <= 1e-10 * np.linalg.norm(r)
 
     def test_restricted_groups(self):

@@ -22,8 +22,9 @@ from jsdmsim import (
     pe_am,
     phase_extraction,
 )
-from jsdmsim.constrained import (CandidateExhaustionError, ConstrainedBeamformer, MaskError,
-                                 _connection_search)
+from jsdmsim.constrained import (DEFAULT_MAX_ITER, DEFAULT_TOL, CandidateExhaustionError,
+                                 ConstrainedBeamformer, MaskError, _connection_search,
+                                 _converged)
 from jsdmsim.linalg import svd
 
 from conftest import (random_orthonormal, random_unitary, table1_scenario, two_group_toy,
@@ -294,6 +295,57 @@ class TestDynamicConnection:
             assert base <= np.linalg.norm(s @ a - cand) + 1e-12
 
 
+def stalled(residuals, tol, scale):
+    """The AM stopping rule: an exact fit, or a relative change of at most ``tol``."""
+    r = residuals[-1]
+    return r <= 1e-14 * scale or (len(residuals) > 1 and abs(residuals[-2] - r)
+                                  <= tol * max(residuals[-2], 1e-300))
+
+
+def loop_pe_am(s, tol=1e-8, max_iter=500):
+    """PE-AM written out as its own loop: the reference for :func:`pe_am`."""
+    m, d = s.shape
+    scale = max(np.linalg.norm(s), 1e-300)
+    s_c = np.exp(1j * np.angle(s)) / np.sqrt(m)
+    s_cm = np.eye(d, dtype=complex)
+    residuals = []
+    for _ in range(max_iter):
+        u, _, v = svd(s.conj().T @ s_c)
+        s_cm = v @ u.conj().T
+        s_c = np.exp(1j * np.angle(s @ s_cm.conj().T)) / np.sqrt(m)
+        residuals.append(float(np.linalg.norm(s @ s_cm.conj().T - s_c)))
+        if stalled(residuals, tol, scale):
+            return s_c, s_cm, residuals, True
+    return s_c, s_cm, residuals, False
+
+
+def loop_fixed_subarray(s, mask, seed, tol=1e-8, max_iter=500):
+    """The fixed-subarray design written out as its own loop: the reference for
+    :func:`fixed_subarray`."""
+    m, d = s.shape
+    chain_of = np.argmax(mask, axis=1)
+    rows = np.arange(m)
+
+    def build(beta):
+        s_c = np.zeros((m, d), dtype=complex)
+        s_c[rows, chain_of] = np.exp(1j * beta) / np.sqrt(m)
+        return s_c
+
+    scale = max(np.linalg.norm(s), 1e-300)
+    s_c = build(np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, m))
+    s_cm = np.eye(d, dtype=complex)
+    residuals = []
+    for _ in range(max_iter):
+        gram = s_c.conj().T @ s_c
+        s_cm = np.linalg.solve(gram, s_c.conj().T @ s)
+        inner = (s @ s_cm.conj().T)[rows, chain_of]
+        s_c = build(np.angle(inner))
+        residuals.append(float(np.linalg.norm(s - s_c @ s_cm)))
+        if stalled(residuals, tol, scale):
+            return s_c, s_cm, residuals, True
+    return s_c, s_cm, residuals, False
+
+
 def loop_connection(s, seed, tol=1e-8, max_iter=500):
     """The connection search as one restart's own loop: the reference for the stack."""
     m, d = s.shape
@@ -310,9 +362,7 @@ def loop_connection(s, seed, tol=1e-8, max_iter=500):
         s_t = np.zeros((m, d), dtype=complex)
         s_t[rows, best] = np.exp(1j * np.angle(p[rows, best]))
         residuals.append(float(np.linalg.norm(p - s_t)))
-        r = residuals[-1]
-        if r <= 1e-14 * scale or (len(residuals) > 1 and abs(residuals[-2] - r)
-                                  <= tol * max(residuals[-2], 1e-300)):
+        if stalled(residuals, tol, scale):
             return s_t, residuals, True
     return s_t, residuals, False
 
@@ -373,6 +423,91 @@ class TestStackedRestarts:
         geb, stats = geb_for(two_group_toy())
         dynamic_subarray(geb, stats, n_restarts=4, seed=3)
         assert calls == [[4, 5, 6, 7]]
+
+
+def random_mask(rng, m, d):
+    """A subarray mask with every chain connected: antenna i on a shuffled chain i mod D."""
+    mask = np.zeros((m, d), dtype=int)
+    mask[np.arange(m), rng.permutation(np.arange(m) % d)] = 1
+    return mask
+
+
+class TestSharedLoop:
+    @hypothesis.seed(20261019)
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(half=st.integers(1, 64), odd=st.booleans(), d=st.integers(1, 6),
+           max_iter=st.integers(1, 12) | st.just(DEFAULT_MAX_ITER), seed=st.integers(0, 2**31),
+           draw=st.integers(0, 2**31), orthonormal=st.booleans())
+    def test_lone_designs_equal_their_own_loops(self, half, odd, d, max_iter, seed, draw,
+                                                orthonormal):
+        m = 2 * half - odd
+        d = min(d, m)
+        rng = np.random.default_rng(draw)
+        if orthonormal:
+            s = random_orthonormal(rng, m, d)
+        else:
+            s = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
+        mask = random_mask(rng, m, d)
+        for (cb, trace), (s_c, s_cm, residuals, converged) in (
+                (pe_am(s, max_iter=max_iter), loop_pe_am(s, max_iter=max_iter)),
+                (fixed_subarray(s, mask, seed=seed, max_iter=max_iter),
+                 loop_fixed_subarray(s, mask, seed, max_iter=max_iter))):
+            assert np.array_equal(cb.s_c, s_c)
+            assert np.array_equal(cb.s_cm, s_cm)
+            assert np.array_equal(trace.residuals, np.array(residuals))
+            assert trace.iterations == len(residuals)
+            assert trace.converged == converged
+
+    @pytest.mark.parametrize("tol, max_iter", [(0.0, 500), (-1e-8, 500), (float("nan"), 500),
+                                               (1e-8, 0), (1e-8, -3)])
+    def test_every_am_design_rejects_bad_settings_with_one_message(self, tol, max_iter):
+        geb, stats = geb_for(two_group_toy())
+        mask = ordered_mask(*geb.s.shape)
+        message = r"alternating minimization needs tol > 0 and max_iter >= 1"
+        with pytest.raises(ValueError, match=message):
+            pe_am(geb, tol=tol, max_iter=max_iter)
+        with pytest.raises(ValueError, match=message):
+            fixed_subarray(geb, mask, tol=tol, max_iter=max_iter)
+        with pytest.raises(ValueError, match=message):
+            dynamic_connection(geb, 1, tol=tol, max_iter=max_iter)
+        with pytest.raises(ValueError, match=message):
+            dynamic_subarray(geb, stats, tol=tol, max_iter=max_iter)
+
+
+class TestAmTraceProperties:
+    @hypothesis.seed(20261020)
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(phi=st.floats(-45.0, 45.0), seed=st.integers(0, 2**31),
+           max_iter=st.integers(2, 40) | st.just(DEFAULT_MAX_ITER))
+    def test_traces_at_128_antennas(self, phi, seed, max_iter):
+        """Every AM design's residuals are non-increasing, its ``converged`` is the stopping
+        rule on its last two residuals, and its last residual is its result's own gap."""
+        geb, stats = geb_for(table1_scenario(m=128, phi=phi))
+        s = geb.s
+        m, d = s.shape
+        designs = {
+            "pe-am": pe_am(geb, max_iter=max_iter),
+            "fixed-ordered": fixed_subarray(geb, ordered_mask(m, d), seed=seed,
+                                            max_iter=max_iter),
+            "fixed-interlaced": fixed_subarray(geb, interlaced_mask(m, d), seed=seed,
+                                               max_iter=max_iter),
+            "dynamic": dynamic_subarray(geb, stats, seed=seed, max_iter=max_iter),
+        }
+        cand, connection = dynamic_connection(geb, seed, max_iter=max_iter)
+        u, _, v = svd(s.conj().T @ cand)
+        fit = np.linalg.norm(s @ (u @ v.conj().T) - cand)  # best rotation of S to the candidate
+        for name, (cb, trace) in designs.items():
+            gap = s @ cb.s_cm.conj().T - cb.s_c if name == "pe-am" else s - cb.effective()
+            assert_allclose(trace.residuals[-1], np.linalg.norm(gap), rtol=1e-12, err_msg=name)
+        assert fit <= connection.residuals[-1] + 1e-12
+        for name, trace in [*((n, tr) for n, (_, tr) in designs.items()),
+                            ("connection", connection)]:
+            residuals = trace.residuals
+            assert np.all(np.diff(residuals) <= 1e-12), name
+            assert trace.iterations == len(residuals) <= max_iter, name
+            assert trace.converged == _converged(list(residuals[-2:]), DEFAULT_TOL,
+                                                 np.linalg.norm(s)), name
+            assert trace.converged or trace.iterations == max_iter, name
 
 
 class TestMaskRule:

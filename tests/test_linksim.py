@@ -23,7 +23,7 @@ from jsdmsim.digital import (SingularBinError, bin_grams, effective_channel, lmm
 from jsdmsim.linksim import _eigenbasis as linksim_eigenbasis
 from jsdmsim.linksim import bussgang_report, ergodic_capacity, simulate_block
 
-from conftest import random_orthonormal, random_unitary, two_group_toy, with_reduced
+from conftest import ccm, random_orthonormal, random_unitary, two_group_toy, with_reduced
 
 
 def flat_single_user(noise=0.0, m=4):
@@ -89,7 +89,7 @@ class TestSimulateBlock:
         measured = total / blocks
         expected = 0.0
         for g, spec in enumerate(scn.groups):
-            trace_sum = sum(np.trace(cov.ccms[g][k][d]).real
+            trace_sum = sum(np.trace(ccm(cov, g, k, d)).real
                             for k in range(spec.n_users) for d in spec.delays)
             expected += spec.symbol_energy / spec.n_users * trace_sum
         assert abs(measured - expected) <= 0.05 * expected

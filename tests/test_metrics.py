@@ -21,7 +21,7 @@ from jsdmsim.linksim import ergodic_capacity
 from jsdmsim.channel import fixed_covariances
 from jsdmsim.metrics import SweepSettings, _derived_seed, build_beamformer, phi_sweep
 
-from conftest import random_orthonormal, table1_scenario, two_group_toy, with_reduced
+from conftest import ccm, random_orthonormal, table1_scenario, two_group_toy, with_reduced
 
 
 class TestBeampattern:
@@ -300,11 +300,11 @@ class TestFixedCovariances:
                 assert scn_phi == ref_scn
                 for g, spec in enumerate(scn.groups):
                     # the non-mobile groups' CCMs are the sweep's, built once
-                    assert (cov.ccms[g] is result.fixed.ccms.get(g)) != spec.mobile
+                    assert (cov.stacks[g] is result.fixed.stacks.get(g)) != spec.mobile
                     for k in range(spec.n_users):
                         for delay in spec.delays:
-                            assert np.array_equal(cov.ccms[g][k][delay],
-                                                  ref_cov.ccms[g][k][delay])
+                            assert np.array_equal(ccm(cov, g, k, delay),
+                                                  ccm(ref_cov, g, k, delay))
                 assert np.array_equal(stats.r_s, ref_stats.r_s)
                 assert np.array_equal(stats.r_eta, ref_stats.r_eta)
                 assert np.array_equal(geb.s, ref_geb.s)
@@ -370,7 +370,7 @@ class TestFixedCovariances:
         scn = two_group_toy()
         fixed = fixed_covariances(scn, n_quad=64)
         cov = build_covariances(scn.with_phi(7.0), n_quad=64, fixed=fixed)
-        assert cov.ccms[1] is fixed.ccms[1]
+        assert cov.stacks[1] is fixed.stacks[1]
         with pytest.raises(ValueError, match="another scenario or n_quad"):
             build_covariances(scn.with_phi(7.0), n_quad=65, fixed=fixed)
         with pytest.raises(ValueError, match="another scenario or n_quad"):

@@ -64,3 +64,10 @@ def test_traced_run_resolves_every_traced_name(tmp_path):
     assert summary["channel.ccm_one_ring.calls"] == 5
     # one batched square root for the one sampled group at the one angle
     assert summary["channel.psd_sqrt.calls"] == 1
+    # the AM counter still reads the designs' traces: pe-am, the two fixed subarrays and
+    # the dynamic design run at the sweep's angle and again at the beampattern angle, and
+    # the dynamic design refines through fixed_subarray each time
+    assert summary["constrained.am_iterations"] == 223
+    assert summary["constrained.pe_am.calls"] == 2
+    assert summary["constrained.fixed_subarray.calls"] == 6
+    assert summary["constrained.dynamic_subarray.calls"] == 2
