@@ -5,7 +5,7 @@ inside :func:`steering_matrix` and :func:`ccm_one_ring`.  A scenario describes
 a uniform linear array serving user groups, each group having a handful of
 active multipath components (MPCs) with narrow angular spread.  Mobile groups
 get their mean angles shifted by the scenario's ``phi`` before covariances are
-built, in one :func:`ccm_one_ring` call per group and one square root call.
+built, in one :func:`ccm_one_ring` call per group and one factor call.
 A block of shifting angles is built the same way, with one more leading axis
 on every mobile group's stack and one call per group for the whole block.
 """
@@ -17,7 +17,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .linalg import psd_sqrt
+# psd_sqrt is not called here; perfbench's tracer looks it up in this module by name
+from .linalg import psd_factor, psd_sqrt  # noqa: F401
 
 __all__ = [
     "ChannelRealization",
@@ -177,11 +178,15 @@ class CovarianceSet:
 
     ``stacks[g][i, k]``: group g's M x M Hermitian PSD CCM of user k at its i-th active delay
     (``delays[i]``; inactive delays are absent, implicitly zero).  :meth:`factors` caches one
-    :func:`psd_sqrt` call per group, laid out the same way.
+    :func:`~jsdmsim.linalg.psd_factor` call per group: ``factors(g)[i, k]`` is an M x r
+    pivoted-Cholesky factor L of that CCM, R = L L^H, with r the largest rank among the
+    group's CCMs (columns past a CCM's own rank are zero).  One-ring CCMs have low numerical
+    rank (7 of 32 and 11 of 128 antennas on table1), so r is far below M.
 
     A block of angles (``phis``, the scenario's own phi unused) gives every mobile group's stack
     one more leading axis, one entry per angle; :meth:`angles` splits it into one set per angle,
-    views into the block's stacks and into any factors it cached.
+    views into the block's stacks and copies of any factors it cached, each cut to its angle's
+    own largest rank, so an angle's factors and draws are bit for bit those of a one-angle set.
     """
 
     scenario: Scenario
@@ -190,19 +195,25 @@ class CovarianceSet:
     _factors: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
     def factors(self, g: int) -> np.ndarray:
-        """Hermitian square roots of group g's CCMs, laid out as ``stacks[g]``."""
+        """Pivoted-Cholesky factors of group g's CCMs, (*B, L, K, M, r) for a ``stacks[g]`` of
+        (*B, L, K, M, M)."""
         if g not in self._factors:
-            self._factors[g] = psd_sqrt(self.stacks[g])
+            self._factors[g] = psd_factor(self.stacks[g])
         return self._factors[g]
 
     def angles(self) -> list["CovarianceSet"]:
         """One set per angle of a block, at its own phi; a non-mobile group's stack and
         factors are the block's own objects."""
         groups = self.scenario.groups
+
+        def own(f):
+            # the angle's largest rank: its nonzero columns, a prefix of the block's
+            return np.ascontiguousarray(f[..., :np.any(f, axis=(0, 1, 2)).sum()])
+
         return [CovarianceSet(
             self.scenario.with_phi(float(phi)),
             [stack[b] if spec.mobile else stack for spec, stack in zip(groups, self.stacks)],
-            _factors={g: f[b] if groups[g].mobile else f for g, f in self._factors.items()})
+            _factors={g: own(f[b]) if groups[g].mobile else f for g, f in self._factors.items()})
             for b, phi in enumerate(self.phis)]
 
 
@@ -273,44 +284,39 @@ class ChannelRealization:
     taps: list[dict[int, np.ndarray]]
 
 
-def white_coefficients(scn: Scenario, g: int, seeds) -> np.ndarray:
-    """Unit-variance circular complex normals z of group g, one draw per seed, shape (T, L, K, M).
+def white_coefficients(rng: np.random.Generator, trials: int, factors: np.ndarray) -> np.ndarray:
+    """Unit-variance circular complex normals z for a group's factors, shape (T, L, K, r).
 
-    Each seed's generator draws one (delays, users, 2, M) standard-normal block: the real
-    then imaginary parts of every user at every active delay, so a seed yields the same
-    coefficients alone or inside a block.  A tap is R^{1/2} z with R its CCM.
+    ``factors`` is the group's (L, K, M, r) stack (:meth:`CovarianceSet.factors`); a tap is
+    L z, which is CN(0, L L^H) = CN(0, R).  One (T, L, K, 2, r) standard-normal draw from
+    ``rng``, trial-major: the real then imaginary parts of every user at every active delay,
+    trial after trial, so trial t's coefficients do not depend on how many trials follow.
     """
-    spec = scn.groups[g]
-    shape = (len(spec.delays), spec.n_users, 2, scn.n_antennas)
-    z = np.stack([np.random.default_rng(seed).standard_normal(shape) for seed in seeds])
+    shape = (trials,) + factors.shape[:-2] + (2, factors.shape[-1])
+    z = rng.standard_normal(shape)
     return (z[..., 0, :] + 1j * z[..., 1, :]) / np.sqrt(2.0)
 
 
-def _group_taps(cov: CovarianceSet, g: int, seeds) -> dict[int, np.ndarray]:
-    """Correlated Rayleigh taps of group g, one realization per seed: each active delay's
-    (len(seeds), M, K) taps R^{1/2} z (:func:`white_coefficients`)."""
-    z = white_coefficients(cov.scenario, g, seeds)
-    h = np.ascontiguousarray((cov.factors(g) @ z[..., None])[..., 0].swapaxes(-1, -2))
-    return {delay: h[:, i] for i, delay in enumerate(cov.scenario.groups[g].delays)}
-
-
 def sample_channels(cov: CovarianceSet, seed, groups: list[int] | None = None,
-                    trials=None) -> ChannelRealization:
-    """Draw one correlated Rayleigh realization, independent across users/delays.
+                    trials: int | None = None) -> ChannelRealization:
+    """Draw correlated Rayleigh taps, independent across users, delays and trials.
 
-    Deterministic for a given seed.  ``groups`` restricts sampling to the
-    listed group indices (others come back as zero taps).  With ``trials``
-    (a sequence of trial indices), trial t is the realization
-    ``sample_channels(cov, [seed, t], groups)`` would draw, and every tap
-    gains a leading trial axis.  The link pass draws the same white
-    coefficients (:func:`white_coefficients`) and projects them before
-    colouring, so it never forms these M-antenna taps.
+    Deterministic for a given seed: one generator ``default_rng(seed)`` draws each listed
+    group in turn (:func:`white_coefficients` of its factors, ``groups`` in order, all
+    groups by default; the others come back as zero taps), and each tap is L z.  With
+    ``trials``, a count, every tap gains a leading trial axis; without it, one realization,
+    trial 0's.  So ``sample_channels(cov, seed, [g], trials)`` colours exactly the draws of
+    ``linksim.ergodic_capacity(cov, ..., g, trials=trials, seed=seed)``, which projects
+    them before colouring and never forms these M-antenna taps.
     """
     scn = cov.scenario
-    wanted = range(scn.n_groups) if groups is None else groups
+    rng = np.random.default_rng(seed)
     taps: list[dict[int, np.ndarray]] = [{} for _ in range(scn.n_groups)]
-    seeds = [seed] if trials is None else [[seed, t] for t in trials]
-    for g in wanted:
-        taps[g] = {delay: h if trials is not None else h[0]
-                   for delay, h in _group_taps(cov, g, seeds).items()}
+    for g in range(scn.n_groups) if groups is None else groups:
+        factors = cov.factors(g)
+        z = white_coefficients(rng, 1 if trials is None else trials, factors)
+        # (T, L, M, K): one matrix-vector product per (trial, delay, user)
+        h = np.ascontiguousarray((factors @ z[..., np.newaxis])[..., 0].swapaxes(-1, -2))
+        taps[g] = {delay: h[:, i] if trials is not None else h[0, i]
+                   for i, delay in enumerate(scn.groups[g].delays)}
     return ChannelRealization(scn, taps)

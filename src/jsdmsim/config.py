@@ -47,6 +47,13 @@ class ConfigError(ValueError):
     """Malformed or semantically invalid experiment configuration."""
 
 
+def grid_values(start: float, stop: float, step: float) -> np.ndarray:
+    """start, start + step, ... up to stop (1e-9 of a step beyond it absorbs round-off),
+    and at least start: the one rule of the sweep and beampattern grids."""
+    count = int(np.floor((stop - start) / step + 1e-9)) + 1
+    return start + step * np.arange(max(count, 1))
+
+
 _SECTION_KEYS = {
     "scenario": {"antennas", "taps", "noise_power", "block_length"},
     "group": {"users", "chains", "symbol_energy_db", "symbol_energy",
@@ -85,8 +92,7 @@ class ExperimentConfig:
     output: OutputSettings
 
     def phi_values(self) -> np.ndarray:
-        count = int(np.floor((self.phi_stop - self.phi_start) / self.phi_step + 1e-9)) + 1
-        return self.phi_start + self.phi_step * np.arange(max(count, 1))
+        return grid_values(self.phi_start, self.phi_stop, self.phi_step)
 
 
 def _check_range(settings, prefix: str, section) -> None:

@@ -17,9 +17,9 @@ centro-Hermitian Q S Q^H (Lee, *Centrohermitian and skew-centrohermitian
 matrices*, LAA 1980; Haardt & Nossek, *Unitary ESPRIT*, IEEE TSP 1995).  Q has
 two nonzeros per column, so both maps are O(M^2): each entry combines the
 entries (i, j), (i, M-1-j), (M-1-i, j) and (M-1-i, M-1-j).
-:func:`psd_sqrt` and :func:`generalized_hermitian_eig` take Hermitian
-Toeplitz input and run every decomposition on W in real arithmetic, on one
-path with no complex fallback.  The check is what the map needs: Q^H R Q must
+:func:`psd_factor`, :func:`psd_sqrt` and :func:`generalized_hermitian_eig`
+take Hermitian Toeplitz input and run every decomposition on W in real
+arithmetic, on one path with no complex fallback.  The check is what the map needs: Q^H R Q must
 be real and symmetric to a relative 1e-6 (R Hermitian and centro-Hermitian,
 which every Hermitian Toeplitz matrix is); anything else is rejected, naming
 the matrix of a stack that failed.
@@ -59,13 +59,15 @@ __all__ = [
     "generalized_hermitian_eig",
     "hermitian_inverse",
     "one_blas_thread",
+    "psd_factor",
     "psd_sqrt",
     "qr",
     "svd",
 ]
 
 # Negative eigenvalues of a nominally PSD matrix down to this fraction of its
-# largest |eigenvalue| are round-off and clipped to zero; beyond it we refuse.
+# largest |eigenvalue| are round-off and clipped to zero, and a pivoted Cholesky
+# factor may miss it by this fraction of its Frobenius norm; beyond it we refuse.
 PSD_FAIL_RTOL = 1e-6
 # Q^H R Q of a Hermitian Toeplitz R is real symmetric; a larger relative
 # departure (imaginary part or asymmetry, Frobenius norm) rejects the input.
@@ -122,6 +124,11 @@ def _index(at) -> str:
     return f"{[int(i) for i in at]}" if len(at) else ""
 
 
+def _squared_norm(x: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each matrix of a real stack, with no temporary."""
+    return np.einsum("...ij,...ij->...", x, x)
+
+
 def _to_real(r: np.ndarray, name: str) -> np.ndarray:
     """W = Re(Q^H R Q) of a Hermitian Toeplitz stack, real symmetric, checked per matrix.
 
@@ -152,17 +159,14 @@ def _to_real(r: np.ndarray, name: str) -> np.ndarray:
     w[..., n:k, :] *= _SQRT_HALF
     w[..., :, n:k] *= _SQRT_HALF
 
-    def sq(x):
-        return np.einsum("...ij,...ij->...", x, x)
-
     # squared norms of complex stacks, as real (..., rows, 2 columns) views
-    norm = sq(r.view(np.float64))
-    imag = np.maximum(norm - 0.25 * (sq(c.view(np.float64)) + sq(c[..., :n, :].view(np.float64))),
-                      0.0)
+    norm = _squared_norm(r.view(np.float64))
+    imag = np.maximum(norm - 0.25 * (_squared_norm(c.view(np.float64))
+                                     + _squared_norm(c[..., :n, :].view(np.float64))), 0.0)
     del c, e, o, e_flip, o_flip
     asym = w - w.swapaxes(-1, -2)
     # ||Y - Re(Y)^T||^2 = ||Re Y - Re Y^T||^2 + ||Im Y||^2 for Y = Q^H R Q, against ||Y||^2
-    defect = np.sqrt(sq(asym) + imag)
+    defect = np.sqrt(_squared_norm(asym) + imag)
     scale = np.sqrt(norm)
     bad = defect > TOEPLITZ_RTOL * scale
     if np.any(bad):
@@ -419,3 +423,57 @@ def psd_sqrt(r) -> np.ndarray:
     for i in np.ndindex(values.shape[:-1]):
         vectors[i] = (vectors[i] * roots[i]) @ vectors[i].T
     return _from_real(vectors)
+
+
+def psd_factor(r) -> np.ndarray:
+    """Diagonal-pivoted Cholesky factors L, R = L L^H, of one PSD Hermitian Toeplitz matrix or a
+    stack (..., M, M); L has shape (..., M, r), r the largest rank in the stack.
+
+    The factor is Q X with X the pivoted Cholesky factor of the real W = Q^H R Q (LAPACK's
+    xPSTRF: Hammarling, Higham and Lucas, *LAPACK-style codes for pivoted Cholesky and QR
+    updating*, 2007): each step takes the largest remaining diagonal entry as pivot and
+    stops, for each matrix on its own, once that entry is at most LAPACK's default floor,
+    M eps times the matrix's own largest diagonal entry.  The columns of a matrix past its
+    own rank are exactly zero.  Every step is elementwise along the stack, so each
+    matrix's factor is bit for bit its factor alone, followed by zero columns.  Input is
+    checked as by :func:`psd_sqrt`: not Hermitian Toeplitz to 1e-6 is rejected, and a
+    factor with ||R - L L^H||_F above PSD_FAIL_RTOL ||R||_F raises PsdError.
+    """
+    r = _as_complex_stack(r, "R")
+    _require_square(r, "R")
+    w = _to_real(r, "R")
+    batch, m = w.shape[:-2], w.shape[-1]
+    w = w.reshape(-1, m, m)
+    every = np.arange(len(w))
+    left = w[:, range(m), range(m)]  # the diagonal of what is left to factor
+    floor = m * np.finfo(float).eps * np.maximum(left.max(axis=-1, initial=0.0), 0.0)
+    free = np.ones(left.shape, dtype=bool)  # rows of W not pivoted yet
+    live = np.ones(len(w), dtype=bool)
+    cols = []  # column j of every matrix's X, (n, M) each
+    while len(cols) < m:
+        remaining = np.where(free, left, -np.inf)
+        pivot = remaining.argmax(axis=-1)
+        top = remaining[every, pivot]
+        live &= top > floor
+        if not live.any():
+            break
+        col = w[every, pivot]
+        if cols:
+            done = np.stack(cols, axis=1)
+            col -= (done * done[every, :, pivot][..., np.newaxis]).sum(axis=1)
+        keep = free & live[:, np.newaxis]
+        col = np.where(keep, col / np.sqrt(np.where(live, top, 1.0))[:, np.newaxis], 0.0)
+        cols.append(col)
+        left -= col * col
+        free[every, pivot] = False
+    rank = len(cols)
+    x = np.stack(cols, axis=1) if cols else np.zeros((len(w), 0, m))
+    scale = np.sqrt(_squared_norm(w)).reshape(batch)
+    w -= x.swapaxes(-1, -2) @ x
+    residual = np.sqrt(_squared_norm(w)).reshape(batch)
+    bad = residual > PSD_FAIL_RTOL * scale
+    if np.any(bad):
+        at = tuple(np.argwhere(bad)[0])
+        raise PsdError(f"R{_index(at)} is not PSD: ||R - L L^H|| {residual[at]:.6e}"
+                       f" above 1e-6*||R|| ({scale[at]:.6e})")
+    return _q_times(x.swapaxes(-1, -2).reshape(batch + (m, rank)))

@@ -7,15 +7,16 @@ in the per-bin channel and the reduced interference-plus-noise covariance
 R = S^H R_eta S (:func:`statistics.reduce`), the one statistical input.
 Monte Carlo enters only across channel realizations.  One link pass per
 angle (:func:`ergodic_capacity`) evaluates every (design, combiner) pair
-against the same draws, in the reduced dimension: each tap is R^{1/2} z,
-so each design projects the group's square roots once, P = (S U)^H R^{1/2}
-with R = U diag(sigma) U^H, and each block of trials draws its white
-coefficients z once.  Per design and block the taps P z go through one FFT
-(:func:`digital.dft_of_taps`) and one product stack gives every per-bin
-K x K matrix (:func:`digital.bin_grams`); ZF and LMMSE capacities then
-follow in closed form (:func:`digital.zf_capacity`,
-:func:`digital.lmmse_capacity`), with no M-antenna channel and no combiner
-formed.  The explicit path (``sample_channels``, ``effective_channel``, the
+against the same draws, in the reduced dimension: each tap is L z, with L
+the M x r pivoted-Cholesky factor of its CCM (r the group's largest rank,
+far below M), so each design projects the group's factors once,
+P = (S U)^H L with R = U diag(sigma) U^H, and the pass draws its white
+coefficients z once, from one generator.  Per design and block of trials
+the taps P z go through one FFT (:func:`digital.dft_of_taps`) and one
+product stack gives every per-bin K x K matrix (:func:`digital.bin_grams`);
+ZF and LMMSE capacities then follow in closed form
+(:func:`digital.zf_capacity`, :func:`digital.lmmse_capacity`), with no
+M-antenna channel and no combiner formed.  The explicit path (``sample_channels``, ``effective_channel``, the
 combiner banks, ``_link_moments``, ``_capacity`` and :func:`bussgang_report`)
 computes the same capacities from explicit combiners; the tests compare the
 two.  The symbol-level simulator (:func:`simulate_block`) exists as an
@@ -57,9 +58,9 @@ COMBINER_NAMES = ("zf", "lmmse")
 # 0.50-0.65 s with blocks of 64 or 200 and 0.66 s at 16, with about 15% noise
 # between runs.  Traced peak memory grows with the block: the 32-antenna
 # sweep's is 1.8 MB at 16 trials, 4.3 MB at 64 and 12.0 MB for all 200 at
-# once; the full-scale sweep's 11.1 MB at 16 or 64 and 19.7 MB at 200.  Trial
-# t always draws from [seed, t] and is projected on its own, so the block size
-# leaves every result bit for bit unchanged.
+# once; the full-scale sweep's 11.1 MB at 16 or 64 and 19.7 MB at 200.  The
+# pass draws every trial at once and each trial is projected on its own, so the
+# block size leaves every result bit for bit unchanged.
 _TRIAL_BLOCK = 64
 
 
@@ -213,20 +214,20 @@ def bussgang_report(eff: EffectiveChannel, combiners: CombinerBank, r_eta_rd: np
     return UserLinkReport(complex(a), float(b_power), float(sinr), float(capacity))
 
 
-def _eigenbasis(s: np.ndarray, r_eta_rd: np.ndarray, roots: np.ndarray
+def _eigenbasis(s: np.ndarray, r_eta_rd: np.ndarray, factors: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """A design's projected roots (S U)^H R^{1/2} and its :func:`digital.bin_grams` weights.
+    """A design's projected factors (S U)^H L and its :func:`digital.bin_grams` weights.
 
     R = S^H R_eta S = U diag(sigma) U^H.  Seen through S U, a unitary right factor that
     leaves every capacity unchanged, the reduced covariance is diag(sigma), so the rows 1,
     sigma and 1 / sigma give G_k, Lambda_k^H R Lambda_k and Lambda_k^H R^-1 Lambda_k (the
-    last row is zero unless R is positive definite).  ``roots`` are the group's Hermitian
-    square roots, (L, K, M, M); the projection is (L, K, D, M).
+    last row is zero unless R is positive definite).  ``factors`` are the group's
+    pivoted-Cholesky factors, (L, K, M, r); the projection is (L, K, D, r).
     """
     sigma, u = np.linalg.eigh(r_eta_rd)
     inverse = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=sigma > 0)
     s_u = np.asarray(s, dtype=complex) @ u
-    return s_u.conj().T @ roots, np.stack([np.ones_like(sigma), sigma, inverse])
+    return s_u.conj().T @ factors, np.stack([np.ones_like(sigma), sigma, inverse])
 
 
 def ergodic_capacity(cov: CovarianceSet, designs: Mapping[str, tuple[np.ndarray, np.ndarray]],
@@ -237,12 +238,13 @@ def ergodic_capacity(cov: CovarianceSet, designs: Mapping[str, tuple[np.ndarray,
     ``designs`` maps a name to its effective analog stage S and its reduced
     interference-plus-noise covariance S^H R_eta S (:func:`statistics.reduce`).
     Only group ``group``'s channels are drawn; interference enters through
-    the reduced covariance.  Trial t draws the white coefficients z of
-    ``sample_channels(cov, [seed, t])`` (:func:`channel.white_coefficients`),
-    so results are reproducible and independent of the trial block size and
-    of the other pairs.  Each design projects the group's square roots once
-    (:func:`_eigenbasis`); each block of ``_TRIAL_BLOCK`` trials is drawn
-    once, its taps P z go through one FFT per design (:func:`digital.dft_of_taps`),
+    the reduced covariance.  The pass draws one (trials, L, K, 2, r) standard-normal
+    array from ``default_rng(seed)``, trial-major (:func:`channel.white_coefficients`
+    of the group's factors), the draws ``sample_channels(cov, seed, [group], trials)``
+    colours, so results are reproducible, trial t's do not depend on the trial count,
+    and none depend on the trial block size or on the other pairs.  Each design
+    projects the group's factors once (:func:`_eigenbasis`); per block of
+    ``_TRIAL_BLOCK`` trials its taps P z go through one FFT (:func:`digital.dft_of_taps`),
     one product stack gives every per-bin K x K matrix (:func:`digital.bin_grams`),
     and each pair's capacities follow in closed form (:func:`digital.zf_capacity`,
     :func:`digital.lmmse_capacity`).  A ValueError fails only the pairs it
@@ -282,28 +284,30 @@ def ergodic_capacity(cov: CovarianceSet, designs: Mapping[str, tuple[np.ndarray,
         if "lmmse" in combiners and (hermitian_inverse(r_eta_rd)[1] or not np.all(weights[2] > 0)):
             fail(name, ["lmmse"], DefinitenessError(
                 "reduced interference-plus-noise covariance is not positive definite"))
+    if prepared:
+        # (T, L, K, r, 1): one matrix-vector product per (trial, delay, user), so no
+        # trial's taps depend on how many trials share its block
+        z = white_coefficients(np.random.default_rng(seed), trials,
+                               cov.factors(group))[..., np.newaxis]
     for start in range(0, trials, _TRIAL_BLOCK):
         if not any(pending(name) for name in names):
             break
-        block = range(start, min(start + _TRIAL_BLOCK, trials))
-        # (T, L, K, M, 1): one matrix-vector product per (trial, delay, user), so no
-        # trial's taps depend on how many trials share its block
-        z = white_coefficients(scn, group, [[seed, t] for t in block])[..., np.newaxis]
+        block = slice(start, min(start + _TRIAL_BLOCK, trials))
         for i, name in enumerate(names):
             combs = pending(name)
             if not combs:
                 continue
             projected, weights = prepared[name]
             try:
-                eff = dft_of_taps((projected @ z)[..., 0].transpose(3, 2, 0, 1), spec.delays,
-                                  scn.n_taps, n)
+                eff = dft_of_taps((projected @ z[block])[..., 0].transpose(3, 2, 0, 1),
+                                  spec.delays, scn.n_taps, n)
             except ValueError as exc:
                 fail(name, combs, exc)
                 continue
             g, h, m = bin_grams(eff, weights)
             for comb in combs:
                 try:
-                    samples[block.start:block.stop, i, combiners.index(comb)] = (
+                    samples[block, i, combiners.index(comb)] = (
                         zf_capacity(g, h, spec.symbol_energy, k) if comb == "zf"
                         else lmmse_capacity(m, spec.symbol_energy, k))
                 except ValueError as exc:

@@ -1,9 +1,9 @@
 """Beampattern evaluation, shifting-angle sweeps and outage tabulation.
 
 The sweep moves the mobile group's angular profile and rebuilds its
-covariances, statistics, GEB and sampling square roots in contiguous blocks
+covariances, statistics, GEB and sampling factors in contiguous blocks
 of angles (:func:`angle_design`): one covariance build, one pencil call and
-one square-root call per block, with a shared R_eta factored once, and as
+one pivoted-Cholesky call per block, with a shared R_eta factored once, and as
 many angles per block as keep the mobile CCMs within a byte budget
 (``_DESIGN_BLOCK_BYTES``).  Each angle then gets its beamformers
 (:data:`DESIGNS`), with each design's expected SINR and (optionally)
@@ -68,13 +68,13 @@ ANGLE_ERRORS = (ValueError, constrained.CandidateExhaustionError)
 # Bytes of mobile-group CCMs that phi_sweep designs in one block of angles
 # (768 KiB; a block always holds at least one angle).  On table1 that is 8
 # angles at 32 antennas and one at 128 (six 128 x 128 complex CCMs, what a
-# one-angle design holds); the block's square roots take as much again.  On
-# 2 cores, table1's design stage at 32 antennas took 3.1-3.5 ms per angle
-# one angle at a time and about 2 ms in blocks of 8 or 16, where the eigh
-# calls of the square roots are half of what is left.  A whole 91-angle
-# sweep's peak resident memory grew by 0.3-2.3 MB with blocks of 8 and by
-# 5.7 MB with blocks of 16.  Every angle's results are bit for bit the same
-# at any block size.
+# one-angle design holds); the block's M x r sampling factors take r / M of
+# that (7 / 32 and 11 / 128).  On 2 cores, table1's design stage at 32
+# antennas took 3.1-3.5 ms per angle one angle at a time and about 2 ms in
+# blocks of 8 or 16, when the sampling factors were M x M square roots from
+# eigh.  A whole 91-angle sweep's peak resident memory grew by 0.3-2.3 MB
+# with blocks of 8 and by 5.7 MB with blocks of 16.  Every angle's results
+# are bit for bit the same at any block size.
 _DESIGN_BLOCK_BYTES = 3 << 18
 
 # Connection mask mask(M, D) of each fixed-subarray design.
@@ -240,7 +240,7 @@ def _derived_seed(master, *tokens) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
 
-def angle_design(fixed: FixedCovariances, phi, cfg: SweepSettings, roots: bool = False
+def angle_design(fixed: FixedCovariances, phi, cfg: SweepSettings, factors: bool = False
                  ) -> list[tuple[Scenario, CovarianceSet, GroupStatistics,
                                  UnconstrainedBeamformer]]:
     """Scenario, covariances, evaluated-group statistics and GEB at each angle of a block.
@@ -253,9 +253,9 @@ def angle_design(fixed: FixedCovariances, phi, cfg: SweepSettings, roots: bool =
     pencil call solves every angle, mapping, checking and factoring a shared
     R_eta once; each angle's results are bit for bit a one-angle run's.  The
     non-mobile groups' CCMs come from ``fixed``, built once per sweep.  With
-    ``roots``, one :func:`~jsdmsim.linalg.psd_sqrt` call on the evaluated
+    ``factors``, one :func:`~jsdmsim.linalg.psd_factor` call on the evaluated
     group's CCMs fills every angle's factor cache; when it fails, the caches
-    stay empty and each angle computes (and fails on) its own roots when its
+    stay empty and each angle computes (and fails on) its own factors when its
     link pass projects them.
     """
     lone = np.ndim(phi) == 0
@@ -263,7 +263,7 @@ def angle_design(fixed: FixedCovariances, phi, cfg: SweepSettings, roots: bool =
                             n_quad=cfg.n_quad, fixed=fixed, phis=None if lone else phi)
     stats = group_statistics(cov, cfg.group)
     geb = compute_geb(stats, fixed.scenario.groups[cfg.group].n_chains)
-    if roots:
+    if factors:
         try:
             cov.factors(cfg.group)
         except ANGLE_ERRORS:
@@ -344,7 +344,7 @@ def _block_size(scn: Scenario) -> int:
 def _lone_design(fixed: FixedCovariances, phi: float, cfg: SweepSettings):
     """One angle's :func:`angle_design` entry, or the error it raised."""
     try:
-        return angle_design(fixed, phi, cfg, roots=True)[0]
+        return angle_design(fixed, phi, cfg, factors=True)[0]
     except ANGLE_ERRORS as exc:
         return exc
 
@@ -354,7 +354,7 @@ def phi_sweep(scn: Scenario, phi_grid, settings: SweepSettings) -> SweepResult:
 
     The non-mobile groups' CCMs are built once, shared by every angle and
     returned as ``result.fixed``.  The grid is designed in contiguous blocks
-    (:func:`angle_design`, with the evaluated group's square roots) of as many
+    (:func:`angle_design`, with the evaluated group's sampling factors) of as many
     angles as keep the block's mobile CCMs within ``_DESIGN_BLOCK_BYTES``; a
     block that fails is designed again one angle at a time, so a failure
     stays with its angle.  Every angle is then evaluated on its own, with its
@@ -367,7 +367,7 @@ def phi_sweep(scn: Scenario, phi_grid, settings: SweepSettings) -> SweepResult:
     for start in range(0, len(phi_grid), size):
         block = phi_grid[start:start + size]
         try:
-            designs = angle_design(result.fixed, block, settings, roots=True)
+            designs = angle_design(result.fixed, block, settings, factors=True)
         except ANGLE_ERRORS:
             designs = [_lone_design(result.fixed, float(phi), settings) for phi in block]
         for i, (phi, design) in enumerate(zip(block, designs), start):

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .channel import steering_matrix
-from .config import ExperimentConfig, OutputSettings
+from .config import ExperimentConfig, OutputSettings, grid_values
 from .linalg import one_blas_thread
 from .metrics import (ANGLE_ERRORS, PhiRecord, SweepResult, angle_design, beampattern,
                       build_beamformer, cdf, check_scan_range, phi_sweep, _derived_seed,
@@ -36,11 +36,7 @@ CDF_POINTS = 101
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return f"{x:.9g}"
+    return "" if x is None else f"{x:.9g}"
 
 
 def _db(x: float) -> float:
@@ -101,10 +97,10 @@ def _write_results(path: Path, result, db: bool) -> None:
         nmse = rec.nmse
         if db and nmse is not None:
             nmse = _db(nmse)
-        for user, cap in enumerate(rec.capacity, start=1):
-            lines.append(",".join([
-                _fmt(rec.phi), rec.beamformer, rec.combiner, str(user),
-                _fmt(float(cap)), _fmt(sinr), _fmt(nmse)]))
+        head = f"{_fmt(rec.phi)},{rec.beamformer},{rec.combiner}"
+        tail = f"{_fmt(sinr)},{_fmt(nmse)}"
+        lines.extend(f"{head},{user},{cap:.9g},{tail}"
+                     for user, cap in enumerate(rec.capacity.tolist(), start=1))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -145,11 +141,10 @@ def _write_beampattern(path: Path, out_cfg: OutputSettings, result: SweepResult,
     except ANGLE_ERRORS as exc:  # flagged in the manifest instead
         path.write_text("\n".join(lines) + "\n")
         return [_error(phi, name, "(beampattern)", exc) for name in settings.beamformers]
-    n_pts = int(round((out_cfg.beampattern_stop - out_cfg.beampattern_start)
-                      / out_cfg.beampattern_step)) + 1
-    thetas = out_cfg.beampattern_start + out_cfg.beampattern_step * np.arange(n_pts)
+    thetas = grid_values(out_cfg.beampattern_start, out_cfg.beampattern_stop,
+                         out_cfg.beampattern_step)
     steering = steering_matrix(thetas, scn.n_antennas)
-    theta_col = [_fmt(float(theta)) for theta in thetas]
+    theta_col = [f"{theta:.9g}" for theta in thetas.tolist()]
     for name in settings.beamformers:
         try:
             s_eff = build_beamformer(name, scn, stats, settings.group, settings,
@@ -158,8 +153,7 @@ def _write_beampattern(path: Path, out_cfg: OutputSettings, result: SweepResult,
         except ANGLE_ERRORS as exc:
             failures.append(_error(phi, name, "(beampattern)", exc))
             continue
-        for theta, val in zip(theta_col, values):
-            v = _db(float(val)) if db else float(val)
-            lines.append(f"{name},{theta},{_fmt(v)}")
+        powers = [_db(v) for v in values.tolist()] if db else values.tolist()
+        lines.extend(f"{name},{theta},{power:.9g}" for theta, power in zip(theta_col, powers))
     path.write_text("\n".join(lines) + "\n")
     return failures

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from jsdmsim import GroupSpec, Scenario, reduce
+from jsdmsim.channel import ChannelRealization
 
 
 def table1_scenario(m=32, mobile_db=30.0, interferer_db=20.0, chains=4, phi=0.0):
@@ -79,9 +80,16 @@ def ccm(cov, g, k, delay):
     return cov.stacks[g][cov.scenario.groups[g].delays.index(delay), k]
 
 
-def sqrt_factor(cov, g, k, delay):
-    """The Hermitian square root of ``ccm(cov, g, k, delay)``: a slice of ``cov.factors(g)``."""
+def ccm_factor(cov, g, k, delay):
+    """The pivoted-Cholesky factor L of ``ccm(cov, g, k, delay)``, R = L L^H: a slice of
+    ``cov.factors(g)``."""
     return cov.factors(g)[cov.scenario.groups[g].delays.index(delay), k]
+
+
+def one_trial(real, t):
+    """Trial t of a block of realizations (``sample_channels`` with ``trials``), on its own."""
+    return ChannelRealization(real.scenario,
+                              [{delay: h[t] for delay, h in taps.items()} for taps in real.taps])
 
 
 def random_orthonormal(rng, m, d):

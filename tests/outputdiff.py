@@ -59,7 +59,7 @@ def relative_difference(a: str, b: str) -> float:
     return abs(x - y) / scale if scale > 0 else 0.0
 
 
-def _keyed_rows(path: Path) -> tuple[list[str], dict[tuple, list[str]]]:
+def keyed_rows(path: Path) -> tuple[list[str], dict[tuple, list[str]]]:
     with path.open(newline="") as f:
         reader = csv.reader(f)
         header = next(reader)
@@ -78,8 +78,8 @@ def _keyed_rows(path: Path) -> tuple[list[str], dict[tuple, list[str]]]:
 
 
 def compare_files(a: Path, b: Path, rtol: float = 0.0) -> FileDiff:
-    header_a, rows_a = _keyed_rows(a)
-    header_b, rows_b = _keyed_rows(b)
+    header_a, rows_a = keyed_rows(a)
+    header_b, rows_b = keyed_rows(b)
     if header_a != header_b:
         raise OutputMismatch(f"{a.name}: headers differ: {header_a} vs {header_b}")
     missing, extra = rows_a.keys() - rows_b.keys(), rows_b.keys() - rows_a.keys()

@@ -118,7 +118,9 @@ def test_criterion_03_reduced_covariance_matches_model():
         taps_eff = np.empty((len(spec.delays), 4, 2), dtype=complex)
         for li in range(len(spec.delays)):
             for k in range(2):
-                z = (rng.standard_normal(32) + 1j * rng.standard_normal(32)) / np.sqrt(2)
+                # a tap is L z with L the M x r pivoted-Cholesky factor of its CCM
+                r = factors[k][li].shape[1]
+                z = (rng.standard_normal(r) + 1j * rng.standard_normal(r)) / np.sqrt(2)
                 taps_eff[li, :, k] = geb.s.conj().T @ (factors[k][li] @ z)
         x = amp * np.exp(1j * (np.pi / 4 + np.pi / 2 * rng.integers(0, 4, (2, n))))
         x_f = x @ dft_rows.T  # (2, bins)

@@ -1,7 +1,9 @@
 """Pilot construction, LMMSE/LS estimation and the closed-form nMSE."""
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from jsdmsim import (
@@ -25,8 +27,9 @@ from jsdmsim.chanest import (
     receive_pilots,
     stack_effective,
 )
+from jsdmsim.metrics import ANGLE_ERRORS, DESIGNS, SweepSettings, build_beamformer
 
-from conftest import ccm, random_orthonormal, two_group_toy
+from conftest import ccm, random_orthonormal, table1_scenario, two_group_toy
 
 
 def sparse_single_group(m=6, taps=8, delays=(0, 3), users=1, noise=0.1, energy=10.0):
@@ -256,6 +259,32 @@ class TestNmse:
         scn, _, geb, rd, r_h = self.toy()
         pilots = build_pilots(scn, 0, 8, seed=3)
         assert 0.0 <= self.lmmse_nmse(pilots, r_h, rd) <= 1.0
+
+    @hypothesis.seed(20261021)
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(m=st.sampled_from([8, 16, 24, 32]), chains=st.sampled_from([2, 4]),
+           phi=st.floats(-45.0, 45.0), mobile_db=st.floats(0.0, 40.0),
+           interferer_db=st.floats(0.0, 30.0), design=st.sampled_from(sorted(DESIGNS)),
+           length=st.integers(1, 24), energy_db=st.none() | st.floats(-20.0, 40.0),
+           seed=st.integers(0, 2**31))
+    def test_lmmse_in_unit_interval_over_table1_scenarios(self, m, chains, phi, mobile_db,
+                                                          interferer_db, design, length,
+                                                          energy_db, seed):
+        scn = table1_scenario(m=m, mobile_db=mobile_db, interferer_db=interferer_db,
+                              chains=chains, phi=phi)
+        cov = build_covariances(scn)
+        stats = group_statistics(cov, 0)
+        try:
+            s = build_beamformer(design, scn, stats, 0, SweepSettings(group=0), seed,
+                                 geb=compute_geb(stats, chains))
+            rd = reduce(stats, s)
+        except ANGLE_ERRORS:  # a design that cannot be built here has no estimate
+            hypothesis.reject()
+        delays = scn.groups[0].delays
+        energy = None if energy_db is None else 10.0 ** (energy_db / 10.0)
+        pilots = build_pilots(scn, 0, length, seed, energy=energy)
+        pc = pilot_covariances(pilots, delays, effective_covariance(cov, s, 0), rd)
+        assert 0.0 <= nmse(lmmse_estimator(pc), pc) <= 1.0
 
     def test_closed_form_matches_monte_carlo(self):
         scn, cov, geb, rd, r_h = self.toy()

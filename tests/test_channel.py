@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from jsdmsim import build_covariances, ccm_one_ring, sample_channels, steering, steering_matrix
 from jsdmsim.channel import fixed_covariances
 
-from conftest import ccm, sqrt_factor, table1_scenario, two_group_toy
+from conftest import ccm, ccm_factor, table1_scenario, two_group_toy
 
 
 class TestSteering:
@@ -143,7 +143,7 @@ class TestToeplitzOneRing:
 
 class TestOneAngleMemory:
     def test_peak_at_most_twice_what_is_kept(self):
-        """One table1 angle at 128 antennas: covariances plus every mobile square root."""
+        """One table1 angle at 128 antennas: covariances plus every mobile sampling factor."""
         scn = table1_scenario(m=128)
         fixed = fixed_covariances(scn)
         scn_phi = scn.with_phi(10.0)
@@ -151,14 +151,14 @@ class TestOneAngleMemory:
         tracemalloc.start()
         try:
             cov = build_covariances(scn_phi, fixed=fixed)
-            roots = [sqrt_factor(cov, 0, k, delay) for k in range(spec.n_users)
-                     for delay in spec.delays]
+            factors = [ccm_factor(cov, 0, k, delay) for k in range(spec.n_users)
+                       for delay in spec.delays]
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(roots) == 6
-        # the mobile CCMs and their roots: 2 x 6 matrices of 128 x 128 complex
-        assert kept >= 2 * 6 * 128 * 128 * 16
+        assert len(factors) == 6
+        # the mobile CCMs, 6 matrices of 128 x 128 complex, and their 128 x r factors
+        assert kept >= 6 * 128 * (128 + factors[0].shape[1]) * 16
         assert peak <= 2.0 * kept
 
 
@@ -253,12 +253,7 @@ class TestSampleChannels:
         scn = two_group_toy(m=16)
         cov = build_covariances(scn)
         n_draws = 20000
-        m = scn.n_antennas
-        acc = np.zeros((m, m), dtype=complex)
-        rng = np.random.default_rng(99)
-        a = sqrt_factor(cov, 0, 0, 0)
-        z = (rng.standard_normal((m, n_draws)) + 1j * rng.standard_normal((m, n_draws)))
-        h = a @ (z / np.sqrt(2.0))
+        h = sample_channels(cov, 99, groups=[0], trials=n_draws).taps[0][0][..., 0].T
         acc = h @ h.conj().T / n_draws
         r = ccm(cov, 0, 0, 0)
         assert np.linalg.norm(acc - r) <= 0.05 * np.trace(r).real
@@ -267,13 +262,8 @@ class TestSampleChannels:
         scn = two_group_toy(m=12)
         cov = build_covariances(scn)
         n_draws = 20000
-        m = scn.n_antennas
-        a1 = sqrt_factor(cov, 0, 0, 0)
-        a2 = sqrt_factor(cov, 0, 1, 0)
-        rng = np.random.default_rng(4)
-        z1 = (rng.standard_normal((m, n_draws)) + 1j * rng.standard_normal((m, n_draws))) / np.sqrt(2)
-        z2 = (rng.standard_normal((m, n_draws)) + 1j * rng.standard_normal((m, n_draws))) / np.sqrt(2)
-        h1, h2 = a1 @ z1, a2 @ z2
+        taps = sample_channels(cov, 4, groups=[0], trials=n_draws).taps[0][0]
+        h1, h2 = taps[..., 0].T, taps[..., 1].T
         cross = h1 @ h2.conj().T / n_draws
         r1 = ccm(cov, 0, 0, 0)
         r2 = ccm(cov, 0, 1, 0)
@@ -288,11 +278,11 @@ class TestSampleChannels:
         spec = scn.groups[0]
         for k in range(spec.n_users):
             for i, delay in enumerate(spec.delays):
-                root = sqrt_factor(cov, 0, k, delay)
-                assert np.shares_memory(root, factors)
-                assert np.array_equal(root, factors[i, k])
+                factor = ccm_factor(cov, 0, k, delay)
+                assert np.shares_memory(factor, factors)
+                assert np.array_equal(factor, factors[i, k])
                 r = ccm(cov, 0, k, delay)
-                assert np.linalg.norm(root @ root - r) <= 1e-10 * np.linalg.norm(r)
+                assert np.linalg.norm(factor @ factor.conj().T - r) <= 1e-10 * np.linalg.norm(r)
 
     def test_restricted_groups(self):
         cov = build_covariances(two_group_toy())

@@ -213,6 +213,18 @@ class TestRunner:
             expected += [[name, f"{t:.9g}", f"{v:.9g}"] for t, v in zip(thetas, values)]
         assert rows == expected
 
+    def test_beampattern_grid_ends_at_or_before_its_stop(self, tmp_path):
+        # 180 / 0.13 = 1384.6 steps: the last point is 89.92, not one step past 90
+        cfg = parse_config(desk_config_text(combiners="zf", estimator="none").replace(
+            "beampattern_step = 1.0", "beampattern_step = 0.13"))
+        run(cfg, tmp_path)
+        rows = [line.split(",") for line in
+                (tmp_path / "beampattern.csv").read_text().splitlines()[1:]]
+        for name in cfg.sweep.beamformers:
+            thetas = [float(theta) for label, theta, _ in rows if label == name]
+            assert len(thetas) == 1385
+            assert thetas[0] == -90.0 and thetas[-1] == pytest.approx(89.92)
+
     def test_beampattern_stage_failure_flagged(self, tmp_path):
         # a chain count that does not divide the array breaks the fixed designs
         # at every stage; the run completes with every failure in the manifest

@@ -60,7 +60,7 @@ class TestLayout:
         cov = build_covariances(scn)
         stats = group_statistics(cov, 0)
         s = compute_geb(stats, 4).s
-        real = sample_channels(cov, 4, groups=[0], trials=range(3))
+        real = sample_channels(cov, 4, groups=[0], trials=3)
         n = 16
         eff = effective_channel(s, real, 0, n)
         shape = (4, scn.groups[0].n_users, 3, n)

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import jsdmsim
-from jsdmsim import ccm_one_ring
+from jsdmsim import build_covariances, ccm_one_ring
 from jsdmsim.linalg import (
     DefinitenessError,
     PsdError,
@@ -25,13 +25,14 @@ from jsdmsim.linalg import (
     generalized_hermitian_eig,
     hermitian_inverse,
     one_blas_thread,
+    psd_factor,
     psd_sqrt,
     qr,
     svd,
 )
 
 from conftest import (random_hermitian, random_toeplitz, random_toeplitz_pd, random_toeplitz_psd,
-                      toeplitz_from_column)
+                      table1_scenario, toeplitz_from_column)
 
 
 def standard_eig(a):
@@ -451,6 +452,66 @@ class TestPsdSqrtStack:
         stack = psd_stack(np.random.default_rng(4), (2,), 4)
         copy = stack.copy()
         psd_sqrt(stack)
+        assert np.array_equal(stack, copy)
+
+
+class TestPsdFactor:
+    """Pivoted-Cholesky factors of table1 CCM blocks: exact rank, each matrix on its own."""
+
+    @hypothesis.seed(20261023)
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(m=st.integers(8, 128), phis=st.lists(st.floats(-45.0, 45.0), min_size=1, max_size=3))
+    @hypothesis.example(m=127, phis=[10.0, -3.5]).via("odd M")
+    @hypothesis.example(m=128, phis=[10.0]).via("full scale")
+    def test_block_factors(self, m, phis):
+        stack = build_covariances(table1_scenario(m=m), phis=np.array(phis)).stacks[0]
+        factors = psd_factor(stack)
+        assert factors.shape[:-1] == stack.shape[:-1]
+        rebuilt = factors @ factors.conj().swapaxes(-1, -2)
+        error = np.linalg.norm(stack - rebuilt, axis=(-2, -1))
+        eps = np.finfo(float).eps
+        assert np.all(error <= 8 * m * eps * np.linalg.norm(stack, axis=(-2, -1)))
+        for i in np.ndindex(stack.shape[:-2]):
+            alone = psd_factor(stack[i])
+            rank = alone.shape[-1]
+            # its own rank: every column of its own factor is used, the block's others are zero
+            assert rank >= 1 and np.any(alone[:, -1])
+            assert np.array_equal(factors[i][:, :rank], alone)
+            assert not np.any(factors[i][:, rank:])
+
+    @hypothesis.seed(20261024)
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(m=st.integers(8, 128), phi=st.floats(-45.0, 45.0), at=st.integers(0, 5),
+           shift=st.floats(1e-3, 10.0), bend=st.floats(1e-4, 1.0),
+           fault=st.sampled_from(["indefinite", "not toeplitz"]))
+    def test_bad_input_fails_as_psd_sqrt_does(self, m, phi, at, shift, bend, fault):
+        stack = build_covariances(table1_scenario(m=m, phi=phi)).stacks[0].copy()
+        bad = stack.reshape(-1, m, m)[at]
+        if fault == "indefinite":
+            bad -= shift * np.linalg.eigvalsh(bad).max() * np.eye(m)
+        else:  # Hermitian, but its diagonal is not constant
+            bad[0, 0] += bend * np.linalg.norm(bad)
+        errors = []
+        for decompose in (psd_sqrt, psd_factor):
+            with pytest.raises(ValueError) as info:
+                decompose(stack)
+            errors.append(info.value)
+        assert type(errors[0]) is type(errors[1])
+        index = [int(i) for i in np.unravel_index(at, stack.shape[:-2])]
+        prefix = f"R{index} is " + ("not PSD" if fault == "indefinite" else "not Hermitian Toeplitz")
+        assert all(str(error).startswith(prefix) for error in errors)
+
+    def test_zero_and_identity(self):
+        stack = np.stack([np.zeros((5, 5)), np.eye(5), 2.0 * np.eye(5)])
+        factors = psd_factor(stack)
+        assert factors.shape == (3, 5, 5) and not np.any(factors[0])
+        assert_allclose(factors[1] @ factors[1].conj().T, np.eye(5), atol=1e-15)
+        assert psd_factor(np.zeros((4, 4))).shape == (4, 0)
+
+    def test_input_not_modified(self):
+        stack = psd_stack(np.random.default_rng(5), (2,), 6)
+        copy = stack.copy()
+        psd_factor(stack)
         assert np.array_equal(stack, copy)
 
 

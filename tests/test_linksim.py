@@ -23,7 +23,8 @@ from jsdmsim.digital import (SingularBinError, bin_grams, effective_channel, lmm
 from jsdmsim.linksim import _eigenbasis as linksim_eigenbasis
 from jsdmsim.linksim import bussgang_report, ergodic_capacity, simulate_block
 
-from conftest import ccm, random_orthonormal, random_unitary, two_group_toy, with_reduced
+from conftest import (ccm, one_trial, random_orthonormal, random_unitary, two_group_toy,
+                      with_reduced)
 
 
 def flat_single_user(noise=0.0, m=4):
@@ -261,9 +262,9 @@ class TestErgodicCapacity:
         spec = scn.groups[0]
         cap = ergodic_capacity(cov, with_reduced(stats, {"geb": geb.s}), 0, (combiner,), n=16,
                                trials=37, seed=2024).estimate("geb", combiner)
+        block = sample_channels(cov, 2024, groups=[0], trials=37)
         for t in range(37):
-            real = sample_channels(cov, [2024, t], groups=[0])
-            eff = effective_channel(geb.s, real, 0, 16)
+            eff = effective_channel(geb.s, one_trial(block, t), 0, 16)
             if combiner == "zf":
                 bank = zf_combiners(eff)
             else:
@@ -273,17 +274,17 @@ class TestErgodicCapacity:
             assert_allclose(cap.samples[t], expected, rtol=1e-12)
 
     @pytest.mark.parametrize("combiner, pinned", [
-        ("zf", {0: [5.998900980592998, 6.272485632314111],
-                16: [7.393855732722327, 7.75714379959634],
-                36: [8.349126047662667, 9.877564054190323]}),
-        ("lmmse", {0: [6.008537176989793, 6.283674778452405],
-                   16: [7.398894376183876, 7.763280554986295],
-                   36: [8.349446791536455, 9.878018400600517]}),
+        ("zf", {0: [7.1491026502554735, 8.809209695740932],
+                16: [8.842855738062335, 9.994566841959287],
+                36: [7.739168689917769, 6.641009972892197]}),
+        ("lmmse", {0: [7.1510017115884, 8.81469281460455],
+                   16: [8.843109282070438, 9.994681950235671],
+                   36: [7.74769951122705, 6.6455440969564705]}),
     ])
     def test_pinned_samples(self, combiner, pinned):
-        # values with Toeplitz CCMs, one stacked square root per group and the real
-        # Toeplitz-transform square roots and GEB; a change in the draw stream or in
-        # those factors' rounding moves them
+        # values with Toeplitz CCMs, one stacked pivoted-Cholesky factor per group, one
+        # trial-major draw per pass and the real Toeplitz-transform GEB; a change in the
+        # draw stream or in those factors' rounding moves them
         scn = two_group_toy()
         cov = build_covariances(scn)
         stats = group_statistics(cov, 0)
@@ -333,21 +334,20 @@ class TestLinkPass:
         for samples in runs[1:]:
             assert np.array_equal(samples, runs[0])
 
-    def test_one_draw_per_trial_block(self, monkeypatch):
-        # 37 trials in blocks of 16: three draws serve all six pairs
+    def test_one_draw_per_pass(self, monkeypatch):
+        # 37 trials in blocks of 16: one draw of every trial serves all six pairs
         monkeypatch.setattr(linksim, "_TRIAL_BLOCK", 16)
         cov, designs = three_designs()
         drawn = []
 
-        def counting_draw(scn, g, seeds):
-            drawn.append([list(seed) for seed in seeds])
-            return white_coefficients(scn, g, seeds)
+        def counting_draw(rng, trials, factors):
+            drawn.append((trials, factors))
+            return white_coefficients(rng, trials, factors)
 
         monkeypatch.setattr(linksim, "white_coefficients", counting_draw)
         link = ergodic_capacity(cov, designs, 0, ("zf", "lmmse"), n=16, trials=37, seed=2024)
         assert not link.errors
-        assert drawn == [[[2024, t] for t in range(start, min(start + 16, 37))]
-                         for start in (0, 16, 32)]
+        assert len(drawn) == 1 and drawn[0][0] == 37 and drawn[0][1] is cov.factors(0)
 
     def test_singular_bin_fails_only_its_pair(self, monkeypatch):
         # bin 3 of trial 21 (realization 5 of the second block) of the pe
@@ -358,8 +358,8 @@ class TestLinkPass:
         clean = ergodic_capacity(cov, designs, 0, ("zf", "lmmse"), n=16, trials=37, seed=2024)
         pe_weights, pe_grams, faulty_zf, pe_lmmse = [], [], [], []
 
-        def recording_eigenbasis(s, r_eta_rd, roots):
-            prepared = linksim_eigenbasis(s, r_eta_rd, roots)
+        def recording_eigenbasis(s, r_eta_rd, factors):
+            prepared = linksim_eigenbasis(s, r_eta_rd, factors)
             if s is designs["pe"][0]:
                 pe_weights.append(prepared[1])
             return prepared
@@ -476,10 +476,11 @@ class TestLinkPassMatchesOracle:
         link = ergodic_capacity(cov, {"s": (s, rd)}, 0, ("zf", "lmmse"), n=16,
                                 trials=case["trials"], seed=seed)
         assert not link.errors
+        block = sample_channels(cov, seed, groups=[0], trials=case["trials"])
         for t in range(case["trials"]):
-            eff = effective_channel(s, sample_channels(cov, [seed, t], groups=[0]), 0, 16)
+            eff = effective_channel(s, one_trial(block, t), 0, 16)
             # Both paths take the same draws through the same algebra in another order:
-            # (S^H R^{1/2}) z against S^H (R^{1/2} z), closed forms against explicit
+            # (S^H L) z against S^H (L z), closed forms against explicit
             # combiners and moments.  They differ by round-off, which the ZF noise, a
             # quadratic form in G_k^-1, amplifies by up to cond(G_k) = cond(Lambda_k)^2.
             # Over 2,500 random cases of this strategy the gap stayed below

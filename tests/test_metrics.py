@@ -273,23 +273,23 @@ class TestFixedCovariances:
             solved.append((stats, geb))
             return original_evaluate(design, phi, phi_index, cfg)
 
-        def counting_sqrt(r):
-            rooted.append(r.shape)
-            return original_sqrt(r)
+        def counting_factor(r):
+            factored.append(r.shape)
+            return original_factor(r)
 
-        original_sqrt = channel.psd_sqrt
+        original_factor = channel.psd_factor
         monkeypatch.setattr(metrics, "build_covariances", recording_build)
         monkeypatch.setattr(metrics, "_evaluate_phi", recording_evaluate)
-        monkeypatch.setattr(channel, "psd_sqrt", counting_sqrt)
+        monkeypatch.setattr(channel, "psd_factor", counting_factor)
         # design blocks of 1, 2 and 5 angles (one block, larger than the grid)
         for block in (1, 2, 5):
             monkeypatch.setattr(metrics, "_DESIGN_BLOCK_BYTES", block * _mobile_bytes(scn))
-            built, solved, blocks, rooted = [], [], [], []
+            built, solved, blocks, factored = [], [], [], []
             result = phi_sweep(scn, phis, settings)
             assert not result.errors()
             assert [list(b) for b in blocks] == [phis[i:i + block] for i in range(0, 3, block)]
-            # one square root call per block, before the link pass needs it
-            assert len(rooted) == len(blocks)
+            # one factor call per block, before the link pass needs it
+            assert len(factored) == len(blocks)
             assert [s.phi for s, _ in built] == phis and len(solved) == len(phis)
 
             for phi, (scn_phi, cov), (stats, geb) in zip(phis, built, solved):
@@ -309,7 +309,7 @@ class TestFixedCovariances:
                 assert np.array_equal(stats.r_eta, ref_stats.r_eta)
                 assert np.array_equal(geb.s, ref_geb.s)
                 assert np.array_equal(geb.gen_eigenvalues, ref_geb.gen_eigenvalues)
-                # the block's square roots, filled before the link pass
+                # the block's sampling factors, filled before the link pass
                 assert group in cov._factors
                 assert np.array_equal(cov.factors(group), ref_cov.factors(group))
 
@@ -329,7 +329,7 @@ class TestFixedCovariances:
             hit = np.asarray(mu)[..., 0, 0] == mu_bad
             if fault == "toeplitz":  # Hermitian once summed, but not Toeplitz
                 out[hit, ..., 0, 1] += 0.5
-            else:  # Toeplitz, but indefinite: the GEB stands, the square roots fail
+            else:  # Toeplitz, but indefinite: the GEB stands, the sampling factors fail
                 out[hit] -= 10.0 * np.eye(m)
             return out
 
@@ -344,7 +344,7 @@ class TestFixedCovariances:
         monkeypatch.setattr(metrics, "build_covariances", recording_build)
         result = phi_sweep(scn, phis, settings)
         assert blocks[0] is not None and list(blocks[0]) == phis
-        # a failed square root leaves the block standing; a failed design redoes it angle by angle
+        # a failed factor leaves the block standing; a failed design redoes it angle by angle
         assert blocks[1:] == ([] if fault == "psd" else [None] * 3)
         failed = result.errors()
         assert len(failed) == 4 and {r.phi for r in failed} == {bad}

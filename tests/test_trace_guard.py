@@ -56,14 +56,14 @@ def test_traced_run_resolves_every_traced_name(tmp_path):
     assert summary["metrics.phi_sweep.calls"] == 1
     assert summary["linksim.trials"] > 0
     # one link pass per angle; it draws white coefficients, never full channels
-    # (one draw per trial block: test_linksim.py::TestLinkPass)
+    # (one draw per pass: test_linksim.py::TestLinkPass)
     assert summary["linksim.ergodic_capacity.calls"] == 1
     assert summary["channel.sample_channels.calls"] == 0
     # one stacked covariance build per group: the mobile group, the three fixed groups
     # once per sweep, and the mobile group again for the beampattern angle
     assert summary["channel.ccm_one_ring.calls"] == 5
-    # one batched square root for the one sampled group at the one angle
-    assert summary["channel.psd_sqrt.calls"] == 1
+    # the sampled group's factors come from psd_factor; the run takes no square root
+    assert summary["channel.psd_sqrt.calls"] == 0
     # the AM counter still reads the designs' traces: pe-am, the two fixed subarrays and
     # the dynamic design run at the sweep's angle and again at the beampattern angle, and
     # the dynamic design refines through fixed_subarray each time
