@@ -17,6 +17,7 @@ from importlib import resources
 from pathlib import Path
 
 from .config import ConfigError, load_config
+from .runner import run
 
 __all__ = ["main"]
 
@@ -47,8 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    from .runner import run  # deferred: keeps validate/scenario fast
-
     try:
         cfg = load_config(args.config)
     except ConfigError as exc:

@@ -21,15 +21,19 @@ Sections and their keys (* marks required):
     [output]     directory beampattern_phi
                  beampattern_start beampattern_stop beampattern_step
 
-Keys left out keep the defaults of :class:`OutputSettings` and
-:class:`~jsdmsim.metrics.SweepSettings`.  Unknown sections or keys, and values
-that would fail every angle, are rejected with their line number.  Mobile
-groups state their AoAs relative to the sweep's shifting angle; the sweep
-grid and ``beampattern_phi`` stay within -90..90 degrees.
+Each key's section, type and requiredness is declared once, in ``_KEYS``, and
+every value is read through one parser that checks it with its line: every
+float must be finite.  Keys left out keep the defaults of
+:class:`OutputSettings` and :class:`~jsdmsim.metrics.SweepSettings`.  Unknown
+sections or keys, and values that would fail every angle, are rejected with
+their line number.  Mobile groups state their AoAs relative to the sweep's
+shifting angle; the sweep grid and ``beampattern_phi`` stay within -90..90
+degrees.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,24 +51,38 @@ class ConfigError(ValueError):
     """Malformed or semantically invalid experiment configuration."""
 
 
+def _grid_size(start: float, stop: float, step: float) -> float:
+    """How many points :func:`grid_values` has, found without building them."""
+    return max(np.floor((stop - start) / step + 1e-9) + 1, 1.0)
+
+
 def grid_values(start: float, stop: float, step: float) -> np.ndarray:
     """start, start + step, ... up to stop (1e-9 of a step beyond it absorbs round-off),
     and at least start: the one rule of the sweep and beampattern grids."""
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(max(count, 1))
+    return start + step * np.arange(int(_grid_size(start, stop, step)))
 
 
-_SECTION_KEYS = {
-    "scenario": {"antennas", "taps", "noise_power", "block_length"},
-    "group": {"users", "chains", "symbol_energy_db", "symbol_energy",
-              "spread", "gain", "mobile", "mpc"},
-    "run": {"beamformers", "combiners", "estimator", "group"},
-    "estimation": {"pilot_length", "pilot_energy"},
-    "sweep": {"phi_start", "phi_stop", "phi_step"},
-    "mc": {"trials", "seed"},
-    "numerics": {"n_quad", "tol", "max_iter", "n_restarts"},
-    "output": {"directory", "beampattern_phi", "beampattern_start", "beampattern_stop",
-               "beampattern_step"},
+# Every key: section -> key -> (kind, required).  A kind is int, float, bool or
+# str; a table of names, for one name from it; or that table in a list, for a
+# list of distinct names from it.  The ``mpc D`` lines (kind None) are read by
+# _group_from.  A key is the name of the field its value fills, but for the
+# 1-based [run] group and the [scenario] and [group] keys that build the Scenario.
+_KEYS = {
+    "scenario": {"antennas": (int, True), "taps": (int, True), "noise_power": (float, True),
+                 "block_length": (int, False)},
+    "group": {"users": (int, True), "chains": (int, True), "spread": (float, True),
+              "gain": (float, True), "symbol_energy_db": (float, False),
+              "symbol_energy": (float, False), "mobile": (bool, False), "mpc": (None, False)},
+    "run": {"beamformers": ([DESIGNS], True), "combiners": ([COMBINER_NAMES], True),
+            "estimator": (ESTIMATOR_NAMES, False), "group": (int, False)},
+    "estimation": {"pilot_length": (int, False), "pilot_energy": (float, False)},
+    "sweep": {"phi_start": (float, True), "phi_stop": (float, True), "phi_step": (float, True)},
+    "mc": {"trials": (int, True), "seed": (int, True)},
+    "numerics": {"n_quad": (int, False), "tol": (float, False), "max_iter": (int, False),
+                 "n_restarts": (int, False)},
+    "output": {"directory": (str, False), "beampattern_phi": (float, False),
+               "beampattern_start": (float, False), "beampattern_stop": (float, False),
+               "beampattern_step": (float, False)},
 }
 
 
@@ -110,22 +128,11 @@ def _check_range(settings, prefix: str, section) -> None:
     raise ConfigError(f"line {_line(section, *(prefix + end for end in blame))}: {msg}")
 
 
-class _RawConfig:
-    """Parsed but untyped entries: (section, section_arg) -> {(key, arg): (value, line)}."""
-
-    def __init__(self):
-        self.sections: dict[tuple[str, str | None], dict[tuple[str, str | None], tuple[str, int]]] = {}
-
-    def section(self, name: str, arg: str | None = None, required=False):
-        section = self.sections.get((name, arg))
-        if section is None and required:
-            raise ConfigError(f"missing [{name}] section")
-        return section
-
-
-def _tokenize(text: str) -> _RawConfig:
-    raw = _RawConfig()
-    current: tuple[str, str | None] | None = None
+def _tokenize(text: str) -> dict[str, dict[tuple[str, str | None], tuple[str, int]]]:
+    """Parsed but untyped entries: section header ('scenario', 'group 1', ...)
+    -> {(key, arg): (value, line)}."""
+    raw = {}
+    entries = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -139,34 +146,34 @@ def _tokenize(text: str) -> _RawConfig:
             name, arg = parts[0], (parts[1] if len(parts) > 1 else None)
             if len(parts) > 2:
                 raise ConfigError(f"line {lineno}: too many tokens in section header")
-            if name not in _SECTION_KEYS:
+            if name not in _KEYS:
                 raise ConfigError(f"line {lineno}: unknown section [{name}]")
             if (name == "group") != (arg is not None):
                 raise ConfigError(f"line {lineno}: section [{name}] takes "
                                   f"{'an integer argument' if name == 'group' else 'no argument'}")
-            current = (name, arg)
-            if current in raw.sections:
+            header = " ".join(parts)
+            if header in raw:
                 raise ConfigError(f"line {lineno}: duplicate section [{stripped[1:-1]}]")
-            raw.sections[current] = {}
+            entries, keys = raw.setdefault(header, {}), _KEYS[name]
             continue
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
-        if current is None:
+        if entries is None:
             raise ConfigError(f"line {lineno}: entry before any section header")
         left, value = stripped.split("=", 1)
         tokens = left.split()
         if not tokens or len(tokens) > 2:
             raise ConfigError(f"line {lineno}: malformed key {left.strip()!r}")
         key, arg = tokens[0], (tokens[1] if len(tokens) > 1 else None)
-        if key not in _SECTION_KEYS[current[0]]:
-            raise ConfigError(f"line {lineno}: unknown key {key!r} in section [{current[0]}]")
+        if key not in keys:
+            raise ConfigError(f"line {lineno}: unknown key {key!r} in section [{name}]")
         if (key == "mpc") != (arg is not None):
             raise ConfigError(f"line {lineno}: key {key!r} takes "
                               f"{'a delay argument' if key == 'mpc' else 'no argument'}")
         entry = (key, arg)
-        if entry in raw.sections[current]:
+        if entry in entries:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        raw.sections[current][entry] = (value.strip(), lineno)
+        entries[entry] = (value.strip(), lineno)
     return raw
 
 
@@ -175,47 +182,65 @@ def _line(section: dict, *keys: str) -> int:
     return next(section[(key, None)][1] for key in keys if (key, None) in section)
 
 
-def _typed(section: dict, key: str, kind, required=False, lineno_hint=""):
-    """``key`` parsed as ``kind`` (None when unset), checked with its line
-    against its NUMERICS_RULES rule, if it has one."""
-    item = section.get((key, None))
-    if item is None:
-        if required:
-            raise ConfigError(f"missing required key {key!r}{lineno_hint}")
-        return None
-    text, lineno = item
-    try:
-        value = {"true": True, "false": False}[text.lower()] if kind is bool else kind(text)
-    except (KeyError, ValueError):
-        raise ConfigError(f"line {lineno}: cannot parse {key!r} value {text!r}") from None
-    if key in NUMERICS_RULES:
+def _typed(key: str, kind, text: str, lineno: int):
+    """``text``, the value of ``key`` on line ``lineno``, parsed as ``kind`` and
+    checked with that line: a float is finite, names come from their table,
+    and a key of NUMERICS_RULES keeps its rule."""
+    if isinstance(kind, type):
         try:
+            value = {"true": True, "false": False}[text.lower()] if kind is bool else kind(text)
+        except (KeyError, ValueError):
+            raise ConfigError(f"line {lineno}: cannot parse {key!r} value {text!r}") from None
+    else:
+        value = tuple(text.split()) if isinstance(kind, list) else text
+    try:
+        if isinstance(kind, list):
+            if not value:
+                raise ValueError(f"{key!r} must list at least one name")
+            check_names(key[:-1], value, kind[0])
+            if len(set(value)) != len(value):
+                raise ValueError(f"duplicate names in {key!r}")
+        elif not isinstance(kind, type):
+            check_names(key, (value,), kind)
+        if key in NUMERICS_RULES:
             check_numeric(key, value)
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: {exc}") from None
+        if kind is float and not math.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {value!r}")
+    except ValueError as exc:
+        raise ConfigError(f"line {lineno}: {exc}") from None
     return value
 
 
-def _given(section: dict, kinds: dict) -> dict:
-    """Typed values of the keys of ``kinds`` that ``section`` sets; keys left
-    out keep the default of the dataclass the values go to."""
-    if section is None:
-        return {}
-    return {key: _typed(section, key, kind) for key, kind in kinds.items()
-            if (key, None) in section}
+def _values(raw: dict, header: str) -> dict:
+    """Typed values of the keys that section [header] sets.  A required key (or
+    the section of one) left out is an error; other keys left out keep the
+    default of the field they fill."""
+    name = header.split()[0]
+    section = raw.get(header, {})
+    if header not in raw and any(required for _, required in _KEYS[name].values()):
+        raise ConfigError(f"missing [{name}] section")
+    values = {}
+    for key, (kind, required) in _KEYS[name].items():
+        if (key, None) in section:
+            values[key] = _typed(key, kind, *section[(key, None)])
+        elif required:
+            raise ConfigError(f"missing required key {key!r} in [{header}]")
+    return values
 
 
-def _group_from(raw_grp: dict, gid: int, lineno_hint: str) -> GroupSpec:
-    users = _typed(raw_grp, "users", int, required=True, lineno_hint=lineno_hint)
-    chains = _typed(raw_grp, "chains", int, required=True, lineno_hint=lineno_hint)
-    spread = _typed(raw_grp, "spread", float, required=True, lineno_hint=lineno_hint)
-    gain = _typed(raw_grp, "gain", float, required=True, lineno_hint=lineno_hint)
-    energy_db = _typed(raw_grp, "symbol_energy_db", float)
-    energy = _typed(raw_grp, "symbol_energy", float)
+def _group_from(raw: dict, gid: int) -> GroupSpec:
+    raw_grp = raw[f"group {gid}"]
+    values = _values(raw, f"group {gid}")
+    users, chains, spread, gain = (values.pop(key) for key in ("users", "chains", "spread", "gain"))
+    energy_db, energy = values.pop("symbol_energy_db", None), values.pop("symbol_energy", None)
     if (energy_db is None) == (energy is None):
         raise ConfigError(f"group {gid}: give exactly one of symbol_energy_db/symbol_energy")
     if energy is None:
-        energy = 10.0 ** (energy_db / 10.0)
+        try:
+            energy = 10.0 ** (energy_db / 10.0)
+        except OverflowError:
+            raise ConfigError(f"line {_line(raw_grp, 'symbol_energy_db')}: symbol_energy_db"
+                              f" {energy_db:g} gives an infinite symbol energy") from None
 
     mpcs = []
     for (key, arg), (value, lineno) in raw_grp.items():
@@ -229,36 +254,20 @@ def _group_from(raw_grp: dict, gid: int, lineno_hint: str) -> GroupSpec:
             aoas = [float(tok) for tok in value.split()]
         except ValueError:
             raise ConfigError(f"line {lineno}: mpc {delay}: bad AoA list {value!r}") from None
+        if not all(map(math.isfinite, aoas)):
+            raise ConfigError(f"line {lineno}: mpc {delay}: AoAs must be finite, got {value!r}")
         if len(aoas) != users:
             raise ConfigError(f"line {lineno}: mpc {delay}: expected {users} AoAs, got {len(aoas)}")
-        mpcs.append((delay, aoas, lineno))
+        mpcs.append((delay, aoas))
     if not mpcs:
         raise ConfigError(f"group {gid}: needs at least one mpc entry")
-    mpcs.sort(key=lambda item: item[0])
-    delays = tuple(delay for delay, _, _ in mpcs)
-    aoa = np.array([aoas for _, aoas, _ in mpcs], dtype=float).T  # users x delays
+    delays, aoas = zip(*sorted(mpcs, key=lambda item: item[0]))
+    aoa = np.array(aoas, dtype=float).T  # users x delays
     try:
         return GroupSpec(users, chains, energy, delays, aoa, np.full_like(aoa, spread),
-                         np.full(users, gain), **_given(raw_grp, {"mobile": bool}))
+                         np.full(users, gain), **values)
     except ValueError as exc:
         raise ConfigError(f"group {gid}: {exc}") from None
-
-
-def _enum_list(section: dict, key: str, allowed):
-    item = section.get((key, None))
-    if item is None:
-        raise ConfigError(f"missing required key {key!r} in [run]")
-    value, lineno = item
-    names = tuple(value.split())
-    if not names:
-        raise ConfigError(f"line {lineno}: {key!r} must list at least one name")
-    try:
-        check_names(key[:-1], names, allowed)
-    except ValueError as exc:
-        raise ConfigError(f"line {lineno}: {exc}") from None
-    if len(set(names)) != len(names):
-        raise ConfigError(f"line {lineno}: duplicate names in {key!r}")
-    return names
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -268,36 +277,28 @@ def parse_config(text: str) -> ExperimentConfig:
     keys read the built settings."""
     raw = _tokenize(text)
 
-    scn_raw = raw.section("scenario", required=True)
-    antennas = _typed(scn_raw, "antennas", int, required=True, lineno_hint=" in [scenario]")
-    taps = _typed(scn_raw, "taps", int, required=True, lineno_hint=" in [scenario]")
-    noise = _typed(scn_raw, "noise_power", float, required=True, lineno_hint=" in [scenario]")
+    scn = _values(raw, "scenario")  # block_length stays: a SweepSettings field
+    antennas, taps, noise = scn.pop("antennas"), scn.pop("taps"), scn.pop("noise_power")
+    scn_raw = raw["scenario"]
     if not noise > 0:
         raise ConfigError(f"line {_line(scn_raw, 'noise_power')}: noise_power must be"
                           f" positive, got {noise:g}")
 
-    group_ids = sorted(int(arg) for name, arg in raw.sections if name == "group")
+    group_ids = sorted(int(header.split()[1]) for header in raw if header.startswith("group "))
     if not group_ids:
         raise ConfigError("no [group N] sections found")
     if group_ids != list(range(1, len(group_ids) + 1)):
         raise ConfigError(f"group ids must be 1..G without gaps, got {group_ids}")
-    groups = [_group_from(raw.section("group", str(gid)), gid, f" in [group {gid}]")
-              for gid in group_ids]
+    groups = [_group_from(raw, gid) for gid in group_ids]
 
     try:
         scenario = Scenario(antennas, taps, noise, tuple(groups))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    run_raw = raw.section("run", required=True)
-    beamformers = _enum_list(run_raw, "beamformers", DESIGNS)
-    combiners = _enum_list(run_raw, "combiners", COMBINER_NAMES)
-    estimator = _given(run_raw, {"estimator": str})
-    try:
-        check_names("estimator", tuple(estimator.values()), ESTIMATOR_NAMES)
-    except ValueError as exc:
-        raise ConfigError(f"line {_line(run_raw, 'estimator')}: {exc}") from None
-    group_1based = _typed(run_raw, "group", int)
+    run = _values(raw, "run")
+    run_raw = raw["run"]
+    group_1based = run.pop("group", None)
     if group_1based is None:
         mobile_ids = [i + 1 for i, g in enumerate(groups) if g.mobile]
         if len(mobile_ids) != 1:
@@ -306,35 +307,24 @@ def parse_config(text: str) -> ExperimentConfig:
     if not 1 <= group_1based <= len(groups):
         raise ConfigError(f"[run] group {group_1based} out of range 1..{len(groups)}")
     evaluated = groups[group_1based - 1]
-    for name in beamformers:
+    for name in run["beamformers"]:
         if name in SUBARRAY_MASKS:
             try:
                 SUBARRAY_MASKS[name](antennas, evaluated.n_chains)
             except ValueError as exc:
                 raise ConfigError(f"line {_line(run_raw, 'beamformers')}: {name} on"
                                   f" group {group_1based}: {exc}") from None
-    if "zf" in combiners and evaluated.n_chains < evaluated.n_users:
+    if "zf" in run["combiners"] and evaluated.n_chains < evaluated.n_users:
         # Otherwise every zf pair fails at every angle: D x K bins with D < K
         # have no zero-forcing combiner.
-        raise ConfigError(f"line {_line(raw.section('group', str(group_1based)), 'chains')}:"
+        raise ConfigError(f"line {_line(raw[f'group {group_1based}'], 'chains')}:"
                           f" zf on group {group_1based} needs chains >= users, got"
                           f" {evaluated.n_chains} chains for {evaluated.n_users} users")
 
-    sweep_raw = raw.section("sweep", required=True)
-    phi_start = _typed(sweep_raw, "phi_start", float, required=True, lineno_hint=" in [sweep]")
-    phi_stop = _typed(sweep_raw, "phi_stop", float, required=True, lineno_hint=" in [sweep]")
-    phi_step = _typed(sweep_raw, "phi_step", float, required=True, lineno_hint=" in [sweep]")
-
-    mc_raw = raw.section("mc", required=True)
-    est_raw = raw.section("estimation")
-    sweep = SweepSettings(
-        group=group_1based - 1, beamformers=beamformers, combiners=combiners,
-        trials=_typed(mc_raw, "trials", int, required=True, lineno_hint=" in [mc]"),
-        seed=_typed(mc_raw, "seed", int, required=True, lineno_hint=" in [mc]"),
-        **estimator, **_given(scn_raw, {"block_length": int}),
-        **_given(est_raw, {"pilot_length": int, "pilot_energy": float}),
-        **_given(raw.section("numerics"),
-                 {"n_quad": int, "tol": float, "max_iter": int, "n_restarts": int}))
+    grid = _values(raw, "sweep")
+    est_raw = raw.get("estimation")
+    sweep = SweepSettings(group=group_1based - 1, **run, **scn, **_values(raw, "mc"),
+                          **_values(raw, "estimation"), **_values(raw, "numerics"))
 
     if sweep.block_length < taps:
         raise ConfigError(f"line {_line(scn_raw, 'block_length', 'taps')}: block_length"
@@ -360,15 +350,14 @@ def parse_config(text: str) -> ExperimentConfig:
                                   f" {group_1based} coincide modulo pilot_length {pilot_length},"
                                   " so the ls estimator cannot tell them apart")
 
-    out_raw = raw.section("output")
-    output = OutputSettings(**_given(out_raw, {
-        "directory": str, "beampattern_phi": float, "beampattern_start": float,
-        "beampattern_stop": float, "beampattern_step": float}))
-    cfg = ExperimentConfig(scenario, sweep, phi_start, phi_stop, phi_step, output)
+    sweep_raw, out_raw = raw["sweep"], raw.get("output")
+    output = OutputSettings(**_values(raw, "output"))
+    cfg = ExperimentConfig(scenario, sweep, output=output, **grid)
     _check_range(cfg, "phi_", sweep_raw)
     _check_range(output, "beampattern_", out_raw)
-    phis = cfg.phi_values()
-    for section, key, phi in ((sweep_raw, "phi_start", phis[0]), (sweep_raw, "phi_stop", phis[-1]),
+    start, stop, step = cfg.phi_start, cfg.phi_stop, cfg.phi_step
+    last = start + step * (_grid_size(start, stop, step) - 1)  # without building the grid
+    for section, key, phi in ((sweep_raw, "phi_start", start), (sweep_raw, "phi_stop", last),
                               (out_raw, "beampattern_phi", output.beampattern_phi)):
         try:
             check_scan_range(phi)

@@ -12,11 +12,11 @@ interferer CCMs).  A Hermitian Toeplitz matrix is centro-Hermitian
     Q = [[I, 0, jI], [0, sqrt(2), 0], [J, 0, -jJ]] / sqrt(2)
 
 (the middle row and column only for odd M) maps it to the real symmetric
-W = Q^H R Q with the same eigenvalues, and a real symmetric S back to the
-centro-Hermitian Q S Q^H (Lee, *Centrohermitian and skew-centrohermitian
-matrices*, LAA 1980; Haardt & Nossek, *Unitary ESPRIT*, IEEE TSP 1995).  Q has
-two nonzeros per column, so both maps are O(M^2): each entry combines the
-entries (i, j), (i, M-1-j), (M-1-i, j) and (M-1-i, M-1-j).
+W = Q^H R Q with the same eigenvalues, and real vectors x back to Q x (Lee,
+*Centrohermitian and skew-centrohermitian matrices*, LAA 1980; Haardt & Nossek,
+*Unitary ESPRIT*, IEEE TSP 1995).  Q has two nonzeros per column, so the map
+to W is O(M^2), each entry combining the entries (i, j), (i, M-1-j), (M-1-i, j)
+and (M-1-i, M-1-j), and the map back is O(M) per vector.
 :func:`psd_factor`, :func:`psd_sqrt` and :func:`generalized_hermitian_eig`
 take Hermitian Toeplitz input and run every decomposition on W in real
 arithmetic, on one path with no complex fallback.  The check is what the map needs: Q^H R Q must
@@ -176,37 +176,6 @@ def _to_real(r: np.ndarray, name: str) -> np.ndarray:
     asym *= 0.5
     w -= asym
     return w
-
-
-def _from_real(w: np.ndarray) -> np.ndarray:
-    """Q W Q^H of a real symmetric stack W: a Hermitian centro-Hermitian stack S.
-
-    The first n rows come from W's blocks (first k = M - n and last n indices),
-    the middle row of odd M from W's middle row, and the last n rows mirror the
-    first: S[M-1-i] = conj(S[i] reversed).
-    """
-    m = w.shape[-1]
-    n = m // 2
-    k = m - n
-    s = np.empty(w.shape, dtype=complex)
-    top = s[..., :n, :]
-    near, far = top[..., :n], top[..., ::-1][..., :n]  # columns j and M-1-j, j < n
-    ss, sd, ds, dd = w[..., :n, :n], w[..., :n, k:], w[..., k:, :n], w[..., k:, k:]
-    np.add(ss, dd, out=near.real)
-    np.subtract(ds, sd, out=near.imag)
-    np.subtract(ss, dd, out=far.real)
-    np.add(sd, ds, out=far.imag)
-    top *= 0.5
-    if k > n:  # odd M: the middle column of the first n rows, and the middle row
-        np.multiply(w[..., :n, n], _SQRT_HALF, out=top[..., n].real)
-        np.multiply(w[..., k:, n], _SQRT_HALF, out=top[..., n].imag)
-        middle = s[..., n, :]
-        np.multiply(w[..., n, :n], _SQRT_HALF, out=middle[..., :n].real)
-        np.multiply(w[..., n, k:], -_SQRT_HALF, out=middle[..., :n].imag)
-        np.conjugate(middle[..., :n][..., ::-1], out=middle[..., k:])
-        middle[..., n] = w[..., n, n]
-    np.conjugate(top[..., ::-1], out=s[..., ::-1, :][..., :n, :])
-    return s
 
 
 def _q_times(x: np.ndarray) -> np.ndarray:
@@ -408,7 +377,7 @@ def psd_sqrt(r) -> np.ndarray:
 
     Each matrix is checked on its own: not Hermitian Toeplitz to 1e-6 is rejected; an
     eigenvalue below -1e-6 times its own largest |eigenvalue| raises PsdError, smaller
-    negative ones are clipped to zero.  Each real product overwrites its own eigenvectors.
+    negative ones are clipped to zero.  The root is X X^H with X = Q V diag(lambda^(1/4)).
     """
     r = _as_complex_stack(r, "R")
     _require_square(r, "R")
@@ -419,10 +388,8 @@ def psd_sqrt(r) -> np.ndarray:
         at = tuple(np.argwhere(bad)[0])
         raise PsdError(f"R{_index(at)} is not PSD: eigenvalue {lowest[at]:.6e}"
                        " below -1e-6*||R||")
-    roots = np.sqrt(np.clip(values, 0.0, None))
-    for i in np.ndindex(values.shape[:-1]):
-        vectors[i] = (vectors[i] * roots[i]) @ vectors[i].T
-    return _from_real(vectors)
+    x = _q_times(vectors * np.clip(values, 0.0, None)[..., np.newaxis, :] ** 0.25)
+    return x @ x.conj().swapaxes(-1, -2)
 
 
 def psd_factor(r) -> np.ndarray:

@@ -138,7 +138,7 @@ def check_names(kind: str, names, allowed) -> None:
 
 def check_scan_range(phis) -> None:
     """Raise ValueError unless every shifting angle lies within -90..90 degrees."""
-    if np.any(np.abs(np.asarray(phis, dtype=float)) > 90.0):
+    if not np.all(np.abs(np.asarray(phis, dtype=float)) <= 90.0):  # NaN included
         raise ValueError("shifting angles must stay within the -90..90 degree scan range")
 
 

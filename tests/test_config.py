@@ -5,8 +5,10 @@ from dataclasses import fields
 from importlib import resources
 from pathlib import Path
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jsdmsim import build_covariances, compute_geb, config, group_statistics
 from jsdmsim.channel import DEFAULT_N_QUAD
@@ -354,13 +356,23 @@ class TestDefaults:
 
 
 def _keys(line):
-    """Lower-case key names on one line of key documentation, without annotations."""
+    """Key names on one line of key documentation, without annotations, each
+    mapped to whether it is marked required (``*``)."""
     line = re.sub(r"\([^()]*\)|<[^<>]*>", "", line)
-    return {tok.rstrip("*") for tok in line.split() if re.fullmatch(r"[a-z_]+\*?", tok)}
+    return {tok.rstrip("*"): tok.endswith("*") for tok in line.split()
+            if re.fullmatch(r"[a-z_]+\*?", tok)}
+
+
+# section -> key -> required, from the one key table
+TABLE = {section: {key: required for key, (_, required) in keys.items()}
+         for section, keys in config._KEYS.items()}
+FLOAT_KEYS = sorted(key for keys in config._KEYS.values()
+                    for key, (kind, _) in keys.items() if kind is float)
 
 
 class TestDocumentedKeys:
-    """The config docstring and README list exactly the keys the parser accepts."""
+    """The config docstring and README list exactly the keys of the key table,
+    and mark (*) exactly its required keys."""
 
     def test_docstring_grammar(self):
         block = config.__doc__.split("Sections and their keys")[1].split("\n\n")[1]
@@ -369,8 +381,8 @@ class TestDocumentedKeys:
             header = re.match(r"\s*\[(\w+)[^\]]*\]", line)
             if header:
                 section, line = header.group(1), line[header.end():]
-            documented.setdefault(section, set()).update(_keys(line))
-        assert documented == config._SECTION_KEYS
+            documented.setdefault(section, {}).update(_keys(line))
+        assert documented == TABLE
 
     def test_readme_sections_and_keys(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -381,6 +393,84 @@ class TestDocumentedKeys:
             section = re.match(r"`\[(\w+)", bullet).group(1)
             body = re.sub(r"\([^()]*\)", "", bullet.split("—", 1)[1])
             first_sentence = body.split(". ")[0]
-            documented[section] = set().union(
-                *(_keys(code.split()[0]) for code in re.findall(r"`([^`]+)`", first_sentence)))
-        assert documented == config._SECTION_KEYS
+            documented[section] = {key: required
+                                   for code in re.findall(r"`([^`]+)`", first_sentence)
+                                   for key, required in _keys(code.split()[0]).items()}
+        assert documented == TABLE
+
+
+class TestKeyTable:
+    """Each key a section hands over as ``**values`` is a field of the dataclass it fills."""
+
+    @pytest.mark.parametrize("target, sections, extra", [
+        (OutputSettings, ("output",), set()),
+        (SweepSettings, ("run", "mc", "estimation", "numerics"), {"block_length"}),
+        (ExperimentConfig, ("sweep",), set()),
+    ], ids=["output", "sweep-settings", "grid"])
+    def test_handed_keys_are_fields(self, target, sections, extra):
+        handed = {key for section in sections for key in config._KEYS[section]} | extra
+        handed.discard("group")  # [run] group is 1-based; the field is 0-based
+        assert handed <= {f.name for f in fields(target)}
+
+
+def with_float(key, value):
+    """The bundled text with the first ``key`` set to ``value``, added where the text
+    leaves it out."""
+    text = bundled_text()
+    if key == "symbol_energy":  # in place of group 1's symbol_energy_db: exactly one
+        return text.replace("symbol_energy_db = 30\n", f"symbol_energy = {value}\n", 1)
+    text, hits = re.subn(rf"(?m)^{key}\s*=.*$", f"{key} = {value}", text, count=1)
+    if hits:
+        return text
+    if key == "pilot_energy":
+        return text.replace("pilot_length = 10\n", f"pilot_length = 10\n{key} = {value}\n", 1)
+    return text + f"{key} = {value}\n"  # [output] is the last section
+
+
+class TestNonFinite:
+    """NaN and infinities pass no key: each would fail every angle, or the run."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_rejected_with_its_line(self, key, value):
+        text = with_float(key, value)
+        lineno = line_of(text, key + r"\s*=")
+        with pytest.raises(ConfigError, match=rf"^line {lineno}: {key} must be"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_mpc_aoa_rejected_with_its_line(self, value):
+        text = bundled_text().replace("mpc 0 = -15.5 -14.5", f"mpc 0 = {value} -14.5", 1)
+        with pytest.raises(ConfigError, match=rf"^line {line_of(text, 'mpc 0')}: mpc 0: AoAs must"
+                                              " be finite"):
+            parse_config(text)
+
+    def test_huge_symbol_energy_db_rejected_with_its_line(self):
+        text = with_float("symbol_energy_db", "1e308")
+        with pytest.raises(ConfigError, match=rf"^line {line_of(text, 'symbol_energy_db')}:"
+                                              r" symbol_energy_db 1e\+308 gives an infinite"):
+            parse_config(text)
+
+    def test_validate_reports_it(self, tmp_path, capsys):
+        path = tmp_path / "endless.cfg"
+        text = with_float("phi_stop", "inf")
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: line {line_of(text, 'phi_stop')}: phi_stop must be finite, got inf\n"
+
+    @hypothesis.seed(20261019)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(key=st.sampled_from(FLOAT_KEYS), value=st.floats())
+    def test_any_float_parses_to_a_finite_config_or_fails(self, key, value):
+        try:
+            cfg = parse_config(with_float(key, repr(value)))
+        except ConfigError:
+            return
+        groups = cfg.scenario.groups
+        floats = [cfg.scenario.noise_power, cfg.sweep.tol, cfg.sweep.pilot_energy or 0.0,
+                  cfg.phi_start, cfg.phi_stop, cfg.phi_step, cfg.output.beampattern_phi,
+                  cfg.output.beampattern_start, cfg.output.beampattern_stop,
+                  cfg.output.beampattern_step, *(g.symbol_energy for g in groups)]
+        arrays = [a for g in groups for a in (g.mean_aoa, g.spread, g.gain)]
+        assert np.all(np.isfinite(floats)) and all(np.all(np.isfinite(a)) for a in arrays)

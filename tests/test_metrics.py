@@ -169,6 +169,12 @@ class TestPhiSweep:
         with pytest.raises(ValueError, match="scan range"):
             phi_sweep(scn, [0.0, 95.0], settings)
 
+    def test_nan_phi_rejected(self):
+        # |nan| > 90 is False: the range rule must not let NaN through to every angle
+        settings = SweepSettings(group=0, trials=1, block_length=16)
+        with pytest.raises(ValueError, match="scan range"):
+            phi_sweep(two_group_toy(), [np.nan], settings)
+
     def test_programming_error_propagates(self, monkeypatch):
         # only numerical failures become failed angles; a bug must surface
         def broken_geb(stats, n_chains):
