@@ -16,7 +16,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .config import ConfigError, load_config
+from .config import ConfigError, _grid_size, load_config
 from .runner import run
 
 __all__ = ["main"]
@@ -83,7 +83,8 @@ def _cmd_validate(args) -> int:
     print(f"  beamformers: {' '.join(sweep.beamformers)}; "
           f"combiners: {' '.join(sweep.combiners)}; estimator: {sweep.estimator}")
     print(f"  sweep {cfg.phi_start}..{cfg.phi_stop} step {cfg.phi_step} "
-          f"({len(cfg.phi_values())} angles), {sweep.trials} trials, seed {sweep.seed}")
+          f"({int(_grid_size(cfg.phi_start, cfg.phi_stop, cfg.phi_step))} angles), "
+          f"{sweep.trials} trials, seed {sweep.seed}")
     return 0
 
 

@@ -34,6 +34,7 @@ degrees.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,6 +55,11 @@ class ConfigError(ValueError):
 def _grid_size(start: float, stop: float, step: float) -> float:
     """How many points :func:`grid_values` has, found without building them."""
     return max(np.floor((stop - start) / step + 1e-9) + 1, 1.0)
+
+
+# The most points of a grid: the longest float64 array numpy can describe.  np.arange
+# refuses a longer one ("Maximum allowed size exceeded").
+_MAX_GRID_SIZE = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
 
 def grid_values(start: float, stop: float, step: float) -> np.ndarray:
@@ -114,15 +120,20 @@ class ExperimentConfig:
 
 
 def _check_range(settings, prefix: str, section) -> None:
-    """The one rule of a ``<prefix>start/stop/step`` grid: step > 0 and stop >= start.
+    """The one rule of a ``<prefix>start/stop/step`` grid: step > 0, stop >= start and
+    no more points than numpy can hold in one array.
 
-    The error cites the stop's line in the raw ``section``, or the start's
-    when the stop is a default."""
+    The error cites the step's line in the raw ``section`` for a bad step, else the
+    stop's, or the start's when the stop is a default."""
     start, stop, step = (getattr(settings, prefix + end) for end in ("start", "stop", "step"))
     if not step > 0:
         blame, msg = ("step",), f"{prefix}step must be positive, got {step:g}"
     elif not stop >= start:
         blame, msg = ("stop", "start"), f"{prefix}stop {stop:g} is below {prefix}start {start:g}"
+    elif _grid_size(start, stop, step) > _MAX_GRID_SIZE:
+        blame = ("step", "stop", "start")
+        msg = (f"{prefix}step {step:g} makes a grid of {_grid_size(start, stop, step):.3g}"
+               f" points, more than the {_MAX_GRID_SIZE} an array can hold")
     else:
         return
     raise ConfigError(f"line {_line(section, *(prefix + end for end in blame))}: {msg}")
@@ -148,7 +159,9 @@ def _tokenize(text: str) -> dict[str, dict[tuple[str, str | None], tuple[str, in
                 raise ConfigError(f"line {lineno}: too many tokens in section header")
             if name not in _KEYS:
                 raise ConfigError(f"line {lineno}: unknown section [{name}]")
-            if (name == "group") != (arg is not None):
+            # a group id is a canonical positive integer, so "[group 02]" is not group 2
+            if (name == "group") != (arg is not None and re.fullmatch("[1-9][0-9]*", arg)
+                                     is not None):
                 raise ConfigError(f"line {lineno}: section [{name}] takes "
                                   f"{'an integer argument' if name == 'group' else 'no argument'}")
             header = " ".join(parts)

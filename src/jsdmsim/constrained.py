@@ -10,6 +10,13 @@ minimization as in PE-AltMin, Yu, Shen, Zhang and Letaief, IEEE JSTSP 2016)
 run through one loop, :func:`_alternate`, and supply only its step.  Each
 half-step exactly minimizes, over its block, a Frobenius distance to the
 unconstrained beamformer, so the recorded residual sequences are non-increasing.
+
+:func:`pe_am`, :func:`fixed_subarray` and :func:`dynamic_subarray` take one
+(M, D) unconstrained beamformer, or a stack (n, M, D) of them (as
+:func:`~jsdmsim.geb.compute_geb` returns for a block of angles).  A stack runs
+as the members of one loop, each with its own beamformer, seed and mask, and
+returns a tuple of beamformers with their :class:`AmTraces`; every member is
+bit for bit its lone call.  A stack fails as a whole when any member fails.
 """
 
 from __future__ import annotations
@@ -20,11 +27,12 @@ import numpy as np
 
 from .geb import UnconstrainedBeamformer
 from .linalg import svd
-from .statistics import GroupStatistics, expected_sinr
+from .statistics import expected_sinr
 from .channel import Scenario
 
 __all__ = [
     "AmTrace",
+    "AmTraces",
     "CandidateExhaustionError",
     "ConstrainedBeamformer",
     "MaskError",
@@ -73,6 +81,15 @@ class AmTrace:
             raise ValueError("alternating-minimization residuals must be non-increasing")
 
 
+class AmTraces(tuple):
+    """The :class:`AmTrace` of each member of a stacked design, in member order."""
+
+    @property
+    def iterations(self) -> int:
+        """Iterations of all members: what their lone calls' traces add up to."""
+        return sum(trace.iterations for trace in self)
+
+
 @dataclass(frozen=True)
 class ConstrainedBeamformer:
     """Phase-shifter beamformer, its connection mask and compensation matrix.
@@ -109,6 +126,30 @@ def _geb_matrix(s_geb) -> np.ndarray:
     return np.asarray(s_geb, dtype=complex)
 
 
+def _members(s_geb) -> tuple[np.ndarray, bool]:
+    """The (n, M, D) stack of unconstrained beamformers to fit, and whether it was one matrix."""
+    s = _geb_matrix(s_geb)
+    return (s[None], True) if s.ndim == 2 else (s, False)
+
+
+def _per_member(value, lone: bool, n: int, name: str) -> list:
+    """A per-member argument as a list: the one value of a lone call, or a stack's n values."""
+    if lone:
+        return [value]
+    try:
+        values = list(value)
+    except TypeError:
+        values = None
+    if values is None or len(values) != n:
+        raise ValueError(f"a stack of {n} beamformers needs one {name} per member")
+    return values
+
+
+def _result(lone: bool, beamformers: list, traces: list):
+    """A lone call's (beamformer, trace), or a stack's (beamformers, :class:`AmTraces`)."""
+    return (beamformers[0], traces[0]) if lone else (tuple(beamformers), AmTraces(traces))
+
+
 def _unit_phases(a: np.ndarray, m: int) -> np.ndarray:
     # Phase of a zero entry is taken as 0 by convention (np.angle(0) == 0).
     return np.exp(1j * np.angle(a)) / np.sqrt(m)
@@ -126,28 +167,33 @@ def _converged(residuals: list[float], tol: float, scale: float) -> bool:
 
 def _alternate(s: np.ndarray, cand: np.ndarray, step, tol: float,
                max_iter: int) -> tuple[np.ndarray, np.ndarray, list[AmTrace]]:
-    """The one alternating-minimization loop, run from every start of the (R, M, D) ``cand``.
+    """The one alternating-minimization loop, run from every start of the (n, M, D) ``cand``.
 
-    ``step`` maps the unconverged candidates, an (n, M, D) stack, to their next candidates,
-    their (n, D, D) compensation (or rotation) matrices and their gaps; a member's residual is
-    the Frobenius norm of its gap, and it leaves the stack once :func:`_converged` fires on
-    its residuals (scaled by ||s||).  Returns ``cand`` updated in place, the last matrices and
-    one :class:`AmTrace` per member, each bit for bit what a stack of that member alone gives.
+    Member i fits its own unconstrained beamformer ``s[i]`` of the (n, M, D) ``s``.  ``step``
+    maps the indices of the unconverged members and their (k, M, D) candidates to their next
+    candidates, their (k, D, D) compensation (or rotation) matrices and their gaps; a
+    member's residual is the Frobenius norm of its gap, and it leaves the stack once
+    :func:`_converged` fires on its residuals (scaled by ||s[i]||).  Returns ``cand`` updated
+    in place, the last matrices and one :class:`AmTrace` per member, each bit for bit what a
+    stack of that member alone gives.
     """
     if not (tol > 0 and max_iter >= 1):
         raise ValueError(f"alternating minimization needs tol > 0 and max_iter >= 1,"
                          f" got tol={tol!r}, max_iter={max_iter!r}")
     n, _, d = cand.shape
     comp = np.empty((n, d, d), dtype=complex)
-    scale = max(np.linalg.norm(s), 1e-300)
+    scales = [max(np.linalg.norm(s_i), 1e-300) for s_i in s]
     residuals: list[list[float]] = [[] for _ in range(n)]
     converged = [False] * n
     active = np.arange(n)
     for _ in range(max_iter):
-        cand[active], comp[active], gap = step(cand[active])
-        for i, r in enumerate(active):
-            residuals[r].append(float(np.linalg.norm(gap[i])))
-            converged[r] = _converged(residuals[r], tol, scale)
+        cand[active], comp[active], gap = step(active, cand[active])
+        # each member's Frobenius norm, bit for bit np.linalg.norm of its own gap
+        flat = np.ascontiguousarray(gap).reshape(len(active), -1)
+        norms = np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+        for r, norm in zip(active.tolist(), norms.tolist()):
+            residuals[r].append(norm)
+            converged[r] = _converged(residuals[r], tol, scales[r])
         active = active[[not converged[r] for r in active]]
         if not active.size:
             break
@@ -226,29 +272,30 @@ def phase_extraction(s_geb) -> ConstrainedBeamformer:
     )
 
 
-def pe_am(s_geb, tol: float = DEFAULT_TOL,
-          max_iter: int = DEFAULT_MAX_ITER) -> tuple[ConstrainedBeamformer, AmTrace]:
+def pe_am(s_geb, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER):
     """Phase extraction refined by alternating minimization.
 
     Alternates the unitary-Procrustes compensation update S_cm = V U^H (from
     the SVD of S_geb^H S_c) with phase extraction of the rotated beamformer
     S_geb S_cm^H, starting from plain phase extraction.  Stops when the
     residual ||S_geb S_cm^H - S_c||_F stalls in relative terms (or hits an
-    exact fit).
+    exact fit).  Returns (ConstrainedBeamformer, AmTrace), or for a stack of
+    S_geb a tuple of beamformers and their :class:`AmTraces`.
     """
-    s = _geb_matrix(s_geb)
-    m, d = s.shape
-    s_h = s.conj().T
+    s, lone = _members(s_geb)
+    m, d = s.shape[-2:]
+    s_h = np.ascontiguousarray(s.conj().swapaxes(-1, -2))  # so s_h[idx] copies fast
 
-    def step(s_c):
-        u, _, v = svd(s_h @ s_c)
+    def step(idx, s_c):
+        u, _, v = svd(s_h[idx] @ s_c)
         s_cm = v @ u.conj().swapaxes(-1, -2)
-        rotated = s @ s_cm.conj().swapaxes(-1, -2)
+        rotated = s[idx] @ s_cm.conj().swapaxes(-1, -2)
         fresh = _unit_phases(rotated, m)
         return fresh, s_cm, rotated - fresh
 
-    s_c, s_cm, traces = _alternate(s, _unit_phases(s, m)[None], step, tol, max_iter)
-    return ConstrainedBeamformer(s_c[0], s_cm[0], np.ones((m, d), dtype=int)), traces[0]
+    s_c, s_cm, traces = _alternate(s, _unit_phases(s, m), step, tol, max_iter)
+    full = np.ones((m, d), dtype=int)
+    return _result(lone, [ConstrainedBeamformer(a, b, full) for a, b in zip(s_c, s_cm)], traces)
 
 
 # ---------------------------------------------------------------------------
@@ -289,40 +336,54 @@ def _check_mask(mask, shape) -> np.ndarray:
 
 
 def fixed_subarray(s_geb, connection, init_phases: np.ndarray | None = None,
-                   tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                   seed=0) -> tuple[ConstrainedBeamformer, AmTrace]:
+                   tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER, seed=0):
     """Best constant-modulus beamformer on a prescribed connection mask.
 
     Alternates the least-squares compensation matrix with the decoupled
     per-antenna phase update; the per-row phase of antenna i aligns to the
     inner product of its unconstrained row with its chain's compensation row.
-    Initial phases are random (from ``seed``) unless given.
+    Initial phases are random (from ``seed``) unless given.  Returns
+    (ConstrainedBeamformer, AmTrace).  For a stack of n S_geb, ``connection``
+    is one (M, D) mask for every member or an (n, M, D) stack, ``seed`` holds n
+    seeds and ``init_phases`` is (n, M); the result is a tuple of beamformers
+    and their :class:`AmTraces`.
     """
-    s = _geb_matrix(s_geb)
-    m, d = s.shape
-    mask = _check_mask(connection, s.shape)
-    chain_of = np.argmax(mask, axis=1)
+    s, lone = _members(s_geb)
+    n, m, d = s.shape
+    connection = np.asarray(connection)
+    if connection.ndim == 3:
+        members = _per_member(connection, lone, n, "connection")
+        mask = np.array([_check_mask(c, (m, d)) for c in members])
+    else:
+        mask = _check_mask(connection, (m, d))
+    chain_of = np.broadcast_to(np.argmax(mask, axis=-1), (n, m))
     rows = np.arange(m)
 
     if init_phases is None:
-        init_phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, m)
-    phases = np.asarray(init_phases, dtype=float)
-    if phases.shape != (m,):
-        raise ValueError("init_phases must be a length-M vector")
+        phases = np.array([np.random.default_rng(sd).uniform(0.0, 2.0 * np.pi, m)
+                           for sd in _per_member(seed, lone, n, "seed")])
+    else:
+        phases = np.array(_per_member(init_phases, lone, n, "init_phases"), dtype=float)
+    if phases.shape != (n, m):
+        raise ValueError("init_phases must be a length-M vector per member")
 
-    def build(beta):
-        s_c = np.zeros(beta.shape[:-1] + (m, d), dtype=complex)
-        s_c[..., rows, chain_of] = np.exp(1j * beta) / np.sqrt(m)
+    def build(idx, beta):
+        s_c = np.zeros((len(idx), m, d), dtype=complex)
+        s_c[np.arange(len(idx))[:, None], rows, chain_of[idx]] = np.exp(1j * beta) / np.sqrt(m)
         return s_c
 
-    def step(s_c):
+    def step(idx, s_c):
         s_c_h = s_c.conj().swapaxes(-1, -2)
-        s_cm = np.linalg.solve(s_c_h @ s_c, s_c_h @ s)
-        fresh = build(np.angle((s @ s_cm.conj().swapaxes(-1, -2))[:, rows, chain_of]))
-        return fresh, s_cm, s - fresh @ s_cm
+        target = s[idx]
+        s_cm = np.linalg.solve(s_c_h @ s_c, s_c_h @ target)
+        rotated = target @ s_cm.conj().swapaxes(-1, -2)
+        fresh = build(idx, np.angle(rotated[np.arange(len(idx))[:, None], rows, chain_of[idx]]))
+        return fresh, s_cm, target - fresh @ s_cm
 
-    s_c, s_cm, traces = _alternate(s, build(phases)[None], step, tol, max_iter)
-    return ConstrainedBeamformer(s_c[0], s_cm[0], mask), traces[0]
+    s_c, s_cm, traces = _alternate(s, build(np.arange(n), phases), step, tol, max_iter)
+    masks = mask if mask.ndim == 3 else [mask] * n
+    return _result(lone, [ConstrainedBeamformer(*args) for args in zip(s_c, s_cm, masks)],
+                   traces)
 
 
 def _connection_search(s: np.ndarray, seeds, tol: float,
@@ -330,11 +391,13 @@ def _connection_search(s: np.ndarray, seeds, tol: float,
     """Run the connection search of :func:`dynamic_connection` for every seed.
 
     The restarts are the members of one :func:`_alternate` stack: one stacked
-    SVD and product per iteration.  Restart r draws its start from its own
-    generator, so its candidate and trace are bit for bit those of
-    ``dynamic_connection(s, seeds[r])``.
+    SVD and product per iteration.  ``s`` is one (M, D) beamformer for every
+    seed or an (R, M, D) stack, one per seed.  Restart r draws its start from
+    its own generator, so its candidate and trace are bit for bit those of
+    ``dynamic_connection(s[r], seeds[r])``.
     """
-    m, d = s.shape
+    m, d = s.shape[-2:]
+    s = np.ascontiguousarray(np.broadcast_to(s, (len(seeds), m, d)))
     rows = np.arange(m)
     s_t = np.zeros((len(seeds), m, d), dtype=complex)
     for r, seed in enumerate(seeds):
@@ -342,15 +405,15 @@ def _connection_search(s: np.ndarray, seeds, tol: float,
         phases = rng.uniform(0.0, 2.0 * np.pi, m)  # each stream draws phases, then chains
         s_t[r, rows, rng.integers(0, d, m)] = np.exp(1j * phases)
 
-    s_h = s.conj().T
+    s_h = np.ascontiguousarray(s.conj().swapaxes(-1, -2))  # so s_h[idx] copies fast
 
-    def step(cand):
-        u, _, v = svd(s_h @ cand)
+    def step(idx, cand):
+        u, _, v = svd(s_h[idx] @ cand)
         rotation = u @ v.conj().swapaxes(-1, -2)
-        p = s @ rotation
-        best = np.argmax(np.abs(p), axis=2)[..., None]
+        p = s[idx] @ rotation
+        best = (np.arange(len(idx))[:, None], rows, np.argmax(np.abs(p), axis=2))
         fresh = np.zeros_like(p)
-        np.put_along_axis(fresh, best, np.exp(1j * np.angle(np.take_along_axis(p, best, 2))), 2)
+        fresh[best] = np.exp(1j * np.angle(p[best]))
         return fresh, rotation, p - fresh
 
     candidates, _, traces = _alternate(s, s_t, step, tol, max_iter)
@@ -373,35 +436,50 @@ def dynamic_connection(s_geb, seed, tol: float = DEFAULT_TOL,
     return candidates[0], traces[0]
 
 
-def dynamic_subarray(s_geb, stats: GroupStatistics, n_restarts: int = DEFAULT_RESTARTS,
-                     seed=0, tol: float = DEFAULT_TOL,
-                     max_iter: int = DEFAULT_MAX_ITER) -> tuple[ConstrainedBeamformer, AmTrace]:
+def dynamic_subarray(s_geb, stats, n_restarts: int = DEFAULT_RESTARTS, seed=0,
+                     tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER):
     """Full dynamic subarray design: restart, score, refine.
 
     Runs the connection search ``n_restarts`` times as one stacked search
     (seeds ``seed + t`` for t = 1..n_restarts), scores candidates that
     connect every chain by their expected SINR (others score 0), then
     refines the best candidate's mask and phases with the fixed-subarray
-    loop.  Raises if no restart produced a usable connection.
+    loop.  Raises if no restart produced a usable connection.  Returns
+    (ConstrainedBeamformer, AmTrace).  For a stack of n S_geb, ``stats`` and
+    ``seed`` hold one GroupStatistics and one seed per member: all n x
+    ``n_restarts`` restarts run as one search and all refinements as one
+    fixed-subarray stack, and the result is a tuple of beamformers and their
+    :class:`AmTraces`.
     """
     if n_restarts < 1:
         raise ValueError("n_restarts must be >= 1")
-    s = _geb_matrix(s_geb)
+    s, lone = _members(s_geb)
+    n, m, d = s.shape
+    stats = _per_member(stats, lone, n, "stats")
 
-    candidates, _ = _connection_search(s, [seed + t + 1 for t in range(n_restarts)],
-                                       tol, max_iter)
-    valid = np.all(np.abs(candidates).sum(axis=1) >= 0.5, axis=1)
-    if not valid.any():
-        raise CandidateExhaustionError(
-            f"no connection candidate used every RF chain after {n_restarts} restarts;"
-            " increase n_restarts")
-    scores = np.array([expected_sinr(stats, c) if ok else 0.0 for c, ok in zip(candidates, valid)])
-    best = int(np.argmax(scores))
-    if not valid[best]:  # all valid scores were 0; fall back to the first valid one
-        best = int(np.argmax(valid))
+    seeds = [first + t + 1 for first in _per_member(seed, lone, n, "seed")
+             for t in range(n_restarts)]
+    candidates, _ = _connection_search(np.repeat(s, n_restarts, axis=0), seeds, tol, max_iter)
+    masks, phases, raw_scores = [], [], []
+    for cands, member in zip(candidates.reshape(n, n_restarts, m, d), stats):
+        valid = np.all(np.abs(cands).sum(axis=1) >= 0.5, axis=1)
+        if not valid.any():
+            raise CandidateExhaustionError(
+                f"no connection candidate used every RF chain after {n_restarts} restarts;"
+                " increase n_restarts")
+        scores = np.zeros(n_restarts)
+        scores[valid] = expected_sinr(member, cands[valid])  # one product for the stack
+        best = int(np.argmax(scores))
+        if not valid[best]:  # all valid scores were 0; fall back to the first valid one
+            best = int(np.argmax(valid))
+        mask = (np.abs(cands[best]) > 0.5).astype(int)
+        masks.append(mask)
+        phases.append(np.angle(cands[best][np.arange(m), np.argmax(mask, axis=1)]))
+        raw_scores.append(float(scores[best]))
 
-    mask = (np.abs(candidates[best]) > 0.5).astype(int)
-    init_phases = np.angle(candidates[best][np.arange(len(mask)), np.argmax(mask, axis=1)])
-    cb, trace = fixed_subarray(s, mask, init_phases=init_phases, tol=tol, max_iter=max_iter)
-    return cb, replace(trace, raw_score=float(scores[best]),
-                       refined_score=float(expected_sinr(stats, cb.effective())))
+    beamformers, traces = fixed_subarray(s, np.array(masks), init_phases=np.array(phases),
+                                         tol=tol, max_iter=max_iter)
+    traces = [replace(trace, raw_score=raw,
+                      refined_score=float(expected_sinr(member, cb.effective())))
+              for cb, trace, raw, member in zip(beamformers, traces, raw_scores, stats)]
+    return _result(lone, list(beamformers), traces)

@@ -26,13 +26,15 @@ from . import __version__
 from .channel import steering_matrix
 from .config import ExperimentConfig, OutputSettings, grid_values
 from .linalg import one_blas_thread
-from .metrics import (ANGLE_ERRORS, PhiRecord, SweepResult, angle_design, beampattern,
-                      build_beamformer, cdf, check_scan_range, phi_sweep, _derived_seed,
-                      _error)
+from .metrics import ANGLE_ERRORS, PhiRecord, SweepResult, beampattern, cdf, phi_sweep, _error
 
 __all__ = ["run"]
 
 CDF_POINTS = 101
+
+# Directions per steering chunk of the beampattern pass: a 128 x 512 complex chunk is
+# 1 MiB, where the default 3601-direction grid at 128 antennas takes 7 MiB at once.
+PATTERN_CHUNK = 512
 
 
 def _fmt(x) -> str:
@@ -57,7 +59,7 @@ def run(cfg: ExperimentConfig, out_dir, seed: int | None = None, db: bool = Fals
     phis = cfg.phi_values()
     # every matrix here is small; BLAS worker threads would only spin beside the run
     with one_blas_thread():
-        result = phi_sweep(cfg.scenario, phis, settings)
+        result = phi_sweep(cfg.scenario, phis, settings, cfg.output.beampattern_phi)
         _write_results(out / "results.csv", result, db)
         _write_cdf(out / "cdf.csv", result)
         pattern_failures = _write_beampattern(out / "beampattern.csv", cfg.output, result, db)
@@ -129,31 +131,32 @@ def _write_beampattern(path: Path, out_cfg: OutputSettings, result: SweepResult,
                        db: bool) -> list[PhiRecord]:
     """Write the reference-angle beampatterns; returns per-beamformer failures.
 
-    Starts from the sweep's non-mobile CCMs, solves the GEB once, and builds
-    the steering matrix and the theta column once for every design.
+    The sweep designed every beamformer at the reference angle
+    (``result.pattern``); this pass builds the steering matrix one chunk of
+    directions at a time and projects every design onto each chunk.
     """
-    settings, phi = result.settings, out_cfg.beampattern_phi
-    lines = [f"beamformer,theta,{'power_db' if db else 'power'}"]
-    failures = []
-    try:
-        check_scan_range(phi)
-        [(scn, _, stats, geb)] = angle_design(result.fixed, phi, settings)
-    except ANGLE_ERRORS as exc:  # flagged in the manifest instead
-        path.write_text("\n".join(lines) + "\n")
-        return [_error(phi, name, "(beampattern)", exc) for name in settings.beamformers]
+    phi, stages = out_cfg.beampattern_phi, result.pattern
+    errors = {name: stage for name, stage in stages.items() if isinstance(stage, Exception)}
+    live = {name: stage for name, stage in stages.items() if name not in errors}
+    powers = {name: [] for name in live}
     thetas = grid_values(out_cfg.beampattern_start, out_cfg.beampattern_stop,
-                         out_cfg.beampattern_step)
-    steering = steering_matrix(thetas, scn.n_antennas)
+                         out_cfg.beampattern_step) if live else np.empty(0)
+    m = result.fixed.scenario.n_antennas
+    for start in range(0, len(thetas), PATTERN_CHUNK):
+        steering = steering_matrix(thetas[start:start + PATTERN_CHUNK], m)
+        for name, stage in list(live.items()):
+            try:
+                powers[name].append(beampattern(stage, steering))
+            except ANGLE_ERRORS as exc:  # flagged in the manifest instead
+                errors[name] = exc
+                del live[name], powers[name]
+        if not live:
+            break
+    lines = [f"beamformer,theta,{'power_db' if db else 'power'}"]
     theta_col = [f"{theta:.9g}" for theta in thetas.tolist()]
-    for name in settings.beamformers:
-        try:
-            s_eff = build_beamformer(name, scn, stats, settings.group, settings,
-                                     _derived_seed(settings.seed, -1, 1), geb=geb)
-            values = beampattern(s_eff, steering)
-        except ANGLE_ERRORS as exc:
-            failures.append(_error(phi, name, "(beampattern)", exc))
-            continue
-        powers = [_db(v) for v in values.tolist()] if db else values.tolist()
-        lines.extend(f"{name},{theta},{power:.9g}" for theta, power in zip(theta_col, powers))
+    for name, chunks in powers.items():
+        values = np.concatenate(chunks).tolist()
+        values = [_db(v) for v in values] if db else values
+        lines.extend(f"{name},{theta},{power:.9g}" for theta, power in zip(theta_col, values))
     path.write_text("\n".join(lines) + "\n")
-    return failures
+    return [_error(phi, name, "(beampattern)", errors[name]) for name in stages if name in errors]

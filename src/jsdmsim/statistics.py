@@ -88,14 +88,17 @@ def reduce(stats: GroupStatistics, s: np.ndarray) -> np.ndarray:
     return s.conj().T @ stats.r_eta @ s
 
 
-def expected_sinr(stats: GroupStatistics, s: np.ndarray) -> float:
+def expected_sinr(stats: GroupStatistics, s: np.ndarray):
     """Trace-ratio SINR of the group after a nonzero beamformer ``s``.
 
     tr(S^H R_s S) / tr(S^H R_eta S); scale-invariant in S, strictly positive
     denominator whenever the noise power is.  A trace ratio needs no column
-    rank: a design's rank is checked once, by :func:`reduce`.
+    rank: a design's rank is checked once, by :func:`reduce`.  A stack of
+    beamformers (..., M, D) is scored in one product per trace, each exactly
+    as on its own, into an array of ratios.
     """
     s = np.asarray(s, dtype=complex)
-    num = np.trace(s.conj().T @ stats.r_s @ s).real
-    den = np.trace(s.conj().T @ stats.r_eta @ s).real
+    s_h = s.conj().swapaxes(-1, -2)
+    num = np.trace(s_h @ stats.r_s @ s, axis1=-2, axis2=-1).real
+    den = np.trace(s_h @ stats.r_eta @ s, axis1=-2, axis2=-1).real
     return num / den

@@ -325,3 +325,28 @@ class TestCli:
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode != 0
         assert "error: config file not found" in proc.stderr
+
+
+class TestPatternPass:
+    @pytest.mark.parametrize("phi", ["-2.0 2.0 2.0", "8.0 12.0 2.0"], ids=["off-grid", "twin"])
+    def test_a_design_the_projection_rejects_fails_alone(self, phi, tmp_path, monkeypatch):
+        # a rank-deficient dft stage: each design is projected alone, so only dft is
+        # flagged, with its own one-design message
+        from jsdmsim import metrics
+
+        def copied_column(geb, stats, scn, group, cfg, seed):
+            s = geb.s.copy()
+            s[:, 1] = s[:, 0]
+            return s
+
+        cfg = parse_config(desk_config_text(beamformers="geb dft pe", combiners="zf",
+                                            estimator="none", phi=phi))
+        run(cfg, tmp_path / "clean")
+        monkeypatch.setitem(metrics.DESIGNS, "dft", copied_column)
+        manifest = run(cfg, tmp_path / "out")
+        pattern = [f for f in manifest["failures"] if f["combiner"] == "(beampattern)"]
+        assert [(f["phi"], f["beamformer"]) for f in pattern] == [(10.0, "dft")]
+        assert pattern[0]["error"].startswith("RankError: rank-deficient input: ")
+        rows = (tmp_path / "out" / "beampattern.csv").read_text().splitlines()
+        clean = (tmp_path / "clean" / "beampattern.csv").read_text().splitlines()
+        assert rows == [row for row in clean if not row.startswith("dft,")]

@@ -292,6 +292,59 @@ class TestRanges:
         assert "beampattern_step must be positive" in capsys.readouterr().err
 
 
+class TestGridSize:
+    """A grid longer than numpy can hold in one array fails in parse_config, not in the run."""
+
+    @pytest.mark.parametrize("key", ["phi_step", "beampattern_step"])
+    def test_rejected_with_the_step_line(self, key):
+        text = TestRanges.text_with(key, "1e-300")
+        with pytest.raises(ConfigError, match=rf"^line {line_of(text, key)}: {key} 1e-300 makes"
+                                              r" a grid of .* points, more than the \d+ an"
+                                              " array can hold$"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("key", ["phi_step", "beampattern_step"])
+    def test_validate_reports_it(self, key, tmp_path, capsys):
+        path = tmp_path / "endless.cfg"
+        text = TestRanges.text_with(key, "1e-300")
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: line {line_of(text, key)}: {key} 1e-300 makes a grid of")
+
+    def test_validate_counts_the_grid_without_building_it(self, tmp_path, capsys, monkeypatch):
+        def unbuilt(*args):
+            raise AssertionError("validate built the grid")
+
+        monkeypatch.setattr(config, "grid_values", unbuilt)
+        path = tmp_path / "fine.cfg"
+        path.write_text(TestRanges.text_with("phi_step", "1e-6"))
+        assert main(["validate", str(path)]) == 0
+        assert "(90000001 angles)" in capsys.readouterr().out
+
+
+class TestGroupHeader:
+    """A [group N] header takes a canonical positive integer N and nothing else."""
+
+    @pytest.mark.parametrize("arg", ["x", "02", "0", "-1", "+2", "2.0", "\u00b2"])
+    def test_rejected_with_its_line(self, arg):
+        text = bundled_text().replace("[group 2]", f"[group {arg}]", 1)
+        lineno = line_of(text, re.escape(f"[group {arg}]"))
+        with pytest.raises(ConfigError, match=rf"^line {lineno}: section \[group\] takes an"
+                                              " integer argument$"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("arg", ["x", "02"])
+    def test_validate_reports_it(self, arg, tmp_path, capsys):
+        path = tmp_path / "group.cfg"
+        text = bundled_text().replace("[group 2]", f"[group {arg}]", 1)
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 1
+        lineno = line_of(text, re.escape(f"[group {arg}]"))
+        assert capsys.readouterr().err == (f"error: line {lineno}: section [group] takes an"
+                                           " integer argument\n")
+
+
 class TestScanRange:
     """Shifting angles outside -90..90 degrees fail in parse_config, not in the run."""
 

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from jsdmsim import (
     GroupSpec,
+    GroupStatistics,
     Scenario,
     build_covariances,
     compute_geb,
@@ -602,3 +603,96 @@ class TestDynamicSubarray:
         stats = GroupStatistics(np.eye(6, dtype=complex), np.eye(6, dtype=complex))
         with pytest.raises(CandidateExhaustionError, match="restart"):
             dynamic_subarray(s, stats, n_restarts=3, seed=1)
+
+
+
+def am_designs(s, stats, mask, shared, seed, n_restarts, max_iter):
+    """Each AM design of one member, or of a stack of them: (beamformers, traces), or the
+    error the call raised.  ``mask`` is the member's own, ``shared`` one mask for all."""
+    calls = {
+        "pe-am": lambda: pe_am(s, max_iter=max_iter),
+        "fixed": lambda: fixed_subarray(s, mask, seed=seed, max_iter=max_iter),
+        "fixed-shared": lambda: fixed_subarray(s, shared, seed=seed, max_iter=max_iter),
+        "dynamic": lambda: dynamic_subarray(s, stats, n_restarts=n_restarts, seed=seed,
+                                            max_iter=max_iter),
+    }
+    out = {}
+    for name, call in calls.items():
+        try:
+            out[name] = call()
+        except CandidateExhaustionError as exc:
+            out[name] = exc
+    return out
+
+
+class TestLockstep:
+    """A stack of members, each with its own GEB, seed and mask, is its lone calls bit for bit."""
+
+    @hypothesis.seed(20261021)
+    @settings(max_examples=12, deadline=None, database=None)
+    @given(m=st.sampled_from([15, 16, 31, 32, 127, 128]),
+           phis=st.lists(st.floats(-45.0, 45.0), min_size=1, max_size=3),
+           seed=st.integers(0, 2**31), n_restarts=st.integers(1, 5),
+           max_iter=st.integers(1, 30) | st.just(DEFAULT_MAX_ITER))
+    def test_members_equal_their_lone_calls(self, m, phis, seed, n_restarts, max_iter):
+        designs = [geb_for(table1_scenario(m=m, phi=phi)) for phi in phis]
+        rng = np.random.default_rng(seed)
+        masks = np.array([random_mask(rng, m, 4) for _ in phis])
+        seeds = [seed + 7 * k for k in range(len(phis))]
+        stacked = am_designs(np.stack([geb.s for geb, _ in designs]),
+                             [stats for _, stats in designs], masks, masks[0], seeds,
+                             n_restarts, max_iter)
+        failed = set()
+        for k, (geb, stats) in enumerate(designs):
+            lone = am_designs(geb, stats, masks[k], masks[0], seeds[k], n_restarts, max_iter)
+            for name, got in lone.items():
+                if isinstance(got, Exception):  # a stack fails when any member fails
+                    failed.add(name)
+                    assert isinstance(stacked[name], type(got)), name
+                    assert str(stacked[name]) == str(got), name
+                elif name not in failed:
+                    cb, trace = got
+                    beamformers, traces = stacked[name]
+                    assert np.array_equal(beamformers[k].effective(), cb.effective()), name
+                    assert np.array_equal(beamformers[k].connection, cb.connection), name
+                    assert np.array_equal(traces[k].residuals, trace.residuals), name
+                    assert traces[k].iterations == trace.iterations, name
+                    assert traces[k].converged == trace.converged, name
+                    assert ((traces[k].raw_score, traces[k].refined_score)
+                            == (trace.raw_score, trace.refined_score)), name
+        for name, got in stacked.items():
+            if name not in failed:
+                assert got[1].iterations == sum(trace.iterations for trace in got[1])
+
+    def test_a_failing_member_fails_the_stack_with_its_lone_message(self):
+        # every row of ``bad`` prefers chain 0, so no restart connects chain 1
+        bad = np.zeros((6, 2), dtype=complex)
+        bad[:, 0] = 1.0
+        bad[:, 1] = 1e-12
+        good = random_orthonormal(np.random.default_rng(3), 6, 2)
+        stats = GroupStatistics(np.eye(6, dtype=complex), np.eye(6, dtype=complex))
+        dynamic_subarray(good, stats, n_restarts=3, seed=5)
+        with pytest.raises(CandidateExhaustionError) as lone:
+            dynamic_subarray(bad, stats, n_restarts=3, seed=1)
+        with pytest.raises(CandidateExhaustionError) as stacked:
+            dynamic_subarray(np.stack([good, bad]), [stats, stats], n_restarts=3, seed=[5, 1])
+        assert str(stacked.value) == str(lone.value)
+
+    def test_a_stack_needs_one_argument_per_member(self):
+        s = random_orthonormal(np.random.default_rng(4), 8, 2)[None].repeat(3, axis=0)
+        stats = GroupStatistics(np.eye(8, dtype=complex), np.eye(8, dtype=complex))
+        mask = np.zeros((8, 2), dtype=int)
+        mask[:4, 0] = mask[4:, 1] = 1
+        cases = {
+            "seed": lambda: fixed_subarray(s, mask),  # the lone default seed=0
+            "init_phases": lambda: fixed_subarray(s, mask, init_phases=np.zeros((2, 8))),
+            "connection": lambda: fixed_subarray(s, np.stack([mask, mask]), seed=[0, 1, 2]),
+            "stats": lambda: dynamic_subarray(s, [stats, stats], seed=[0, 1, 2]),
+        }
+        for name, call in cases.items():
+            with pytest.raises(ValueError, match=f"needs one {name} per member"):
+                call()
+        with pytest.raises(ValueError, match="needs one stats per member"):
+            dynamic_subarray(s, stats, seed=[0, 1, 2])
+        with pytest.raises(ValueError, match="needs one seed per member"):
+            dynamic_subarray(s, [stats] * 3, seed=[0, 1])

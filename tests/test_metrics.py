@@ -16,7 +16,7 @@ from jsdmsim import (
     steering_matrix,
 )
 from jsdmsim.linalg import RankError
-from jsdmsim import channel, chanest, linksim, metrics, statistics
+from jsdmsim import channel, chanest, constrained, linksim, metrics, statistics
 from jsdmsim.linksim import ergodic_capacity
 from jsdmsim.channel import fixed_covariances
 from jsdmsim.metrics import SweepSettings, _derived_seed, build_beamformer, phi_sweep
@@ -385,3 +385,165 @@ class TestFixedCovariances:
     def test_bad_quadrature_rejected_before_the_sweep(self):
         with pytest.raises(ValueError, match="n_quad"):
             SweepSettings(group=0, n_quad=4)
+
+
+def _same_records(result, reference):
+    assert len(result.records) == len(reference.records)
+    for rec, ref in zip(result.records, reference.records):
+        assert (rec.phi, rec.beamformer, rec.combiner, rec.error) == (ref.phi, ref.beamformer,
+                                                                      ref.combiner, ref.error)
+        if rec.error is None:
+            assert np.array_equal(rec.capacity, ref.capacity)
+            assert (rec.expected_sinr, rec.nmse) == (ref.expected_sinr, ref.nmse)
+
+
+def _same_stages(stages, reference):
+    assert list(stages) == list(reference)
+    for name, stage in stages.items():
+        if isinstance(stage, Exception):
+            assert f"{type(stage).__name__}: {stage}" == (f"{type(reference[name]).__name__}:"
+                                                         f" {reference[name]}")
+        else:
+            assert np.array_equal(stage, reference[name])
+
+
+class TestBatches:
+    """The AM designs of a batch of angles, beampattern angle included, run as one stack."""
+
+    PHIS = [-3.0, 0.0, 4.5, 7.0]
+    SETTINGS = SweepSettings(group=0, beamformers=tuple(metrics.DESIGNS), combiners=("zf",),
+                             trials=2, block_length=32, seed=5, n_restarts=4)
+
+    @staticmethod
+    def lone_stages(scn, phi, cfg):
+        """Every design at ``phi`` with seed token -1, one design call at a time."""
+        [(scn_phi, _, stats, geb)] = metrics.angle_design(fixed_covariances(scn, cfg.n_quad),
+                                                          phi, cfg)
+        return {name: build_beamformer(name, scn_phi, stats, cfg.group, cfg,
+                                       _derived_seed(cfg.seed, -1, 1), geb)
+                for name in cfg.beamformers}
+
+    def test_batch_sizes_leave_every_record_and_stage_unchanged(self, monkeypatch):
+        scn = table1_scenario(m=16)
+        stacks = []
+        original = constrained.pe_am
+
+        def recording(s_geb, **kwargs):
+            stacks.append(len(s_geb))
+            return original(s_geb, **kwargs)
+
+        monkeypatch.setattr(constrained, "pe_am", recording)
+        batched = phi_sweep(scn, self.PHIS, self.SETTINGS, pattern_phi=0.0)
+        # one stack: the four angles and the beampattern angle, with its grid twin's GEB
+        assert stacks == [5]
+        assert not batched.errors()
+        _same_stages(batched.pattern, self.lone_stages(scn, 0.0, self.SETTINGS))
+        # batches of one angle, and of two one-angle blocks
+        for design_angles, batch_angles in ((1, 1), (1, 2)):
+            monkeypatch.setattr(metrics, "_DESIGN_BLOCK_BYTES",
+                                design_angles * metrics._mobile_bytes(scn))
+            monkeypatch.setattr(metrics, "_AM_BATCH_ANGLES", batch_angles)
+            stacks.clear()
+            result = phi_sweep(scn, self.PHIS, self.SETTINGS, pattern_phi=0.0)
+            assert stacks == ([1, 2, 1, 1] if batch_angles == 1 else [3, 2])
+            _same_records(result, batched)
+            _same_stages(result.pattern, batched.pattern)
+
+    def test_off_grid_pattern_angle_is_a_batch_of_its_own(self, monkeypatch):
+        scn = table1_scenario(m=16)
+        stacks, builds = [], []
+        original, original_build = constrained.pe_am, metrics.build_covariances
+
+        def recording(s_geb, **kwargs):
+            stacks.append(len(s_geb))
+            return original(s_geb, **kwargs)
+
+        def recording_build(scn_phi, **kwargs):
+            builds.append(kwargs["phis"])
+            return original_build(scn_phi, **kwargs)
+
+        monkeypatch.setattr(constrained, "pe_am", recording)
+        monkeypatch.setattr(metrics, "build_covariances", recording_build)
+        result = phi_sweep(scn, self.PHIS, self.SETTINGS, pattern_phi=0.5)
+        assert stacks == [4, 1]
+        assert len(builds) == 2 and builds[1] is None  # one block, then the lone angle
+        _same_stages(result.pattern, self.lone_stages(scn, 0.5, self.SETTINGS))
+        _same_records(result, phi_sweep(scn, self.PHIS, self.SETTINGS))
+
+    def test_a_sweep_without_am_designs_makes_no_batch(self, monkeypatch):
+        def no_batch(members, cfg):
+            raise AssertionError("a batch step ran without an AM design")
+
+        monkeypatch.setattr(metrics, "_batch_designs", no_batch)
+        cfg = dataclasses.replace(self.SETTINGS, beamformers=("geb", "dft", "pe"))
+        result = phi_sweep(table1_scenario(m=16), self.PHIS, cfg, pattern_phi=4.5)
+        assert not result.errors()
+        _same_stages(result.pattern, self.lone_stages(table1_scenario(m=16), 4.5, cfg))
+
+    @pytest.mark.parametrize("fault", ["exhaustion", "singular"])
+    def test_a_failing_member_fails_only_its_own_designs(self, fault, monkeypatch):
+        """A fault planted in one member of a stack fails that member's design alone, with
+        the message its lone call gives; every other angle, and the beampattern angle when
+        the fault follows the seed, keep their results bit for bit."""
+        scn, bad = table1_scenario(m=16), 0.0
+        clean = phi_sweep(scn, self.PHIS, self.SETTINGS, pattern_phi=bad)
+        if fault == "exhaustion":
+            # every restart of the bad angle's dynamic design leaves chain 3 unconnected
+            first = _derived_seed(self.SETTINGS.seed, self.PHIS.index(bad), 1)
+            doomed = {first + t + 1 for t in range(self.SETTINGS.n_restarts)}
+            original = constrained._connection_search
+
+            def planted(s, seeds, tol, max_iter):
+                candidates, traces = original(s, seeds, tol, max_iter)
+                for r, seed in enumerate(seeds):
+                    if seed in doomed:
+                        candidates[r, :, 0] += candidates[r, :, 3]
+                        candidates[r, :, 3] = 0.0
+                return candidates, traces
+
+            monkeypatch.setattr(constrained, "_connection_search", planted)
+            failing, message = {"dynamic"}, ("CandidateExhaustionError: no connection candidate"
+                                              " used every RF chain after 4 restarts;"
+                                              " increase n_restarts")
+        else:
+            # the bad angle's fixed-subarray solve is singular: both fixed designs and the
+            # dynamic design's refinement fail there, at the sweep's angle and the pattern's
+            [(_, _, _, geb)] = metrics.angle_design(fixed_covariances(scn, 200), bad,
+                                                    self.SETTINGS)
+            original = constrained.fixed_subarray
+
+            def planted(s_geb, connection, **kwargs):
+                if any(np.array_equal(s, geb.s) for s in np.reshape(s_geb, (-1, 16, 4))):
+                    raise np.linalg.LinAlgError("Singular matrix")
+                return original(s_geb, connection, **kwargs)
+
+            monkeypatch.setattr(constrained, "fixed_subarray", planted)
+            failing = {"fixed-ordered", "fixed-interlaced", "dynamic"}
+            message = "LinAlgError: Singular matrix"
+        result = phi_sweep(scn, self.PHIS, self.SETTINGS, pattern_phi=bad)
+        assert {(r.phi, r.beamformer) for r in result.errors()} == {(bad, n) for n in failing}
+        assert all(r.error == message for r in result.errors())
+        for rec, ref in zip(result.records, clean.records):
+            if rec.error is None:
+                assert np.array_equal(rec.capacity, ref.capacity)
+                assert (rec.expected_sinr, rec.nmse) == (ref.expected_sinr, ref.nmse)
+        pattern_failing = failing if fault == "singular" else set()
+        for name, stage in result.pattern.items():
+            if name in pattern_failing:
+                assert f"{type(stage).__name__}: {stage}" == message
+            else:
+                assert np.array_equal(stage, clean.pattern[name])
+
+
+class TestPatternChunks:
+    @pytest.mark.parametrize("m", [16, 32, 127, 128])
+    def test_chunks_give_the_columns_and_powers_of_the_whole_grid(self, m):
+        thetas = -90.0 + 0.05 * np.arange(3601)
+        whole = steering_matrix(thetas, m)
+        s = random_orthonormal(np.random.default_rng(m), m, 4)
+        powers = beampattern(s, whole)
+        for chunk in (64, 256, 1000):
+            for start in range(0, len(thetas), chunk):
+                part = steering_matrix(thetas[start:start + chunk], m)
+                assert np.array_equal(part, whole[:, start:start + chunk])
+                assert np.array_equal(beampattern(s, part), powers[start:start + chunk])

@@ -1,5 +1,7 @@
 """Group covariance algebra and the expected-SINR ranking score."""
 
+from importlib import resources
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,6 +16,10 @@ from jsdmsim import (
     reduce,
     steering,
 )
+from jsdmsim.channel import fixed_covariances
+from jsdmsim.config import parse_config
+from jsdmsim.constrained import DEFAULT_MAX_ITER, DEFAULT_TOL, _connection_search
+from jsdmsim.metrics import angle_design
 
 from conftest import random_orthonormal, random_unitary, two_group_toy
 
@@ -146,3 +152,34 @@ class TestExpectedSinr:
         stats = GroupStatistics(e1 * np.outer(u0, u0.conj()),
                                 e2 * np.outer(u90, u90.conj()) + n0 * np.eye(m))
         assert_allclose(expected_sinr(stats, u0[:, None]), e1 / n0, rtol=1e-12)
+
+
+class TestStackedSinr:
+    """A stack of beamformers is scored in one product per trace, each exactly as alone."""
+
+    @pytest.mark.parametrize("m, d, n", [(8, 2, 5), (15, 3, 20), (32, 4, 1), (127, 4, 7)])
+    def test_each_score_is_its_lone_score(self, m, d, n):
+        rng = np.random.default_rng(m)
+        z = rng.standard_normal((2, m, m)) + 1j * rng.standard_normal((2, m, m))
+        r_s, r_eta = z @ z.conj().swapaxes(-1, -2)
+        stats = GroupStatistics(r_s, r_eta + np.eye(m))
+        stack = rng.standard_normal((n, m, d)) + 1j * rng.standard_normal((n, m, d))
+        scores = expected_sinr(stats, stack)
+        assert scores.shape == (n,)
+        assert scores.tolist() == [expected_sinr(stats, s) for s in stack]
+
+    @pytest.mark.parametrize("phi", [-20.0, 0.0, 10.0])
+    def test_dynamic_candidates_at_full_scale(self, phi):
+        """The 20 restarts' candidates of the dynamic design on the bundled 128-antenna
+        scenario, scored at once, are their lone scores bit for bit."""
+        cfg = parse_config(resources.files("jsdmsim.configs").joinpath("table1.cfg")
+                           .read_text())
+        [(_, _, stats, geb)] = angle_design(fixed_covariances(cfg.scenario, cfg.sweep.n_quad),
+                                            phi, cfg.sweep)
+        restarts = cfg.sweep.n_restarts
+        candidates, _ = _connection_search(np.repeat(geb.s[None], restarts, axis=0),
+                                           [int(phi) + 100 + t for t in range(restarts)],
+                                           DEFAULT_TOL, DEFAULT_MAX_ITER)
+        assert candidates.shape == (20, 128, 4)
+        scores = expected_sinr(stats, candidates)
+        assert scores.tolist() == [expected_sinr(stats, c) for c in candidates]
