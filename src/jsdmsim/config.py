@@ -208,11 +208,7 @@ def _typed(key: str, kind, text: str, lineno: int):
         value = tuple(text.split()) if isinstance(kind, list) else text
     try:
         if isinstance(kind, list):
-            if not value:
-                raise ValueError(f"{key!r} must list at least one name")
             check_names(key[:-1], value, kind[0])
-            if len(set(value)) != len(value):
-                raise ValueError(f"duplicate names in {key!r}")
         elif not isinstance(kind, type):
             check_names(key, (value,), kind)
         if key in NUMERICS_RULES:

@@ -11,12 +11,13 @@ run through one loop, :func:`_alternate`, and supply only its step.  Each
 half-step exactly minimizes, over its block, a Frobenius distance to the
 unconstrained beamformer, so the recorded residual sequences are non-increasing.
 
-:func:`pe_am`, :func:`fixed_subarray` and :func:`dynamic_subarray` take one
-(M, D) unconstrained beamformer, or a stack (n, M, D) of them (as
-:func:`~jsdmsim.geb.compute_geb` returns for a block of angles).  A stack runs
-as the members of one loop, each with its own beamformer, seed and mask, and
-returns a tuple of beamformers with their :class:`AmTraces`; every member is
-bit for bit its lone call.  A stack fails as a whole when any member fails.
+:func:`pe_am`, :func:`fixed_subarray`, :func:`dynamic_connection` and
+:func:`dynamic_subarray` take one (M, D) unconstrained beamformer, or a stack
+(n, M, D) of them (as :func:`~jsdmsim.geb.compute_geb` returns for a unit of
+angles).  A stack runs as the members of one loop, each with its own
+beamformer, seed and mask, and returns its members' results with their
+:class:`AmTraces`; every member is bit for bit its lone call.  A stack fails
+as a whole when any member fails.
 """
 
 from __future__ import annotations
@@ -386,22 +387,29 @@ def fixed_subarray(s_geb, connection, init_phases: np.ndarray | None = None,
                    traces)
 
 
-def _connection_search(s: np.ndarray, seeds, tol: float,
-                       max_iter: int) -> tuple[np.ndarray, list[AmTrace]]:
-    """Run the connection search of :func:`dynamic_connection` for every seed.
+def dynamic_connection(s_geb, seed, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER):
+    """Search a connection pattern jointly with unit-modulus entries.
 
-    The restarts are the members of one :func:`_alternate` stack: one stacked
-    SVD and product per iteration.  ``s`` is one (M, D) beamformer for every
-    seed or an (R, M, D) stack, one per seed.  Restart r draws its start from
-    its own generator, so its candidate and trace are bit for bit those of
-    ``dynamic_connection(s[r], seeds[r])``.
+    Alternates the unitary rotation A = U V^H (Procrustes fit of S_geb A to
+    the current candidate) with a per-antenna assignment: each row keeps only
+    its largest-magnitude entry of S_geb A, replaced by its unit-modulus
+    phase (ties go to the lowest chain index).  Entries are unit modulus, not
+    1/sqrt(M); the candidate may leave a chain unconnected, which the caller
+    must screen out.  Returns (candidate, AmTrace).  For an (R, M, D) stack of
+    S_geb, ``seed`` holds R seeds and the restarts run as the members of one
+    :func:`_alternate` stack, one stacked SVD and product per iteration; the
+    result is the (R, M, D) candidates and their :class:`AmTraces`.  Restart r
+    draws its start from its own generator, so its candidate and trace are bit
+    for bit its lone call's.  :func:`dynamic_subarray` runs all its restarts as
+    one such stack.
     """
-    m, d = s.shape[-2:]
-    s = np.ascontiguousarray(np.broadcast_to(s, (len(seeds), m, d)))
+    s, lone = _members(s_geb)
+    s = np.ascontiguousarray(s)
+    n, m, d = s.shape
     rows = np.arange(m)
-    s_t = np.zeros((len(seeds), m, d), dtype=complex)
-    for r, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
+    s_t = np.zeros((n, m, d), dtype=complex)
+    for r, sd in enumerate(_per_member(seed, lone, n, "seed")):
+        rng = np.random.default_rng(sd)
         phases = rng.uniform(0.0, 2.0 * np.pi, m)  # each stream draws phases, then chains
         s_t[r, rows, rng.integers(0, d, m)] = np.exp(1j * phases)
 
@@ -417,23 +425,7 @@ def _connection_search(s: np.ndarray, seeds, tol: float,
         return fresh, rotation, p - fresh
 
     candidates, _, traces = _alternate(s, s_t, step, tol, max_iter)
-    return candidates, traces
-
-
-def dynamic_connection(s_geb, seed, tol: float = DEFAULT_TOL,
-                       max_iter: int = DEFAULT_MAX_ITER) -> tuple[np.ndarray, AmTrace]:
-    """Search a connection pattern jointly with unit-modulus entries.
-
-    Alternates the unitary rotation A = U V^H (Procrustes fit of S_geb A to
-    the current candidate) with a per-antenna assignment: each row keeps only
-    its largest-magnitude entry of S_geb A, replaced by its unit-modulus
-    phase (ties go to the lowest chain index).  Entries are unit modulus, not
-    1/sqrt(M); the candidate may leave a chain unconnected, which the caller
-    must screen out.  This is one restart of the stacked search that
-    :func:`dynamic_subarray` runs.
-    """
-    candidates, traces = _connection_search(_geb_matrix(s_geb), [seed], tol, max_iter)
-    return candidates[0], traces[0]
+    return (candidates[0], traces[0]) if lone else (candidates, AmTraces(traces))
 
 
 def dynamic_subarray(s_geb, stats, n_restarts: int = DEFAULT_RESTARTS, seed=0,
@@ -459,7 +451,8 @@ def dynamic_subarray(s_geb, stats, n_restarts: int = DEFAULT_RESTARTS, seed=0,
 
     seeds = [first + t + 1 for first in _per_member(seed, lone, n, "seed")
              for t in range(n_restarts)]
-    candidates, _ = _connection_search(np.repeat(s, n_restarts, axis=0), seeds, tol, max_iter)
+    candidates, _ = dynamic_connection(np.repeat(s, n_restarts, axis=0), seeds, tol=tol,
+                                       max_iter=max_iter)
     masks, phases, raw_scores = [], [], []
     for cands, member in zip(candidates.reshape(n, n_restarts, m, d), stats):
         valid = np.all(np.abs(cands).sum(axis=1) >= 0.5, axis=1)

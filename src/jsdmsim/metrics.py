@@ -1,32 +1,30 @@
 """Beampattern evaluation, shifting-angle sweeps and outage tabulation.
 
-The sweep moves the mobile group's angular profile and rebuilds its
-covariances, statistics, GEB and sampling factors in contiguous blocks
-of angles (:func:`angle_design`): one covariance build, one pencil call and
-one pivoted-Cholesky call per block, with a shared R_eta factored once, and as
-many angles per block as keep the mobile CCMs within a byte budget
-(``_DESIGN_BLOCK_BYTES``).  The alternating-minimization designs
-(:data:`AM_DESIGNS`) run over batches instead: consecutive whole blocks of at
-most ``_AM_BATCH_ANGLES`` angles (one block when a block holds more), and each
-such design makes one stacked call per batch (:func:`_batch_designs`), whose
-members carry their own GEB, statistics and seed and are each bit for bit
-their one-angle design.  A block is what a covariance build covers, a batch
-what one stacked design call covers.  Each angle then gets its beamformers
-(:data:`DESIGNS`, the stacked ones from its batch), with each design's
-expected SINR and (optionally) channel-estimation nMSE, and its own seeds;
-each design's S^H R_eta S (:func:`~jsdmsim.statistics.reduce`, which checks
-its rank) is built once and serves the estimation and the link pass.  One link
-pass (:func:`~jsdmsim.linksim.ergodic_capacity`) then evaluates the capacity of
+The sweep moves the mobile group's angular profile and does all of its
+pre-link work in units: contiguous runs of grid angles, as many as keep the
+unit's mobile-group CCMs within one byte budget (``_UNIT_BYTES``).  A unit
+makes one :func:`angle_design` call (one covariance build, one pencil call and
+one pivoted-Cholesky call, with a shared R_eta factored once) and one call per
+design of the one design table, :data:`DESIGNS`, whose entries take a
+:class:`Unit` and return the stage of each member.  The sweep has one retry
+rule (:func:`_each`): a stacked call that raises one of :data:`ANGLE_ERRORS` is
+made again member by member as lone calls, so a failure stays with its member
+and reads as in a one-angle run, and the other members keep their results bit
+for bit.  A unit of one angle makes the lone calls only.  Each angle is then
+evaluated on its own: each design's expected SINR and (optionally)
+channel-estimation nMSE, with the angle's own seeds; each design's
+S^H R_eta S (:func:`~jsdmsim.statistics.reduce`, which checks its rank) is
+built once and serves the estimation and the link pass.  One link pass
+(:func:`~jsdmsim.linksim.ergodic_capacity`) then evaluates the capacity of
 every surviving design with every combiner against the same channel draws.
-A numerical failure (:data:`ANGLE_ERRORS`) records an error marker for the
-angle, design or (design, combiner) pair it belongs to and the sweep
-continues (a block whose design fails is designed again angle by angle, and a
-stacked design that fails is made again member by member); any other
-exception propagates.  Everything is deterministic given the master seed.
+A numerical failure records an error marker for the angle, design or (design,
+combiner) pair it belongs to and the sweep continues; any other exception
+propagates.  Everything is deterministic given the master seed.
 
-The beampattern angle (seed token -1) is one more member of the batch that
-holds its exact grid twin, and reuses that twin's covariances, statistics and
-GEB; off the grid it is designed after the sweep as a batch of its own.  Its
+The beampattern angle (seed token -1) joins the unit that holds its exact
+grid twin: it takes the twin's covariances, statistics and GEB, and the twin's
+stage of every design that reads no seed, and is one more member of each
+seeded design's stack.  Off the grid it is a unit of one of its own.  Its
 stages go to the runner in :attr:`SweepResult.pattern`.
 
 Only the mobile groups move with phi, so the sweep's one invariant is the
@@ -35,10 +33,10 @@ non-mobile groups' CCMs: :func:`phi_sweep` builds them once
 for bit equal to a rebuild, and :attr:`SweepResult.fixed` hands them to later
 passes.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,15 +49,16 @@ from .linksim import COMBINER_NAMES
 from .statistics import GroupStatistics, expected_sinr, group_statistics, reduce
 
 __all__ = [
-    "AM_DESIGNS",
     "ANGLE_ERRORS",
     "DESIGNS",
     "ESTIMATOR_NAMES",
     "NUMERICS_RULES",
     "SUBARRAY_MASKS",
+    "Design",
     "PhiRecord",
     "SweepResult",
     "SweepSettings",
+    "Unit",
     "angle_design",
     "beampattern",
     "build_beamformer",
@@ -77,30 +76,16 @@ ESTIMATOR_NAMES = ("none", "lmmse", "ls")
 # package's error types and numpy.linalg.LinAlgError.
 ANGLE_ERRORS = (ValueError, constrained.CandidateExhaustionError)
 
-# Bytes of mobile-group CCMs that phi_sweep designs in one block of angles
-# (768 KiB; a block always holds at least one angle).  On table1 that is 8
-# angles at 32 antennas and one at 128 (six 128 x 128 complex CCMs, what a
-# one-angle design holds); the block's M x r sampling factors take r / M of
-# that (7 / 32 and 11 / 128).  On 2 cores, table1's design stage at 32
-# antennas took 3.1-3.5 ms per angle one angle at a time and about 2 ms in
-# blocks of 8 or 16, when the sampling factors were M x M square roots from
-# eigh.  A whole 91-angle sweep's peak resident memory grew by 0.3-2.3 MB
-# with blocks of 8 and by 5.7 MB with blocks of 16.  Every angle's results
-# are bit for bit the same at any block size.  A block is the unit of the
-# covariance build, the pencil and the factor call; the AM designs run over
-# batches of whole blocks (_AM_BATCH_ANGLES).
-_DESIGN_BLOCK_BYTES = 3 << 18
-
-# Most angles of one batch of AM designs, unless one block holds more (8 angles at
-# 32 antennas on table1 form one batch).  A batch holds every angle's design until
-# the last is evaluated: on table1 at 128 antennas one angle holds 2.15 MiB (CCMs,
-# sampling factors, statistics), and the connection search stacks n_restarts
-# members per angle.  With the beampattern pass streamed in chunks, batches of
-# three kept a full-scale child's peak RSS at 53-55 MB (60.9 MB before, on the
-# 5-angle fullscale-design and the 11-angle full-scale config); batches of four
-# raised the 11-angle config's to 63 MB.  On 2 cores, warm fullscale-design
-# sweeps took 412, 383 and 366 ms with batches of one, three and five angles.
-_AM_BATCH_ANGLES = 3
+# Bytes of mobile-group CCMs in one unit of angles (3 MiB; a unit always holds
+# at least one angle).  On table1 that is 32 angles at 32 antennas and 2 at 128
+# (six M x M complex CCMs per angle); the unit's M x r sampling factors take
+# r / M of that (7 / 32 and 11 / 128).  A unit holds every member's design until
+# its last angle is evaluated, and the connection search stacks n_restarts
+# members per angle.  At this size a standalone run's peak RSS is 51.8 MB on the
+# 5-angle full-scale benchmark config, 52.1 MB on an 11-angle full-scale sweep and
+# 49.1 MB on the 91-angle, 32-antenna one (numpy 2.4, one BLAS thread).  Every
+# angle's results are bit for bit the same at any size.
+_UNIT_BYTES = 3 << 20
 
 # Connection mask mask(M, D) of each fixed-subarray design.
 SUBARRAY_MASKS = {
@@ -109,41 +94,60 @@ SUBARRAY_MASKS = {
 }
 
 
-def _fixed_subarray(mask):
-    return lambda s, stats, scn, group, cfg, seeds: constrained.fixed_subarray(
-        s, mask(scn.n_antennas, scn.groups[group].n_chains), tol=cfg.tol,
-        max_iter=cfg.max_iter, seed=seeds)[0]
+@dataclass(frozen=True)
+class Unit:
+    """The members of one design call, in member order: each one's scenario at its
+    angle, evaluated-group statistics, GEB and design seed (None when no configured
+    design reads seeds), and the evaluated group."""
+
+    group: int
+    scenarios: tuple[Scenario, ...]
+    stats: tuple[GroupStatistics, ...]
+    gebs: tuple[UnconstrainedBeamformer, ...]
+    seeds: tuple
+
+    @property
+    def s(self) -> np.ndarray:
+        """The members' GEBs as one (n, M, D) stack."""
+        return np.stack([geb.s for geb in self.gebs])
 
 
-# Alternating-minimization design name -> design(s, stats, scn, group, cfg, seeds): the
-# constrained beamformers of a stack s (n, M, D) of GEBs, with one statistics and one seed
-# per member, from one stacked call.  Entries look up ``constrained.<fn>`` when called, so
-# wrappers installed on that module see every call.
-AM_DESIGNS = {
-    "pe-am": lambda s, stats, scn, group, cfg, seeds:
-        constrained.pe_am(s, tol=cfg.tol, max_iter=cfg.max_iter)[0],
-    **{name: _fixed_subarray(mask) for name, mask in SUBARRAY_MASKS.items()},
-    "dynamic": lambda s, stats, scn, group, cfg, seeds: constrained.dynamic_subarray(
-        s, stats, n_restarts=cfg.n_restarts, seed=seeds, tol=cfg.tol,
-        max_iter=cfg.max_iter)[0],
-}
+class Design(NamedTuple):
+    """One design: ``make(unit, cfg)`` returns the effective analog stage (including
+    compensation) of each member of a :class:`Unit`; a ``seeded`` design reads the
+    members' seeds, so two members with the same GEB may differ."""
+
+    make: Callable[[Unit, "SweepSettings"], list]
+    seeded: bool = False
 
 
-def _one_member(design):
-    """The one-angle view of a stacked design: a stack of one."""
-    return lambda geb, stats, scn, group, cfg, seed: design(
-        geb.s[None], [stats], scn, group, cfg, [seed])[0].effective()
+def _effective(made) -> list[np.ndarray]:
+    """The effective stages of a stacked constrained design's beamformers."""
+    return [cb.effective() for cb in made[0]]
 
 
-# Design name -> design(geb, stats, scn, group, cfg, seed), the effective
-# analog stage (including compensation) at one angle.
+def _fixed_subarray(mask) -> Design:
+    def make(unit, cfg):
+        s = unit.s
+        return _effective(constrained.fixed_subarray(s, mask(*s.shape[1:]), tol=cfg.tol,
+                                                     max_iter=cfg.max_iter, seed=unit.seeds))
+    return Design(make, seeded=True)
+
+
+# Design name -> Design, the one design table.  Entries look up ``constrained.<fn>``
+# when called, so wrappers installed on that module see every call.
 DESIGNS = {
-    "geb": lambda geb, stats, scn, group, cfg, seed: geb.s,
-    "dft": lambda geb, stats, scn, group, cfg, seed:
-        constrained.dft_beamformer(scn, group).effective(),
-    "pe": lambda geb, stats, scn, group, cfg, seed:
-        constrained.phase_extraction(geb).effective(),
-    **{name: _one_member(design) for name, design in AM_DESIGNS.items()},
+    "geb": Design(lambda unit, cfg: [geb.s for geb in unit.gebs]),
+    "dft": Design(lambda unit, cfg: [constrained.dft_beamformer(scn, unit.group).effective()
+                                     for scn in unit.scenarios]),
+    "pe": Design(lambda unit, cfg: [constrained.phase_extraction(geb).effective()
+                                    for geb in unit.gebs]),
+    "pe-am": Design(lambda unit, cfg: _effective(constrained.pe_am(
+        unit.s, tol=cfg.tol, max_iter=cfg.max_iter))),
+    **{name: _fixed_subarray(mask) for name, mask in SUBARRAY_MASKS.items()},
+    "dynamic": Design(lambda unit, cfg: _effective(constrained.dynamic_subarray(
+        unit.s, unit.stats, n_restarts=cfg.n_restarts, seed=unit.seeds, tol=cfg.tol,
+        max_iter=cfg.max_iter)), seeded=True),
 }
 
 
@@ -169,10 +173,15 @@ def check_numeric(key: str, value) -> None:
 
 
 def check_names(kind: str, names, allowed) -> None:
-    """Raise ValueError naming the first of ``names`` not in ``allowed``."""
+    """Raise ValueError unless ``names`` lists at least one name, each from ``allowed``
+    and none twice; the message names the list by its config key, ``kind`` + "s"."""
+    if not names:
+        raise ValueError(f"{kind + 's'!r} must list at least one name")
     for name in names:
         if name not in allowed:
             raise ValueError(f"unknown {kind} {name!r} (allowed: {' '.join(allowed)})")
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate names in {kind + 's'!r}")
 
 
 def check_scan_range(phis) -> None:
@@ -268,13 +277,15 @@ class SweepResult:
 
 def build_beamformer(name: str, scn: Scenario, stats, group: int, cfg: SweepSettings,
                      seed, geb: UnconstrainedBeamformer) -> np.ndarray:
-    """Effective analog stage (including compensation) for one design name.
+    """Effective analog stage (including compensation) of one design at one angle: its
+    :data:`DESIGNS` entry on a unit of one.
 
     ``geb`` is the angle's unconstrained design (:func:`angle_design`), so
     each angle solves the covariance pencil once for all its designs.
     """
     check_names("beamformer", (name,), DESIGNS)
-    return DESIGNS[name](geb, stats, scn, group, cfg, seed)
+    [stage] = DESIGNS[name].make(Unit(group, (scn,), (stats,), (geb,), (seed,)), cfg)
+    return stage
 
 
 def _derived_seed(master, *tokens) -> int:
@@ -285,13 +296,14 @@ def _derived_seed(master, *tokens) -> int:
 def angle_design(fixed: FixedCovariances, phi, cfg: SweepSettings, factors: bool = False
                  ) -> list[tuple[Scenario, CovarianceSet, GroupStatistics,
                                  UnconstrainedBeamformer]]:
-    """Scenario, covariances, evaluated-group statistics and GEB at each angle of a block.
+    """Scenario, covariances, evaluated-group statistics and GEB at each angle of a unit.
 
-    ``phi`` is a 1-D block of shifting angles, or one angle: the block-free
-    case, with no block axis anywhere, so a failure reads as a one-angle run's.
-    Each mobile group's CCMs of the block come from one
+    ``phi`` is a 1-D unit of shifting angles within the scan range, or one angle:
+    the lone case, with no unit axis anywhere, so a failure reads as a one-angle
+    run's.  Each
+    mobile group's CCMs of the unit come from one
     :func:`~jsdmsim.channel.ccm_one_ring` call, the statistics sum along the
-    block axis (R_eta stays one matrix when no other group moves) and one
+    unit axis (R_eta stays one matrix when no other group moves) and one
     pencil call solves every angle, mapping, checking and factoring a shared
     R_eta once; each angle's results are bit for bit a one-angle run's.  The
     non-mobile groups' CCMs come from ``fixed``, built once per sweep.  With
@@ -300,6 +312,7 @@ def angle_design(fixed: FixedCovariances, phi, cfg: SweepSettings, factors: bool
     stay empty and each angle computes (and fails on) its own factors when its
     link pass projects them.
     """
+    check_scan_range(phi)
     lone = np.ndim(phi) == 0
     cov = build_covariances(fixed.scenario.with_phi(phi) if lone else fixed.scenario,
                             n_quad=cfg.n_quad, fixed=fixed, phis=None if lone else phi)
@@ -320,24 +333,10 @@ def _error(phi: float, name: str, comb: str, exc: Exception) -> PhiRecord:
     return PhiRecord(phi, name, comb, error=f"{type(exc).__name__}: {exc}")
 
 
-def _stage(name: str, design, seed: int, cfg: SweepSettings, built) -> np.ndarray:
-    """One design's effective stage at an angle: its batch's (raising the error the batch
-    recorded for it), or built here from the angle's :func:`angle_design` entry."""
-    stage = built.get(name) if built else None
-    if isinstance(stage, Exception):
-        raise stage
-    if stage is None:
-        scn_phi, _, stats, geb = design
-        stage = build_beamformer(name, scn_phi, stats, cfg.group, cfg, seed, geb=geb)
-    return stage
-
-
 def _evaluate_phi(design, phi: float, phi_index: int, cfg: SweepSettings,
-                  built=None) -> list[PhiRecord]:
-    """Records of one angle from its :func:`angle_design` entry, or from the error it raised.
-
-    ``built`` holds the angle's stages from its batch (:func:`_batch_designs`); the other
-    designs are built here."""
+                  stages: dict) -> list[PhiRecord]:
+    """Records of one angle from its :func:`angle_design` entry, or from the error it
+    raised, and its stages from its unit (design name -> stage, or the error it raised)."""
     if isinstance(design, Exception):
         return [_error(phi, name, comb, design)
                 for name in cfg.beamformers for comb in cfg.combiners]
@@ -350,10 +349,11 @@ def _evaluate_phi(design, phi: float, phi_index: int, cfg: SweepSettings,
     designs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     scores: dict[str, tuple[float, float | None]] = {}
     failed: dict[str, Exception] = {}
-    seed = _derived_seed(cfg.seed, phi_index, 1)
     for name in cfg.beamformers:
+        s_eff = stages[name]
         try:
-            s_eff = _stage(name, design, seed, cfg, built)
+            if isinstance(s_eff, Exception):
+                raise s_eff
             # the design's one rank check; estimation and the link pass read the result
             r_eta_rd = reduce(stats, s_eff)
             score = expected_sinr(stats, s_eff)
@@ -392,82 +392,75 @@ def _estimation_nmse(cov: CovarianceSet, s_eff: np.ndarray, r_eta_rd: np.ndarray
     return chanest.nmse(z, pc)
 
 
-def _batch_designs(members, cfg: SweepSettings) -> list[dict | None]:
-    """The alternating-minimization designs of a batch, one stacked call per design.
+def _each(stacked, lone, members) -> list:
+    """One result per member: ``stacked(members)``, or each member's ``lone(member)`` (or
+    the error it raised) when there is one member or the stacked call raises one of
+    ANGLE_ERRORS.
 
-    ``members`` holds (:func:`angle_design` entry or the error it raised, seed) pairs.
-    Returns, per member, design name -> effective stage or the error its lone call
-    raises (None for a member whose angle design failed).  A stacked call that fails
-    is made again member by member, so a failure stays with its member and the
-    others keep their stages, bit for bit.
+    This is the sweep's one retry rule: a failure stays with its member, with its lone
+    call's message, and the other members keep their results, bit for bit.
     """
-    live = [k for k, (design, _) in enumerate(members) if not isinstance(design, Exception)]
-    built: list[dict | None] = [None] * len(members)
-    if not live:
-        return built
-    entries = [members[k][0] for k in live]
-    scn_phi = entries[0][0]
-    s = np.stack([geb.s for _, _, _, geb in entries])
-    stats = [entry[2] for entry in entries]
-    seeds = [members[k][1] for k in live]
-    for k in live:
-        built[k] = {}
-    for name in cfg.beamformers:
-        design = AM_DESIGNS.get(name)
-        if design is None:
-            continue
+    if len(members) > 1:
         try:
-            stages = [cb.effective() for cb in design(s, stats, scn_phi, cfg.group, cfg, seeds)]
+            return stacked(members)
         except ANGLE_ERRORS:
-            stages = []
-            for j in range(len(live)):
-                try:
-                    [cb] = design(s[j:j + 1], stats[j:j + 1], scn_phi, cfg.group, cfg,
-                                  seeds[j:j + 1])
-                    stages.append(cb.effective())
-                except ANGLE_ERRORS as exc:
-                    stages.append(exc)
-        for k, stage in zip(live, stages):
-            built[k][name] = stage
-    return built
-
-
-def _pattern_stages(design, seed: int, cfg: SweepSettings, built) -> dict:
-    """Every design's stage at the beampattern angle, or the error it raised there."""
-    if isinstance(design, Exception):
-        return dict.fromkeys(cfg.beamformers, design)
-    stages: dict[str, np.ndarray | Exception] = {}
-    for name in cfg.beamformers:
+            pass
+    results = []
+    for member in members:
         try:
-            stages[name] = _stage(name, design, seed, cfg, built)
+            results.append(lone(member))
         except ANGLE_ERRORS as exc:
-            stages[name] = exc
-    return stages
+            results.append(exc)
+    return results
 
 
-def _mobile_bytes(scn: Scenario) -> int:
-    """Bytes of one angle's mobile-group CCMs."""
-    return sum(len(spec.delays) * spec.n_users * scn.n_antennas ** 2 * 16
-               for spec in scn.groups if spec.mobile)
+def _design_unit(fixed: FixedCovariances, phis, tokens, cfg: SweepSettings,
+                 twin: int | None = None) -> tuple[list, list[dict]]:
+    """The :func:`angle_design` entry of each angle of a unit (or the error it raised) and
+    each member's stages (design name -> effective stage, or the error its lone call raised).
+
+    ``tokens`` are the angles' seed tokens.  With ``twin``, the index of the beampattern
+    angle's grid twin in ``phis``, the beampattern angle (seed token -1) is one more
+    member, last: it takes its twin's entry and its twin's stage of every design that
+    reads no seed, and is a member of each seeded design's stack.
+    """
+    entries = _each(lambda angles: angle_design(fixed, np.array(angles), cfg, factors=True),
+                    lambda phi: angle_design(fixed, phi, cfg, factors=True)[0],
+                    [float(phi) for phi in phis])
+    sources = list(range(len(entries))) + ([] if twin is None else [twin])
+    tokens = list(tokens) + ([] if twin is None else [-1])
+    seeded = any(DESIGNS[name].seeded for name in cfg.beamformers)
+    seeds = [_derived_seed(cfg.seed, token, 1) if seeded else None for token in tokens]
+    failed = [isinstance(entries[j], Exception) for j in sources]
+    stages = [dict.fromkeys(cfg.beamformers, entries[j]) if failed[k] else {}
+              for k, j in enumerate(sources)]
+
+    def unit(members):
+        scns, _, stats, gebs = zip(*(entries[sources[k]] for k in members))
+        return Unit(cfg.group, scns, stats, gebs, tuple(seeds[k] for k in members))
+
+    def lone(name, k):
+        scn, _, stats, geb = entries[sources[k]]
+        return build_beamformer(name, scn, stats, cfg.group, cfg, seeds[k], geb)
+
+    for name in cfg.beamformers:
+        design = DESIGNS[name]
+        members = [k for k, j in enumerate(sources)
+                   if not failed[k] and (design.seeded or j == k)]
+        made = _each(lambda ks: design.make(unit(ks), cfg), lambda k: lone(name, k), members)
+        for k, stage in zip(members, made):
+            stages[k][name] = stage
+        for k, j in enumerate(sources):
+            stages[k].setdefault(name, stages[j][name])
+    return entries, stages
 
 
-def _block_size(scn: Scenario) -> int:
-    """Angles per design block: as many as keep the mobile CCMs within _DESIGN_BLOCK_BYTES."""
-    return max(1, _DESIGN_BLOCK_BYTES // max(_mobile_bytes(scn), 1))
-
-
-def _batch_size(size: int) -> int:
-    """Angles per batch: as many whole blocks of ``size`` as hold at most _AM_BATCH_ANGLES
-    angles, and at least one."""
-    return size * max(1, _AM_BATCH_ANGLES // size)
-
-
-def _lone_design(fixed: FixedCovariances, phi: float, cfg: SweepSettings):
-    """One angle's :func:`angle_design` entry, or the error it raised."""
-    try:
-        return angle_design(fixed, phi, cfg, factors=True)[0]
-    except ANGLE_ERRORS as exc:
-        return exc
+def _unit_size(scn: Scenario) -> int:
+    """Angles per unit: as many as keep their mobile-group CCMs within _UNIT_BYTES, and
+    at least one."""
+    per_angle = sum(len(spec.delays) * spec.n_users * scn.n_antennas ** 2 * 16
+                    for spec in scn.groups if spec.mobile)
+    return max(1, _UNIT_BYTES // max(per_angle, 1))
 
 
 def phi_sweep(scn: Scenario, phi_grid, settings: SweepSettings,
@@ -475,71 +468,41 @@ def phi_sweep(scn: Scenario, phi_grid, settings: SweepSettings,
     """Evaluate the configured pipeline at every shifting angle, in grid order.
 
     The non-mobile groups' CCMs are built once, shared by every angle and
-    returned as ``result.fixed``.  The grid is designed in contiguous blocks
-    (:func:`angle_design`, with the evaluated group's sampling factors) of as many
-    angles as keep the block's mobile CCMs within ``_DESIGN_BLOCK_BYTES``; a
-    block that fails is designed again one angle at a time, so a failure
-    stays with its angle.  With an alternating-minimization design configured,
-    consecutive whole blocks form batches of at most ``_AM_BATCH_ANGLES`` angles
-    (or one block, when a block holds more), and each such design runs once per
-    batch as one stacked call (:func:`_batch_designs`); without one, a batch is
-    a block and no stacking step runs.  Every angle is then evaluated on its
-    own, with its own seeds.
+    returned as ``result.fixed``.  The grid is designed in units of as many
+    contiguous angles as keep the unit's mobile CCMs within ``_UNIT_BYTES``: one
+    :func:`angle_design` call, with the evaluated group's sampling factors, and
+    one stacked call per design (:func:`_design_unit`), each made again member
+    by member when it fails.  Every angle is then evaluated on its own, with
+    its own seeds.
 
     With ``pattern_phi``, ``result.pattern`` holds every design at that angle,
-    with seed token -1.  When the grid holds that exact angle, its batch designs
-    it as one more member, from the grid angle's covariances, statistics and GEB;
-    otherwise it is designed after the sweep as a batch of its own.
+    with seed token -1.  When the grid holds that exact angle, the angle joins
+    its twin's unit; otherwise it is designed after the sweep as a unit of one.
     """
     phi_grid = np.atleast_1d(np.asarray(phi_grid, dtype=float))
     check_scan_range(phi_grid)
     result = SweepResult(settings, fixed_covariances(scn, settings.n_quad))
-    batched = any(name in AM_DESIGNS for name in settings.beamformers)
-    size = _block_size(scn)
-    batch = _batch_size(size) if batched else size
     twins = np.flatnonzero(phi_grid == pattern_phi) if pattern_phi is not None else []
     twin = int(twins[0]) if len(twins) else None
-    for start in range(0, len(phi_grid), batch):
-        stop = min(start + batch, len(phi_grid))
-        _sweep_batch(result, phi_grid, start, stop, size,
-                     twin if twin is not None and start <= twin < stop else None, batched)
+    size = _unit_size(scn)
+    for start in range(0, len(phi_grid), size):
+        _sweep_unit(result, phi_grid, start, min(start + size, len(phi_grid)), twin)
     if pattern_phi is not None and twin is None:
-        seed = _derived_seed(settings.seed, -1, 1)
-        try:
-            check_scan_range(pattern_phi)
-            [design] = angle_design(result.fixed, pattern_phi, settings)
-        except ANGLE_ERRORS as exc:
-            design = exc
-        [made] = _batch_designs([(design, seed)], settings) if batched else [None]
-        result.pattern = _pattern_stages(design, seed, settings, made)
+        _, [result.pattern] = _design_unit(result.fixed, [pattern_phi], [-1], settings)
     return result
 
 
-def _sweep_batch(result: SweepResult, phi_grid: np.ndarray, start: int, stop: int, size: int,
-                 twin: int | None, batched: bool) -> None:
-    """Design and evaluate grid angles start..stop into ``result``.
-
-    The angles are designed in blocks of ``size`` and, when ``batched``, their AM
-    designs run as one stack, with the beampattern angle as one more member when
-    ``twin``, the index of its grid twin, is given.  The batch's covariances live
-    in this call's locals, so they are released before the next batch is designed.
-    """
+def _sweep_unit(result: SweepResult, phi_grid: np.ndarray, start: int, stop: int,
+                twin: int | None) -> None:
+    """Design and evaluate grid angles start..stop into ``result``, with the beampattern
+    angle when ``twin``, the grid index of its twin, is among them.  The unit's
+    covariances live in this call's locals, so they are released before the next unit
+    is designed."""
     cfg = result.settings
-    angles = []
-    for first in range(start, stop, size):
-        block = phi_grid[first:min(first + size, stop)]
-        try:
-            designs = angle_design(result.fixed, block, cfg, factors=True)
-        except ANGLE_ERRORS:
-            designs = [_lone_design(result.fixed, float(phi), cfg) for phi in block]
-        angles.extend(zip(range(first, first + len(block)), block, designs))
-    pattern = None if twin is None else (angles[twin - start][2], _derived_seed(cfg.seed, -1, 1))
-    built = [None] * (len(angles) + 1)  # one slot per angle, then the pattern member's
-    if batched:
-        members = [(design, _derived_seed(cfg.seed, i, 1)) for i, _, design in angles]
-        built = _batch_designs(members + ([pattern] if pattern else []), cfg)
-    for (i, phi, design), made in zip(angles, built):
-        args = (design, float(phi), i, cfg) + ((made,) if made else ())
-        result.records.extend(_evaluate_phi(*args))
-    if pattern is not None:
-        result.pattern = _pattern_stages(*pattern, cfg, built[len(angles)])
+    here = twin - start if twin is not None and start <= twin < stop else None
+    entries, stages = _design_unit(result.fixed, phi_grid[start:stop], range(start, stop),
+                                   cfg, here)
+    for i, design, made in zip(range(start, stop), entries, stages):
+        result.records.extend(_evaluate_phi(design, float(phi_grid[i]), i, cfg, made))
+    if here is not None:
+        result.pattern = stages[-1]

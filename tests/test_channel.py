@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from jsdmsim import build_covariances, ccm_one_ring, sample_channels, steering, steering_matrix
+from jsdmsim import (build_covariances, ccm_one_ring, metrics, sample_channels, steering,
+                     steering_matrix)
 from jsdmsim.channel import fixed_covariances
 
 from conftest import ccm, ccm_factor, table1_scenario, two_group_toy
@@ -160,6 +161,27 @@ class TestOneAngleMemory:
         # the mobile CCMs, 6 matrices of 128 x 128 complex, and their 128 x r factors
         assert kept >= 6 * 128 * (128 + factors[0].shape[1]) * 16
         assert peak <= 2.0 * kept
+
+
+class TestOneUnitMemory:
+    def test_peak_within_the_unit_budget(self):
+        """One full unit of table1 angles at 128 antennas through angle_design: the mobile
+        CCMs, statistics, GEBs and sampling factors of every angle of the unit."""
+        scn = table1_scenario(m=128)
+        fixed = fixed_covariances(scn)
+        cfg = metrics.SweepSettings(group=0)
+        phis = 10.0 + 0.1 * np.arange(metrics._unit_size(scn))
+        tracemalloc.start()
+        try:
+            entries = metrics.angle_design(fixed, phis, cfg, factors=True)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(entries) == 2
+        # the unit's mobile CCMs alone fill the budget
+        assert kept >= metrics._UNIT_BYTES
+        assert peak <= 2.0 * kept
+        assert peak <= 2.5 * metrics._UNIT_BYTES
 
 
 class TestBuildCovariances:

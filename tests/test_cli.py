@@ -334,15 +334,16 @@ class TestPatternPass:
         # flagged, with its own one-design message
         from jsdmsim import metrics
 
-        def copied_column(geb, stats, scn, group, cfg, seed):
-            s = geb.s.copy()
-            s[:, 1] = s[:, 0]
-            return s
+        def copied_column(unit, cfg):
+            stages = [geb.s.copy() for geb in unit.gebs]
+            for s in stages:
+                s[:, 1] = s[:, 0]
+            return stages
 
         cfg = parse_config(desk_config_text(beamformers="geb dft pe", combiners="zf",
                                             estimator="none", phi=phi))
         run(cfg, tmp_path / "clean")
-        monkeypatch.setitem(metrics.DESIGNS, "dft", copied_column)
+        monkeypatch.setitem(metrics.DESIGNS, "dft", metrics.Design(copied_column))
         manifest = run(cfg, tmp_path / "out")
         pattern = [f for f in manifest["failures"] if f["combiner"] == "(beampattern)"]
         assert [(f["phi"], f["beamformer"]) for f in pattern] == [(10.0, "dft")]

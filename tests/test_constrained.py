@@ -24,8 +24,7 @@ from jsdmsim import (
     phase_extraction,
 )
 from jsdmsim.constrained import (DEFAULT_MAX_ITER, DEFAULT_TOL, CandidateExhaustionError,
-                                 ConstrainedBeamformer, MaskError, _connection_search,
-                                 _converged)
+                                 ConstrainedBeamformer, MaskError, _converged)
 from jsdmsim.linalg import svd
 
 from conftest import (random_orthonormal, random_unitary, table1_scenario, two_group_toy,
@@ -370,7 +369,8 @@ def loop_connection(s, seed, tol=1e-8, max_iter=500):
 
 def assert_stack_matches_each_restart(s, seeds, max_iter):
     """Bit equality of every stacked restart with its own search, both ways."""
-    candidates, traces = _connection_search(s, seeds, 1e-8, max_iter)
+    candidates, traces = dynamic_connection(np.repeat(s[None], len(seeds), axis=0), seeds,
+                                            1e-8, max_iter)
     assert candidates.shape == (len(seeds), *s.shape)
     for cand, trace, sd in zip(candidates, traces, seeds):
         one, one_trace = dynamic_connection(s, sd, max_iter=max_iter)
@@ -410,7 +410,7 @@ class TestStackedRestarts:
         s = np.ones((6, 2), dtype=complex)
         s[3, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            _connection_search(s, [1, 2], 1e-8, 5)
+            dynamic_connection(np.stack([s, s]), [1, 2], 1e-8, 5)
 
     def test_dynamic_subarray_runs_one_stacked_search(self, monkeypatch):
         import jsdmsim.constrained as module
@@ -418,9 +418,9 @@ class TestStackedRestarts:
 
         def recorded(s, seeds, tol, max_iter):
             calls.append(list(seeds))
-            return _connection_search(s, seeds, tol, max_iter)
+            return dynamic_connection(s, seeds, tol, max_iter)
 
-        monkeypatch.setattr(module, "_connection_search", recorded)
+        monkeypatch.setattr(module, "dynamic_connection", recorded)
         geb, stats = geb_for(two_group_toy())
         dynamic_subarray(geb, stats, n_restarts=4, seed=3)
         assert calls == [[4, 5, 6, 7]]

@@ -1,6 +1,8 @@
 """Beampatterns, shifting-angle sweeps and outage tabulation."""
 
 import dataclasses
+import re
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from jsdmsim.linalg import RankError
 from jsdmsim import channel, chanest, constrained, linksim, metrics, statistics
 from jsdmsim.linksim import ergodic_capacity
 from jsdmsim.channel import fixed_covariances
+from jsdmsim.config import ConfigError, parse_config
 from jsdmsim.metrics import SweepSettings, _derived_seed, build_beamformer, phi_sweep
 
 from conftest import ccm, random_orthonormal, table1_scenario, two_group_toy, with_reduced
@@ -215,12 +218,13 @@ class TestPhiSweep:
         assert not clean.errors()
         assert len(checks) == len(phis) * len(metrics.DESIGNS)
 
-        def copied_column(geb, stats, scn, group, cfg, seed):
-            s = geb.s.copy()
-            s[:, 1] = s[:, 0]
-            return s
+        def copied_column(unit, cfg):
+            stages = [geb.s.copy() for geb in unit.gebs]
+            for s in stages:
+                s[:, 1] = s[:, 0]
+            return stages
 
-        monkeypatch.setitem(metrics.DESIGNS, "dft", copied_column)
+        monkeypatch.setitem(metrics.DESIGNS, "dft", metrics.Design(copied_column))
         checks.clear()
         result = phi_sweep(two_group_toy(), phis, settings)
         assert len(checks) == len(phis) * len(metrics.DESIGNS)
@@ -236,8 +240,36 @@ class TestPhiSweep:
                 assert (rec.expected_sinr, rec.nmse) == (ref.expected_sinr, ref.nmse)
 
 
+class TestSweepSettings:
+    """A name list holds at least one name and none twice, in settings and configs alike."""
+
+    CASES = [
+        ({"beamformers": ("geb", "pe-am", "pe-am"), "combiners": ("zf", "zf")},
+         "duplicate names in 'beamformers'"),
+        ({"combiners": ("zf", "lmmse", "zf")}, "duplicate names in 'combiners'"),
+        ({"beamformers": ()}, "'beamformers' must list at least one name"),
+        ({"combiners": ()}, "'combiners' must list at least one name"),
+    ]
+
+    @pytest.mark.parametrize("lists, message", CASES)
+    def test_settings_reject_empty_or_repeated_names(self, lists, message):
+        with pytest.raises(ValueError) as info:
+            SweepSettings(group=0, **lists)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("lists, message", CASES)
+    def test_configs_give_the_same_messages_with_their_line(self, lists, message):
+        text = resources.files("jsdmsim.configs").joinpath("table1.cfg").read_text()
+        key, names = next(iter(lists.items()))
+        text = re.sub(rf"(?m)^{key}\s*=.*$", f"{key} = {' '.join(names)}", text)
+        line = 1 + text.splitlines().index(f"{key} = {' '.join(names)}")
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value) == f"line {line}: {message}"
+
+
 def _mobile_bytes(scn):
-    """Bytes of one angle's mobile-group CCMs, the unit of the design block budget."""
+    """Bytes of one angle's mobile-group CCMs, what the unit budget counts."""
     return sum(len(spec.delays) * spec.n_users * scn.n_antennas ** 2 * 16
                for spec in scn.groups if spec.mobile)
 
@@ -273,11 +305,11 @@ class TestFixedCovariances:
             blocks.append(kwargs["phis"])
             return original_build(scn_phi, **kwargs)
 
-        def recording_evaluate(design, phi, phi_index, cfg):
+        def recording_evaluate(design, phi, phi_index, cfg, stages):
             scn_phi, cov, stats, geb = design
             built.append((scn_phi, cov))
             solved.append((stats, geb))
-            return original_evaluate(design, phi, phi_index, cfg)
+            return original_evaluate(design, phi, phi_index, cfg, stages)
 
         def counting_factor(r):
             factored.append(r.shape)
@@ -287,15 +319,18 @@ class TestFixedCovariances:
         monkeypatch.setattr(metrics, "build_covariances", recording_build)
         monkeypatch.setattr(metrics, "_evaluate_phi", recording_evaluate)
         monkeypatch.setattr(channel, "psd_factor", counting_factor)
-        # design blocks of 1, 2 and 5 angles (one block, larger than the grid)
-        for block in (1, 2, 5):
-            monkeypatch.setattr(metrics, "_DESIGN_BLOCK_BYTES", block * _mobile_bytes(scn))
+        # units of 1, 2 and 5 angles (one unit, larger than the grid); a unit of one is a
+        # lone build, with no unit axis
+        for size in (1, 2, 5):
+            monkeypatch.setattr(metrics, "_UNIT_BYTES", size * _mobile_bytes(scn))
             built, solved, blocks, factored = [], [], [], []
             result = phi_sweep(scn, phis, settings)
             assert not result.errors()
-            assert [list(b) for b in blocks] == [phis[i:i + block] for i in range(0, 3, block)]
-            # one factor call per block, before the link pass needs it
-            assert len(factored) == len(blocks)
+            units = [phis[i:i + size] for i in range(0, 3, size)]
+            assert [None if b is None else list(b) for b in blocks] == [
+                unit if len(unit) > 1 else None for unit in units]
+            # one factor call per unit, before the link pass needs it
+            assert len(factored) == len(units)
             assert [s.phi for s, _ in built] == phis and len(solved) == len(phis)
 
             for phi, (scn_phi, cov), (stats, geb) in zip(phis, built, solved):
@@ -315,13 +350,13 @@ class TestFixedCovariances:
                 assert np.array_equal(stats.r_eta, ref_stats.r_eta)
                 assert np.array_equal(geb.s, ref_geb.s)
                 assert np.array_equal(geb.gen_eigenvalues, ref_geb.gen_eigenvalues)
-                # the block's sampling factors, filled before the link pass
+                # the unit's sampling factors, filled before the link pass
                 assert group in cov._factors
                 assert np.array_equal(cov.factors(group), ref_cov.factors(group))
 
     @pytest.mark.parametrize("fault", ["toeplitz", "psd"])
     def test_failure_stays_with_its_angle(self, fault, monkeypatch):
-        """A fault planted at the middle angle of a 3-angle block fails that angle alone,
+        """A fault planted at the middle angle of a 3-angle unit fails that angle alone,
         with the message its one-angle design or link pass gives."""
         scn = table1_scenario(m=16)
         phis, bad = [-3.0, 0.0, 4.5], 0.0
@@ -340,18 +375,21 @@ class TestFixedCovariances:
             return out
 
         monkeypatch.setattr(channel, "ccm_one_ring", planted)
-        blocks = []
+        units = []
         original_build = metrics.build_covariances
 
         def recording_build(scn_phi, **kwargs):
-            blocks.append(kwargs["phis"])
+            # a unit of one is a lone build at its own angle, with no unit axis
+            lone = kwargs["phis"] is None
+            units.append([scn_phi.phi] if lone else list(kwargs["phis"]))
             return original_build(scn_phi, **kwargs)
 
         monkeypatch.setattr(metrics, "build_covariances", recording_build)
         result = phi_sweep(scn, phis, settings)
-        assert blocks[0] is not None and list(blocks[0]) == phis
-        # a failed factor leaves the block standing; a failed design redoes it angle by angle
-        assert blocks[1:] == ([] if fault == "psd" else [None] * 3)
+        assert units[0] == phis
+        # a failed factor leaves the unit standing; a failed design is made again as units
+        # of one
+        assert units[1:] == ([] if fault == "psd" else [[phi] for phi in phis])
         failed = result.errors()
         assert len(failed) == 4 and {r.phi for r in failed} == {bad}
         if fault == "toeplitz":
@@ -408,7 +446,7 @@ def _same_stages(stages, reference):
 
 
 class TestBatches:
-    """The AM designs of a batch of angles, beampattern angle included, run as one stack."""
+    """Each design of a unit of angles, beampattern angle included, runs as one stack."""
 
     PHIS = [-3.0, 0.0, 4.5, 7.0]
     SETTINGS = SweepSettings(group=0, beamformers=tuple(metrics.DESIGNS), combiners=("zf",),
@@ -425,29 +463,41 @@ class TestBatches:
 
     def test_batch_sizes_leave_every_record_and_stage_unchanged(self, monkeypatch):
         scn = table1_scenario(m=16)
-        stacks = []
-        original = constrained.pe_am
+        stacks = {"pe_am": [], "dynamic_subarray": []}
 
-        def recording(s_geb, **kwargs):
-            stacks.append(len(s_geb))
-            return original(s_geb, **kwargs)
+        def recording(name):
+            original = getattr(constrained, name)
 
-        monkeypatch.setattr(constrained, "pe_am", recording)
-        batched = phi_sweep(scn, self.PHIS, self.SETTINGS, pattern_phi=0.0)
-        # one stack: the four angles and the beampattern angle, with its grid twin's GEB
-        assert stacks == [5]
-        assert not batched.errors()
-        _same_stages(batched.pattern, self.lone_stages(scn, 0.0, self.SETTINGS))
-        # batches of one angle, and of two one-angle blocks
-        for design_angles, batch_angles in ((1, 1), (1, 2)):
-            monkeypatch.setattr(metrics, "_DESIGN_BLOCK_BYTES",
-                                design_angles * metrics._mobile_bytes(scn))
-            monkeypatch.setattr(metrics, "_AM_BATCH_ANGLES", batch_angles)
-            stacks.clear()
+            def recorded(s_geb, *args, **kwargs):
+                stacks[name].append(len(s_geb))
+                return original(s_geb, *args, **kwargs)
+            return recorded
+
+        for name in stacks:
+            monkeypatch.setattr(constrained, name, recording(name))
+        whole = phi_sweep(scn, self.PHIS, self.SETTINGS, pattern_phi=0.0)
+        # one unit of the four angles; the beampattern angle is one more member of the
+        # seeded designs only, and takes its twin's PE-AM stage: it adds no PE-AM member
+        assert stacks == {"pe_am": [4], "dynamic_subarray": [5]}
+        assert not whole.errors()
+        _same_stages(whole.pattern, self.lone_stages(scn, 0.0, self.SETTINGS))
+        # units of one, two and three angles; a unit of one makes lone calls, stacks of one
+        for size, pe_am, dynamic in ((1, [1, 1, 1, 1], [1, 2, 1, 1]), (2, [2, 2], [3, 2]),
+                                     (3, [3, 1], [4, 1])):
+            monkeypatch.setattr(metrics, "_UNIT_BYTES", size * _mobile_bytes(scn))
+            for calls in stacks.values():
+                calls.clear()
             result = phi_sweep(scn, self.PHIS, self.SETTINGS, pattern_phi=0.0)
-            assert stacks == ([1, 2, 1, 1] if batch_angles == 1 else [3, 2])
-            _same_records(result, batched)
-            _same_stages(result.pattern, batched.pattern)
+            assert stacks == {"pe_am": pe_am, "dynamic_subarray": dynamic}
+            _same_records(result, whole)
+            _same_stages(result.pattern, whole.pattern)
+
+    @pytest.mark.parametrize("m, size", [(32, 32), (128, 2)])
+    def test_one_budget_sizes_the_units(self, m, size):
+        # six m x m complex mobile CCMs per table1 angle, within 3 MiB per unit
+        scn = table1_scenario(m=m)
+        assert metrics._UNIT_BYTES == 3 << 20
+        assert metrics._unit_size(scn) == size == metrics._UNIT_BYTES // _mobile_bytes(scn)
 
     def test_off_grid_pattern_angle_is_a_batch_of_its_own(self, monkeypatch):
         scn = table1_scenario(m=16)
@@ -466,15 +516,16 @@ class TestBatches:
         monkeypatch.setattr(metrics, "build_covariances", recording_build)
         result = phi_sweep(scn, self.PHIS, self.SETTINGS, pattern_phi=0.5)
         assert stacks == [4, 1]
-        assert len(builds) == 2 and builds[1] is None  # one block, then the lone angle
+        assert len(builds) == 2 and builds[1] is None  # one unit, then a unit of one
         _same_stages(result.pattern, self.lone_stages(scn, 0.5, self.SETTINGS))
         _same_records(result, phi_sweep(scn, self.PHIS, self.SETTINGS))
 
-    def test_a_sweep_without_am_designs_makes_no_batch(self, monkeypatch):
-        def no_batch(members, cfg):
-            raise AssertionError("a batch step ran without an AM design")
+    def test_a_sweep_without_am_designs_makes_no_am_call(self, monkeypatch):
+        def no_am(*args, **kwargs):
+            raise AssertionError("an AM design ran without being configured")
 
-        monkeypatch.setattr(metrics, "_batch_designs", no_batch)
+        for name in ("pe_am", "fixed_subarray", "dynamic_connection", "dynamic_subarray"):
+            monkeypatch.setattr(constrained, name, no_am)
         cfg = dataclasses.replace(self.SETTINGS, beamformers=("geb", "dft", "pe"))
         result = phi_sweep(table1_scenario(m=16), self.PHIS, cfg, pattern_phi=4.5)
         assert not result.errors()
@@ -491,7 +542,7 @@ class TestBatches:
             # every restart of the bad angle's dynamic design leaves chain 3 unconnected
             first = _derived_seed(self.SETTINGS.seed, self.PHIS.index(bad), 1)
             doomed = {first + t + 1 for t in range(self.SETTINGS.n_restarts)}
-            original = constrained._connection_search
+            original = constrained.dynamic_connection
 
             def planted(s, seeds, tol, max_iter):
                 candidates, traces = original(s, seeds, tol, max_iter)
@@ -501,7 +552,7 @@ class TestBatches:
                         candidates[r, :, 3] = 0.0
                 return candidates, traces
 
-            monkeypatch.setattr(constrained, "_connection_search", planted)
+            monkeypatch.setattr(constrained, "dynamic_connection", planted)
             failing, message = {"dynamic"}, ("CandidateExhaustionError: no connection candidate"
                                               " used every RF chain after 4 restarts;"
                                               " increase n_restarts")

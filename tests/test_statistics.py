@@ -18,7 +18,7 @@ from jsdmsim import (
 )
 from jsdmsim.channel import fixed_covariances
 from jsdmsim.config import parse_config
-from jsdmsim.constrained import DEFAULT_MAX_ITER, DEFAULT_TOL, _connection_search
+from jsdmsim.constrained import DEFAULT_MAX_ITER, DEFAULT_TOL, dynamic_connection
 from jsdmsim.metrics import angle_design
 
 from conftest import random_orthonormal, random_unitary, two_group_toy
@@ -177,7 +177,7 @@ class TestStackedSinr:
         [(_, _, stats, geb)] = angle_design(fixed_covariances(cfg.scenario, cfg.sweep.n_quad),
                                             phi, cfg.sweep)
         restarts = cfg.sweep.n_restarts
-        candidates, _ = _connection_search(np.repeat(geb.s[None], restarts, axis=0),
+        candidates, _ = dynamic_connection(np.repeat(geb.s[None], restarts, axis=0),
                                            [int(phi) + 100 + t for t in range(restarts)],
                                            DEFAULT_TOL, DEFAULT_MAX_ITER)
         assert candidates.shape == (20, 128, 4)
