@@ -22,6 +22,7 @@ from .channel import (
 )
 from .constrained import (
     AmTrace,
+    AmTraces,
     ConstrainedBeamformer,
     dft_beamformer,
     dynamic_connection,
@@ -38,6 +39,7 @@ from .statistics import GroupStatistics, expected_sinr, group_statistics, reduce
 
 __all__ = [
     "AmTrace",
+    "AmTraces",
     "ChannelRealization",
     "ConstrainedBeamformer",
     "CovarianceSet",

@@ -11,13 +11,13 @@ run through one loop, :func:`_alternate`, and supply only its step.  Each
 half-step exactly minimizes, over its block, a Frobenius distance to the
 unconstrained beamformer, so the recorded residual sequences are non-increasing.
 
-:func:`pe_am`, :func:`fixed_subarray`, :func:`dynamic_connection` and
-:func:`dynamic_subarray` take one (M, D) unconstrained beamformer, or a stack
-(n, M, D) of them (as :func:`~jsdmsim.geb.compute_geb` returns for a unit of
-angles).  A stack runs as the members of one loop, each with its own
-beamformer, seed and mask, and returns its members' results with their
-:class:`AmTraces`; every member is bit for bit its lone call.  A stack fails
-as a whole when any member fails.
+:func:`phase_extraction`, :func:`pe_am`, :func:`fixed_subarray`,
+:func:`dynamic_connection` and :func:`dynamic_subarray` take an (n, M, D) stack of
+unconstrained beamformers (one beamformer is the stack ``s[None]``) and one value
+per member of every per-member argument.  The members run as one loop, each bit
+for bit a stack of itself alone; a stack fails as a whole when any member fails.
+Each returns a tuple of :class:`ConstrainedBeamformer` (the connection search: an
+(n, M, D) array of candidates) and, but for phase extraction, their :class:`AmTraces`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geb import UnconstrainedBeamformer
 from .linalg import svd
 from .statistics import expected_sinr
 from .channel import Scenario
@@ -87,7 +86,7 @@ class AmTraces(tuple):
 
     @property
     def iterations(self) -> int:
-        """Iterations of all members: what their lone calls' traces add up to."""
+        """Iterations of all members, summed."""
         return sum(trace.iterations for trace in self)
 
 
@@ -121,34 +120,20 @@ class ConstrainedBeamformer:
         return self.s_c @ self.s_cm
 
 
-def _geb_matrix(s_geb) -> np.ndarray:
-    if isinstance(s_geb, UnconstrainedBeamformer):
-        return s_geb.s
-    return np.asarray(s_geb, dtype=complex)
+def _stack(s_geb) -> np.ndarray:
+    """``s_geb`` as an (n, M, D) complex stack with n >= 1; anything else raises ValueError."""
+    if np.ndim(s_geb) != 3 or not len(s_geb):
+        raise ValueError("the constant-modulus designs take an (n, M, D) stack of unconstrained"
+                         f" beamformers, got {type(s_geb).__name__} of shape {np.shape(s_geb)}")
+    return np.ascontiguousarray(s_geb, dtype=complex)
 
 
-def _members(s_geb) -> tuple[np.ndarray, bool]:
-    """The (n, M, D) stack of unconstrained beamformers to fit, and whether it was one matrix."""
-    s = _geb_matrix(s_geb)
-    return (s[None], True) if s.ndim == 2 else (s, False)
-
-
-def _per_member(value, lone: bool, n: int, name: str) -> list:
-    """A per-member argument as a list: the one value of a lone call, or a stack's n values."""
-    if lone:
-        return [value]
-    try:
-        values = list(value)
-    except TypeError:
-        values = None
-    if values is None or len(values) != n:
+def _per_member(value, n: int, name: str) -> list:
+    """A per-member argument as the list of a stack's n values."""
+    values = list(value) if np.iterable(value) else []
+    if len(values) != n:
         raise ValueError(f"a stack of {n} beamformers needs one {name} per member")
     return values
-
-
-def _result(lone: bool, beamformers: list, traces: list):
-    """A lone call's (beamformer, trace), or a stack's (beamformers, :class:`AmTraces`)."""
-    return (beamformers[0], traces[0]) if lone else (tuple(beamformers), AmTraces(traces))
 
 
 def _unit_phases(a: np.ndarray, m: int) -> np.ndarray:
@@ -260,17 +245,16 @@ def dft_beamformer(scn: Scenario, g: int) -> ConstrainedBeamformer:
     return ConstrainedBeamformer(s_c, np.eye(d, dtype=complex), np.ones((m, d), dtype=int))
 
 
-def phase_extraction(s_geb) -> ConstrainedBeamformer:
-    """Keep only the phases of the unconstrained beamformer (scaled 1/sqrt(M)).
+def phase_extraction(s_geb) -> tuple[ConstrainedBeamformer, ...]:
+    """Keep only the phases of each unconstrained beamformer (scaled 1/sqrt(M)).
 
     Entrywise global optimum of the unit-modulus Frobenius approximation; the
-    compensation matrix stays identity.
+    compensation matrix stays identity.  Returns one beamformer per member.
     """
-    s = _geb_matrix(s_geb)
-    m, d = s.shape
-    return ConstrainedBeamformer(
-        _unit_phases(s, m), np.eye(d, dtype=complex), np.ones((m, d), dtype=int)
-    )
+    s = _stack(s_geb)
+    m, d = s.shape[1:]
+    eye, full = np.eye(d, dtype=complex), np.ones((m, d), dtype=int)
+    return tuple(ConstrainedBeamformer(s_c, eye, full) for s_c in _unit_phases(s, m))
 
 
 def pe_am(s_geb, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER):
@@ -280,11 +264,10 @@ def pe_am(s_geb, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER):
     the SVD of S_geb^H S_c) with phase extraction of the rotated beamformer
     S_geb S_cm^H, starting from plain phase extraction.  Stops when the
     residual ||S_geb S_cm^H - S_c||_F stalls in relative terms (or hits an
-    exact fit).  Returns (ConstrainedBeamformer, AmTrace), or for a stack of
-    S_geb a tuple of beamformers and their :class:`AmTraces`.
+    exact fit).  Returns the tuple of beamformers and their :class:`AmTraces`.
     """
-    s, lone = _members(s_geb)
-    m, d = s.shape[-2:]
+    s = _stack(s_geb)
+    m, d = s.shape[1:]
     s_h = np.ascontiguousarray(s.conj().swapaxes(-1, -2))  # so s_h[idx] copies fast
 
     def step(idx, s_c):
@@ -296,7 +279,7 @@ def pe_am(s_geb, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER):
 
     s_c, s_cm, traces = _alternate(s, _unit_phases(s, m), step, tol, max_iter)
     full = np.ones((m, d), dtype=int)
-    return _result(lone, [ConstrainedBeamformer(a, b, full) for a, b in zip(s_c, s_cm)], traces)
+    return tuple(ConstrainedBeamformer(a, b, full) for a, b in zip(s_c, s_cm)), AmTraces(traces)
 
 
 # ---------------------------------------------------------------------------
@@ -337,34 +320,29 @@ def _check_mask(mask, shape) -> np.ndarray:
 
 
 def fixed_subarray(s_geb, connection, init_phases: np.ndarray | None = None,
-                   tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER, seed=0):
-    """Best constant-modulus beamformer on a prescribed connection mask.
+                   tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER, seed=None):
+    """Best constant-modulus beamformer on each member's prescribed connection mask.
 
     Alternates the least-squares compensation matrix with the decoupled
     per-antenna phase update; the per-row phase of antenna i aligns to the
     inner product of its unconstrained row with its chain's compensation row.
-    Initial phases are random (from ``seed``) unless given.  Returns
-    (ConstrainedBeamformer, AmTrace).  For a stack of n S_geb, ``connection``
-    is one (M, D) mask for every member or an (n, M, D) stack, ``seed`` holds n
-    seeds and ``init_phases`` is (n, M); the result is a tuple of beamformers
-    and their :class:`AmTraces`.
+    ``connection`` holds one (M, D) mask per member, (n, M, D); one (M, D) mask
+    is refused.  The initial phases are ``init_phases``, one length-M vector per
+    member, or else one random draw from each member's seed in ``seed``.
+    Returns the tuple of beamformers and their :class:`AmTraces`.
     """
-    s, lone = _members(s_geb)
+    s = _stack(s_geb)
     n, m, d = s.shape
-    connection = np.asarray(connection)
-    if connection.ndim == 3:
-        members = _per_member(connection, lone, n, "connection")
-        mask = np.array([_check_mask(c, (m, d)) for c in members])
-    else:
-        mask = _check_mask(connection, (m, d))
-    chain_of = np.broadcast_to(np.argmax(mask, axis=-1), (n, m))
+    members = _per_member(connection if np.ndim(connection) == 3 else None, n, "connection")
+    mask = np.array([_check_mask(c, (m, d)) for c in members])
+    chain_of = np.argmax(mask, axis=-1)
     rows = np.arange(m)
 
     if init_phases is None:
         phases = np.array([np.random.default_rng(sd).uniform(0.0, 2.0 * np.pi, m)
-                           for sd in _per_member(seed, lone, n, "seed")])
+                           for sd in _per_member(seed, n, "seed")])
     else:
-        phases = np.array(_per_member(init_phases, lone, n, "init_phases"), dtype=float)
+        phases = np.array(_per_member(init_phases, n, "init_phases"), dtype=float)
     if phases.shape != (n, m):
         raise ValueError("init_phases must be a length-M vector per member")
 
@@ -382,33 +360,27 @@ def fixed_subarray(s_geb, connection, init_phases: np.ndarray | None = None,
         return fresh, s_cm, target - fresh @ s_cm
 
     s_c, s_cm, traces = _alternate(s, build(np.arange(n), phases), step, tol, max_iter)
-    masks = mask if mask.ndim == 3 else [mask] * n
-    return _result(lone, [ConstrainedBeamformer(*args) for args in zip(s_c, s_cm, masks)],
-                   traces)
+    return (tuple(ConstrainedBeamformer(*args) for args in zip(s_c, s_cm, mask)),
+            AmTraces(traces))
 
 
 def dynamic_connection(s_geb, seed, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER):
-    """Search a connection pattern jointly with unit-modulus entries.
+    """Search a connection pattern jointly with unit-modulus entries, per member.
 
     Alternates the unitary rotation A = U V^H (Procrustes fit of S_geb A to
     the current candidate) with a per-antenna assignment: each row keeps only
     its largest-magnitude entry of S_geb A, replaced by its unit-modulus
     phase (ties go to the lowest chain index).  Entries are unit modulus, not
     1/sqrt(M); the candidate may leave a chain unconnected, which the caller
-    must screen out.  Returns (candidate, AmTrace).  For an (R, M, D) stack of
-    S_geb, ``seed`` holds R seeds and the restarts run as the members of one
-    :func:`_alternate` stack, one stacked SVD and product per iteration; the
-    result is the (R, M, D) candidates and their :class:`AmTraces`.  Restart r
-    draws its start from its own generator, so its candidate and trace are bit
-    for bit its lone call's.  :func:`dynamic_subarray` runs all its restarts as
-    one such stack.
+    must screen out.  Member r of the (R, M, D) stack is one restart, drawn
+    from its own seed ``seed[r]``.  Returns the (R, M, D) candidates and their
+    :class:`AmTraces`.
     """
-    s, lone = _members(s_geb)
-    s = np.ascontiguousarray(s)
+    s = _stack(s_geb)
     n, m, d = s.shape
     rows = np.arange(m)
     s_t = np.zeros((n, m, d), dtype=complex)
-    for r, sd in enumerate(_per_member(seed, lone, n, "seed")):
+    for r, sd in enumerate(_per_member(seed, n, "seed")):
         rng = np.random.default_rng(sd)
         phases = rng.uniform(0.0, 2.0 * np.pi, m)  # each stream draws phases, then chains
         s_t[r, rows, rng.integers(0, d, m)] = np.exp(1j * phases)
@@ -425,31 +397,28 @@ def dynamic_connection(s_geb, seed, tol: float = DEFAULT_TOL, max_iter: int = DE
         return fresh, rotation, p - fresh
 
     candidates, _, traces = _alternate(s, s_t, step, tol, max_iter)
-    return (candidates[0], traces[0]) if lone else (candidates, AmTraces(traces))
+    return candidates, AmTraces(traces)
 
 
-def dynamic_subarray(s_geb, stats, n_restarts: int = DEFAULT_RESTARTS, seed=0,
+def dynamic_subarray(s_geb, stats, seed, n_restarts: int = DEFAULT_RESTARTS,
                      tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER):
-    """Full dynamic subarray design: restart, score, refine.
+    """Full dynamic subarray design, per member: restart, score, refine.
 
-    Runs the connection search ``n_restarts`` times as one stacked search
-    (seeds ``seed + t`` for t = 1..n_restarts), scores candidates that
-    connect every chain by their expected SINR (others score 0), then
-    refines the best candidate's mask and phases with the fixed-subarray
-    loop.  Raises if no restart produced a usable connection.  Returns
-    (ConstrainedBeamformer, AmTrace).  For a stack of n S_geb, ``stats`` and
-    ``seed`` hold one GroupStatistics and one seed per member: all n x
-    ``n_restarts`` restarts run as one search and all refinements as one
-    fixed-subarray stack, and the result is a tuple of beamformers and their
-    :class:`AmTraces`.
+    Member i runs the connection search ``n_restarts`` times, from seeds
+    ``seed[i] + t`` for t = 1..n_restarts (all members' restarts as one stack),
+    scores the candidates that connect every chain by their expected SINR under
+    ``stats[i]`` (others score 0), then refines the best candidate's mask and
+    phases (all members as one fixed-subarray stack).  Raises if no restart of
+    some member connects every chain.  Returns the tuple of beamformers and
+    their :class:`AmTraces`, which carry the raw and refined scores.
     """
     if n_restarts < 1:
         raise ValueError("n_restarts must be >= 1")
-    s, lone = _members(s_geb)
+    s = _stack(s_geb)
     n, m, d = s.shape
-    stats = _per_member(stats, lone, n, "stats")
+    stats = _per_member(stats, n, "stats")
 
-    seeds = [first + t + 1 for first in _per_member(seed, lone, n, "seed")
+    seeds = [first + t + 1 for first in _per_member(seed, n, "seed")
              for t in range(n_restarts)]
     candidates, _ = dynamic_connection(np.repeat(s, n_restarts, axis=0), seeds, tol=tol,
                                        max_iter=max_iter)
@@ -472,7 +441,6 @@ def dynamic_subarray(s_geb, stats, n_restarts: int = DEFAULT_RESTARTS, seed=0,
 
     beamformers, traces = fixed_subarray(s, np.array(masks), init_phases=np.array(phases),
                                          tol=tol, max_iter=max_iter)
-    traces = [replace(trace, raw_score=raw,
-                      refined_score=float(expected_sinr(member, cb.effective())))
-              for cb, trace, raw, member in zip(beamformers, traces, raw_scores, stats)]
-    return _result(lone, list(beamformers), traces)
+    return beamformers, AmTraces(
+        replace(trace, raw_score=raw, refined_score=float(expected_sinr(member, cb.effective())))
+        for cb, trace, raw, member in zip(beamformers, traces, raw_scores, stats))

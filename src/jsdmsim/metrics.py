@@ -77,14 +77,14 @@ ESTIMATOR_NAMES = ("none", "lmmse", "ls")
 ANGLE_ERRORS = (ValueError, constrained.CandidateExhaustionError)
 
 # Bytes of mobile-group CCMs in one unit of angles (3 MiB; a unit always holds
-# at least one angle).  On table1 that is 32 angles at 32 antennas and 2 at 128
-# (six M x M complex CCMs per angle); the unit's M x r sampling factors take
-# r / M of that (7 / 32 and 11 / 128).  A unit holds every member's design until
-# its last angle is evaluated, and the connection search stacks n_restarts
-# members per angle.  At this size a standalone run's peak RSS is 51.8 MB on the
-# 5-angle full-scale benchmark config, 52.1 MB on an 11-angle full-scale sweep and
-# 49.1 MB on the 91-angle, 32-antenna one (numpy 2.4, one BLAS thread).  Every
-# angle's results are bit for bit the same at any size.
+# at least one angle): on table1, 32 angles at 32 antennas and 2 at 128 (six
+# M x M complex CCMs per angle).  It is a budget, not the peak: one full
+# 128-antenna unit through angle_design keeps 4.04 MiB and peaks at 7.18 MiB
+# under tracemalloc, 1.8x what it keeps and 2.4x the budget.  A unit holds every
+# member's design until its last angle is evaluated.  Standalone peak RSS is
+# 51.8 MB on the 5-angle full-scale benchmark config, 52.1 MB on an 11-angle
+# full-scale sweep and 49.1 MB on the 91-angle, 32-antenna one (numpy 2.4, one
+# BLAS thread).  Every angle's results are bit for bit the same at any size.
 _UNIT_BYTES = 3 << 20
 
 # Connection mask mask(M, D) of each fixed-subarray design.
@@ -121,16 +121,17 @@ class Design(NamedTuple):
     seeded: bool = False
 
 
-def _effective(made) -> list[np.ndarray]:
-    """The effective stages of a stacked constrained design's beamformers."""
-    return [cb.effective() for cb in made[0]]
+def _effective(beamformers) -> list[np.ndarray]:
+    """The effective stages of a stack's constrained beamformers."""
+    return [cb.effective() for cb in beamformers]
 
 
 def _fixed_subarray(mask) -> Design:
     def make(unit, cfg):
         s = unit.s
-        return _effective(constrained.fixed_subarray(s, mask(*s.shape[1:]), tol=cfg.tol,
-                                                     max_iter=cfg.max_iter, seed=unit.seeds))
+        return _effective(constrained.fixed_subarray(s, [mask(*s.shape[1:])] * len(s),
+                                                     tol=cfg.tol, max_iter=cfg.max_iter,
+                                                     seed=unit.seeds)[0])
     return Design(make, seeded=True)
 
 
@@ -140,14 +141,13 @@ DESIGNS = {
     "geb": Design(lambda unit, cfg: [geb.s for geb in unit.gebs]),
     "dft": Design(lambda unit, cfg: [constrained.dft_beamformer(scn, unit.group).effective()
                                      for scn in unit.scenarios]),
-    "pe": Design(lambda unit, cfg: [constrained.phase_extraction(geb).effective()
-                                    for geb in unit.gebs]),
+    "pe": Design(lambda unit, cfg: _effective(constrained.phase_extraction(unit.s))),
     "pe-am": Design(lambda unit, cfg: _effective(constrained.pe_am(
-        unit.s, tol=cfg.tol, max_iter=cfg.max_iter))),
+        unit.s, tol=cfg.tol, max_iter=cfg.max_iter)[0])),
     **{name: _fixed_subarray(mask) for name, mask in SUBARRAY_MASKS.items()},
     "dynamic": Design(lambda unit, cfg: _effective(constrained.dynamic_subarray(
-        unit.s, unit.stats, n_restarts=cfg.n_restarts, seed=unit.seeds, tol=cfg.tol,
-        max_iter=cfg.max_iter)), seeded=True),
+        unit.s, unit.stats, unit.seeds, n_restarts=cfg.n_restarts, tol=cfg.tol,
+        max_iter=cfg.max_iter)[0]), seeded=True),
 }
 
 

@@ -140,7 +140,7 @@ def test_criterion_04_am_monotonicity_and_unitarity():
         m = int(rng.choice([16, 24, 32]))
         d = int(rng.integers(2, 7))
         s = random_orthonormal(rng, m, d)
-        _, tr1 = pe_am(s)
+        _, (tr1,) = pe_am(s[None])
         assert np.all(np.diff(tr1.residuals) <= 1e-12)
         mask = ordered_mask(m, d) if m % d == 0 else None
         if mask is None:
@@ -148,15 +148,15 @@ def test_criterion_04_am_monotonicity_and_unitarity():
             chain[:d] = np.arange(d)  # keep every chain populated
             mask = np.zeros((m, d), dtype=int)
             mask[np.arange(m), chain] = 1
-        _, tr2 = fixed_subarray(s, mask, seed=int(rng.integers(0, 2**31)))
+        _, (tr2,) = fixed_subarray(s[None], mask[None], seed=[int(rng.integers(0, 2**31))])
         assert np.all(np.diff(tr2.residuals) <= 1e-12)
-        _, tr3 = dynamic_connection(s, seed=int(rng.integers(0, 2**31)))
+        _, (tr3,) = dynamic_connection(s[None], seed=[int(rng.integers(0, 2**31))])
         assert np.all(np.diff(tr3.residuals) <= 1e-12)
     # unitary invariant at every iteration, via truncated reruns
     for inst in range(5):
         s = random_orthonormal(rng, 24, 4)
         for k in range(1, 13):
-            cb, _ = pe_am(s, max_iter=k)
+            (cb,), _ = pe_am(s[None], max_iter=k)
             assert np.linalg.norm(cb.s_cm.conj().T @ cb.s_cm - np.eye(4)) <= 1e-10
     report(4, "residuals of algorithms 1-3 non-increasing on 100 instances; "
               "compensation unitary every iteration")
@@ -168,7 +168,7 @@ def test_criterion_05_phase_extraction_optimality():
         m = int(rng.choice([8, 16, 32]))
         d = int(rng.integers(1, 5))
         s = random_orthonormal(rng, m, d)
-        cb = phase_extraction(s)
+        (cb,) = phase_extraction(s[None])
         base = np.linalg.norm(s - cb.s_c)
         phases = rng.uniform(0, 2 * np.pi, (10000, m, d))
         cands = np.exp(1j * phases) / np.sqrt(m)
@@ -183,10 +183,10 @@ def test_criterion_06_procrustes_step_optimality():
         m, d = 16, 3
         s = random_orthonormal(rng, m, d)
         # compensation step of the fully connected loop
-        cb, _ = pe_am(s)
+        (cb,), _ = pe_am(s[None])
         base_cm = np.linalg.norm(s @ cb.s_cm.conj().T - cb.s_c)
         # rotation step of the connection search
-        cand, _ = dynamic_connection(s, seed=inst)
+        (cand,), _ = dynamic_connection(s[None], seed=[inst])
         u, _, v = svd(s.conj().T @ cand)
         rot = u @ v.conj().T
         base_rot = np.linalg.norm(s @ rot - cand)
@@ -222,7 +222,7 @@ def test_criterion_08_lmmse_at_least_zf():
     cov = build_covariances(scn)
     stats = group_statistics(cov, 0)
     geb = compute_geb(stats, 4)
-    s_eff = phase_extraction(geb).effective()  # leaves residual interference
+    s_eff = phase_extraction(geb.s[None])[0].effective()  # leaves residual interference
     rd = reduce(stats, s_eff)
     spec = scn.groups[0]
     for t in range(50):
@@ -278,9 +278,9 @@ def test_criterion_10_subarray_capacity_ordering():
         stats = group_statistics(cov, 0)
         geb = compute_geb(stats, d)
         seed = _derived_seed(3, i, 1)
-        dyn, _ = dynamic_subarray(geb, stats, n_restarts=20, seed=seed)
-        cb_o, _ = fixed_subarray(geb, ordered_mask(m, d), seed=seed)
-        cb_i, _ = fixed_subarray(geb, interlaced_mask(m, d), seed=seed)
+        (dyn,), _ = dynamic_subarray(geb.s[None], [stats], [seed], n_restarts=20)
+        (cb_o,), _ = fixed_subarray(geb.s[None], ordered_mask(m, d)[None], seed=[seed])
+        (cb_i,), _ = fixed_subarray(geb.s[None], interlaced_mask(m, d)[None], seed=[seed])
         for name, cb in (("dynamic", dyn), ("ordered", cb_o), ("interlaced", cb_i)):
             for comb in ("zf", "lmmse"):
                 cap = linksim.ergodic_capacity(cov, with_reduced(stats, {name: cb.effective()}),

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from jsdmsim import (
+    AmTraces,
     GroupSpec,
     GroupStatistics,
     Scenario,
@@ -41,6 +42,12 @@ def column_indices(s_c):
     m = s_c.shape[0]
     steps = np.angle(s_c[1, :] / s_c[0, :])
     return np.round(steps * m / (2 * np.pi)).astype(int) % m
+
+
+def alone(made):
+    """The one member's result and trace of a design's stack of one."""
+    (result,), (trace,) = made
+    return result, trace
 
 
 class TestDftBeamformer:
@@ -111,19 +118,19 @@ class TestPhaseExtraction:
         rng = np.random.default_rng(1)
         m, d = 16, 3
         s = np.exp(1j * rng.uniform(0, 2 * np.pi, (m, d))) / np.sqrt(m)
-        cb = phase_extraction(s)
+        (cb,) = phase_extraction(s[None])
         assert_allclose(cb.s_c, s, atol=1e-14)
 
     def test_modulus(self):
         scn = two_group_toy()
         geb, _ = geb_for(scn)
-        cb = phase_extraction(geb)
+        (cb,) = phase_extraction(geb.s[None])
         assert_allclose(np.abs(cb.s_c), 1 / np.sqrt(scn.n_antennas), rtol=1e-12)
 
     def test_beats_random_unit_modulus(self):
         scn = two_group_toy()
         geb, _ = geb_for(scn)
-        cb = phase_extraction(geb)
+        (cb,) = phase_extraction(geb.s[None])
         base = np.linalg.norm(geb.s - cb.s_c)
         rng = np.random.default_rng(2)
         m, d = geb.s.shape
@@ -134,7 +141,7 @@ class TestPhaseExtraction:
 
     def test_zero_entry_convention(self):
         s = np.array([[0.0 + 0.0j], [1.0 + 0.0j]])
-        cb = phase_extraction(s)
+        (cb,) = phase_extraction(s[None])
         assert cb.s_c[0, 0] == pytest.approx(1 / np.sqrt(2))
 
 
@@ -143,7 +150,7 @@ class TestPeAm:
         rng = np.random.default_rng(3)
         m, d = 16, 3
         s = np.exp(1j * rng.uniform(0, 2 * np.pi, (m, d))) / np.sqrt(m)
-        cb, trace = pe_am(s)
+        (cb,), (trace,) = pe_am(s[None])
         assert trace.iterations == 1
         assert trace.residuals[-1] <= 1e-12
         assert np.linalg.norm(cb.s_cm.conj().T @ cb.s_cm - np.eye(d)) <= 1e-10
@@ -152,15 +159,15 @@ class TestPeAm:
         for seed in range(5):
             scn = two_group_toy(phi=3.0 * seed)
             geb, _ = geb_for(scn)
-            pe = phase_extraction(geb)
+            (pe,) = phase_extraction(geb.s[None])
             pe_resid = np.linalg.norm(geb.s - pe.s_c)
-            cb, trace = pe_am(geb)
+            (cb,), (trace,) = pe_am(geb.s[None])
             assert trace.residuals[-1] <= pe_resid + 1e-12
 
     def test_residuals_monotone_and_unitary(self):
         scn = two_group_toy()
         geb, _ = geb_for(scn)
-        cb, trace = pe_am(geb)
+        (cb,), (trace,) = pe_am(geb.s[None])
         assert np.all(np.diff(trace.residuals) <= 1e-12)
         assert np.linalg.norm(cb.s_cm.conj().T @ cb.s_cm - np.eye(4)) <= 1e-10
 
@@ -168,7 +175,7 @@ class TestPeAm:
         rng = np.random.default_rng(4)
         m, d = 8, 2
         s_geb = random_orthonormal(rng, m, d)
-        cb, _ = pe_am(s_geb)
+        (cb,), _ = pe_am(s_geb[None])
         base = np.linalg.norm(s_geb @ cb.s_cm.conj().T - cb.s_c)
         for _ in range(10000):
             a = random_unitary(rng, d)
@@ -178,7 +185,7 @@ class TestPeAm:
         # with unitary compensation the bound holds (with equality) at the output
         scn = two_group_toy()
         geb, _ = geb_for(scn)
-        cb, _ = pe_am(geb)
+        (cb,), _ = pe_am(geb.s[None])
         lhs = np.linalg.norm(geb.s - cb.s_c @ cb.s_cm)
         rhs = np.linalg.norm(geb.s @ cb.s_cm.conj().T - cb.s_c)
         assert lhs <= rhs + 1e-12
@@ -211,7 +218,7 @@ class TestFixedSubarray:
         rng = np.random.default_rng(5)
         m = 12
         s = rng.standard_normal((m, 1)) + 1j * rng.standard_normal((m, 1))
-        cb, trace = fixed_subarray(s, np.ones((m, 1), dtype=int), seed=1)
+        (cb,), (trace,) = fixed_subarray(s[None], np.ones((1, m, 1), dtype=int), seed=[1])
         # analytic optimum: ||s||^2 - (sum|s_i| / sqrt(M))^2
         best = np.sqrt(np.linalg.norm(s) ** 2 - (np.abs(s).sum() / np.sqrt(m)) ** 2)
         assert_allclose(trace.residuals[-1], best, rtol=1e-9)
@@ -220,7 +227,7 @@ class TestFixedSubarray:
         scn = two_group_toy()
         geb, _ = geb_for(scn)
         mask = ordered_mask(scn.n_antennas, 4)
-        cb, _ = fixed_subarray(geb, mask, seed=2)
+        (cb,), _ = fixed_subarray(geb.s[None], mask[None], seed=[2])
         gram = cb.s_c.conj().T @ cb.s_c
         counts = mask.sum(axis=0) / scn.n_antennas
         assert_allclose(gram, np.diag(counts).astype(complex), atol=1e-12)
@@ -228,22 +235,22 @@ class TestFixedSubarray:
     def test_residual_monotone(self):
         rng = np.random.default_rng(6)
         s = random_orthonormal(rng, 16, 4)
-        _, trace = fixed_subarray(s, ordered_mask(16, 4), seed=3)
+        _, (trace,) = fixed_subarray(s[None], ordered_mask(16, 4)[None], seed=[3])
         assert np.all(np.diff(trace.residuals) <= 1e-12)
 
     def test_empty_chain_rejected(self):
         mask = np.zeros((8, 2), dtype=int)
         mask[:, 0] = 1
         with pytest.raises(MaskError, match="chain"):
-            fixed_subarray(np.eye(8, 2), mask)
+            fixed_subarray(np.eye(8, 2)[None], mask[None], seed=[0])
 
     def test_init_phases_respected(self):
         rng = np.random.default_rng(7)
         s = random_orthonormal(rng, 8, 2)
         mask = interlaced_mask(8, 2)
         phases = rng.uniform(0, 2 * np.pi, 8)
-        cb1, _ = fixed_subarray(s, mask, init_phases=phases)
-        cb2, _ = fixed_subarray(s, mask, init_phases=phases)
+        (cb1,), _ = fixed_subarray(s[None], mask[None], init_phases=phases[None])
+        (cb2,), _ = fixed_subarray(s[None], mask[None], init_phases=phases[None])
         assert np.array_equal(cb1.s_c, cb2.s_c)
 
 
@@ -255,7 +262,7 @@ class TestDynamicConnection:
         support = np.array([0, 0, 0, 0, 1, 1, 1, 1])
         mags = rng.uniform(0.5, 1.5, m)
         s[np.arange(m), support] = mags * np.exp(1j * rng.uniform(0, 2 * np.pi, m))
-        cand, trace = dynamic_connection(s, seed=9)
+        (cand,), (trace,) = dynamic_connection(s[None], [9])
         assert np.array_equal(np.argmax(np.abs(cand), axis=1), support)
         # residual settles to the sum of (|entry| - 1)^2 over the support
         assert_allclose(trace.residuals[-1], np.sqrt(np.sum((mags - 1.0) ** 2)), rtol=1e-8)
@@ -263,20 +270,20 @@ class TestDynamicConnection:
     def test_residual_monotone(self):
         rng = np.random.default_rng(10)
         s = random_orthonormal(rng, 16, 4)
-        _, trace = dynamic_connection(s, seed=11)
+        _, (trace,) = dynamic_connection(s[None], [11])
         assert np.all(np.diff(trace.residuals) <= 1e-12)
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(12)
         s = random_orthonormal(rng, 16, 4)
-        c1, _ = dynamic_connection(s, seed=42)
-        c2, _ = dynamic_connection(s, seed=42)
+        (c1,), _ = dynamic_connection(s[None], [42])
+        (c2,), _ = dynamic_connection(s[None], [42])
         assert np.array_equal(c1, c2)
 
     def test_unit_modulus_entries(self):
         rng = np.random.default_rng(13)
         s = random_orthonormal(rng, 12, 3)
-        cand, _ = dynamic_connection(s, seed=14)
+        (cand,), _ = dynamic_connection(s[None], [14])
         mags = np.abs(cand)
         on = mags > 0
         assert np.all(on.sum(axis=1) == 1)
@@ -286,7 +293,7 @@ class TestDynamicConnection:
         rng = np.random.default_rng(15)
         m, d = 12, 3
         s = random_orthonormal(rng, m, d)
-        cand, _ = dynamic_connection(s, seed=16)
+        (cand,), _ = dynamic_connection(s[None], [16])
         u, _, v = svd(s.conj().T @ cand)
         rot = u @ v.conj().T
         base = np.linalg.norm(s @ rot - cand)
@@ -368,12 +375,12 @@ def loop_connection(s, seed, tol=1e-8, max_iter=500):
 
 
 def assert_stack_matches_each_restart(s, seeds, max_iter):
-    """Bit equality of every stacked restart with its own search, both ways."""
+    """Bit equality of every stacked restart with its stack of one and its own search."""
     candidates, traces = dynamic_connection(np.repeat(s[None], len(seeds), axis=0), seeds,
                                             1e-8, max_iter)
     assert candidates.shape == (len(seeds), *s.shape)
     for cand, trace, sd in zip(candidates, traces, seeds):
-        one, one_trace = dynamic_connection(s, sd, max_iter=max_iter)
+        (one,), (one_trace,) = dynamic_connection(s[None], [sd], max_iter=max_iter)
         ref, ref_residuals, ref_converged = loop_connection(s, sd, max_iter=max_iter)
         for got, got_trace in ((cand, trace), (one, one_trace)):
             assert np.array_equal(got, ref)
@@ -422,7 +429,7 @@ class TestStackedRestarts:
 
         monkeypatch.setattr(module, "dynamic_connection", recorded)
         geb, stats = geb_for(two_group_toy())
-        dynamic_subarray(geb, stats, n_restarts=4, seed=3)
+        dynamic_subarray(geb.s[None], [stats], [3], n_restarts=4)
         assert calls == [[4, 5, 6, 7]]
 
 
@@ -449,9 +456,9 @@ class TestSharedLoop:
         else:
             s = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
         mask = random_mask(rng, m, d)
-        for (cb, trace), (s_c, s_cm, residuals, converged) in (
-                (pe_am(s, max_iter=max_iter), loop_pe_am(s, max_iter=max_iter)),
-                (fixed_subarray(s, mask, seed=seed, max_iter=max_iter),
+        for ((cb,), (trace,)), (s_c, s_cm, residuals, converged) in (
+                (pe_am(s[None], max_iter=max_iter), loop_pe_am(s, max_iter=max_iter)),
+                (fixed_subarray(s[None], mask[None], seed=[seed], max_iter=max_iter),
                  loop_fixed_subarray(s, mask, seed, max_iter=max_iter))):
             assert np.array_equal(cb.s_c, s_c)
             assert np.array_equal(cb.s_cm, s_cm)
@@ -463,16 +470,17 @@ class TestSharedLoop:
                                                (1e-8, 0), (1e-8, -3)])
     def test_every_am_design_rejects_bad_settings_with_one_message(self, tol, max_iter):
         geb, stats = geb_for(two_group_toy())
-        mask = ordered_mask(*geb.s.shape)
+        s = geb.s[None]
+        mask = ordered_mask(*geb.s.shape)[None]
         message = r"alternating minimization needs tol > 0 and max_iter >= 1"
         with pytest.raises(ValueError, match=message):
-            pe_am(geb, tol=tol, max_iter=max_iter)
+            pe_am(s, tol=tol, max_iter=max_iter)
         with pytest.raises(ValueError, match=message):
-            fixed_subarray(geb, mask, tol=tol, max_iter=max_iter)
+            fixed_subarray(s, mask, tol=tol, max_iter=max_iter, seed=[0])
         with pytest.raises(ValueError, match=message):
-            dynamic_connection(geb, 1, tol=tol, max_iter=max_iter)
+            dynamic_connection(s, [1], tol=tol, max_iter=max_iter)
         with pytest.raises(ValueError, match=message):
-            dynamic_subarray(geb, stats, tol=tol, max_iter=max_iter)
+            dynamic_subarray(s, [stats], [0], tol=tol, max_iter=max_iter)
 
 
 class TestAmTraceProperties:
@@ -486,15 +494,15 @@ class TestAmTraceProperties:
         geb, stats = geb_for(table1_scenario(m=128, phi=phi))
         s = geb.s
         m, d = s.shape
-        designs = {
-            "pe-am": pe_am(geb, max_iter=max_iter),
-            "fixed-ordered": fixed_subarray(geb, ordered_mask(m, d), seed=seed,
+        designs = {name: alone(made) for name, made in {
+            "pe-am": pe_am(s[None], max_iter=max_iter),
+            "fixed-ordered": fixed_subarray(s[None], ordered_mask(m, d)[None], seed=[seed],
                                             max_iter=max_iter),
-            "fixed-interlaced": fixed_subarray(geb, interlaced_mask(m, d), seed=seed,
-                                               max_iter=max_iter),
-            "dynamic": dynamic_subarray(geb, stats, seed=seed, max_iter=max_iter),
-        }
-        cand, connection = dynamic_connection(geb, seed, max_iter=max_iter)
+            "fixed-interlaced": fixed_subarray(s[None], interlaced_mask(m, d)[None],
+                                               seed=[seed], max_iter=max_iter),
+            "dynamic": dynamic_subarray(s[None], [stats], [seed], max_iter=max_iter),
+        }.items()}
+        cand, connection = alone(dynamic_connection(s[None], [seed], max_iter=max_iter))
         u, _, v = svd(s.conj().T @ cand)
         fit = np.linalg.norm(s @ (u @ v.conj().T) - cand)  # best rotation of S to the candidate
         for name, (cb, trace) in designs.items():
@@ -521,7 +529,7 @@ class TestMaskRule:
     def test_both_entry_points_apply_one_rule(self, mask, message):
         s_c = np.full((4, 2), 0.5, dtype=complex)
         with pytest.raises(MaskError, match=message):
-            fixed_subarray(s_c, mask)
+            fixed_subarray(s_c[None], mask[None], seed=[0])
         with pytest.raises(MaskError, match=message):
             ConstrainedBeamformer(s_c, np.eye(2, dtype=complex), mask)
 
@@ -529,7 +537,7 @@ class TestMaskRule:
         s_c = np.full((4, 2), 0.5, dtype=complex)
         ConstrainedBeamformer(s_c, np.eye(2, dtype=complex), np.ones((4, 2), dtype=int))
         with pytest.raises(MaskError, match="exactly one RF chain"):
-            fixed_subarray(s_c, np.ones((4, 2), dtype=int))
+            fixed_subarray(s_c[None], np.ones((1, 4, 2), dtype=int), seed=[0])
 
 
 class TestDynamicSubarray:
@@ -537,12 +545,12 @@ class TestDynamicSubarray:
         scn = two_group_toy()
         geb, stats = geb_for(scn)
         seed = 21
-        cand, _ = dynamic_connection(geb.s, seed=seed + 1)
+        (cand,), _ = dynamic_connection(geb.s[None], [seed + 1])
         assert np.all(np.abs(cand).sum(axis=0) >= 0.5), "pick a seed with a valid candidate"
         mask = (np.abs(cand) > 0.5).astype(int)
         phases = np.angle(cand[np.arange(scn.n_antennas), np.argmax(mask, axis=1)])
-        direct, _ = fixed_subarray(geb.s, mask, init_phases=phases)
-        via_search, trace = dynamic_subarray(geb, stats, n_restarts=1, seed=seed)
+        (direct,), _ = fixed_subarray(geb.s[None], mask[None], init_phases=phases[None])
+        (via_search,), (trace,) = dynamic_subarray(geb.s[None], [stats], [seed], n_restarts=1)
         assert np.array_equal(direct.s_c, via_search.s_c)
         assert_allclose(direct.s_cm, via_search.s_cm, atol=1e-12)
         assert trace.raw_score is not None and trace.refined_score is not None
@@ -553,12 +561,12 @@ class TestDynamicSubarray:
         seed, n = 5, 8
         scores = []
         for t in range(1, n + 1):
-            cand, _ = dynamic_connection(geb.s, seed=seed + t)
+            (cand,), _ = dynamic_connection(geb.s[None], [seed + t])
             if np.all(np.abs(cand).sum(axis=0) >= 0.5):
                 scores.append(expected_sinr(stats, cand))
             else:
                 scores.append(0.0)
-        _, trace = dynamic_subarray(geb, stats, n_restarts=n, seed=seed)
+        _, (trace,) = dynamic_subarray(geb.s[None], [stats], [seed], n_restarts=n)
         assert trace.raw_score == pytest.approx(max(scores), rel=1e-12)
 
     def test_beats_fixed_structures(self):
@@ -577,9 +585,11 @@ class TestDynamicSubarray:
             cov = build_covariances(scn)
             stats = group_statistics(cov, 0)
             geb = compute_geb(stats, d)
-            dyn, tr_d = dynamic_subarray(geb, stats, n_restarts=15, seed=50 + i)
-            cb_o, tr_o = fixed_subarray(geb, ordered_mask(m, d), seed=50 + i)
-            cb_i, tr_i = fixed_subarray(geb, interlaced_mask(m, d), seed=50 + i)
+            (dyn,), (tr_d,) = dynamic_subarray(geb.s[None], [stats], [50 + i], n_restarts=15)
+            (cb_o,), (tr_o,) = fixed_subarray(geb.s[None], ordered_mask(m, d)[None],
+                                              seed=[50 + i])
+            (cb_i,), (tr_i,) = fixed_subarray(geb.s[None], interlaced_mask(m, d)[None],
+                                              seed=[50 + i])
             for name, cb, tr in (("dynamic", dyn, tr_d), ("ordered", cb_o, tr_o),
                                  ("interlaced", cb_i, tr_i)):
                 fits[name].append(tr.residuals[-1])
@@ -602,18 +612,19 @@ class TestDynamicSubarray:
         from jsdmsim import GroupStatistics
         stats = GroupStatistics(np.eye(6, dtype=complex), np.eye(6, dtype=complex))
         with pytest.raises(CandidateExhaustionError, match="restart"):
-            dynamic_subarray(s, stats, n_restarts=3, seed=1)
+            dynamic_subarray(s[None], [stats], [1], n_restarts=3)
 
 
 
 def am_designs(s, stats, mask, shared, seed, n_restarts, max_iter):
-    """Each AM design of one member, or of a stack of them: (beamformers, traces), or the
-    error the call raised.  ``mask`` is the member's own, ``shared`` one mask for all."""
+    """Each AM design of a stack of members: (beamformers, traces), or the error the call
+    raised.  ``mask`` holds each member's own mask, ``shared`` is every member's mask."""
     calls = {
         "pe-am": lambda: pe_am(s, max_iter=max_iter),
         "fixed": lambda: fixed_subarray(s, mask, seed=seed, max_iter=max_iter),
-        "fixed-shared": lambda: fixed_subarray(s, shared, seed=seed, max_iter=max_iter),
-        "dynamic": lambda: dynamic_subarray(s, stats, n_restarts=n_restarts, seed=seed,
+        "fixed-shared": lambda: fixed_subarray(s, [shared] * len(s), seed=seed,
+                                               max_iter=max_iter),
+        "dynamic": lambda: dynamic_subarray(s, stats, seed, n_restarts=n_restarts,
                                             max_iter=max_iter),
     }
     out = {}
@@ -626,7 +637,8 @@ def am_designs(s, stats, mask, shared, seed, n_restarts, max_iter):
 
 
 class TestLockstep:
-    """A stack of members, each with its own GEB, seed and mask, is its lone calls bit for bit."""
+    """A stack of members, each with its own GEB, seed and mask, is bit for bit each member's
+    stack of one."""
 
     @hypothesis.seed(20261021)
     @settings(max_examples=12, deadline=None, database=None)
@@ -644,14 +656,15 @@ class TestLockstep:
                              n_restarts, max_iter)
         failed = set()
         for k, (geb, stats) in enumerate(designs):
-            lone = am_designs(geb, stats, masks[k], masks[0], seeds[k], n_restarts, max_iter)
+            lone = am_designs(geb.s[None], [stats], masks[k][None], masks[0], [seeds[k]],
+                              n_restarts, max_iter)
             for name, got in lone.items():
                 if isinstance(got, Exception):  # a stack fails when any member fails
                     failed.add(name)
                     assert isinstance(stacked[name], type(got)), name
                     assert str(stacked[name]) == str(got), name
                 elif name not in failed:
-                    cb, trace = got
+                    cb, trace = alone(got)
                     beamformers, traces = stacked[name]
                     assert np.array_equal(beamformers[k].effective(), cb.effective()), name
                     assert np.array_equal(beamformers[k].connection, cb.connection), name
@@ -671,11 +684,11 @@ class TestLockstep:
         bad[:, 1] = 1e-12
         good = random_orthonormal(np.random.default_rng(3), 6, 2)
         stats = GroupStatistics(np.eye(6, dtype=complex), np.eye(6, dtype=complex))
-        dynamic_subarray(good, stats, n_restarts=3, seed=5)
+        dynamic_subarray(good[None], [stats], [5], n_restarts=3)
         with pytest.raises(CandidateExhaustionError) as lone:
-            dynamic_subarray(bad, stats, n_restarts=3, seed=1)
+            dynamic_subarray(bad[None], [stats], [1], n_restarts=3)
         with pytest.raises(CandidateExhaustionError) as stacked:
-            dynamic_subarray(np.stack([good, bad]), [stats, stats], n_restarts=3, seed=[5, 1])
+            dynamic_subarray(np.stack([good, bad]), [stats, stats], [5, 1], n_restarts=3)
         assert str(stacked.value) == str(lone.value)
 
     def test_a_stack_needs_one_argument_per_member(self):
@@ -683,16 +696,60 @@ class TestLockstep:
         stats = GroupStatistics(np.eye(8, dtype=complex), np.eye(8, dtype=complex))
         mask = np.zeros((8, 2), dtype=int)
         mask[:4, 0] = mask[4:, 1] = 1
-        cases = {
-            "seed": lambda: fixed_subarray(s, mask),  # the lone default seed=0
-            "init_phases": lambda: fixed_subarray(s, mask, init_phases=np.zeros((2, 8))),
-            "connection": lambda: fixed_subarray(s, np.stack([mask, mask]), seed=[0, 1, 2]),
-            "stats": lambda: dynamic_subarray(s, [stats, stats], seed=[0, 1, 2]),
-        }
-        for name, call in cases.items():
+        masks = np.stack([mask] * 3)
+        cases = [
+            ("seed", lambda: fixed_subarray(s, masks)),
+            ("seed", lambda: fixed_subarray(s, masks, seed=[0, 1])),
+            ("init_phases", lambda: fixed_subarray(s, masks, init_phases=np.zeros((2, 8)))),
+            ("connection", lambda: fixed_subarray(s, np.stack([mask, mask]), seed=[0, 1, 2])),
+            ("connection", lambda: fixed_subarray(s, mask, seed=[0, 1, 2])),  # one shared mask
+            ("stats", lambda: dynamic_subarray(s, [stats, stats], [0, 1, 2])),
+            ("stats", lambda: dynamic_subarray(s, stats, [0, 1, 2])),
+            ("seed", lambda: dynamic_subarray(s, [stats] * 3, [0, 1])),
+            ("seed", lambda: dynamic_subarray(s, [stats] * 3, 0)),
+            ("seed", lambda: dynamic_connection(s, [0, 1])),
+        ]
+        for name, call in cases:
             with pytest.raises(ValueError, match=f"needs one {name} per member"):
                 call()
-        with pytest.raises(ValueError, match="needs one stats per member"):
-            dynamic_subarray(s, stats, seed=[0, 1, 2])
-        with pytest.raises(ValueError, match="needs one seed per member"):
-            dynamic_subarray(s, [stats] * 3, seed=[0, 1])
+
+
+class TestStacksOnly:
+    """Each design takes only an (n, M, D) stack; a lone beamformer is refused with one
+    message, whatever its form."""
+
+    SHAPE = r"take an \(n, M, D\) stack of unconstrained beamformers"
+
+    @pytest.mark.parametrize("form", ["matrix", "geb", "empty"])
+    def test_every_design_refuses_anything_but_a_stack(self, form):
+        geb, stats = geb_for(two_group_toy())
+        m, d = geb.s.shape
+        lone = {"matrix": geb.s, "geb": geb, "empty": np.empty((0, m, d), dtype=complex)}[form]
+        calls = {
+            "phase_extraction": lambda: phase_extraction(lone),
+            "pe_am": lambda: pe_am(lone),
+            "fixed_subarray": lambda: fixed_subarray(lone, [ordered_mask(m, d)], seed=[1]),
+            "dynamic_connection": lambda: dynamic_connection(lone, [1]),
+            "dynamic_subarray": lambda: dynamic_subarray(lone, [stats], [1]),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ValueError, match=self.SHAPE):
+                call()
+
+    def test_a_stack_of_one_is_one_design(self):
+        geb, stats = geb_for(two_group_toy())
+        m, d = geb.s.shape
+        (pe,) = phase_extraction(geb.s[None])
+        (cb,), traces = pe_am(geb.s[None])
+        assert isinstance(pe, ConstrainedBeamformer) and isinstance(cb, ConstrainedBeamformer)
+        assert isinstance(traces, AmTraces) and traces.iterations == traces[0].iterations
+        candidates, traces = dynamic_connection(geb.s[None], [1])
+        assert candidates.shape == (1, m, d) and isinstance(traces, AmTraces)
+
+    def test_one_mask_is_not_a_mask_per_member(self):
+        geb, _ = geb_for(two_group_toy())
+        m, d = geb.s.shape
+        for n in (1, 2, m):  # n == M: the mask's rows must not pass for n masks
+            with pytest.raises(ValueError, match="needs one connection per member"):
+                fixed_subarray(np.repeat(geb.s[None], n, axis=0), ordered_mask(m, d),
+                               seed=list(range(n)))

@@ -204,7 +204,7 @@ class TestLmmseBeatsZf:
         cov = build_covariances(scn)
         stats = group_statistics(cov, 0)
         geb = compute_geb(stats, 4)
-        s_eff = phase_extraction(geb).effective()
+        s_eff = phase_extraction(geb.s[None])[0].effective()
         r_eta_rd = reduce(stats, s_eff)
         spec = scn.groups[0]
         for seed in range(10):

@@ -301,7 +301,8 @@ def three_designs():
     cov = build_covariances(scn)
     stats = group_statistics(cov, 0)
     geb = compute_geb(stats, 4)
-    return cov, with_reduced(stats, {"geb": geb.s, "pe": phase_extraction(geb).effective(),
+    return cov, with_reduced(stats, {"geb": geb.s,
+                                     "pe": phase_extraction(geb.s[None])[0].effective(),
                                      "dft": dft_beamformer(scn, 0).effective()})
 
 

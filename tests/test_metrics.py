@@ -499,6 +499,29 @@ class TestBatches:
         assert metrics._UNIT_BYTES == 3 << 20
         assert metrics._unit_size(scn) == size == metrics._UNIT_BYTES // _mobile_bytes(scn)
 
+    @pytest.mark.parametrize("size, units", [(2, [[-3.0, 0.0], [4.5, 7.0], [9.0]]),
+                                             (3, [[-3.0, 0.0, 4.5], [7.0, 9.0]])])
+    def test_phase_extraction_runs_once_per_unit(self, monkeypatch, size, units):
+        scn = table1_scenario(m=16)
+        cfg = dataclasses.replace(self.SETTINGS, beamformers=("geb", "pe"))
+        calls, original = [], constrained.phase_extraction
+
+        def recorded(s_geb):
+            calls.append(np.array(s_geb))
+            return original(s_geb)
+
+        monkeypatch.setattr(constrained, "phase_extraction", recorded)
+        monkeypatch.setattr(metrics, "_UNIT_BYTES", size * _mobile_bytes(scn))
+        # the beampattern angle takes its grid twin's PE stage: it adds no member
+        result = phi_sweep(scn, [phi for unit in units for phi in unit], cfg, pattern_phi=0.0)
+        assert not result.errors()
+        fixed = fixed_covariances(scn, cfg.n_quad)
+        assert len(calls) == len(units)
+        for s, unit in zip(calls, units):
+            phis = np.array(unit) if len(unit) > 1 else unit[0]  # a unit of one: no unit axis
+            entries = metrics.angle_design(fixed, phis, cfg)
+            assert np.array_equal(s, np.stack([geb.s for *_, geb in entries]))
+
     def test_off_grid_pattern_angle_is_a_batch_of_its_own(self, monkeypatch):
         scn = table1_scenario(m=16)
         stacks, builds = [], []
