@@ -26,6 +26,7 @@ __all__ = [
     "FixedCovariances",
     "GroupSpec",
     "Scenario",
+    "SpecError",
     "build_covariances",
     "ccm_one_ring",
     "fixed_covariances",
@@ -88,6 +89,15 @@ def ccm_one_ring(mu, delta, power, m: int, n_quad: int = DEFAULT_N_QUAD) -> np.n
     return sliding_window_view(line, m, axis=-1)[..., ::-1].copy()
 
 
+class SpecError(ValueError):
+    """A broken :class:`GroupSpec` or :class:`Scenario` rule, the field it blames, the
+    group's index in the scenario (None in a GroupSpec) and the delay at fault, if any."""
+
+    def __init__(self, rule: str, field: str, group=None, delay=None):
+        super().__init__(rule if group is None else f"group {group}: {rule}")
+        self.rule, self.field, self.group, self.delay = rule, field, group, delay
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """One user group: RF-chain budget, energies and angle-delay profile.
@@ -108,25 +118,30 @@ class GroupSpec:
     mobile: bool = False
 
     def __post_init__(self):
-        if self.n_users < 1:
-            raise ValueError("group must have at least one user")
-        if self.n_chains < 1:
-            raise ValueError("group must have at least one RF chain")
-        if self.symbol_energy <= 0:
-            raise ValueError("symbol energy must be positive")
-        if len(self.delays) != len(set(self.delays)) or not self.delays:
-            raise ValueError("active delays must be non-empty and distinct")
+        self.check(self.n_users, self.n_chains, self.symbol_energy, self.delays, self.spread,
+                   self.gain)
         shape = (self.n_users, len(self.delays))
-        aoa = np.broadcast_to(np.asarray(self.mean_aoa, dtype=float), shape).copy()
-        spread = np.broadcast_to(np.asarray(self.spread, dtype=float), shape).copy()
-        gain = np.broadcast_to(np.asarray(self.gain, dtype=float), (self.n_users,)).copy()
-        if np.any(spread <= 0):
-            raise ValueError("angular spreads must be positive")
-        if np.any(gain <= 0):
-            raise ValueError("channel gains must be positive")
-        object.__setattr__(self, "mean_aoa", aoa)
-        object.__setattr__(self, "spread", spread)
-        object.__setattr__(self, "gain", gain)
+        for name, fit in (("mean_aoa", shape), ("spread", shape), ("gain", shape[:1])):
+            value = np.asarray(getattr(self, name), dtype=float)
+            object.__setattr__(self, name, np.broadcast_to(value, fit).copy())
+
+    @staticmethod
+    def check(n_users, n_chains, symbol_energy, delays, spread, gain) -> None:
+        """Raise SpecError when the values break a rule of a group: all of its rules, checked
+        before any array is built, so a user count is judged before its AoA table exists."""
+        if n_users < 1:
+            raise SpecError("group must have at least one user", "n_users")
+        if n_chains < 1:
+            raise SpecError("group must have at least one RF chain", "n_chains")
+        if symbol_energy <= 0:
+            raise SpecError("symbol energy must be positive", "symbol_energy")
+        repeat = next((d for i, d in enumerate(delays) if d in delays[:i]), None)
+        if repeat is not None or not delays:
+            raise SpecError("active delays must be non-empty and distinct", "delays", delay=repeat)
+        if np.any(np.asarray(spread, dtype=float) <= 0):
+            raise SpecError("angular spreads must be positive", "spread")
+        if np.any(np.asarray(gain, dtype=float) <= 0):
+            raise SpecError("channel gains must be positive", "gain")
 
 
 @dataclass(frozen=True)
@@ -142,16 +157,17 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "groups", tuple(self.groups))
         if self.n_antennas < 1:
-            raise ValueError("antenna count must be >= 1")
+            raise SpecError("antenna count must be >= 1", "n_antennas")
         if self.noise_power < 0:
             raise ValueError("noise power must be non-negative")
         if not self.groups:
             raise ValueError("scenario needs at least one group")
         for g, spec in enumerate(self.groups):
             if spec.n_chains > self.n_antennas:
-                raise ValueError(f"group {g}: more RF chains than antennas")
-            if max(spec.delays) >= self.n_taps or min(spec.delays) < 0:
-                raise ValueError(f"group {g}: active delay outside 0..{self.n_taps - 1}")
+                raise SpecError("more RF chains than antennas", "n_chains", g)
+            for d in spec.delays:
+                if not 0 <= d < self.n_taps:
+                    raise SpecError(f"active delay outside 0..{self.n_taps - 1}", "delays", g, d)
 
     @property
     def n_groups(self) -> int:

@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import GroupSpec, Scenario
+from .channel import GroupSpec, Scenario, SpecError
 from .linksim import COMBINER_NAMES
 from .metrics import (DESIGNS, ESTIMATOR_NAMES, NUMERICS_RULES, SUBARRAY_MASKS, SweepSettings,
                       check_names, check_numeric, check_scan_range)
@@ -195,6 +195,22 @@ def _line(section: dict, *keys: str) -> int:
     return next(section[(key, None)][1] for key in keys if (key, None) in section)
 
 
+# GroupSpec and Scenario field -> the keys that may set it
+_FIELD_KEYS = {"n_antennas": ("antennas",), "n_users": ("users",), "n_chains": ("chains",),
+               "symbol_energy": ("symbol_energy", "symbol_energy_db"), "spread": ("spread",),
+               "gain": ("gain",)}
+
+
+def _cited(exc: SpecError, raw: dict, gid: int | None = None) -> ConfigError:
+    """A broken GroupSpec or Scenario rule with the line of the key or ``mpc D`` entry it
+    blames (the repeat, when two name one delay) and its 1-based group, ``gid`` by default."""
+    gid = gid if exc.group is None else exc.group + 1
+    section = raw["scenario"] if gid is None else raw[f"group {gid}"]
+    lines = [line for (key, arg), (_, line) in section.items()
+             if key in _FIELD_KEYS.get(exc.field, ()) or key == "mpc" and int(arg) == exc.delay]
+    return ConfigError(f"line {max(lines)}: {'' if gid is None else f'group {gid}: '}{exc.rule}")
+
+
 def _typed(key: str, kind, text: str, lineno: int):
     """``text``, the value of ``key`` on line ``lineno``, parsed as ``kind`` and
     checked with that line: a float is finite, names come from their table,
@@ -265,18 +281,20 @@ def _group_from(raw: dict, gid: int) -> GroupSpec:
             raise ConfigError(f"line {lineno}: mpc {delay}: bad AoA list {value!r}") from None
         if not all(map(math.isfinite, aoas)):
             raise ConfigError(f"line {lineno}: mpc {delay}: AoAs must be finite, got {value!r}")
-        if len(aoas) != users:
-            raise ConfigError(f"line {lineno}: mpc {delay}: expected {users} AoAs, got {len(aoas)}")
-        mpcs.append((delay, aoas))
+        mpcs.append((delay, aoas, lineno))
     if not mpcs:
         raise ConfigError(f"group {gid}: needs at least one mpc entry")
-    delays, aoas = zip(*sorted(mpcs, key=lambda item: item[0]))
-    aoa = np.array(aoas, dtype=float).T  # users x delays
+    delays, aoas, lines = zip(*sorted(mpcs, key=lambda item: item[0]))
     try:
-        return GroupSpec(users, chains, energy, delays, aoa, np.full_like(aoa, spread),
-                         np.full(users, gain), **values)
-    except ValueError as exc:
-        raise ConfigError(f"group {gid}: {exc}") from None
+        GroupSpec.check(users, chains, energy, delays, spread, gain)
+    except SpecError as exc:
+        raise _cited(exc, raw, gid) from None
+    # the user count is valid now, so each entry can be held to one AoA per user
+    for delay, row, lineno in zip(delays, aoas, lines):
+        if len(row) != users:
+            raise ConfigError(f"line {lineno}: mpc {delay}: expected {users} AoAs, got {len(row)}")
+    aoa = np.array(aoas, dtype=float).T  # users x delays
+    return GroupSpec(users, chains, energy, delays, aoa, spread, gain, **values)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -302,8 +320,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
     try:
         scenario = Scenario(antennas, taps, noise, tuple(groups))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    except SpecError as exc:
+        raise _cited(exc, raw) from None
 
     run = _values(raw, "run")
     run_raw = raw["run"]

@@ -21,23 +21,19 @@ A numerical failure records an error marker for the angle, design or (design,
 combiner) pair it belongs to and the sweep continues; any other exception
 propagates.  Everything is deterministic given the master seed.
 
-The beampattern angle (seed token -1) joins the unit that holds its exact
-grid twin: it takes the twin's covariances, statistics and GEB, and the twin's
-stage of every design that reads no seed, and is one more member of each
-seeded design's stack.  Off the grid it is a unit of one of its own.  Its
-stages go to the runner in :attr:`SweepResult.pattern`.
+The beampattern angle's stages go to the runner in
+:attr:`SweepResult.pattern`.  On the grid they are its exact twin's, the stages
+the twin's evaluation scored; off the grid the angle is a unit of one of its
+own, with seed token -1.
 
 Only the mobile groups move with phi, so the sweep's one invariant is the
 non-mobile groups' CCMs: :func:`phi_sweep` builds them once
-(:func:`~jsdmsim.channel.fixed_covariances`), every angle shares them, bit
-for bit equal to a rebuild, and :attr:`SweepResult.fixed` hands them to later
-passes.
+(:func:`~jsdmsim.channel.fixed_covariances`) and every angle shares them, bit
+for bit equal to a rebuild.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
-
 import numpy as np
 
 from . import chanest, constrained, linksim
@@ -54,7 +50,6 @@ __all__ = [
     "ESTIMATOR_NAMES",
     "NUMERICS_RULES",
     "SUBARRAY_MASKS",
-    "Design",
     "PhiRecord",
     "SweepResult",
     "SweepSettings",
@@ -97,8 +92,7 @@ SUBARRAY_MASKS = {
 @dataclass(frozen=True)
 class Unit:
     """The members of one design call, in member order: each one's scenario at its
-    angle, evaluated-group statistics, GEB and design seed (None when no configured
-    design reads seeds), and the evaluated group."""
+    angle, evaluated-group statistics, GEB and design seed, and the evaluated group."""
 
     group: int
     scenarios: tuple[Scenario, ...]
@@ -112,42 +106,31 @@ class Unit:
         return np.stack([geb.s for geb in self.gebs])
 
 
-class Design(NamedTuple):
-    """One design: ``make(unit, cfg)`` returns the effective analog stage (including
-    compensation) of each member of a :class:`Unit`; a ``seeded`` design reads the
-    members' seeds, so two members with the same GEB may differ."""
-
-    make: Callable[[Unit, "SweepSettings"], list]
-    seeded: bool = False
-
-
 def _effective(beamformers) -> list[np.ndarray]:
     """The effective stages of a stack's constrained beamformers."""
     return [cb.effective() for cb in beamformers]
 
 
-def _fixed_subarray(mask) -> Design:
-    def make(unit, cfg):
-        s = unit.s
-        return _effective(constrained.fixed_subarray(s, [mask(*s.shape[1:])] * len(s),
-                                                     tol=cfg.tol, max_iter=cfg.max_iter,
-                                                     seed=unit.seeds)[0])
-    return Design(make, seeded=True)
+def _fixed_subarray(mask):
+    return lambda unit, cfg: _effective(constrained.fixed_subarray(
+        unit.s, [mask(*unit.gebs[0].s.shape)] * len(unit.gebs), tol=cfg.tol,
+        max_iter=cfg.max_iter, seed=unit.seeds)[0])
 
 
-# Design name -> Design, the one design table.  Entries look up ``constrained.<fn>``
-# when called, so wrappers installed on that module see every call.
+# Design name -> make(unit, cfg), the one design table: the effective analog stage
+# (including compensation) of each member of a Unit.  Entries look up
+# ``constrained.<fn>`` when called, so wrappers installed on that module see every call.
 DESIGNS = {
-    "geb": Design(lambda unit, cfg: [geb.s for geb in unit.gebs]),
-    "dft": Design(lambda unit, cfg: [constrained.dft_beamformer(scn, unit.group).effective()
-                                     for scn in unit.scenarios]),
-    "pe": Design(lambda unit, cfg: _effective(constrained.phase_extraction(unit.s))),
-    "pe-am": Design(lambda unit, cfg: _effective(constrained.pe_am(
-        unit.s, tol=cfg.tol, max_iter=cfg.max_iter)[0])),
+    "geb": lambda unit, cfg: [geb.s for geb in unit.gebs],
+    "dft": lambda unit, cfg: [constrained.dft_beamformer(scn, unit.group).effective()
+                              for scn in unit.scenarios],
+    "pe": lambda unit, cfg: _effective(constrained.phase_extraction(unit.s)),
+    "pe-am": lambda unit, cfg: _effective(constrained.pe_am(
+        unit.s, tol=cfg.tol, max_iter=cfg.max_iter)[0]),
     **{name: _fixed_subarray(mask) for name, mask in SUBARRAY_MASKS.items()},
-    "dynamic": Design(lambda unit, cfg: _effective(constrained.dynamic_subarray(
+    "dynamic": lambda unit, cfg: _effective(constrained.dynamic_subarray(
         unit.s, unit.stats, unit.seeds, n_restarts=cfg.n_restarts, tol=cfg.tol,
-        max_iter=cfg.max_iter)[0]), seeded=True),
+        max_iter=cfg.max_iter)[0]),
 }
 
 
@@ -284,7 +267,7 @@ def build_beamformer(name: str, scn: Scenario, stats, group: int, cfg: SweepSett
     each angle solves the covariance pencil once for all its designs.
     """
     check_names("beamformer", (name,), DESIGNS)
-    [stage] = DESIGNS[name].make(Unit(group, (scn,), (stats,), (geb,), (seed,)), cfg)
+    [stage] = DESIGNS[name](Unit(group, (scn,), (stats,), (geb,), (seed,)), cfg)
     return stage
 
 
@@ -293,24 +276,23 @@ def _derived_seed(master, *tokens) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
 
-def angle_design(fixed: FixedCovariances, phi, cfg: SweepSettings, factors: bool = False
+def angle_design(fixed: FixedCovariances, phi, cfg: SweepSettings
                  ) -> list[tuple[Scenario, CovarianceSet, GroupStatistics,
                                  UnconstrainedBeamformer]]:
     """Scenario, covariances, evaluated-group statistics and GEB at each angle of a unit.
 
     ``phi`` is a 1-D unit of shifting angles within the scan range, or one angle:
     the lone case, with no unit axis anywhere, so a failure reads as a one-angle
-    run's.  Each
-    mobile group's CCMs of the unit come from one
+    run's.  Each mobile group's CCMs of the unit come from one
     :func:`~jsdmsim.channel.ccm_one_ring` call, the statistics sum along the
     unit axis (R_eta stays one matrix when no other group moves) and one
     pencil call solves every angle, mapping, checking and factoring a shared
     R_eta once; each angle's results are bit for bit a one-angle run's.  The
-    non-mobile groups' CCMs come from ``fixed``, built once per sweep.  With
-    ``factors``, one :func:`~jsdmsim.linalg.psd_factor` call on the evaluated
-    group's CCMs fills every angle's factor cache; when it fails, the caches
-    stay empty and each angle computes (and fails on) its own factors when its
-    link pass projects them.
+    non-mobile groups' CCMs come from ``fixed``, built once per sweep.  One
+    :func:`~jsdmsim.linalg.psd_factor` call on the evaluated group's CCMs fills
+    every angle's factor cache; when it fails, the caches stay empty and each
+    angle computes (and fails on) its own factors when its link pass projects
+    them.
     """
     check_scan_range(phi)
     lone = np.ndim(phi) == 0
@@ -318,11 +300,10 @@ def angle_design(fixed: FixedCovariances, phi, cfg: SweepSettings, factors: bool
                             n_quad=cfg.n_quad, fixed=fixed, phis=None if lone else phi)
     stats = group_statistics(cov, cfg.group)
     geb = compute_geb(stats, fixed.scenario.groups[cfg.group].n_chains)
-    if factors:
-        try:
-            cov.factors(cfg.group)
-        except ANGLE_ERRORS:
-            pass
+    try:
+        cov.factors(cfg.group)
+    except ANGLE_ERRORS:
+        pass
     if lone:
         return [(cov.scenario, cov, stats, geb)]
     return [(angle.scenario, angle, stats.angle(b), geb.angle(b))
@@ -414,44 +395,34 @@ def _each(stacked, lone, members) -> list:
     return results
 
 
-def _design_unit(fixed: FixedCovariances, phis, tokens, cfg: SweepSettings,
-                 twin: int | None = None) -> tuple[list, list[dict]]:
+def _design_unit(fixed: FixedCovariances, phis, tokens, cfg: SweepSettings
+                 ) -> tuple[list, list[dict]]:
     """The :func:`angle_design` entry of each angle of a unit (or the error it raised) and
-    each member's stages (design name -> effective stage, or the error its lone call raised).
+    each angle's stages (design name -> effective stage, or the error its lone call raised).
 
-    ``tokens`` are the angles' seed tokens.  With ``twin``, the index of the beampattern
-    angle's grid twin in ``phis``, the beampattern angle (seed token -1) is one more
-    member, last: it takes its twin's entry and its twin's stage of every design that
-    reads no seed, and is a member of each seeded design's stack.
+    ``tokens`` are the angles' seed tokens; every design of the unit is one stacked call
+    over the angles whose entry stands.
     """
-    entries = _each(lambda angles: angle_design(fixed, np.array(angles), cfg, factors=True),
-                    lambda phi: angle_design(fixed, phi, cfg, factors=True)[0],
+    entries = _each(lambda angles: angle_design(fixed, np.array(angles), cfg),
+                    lambda phi: angle_design(fixed, phi, cfg)[0],
                     [float(phi) for phi in phis])
-    sources = list(range(len(entries))) + ([] if twin is None else [twin])
-    tokens = list(tokens) + ([] if twin is None else [-1])
-    seeded = any(DESIGNS[name].seeded for name in cfg.beamformers)
-    seeds = [_derived_seed(cfg.seed, token, 1) if seeded else None for token in tokens]
-    failed = [isinstance(entries[j], Exception) for j in sources]
-    stages = [dict.fromkeys(cfg.beamformers, entries[j]) if failed[k] else {}
-              for k, j in enumerate(sources)]
+    seeds = [_derived_seed(cfg.seed, token, 1) for token in tokens]
+    stages = [dict.fromkeys(cfg.beamformers, entry) if isinstance(entry, Exception) else {}
+              for entry in entries]
+    members = [k for k, entry in enumerate(entries) if not isinstance(entry, Exception)]
 
-    def unit(members):
-        scns, _, stats, gebs = zip(*(entries[sources[k]] for k in members))
-        return Unit(cfg.group, scns, stats, gebs, tuple(seeds[k] for k in members))
+    def unit(ks):
+        scns, _, stats, gebs = zip(*(entries[k] for k in ks))
+        return Unit(cfg.group, scns, stats, gebs, tuple(seeds[k] for k in ks))
 
     def lone(name, k):
-        scn, _, stats, geb = entries[sources[k]]
+        scn, _, stats, geb = entries[k]
         return build_beamformer(name, scn, stats, cfg.group, cfg, seeds[k], geb)
 
     for name in cfg.beamformers:
-        design = DESIGNS[name]
-        members = [k for k, j in enumerate(sources)
-                   if not failed[k] and (design.seeded or j == k)]
-        made = _each(lambda ks: design.make(unit(ks), cfg), lambda k: lone(name, k), members)
+        made = _each(lambda ks: DESIGNS[name](unit(ks), cfg), lambda k: lone(name, k), members)
         for k, stage in zip(members, made):
             stages[k][name] = stage
-        for k, j in enumerate(sources):
-            stages[k].setdefault(name, stages[j][name])
     return entries, stages
 
 
@@ -475,34 +446,31 @@ def phi_sweep(scn: Scenario, phi_grid, settings: SweepSettings,
     by member when it fails.  Every angle is then evaluated on its own, with
     its own seeds.
 
-    With ``pattern_phi``, ``result.pattern`` holds every design at that angle,
-    with seed token -1.  When the grid holds that exact angle, the angle joins
-    its twin's unit; otherwise it is designed after the sweep as a unit of one.
+    With ``pattern_phi``, ``result.pattern`` holds every design at that angle.
+    When the grid holds that exact angle, these are its twin's stages, the ones
+    the twin's records score; otherwise the angle is designed after the sweep as
+    a unit of one, with seed token -1.
     """
     phi_grid = np.atleast_1d(np.asarray(phi_grid, dtype=float))
     check_scan_range(phi_grid)
     result = SweepResult(settings, fixed_covariances(scn, settings.n_quad))
-    twins = np.flatnonzero(phi_grid == pattern_phi) if pattern_phi is not None else []
-    twin = int(twins[0]) if len(twins) else None
     size = _unit_size(scn)
     for start in range(0, len(phi_grid), size):
-        _sweep_unit(result, phi_grid, start, min(start + size, len(phi_grid)), twin)
-    if pattern_phi is not None and twin is None:
+        _sweep_unit(result, phi_grid, start, min(start + size, len(phi_grid)), pattern_phi)
+    if pattern_phi is not None and result.pattern is None:  # off the grid
         _, [result.pattern] = _design_unit(result.fixed, [pattern_phi], [-1], settings)
     return result
 
 
 def _sweep_unit(result: SweepResult, phi_grid: np.ndarray, start: int, stop: int,
-                twin: int | None) -> None:
-    """Design and evaluate grid angles start..stop into ``result``, with the beampattern
-    angle when ``twin``, the grid index of its twin, is among them.  The unit's
-    covariances live in this call's locals, so they are released before the next unit
-    is designed."""
+                pattern_phi: float | None) -> None:
+    """Design and evaluate grid angles start..stop into ``result``; the stages of the first
+    grid angle equal to ``pattern_phi`` become ``result.pattern``.  The unit's covariances
+    live in this call's locals, so they are released before the next unit is designed."""
     cfg = result.settings
-    here = twin - start if twin is not None and start <= twin < stop else None
     entries, stages = _design_unit(result.fixed, phi_grid[start:stop], range(start, stop),
-                                   cfg, here)
+                                   cfg)
     for i, design, made in zip(range(start, stop), entries, stages):
         result.records.extend(_evaluate_phi(design, float(phi_grid[i]), i, cfg, made))
-    if here is not None:
-        result.pattern = stages[-1]
+        if result.pattern is None and phi_grid[i] == pattern_phi:
+            result.pattern = made

@@ -131,9 +131,9 @@ def _write_beampattern(path: Path, out_cfg: OutputSettings, result: SweepResult,
                        db: bool) -> list[PhiRecord]:
     """Write the reference-angle beampatterns; returns per-beamformer failures.
 
-    The sweep designed every beamformer at the reference angle
-    (``result.pattern``); this pass builds the steering matrix one chunk of
-    directions at a time and projects every design onto each chunk.
+    The sweep designed every beamformer at the reference angle (``result.pattern``, on
+    the grid the designs its results score); this pass builds the steering matrix one
+    chunk of directions at a time and projects every design onto each chunk.
     """
     phi, stages = out_cfg.beampattern_phi, result.pattern
     errors = {name: stage for name, stage in stages.items() if isinstance(stage, Exception)}

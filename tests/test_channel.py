@@ -173,7 +173,7 @@ class TestOneUnitMemory:
         phis = 10.0 + 0.1 * np.arange(metrics._unit_size(scn))
         tracemalloc.start()
         try:
-            entries = metrics.angle_design(fixed, phis, cfg, factors=True)
+            entries = metrics.angle_design(fixed, phis, cfg)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

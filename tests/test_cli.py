@@ -343,7 +343,7 @@ class TestPatternPass:
         cfg = parse_config(desk_config_text(beamformers="geb dft pe", combiners="zf",
                                             estimator="none", phi=phi))
         run(cfg, tmp_path / "clean")
-        monkeypatch.setitem(metrics.DESIGNS, "dft", metrics.Design(copied_column))
+        monkeypatch.setitem(metrics.DESIGNS, "dft", copied_column)
         manifest = run(cfg, tmp_path / "out")
         pattern = [f for f in manifest["failures"] if f["combiner"] == "(beampattern)"]
         assert [(f["phi"], f["beamformer"]) for f in pattern] == [(10.0, "dft")]

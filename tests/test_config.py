@@ -1,5 +1,6 @@
 """Config rules that must fail in parse_config rather than at every angle of a run."""
 
+import dataclasses
 import re
 from dataclasses import fields
 from importlib import resources
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jsdmsim import build_covariances, compute_geb, config, group_statistics
-from jsdmsim.channel import DEFAULT_N_QUAD
+from jsdmsim.channel import DEFAULT_N_QUAD, SpecError
 from jsdmsim.cli import main
 from jsdmsim.config import ConfigError, ExperimentConfig, OutputSettings, parse_config
 from jsdmsim.constrained import DEFAULT_MAX_ITER, DEFAULT_RESTARTS, DEFAULT_TOL
@@ -343,6 +344,81 @@ class TestGroupHeader:
         lineno = line_of(text, re.escape(f"[group {arg}]"))
         assert capsys.readouterr().err == (f"error: line {lineno}: section [group] takes an"
                                            " integer argument\n")
+
+
+def edit_in_group(text, gid, pattern, line):
+    """``text`` with the first line of [group gid] that matches ``pattern`` set to ``line``,
+    and that line's number."""
+    lines = text.splitlines()
+    start = lines.index(f"[group {gid}]")
+    i = next(i for i in range(start, len(lines)) if re.match(pattern, lines[i]))
+    lines[i] = line
+    return "\n".join(lines), i + 1
+
+
+class TestGroupRules:
+    """A GroupSpec or Scenario rule a config breaks is cited with the line of its key, or
+    of the mpc D entry, and the 1-based group; each rule stays in GroupSpec or Scenario."""
+
+    @pytest.mark.parametrize("gid, pattern, line, message", [
+        (1, "chains", "chains = 500", "more RF chains than antennas"),
+        (2, "chains", "chains = 500", "more RF chains than antennas"),
+        (1, "chains", "chains = 0", "group must have at least one RF chain"),
+        (2, "spread", "spread = -1", "angular spreads must be positive"),
+        (1, "gain", "gain = 0", "channel gains must be positive"),
+        (1, "symbol_energy_db", "symbol_energy_db = -4000", "symbol energy must be positive"),
+        # the user count comes before the AoA count of each mpc entry
+        (1, "users", "users = 0", "group must have at least one user"),
+        (3, "users", "users = -2", "group must have at least one user"),
+        # "mpc 05" is a second entry of delay 5: the repeat is cited
+        (1, "mpc 11", "mpc 05 = 16.5 17.5", "active delays must be non-empty and distinct"),
+    ])
+    def test_group_rule_rejected_with_its_line_and_group(self, gid, pattern, line, message):
+        text, lineno = edit_in_group(bundled_text(), gid, pattern, line)
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value) == f"line {lineno}: group {gid}: {message}"
+
+    @pytest.mark.parametrize("taps, gid, delay", [(3, 1, 5), (12, 3, 17)])
+    def test_delay_past_the_taps_rejected_with_its_mpc_line(self, taps, gid, delay):
+        text = re.sub(r"(?m)^taps\s*=.*$", f"taps = {taps}", bundled_text())
+        lines = text.splitlines()
+        lineno = lines.index(next(line for line in lines[lines.index(f"[group {gid}]"):]
+                                  if line.startswith(f"mpc {delay} "))) + 1
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value) == (f"line {lineno}: group {gid}: active delay outside"
+                                   f" 0..{taps - 1}")
+
+    def test_no_antennas_rejected_with_its_line(self):
+        text = re.sub(r"(?m)^antennas\s*=.*$", "antennas = 0", bundled_text())
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value) == f"line {line_of(text, 'antennas')}: antenna count must be >= 1"
+
+    # a user count far past the entries is refused before any per-user array is built
+    @pytest.mark.parametrize("users", [3, 10**12])
+    def test_mpc_entries_still_hold_one_aoa_per_user(self, users):
+        text, _ = edit_in_group(bundled_text(), 1, "users", f"users = {users}")
+        with pytest.raises(ConfigError, match=rf"^line {line_of(text, 'mpc 0')}: mpc 0: expected"
+                                              f" {users} AoAs, got 2$"):
+            parse_config(text)
+
+    def test_the_library_keeps_its_own_messages(self):
+        # a Scenario names its groups by their 0-based index
+        scn = two_group_toy(m=16)
+        wide = dataclasses.replace(scn.groups[1], n_chains=17)
+        with pytest.raises(SpecError, match="^group 1: more RF chains than antennas$") as info:
+            dataclasses.replace(scn, groups=(scn.groups[0], wide))
+        assert (info.value.group, info.value.field) == (1, "n_chains")
+
+    def test_validate_reports_it(self, tmp_path, capsys):
+        path = tmp_path / "chains.cfg"
+        text, lineno = edit_in_group(bundled_text(), 2, "chains", "chains = 500")
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == (f"error: line {lineno}: group 2: more RF chains"
+                                           " than antennas\n")
 
 
 class TestScanRange:

@@ -224,7 +224,7 @@ class TestPhiSweep:
                 s[:, 1] = s[:, 0]
             return stages
 
-        monkeypatch.setitem(metrics.DESIGNS, "dft", metrics.Design(copied_column))
+        monkeypatch.setitem(metrics.DESIGNS, "dft", copied_column)
         checks.clear()
         result = phi_sweep(two_group_toy(), phis, settings)
         assert len(checks) == len(phis) * len(metrics.DESIGNS)
@@ -446,19 +446,22 @@ def _same_stages(stages, reference):
 
 
 class TestBatches:
-    """Each design of a unit of angles, beampattern angle included, runs as one stack."""
+    """Each design of a unit of angles runs as one stack; a beampattern angle on the grid
+    takes its twin's stages."""
 
     PHIS = [-3.0, 0.0, 4.5, 7.0]
     SETTINGS = SweepSettings(group=0, beamformers=tuple(metrics.DESIGNS), combiners=("zf",),
                              trials=2, block_length=32, seed=5, n_restarts=4)
 
-    @staticmethod
-    def lone_stages(scn, phi, cfg):
-        """Every design at ``phi`` with seed token -1, one design call at a time."""
+    @classmethod
+    def lone_stages(cls, scn, phi, cfg):
+        """Every design at ``phi``, one design call at a time, with the seed token of its
+        grid twin in PHIS, or -1 off the grid."""
+        token = cls.PHIS.index(phi) if phi in cls.PHIS else -1
         [(scn_phi, _, stats, geb)] = metrics.angle_design(fixed_covariances(scn, cfg.n_quad),
                                                           phi, cfg)
         return {name: build_beamformer(name, scn_phi, stats, cfg.group, cfg,
-                                       _derived_seed(cfg.seed, -1, 1), geb)
+                                       _derived_seed(cfg.seed, token, 1), geb)
                 for name in cfg.beamformers}
 
     def test_batch_sizes_leave_every_record_and_stage_unchanged(self, monkeypatch):
@@ -476,14 +479,14 @@ class TestBatches:
         for name in stacks:
             monkeypatch.setattr(constrained, name, recording(name))
         whole = phi_sweep(scn, self.PHIS, self.SETTINGS, pattern_phi=0.0)
-        # one unit of the four angles; the beampattern angle is one more member of the
-        # seeded designs only, and takes its twin's PE-AM stage: it adds no PE-AM member
-        assert stacks == {"pe_am": [4], "dynamic_subarray": [5]}
+        # one unit of the four angles; the beampattern angle takes its grid twin's stages
+        # and adds no member
+        assert stacks == {"pe_am": [4], "dynamic_subarray": [4]}
         assert not whole.errors()
         _same_stages(whole.pattern, self.lone_stages(scn, 0.0, self.SETTINGS))
         # units of one, two and three angles; a unit of one makes lone calls, stacks of one
-        for size, pe_am, dynamic in ((1, [1, 1, 1, 1], [1, 2, 1, 1]), (2, [2, 2], [3, 2]),
-                                     (3, [3, 1], [4, 1])):
+        for size, pe_am, dynamic in ((1, [1, 1, 1, 1], [1, 1, 1, 1]), (2, [2, 2], [2, 2]),
+                                     (3, [3, 1], [3, 1])):
             monkeypatch.setattr(metrics, "_UNIT_BYTES", size * _mobile_bytes(scn))
             for calls in stacks.values():
                 calls.clear()
@@ -491,6 +494,25 @@ class TestBatches:
             assert stacks == {"pe_am": pe_am, "dynamic_subarray": dynamic}
             _same_records(result, whole)
             _same_stages(result.pattern, whole.pattern)
+
+    @pytest.mark.parametrize("pattern_phi", [0.0, 7.0])
+    @pytest.mark.parametrize("size", [1, 3, 4])
+    def test_the_beampattern_is_the_evaluated_design(self, monkeypatch, size, pattern_phi):
+        # on the grid, each design's pattern is the very stage the twin's evaluation scored
+        scn = table1_scenario(m=16)
+        evaluated, original = {}, metrics._evaluate_phi
+
+        def recording(design, phi, phi_index, cfg, stages):
+            evaluated[phi] = dict(stages)
+            return original(design, phi, phi_index, cfg, stages)
+
+        monkeypatch.setattr(metrics, "_evaluate_phi", recording)
+        monkeypatch.setattr(metrics, "_UNIT_BYTES", size * _mobile_bytes(scn))
+        result = phi_sweep(scn, self.PHIS, self.SETTINGS, pattern_phi=pattern_phi)
+        assert not result.errors()
+        assert list(result.pattern) == list(self.SETTINGS.beamformers)
+        for name, stage in result.pattern.items():
+            assert np.array_equal(stage, evaluated[pattern_phi][name])
 
     @pytest.mark.parametrize("m, size", [(32, 32), (128, 2)])
     def test_one_budget_sizes_the_units(self, m, size):
@@ -557,8 +579,8 @@ class TestBatches:
     @pytest.mark.parametrize("fault", ["exhaustion", "singular"])
     def test_a_failing_member_fails_only_its_own_designs(self, fault, monkeypatch):
         """A fault planted in one member of a stack fails that member's design alone, with
-        the message its lone call gives; every other angle, and the beampattern angle when
-        the fault follows the seed, keep their results bit for bit."""
+        the message its lone call gives; every other angle keeps its results bit for bit,
+        and the beampattern angle, the bad angle's grid twin, carries the same errors."""
         scn, bad = table1_scenario(m=16), 0.0
         clean = phi_sweep(scn, self.PHIS, self.SETTINGS, pattern_phi=bad)
         if fault == "exhaustion":
@@ -581,7 +603,7 @@ class TestBatches:
                                               " increase n_restarts")
         else:
             # the bad angle's fixed-subarray solve is singular: both fixed designs and the
-            # dynamic design's refinement fail there, at the sweep's angle and the pattern's
+            # dynamic design's refinement fail there
             [(_, _, _, geb)] = metrics.angle_design(fixed_covariances(scn, 200), bad,
                                                     self.SETTINGS)
             original = constrained.fixed_subarray
@@ -601,9 +623,8 @@ class TestBatches:
             if rec.error is None:
                 assert np.array_equal(rec.capacity, ref.capacity)
                 assert (rec.expected_sinr, rec.nmse) == (ref.expected_sinr, ref.nmse)
-        pattern_failing = failing if fault == "singular" else set()
         for name, stage in result.pattern.items():
-            if name in pattern_failing:
+            if name in failing:
                 assert f"{type(stage).__name__}: {stage}" == message
             else:
                 assert np.array_equal(stage, clean.pattern[name])

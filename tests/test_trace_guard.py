@@ -64,12 +64,12 @@ def test_traced_run_resolves_every_traced_name(tmp_path):
     assert summary["channel.ccm_one_ring.calls"] == 4
     # the sampled group's factors come from psd_factor; the run takes no square root
     assert summary["channel.psd_sqrt.calls"] == 0
-    # the AM counter reads the designs' traces: pe-am runs at the sweep's angle only (73
-    # iterations; the beampattern angle takes its grid twin's stage), the two fixed
-    # subarrays and the dynamic design's refinement at both angles (77), and the dynamic
-    # design's connection search, 20 restarts per angle, through dynamic_connection (381);
-    # both angles are members of one stack, so each design is one call
-    assert summary["constrained.am_iterations"] == 531
+    # the AM counter reads the designs' traces at the sweep's one angle; the beampattern
+    # angle is its grid twin and takes the twin's stages, so it adds no member: pe-am (73
+    # iterations), the two fixed subarrays and the dynamic design's refinement (38), and the
+    # dynamic design's connection search, 20 restarts through dynamic_connection (195);
+    # each design is one call
+    assert summary["constrained.am_iterations"] == 306
     assert summary["constrained.pe_am.calls"] == 1
     assert summary["constrained.fixed_subarray.calls"] == 3
     assert summary["constrained.dynamic_connection.calls"] == 1
