@@ -26,9 +26,13 @@ every value is read through one parser that checks it with its line: every
 float must be finite.  Keys left out keep the defaults of
 :class:`OutputSettings` and :class:`~jsdmsim.metrics.SweepSettings`.  Unknown
 sections or keys, and values that would fail every angle, are rejected with
-their line number.  Mobile groups state their AoAs relative to the sweep's
-shifting angle; the sweep grid and ``beampattern_phi`` stay within -90..90
-degrees.
+their line number; a rule on a whole [group N] section (at least one ``mpc``
+entry, exactly one symbol energy) cites its header's line.  What is left out
+has no line to cite: a required section or key, a [group N] id below the
+largest, the [estimation] section of an estimator, and the ``group`` of [run]
+when no single group is mobile.  Mobile groups state their AoAs relative to the
+sweep's shifting angle; the sweep grid and ``beampattern_phi`` stay within
+-90..90 degrees.
 """
 
 from __future__ import annotations
@@ -139,9 +143,18 @@ def _check_range(settings, prefix: str, section) -> None:
     raise ConfigError(f"line {_line(section, *(prefix + end for end in blame))}: {msg}")
 
 
-def _tokenize(text: str) -> dict[str, dict[tuple[str, str | None], tuple[str, int]]]:
-    """Parsed but untyped entries: section header ('scenario', 'group 1', ...)
-    -> {(key, arg): (value, line)}."""
+class _Section(dict):
+    """A section's parsed but untyped entries {(key, arg): (value, line)}, and the line of
+    its header, which a rule on the section as a whole cites."""
+
+    def __init__(self, line: int):
+        super().__init__()
+        self.line = line
+
+
+def _tokenize(text: str) -> dict[str, _Section]:
+    """Parsed but untyped sections: section header ('scenario', 'group 1', ...) -> its
+    entries."""
     raw = {}
     entries = None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -167,7 +180,7 @@ def _tokenize(text: str) -> dict[str, dict[tuple[str, str | None], tuple[str, in
             header = " ".join(parts)
             if header in raw:
                 raise ConfigError(f"line {lineno}: duplicate section [{stripped[1:-1]}]")
-            entries, keys = raw.setdefault(header, {}), _KEYS[name]
+            entries, keys = raw.setdefault(header, _Section(lineno)), _KEYS[name]
             continue
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
@@ -259,7 +272,8 @@ def _group_from(raw: dict, gid: int) -> GroupSpec:
     users, chains, spread, gain = (values.pop(key) for key in ("users", "chains", "spread", "gain"))
     energy_db, energy = values.pop("symbol_energy_db", None), values.pop("symbol_energy", None)
     if (energy_db is None) == (energy is None):
-        raise ConfigError(f"group {gid}: give exactly one of symbol_energy_db/symbol_energy")
+        raise ConfigError(f"line {raw_grp.line}: group {gid}: give exactly one of"
+                          " symbol_energy_db/symbol_energy")
     if energy is None:
         try:
             energy = 10.0 ** (energy_db / 10.0)
@@ -283,7 +297,7 @@ def _group_from(raw: dict, gid: int) -> GroupSpec:
             raise ConfigError(f"line {lineno}: mpc {delay}: AoAs must be finite, got {value!r}")
         mpcs.append((delay, aoas, lineno))
     if not mpcs:
-        raise ConfigError(f"group {gid}: needs at least one mpc entry")
+        raise ConfigError(f"line {raw_grp.line}: group {gid}: needs at least one mpc entry")
     delays, aoas, lines = zip(*sorted(mpcs, key=lambda item: item[0]))
     try:
         GroupSpec.check(users, chains, energy, delays, spread, gain)
@@ -332,7 +346,8 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError("no unique mobile group; set 'group' in [run]")
         group_1based = mobile_ids[0]
     if not 1 <= group_1based <= len(groups):
-        raise ConfigError(f"[run] group {group_1based} out of range 1..{len(groups)}")
+        raise ConfigError(f"line {_line(run_raw, 'group')}: [run] group {group_1based} out of"
+                          f" range 1..{len(groups)}")
     evaluated = groups[group_1based - 1]
     for name in run["beamformers"]:
         if name in SUBARRAY_MASKS:

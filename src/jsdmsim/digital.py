@@ -10,9 +10,13 @@ so the per-bin algebra runs on (D, K, B) views over the B flattened
 (realization, bin) pairs: each product and each K x K inverse
 (:func:`linalg.hermitian_inverse`) is a handful of elementwise operations
 along the whole block.  :func:`dft_of_taps` is the one path from reduced
-taps to bins.  Beside the explicit banks, :func:`zf_capacity` and
-:func:`lmmse_capacity` give the capacity behind each bank in closed form
-from per-bin K x K matrices (:func:`bin_grams`), without forming it.
+taps to the explicit bins of an :class:`EffectiveChannel`, and
+:func:`bin_grams` the one path from reduced taps to per-bin K x K matrices:
+these are quadratic in the taps, so it forms them from the taps' weighted
+cross-products at each pair of delays and one phase matrix over the bins, with
+no DFT of the taps.  From those matrices :func:`zf_capacity` and
+:func:`lmmse_capacity` give the capacity behind each bank in closed form,
+without forming it.
 """
 
 from __future__ import annotations
@@ -93,9 +97,9 @@ def gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def dft_of_taps(active: np.ndarray, delays, n_taps: int, n: int) -> EffectiveChannel:
     """The effective channel of reduced taps ``active`` (D, K, ..., L) at the active ``delays``.
 
-    The one path from taps to bins: the taps are placed on a zero (D, K, ..., n_taps) grid
-    and transformed by one N-point FFT along the last axis.  ``n`` is the SC-FDE block
-    length and must cover the delay spread ``n_taps``.
+    The taps are placed on a zero (D, K, ..., n_taps) grid and transformed by one N-point
+    FFT along the last axis.  ``n`` is the SC-FDE block length and must cover the delay
+    spread ``n_taps``.
     """
     if n < n_taps:
         raise ValueError(f"block length {n} shorter than delay spread {n_taps}")
@@ -171,21 +175,34 @@ def lmmse_combiners(eff: EffectiveChannel, r_eta_rd: np.ndarray, symbol_energy: 
     return CombinerBank(_times(y, hermitian_inverse(m)[0]).reshape(eff.freq.shape))
 
 
-def bin_grams(eff: EffectiveChannel, weights: np.ndarray) -> np.ndarray:
+def bin_grams(active: np.ndarray, delays, n_taps: int, n: int,
+              weights: np.ndarray) -> np.ndarray:
     """Per-bin K x K matrices Lambda_k^H diag(w) Lambda_k, one per row w of ``weights``.
 
-    ``weights`` is real, (n, D); the result is (n, K, K, ...) like ``eff.freq`` with one more
-    leading axis.  Every row is a weighted sum over the D streams of the one product
-    stack conj(Lambda[d, i]) Lambda[d, j], taken by one matrix product: with R =
-    U diag(sigma) U^H and the channel seen through S U, rows 1, sigma and 1 / sigma give
-    Lambda_k^H Lambda_k, Lambda_k^H R Lambda_k and Lambda_k^H R^-1 Lambda_k at once.
+    ``active`` holds the reduced taps (D, K, ..., L) at the active ``delays``, as for
+    :func:`dft_of_taps`, whose block-length rule this shares; ``weights`` is real, (n, D).
+    The result is (n, K, K, ..., N), like the effective channel's bins with one more
+    leading axis.  With Lambda_k = sum_l a_l e^{-j 2 pi k d_l / N}, each matrix is
+    sum_{l, l'} a_l^H diag(w) a_l' e^{j 2 pi k (d_l - d_l') / N}: the L^2 weighted
+    cross-products of the taps, taken by one real matrix product, times one phase
+    matrix over the bins.  With R = U diag(sigma) U^H and the channel seen through S U,
+    rows 1, sigma and 1 / sigma give Lambda_k^H Lambda_k, Lambda_k^H R Lambda_k and
+    Lambda_k^H R^-1 Lambda_k at once.
     """
-    d, k = eff.freq.shape[:2]
-    lam = eff.freq.reshape(d, k, -1)
-    products = lam.conj()[:, :, np.newaxis] * lam[:, np.newaxis]
+    if n < n_taps:
+        raise ValueError(f"block length {n} shorter than delay spread {n_taps}")
+    d, k, *lead, n_delays = active.shape
+    a = active.reshape(d, k, -1, n_delays)
+    # order="C": the taps arrive as a transposed view, and .view(float) needs the
+    # product contiguous
+    products = np.multiply(a.conj()[:, :, np.newaxis, :, :, np.newaxis],
+                           a[:, np.newaxis, :, :, np.newaxis, :], order="C")
     # real weights act on the real and imaginary parts alike: one real product
-    grams = np.asarray(weights, dtype=float) @ products.reshape(d, -1).view(float)
-    return grams.view(complex).reshape((len(weights), k, k) + eff.freq.shape[2:])
+    cross = np.asarray(weights, dtype=float) @ products.reshape(d, -1).view(float)
+    lags = np.subtract.outer(delays, delays).reshape(-1, 1)
+    phase = np.exp(2j * np.pi / n * (lags * np.arange(n) % n))
+    grams = cross.view(complex).reshape(-1, n_delays * n_delays) @ phase
+    return grams.reshape((len(weights), k, k, *lead, n))
 
 
 def zf_capacity(g: np.ndarray, h: np.ndarray, symbol_energy: float,

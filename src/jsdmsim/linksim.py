@@ -12,11 +12,12 @@ the M x r pivoted-Cholesky factor of its CCM (r the group's largest rank,
 far below M), so each design projects the group's factors once,
 P = (S U)^H L with R = U diag(sigma) U^H, and the pass draws its white
 coefficients z once, from one generator.  Per design and block of trials
-the taps P z go through one FFT (:func:`digital.dft_of_taps`) and one
-product stack gives every per-bin K x K matrix (:func:`digital.bin_grams`);
-ZF and LMMSE capacities then follow in closed form
-(:func:`digital.zf_capacity`, :func:`digital.lmmse_capacity`), with no
-M-antenna channel and no combiner formed.  The explicit path (``sample_channels``, ``effective_channel``, the
+every per-bin K x K matrix comes from the cross-products of the taps P z at
+each pair of active delays and one phase matrix over the bins
+(:func:`digital.bin_grams`), with no DFT of the taps; ZF and LMMSE
+capacities then follow in closed form (:func:`digital.zf_capacity`,
+:func:`digital.lmmse_capacity`), with no M-antenna channel and no combiner
+formed.  The explicit path (``sample_channels``, ``effective_channel``, the
 combiner banks, ``_link_moments``, ``_capacity`` and :func:`bussgang_report`)
 computes the same capacities from explicit combiners; the tests compare the
 two.  The symbol-level simulator (:func:`simulate_block`) exists as an
@@ -33,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, CovarianceSet, white_coefficients
-from .digital import (CombinerBank, EffectiveChannel, SingularBinError, bin_grams, dft_of_taps,
-                      gram, lmmse_capacity, zf_capacity)
+from .digital import (CombinerBank, EffectiveChannel, SingularBinError, bin_grams, gram,
+                      lmmse_capacity, zf_capacity)
 from .linalg import DefinitenessError, hermitian_inverse
 
 __all__ = [
@@ -51,16 +52,18 @@ __all__ = [
 # The per-bin digital combiners ergodic_capacity can apply.
 COMBINER_NAMES = ("zf", "lmmse")
 
-# Trials per stacked link evaluation.  On 2 cores, table1 at 32 antennas with
-# 200 trials (two angles, four designs, both combiners) ran its link pass in
-# 0.08-0.10 s with blocks of 64 or 200 trials, 0.11 s at 16, 0.14 s at 8 and
-# 0.22 s at 4; the 11-angle full-scale table1 sweep (128 antennas) in
-# 0.50-0.65 s with blocks of 64 or 200 and 0.66 s at 16, with about 15% noise
-# between runs.  Traced peak memory grows with the block: the 32-antenna
-# sweep's is 1.8 MB at 16 trials, 4.3 MB at 64 and 12.0 MB for all 200 at
-# once; the full-scale sweep's 11.1 MB at 16 or 64 and 19.7 MB at 200.  The
-# pass draws every trial at once and each trial is projected on its own, so the
-# block size leaves every result bit for bit unchanged.
+# Trials per stacked link evaluation.  On 2 cores, warm in-process runs of table1
+# at 32 antennas with 200 trials (two angles, four designs, both combiners) spent
+# at least 34, 27, 22, 19, 19 and 23 ms in the link pass with blocks of 16, 32, 64,
+# 100, 128 and 200 trials; the 11-angle full-scale table1 sweep (128 antennas) at
+# least 130, 109, 111 and 114 ms with blocks of 64, 100, 128 and 200.  End to end
+# the larger blocks were not resolved: in ten alternating benchmark pairs of the
+# 32-antenna sweep a block of 100 ran more angles per second than 64 in 7 pairs, a
+# block of 128 in 6.  Traced peak memory grows with the block: 2.4, 3.4, 4.2 and
+# 6.2 MB at 64, 100, 128 and 200 trials for the 32-antenna sweep, 9.7, 9.7, 10.5
+# and 12.4 MB for the full-scale one.  The pass draws every trial at once and each
+# trial is projected on its own, so the block size leaves every result bit for bit
+# unchanged.
 _TRIAL_BLOCK = 64
 
 
@@ -244,11 +247,11 @@ def ergodic_capacity(cov: CovarianceSet, designs: Mapping[str, tuple[np.ndarray,
     colours, so results are reproducible, trial t's do not depend on the trial count,
     and none depend on the trial block size or on the other pairs.  Each design
     projects the group's factors once (:func:`_eigenbasis`); per block of
-    ``_TRIAL_BLOCK`` trials its taps P z go through one FFT (:func:`digital.dft_of_taps`),
-    one product stack gives every per-bin K x K matrix (:func:`digital.bin_grams`),
-    and each pair's capacities follow in closed form (:func:`digital.zf_capacity`,
-    :func:`digital.lmmse_capacity`).  A ValueError fails only the pairs it
-    belongs to, which are then skipped; any other exception propagates.
+    ``_TRIAL_BLOCK`` trials its taps P z give every per-bin K x K matrix through their
+    lag cross-products (:func:`digital.bin_grams`), and each pair's capacities follow
+    in closed form (:func:`digital.zf_capacity`, :func:`digital.lmmse_capacity`).  A
+    ValueError fails only the pairs it belongs to, which are then skipped; any other
+    exception propagates.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -299,12 +302,11 @@ def ergodic_capacity(cov: CovarianceSet, designs: Mapping[str, tuple[np.ndarray,
                 continue
             projected, weights = prepared[name]
             try:
-                eff = dft_of_taps((projected @ z[block])[..., 0].transpose(3, 2, 0, 1),
-                                  spec.delays, scn.n_taps, n)
+                g, h, m = bin_grams((projected @ z[block])[..., 0].transpose(3, 2, 0, 1),
+                                    spec.delays, scn.n_taps, n, weights)
             except ValueError as exc:
                 fail(name, combs, exc)
                 continue
-            g, h, m = bin_grams(eff, weights)
             for comb in combs:
                 try:
                     samples[block, i, combiners.index(comb)] = (

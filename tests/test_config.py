@@ -421,6 +421,38 @@ class TestGroupRules:
                                            " than antennas\n")
 
 
+class TestSectionRules:
+    """A rule on a whole [group N] section cites its header; [run] group cites its key."""
+
+    @pytest.mark.parametrize("gid, pattern, line, message", [
+        (4, "mpc 29", "", "needs at least one mpc entry"),
+        (3, "symbol_energy_db", "", "give exactly one of symbol_energy_db/symbol_energy"),
+        (2, "gain", "gain = 1.0\nsymbol_energy = 5",
+         "give exactly one of symbol_energy_db/symbol_energy"),
+    ])
+    def test_group_section_rule_rejected_with_its_header_line(self, gid, pattern, line, message):
+        text, _ = edit_in_group(bundled_text(), gid, pattern, line)
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        lineno = line_of(text, re.escape(f"[group {gid}]"))
+        assert str(info.value) == f"line {lineno}: group {gid}: {message}"
+
+    @pytest.mark.parametrize("group", [0, 5, 9])
+    def test_run_group_out_of_range_rejected_with_its_line(self, group):
+        text = bundled_text().replace("estimator = lmmse\n",
+                                      f"estimator = lmmse\ngroup = {group}\n", 1)
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value) == (f"line {line_of(text, 'group =')}: [run] group {group} out of"
+                                   " range 1..4")
+
+    def test_no_unique_mobile_group_has_no_line(self):
+        text = bundled_text().replace("mobile = true\n", "", 1)
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value) == "no unique mobile group; set 'group' in [run]"
+
+
 class TestScanRange:
     """Shifting angles outside -90..90 degrees fail in parse_config, not in the run."""
 

@@ -1,11 +1,14 @@
 """Effective channels and per-bin ZF/LMMSE combiners."""
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from jsdmsim import build_covariances, compute_geb, group_statistics, reduce, sample_channels
-from jsdmsim.digital import SingularBinError, effective_channel, lmmse_combiners, zf_combiners
+from jsdmsim.digital import (SingularBinError, bin_grams, dft_of_taps, effective_channel, gram,
+                             lmmse_combiners, zf_combiners)
 from jsdmsim.linalg import DefinitenessError
 from jsdmsim.linksim import bussgang_report
 
@@ -52,6 +55,37 @@ class TestEffectiveChannel:
         real = sample_channels(cov, 1)
         with pytest.raises(ValueError, match="block length"):
             effective_channel(np.eye(scn.n_antennas), real, 0, scn.n_taps - 1)
+
+
+class TestBinGrams:
+    """The lag-domain per-bin matrices equal the Gram products of the DFT's bins."""
+
+    @hypothesis.seed(20261025)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(d=st.integers(1, 4), k=st.integers(1, 3), trials=st.integers(1, 5),
+           delays=st.lists(st.integers(0, 7), min_size=1, max_size=3, unique=True),
+           spare_taps=st.integers(0, 3), spare_bins=st.integers(0, 4), seed=st.integers(0, 2**31))
+    def test_equals_gram_of_dft_bins(self, d, k, trials, delays, spare_taps, spare_bins, seed):
+        n_taps = max(delays) + 1 + spare_taps
+        n = n_taps + spare_bins
+        rng = np.random.default_rng(seed)
+        # drawn (T, L, K, D) and transposed, as the link pass hands its taps over
+        active = (rng.standard_normal((trials, len(delays), k, d))
+                  + 1j * rng.standard_normal((trials, len(delays), k, d))).transpose(3, 2, 0, 1)
+        sigma = rng.uniform(0.1, 10.0, d)
+        weights = np.stack([np.ones(d), sigma, np.where(rng.random(d) < 0.2, 0.0, 1.0 / sigma)])
+        lam = dft_of_taps(active, delays, n_taps, n).freq.reshape(d, k, -1)
+        expected = np.stack([gram(lam, w[:, np.newaxis, np.newaxis] * lam) for w in weights])
+        got = bin_grams(active, delays, n_taps, n, weights)
+        assert got.shape == (3, k, k, trials, n)
+        error = np.abs(got.reshape(expected.shape) - expected).max()
+        assert error <= 1e-12 * np.abs(expected).max()
+
+    def test_short_block_rejected(self):
+        active = np.ones((2, 1, 3, 2), dtype=complex)
+        with pytest.raises(ValueError) as excinfo:
+            bin_grams(active, (0, 4), 5, 4, np.ones((1, 2)))
+        assert str(excinfo.value) == "block length 4 shorter than delay spread 5"
 
 
 class TestLayout:

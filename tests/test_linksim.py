@@ -365,8 +365,8 @@ class TestLinkPass:
                 pe_weights.append(prepared[1])
             return prepared
 
-        def recording_grams(eff, weights):
-            grams = bin_grams(eff, weights)
+        def recording_grams(active, delays, n_taps, n, weights):
+            grams = bin_grams(active, delays, n_taps, n, weights)
             if any(weights is w for w in pe_weights):
                 pe_grams.append(grams)
             return grams
