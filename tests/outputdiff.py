@@ -14,14 +14,27 @@ row-count mismatch raises :class:`OutputMismatch`: it is a different run,
 not a numeric change.
 
     python tests/outputdiff.py PARENT_DIR CHANGE_DIR [--rtol 1e-6]
+
+With ``--against``, the script runs each config of :data:`CONFIGS` twice, in a
+subprocess on the ``src`` tree given and on this checkout's, and prints per
+file "bytes equal" or the largest relative difference; ``manifest.json`` may
+differ only in ``wall_time_s``.  It exits 1 when any file differs:
+
+    python tests/outputdiff.py --against PARENT/src [--only NAME ...] [--work DIR]
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import json
 import math
+import os
+import re
+import subprocess
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -96,12 +109,129 @@ def compare_runs(a, b, rtol: float = 0.0) -> dict[str, FileDiff]:
     return {name: compare_files(Path(a) / name, Path(b) / name, rtol) for name in KEYS}
 
 
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+ALL_DESIGNS = "geb dft pe pe-am fixed-ordered fixed-interlaced dynamic"
+# The benchmark's workloads are written by its own code, at its default seed.
+WORKLOAD_SEED = 4242
+
+
+def _table1(path: Path, scenario_args, edits) -> None:
+    """``jsdmsim scenario table1 <scenario_args>`` with ``key = value`` lines replaced."""
+    from jsdmsim import cli
+
+    with contextlib.redirect_stdout(sys.stderr):
+        code = cli.main(["scenario", "table1", *scenario_args, "-o", str(path)])
+    if code != 0:
+        raise RuntimeError(f"jsdmsim scenario table1 exited with {code}")
+    text = path.read_text()
+    for key, value in edits.items():
+        text, hits = re.subn(rf"(?m)^{key}\s*=.*$", f"{key} = {value}", text)
+        if hits != 1:
+            raise RuntimeError(f"table1 scenario has {hits} '{key} =' lines, expected 1")
+    path.write_text(text)
+
+
+def _workload(name: str):
+    def write(path: Path) -> None:
+        sys.path.insert(0, str(ROOT / "perfbench"))
+        try:
+            import workloads
+        finally:
+            sys.path.remove(str(ROOT / "perfbench"))
+        with contextlib.redirect_stdout(sys.stderr):
+            workloads.write_config(name, WORKLOAD_SEED, path)
+    return write
+
+
+def _copy(source: Path):
+    return lambda path: path.write_text(source.read_text())
+
+
+# The configs a refactor checks for identical outputs: name -> write(path).
+CONFIGS = {
+    **{name: _workload(name) for name in ("desk-sweep", "fullscale-design", "fine-sweep")},
+    "golden": _copy(GOLDEN / "tiny.cfg"),
+    "golden-offgrid": _copy(GOLDEN / "offgrid" / "tiny.cfg"),
+    "golden-fullscale": _copy(GOLDEN / "fullscale" / "tiny.cfg"),
+    # table1 at 32 antennas with all seven designs, two angles
+    "desk-seven": lambda path: _table1(path, ("--scale", "32"), {
+        "beamformers": ALL_DESIGNS, "phi_start": "10", "phi_stop": "11"}),
+    # table1 at 128 antennas, 11 angles in 0.1-degree steps, 200 trials
+    "fullscale-11": lambda path: _table1(path, (), {"phi_start": "10", "phi_stop": "11"}),
+}
+
+RUN = "import sys; from jsdmsim.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def run_tree(src: Path, config: Path, out: Path) -> None:
+    """``jsdmsim run CONFIG --out OUT`` in a subprocess on the package under ``src``."""
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-c", RUN, "run", str(config), "--out", str(out)],
+                          env=env, capture_output=True, text=True, cwd=out.parent)
+    if proc.returncode not in (0, 2):
+        raise RuntimeError(f"run of {config.name} on {src} exited {proc.returncode}:\n"
+                           f"{proc.stderr}")
+
+
+def manifest_difference(a: Path, b: Path) -> list[str]:
+    """Keys of the two runs' manifests that differ, ``wall_time_s`` left out."""
+    x, y = (json.loads((d / "manifest.json").read_text()) for d in (a, b))
+    return sorted(k for k in x.keys() | y.keys()
+                  if k != "wall_time_s" and x.get(k) != y.get(k))
+
+
+def against(parent_src: Path, names, work: Path) -> bool:
+    """Run each named config on both trees and print what differs; True when nothing does."""
+    same = True
+    for name in names:
+        config = work / f"{name}.cfg"
+        CONFIGS[name](config)
+        runs = {}
+        for side, src in (("parent", parent_src), ("change", ROOT / "src")):
+            runs[side] = work / name / side
+            runs[side].mkdir(parents=True, exist_ok=True)
+            run_tree(src, config, runs[side])
+        print(f"[{name}]")
+        for file in KEYS:
+            a, b = runs["parent"] / file, runs["change"] / file
+            if a.read_bytes() == b.read_bytes():
+                print(f"  {file:16} bytes equal")
+                continue
+            same = False
+            try:
+                diff = compare_files(a, b)
+                print(f"  {file:16} largest relative difference {diff.largest:.3g} "
+                      f"({diff.differing}/{diff.fields} fields differ)")
+            except OutputMismatch as exc:
+                print(f"  {file:16} different rows: {exc}")
+        keys = manifest_difference(runs["parent"], runs["change"])
+        same = same and not keys
+        print(f"  {'manifest.json':16} "
+              + (f"differs in {', '.join(keys)}" if keys else "differs only in wall_time_s"))
+    return same
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent")
-    parser.add_argument("change")
+    parser.add_argument("parent", nargs="?")
+    parser.add_argument("change", nargs="?")
     parser.add_argument("--rtol", type=float, default=0.0)
+    parser.add_argument("--against", type=Path, metavar="PARENT_SRC",
+                        help="the parent's src directory: run every config on both trees")
+    parser.add_argument("--only", nargs="+", choices=list(CONFIGS), default=list(CONFIGS),
+                        metavar="NAME", help="run these configs of the list only")
+    parser.add_argument("--work", type=Path, help="keep configs and runs here")
     args = parser.parse_args(argv)
+    if args.against is not None:
+        if args.parent or args.change:
+            parser.error("--against takes no run directories")
+        with contextlib.ExitStack() as stack:
+            work = args.work or Path(stack.enter_context(tempfile.TemporaryDirectory()))
+            work.mkdir(parents=True, exist_ok=True)
+            return int(not against(args.against.resolve(), args.only, work))
+    if not (args.parent and args.change):
+        parser.error("give PARENT_DIR and CHANGE_DIR, or --against PARENT_SRC")
     report = compare_runs(args.parent, args.change, args.rtol)
     for name, diff in report.items():
         print(f"{name}: {diff.differing}/{diff.fields} fields differ, "

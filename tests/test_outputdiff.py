@@ -3,6 +3,7 @@
 import re
 import shutil
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -81,3 +82,22 @@ def test_dropped_row_raises(two_runs, name):
         compare_runs(two_runs / "a", edited)
     with pytest.raises(OutputMismatch, match="rows only in"):
         compare_runs(edited, two_runs / "a")
+
+
+def test_against_reports_a_planted_difference(tmp_path, capsys):
+    # a parent tree whose capacities print 0.1% high: only results.csv differs
+    parent = tmp_path / "parent"
+    shutil.copytree(Path(__file__).resolve().parents[1] / "src", parent,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    runner = parent / "jsdmsim" / "runner.py"
+    text, hits = re.subn(r"\{cap:\.9g\}", "{cap * 1.001:.9g}", runner.read_text())
+    assert hits == 1
+    runner.write_text(text)
+    assert main(["--against", str(parent), "--only", "golden", "--work",
+                 str(tmp_path / "work")]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "[golden]"
+    assert re.fullmatch(r"  results\.csv +largest relative difference 0\.000999\d* "
+                        r"\(\d+/\d+ fields differ\)", out[1]), out[1]
+    assert out[2:] == ["  cdf.csv          bytes equal", "  beampattern.csv  bytes equal",
+                       "  manifest.json    differs only in wall_time_s"]
