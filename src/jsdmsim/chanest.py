@@ -14,6 +14,11 @@ pilot model (:func:`pilot_covariances`), both estimators and :func:`nmse`
 run over the active blocks only, stacked user-major, then active delay in
 the order given, then stream: K * L_active * D entries, not K * taps * D.
 The taps left out are known zeros, so they add no error to the nMSE.
+
+The model runs on stacks as well: beamformers (..., M, D) against CCMs, pilot
+blocks (:func:`stack_pilots`) and reduced covariances whose leading axes broadcast
+with them, such as a unit's (design, angle) grid, each member bit for bit what it
+gives on its own.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ __all__ = [
     "pilots_from_sequences",
     "receive_pilots",
     "stack_effective",
+    "stack_pilots",
 ]
 
 
@@ -53,7 +59,8 @@ class PilotBlock:
     stacked matrix whose (i, j) entry within a user's block is the symbol at
     time i-j, negative indices wrapping cyclically, scaled by
     sqrt(``energy``).  Column j of a user's block is therefore the cyclic
-    shift by j of column 0.
+    shift by j of column 0.  A stack of blocks (:func:`stack_pilots`) has
+    leading axes on ``sequences`` and ``x``.
     """
 
     group: int
@@ -103,6 +110,13 @@ def build_pilots(scn: Scenario, g: int, length: int, seed,
     return pilots_from_sequences(scn, g, sequences, energy)
 
 
+def stack_pilots(blocks) -> PilotBlock:
+    """Pilot blocks of one group, length and energy as one block with a leading axis."""
+    first = blocks[0]
+    return PilotBlock(first.group, first.length, first.n_taps, first.energy,
+                      np.stack([b.sequences for b in blocks]), np.stack([b.x for b in blocks]))
+
+
 def receive_pilots(pilots: PilotBlock, real: ChannelRealization, s: np.ndarray,
                    seed) -> np.ndarray:
     """Stacked post-beamformer observation over the pilot window of ``real.scenario``.
@@ -138,22 +152,26 @@ def receive_pilots(pilots: PilotBlock, real: ChannelRealization, s: np.ndarray,
     return (s.conj().T @ y).T.reshape(-1)
 
 
-def effective_covariance(cov: CovarianceSet, s: np.ndarray, g: int) -> np.ndarray:
-    """Covariance R_h of group g's stacked active effective channel after ``s``.
+def effective_covariance(ccms: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Covariance R_h of a group's stacked active effective channel after ``s``.
 
+    ``ccms`` is the group's (L, K, M, M) CCM stack (``CovarianceSet.stacks[g]``).
     Stacking is user-major, then active delay in ``delays`` order, then
     stream: block-diagonal with one D x D block S^H C S per active (user,
-    delay) CCM C.
+    delay) CCM C.  Stacks of beamformers (..., M, D) and of CCMs (..., L, K, M, M)
+    broadcast along their leading axes.
     """
-    s = np.asarray(s, dtype=complex)
-    d = s.shape[1]
-    # (L, K, D, D) reduced CCMs from one batched product, then user-major
-    blocks = (s.conj().T @ cov.stacks[g] @ s).swapaxes(0, 1).reshape(-1, d, d)
+    s = np.asarray(s, dtype=complex)[..., np.newaxis, np.newaxis, :, :]
+    d = s.shape[-1]
+    # (..., L, K, D, D) reduced CCMs from one batched product, then user-major
+    blocks = s.conj().swapaxes(-1, -2) @ ccms @ s
+    blocks = blocks.swapaxes(-4, -3).reshape(blocks.shape[:-4] + (-1, d, d))
     blocks = 0.5 * (blocks + blocks.conj().swapaxes(-1, -2))
-    n = blocks.shape[0]
-    r_h = np.zeros((n, d, n, d), dtype=complex)
-    r_h[np.arange(n), :, np.arange(n), :] = blocks
-    return r_h.reshape(n * d, n * d)
+    n = blocks.shape[-3]
+    r_h = np.zeros(blocks.shape[:-3] + (n, d, n, d), dtype=complex)
+    for j in range(n):
+        r_h[..., j, :, j, :] = blocks[..., j, :, :]
+    return r_h.reshape(blocks.shape[:-3] + (n * d, n * d))
 
 
 def stack_effective(real: ChannelRealization, s: np.ndarray, g: int) -> np.ndarray:
@@ -166,11 +184,12 @@ def stack_effective(real: ChannelRealization, s: np.ndarray, g: int) -> np.ndarr
 
 @dataclass(frozen=True)
 class PilotCovariances:
-    """R_ybar and R_ybar_h of the stacked pilot observation model, and tr R_h."""
+    """R_ybar and R_ybar_h of the stacked pilot observation model, and tr R_h (one per
+    member of a stack)."""
 
     r_y: np.ndarray
     r_yh: np.ndarray
-    tr_h: float
+    tr_h: float | np.ndarray
 
 
 def _active_columns(pilots: PilotBlock, delays) -> np.ndarray:
@@ -181,8 +200,8 @@ def _active_columns(pilots: PilotBlock, delays) -> np.ndarray:
         raise ValueError("active delay outside pilot matrix range")
     if len(set(delays)) != len(delays):
         raise ValueError("active delays must be distinct")
-    k = pilots.sequences.shape[0]
-    return pilots.x[:, [u * taps + l for u in range(k) for l in delays]]
+    k = pilots.sequences.shape[-2]
+    return pilots.x[..., [u * taps + l for u in range(k) for l in delays]]
 
 
 def pilot_covariances(pilots: PilotBlock, delays, r_h: np.ndarray,
@@ -194,11 +213,12 @@ def pilot_covariances(pilots: PilotBlock, delays, r_h: np.ndarray,
     (:func:`statistics.reduce`).  :func:`lmmse_estimator` and :func:`nmse`
     both take the result, so an estimate's nMSE builds it once.
     """
-    d = r_eta_rd.shape[0]
+    d = r_eta_rd.shape[-1]
     phi = np.kron(_active_columns(pilots, delays), np.eye(d))
     r_yh = phi @ r_h
-    r_y = r_yh @ phi.conj().T + np.kron(np.eye(pilots.length), r_eta_rd)
-    return PilotCovariances(0.5 * (r_y + r_y.conj().T), r_yh, np.trace(r_h).real)
+    r_y = r_yh @ phi.conj().swapaxes(-1, -2) + np.kron(np.eye(pilots.length), r_eta_rd)
+    return PilotCovariances(0.5 * (r_y + r_y.conj().swapaxes(-1, -2)), r_yh,
+                            np.trace(r_h, axis1=-2, axis2=-1).real)
 
 
 def lmmse_estimator(pc: PilotCovariances) -> np.ndarray:
@@ -221,25 +241,26 @@ def ls_estimator(pilots: PilotBlock, active_delays, n_streams: int) -> np.ndarra
     """
     x_p = _active_columns(pilots, active_delays)
     sing = np.linalg.svd(x_p, compute_uv=False)
-    if x_p.shape[0] < x_p.shape[1] or sing[-1] <= 1e-10 * sing[0]:
+    if x_p.shape[-2] < x_p.shape[-1] or np.any(sing[..., -1] <= 1e-10 * sing[..., 0]):
         raise PilotDesignError(
-            f"pruned pilot matrix (T={pilots.length}, cols={x_p.shape[1]}) is rank"
+            f"pruned pilot matrix (T={pilots.length}, cols={x_p.shape[-1]}) is rank"
             " deficient; increase the pilot length"
         )
-    core = np.linalg.solve(x_p.conj().T @ x_p, x_p.conj().T).conj().T
+    x_h = x_p.conj().swapaxes(-1, -2)
+    core = np.linalg.solve(x_h @ x_p, x_h).conj().swapaxes(-1, -2)
     return np.kron(core, np.eye(int(n_streams)))
 
 
-def nmse(z: np.ndarray, pc: PilotCovariances) -> float:
+def nmse(z: np.ndarray, pc: PilotCovariances):
     """Closed-form normalized MSE of an estimator matrix (no Monte Carlo).
 
-    [tr R_h + tr(Z^H R_ybar Z) - 2 Re tr(Z^H R_ybar_h)] / tr R_h.
-    LMMSE estimators land in [0, 1]; LS estimators may exceed 1 at low SNR
-    (noise amplification through the normal equations), which is expected.
+    [tr R_h + tr(Z^H R_ybar Z) - 2 Re tr(Z^H R_ybar_h)] / tr R_h, one value per
+    member of a stack.  LMMSE estimators land in [0, 1]; LS estimators may exceed 1
+    at low SNR (noise amplification through the normal equations), which is expected.
     """
     tr_h = pc.tr_h
-    if tr_h <= 0:
+    if np.any(tr_h <= 0):
         raise ValueError("stacked channel covariance has zero trace; nMSE undefined")
-    quad = np.sum(z.conj() * (pc.r_y @ z)).real
-    cross = np.sum(z.conj() * pc.r_yh).real
-    return float((tr_h + quad - 2.0 * cross) / tr_h)
+    quad = np.sum(z.conj() * (pc.r_y @ z), axis=(-2, -1)).real
+    cross = np.sum(z.conj() * pc.r_yh, axis=(-2, -1)).real
+    return (tr_h + quad - 2.0 * cross) / tr_h

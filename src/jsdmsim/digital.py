@@ -14,9 +14,11 @@ taps to the explicit bins of an :class:`EffectiveChannel`, and
 :func:`bin_grams` the one path from reduced taps to per-bin K x K matrices:
 these are quadratic in the taps, so it forms them from the taps' weighted
 cross-products at each pair of delays and one phase matrix over the bins, with
-no DFT of the taps.  From those matrices :func:`zf_capacity` and
-:func:`lmmse_capacity` give the capacity behind each bank in closed form,
-without forming it.
+no DFT of the taps, for a whole stack of (angle, design) pairs, each with its
+own weights.  From those matrices :func:`zf_capacity` and :func:`lmmse_capacity`
+give the capacity behind each bank in closed form, without forming it;
+:func:`zf_capacity` returns its bad bins as a mask, so that a stack's failure
+stays with its member.
 """
 
 from __future__ import annotations
@@ -180,52 +182,61 @@ def bin_grams(active: np.ndarray, delays, n_taps: int, n: int,
     """Per-bin K x K matrices Lambda_k^H diag(w) Lambda_k, one per row w of ``weights``.
 
     ``active`` holds the reduced taps (D, K, ..., L) at the active ``delays``, as for
-    :func:`dft_of_taps`, whose block-length rule this shares; ``weights`` is real, (n, D).
-    The result is (n, K, K, ..., N), like the effective channel's bins with one more
-    leading axis.  With Lambda_k = sum_l a_l e^{-j 2 pi k d_l / N}, each matrix is
-    sum_{l, l'} a_l^H diag(w) a_l' e^{j 2 pi k (d_l - d_l') / N}: the L^2 weighted
-    cross-products of the taps, taken by one real matrix product, times one phase
-    matrix over the bins.  With R = U diag(sigma) U^H and the channel seen through S U,
-    rows 1, sigma and 1 / sigma give Lambda_k^H Lambda_k, Lambda_k^H R Lambda_k and
-    Lambda_k^H R^-1 Lambda_k at once.
+    :func:`dft_of_taps`, whose block-length rule this shares; ``weights`` is real, (n, D),
+    or a stack (*W, n, D) whose leading axes are the first leading axes of ``active``: one
+    set of rows per member of a stack of taps, such as the (angle, design) pairs of a
+    link block.  The result is (n, K, K, ..., N), like the effective channel's bins with
+    one more leading axis.  With Lambda_k = sum_l a_l e^{-j 2 pi k d_l / N}, each matrix
+    is sum_{l, l'} a_l^H diag(w) a_l' e^{j 2 pi k (d_l - d_l') / N}: the L^2 weighted
+    cross-products of the taps, taken by one real matrix product per member, times one
+    phase matrix over the bins.  With R = U diag(sigma) U^H and the channel seen through
+    S U, rows 1, sigma and 1 / sigma give Lambda_k^H Lambda_k, Lambda_k^H R Lambda_k and
+    Lambda_k^H R^-1 Lambda_k at once.  Each member's matrices are bit for bit what it
+    gives on its own.
     """
     if n < n_taps:
         raise ValueError(f"block length {n} shorter than delay spread {n_taps}")
+    weights = np.asarray(weights, dtype=float)
     d, k, *lead, n_delays = active.shape
-    a = active.reshape(d, k, -1, n_delays)
-    # order="C": the taps arrive as a transposed view, and .view(float) needs the
-    # product contiguous
-    products = np.multiply(a.conj()[:, :, np.newaxis, :, :, np.newaxis],
-                           a[:, np.newaxis, :, :, np.newaxis, :], order="C")
-    # real weights act on the real and imaginary parts alike: one real product
-    cross = np.asarray(weights, dtype=float) @ products.reshape(d, -1).view(float)
+    rows = weights.shape[-2]
+    members = int(np.prod(weights.shape[:-2], dtype=int))
+    # (members, D, K, realizations, L)
+    a = active.reshape(d, k, members, -1, n_delays).transpose(2, 0, 1, 3, 4)
+    # order="C": .view(float) needs the product contiguous
+    products = np.multiply(a.conj()[:, :, :, np.newaxis, :, :, np.newaxis],
+                           a[:, :, np.newaxis, :, :, np.newaxis, :], order="C")
+    # real weights act on the real and imaginary parts alike: one real product per member
+    cross = (weights.reshape(members, rows, d)
+             @ products.reshape(members, d, -1).view(float)).view(complex)
+    cross = np.moveaxis(cross.reshape(members, rows, k, k, -1, n_delays * n_delays), 0, 3)
     lags = np.subtract.outer(delays, delays).reshape(-1, 1)
     phase = np.exp(2j * np.pi / n * (lags * np.arange(n) % n))
-    grams = cross.view(complex).reshape(-1, n_delays * n_delays) @ phase
-    return grams.reshape((len(weights), k, k, *lead, n))
+    grams = cross.reshape(-1, n_delays * n_delays) @ phase
+    return grams.reshape((rows, k, k, *lead, n))
 
 
 def zf_capacity(g: np.ndarray, h: np.ndarray, symbol_energy: float,
-                n_users: int) -> np.ndarray:
-    """Per-user capacity behind the zero-forcing bank, in closed form, shape (..., K).
+                n_users: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-user capacity behind the zero-forcing bank, in closed form, and its bad bins.
 
     ``g`` and ``h`` are (K, K, ..., N) stacks of G_k = Lambda_k^H Lambda_k and
     Lambda_k^H R Lambda_k (:func:`bin_grams`).  ZF gives W_k^H Lambda_k = I, so each
     user's amplitude is 1 and its residual the noise [G_k^-1 Lambda_k^H R Lambda_k
-    G_k^-1]_uu: C_u = log2(1 + E / mean_k of it), E = symbol_energy / n_users.  The
-    rule of :func:`zf_combiners` holds: a bad pivot of G_k or a non-finite noise raises
-    SingularBinError naming the bin.  No combiner is formed.
+    G_k^-1]_uu: C_u = log2(1 + E / mean_k of it), E = symbol_energy / n_users.  Returns
+    the capacities, shape (..., K), and the (..., N) mask of the bins that break the
+    rule of :func:`zf_combiners`: a bad pivot of G_k (:func:`linalg.hermitian_inverse`)
+    or a non-finite noise.  A realization with a bad bin has no capacity; its entries
+    are meaningless.  No combiner is formed.
     """
     e = symbol_energy / n_users
     k = g.shape[0]
     gram_inv, bad = hermitian_inverse(g.reshape(k, k, -1))
     noise = (_times(gram_inv, h.reshape(k, k, -1)) * gram_inv.transpose(1, 0, 2)).sum(axis=1).real
     bad |= ~np.isfinite(noise).all(axis=0)
-    if bad.any():
-        raise _singular_bin(bad.reshape(g.shape[2:]))
     noise = np.maximum(noise.reshape((k,) + g.shape[2:]).mean(axis=-1), 0.0)
     with np.errstate(divide="ignore"):
-        return np.moveaxis(np.log2(1.0 + e / noise), 0, -1)
+        capacity = np.moveaxis(np.log2(1.0 + e / noise), 0, -1)
+    return capacity, bad.reshape(g.shape[2:])
 
 
 def lmmse_capacity(m: np.ndarray, symbol_energy: float, n_users: int) -> np.ndarray:

@@ -5,24 +5,26 @@ effective channel, the soft symbol estimate decomposes into a scaled true
 symbol plus uncorrelated residual (Bussgang), whose moments are closed-form
 in the per-bin channel and the reduced interference-plus-noise covariance
 R = S^H R_eta S (:func:`statistics.reduce`), the one statistical input.
-Monte Carlo enters only across channel realizations.  One link pass per
-angle (:func:`ergodic_capacity`) evaluates every (design, combiner) pair
-against the same draws, in the reduced dimension: each tap is L z, with L
-the M x r pivoted-Cholesky factor of its CCM (r the group's largest rank,
-far below M), so each design projects the group's factors once,
-P = (S U)^H L with R = U diag(sigma) U^H, and the pass draws its white
-coefficients z once, from one generator.  Per design and block of trials
-every per-bin K x K matrix comes from the cross-products of the taps P z at
-each pair of active delays and one phase matrix over the bins
-(:func:`digital.bin_grams`), with no DFT of the taps; ZF and LMMSE
-capacities then follow in closed form (:func:`digital.zf_capacity`,
-:func:`digital.lmmse_capacity`), with no M-antenna channel and no combiner
-formed.  The explicit path (``sample_channels``, ``effective_channel``, the
-combiner banks, ``_link_moments``, ``_capacity`` and :func:`bussgang_report`)
-computes the same capacities from explicit combiners; the tests compare the
-two.  The symbol-level simulator (:func:`simulate_block`) exists as an
-independent cross-validation path (unit-energy QPSK); it applies the
-channel circularly, so the cyclic prefix is implicit.
+Monte Carlo enters only across channel realizations.  One link pass per unit
+of angles (:func:`ergodic_capacity`; one angle is a unit of one) evaluates
+every (angle, design, combiner) against each angle's own draws, in the reduced
+dimension: each tap is L z, with L the M x r pivoted-Cholesky factor of its CCM
+(r the group's largest rank at that angle, far below M), so each design projects
+its angle's factors once, P = (S U)^H L with R = U diag(sigma) U^H, and each
+angle draws its white coefficients z once, from its own generator.  The pass
+cuts its (angle, design, trial) triples into equal blocks under one element
+budget (``_BLOCK_ELEMENTS``).  Per block, every per-bin K x K matrix comes
+from the cross-products of the taps P z at each pair of active delays and one
+phase matrix over the bins, each pair with its own weights
+(:func:`digital.bin_grams`), with no DFT of the taps; ZF and LMMSE capacities
+then follow in closed form (:func:`digital.zf_capacity`,
+:func:`digital.lmmse_capacity`), one call each per block, with no M-antenna
+channel and no combiner formed.  The explicit path (``sample_channels``,
+``effective_channel``, the combiner banks, ``_link_moments``, ``_capacity`` and
+:func:`bussgang_report`) computes the same capacities from explicit combiners;
+the tests compare the two.  The symbol-level simulator (:func:`simulate_block`)
+exists as an independent cross-validation path (unit-energy QPSK); it applies
+the channel circularly, so the cyclic prefix is implicit.
 """
 
 from __future__ import annotations
@@ -52,19 +54,17 @@ __all__ = [
 # The per-bin digital combiners ergodic_capacity can apply.
 COMBINER_NAMES = ("zf", "lmmse")
 
-# Trials per stacked link evaluation.  On 2 cores, warm in-process runs of table1
-# at 32 antennas with 200 trials (two angles, four designs, both combiners) spent
-# at least 34, 27, 22, 19, 19 and 23 ms in the link pass with blocks of 16, 32, 64,
-# 100, 128 and 200 trials; the 11-angle full-scale table1 sweep (128 antennas) at
-# least 130, 109, 111 and 114 ms with blocks of 64, 100, 128 and 200.  End to end
-# the larger blocks were not resolved: in ten alternating benchmark pairs of the
-# 32-antenna sweep a block of 100 ran more angles per second than 64 in 7 pairs, a
-# block of 128 in 6.  Traced peak memory grows with the block: 2.4, 3.4, 4.2 and
-# 6.2 MB at 64, 100, 128 and 200 trials for the 32-antenna sweep, 9.7, 9.7, 10.5
-# and 12.4 MB for the full-scale one.  The pass draws every trial at once and each
-# trial is projected on its own, so the block size leaves every result bit for bit
-# unchanged.
-_TRIAL_BLOCK = 64
+# (angle, design, trial) triples per stacked link call, each with its N per-bin K x K
+# matrices: a pass's triples are cut into equal blocks of at most this many (_blocks).  On
+# 2 cores with one BLAS thread, warm in-process sweeps took at least these many ms with
+# budgets of 32, 64, 100, 200 and 512 triples: table1 at 32 antennas with 200 trials (2
+# angles, 4 designs, both combiners) 40.7, 32.7, 29.5, 29.9 and 32.0; the 11-angle
+# full-scale sweep (128 antennas, 200 trials) 297, 265, 250, 236 and 253; the 91-angle,
+# 32-antenna sweep at 4 trials (2 designs, zf) 66.3 to 72.0 at every budget from 64.  One
+# full-scale pass peaks at 1.90, 3.28 and 6.05 MiB under tracemalloc at 64, 100 and 200
+# (TestLinkPassMemory).  Each trial is projected on its own and each pair's matrices are
+# formed apart, so the budget leaves every result bit for bit unchanged.
+_BLOCK_ELEMENTS = 100
 
 
 @dataclass(frozen=True)
@@ -96,20 +96,40 @@ class CapacityEstimate:
 
 @dataclass(frozen=True)
 class LinkPass:
-    """Capacity samples of every (design, combiner) pair of one link pass.
+    """Capacity samples of every (angle, design, combiner) of one link pass.
 
-    ``samples[t, i, j]`` holds trial t's per-user capacities of design
-    ``designs[i]`` with combiner ``combiners[j]``; a failed pair's entries
-    are NaN and ``errors`` holds its ValueError.
+    ``samples[a * trials + t, i, j]`` holds angle a's trial t per-user capacities of
+    design ``designs[i]`` with combiner ``combiners[j]``: one row per (angle, trial)
+    draw.  An entry of a failed pair, or of a design the angle was not given, is NaN;
+    ``failures[a]`` maps each of angle a's failed (design, combiner) pairs to its
+    ValueError.  :meth:`angle` is one angle's pass.
     """
 
     designs: tuple[str, ...]
     combiners: tuple[str, ...]
     samples: np.ndarray
-    errors: dict[tuple[str, str], ValueError]
+    failures: tuple[dict[tuple[str, str], ValueError], ...]
+
+    @property
+    def errors(self) -> dict[tuple[str, str], ValueError]:
+        """The failed pairs of a one-angle pass."""
+        [errors] = self.failures
+        return errors
+
+    def angle(self, a: int) -> "LinkPass":
+        """Angle a's pass, a one-angle pass."""
+        trials = len(self.samples) // len(self.failures)
+        return LinkPass(self.designs, self.combiners,
+                        self.samples[a * trials:(a + 1) * trials], (self.failures[a],))
+
+    def means(self) -> np.ndarray:
+        """Each (angle, design, combiner)'s per-user mean capacity, (A, designs, combiners,
+        K), NaN for a failed pair: bit for bit the ``mean`` of :meth:`estimate`."""
+        return self.samples.reshape(len(self.failures), -1, *self.samples.shape[1:]).mean(axis=1)
 
     def estimate(self, design: str, combiner: str) -> CapacityEstimate:
-        """The pair's mean, standard error and samples; raises the pair's error."""
+        """A one-angle pass's mean, standard error and samples of the pair; raises the
+        pair's error."""
         if (design, combiner) in self.errors:
             raise self.errors[(design, combiner)]
         samples = np.ascontiguousarray(
@@ -217,101 +237,190 @@ def bussgang_report(eff: EffectiveChannel, combiners: CombinerBank, r_eta_rd: np
     return UserLinkReport(complex(a), float(b_power), float(sinr), float(capacity))
 
 
-def _eigenbasis(s: np.ndarray, r_eta_rd: np.ndarray, factors: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """A design's projected factors (S U)^H L and its :func:`digital.bin_grams` weights.
+def _eigenbasis(s: np.ndarray, r_eta_rd: np.ndarray, factors
+                ) -> tuple[list[np.ndarray], np.ndarray]:
+    """Designs' projected factors (S U)^H L and their :func:`digital.bin_grams` weights.
 
-    R = S^H R_eta S = U diag(sigma) U^H.  Seen through S U, a unitary right factor that
-    leaves every capacity unchanged, the reduced covariance is diag(sigma), so the rows 1,
-    sigma and 1 / sigma give G_k, Lambda_k^H R Lambda_k and Lambda_k^H R^-1 Lambda_k (the
-    last row is zero unless R is positive definite).  ``factors`` are the group's
-    pivoted-Cholesky factors, (L, K, M, r); the projection is (L, K, D, r).
+    ``s`` (n, M, D) and ``r_eta_rd`` (n, D, D) stack n designs, R = S^H R_eta S =
+    U diag(sigma) U^H, and ``factors`` holds each one's pivoted-Cholesky factors of its
+    angle's group, (L, K, M, r).  Seen through S U, a unitary right factor that leaves
+    every capacity unchanged, the reduced covariance is diag(sigma), so the rows 1, sigma
+    and 1 / sigma give G_k, Lambda_k^H R Lambda_k and Lambda_k^H R^-1 Lambda_k (the last
+    row is zero unless R is positive definite).  Returns the n (L, K, D, r) projections and
+    the (n, 3, D) weights, each member exactly as on its own.
     """
     sigma, u = np.linalg.eigh(r_eta_rd)
     inverse = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=sigma > 0)
-    s_u = np.asarray(s, dtype=complex) @ u
-    return s_u.conj().T @ factors, np.stack([np.ones_like(sigma), sigma, inverse])
+    s_u = s @ u
+    return ([x.conj().T @ f for x, f in zip(s_u, factors)],
+            np.stack([np.ones_like(sigma), sigma, inverse], axis=-2))
 
 
-def ergodic_capacity(cov: CovarianceSet, designs: Mapping[str, tuple[np.ndarray, np.ndarray]],
-                     group: int, combiners: tuple[str, ...] = ("zf",), n: int = 64,
-                     trials: int = 200, seed=0) -> LinkPass:
-    """Per-user capacity of every (design, combiner) pair over shared channel draws.
+@dataclass(frozen=True)
+class _Pair:
+    """One (angle, design) of a link pass: its indices, projected factors and weights."""
 
-    ``designs`` maps a name to its effective analog stage S and its reduced
-    interference-plus-noise covariance S^H R_eta S (:func:`statistics.reduce`).
-    Only group ``group``'s channels are drawn; interference enters through
-    the reduced covariance.  The pass draws one (trials, L, K, 2, r) standard-normal
-    array from ``default_rng(seed)``, trial-major (:func:`channel.white_coefficients`
-    of the group's factors), the draws ``sample_channels(cov, seed, [group], trials)``
-    colours, so results are reproducible, trial t's do not depend on the trial count,
-    and none depend on the trial block size or on the other pairs.  Each design
-    projects the group's factors once (:func:`_eigenbasis`); per block of
-    ``_TRIAL_BLOCK`` trials its taps P z give every per-bin K x K matrix through their
-    lag cross-products (:func:`digital.bin_grams`), and each pair's capacities follow
-    in closed form (:func:`digital.zf_capacity`, :func:`digital.lmmse_capacity`).  A
-    ValueError fails only the pairs it belongs to, which are then skipped; any other
-    exception propagates.
+    angle: int
+    design: int
+    projected: np.ndarray
+    weights: np.ndarray
+
+
+def _blocks(pairs: list, trials: int) -> list[tuple[list, slice]]:
+    """Equal blocks of (pairs, trials) of at most _BLOCK_ELEMENTS triples, in pair order.
+
+    When a pair's trials fit, a block holds whole pairs, as many as fit; otherwise each
+    block holds one pair and an equal share of its trials.
+    """
+    if not pairs:
+        return []
+    if trials <= _BLOCK_ELEMENTS:
+        count = -(-len(pairs) // (_BLOCK_ELEMENTS // trials))
+        size = -(-len(pairs) // count)
+        return [(pairs[i:i + size], slice(0, trials)) for i in range(0, len(pairs), size)]
+    count = -(-trials // _BLOCK_ELEMENTS)
+    size = -(-trials // count)
+    return [([pair], slice(t, min(t + size, trials)))
+            for pair in pairs for t in range(0, trials, size)]
+
+
+def _singular_trial(bad: np.ndarray, first: int) -> SingularBinError:
+    """Error naming the first rank-deficient (trial, bin) of a pair's (T, N) bad-bin mask
+    over trials ``first``, ``first`` + 1, ..."""
+    trial, bin_idx = np.argwhere(bad)[0]
+    return SingularBinError(f"effective channel at bin {bin_idx} of trial {first + trial}"
+                            " is rank deficient")
+
+
+def ergodic_capacity(cov, designs, group: int, combiners: tuple[str, ...] = ("zf",),
+                     n: int = 64, trials: int = 200, seed=0) -> LinkPass:
+    """Per-user capacity of every (angle, design, combiner) over each angle's channel draws.
+
+    ``cov``, ``designs`` and ``seed`` are one angle's :class:`~jsdmsim.channel.CovarianceSet`,
+    designs and seed, or equal-length sequences of them, one entry per angle of a unit.
+    An angle's designs map a name to its effective analog stage S and its reduced
+    interference-plus-noise covariance S^H R_eta S (:func:`statistics.reduce`).  Only
+    group ``group``'s channels are drawn; interference enters through the reduced
+    covariance.  Each angle draws one (trials, L, K, 2, r) standard-normal array from
+    ``default_rng`` of its seed, trial-major (:func:`channel.white_coefficients` of its
+    own factors), the draws ``sample_channels(cov, seed, [group], trials)`` colours, so
+    results are reproducible, trial t's do not depend on the trial count, and none depend
+    on the other angles, the other pairs or the blocks.  Each design projects its angle's
+    factors once (:func:`_eigenbasis`).  The (angle, design, trial) triples are cut into
+    equal blocks (:func:`_blocks`); per block, one :func:`digital.bin_grams` call forms
+    every per-bin K x K matrix from the taps' lag cross-products, with each pair's own
+    weights, and one :func:`digital.zf_capacity` and one :func:`digital.lmmse_capacity`
+    call give every pair's capacities in closed form.  A ValueError fails only the pairs
+    it belongs to (a bad ZF pivot only its (angle, design), naming the angle's trial),
+    which are then skipped; any other exception propagates.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     for comb in combiners:
         if comb not in COMBINER_NAMES:
             raise ValueError(f"unknown combiner {comb!r}")
-    scn = cov.scenario
-    spec = scn.groups[group]
+    if isinstance(cov, CovarianceSet):
+        cov, designs, seed = [cov], [designs], [seed]
+    spec = cov[0].scenario.groups[group]
     k = spec.n_users
-    names = tuple(designs)
-    samples = np.full((trials, len(names), len(combiners), k), np.nan)
-    errors: dict[tuple[str, str], ValueError] = {}
+    names = tuple(dict.fromkeys(name for angle in designs for name in angle))
+    samples = np.full((len(cov) * trials, len(names), len(combiners), k), np.nan)
+    failures = tuple({} for _ in cov)
 
-    def pending(name):
-        return [comb for comb in combiners if (name, comb) not in errors]
+    def pending(pair):
+        return [comb for comb in combiners
+                if (names[pair.design], comb) not in failures[pair.angle]]
 
-    def fail(name, combs, exc):
-        errors.update({(name, comb): exc for comb in combs})
+    def fail(a, name, combs, exc):
+        failures[a].update({(name, comb): exc for comb in combs})
+        # a pair that fails in a later block of trials keeps none of its samples
+        samples[a * trials:(a + 1) * trials, names.index(name),
+                [combiners.index(comb) for comb in combs]] = np.nan
 
-    prepared = {}
-    for name in names:
-        s, r_eta_rd = designs[name]
+    given = []  # (angle, design name, S, S^H R_eta S, the angle's factors)
+    for a, (angle, members) in enumerate(zip(cov, designs)):
         try:
-            prepared[name] = _eigenbasis(s, r_eta_rd, cov.factors(group))
+            factors = angle.factors(group)
         except ValueError as exc:
-            fail(name, combiners, exc)
+            for name in members:
+                fail(a, name, combiners, exc)
             continue
-        projected, weights = prepared[name]
+        given.extend((a, name, s, r_eta_rd, factors) for name, (s, r_eta_rd) in members.items())
+
+    def prepare(members):
+        _, _, s, r_eta_rd, factors = zip(*members)
+        projected, weights = _eigenbasis(np.stack(s).astype(complex), np.stack(r_eta_rd),
+                                         factors)
+        return list(zip(projected, weights))
+
+    try:
+        # one eigendecomposition call for every design of the pass
+        bases = prepare(given) if given else []
+    except ValueError:
+        # the stack failed: each design again on its own, so a failure stays with its pair
+        bases = []
+        for member in given:
+            try:
+                bases.extend(prepare([member]))
+            except ValueError as exc:
+                bases.append(exc)
+    if "lmmse" in combiners and given:
+        # R must pass the pivot test and have positive eigenvalues (a positive 1 / sigma row)
+        indefinite = hermitian_inverse(np.stack([x[3] for x in given], axis=-1))[1]
+    pairs, z = [], {}
+    for p, ((a, name, *_), basis) in enumerate(zip(given, bases)):
+        if isinstance(basis, ValueError):
+            fail(a, name, combiners, basis)
+            continue
+        projected, weights = basis
         d = projected.shape[-2]
         if "zf" in combiners and d < k:
-            fail(name, ["zf"], SingularBinError(f"zero-forcing needs D >= K, got D={d}, K={k}"))
-        # R must pass the pivot test and have positive eigenvalues (a positive 1 / sigma row)
-        if "lmmse" in combiners and (hermitian_inverse(r_eta_rd)[1] or not np.all(weights[2] > 0)):
-            fail(name, ["lmmse"], DefinitenessError(
+            fail(a, name, ["zf"], SingularBinError(f"zero-forcing needs D >= K, got D={d}, K={k}"))
+        if "lmmse" in combiners and (indefinite[p] or not np.all(weights[2] > 0)):
+            fail(a, name, ["lmmse"], DefinitenessError(
                 "reduced interference-plus-noise covariance is not positive definite"))
-    if prepared:
-        # (T, L, K, r, 1): one matrix-vector product per (trial, delay, user), so no
-        # trial's taps depend on how many trials share its block
-        z = white_coefficients(np.random.default_rng(seed), trials,
-                               cov.factors(group))[..., np.newaxis]
-    for start in range(0, trials, _TRIAL_BLOCK):
-        if not any(pending(name) for name in names):
-            break
-        block = slice(start, min(start + _TRIAL_BLOCK, trials))
-        for i, name in enumerate(names):
-            combs = pending(name)
-            if not combs:
+        pairs.append(_Pair(a, names.index(name), projected, weights))
+        if a not in z:
+            # (T, L, K, r, 1): one matrix-vector product per (trial, delay, user), so no
+            # trial's taps depend on how many trials share its block
+            z[a] = white_coefficients(np.random.default_rng(seed[a]), trials,
+                                      cov[a].factors(group))[..., np.newaxis]
+    pairs = [pair for pair in pairs if pending(pair)]
+    for block, trial in _blocks(pairs, trials):
+        block = [pair for pair in block if pending(pair)]
+        if not block:
+            continue
+        # (D, K, P, T, L): the pairs' taps P z, matrix indices first
+        active = np.stack([(pair.projected @ z[pair.angle][trial])[..., 0]
+                           for pair in block]).transpose(4, 3, 0, 1, 2)
+        try:
+            g, h, m = bin_grams(active, spec.delays, cov[0].scenario.n_taps, n,
+                                np.stack([pair.weights for pair in block]))
+        except ValueError as exc:
+            for pair in block:
+                fail(pair.angle, names[pair.design], pending(pair), exc)
+            continue
+        for j, comb in enumerate(combiners):
+            members = [p for p, pair in enumerate(block) if comb in pending(pair)]
+            if not members:
                 continue
-            projected, weights = prepared[name]
+            pick = slice(None) if len(members) == len(block) else members
             try:
-                g, h, m = bin_grams((projected @ z[block])[..., 0].transpose(3, 2, 0, 1),
-                                    spec.delays, scn.n_taps, n, weights)
+                if comb == "zf":
+                    capacity, bad = zf_capacity(g[:, :, pick], h[:, :, pick],
+                                                spec.symbol_energy, k)
+                else:
+                    capacity = lmmse_capacity(m[:, :, pick], spec.symbol_energy, k)
             except ValueError as exc:
-                fail(name, combs, exc)
+                for p in members:
+                    fail(block[p].angle, names[block[p].design], [comb], exc)
                 continue
-            for comb in combs:
-                try:
-                    samples[block, i, combiners.index(comb)] = (
-                        zf_capacity(g, h, spec.symbol_energy, k) if comb == "zf"
-                        else lmmse_capacity(m, spec.symbol_energy, k))
-                except ValueError as exc:
-                    fail(name, [comb], exc)
-    return LinkPass(names, tuple(combiners), samples, errors)
+            for row, p in enumerate(members):
+                pair = block[p]
+                if comb == "zf" and bad[row].any():
+                    fail(pair.angle, names[pair.design], [comb],
+                         _singular_trial(bad[row], trial.start))
+                    continue
+                first = pair.angle * trials
+                samples[first + trial.start:first + trial.stop, pair.design, j] = capacity[row]
+    return LinkPass(names, tuple(combiners), samples, failures)

@@ -10,16 +10,19 @@ design of the one design table, :data:`DESIGNS`, whose entries take a
 rule (:func:`_each`): a stacked call that raises one of :data:`ANGLE_ERRORS` is
 made again member by member as lone calls, so a failure stays with its member
 and reads as in a one-angle run, and the other members keep their results bit
-for bit.  A unit of one angle makes the lone calls only.  Each angle is then
-evaluated on its own: each design's expected SINR and (optionally)
-channel-estimation nMSE, with the angle's own seeds; each design's
-S^H R_eta S (:func:`~jsdmsim.statistics.reduce`, which checks its rank) is
-built once and serves the estimation and the link pass.  One link pass
-(:func:`~jsdmsim.linksim.ergodic_capacity`) then evaluates the capacity of
-every surviving design with every combiner against the same channel draws.
-A numerical failure records an error marker for the angle, design or (design,
-combiner) pair it belongs to and the sweep continues; any other exception
-propagates.  Everything is deterministic given the master seed.
+for bit.  A unit of one angle makes the lone calls only.  The unit is then
+evaluated as one (:func:`_evaluate_unit`): each stage's rank is checked on its
+own, and its (design, angle) grid of stages gets one
+:func:`~jsdmsim.statistics.reduce` (S^H R_eta S, which serves the estimation
+and the link pass), one expected-SINR call and, optionally, one
+channel-estimation nMSE call, with each angle's pilots built once from the
+angle's own seed.  One link pass (:func:`~jsdmsim.linksim.ergodic_capacity`)
+then evaluates the capacity of every angle's surviving designs with every
+combiner, each angle against its own channel draws.  No record depends on the
+unit or on the link's blocks.  A numerical failure records an error marker for
+the angle, design or (angle, design, combiner) it belongs to and the sweep
+continues; any other exception propagates.  Everything is deterministic given
+the master seed.
 
 The beampattern angle's stages go to the runner in
 :attr:`SweepResult.pattern`.  On the grid they are its exact twin's, the stages
@@ -36,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import numpy as np
 
-from . import chanest, constrained, linksim
+from . import chanest, constrained, linksim, statistics
 from .channel import (DEFAULT_N_QUAD, CovarianceSet, FixedCovariances, Scenario,
                       build_covariances, fixed_covariances)
 from .geb import UnconstrainedBeamformer, compute_geb
@@ -314,62 +317,109 @@ def _error(phi: float, name: str, comb: str, exc: Exception) -> PhiRecord:
     return PhiRecord(phi, name, comb, error=f"{type(exc).__name__}: {exc}")
 
 
-def _evaluate_phi(design, phi: float, phi_index: int, cfg: SweepSettings,
-                  stages: dict) -> list[PhiRecord]:
-    """Records of one angle from its :func:`angle_design` entry, or from the error it
-    raised, and its stages from its unit (design name -> stage, or the error it raised)."""
-    if isinstance(design, Exception):
-        return [_error(phi, name, comb, design)
-                for name in cfg.beamformers for comb in cfg.combiners]
-    scn_phi, cov, stats, geb = design
-    # the pilots draw from a seed of the angle alone, so every design shares them
-    pilots = None if cfg.estimator == "none" else chanest.build_pilots(
-        scn_phi, cfg.group, cfg.pilot_length, _derived_seed(cfg.seed, phi_index, 3),
-        energy=cfg.pilot_energy)
+def _stacked(arrays: list) -> np.ndarray:
+    """A unit's per-angle arrays as one (A, ...) stack, or the one array they all share."""
+    first = arrays[0]
+    return first if all(x is first for x in arrays) else np.stack(arrays)
 
-    designs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    scores: dict[str, tuple[float, float | None]] = {}
-    failed: dict[str, Exception] = {}
-    for name in cfg.beamformers:
-        s_eff = stages[name]
-        try:
-            if isinstance(s_eff, Exception):
-                raise s_eff
-            # the design's one rank check; estimation and the link pass read the result
-            r_eta_rd = reduce(stats, s_eff)
-            score = expected_sinr(stats, s_eff)
-            est_nmse = None
-            if pilots is not None:
-                est_nmse = _estimation_nmse(cov, s_eff, r_eta_rd, cfg, pilots)
-        except ANGLE_ERRORS as exc:
-            failed[name] = exc
-            continue
-        designs[name], scores[name] = (s_eff, r_eta_rd), (score, est_nmse)
-    link = linksim.ergodic_capacity(cov, designs, cfg.group, cfg.combiners,
-                                    n=cfg.block_length, trials=cfg.trials,
-                                    seed=_derived_seed(cfg.seed, phi_index, 2))
+
+def _evaluate_unit(entries: list, stages: list[dict], phis, tokens,
+                   cfg: SweepSettings) -> list[PhiRecord]:
+    """Records of a unit's angles, in grid order, from their :func:`angle_design` entries
+    (or the errors they raised) and stages (design name -> stage, or the error it raised).
+
+    ``tokens`` are the angles' seed tokens.  Each stage's rank is checked on its own; the
+    standing angles' stages then form one (design, angle) grid, a failed design's place
+    held by its angle's GEB, against the angles' statistics, CCMs and pilots stacked along
+    the angle axis (or shared).  One :func:`~jsdmsim.statistics.reduce`, one
+    :func:`~jsdmsim.statistics.expected_sinr` and one estimation nMSE call cover the grid,
+    the estimation made again member by member when it fails (:func:`_each`); one link
+    pass evaluates every angle's surviving designs.
+    """
+    names = cfg.beamformers
+    standing = [a for a, entry in enumerate(entries) if not isinstance(entry, Exception)]
+    failed = {a: {} for a in standing}
+    for a in standing:
+        for name in names:
+            stage = stages[a][name]
+            if isinstance(stage, Exception):
+                failed[a][name] = stage
+                continue
+            try:
+                # the design's one rank check
+                statistics._check_rank(stage)
+            except ANGLE_ERRORS as exc:
+                failed[a][name] = exc
+    if standing:
+        scns, covs, stats, gebs = zip(*(entries[a] for a in standing))
+        s = np.stack([[gebs[b].s if name in failed[a] else stages[a][name]
+                       for b, a in enumerate(standing)] for name in names])
+        grid_stats = GroupStatistics(_stacked([st.r_s for st in stats]),
+                                     _stacked([st.r_eta for st in stats]))
+        r_eta_rd = reduce(grid_stats, s)
+        scores = expected_sinr(grid_stats, s)
+        members = [(i, b) for i, name in enumerate(names) for b, a in enumerate(standing)
+                   if name not in failed[a]]
+        nmses = {}
+        if cfg.estimator != "none":
+            delays = scns[0].groups[cfg.group].delays
+            # the pilots draw from a seed of the angle alone, so every design shares them
+            pilots = [chanest.build_pilots(scn, cfg.group, cfg.pilot_length,
+                                           _derived_seed(cfg.seed, tokens[a], 3),
+                                           energy=cfg.pilot_energy)
+                      for scn, a in zip(scns, standing)]
+
+            def grid(ms):
+                values = _estimation_nmse(_stacked([cov.stacks[cfg.group] for cov in covs]), s,
+                                          r_eta_rd, chanest.stack_pilots(pilots), delays, cfg)
+                return [values[m] for m in ms]
+
+            def lone(m):
+                i, b = m
+                return _estimation_nmse(covs[b].stacks[cfg.group], s[m], r_eta_rd[m],
+                                        pilots[b], delays, cfg)
+
+            for (i, b), value in zip(members, _each(grid, lone, members)):
+                if isinstance(value, Exception):
+                    failed[standing[b]][names[i]] = value
+                else:
+                    nmses[(i, b)] = float(value)
+        link = linksim.ergodic_capacity(
+            list(covs), [{name: (s[i, b], r_eta_rd[i, b]) for i, name in enumerate(names)
+                          if name not in failed[a]} for b, a in enumerate(standing)],
+            cfg.group, cfg.combiners, n=cfg.block_length, trials=cfg.trials,
+            seed=[_derived_seed(cfg.seed, tokens[a], 2) for a in standing])
+        means = link.means()
 
     records: list[PhiRecord] = []
-    for name in cfg.beamformers:
-        for comb in cfg.combiners:
-            exc = failed.get(name) or link.errors.get((name, comb))
-            if exc is not None:
-                records.append(_error(phi, name, comb, exc))
-            else:
-                records.append(PhiRecord(phi, name, comb, link.estimate(name, comb).mean,
-                                         *scores[name]))
+    for a, phi in enumerate(float(phi) for phi in phis):
+        if a not in failed:
+            records.extend(_error(phi, name, comb, entries[a])
+                           for name in names for comb in cfg.combiners)
+            continue
+        b = standing.index(a)
+        for i, name in enumerate(names):
+            for j, comb in enumerate(cfg.combiners):
+                exc = failed[a].get(name) or link.failures[b].get((name, comb))
+                if exc is not None:
+                    records.append(_error(phi, name, comb, exc))
+                else:
+                    records.append(PhiRecord(phi, name, comb,
+                                             means[b, link.designs.index(name), j],
+                                             float(scores[i, b]), nmses.get((i, b))))
     return records
 
 
-def _estimation_nmse(cov: CovarianceSet, s_eff: np.ndarray, r_eta_rd: np.ndarray,
-                     cfg: SweepSettings, pilots: chanest.PilotBlock) -> float:
-    delays = cov.scenario.groups[cfg.group].delays
-    r_h = chanest.effective_covariance(cov, s_eff, cfg.group)
+def _estimation_nmse(ccms: np.ndarray, s: np.ndarray, r_eta_rd: np.ndarray,
+                     pilots: chanest.PilotBlock, delays, cfg: SweepSettings) -> np.ndarray:
+    """The estimator's nMSE of each design of a grid (or of one design), from the CCMs, pilots
+    and reduced covariances that broadcast with it."""
+    r_h = chanest.effective_covariance(ccms, s)
     pc = chanest.pilot_covariances(pilots, delays, r_h, r_eta_rd)
     if cfg.estimator == "lmmse":
         z = chanest.lmmse_estimator(pc)
     else:
-        z = chanest.ls_estimator(pilots, delays, s_eff.shape[1])
+        z = chanest.ls_estimator(pilots, delays, s.shape[-1])
     return chanest.nmse(z, pc)
 
 
@@ -443,8 +493,8 @@ def phi_sweep(scn: Scenario, phi_grid, settings: SweepSettings,
     contiguous angles as keep the unit's mobile CCMs within ``_UNIT_BYTES``: one
     :func:`angle_design` call, with the evaluated group's sampling factors, and
     one stacked call per design (:func:`_design_unit`), each made again member
-    by member when it fails.  Every angle is then evaluated on its own, with
-    its own seeds.
+    by member when it fails.  Each unit is then evaluated in one stacked pass
+    (:func:`_evaluate_unit`), every angle with its own seeds.
 
     With ``pattern_phi``, ``result.pattern`` holds every design at that angle.
     When the grid holds that exact angle, these are its twin's stages, the ones
@@ -468,9 +518,9 @@ def _sweep_unit(result: SweepResult, phi_grid: np.ndarray, start: int, stop: int
     grid angle equal to ``pattern_phi`` become ``result.pattern``.  The unit's covariances
     live in this call's locals, so they are released before the next unit is designed."""
     cfg = result.settings
-    entries, stages = _design_unit(result.fixed, phi_grid[start:stop], range(start, stop),
-                                   cfg)
-    for i, design, made in zip(range(start, stop), entries, stages):
-        result.records.extend(_evaluate_phi(design, float(phi_grid[i]), i, cfg, made))
-        if result.pattern is None and phi_grid[i] == pattern_phi:
+    phis = phi_grid[start:stop]
+    entries, stages = _design_unit(result.fixed, phis, range(start, stop), cfg)
+    result.records.extend(_evaluate_unit(entries, stages, phis, range(start, stop), cfg))
+    for phi, made in zip(phis, stages):
+        if result.pattern is None and phi == pattern_phi:
             result.pattern = made

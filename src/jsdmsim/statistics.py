@@ -82,10 +82,17 @@ def _check_rank(s: np.ndarray) -> None:
 
 
 def reduce(stats: GroupStatistics, s: np.ndarray) -> np.ndarray:
-    """Reduced interference-plus-noise covariance S^H R_eta S of a full-column-rank S."""
+    """Reduced interference-plus-noise covariance S^H R_eta S of a full-column-rank S.
+
+    A lone S has its rank checked here.  A stack (..., M, D), against statistics whose
+    leading axes broadcast with it, is reduced in one product, each member exactly as
+    on its own; its ranks are its caller's to check, one beamformer at a time
+    (``_check_rank``), so that a failure stays with its beamformer.
+    """
     s = np.asarray(s, dtype=complex)
-    _check_rank(s)
-    return s.conj().T @ stats.r_eta @ s
+    if s.ndim == 2:
+        _check_rank(s)
+    return s.conj().swapaxes(-1, -2) @ stats.r_eta @ s
 
 
 def expected_sinr(stats: GroupStatistics, s: np.ndarray):
@@ -93,9 +100,10 @@ def expected_sinr(stats: GroupStatistics, s: np.ndarray):
 
     tr(S^H R_s S) / tr(S^H R_eta S); scale-invariant in S, strictly positive
     denominator whenever the noise power is.  A trace ratio needs no column
-    rank: a design's rank is checked once, by :func:`reduce`.  A stack of
-    beamformers (..., M, D) is scored in one product per trace, each exactly
-    as on its own, into an array of ratios.
+    rank: a design's rank is checked once, with :func:`reduce`.  A stack of
+    beamformers (..., M, D), against statistics whose leading axes broadcast
+    with it, is scored in one product per trace, each exactly as on its own,
+    into an array of ratios.
     """
     s = np.asarray(s, dtype=complex)
     s_h = s.conj().swapaxes(-1, -2)

@@ -325,7 +325,7 @@ def test_criterion_12_nmse_grid():
     stats = group_statistics(cov, 0)
     geb = compute_geb(stats, 4)
     rd = reduce(stats, geb.s)
-    r_h = chanest.effective_covariance(cov, geb.s, 0)
+    r_h = chanest.effective_covariance(cov.stacks[0], geb.s)
     t_grid = (8, 12, 16, 24)
     e_grid = (0.5, 2.0, 8.0, 32.0)
     lm = np.zeros((4, 4))

@@ -98,7 +98,7 @@ class TestReceivePilots:
         geb = compute_geb(stats, 2)
         rd = reduce(stats, geb.s)
         pilots = build_pilots(scn, 0, 4, seed=11)
-        r_h = effective_covariance(cov, geb.s, 0)
+        r_h = effective_covariance(cov.stacks[0], geb.s)
         r_y = pilot_covariances(pilots, scn.groups[0].delays, r_h, rd).r_y
         draws = 8000
         dim = pilots.length * 2
@@ -155,7 +155,7 @@ class TestLmmseEstimator:
         stats = group_statistics(cov, 0)
         geb = compute_geb(stats, 2)
         rd = reduce(stats, geb.s)
-        r_h = effective_covariance(cov, geb.s, 0)
+        r_h = effective_covariance(cov.stacks[0], geb.s)
         z_lm = lmmse_estimator(pilot_covariances(pilots, scn.groups[0].delays, r_h, rd))
         z_ls = ls_estimator(pilots, scn.groups[0].delays, 2)
         real = sample_channels(cov, 5)
@@ -201,7 +201,7 @@ class TestLsEstimator:
         stats = group_statistics(cov, 0)
         geb = compute_geb(stats, 2)
         rd = reduce(stats, geb.s)
-        r_h = effective_covariance(cov, geb.s, 0)
+        r_h = effective_covariance(cov.stacks[0], geb.s)
         # the same covariance over all 8 taps: zero blocks at the inactive ones
         r_full = np.zeros((8, 2, 8, 2), dtype=complex)
         r_full[[0, 3], :, [0, 3], :] = r_h.reshape(2, 2, 2, 2)[[0, 1], :, [0, 1], :]
@@ -230,7 +230,7 @@ class TestNmse:
         stats = group_statistics(cov, 0)
         geb = compute_geb(stats, 3)
         rd = reduce(stats, geb.s)
-        r_h = effective_covariance(cov, geb.s, 0)
+        r_h = effective_covariance(cov.stacks[0], geb.s)
         return scn, cov, geb, rd, r_h
 
     DELAYS = two_group_toy().groups[0].delays
@@ -283,7 +283,7 @@ class TestNmse:
         delays = scn.groups[0].delays
         energy = None if energy_db is None else 10.0 ** (energy_db / 10.0)
         pilots = build_pilots(scn, 0, length, seed, energy=energy)
-        pc = pilot_covariances(pilots, delays, effective_covariance(cov, s, 0), rd)
+        pc = pilot_covariances(pilots, delays, effective_covariance(cov.stacks[0], s), rd)
         assert 0.0 <= nmse(lmmse_estimator(pc), pc) <= 1.0
 
     def test_closed_form_matches_monte_carlo(self):
@@ -363,7 +363,7 @@ class TestOtherGroupRobustness:
         stats = group_statistics(cov, 0)
         geb = compute_geb(stats, 4)
         rd = reduce(stats, geb.s)
-        r_h = effective_covariance(cov, geb.s, 0)
+        r_h = effective_covariance(cov.stacks[0], geb.s)
         pilots = build_pilots(scn, 0, 8, seed=8)
         pc = pilot_covariances(pilots, scn.groups[0].delays, r_h, rd)
         z = lmmse_estimator(pc)

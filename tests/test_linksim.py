@@ -1,5 +1,9 @@
 """SC-FDE block simulation against the semi-analytic link evaluation."""
 
+import re
+import tracemalloc
+from importlib import resources
+
 import hypothesis
 import numpy as np
 import pytest
@@ -15,7 +19,8 @@ from jsdmsim import (
     reduce,
     sample_channels,
 )
-from jsdmsim import linksim
+from jsdmsim import linksim, metrics
+from jsdmsim.config import parse_config
 from jsdmsim.constrained import dft_beamformer, phase_extraction
 from jsdmsim.channel import white_coefficients
 from jsdmsim.digital import (SingularBinError, bin_grams, effective_channel, lmmse_capacity,
@@ -329,7 +334,7 @@ class TestLinkPass:
         cov, designs = three_designs()
         runs = []
         for block in (1, 5, 16, 64):
-            monkeypatch.setattr(linksim, "_TRIAL_BLOCK", block)
+            monkeypatch.setattr(linksim, "_BLOCK_ELEMENTS", block)
             runs.append(ergodic_capacity(cov, designs, 0, ("zf", "lmmse"), n=16, trials=37,
                                          seed=2024).samples)
         for samples in runs[1:]:
@@ -337,7 +342,7 @@ class TestLinkPass:
 
     def test_one_draw_per_pass(self, monkeypatch):
         # 37 trials in blocks of 16: one draw of every trial serves all six pairs
-        monkeypatch.setattr(linksim, "_TRIAL_BLOCK", 16)
+        monkeypatch.setattr(linksim, "_BLOCK_ELEMENTS", 16)
         cov, designs = three_designs()
         drawn = []
 
@@ -351,23 +356,26 @@ class TestLinkPass:
         assert len(drawn) == 1 and drawn[0][0] == 37 and drawn[0][1] is cov.factors(0)
 
     def test_singular_bin_fails_only_its_pair(self, monkeypatch):
-        # bin 3 of trial 21 (realization 5 of the second block) of the pe
-        # design's per-bin matrices is zeroed on the way into its zf kernel only;
-        # blocks of 16 trials split the 37 trials into three blocks
-        monkeypatch.setattr(linksim, "_TRIAL_BLOCK", 16)
+        # bin 3 of trial 21 (realization 8 of the pe design's second block) of the pe
+        # design's per-bin matrices is zeroed on the way into its zf kernel only; a budget
+        # of 16 (angle, design, trial) triples splits each design's 37 trials into three
+        # equal blocks, of 13, 13 and 11 trials
+        monkeypatch.setattr(linksim, "_BLOCK_ELEMENTS", 16)
         cov, designs = three_designs()
         clean = ergodic_capacity(cov, designs, 0, ("zf", "lmmse"), n=16, trials=37, seed=2024)
         pe_weights, pe_grams, faulty_zf, pe_lmmse = [], [], [], []
 
         def recording_eigenbasis(s, r_eta_rd, factors):
             prepared = linksim_eigenbasis(s, r_eta_rd, factors)
-            if s is designs["pe"][0]:
-                pe_weights.append(prepared[1])
+            # one call stacks every design: pe's member equals its stage
+            pe_weights.extend(w for member, w in zip(s, prepared[1])
+                              if np.array_equal(member, designs["pe"][0]))
             return prepared
 
         def recording_grams(active, delays, n_taps, n, weights):
             grams = bin_grams(active, delays, n_taps, n, weights)
-            if any(weights is w for w in pe_weights):
+            # one pair per block: its weights are the stack's one member
+            if any(np.array_equal(weights[0], w) for w in pe_weights):
                 pe_grams.append(grams)
             return grams
 
@@ -379,7 +387,7 @@ class TestLinkPass:
                 faulty_zf.append(g)
                 if len(faulty_zf) == 2:
                     g, h = g.copy(), h.copy()
-                    g[..., 5, 3] = h[..., 5, 3] = 0.0
+                    g[..., 8, 3] = h[..., 8, 3] = 0.0
             return zf_capacity(g, h, symbol_energy, n_users)
 
         def recording_lmmse(m, symbol_energy, n_users):
@@ -393,7 +401,7 @@ class TestLinkPass:
         monkeypatch.setattr(linksim, "lmmse_capacity", recording_lmmse)
         link = ergodic_capacity(cov, designs, 0, ("zf", "lmmse"), n=16, trials=37, seed=2024)
         assert list(link.errors) == [("pe", "zf")]
-        message = "effective channel at bin 3 of realization (5,) is rank deficient"
+        message = "effective channel at bin 3 of trial 21 is rank deficient"
         with pytest.raises(SingularBinError) as excinfo:
             link.estimate("pe", "zf")
         assert str(excinfo.value) == message
@@ -496,3 +504,68 @@ class TestLinkPassMatchesOracle:
                 expected = [bussgang_report(eff, bank, rd, spec.symbol_energy, spec.n_users,
                                             user).capacity for user in range(spec.n_users)]
                 assert_allclose(link.samples[t, 0, j], expected, rtol=rtol)
+
+
+class TestLinkPassMemory:
+    def test_peak_of_one_stacked_pass_at_full_scale(self, monkeypatch):
+        """The 11-angle table1 sweep at 128 antennas and 200 trials: units of two angles,
+        four designs and both combiners, so each pass runs blocks of one pair and 100
+        trials.  Measured (numpy 2.4): each pass peaks at 3.28 MiB, and at 1.90, 3.28 and
+        6.05 MiB with budgets of 64, 100 and 200 triples; the pass keeps 56 KiB."""
+        text = resources.files("jsdmsim.configs").joinpath("table1.cfg").read_text()
+        for key, value in {"phi_start": "10", "phi_stop": "11"}.items():
+            text, hits = re.subn(rf"(?m)^{key}\s*=.*$", f"{key} = {value}", text)
+            assert hits == 1
+        cfg = parse_config(text)
+        peaks, original = [], linksim.ergodic_capacity
+
+        def measured(*args, **kwargs):
+            tracemalloc.start()
+            try:
+                link = original(*args, **kwargs)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append((peak, kept, link))
+            return link
+
+        monkeypatch.setattr(linksim, "ergodic_capacity", measured)
+        result = metrics.phi_sweep(cfg.scenario, cfg.phi_values(), cfg.sweep)
+        assert not result.errors() and len(result.records) == 11 * 4 * 2
+        assert cfg.sweep.trials == 200 and len(peaks) == 6
+        peak, kept, link = max(peaks, key=lambda x: x[0])
+        # one block's per-bin matrices: three K x K stacks over 100 trials and 64 bins
+        block = 3 * 2 * 2 * 100 * 64 * 16
+        assert kept >= link.samples.nbytes
+        assert block <= peak <= 4 << 20
+
+
+class TestUnitPass:
+    def test_each_angle_equals_its_own_pass(self):
+        # two angles, one of them missing a design, in one pass: each angle's view is bit
+        # for bit its own one-angle pass
+        angles = []
+        for phi in (0.0, 7.0):
+            scn = two_group_toy(phi=phi)
+            cov = build_covariances(scn)
+            stats = group_statistics(cov, 0)
+            geb = compute_geb(stats, 4)
+            angles.append((cov, with_reduced(stats, {"geb": geb.s,
+                                                     "dft": dft_beamformer(scn, 0).effective()})))
+        del angles[1][1]["dft"]
+        seeds = [11, 12]
+        link = ergodic_capacity([cov for cov, _ in angles], [d for _, d in angles], 0,
+                                ("zf", "lmmse"), n=16, trials=37, seed=seeds)
+        assert link.samples.shape == (2 * 37, 2, 2, 2)
+        assert np.isnan(link.samples[37:, 1]).all()
+        means = link.means()
+        for a, ((cov, designs), seed) in enumerate(zip(angles, seeds)):
+            alone = ergodic_capacity(cov, designs, 0, ("zf", "lmmse"), n=16, trials=37,
+                                     seed=seed)
+            view = link.angle(a)
+            assert view.errors == alone.errors == {}
+            for i, name in enumerate(designs):
+                for j, comb in enumerate(("zf", "lmmse")):
+                    assert np.array_equal(view.estimate(name, comb).samples,
+                                          alone.estimate(name, comb).samples)
+                    assert np.array_equal(means[a, i, j], alone.estimate(name, comb).mean)

@@ -4,8 +4,10 @@ import dataclasses
 import re
 from importlib import resources
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from jsdmsim import (
@@ -299,17 +301,17 @@ class TestFixedCovariances:
         phis = [-3.0, 0.0, 4.5]
         settings = SweepSettings(group=group, beamformers=("geb", "dft"), combiners=("zf",),
                                  trials=2, block_length=32, seed=5)
-        original_build, original_evaluate = metrics.build_covariances, metrics._evaluate_phi
+        original_build, original_evaluate = metrics.build_covariances, metrics._evaluate_unit
 
         def recording_build(scn_phi, **kwargs):
             blocks.append(kwargs["phis"])
             return original_build(scn_phi, **kwargs)
 
-        def recording_evaluate(design, phi, phi_index, cfg, stages):
-            scn_phi, cov, stats, geb = design
-            built.append((scn_phi, cov))
-            solved.append((stats, geb))
-            return original_evaluate(design, phi, phi_index, cfg, stages)
+        def recording_evaluate(entries, stages, phis, tokens, cfg):
+            for scn_phi, cov, stats, geb in entries:
+                built.append((scn_phi, cov))
+                solved.append((stats, geb))
+            return original_evaluate(entries, stages, phis, tokens, cfg)
 
         def counting_factor(r):
             factored.append(r.shape)
@@ -317,7 +319,7 @@ class TestFixedCovariances:
 
         original_factor = channel.psd_factor
         monkeypatch.setattr(metrics, "build_covariances", recording_build)
-        monkeypatch.setattr(metrics, "_evaluate_phi", recording_evaluate)
+        monkeypatch.setattr(metrics, "_evaluate_unit", recording_evaluate)
         monkeypatch.setattr(channel, "psd_factor", counting_factor)
         # units of 1, 2 and 5 angles (one unit, larger than the grid); a unit of one is a
         # lone build, with no unit axis
@@ -500,13 +502,14 @@ class TestBatches:
     def test_the_beampattern_is_the_evaluated_design(self, monkeypatch, size, pattern_phi):
         # on the grid, each design's pattern is the very stage the twin's evaluation scored
         scn = table1_scenario(m=16)
-        evaluated, original = {}, metrics._evaluate_phi
+        evaluated, original = {}, metrics._evaluate_unit
 
-        def recording(design, phi, phi_index, cfg, stages):
-            evaluated[phi] = dict(stages)
-            return original(design, phi, phi_index, cfg, stages)
+        def recording(entries, stages, phis, tokens, cfg):
+            for phi, made in zip(phis, stages):
+                evaluated[phi] = dict(made)
+            return original(entries, stages, phis, tokens, cfg)
 
-        monkeypatch.setattr(metrics, "_evaluate_phi", recording)
+        monkeypatch.setattr(metrics, "_evaluate_unit", recording)
         monkeypatch.setattr(metrics, "_UNIT_BYTES", size * _mobile_bytes(scn))
         result = phi_sweep(scn, self.PHIS, self.SETTINGS, pattern_phi=pattern_phi)
         assert not result.errors()
@@ -642,3 +645,63 @@ class TestPatternChunks:
                 part = steering_matrix(thetas[start:start + chunk], m)
                 assert np.array_equal(part, whole[:, start:start + chunk])
                 assert np.array_equal(beampattern(s, part), powers[start:start + chunk])
+
+
+class TestLinkBudget:
+    """A unit's link pass gives every record, failure and sample bit for bit alike at any
+    element budget."""
+
+    PHIS = [-3.0, 0.0, 4.5]
+    NAMES = ("geb", "dft", "pe")
+
+    def sweep(self, budget, cfg, faulty_trial):
+        """Records and link samples of a sweep whose first angle's draw of ``faulty_trial``
+        (if any) is NaN, so that its ZF pairs fail naming that trial."""
+        passes, draw, original = [], linksim.white_coefficients, linksim.ergodic_capacity
+
+        def drawing(rng, trials, factors):
+            z = draw(rng, trials, factors)
+            if faulty_trial is not None and not passes:
+                z[faulty_trial] = np.nan
+            return z
+
+        def recording(*args, **kwargs):
+            link = original(*args, **kwargs)
+            passes.append(link.samples)
+            return link
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(linksim, "_BLOCK_ELEMENTS", budget)
+            monkeypatch.setattr(linksim, "white_coefficients", drawing)
+            monkeypatch.setattr(linksim, "ergodic_capacity", recording)
+            result = phi_sweep(table1_scenario(m=16), self.PHIS, cfg)
+        return result.records, passes
+
+    @hypothesis.seed(20261026)
+    @settings(max_examples=12, deadline=None, database=None)
+    @given(trials=st.integers(1, 9), seed=st.integers(0, 2**31), data=st.data())
+    def test_one_pair_and_the_whole_unit_agree(self, trials, seed, data):
+        # and a budget that splits each pair's trials, leaving a tail
+        split = data.draw(st.integers(1, trials))
+        faulty_trial = data.draw(st.none() | st.integers(0, trials - 1))
+        cfg = SweepSettings(group=0, beamformers=self.NAMES, combiners=("zf", "lmmse"),
+                            trials=trials, block_length=32, seed=seed)
+        unit, unit_passes = self.sweep(len(self.PHIS) * len(self.NAMES) * trials, cfg,
+                                       faulty_trial)
+        for budget in (trials, split):
+            records, passes = self.sweep(budget, cfg, faulty_trial)
+            assert len(passes) == len(unit_passes) == 1
+            assert np.array_equal(passes[0], unit_passes[0], equal_nan=True)
+            assert len(records) == len(unit)
+            errors = set()
+            for rec, ref in zip(records, unit):
+                assert (rec.phi, rec.beamformer, rec.combiner, rec.error) == (
+                    ref.phi, ref.beamformer, ref.combiner, ref.error)
+                assert (rec.expected_sinr, rec.nmse) == (ref.expected_sinr, ref.nmse)
+                assert rec.error is not None or np.array_equal(rec.capacity, ref.capacity,
+                                                               equal_nan=True)
+                errors.add(rec.error)
+            # the faulty draw fails the first angle's ZF pairs, naming the angle's own trial
+            assert errors == ({None} if faulty_trial is None else {
+                None, "SingularBinError: effective channel at bin 0 of trial "
+                      f"{faulty_trial} is rank deficient"})

@@ -4,7 +4,8 @@
 names and reads ``samples``, ``n_bins`` and ``iterations`` off their results.
 A deletion or rename in ``src`` that breaks either crashes a traced benchmark
 run; this test fails first, on a 16-antenna, 1-angle, 2-trial run of every
-design.
+design.  A 3-angle run shows the evaluation stage's shape: one link pass per unit
+of angles, drawing every (angle, trial).
 """
 
 import json
@@ -33,23 +34,28 @@ print(json.dumps({"missing": missing, "failures": manifest["failures"],
 """
 
 
-def small_config() -> str:
+def small_config(**changes) -> str:
     text = resources.files("jsdmsim.configs").joinpath("table1.cfg").read_text()
     edits = {"antennas": "16", "phi_start": "10", "phi_stop": "10", "trials": "2",
-             "beamformers": "geb dft pe pe-am fixed-ordered fixed-interlaced dynamic"}
+             "beamformers": "geb dft pe pe-am fixed-ordered fixed-interlaced dynamic",
+             **changes}
     for key, value in edits.items():
         text, hits = re.subn(rf"(?m)^{key}\s*=.*$", f"{key} = {value}", text)
         assert hits == 1, key
     return text
 
 
-def test_traced_run_resolves_every_traced_name(tmp_path):
+def traced_run(tmp_path, config: str) -> dict:
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT, str(ROOT / "perfbench"), str(ROOT / "src"),
          str(tmp_path / "out")],
-        input=small_config(), capture_output=True, text=True, timeout=300, cwd=tmp_path)
+        input=config, capture_output=True, text=True, timeout=300, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_traced_run_resolves_every_traced_name(tmp_path):
+    report = traced_run(tmp_path, small_config())
     assert report["missing"] == []
     assert report["failures"] == []
     summary = report["summary"]
@@ -74,3 +80,17 @@ def test_traced_run_resolves_every_traced_name(tmp_path):
     assert summary["constrained.fixed_subarray.calls"] == 3
     assert summary["constrained.dynamic_connection.calls"] == 1
     assert summary["constrained.dynamic_subarray.calls"] == 1
+
+
+def test_traced_run_evaluates_each_unit_in_one_pass(tmp_path):
+    # 3 angles at 16 antennas are one unit of angles (metrics._UNIT_BYTES)
+    angles, trials = 3, 2
+    report = traced_run(tmp_path, small_config(phi_stop="12", phi_step="1",
+                                               beamformers="geb dft"))
+    assert report["failures"] == []
+    summary = report["summary"]
+    assert summary["linksim.ergodic_capacity.calls"] == 1
+    assert summary["linksim.trials"] == angles * trials
+    # and one stacked reduction and estimation for the unit's (design, angle) grid
+    assert summary["statistics.reduce.calls"] == 1
+    assert summary["chanest.nmse.calls"] == 1
