@@ -47,6 +47,7 @@ __all__ = [
     "LinkPass",
     "UserLinkReport",
     "bussgang_report",
+    "equal_blocks",
     "ergodic_capacity",
     "simulate_block",
 ]
@@ -102,7 +103,7 @@ class LinkPass:
     design ``designs[i]`` with combiner ``combiners[j]``: one row per (angle, trial)
     draw.  An entry of a failed pair, or of a design the angle was not given, is NaN;
     ``failures[a]`` maps each of angle a's failed (design, combiner) pairs to its
-    ValueError.  :meth:`angle` is one angle's pass.
+    ValueError.
     """
 
     designs: tuple[str, ...]
@@ -115,12 +116,6 @@ class LinkPass:
         """The failed pairs of a one-angle pass."""
         [errors] = self.failures
         return errors
-
-    def angle(self, a: int) -> "LinkPass":
-        """Angle a's pass, a one-angle pass."""
-        trials = len(self.samples) // len(self.failures)
-        return LinkPass(self.designs, self.combiners,
-                        self.samples[a * trials:(a + 1) * trials], (self.failures[a],))
 
     def means(self) -> np.ndarray:
         """Each (angle, design, combiner)'s per-user mean capacity, (A, designs, combiners,
@@ -266,22 +261,24 @@ class _Pair:
     weights: np.ndarray
 
 
+def equal_blocks(count: int, most: int) -> list[slice]:
+    """``range(count)`` cut into equal slices of at most ``most`` items (at least one)."""
+    if not count:
+        return []
+    size = math.ceil(count / math.ceil(count / max(most, 1)))
+    return [slice(i, min(i + size, count)) for i in range(0, count, size)]
+
+
 def _blocks(pairs: list, trials: int) -> list[tuple[list, slice]]:
     """Equal blocks of (pairs, trials) of at most _BLOCK_ELEMENTS triples, in pair order.
 
     When a pair's trials fit, a block holds whole pairs, as many as fit; otherwise each
     block holds one pair and an equal share of its trials.
     """
-    if not pairs:
-        return []
     if trials <= _BLOCK_ELEMENTS:
-        count = -(-len(pairs) // (_BLOCK_ELEMENTS // trials))
-        size = -(-len(pairs) // count)
-        return [(pairs[i:i + size], slice(0, trials)) for i in range(0, len(pairs), size)]
-    count = -(-trials // _BLOCK_ELEMENTS)
-    size = -(-trials // count)
-    return [([pair], slice(t, min(t + size, trials)))
-            for pair in pairs for t in range(0, trials, size)]
+        return [(pairs[block], slice(0, trials))
+                for block in equal_blocks(len(pairs), _BLOCK_ELEMENTS // trials)]
+    return [([pair], block) for pair in pairs for block in equal_blocks(trials, _BLOCK_ELEMENTS)]
 
 
 def _singular_trial(bad: np.ndarray, first: int) -> SingularBinError:

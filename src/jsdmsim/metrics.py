@@ -15,8 +15,8 @@ evaluated as one (:func:`_evaluate_unit`): each stage's rank is checked on its
 own, and its (design, angle) grid of stages gets one
 :func:`~jsdmsim.statistics.reduce` (S^H R_eta S, which serves the estimation
 and the link pass), one expected-SINR call and, optionally, one
-channel-estimation nMSE call, with each angle's pilots built once from the
-angle's own seed.  One link pass (:func:`~jsdmsim.linksim.ergodic_capacity`)
+channel-estimation nMSE call per block of angles within the link's element
+budget, with each angle's pilots built once from the angle's own seed.  One link pass (:func:`~jsdmsim.linksim.ergodic_capacity`)
 then evaluates the capacity of every angle's surviving designs with every
 combiner, each angle against its own channel draws.  No record depends on the
 unit or on the link's blocks.  A numerical failure records an error marker for
@@ -331,9 +331,10 @@ def _evaluate_unit(entries: list, stages: list[dict], phis, tokens,
     ``tokens`` are the angles' seed tokens.  Each stage's rank is checked on its own; the
     standing angles' stages then form one (design, angle) grid, a failed design's place
     held by its angle's GEB, against the angles' statistics, CCMs and pilots stacked along
-    the angle axis (or shared).  One :func:`~jsdmsim.statistics.reduce`, one
-    :func:`~jsdmsim.statistics.expected_sinr` and one estimation nMSE call cover the grid,
-    the estimation made again member by member when it fails (:func:`_each`); one link
+    the angle axis (or shared).  One :func:`~jsdmsim.statistics.reduce` and one
+    :func:`~jsdmsim.statistics.expected_sinr` call cover the grid, and one estimation nMSE
+    call each block of angles that holds at most ``linksim._BLOCK_ELEMENTS`` (angle,
+    design) pairs, made again member by member when it fails (:func:`_each`); one link
     pass evaluates every angle's surviving designs.
     """
     names = cfg.beamformers
@@ -362,28 +363,33 @@ def _evaluate_unit(entries: list, stages: list[dict], phis, tokens,
                    if name not in failed[a]]
         nmses = {}
         if cfg.estimator != "none":
-            delays = scns[0].groups[cfg.group].delays
             # the pilots draw from a seed of the angle alone, so every design shares them
             pilots = [chanest.build_pilots(scn, cfg.group, cfg.pilot_length,
                                            _derived_seed(cfg.seed, tokens[a], 3),
                                            energy=cfg.pilot_energy)
                       for scn, a in zip(scns, standing)]
-
-            def grid(ms):
-                values = _estimation_nmse(_stacked([cov.stacks[cfg.group] for cov in covs]), s,
-                                          r_eta_rd, chanest.stack_pilots(pilots), delays, cfg)
-                return [values[m] for m in ms]
+            args = (scns[0].groups[cfg.group].delays, cfg)
+            ccms = [cov.stacks[cfg.group] for cov in covs]
 
             def lone(m):
                 i, b = m
-                return _estimation_nmse(covs[b].stacks[cfg.group], s[m], r_eta_rd[m],
-                                        pilots[b], delays, cfg)
+                return _estimation_nmse(ccms[b], s[m], r_eta_rd[m], pilots[b], *args)
 
-            for (i, b), value in zip(members, _each(grid, lone, members)):
-                if isinstance(value, Exception):
-                    failed[standing[b]][names[i]] = value
-                else:
-                    nmses[(i, b)] = float(value)
+            # blocks of angles, within the link's element budget of (angle, design) pairs
+            for block in linksim.equal_blocks(len(standing),
+                                              linksim._BLOCK_ELEMENTS // len(names)):
+                def grid(ms, block=block):
+                    values = _estimation_nmse(_stacked(ccms[block]), s[:, block],
+                                              r_eta_rd[:, block],
+                                              chanest.stack_pilots(pilots[block]), *args)
+                    return [values[i, b - block.start] for i, b in ms]
+
+                ms = [(i, b) for i, b in members if block.start <= b < block.stop]
+                for (i, b), value in zip(ms, _each(grid, lone, ms)):
+                    if isinstance(value, Exception):
+                        failed[standing[b]][names[i]] = value
+                    else:
+                        nmses[(i, b)] = float(value)
         link = linksim.ergodic_capacity(
             list(covs), [{name: (s[i, b], r_eta_rd[i, b]) for i, name in enumerate(names)
                           if name not in failed[a]} for b, a in enumerate(standing)],
