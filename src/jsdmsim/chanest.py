@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, CovarianceSet, Scenario
+from .channel import ChannelRealization, Scenario
 
 __all__ = [
     "PilotBlock",

@@ -30,7 +30,6 @@ the channel circularly, so the cyclic prefix is implicit.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -296,7 +295,8 @@ def ergodic_capacity(cov, designs, group: int, combiners: tuple[str, ...] = ("zf
     ``cov``, ``designs`` and ``seed`` are one angle's :class:`~jsdmsim.channel.CovarianceSet`,
     designs and seed, or equal-length sequences of them, one entry per angle of a unit.
     An angle's designs map a name to its effective analog stage S and its reduced
-    interference-plus-noise covariance S^H R_eta S (:func:`statistics.reduce`).  Only
+    interference-plus-noise covariance S^H R_eta S (:func:`statistics.reduce`); every S
+    of a pass is M x D, as the pass stacks them.  Only
     group ``group``'s channels are drawn; interference enters through the reduced
     covariance.  Each angle draws one (trials, L, K, 2, r) standard-normal array from
     ``default_rng`` of its seed, trial-major (:func:`channel.white_coefficients` of its
