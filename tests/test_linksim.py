@@ -542,7 +542,7 @@ class TestLinkPassMemory:
 
 class TestUnitPass:
     def test_each_angle_equals_its_own_pass(self):
-        # two angles, one of them missing a design, in one pass: each angle's view is bit
+        # two angles, one of them missing a design, in one pass: each angle's rows are bit
         # for bit its own one-angle pass
         angles = []
         for phi in (0.0, 7.0):
