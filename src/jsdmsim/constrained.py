@@ -191,7 +191,7 @@ def _alternate(s: np.ndarray, cand: np.ndarray, step, tol: float,
 # Fully connected designs
 
 
-def dft_beamformer(scn: Scenario, g: int) -> ConstrainedBeamformer:
+def dft_beamformer(scn: Scenario, g: int, phis=None):
     """Select DFT codebook columns pointing at the group's MPC clusters.
 
     Column k of the codebook is the unit-modulus vector with spatial frequency
@@ -200,20 +200,37 @@ def dft_beamformer(scn: Scenario, g: int) -> ConstrainedBeamformer:
     group's users); leftover chains take adjacent columns, round-robin across
     clusters, alternating +1/-1 offsets and skipping duplicates.  Not
     interference-aware by construction.
+
+    ``phis``, a 1-D array of shifting angles used instead of the scenario's own,
+    gives a tuple of one design per angle: the targets and nearest columns of every
+    angle are found as arrays and the codebook columns come from one ``exp``, each
+    design bit for bit the one of ``scn.with_phi(phi)`` on its own.
     """
     m = scn.n_antennas
     d = scn.groups[g].n_chains  # Scenario keeps it <= m
+    lone = phis is None
+    if not lone:
+        phis = np.asarray(phis, dtype=float)
 
-    cluster_aoa = scn.effective_aoa(g).mean(axis=0)
+    cluster_aoa = scn.effective_aoa(g, phis).mean(axis=-2)
     targets = np.pi * np.sin(np.deg2rad(cluster_aoa))
+    targets = np.broadcast_to(targets, (1 if lone else len(phis), targets.shape[-1]))
     freqs = 2.0 * np.pi * np.arange(m) / m
+    # distance of each (angle, cluster) target to each codebook frequency, mod 2*pi
+    dist = np.abs((freqs - targets[..., None] + np.pi) % (2.0 * np.pi) - np.pi)
+    bases = np.argmin(dist, axis=-1)
+    dists = np.take_along_axis(dist, bases[..., None], axis=-1)[..., 0]
+    cols = np.array([_dft_columns(base, dist, d, m)
+                     for base, dist in zip(bases.tolist(), dists.tolist())])
+    s_c = np.exp(2j * np.pi * (np.arange(m)[:, None] * cols[:, None, :]) / m) / np.sqrt(m)
+    designs = tuple(ConstrainedBeamformer(s, np.eye(d, dtype=complex),
+                                          np.ones((m, d), dtype=int)) for s in s_c)
+    return designs[0] if lone else designs
 
-    def wrap(x):
-        return np.abs((x + np.pi) % (2.0 * np.pi) - np.pi)
 
-    base = [int(np.argmin(wrap(freqs - t))) for t in targets]
-    dists = [wrap(freqs[k] - t) for k, t in zip(base, targets)]
-
+def _dft_columns(base: list[int], dists: list[float], d: int, m: int) -> list[int]:
+    """The d codebook columns of one angle, from each cluster's nearest column and its
+    distance: the nearest distinct ones first, then adjacent fill."""
     selected: list[int] = []
     if d < len(base):
         for _, k in sorted(zip(dists, base)):
@@ -239,10 +256,7 @@ def dft_beamformer(scn: Scenario, g: int) -> ConstrainedBeamformer:
                     break
             if len(selected) == d:
                 break
-
-    cols = np.array(selected)
-    s_c = np.exp(2j * np.pi * np.outer(np.arange(m), cols) / m) / np.sqrt(m)
-    return ConstrainedBeamformer(s_c, np.eye(d, dtype=complex), np.ones((m, d), dtype=int))
+    return selected
 
 
 def phase_extraction(s_geb) -> tuple[ConstrainedBeamformer, ...]:

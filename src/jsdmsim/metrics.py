@@ -11,8 +11,9 @@ rule (:func:`_each`): a stacked call that raises one of :data:`ANGLE_ERRORS` is
 made again member by member as lone calls, so a failure stays with its member
 and reads as in a one-angle run, and the other members keep their results bit
 for bit.  A unit of one angle makes the lone calls only.  The unit is then
-evaluated as one (:func:`_evaluate_unit`): each stage's rank is checked on its
-own, and its (design, angle) grid of stages gets one
+evaluated as one (:func:`_evaluate_unit`): one stacked rank check covers its
+stages, each member ranked on its own, and its (design, angle) grid of stages
+gets one
 :func:`~jsdmsim.statistics.reduce` (S^H R_eta S, which serves the estimation
 and the link pass), one expected-SINR call and, optionally, one
 channel-estimation nMSE call per block of angles within the link's element
@@ -33,17 +34,36 @@ Only the mobile groups move with phi, so the sweep's one invariant is the
 non-mobile groups' CCMs: :func:`phi_sweep` builds them once
 (:func:`~jsdmsim.channel.fixed_covariances`) and every angle shares them, bit
 for bit equal to a rebuild.
+
+Angles are independent given their seeds, so the sweep cuts its grid into one
+contiguous chunk of units per CPU (``os.sched_getaffinity``), at most one per
+unit, and forks a worker process for each chunk but the first once the fixed
+CCMs are built.  A forked worker inherits the imports and the fixed CCMs at no
+cost, where a spawned one would import numpy and the package again; it sends
+back only its records (and the beampattern twin's stages when it holds them)
+through a pipe, and every worker is reaped before the sweep returns or raises.
+A one-unit sweep, a platform without ``os.fork`` or ``os.sched_getaffinity`` and
+a process with other Python threads sweep in one process, through the same
+function.  CPython 3.12 and later warn when a process with other OS threads,
+such as OpenBLAS's pool, forks; the sweep has run on CPython 3.11 only, so
+that path is unverified.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import os
+import pickle
+import signal
+import threading
+import traceback
+
 import numpy as np
 
 from . import chanest, constrained, linksim, statistics
 from .channel import (DEFAULT_N_QUAD, CovarianceSet, FixedCovariances, Scenario,
                       build_covariances, fixed_covariances)
 from .geb import UnconstrainedBeamformer, compute_geb
-from .linalg import qr
+from .linalg import one_blas_thread, qr
 from .linksim import COMBINER_NAMES
 from .statistics import GroupStatistics, expected_sinr, group_statistics, reduce
 
@@ -125,8 +145,8 @@ def _fixed_subarray(mask):
 # ``constrained.<fn>`` when called, so wrappers installed on that module see every call.
 DESIGNS = {
     "geb": lambda unit, cfg: [geb.s for geb in unit.gebs],
-    "dft": lambda unit, cfg: [constrained.dft_beamformer(scn, unit.group).effective()
-                              for scn in unit.scenarios],
+    "dft": lambda unit, cfg: _effective(constrained.dft_beamformer(
+        unit.scenarios[0], unit.group, [scn.phi for scn in unit.scenarios])),
     "pe": lambda unit, cfg: _effective(constrained.phase_extraction(unit.s)),
     "pe-am": lambda unit, cfg: _effective(constrained.pe_am(
         unit.s, tol=cfg.tol, max_iter=cfg.max_iter)[0]),
@@ -176,16 +196,18 @@ def check_scan_range(phis) -> None:
         raise ValueError("shifting angles must stay within the -90..90 degree scan range")
 
 
-def beampattern(s: np.ndarray, steering: np.ndarray) -> np.ndarray:
+def beampattern(s: np.ndarray, steering: np.ndarray, orthonormal: bool = False) -> np.ndarray:
     """Power of each steering direction inside the beamformer's column space.
 
     B(theta) = u^H S (S^H S)^{-1} S^H u, a projection, so values live in
     [0, 1] and depend only on span(S).  ``steering`` holds the directions
     u as columns, an M x n :func:`~jsdmsim.channel.steering_matrix`, so a
-    pass over several designs builds it once.
+    pass over several designs builds it once.  ``orthonormal=True`` says ``s``
+    is already the Q of its :func:`~jsdmsim.linalg.qr`, so a pass over several
+    chunks of directions orthonormalizes each design once.
     """
     s = np.asarray(s, dtype=complex)
-    q, _ = qr(s)  # rank deficiency surfaces here as RankError
+    q = s if orthonormal else qr(s)[0]  # rank deficiency surfaces in qr as RankError
     return np.sum(np.abs(q.conj().T @ steering) ** 2, axis=0)
 
 
@@ -328,7 +350,8 @@ def _evaluate_unit(entries: list, stages: list[dict], phis, tokens,
     """Records of a unit's angles, in grid order, from their :func:`angle_design` entries
     (or the errors they raised) and stages (design name -> stage, or the error it raised).
 
-    ``tokens`` are the angles' seed tokens.  Each stage's rank is checked on its own; the
+    ``tokens`` are the angles' seed tokens.  One stacked rank check covers the stages, made
+    again member by member when its SVD fails (:func:`_each`); the
     standing angles' stages then form one (design, angle) grid, a failed design's place
     held by its angle's GEB, against the angles' statistics, CCMs and pilots stacked along
     the angle axis (or shared).  One :func:`~jsdmsim.statistics.reduce` and one
@@ -339,18 +362,17 @@ def _evaluate_unit(entries: list, stages: list[dict], phis, tokens,
     """
     names = cfg.beamformers
     standing = [a for a, entry in enumerate(entries) if not isinstance(entry, Exception)]
-    failed = {a: {} for a in standing}
-    for a in standing:
-        for name in names:
-            stage = stages[a][name]
-            if isinstance(stage, Exception):
-                failed[a][name] = stage
-                continue
-            try:
-                # the design's one rank check
-                statistics._check_rank(stage)
-            except ANGLE_ERRORS as exc:
-                failed[a][name] = exc
+    failed = {a: {name: stages[a][name] for name in names
+                  if isinstance(stages[a][name], Exception)} for a in standing}
+    # each stage's one rank check, one stacked call over the grid
+    checked = [(a, name) for a in standing for name in names if name not in failed[a]]
+    ranks = _each(lambda ms: [None if full else ValueError(statistics._RANK_MESSAGE)
+                              for full in statistics._full_rank(
+                                  np.stack([stages[a][name] for a, name in ms]))],
+                  lambda m: statistics._check_rank(stages[m[0]][m[1]]), checked)
+    for (a, name), exc in zip(checked, ranks):
+        if exc is not None:
+            failed[a][name] = exc
     if standing:
         scns, covs, stats, gebs = zip(*(entries[a] for a in standing))
         s = np.stack([[gebs[b].s if name in failed[a] else stages[a][name]
@@ -490,6 +512,16 @@ def _unit_size(scn: Scenario) -> int:
     return max(1, _UNIT_BYTES // max(per_angle, 1))
 
 
+def _processes(units: int) -> int:
+    """How many processes sweep ``units`` units of angles: one per CPU this process may run
+    on, at most one per unit, and one where the platform has no ``os.fork`` or
+    ``os.sched_getaffinity`` or where other Python threads run (a fork copies none of them)."""
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), units))
+
+
 def phi_sweep(scn: Scenario, phi_grid, settings: SweepSettings,
               pattern_phi: float | None = None) -> SweepResult:
     """Evaluate the configured pipeline at every shifting angle, in grid order.
@@ -502,6 +534,14 @@ def phi_sweep(scn: Scenario, phi_grid, settings: SweepSettings,
     by member when it fails.  Each unit is then evaluated in one stacked pass
     (:func:`_evaluate_unit`), every angle with its own seeds.
 
+    The grid is cut into contiguous chunks of near-equal angle count, one per
+    process (:func:`_processes`), and each chunk into units.  After the fixed
+    CCMs are built, the sweep forks a worker for each chunk but the first, which
+    it sweeps itself, all on one BLAS thread; the workers' records are merged in
+    grid order, and no record depends on the chunks or the units.  A worker's
+    exception is raised here with its type and message, a worker that dies
+    raises RuntimeError naming its exit status, and no worker outlives the call.
+
     With ``pattern_phi``, ``result.pattern`` holds every design at that angle.
     When the grid holds that exact angle, these are its twin's stages, the ones
     the twin's records score; otherwise the angle is designed after the sweep as
@@ -511,11 +551,99 @@ def phi_sweep(scn: Scenario, phi_grid, settings: SweepSettings,
     check_scan_range(phi_grid)
     result = SweepResult(settings, fixed_covariances(scn, settings.n_quad))
     size = _unit_size(scn)
-    for start in range(0, len(phi_grid), size):
-        _sweep_unit(result, phi_grid, start, min(start + size, len(phi_grid)), pattern_phi)
-    if pattern_phi is not None and result.pattern is None:  # off the grid
-        _, [result.pattern] = _design_unit(result.fixed, [pattern_phi], [-1], settings)
+    n = _processes(-(-len(phi_grid) // size))
+    edges = [len(phi_grid) * k // n for k in range(n + 1)]
+
+    def sweep(start: int, stop: int) -> tuple:
+        for lo in range(start, stop, size):
+            _sweep_unit(result, phi_grid, lo, min(lo + size, stop), pattern_phi)
+        return result.records, result.pattern
+
+    with one_blas_thread():
+        workers = []
+        try:
+            for start, stop in zip(edges[1:-1], edges[2:]):
+                workers.append(_Worker(lambda start=start, stop=stop: sweep(start, stop),
+                                       f"grid angles {start}..{stop - 1}"))
+            sweep(edges[0], edges[1])
+            for worker in workers:
+                records, pattern = worker.result()
+                result.records.extend(records)
+                if result.pattern is None:
+                    result.pattern = pattern
+        finally:
+            for worker in workers:
+                worker.stop()
+        if pattern_phi is not None and result.pattern is None:  # off the grid
+            _, [result.pattern] = _design_unit(result.fixed, [pattern_phi], [-1], settings)
     return result
+
+
+class _Worker:
+    """A forked process that calls ``work()`` once and sends back, pickled through a pipe,
+    what it returned or the exception it raised.  ``what`` names its work in errors."""
+
+    def __init__(self, work, what: str):
+        self.what = what
+        read, write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except BaseException:
+            os.close(read)
+            os.close(write)
+            raise
+        if self.pid == 0:  # the worker: it leaves through os._exit, running no cleanup
+            status = 1
+            try:
+                os.close(read)
+                with open(write, "wb") as pipe:
+                    pipe.write(_outcome(work, what))
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write)
+        self._pipe = open(read, "rb")
+
+    def result(self):
+        """What ``work()`` returned, once the worker has exited; the exception it raised is
+        raised here, and a worker that died raises RuntimeError."""
+        data = self._pipe.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        code = os.waitstatus_to_exitcode(status)
+        if code:
+            cause = f" ({signal.strsignal(-code)})" if code < 0 else ""
+            raise RuntimeError(f"the sweep worker for {self.what} died with exit status"
+                               f" {code}{cause}")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    def stop(self) -> None:
+        """Kill the worker unless it was reaped, reap it and close its pipe."""
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        self._pipe.close()
+
+
+def _outcome(work, what: str) -> bytes:
+    """``(True, work())`` pickled, or ``(False, the exception work() raised)``, with the
+    worker's traceback as a note; an exception that does not survive pickling is sent as
+    a RuntimeError that names its type and message."""
+    try:
+        return pickle.dumps((True, work()))
+    except BaseException as exc:
+        exc.add_note(f"raised in the sweep worker for {what}:\n"
+                     + "".join(traceback.format_tb(exc.__traceback__)).rstrip())
+        try:
+            data = pickle.dumps((False, exc))
+            pickle.loads(data)
+            return data
+        except Exception:
+            return pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
 
 
 def _sweep_unit(result: SweepResult, phi_grid: np.ndarray, start: int, stop: int,

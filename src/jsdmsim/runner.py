@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .channel import steering_matrix
 from .config import ExperimentConfig, OutputSettings, grid_values
-from .linalg import one_blas_thread
+from .linalg import one_blas_thread, qr
 from .metrics import ANGLE_ERRORS, PhiRecord, SweepResult, beampattern, cdf, phi_sweep, _error
 
 __all__ = ["run"]
@@ -132,26 +132,27 @@ def _write_beampattern(path: Path, out_cfg: OutputSettings, result: SweepResult,
     """Write the reference-angle beampatterns; returns per-beamformer failures.
 
     The sweep designed every beamformer at the reference angle (``result.pattern``, on
-    the grid the designs its results score); this pass builds the steering matrix one
-    chunk of directions at a time and projects every design onto each chunk.
+    the grid the designs its results score); this pass orthonormalizes each design once,
+    builds the steering matrix one chunk of directions at a time and projects every
+    design onto each chunk.
     """
     phi, stages = out_cfg.beampattern_phi, result.pattern
     errors = {name: stage for name, stage in stages.items() if isinstance(stage, Exception)}
-    live = {name: stage for name, stage in stages.items() if name not in errors}
+    live = {}
+    for name, stage in stages.items():
+        if name not in errors:
+            try:
+                live[name], _ = qr(stage)  # rank deficiency surfaces here as RankError
+            except ANGLE_ERRORS as exc:  # flagged in the manifest instead
+                errors[name] = exc
     powers = {name: [] for name in live}
     thetas = grid_values(out_cfg.beampattern_start, out_cfg.beampattern_stop,
                          out_cfg.beampattern_step) if live else np.empty(0)
     m = result.fixed.scenario.n_antennas
     for start in range(0, len(thetas), PATTERN_CHUNK):
         steering = steering_matrix(thetas[start:start + PATTERN_CHUNK], m)
-        for name, stage in list(live.items()):
-            try:
-                powers[name].append(beampattern(stage, steering))
-            except ANGLE_ERRORS as exc:  # flagged in the manifest instead
-                errors[name] = exc
-                del live[name], powers[name]
-        if not live:
-            break
+        for name, q in live.items():
+            powers[name].append(beampattern(q, steering, orthonormal=True))
     lines = [f"beamformer,theta,{'power_db' if db else 'power'}"]
     theta_col = [f"{theta:.9g}" for theta in thetas.tolist()]
     for name, chunks in powers.items():

@@ -76,9 +76,18 @@ def group_statistics(cov: CovarianceSet, g: int) -> GroupStatistics:
     return GroupStatistics(*(0.5 * (r + r.conj().swapaxes(-1, -2)) for r in (r_s, r_eta)))
 
 
+_RANK_MESSAGE = "beamformer must have full column rank"
+
+
+def _full_rank(s: np.ndarray) -> np.ndarray:
+    """Whether a beamformer (M, D), or each beamformer of a stack (..., M, D), has full
+    column rank: one ``matrix_rank`` call, each member ranked as on its own."""
+    return np.linalg.matrix_rank(s) == s.shape[-1]
+
+
 def _check_rank(s: np.ndarray) -> None:
-    if np.linalg.matrix_rank(s) < s.shape[1]:
-        raise ValueError("beamformer must have full column rank")
+    if not _full_rank(s):
+        raise ValueError(_RANK_MESSAGE)
 
 
 def reduce(stats: GroupStatistics, s: np.ndarray) -> np.ndarray:
@@ -86,8 +95,8 @@ def reduce(stats: GroupStatistics, s: np.ndarray) -> np.ndarray:
 
     A lone S has its rank checked here.  A stack (..., M, D), against statistics whose
     leading axes broadcast with it, is reduced in one product, each member exactly as
-    on its own; its ranks are its caller's to check, one beamformer at a time
-    (``_check_rank``), so that a failure stays with its beamformer.
+    on its own; its ranks are its caller's to check (``_full_rank`` of the stack, one
+    flag per member), so that a failure stays with its beamformer.
     """
     s = np.asarray(s, dtype=complex)
     if s.ndim == 2:

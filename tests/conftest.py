@@ -1,5 +1,7 @@
 """Shared scenario builders for the test suite."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,13 @@ def two_group_toy(m=16, chains=4, e1_db=30.0, e2_db=20.0, phi=0.0, taps=4):
                   np.array([[40.0, -35.0], [41.0, -34.0]]), 2.0, 1.0),
     )
     return Scenario(m, taps, 1.0, groups, phi=phi)
+
+
+@pytest.fixture
+def one_process(monkeypatch):
+    """Sweeps run in the test's process alone (one CPU): a recorder monkeypatched into
+    jsdmsim cannot see the calls of a forked sweep worker."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
 
 
 @pytest.fixture(scope="session")

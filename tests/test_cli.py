@@ -225,6 +225,32 @@ class TestRunner:
             assert len(thetas) == 1385
             assert thetas[0] == -90.0 and thetas[-1] == pytest.approx(89.92)
 
+    def test_beampattern_orthonormalizes_each_design_once(self, tmp_path, monkeypatch):
+        # 1,385 directions are three chunks of the steering matrix; one QR per design
+        # serves them all
+        from jsdmsim import metrics, runner
+        cfg = parse_config(desk_config_text(beamformers="geb dft pe", combiners="zf",
+                                            estimator="none").replace(
+            "beampattern_step = 1.0", "beampattern_step = 0.13"))
+        result = metrics.phi_sweep(cfg.scenario, cfg.phi_values(), cfg.sweep,
+                                   cfg.output.beampattern_phi)
+        calls = []
+
+        def counted(qr):
+            def call(a):
+                calls.append(a)
+                return qr(a)
+            return call
+
+        monkeypatch.setattr(runner, "qr", counted(runner.qr))
+        monkeypatch.setattr(metrics, "qr", counted(metrics.qr))
+        assert runner._write_beampattern(tmp_path / "beampattern.csv", cfg.output, result,
+                                         db=False) == []
+        assert -(-1385 // runner.PATTERN_CHUNK) == 3
+        assert len(calls) == 3
+        assert all(np.array_equal(s, result.pattern[name])
+                   for s, name in zip(calls, cfg.sweep.beamformers, strict=True))
+
     def test_beampattern_stage_failure_flagged(self, tmp_path):
         # a chain count that does not divide the array breaks the fixed designs
         # at every stage; the run completes with every failure in the manifest

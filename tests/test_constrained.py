@@ -112,6 +112,19 @@ class TestDftBeamformer:
         idx = column_indices(cb.s_c)
         assert len(set(idx.tolist())) == 4
 
+    @pytest.mark.parametrize("m, chains, g", [(16, 4, 0), (32, 2, 0), (64, 4, 1), (128, 4, 3),
+                                              (128, 6, 2)])
+    def test_one_design_per_angle_equals_each_lone_design(self, m, chains, g):
+        # a mobile group's columns move with the angles; a fixed group's stay put
+        scn = table1_scenario(m=m, chains=chains)
+        phis = np.random.default_rng(m + g).uniform(-60.0, 60.0, 25).round(2)
+        stack = dft_beamformer(scn, g, phis)
+        assert len(stack) == len(phis)
+        for phi, cb in zip(phis, stack):
+            lone = dft_beamformer(scn.with_phi(float(phi)), g)
+            assert np.array_equal(cb.s_c, lone.s_c)
+            assert np.array_equal(cb.effective(), lone.effective())
+
 
 class TestPhaseExtraction:
     def test_fixed_point(self):

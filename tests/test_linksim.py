@@ -507,6 +507,7 @@ class TestLinkPassMatchesOracle:
 
 
 class TestLinkPassMemory:
+    @pytest.mark.usefixtures("one_process")
     def test_peak_of_one_stacked_pass_at_full_scale(self, monkeypatch):
         """The 11-angle table1 sweep at 128 antennas and 200 trials: units of two angles,
         four designs and both combiners, so each pass runs blocks of one pair and 100

@@ -1,7 +1,9 @@
 """Beampatterns, shifting-angle sweeps and outage tabulation."""
 
 import dataclasses
+import os
 import re
+import threading
 from importlib import resources
 
 import hypothesis
@@ -202,23 +204,26 @@ class TestPhiSweep:
             phi_sweep(two_group_toy(), [0.0], settings)
 
     def test_one_rank_check_per_angle_and_design(self, monkeypatch):
-        # one reduce per design checks its rank, and its S^H R_eta S serves the estimation
-        # and the link pass; a rank-deficient design fails only its own pairs
-        checks = []
-        check_rank = statistics._check_rank
+        # one stacked rank check over the unit's (angle, design) grid checks each stage
+        # once, and one reduce gives the S^H R_eta S that serves the estimation and the
+        # link pass; a rank-deficient design fails only its own pairs
+        checks, calls = [], []
+        full_rank = statistics._full_rank
 
         def counting_check(s):
-            checks.append(s)
-            check_rank(s)
+            calls.append(np.shape(s))
+            checks.extend(np.reshape(s, (-1,) + np.shape(s)[-2:]))
+            return full_rank(s)
 
-        monkeypatch.setattr(statistics, "_check_rank", counting_check)
+        monkeypatch.setattr(statistics, "_full_rank", counting_check)
         settings = SweepSettings(group=0, beamformers=tuple(metrics.DESIGNS),
                                  combiners=("zf", "lmmse"), estimator="lmmse", trials=3,
                                  block_length=16)
         phis = [0.0, 7.0]
         clean = phi_sweep(two_group_toy(), phis, settings)
         assert not clean.errors()
-        assert len(checks) == len(phis) * len(metrics.DESIGNS)
+        assert len(checks) == len(phis) * len(metrics.DESIGNS) and len(calls) == 1
+        assert len({s.tobytes() for s in checks}) == len(checks)
 
         def copied_column(unit, cfg):
             stages = [geb.s.copy() for geb in unit.gebs]
@@ -228,8 +233,10 @@ class TestPhiSweep:
 
         monkeypatch.setitem(metrics.DESIGNS, "dft", copied_column)
         checks.clear()
+        calls.clear()
         result = phi_sweep(two_group_toy(), phis, settings)
-        assert len(checks) == len(phis) * len(metrics.DESIGNS)
+        assert len(checks) == len(phis) * len(metrics.DESIGNS) and len(calls) == 1
+        assert len({s.tobytes() for s in checks}) == len(checks)
         assert len(result.records) == len(clean.records)
         for rec, ref in zip(result.records, clean.records):
             assert (rec.phi, rec.beamformer, rec.combiner) == (ref.phi, ref.beamformer,
@@ -240,6 +247,23 @@ class TestPhiSweep:
                 assert rec.error is None
                 assert np.array_equal(rec.capacity, ref.capacity)
                 assert (rec.expected_sinr, rec.nmse) == (ref.expected_sinr, ref.nmse)
+
+    def test_a_stack_whose_svd_fails_is_checked_member_by_member(self, monkeypatch):
+        # a NaN stage fails the stacked rank check's SVD: every stage is checked again on
+        # its own, and only the NaN design's pairs fail, with their lone check's message
+        settings = SweepSettings(group=0, beamformers=("geb", "dft", "pe"), combiners=("zf",),
+                                 trials=2, block_length=16)
+        phis = [0.0, 7.0]
+        clean = phi_sweep(two_group_toy(), phis, settings)
+        monkeypatch.setitem(metrics.DESIGNS, "dft",
+                            lambda unit, cfg: [np.full_like(geb.s, np.nan) for geb in unit.gebs])
+        result = phi_sweep(two_group_toy(), phis, settings)
+        for rec, ref in zip(result.records, clean.records, strict=True):
+            if rec.beamformer == "dft":
+                assert rec.error == "LinAlgError: SVD did not converge"
+            else:
+                assert rec.error is None
+                assert np.array_equal(rec.capacity, ref.capacity)
 
 
 class TestSweepSettings:
@@ -295,6 +319,7 @@ class TestFixedCovariances:
         "two-mobile": _two_mobile_groups,
     }
 
+    @pytest.mark.usefixtures("one_process")
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_each_angle_equals_a_rebuild(self, case, monkeypatch):
         scn, group = self.CASES[case]()
@@ -466,6 +491,7 @@ class TestBatches:
                                        _derived_seed(cfg.seed, token, 1), geb)
                 for name in cfg.beamformers}
 
+    @pytest.mark.usefixtures("one_process")
     def test_batch_sizes_leave_every_record_and_stage_unchanged(self, monkeypatch):
         scn = table1_scenario(m=16)
         stacks = {"pe_am": [], "dynamic_subarray": []}
@@ -497,6 +523,7 @@ class TestBatches:
             _same_records(result, whole)
             _same_stages(result.pattern, whole.pattern)
 
+    @pytest.mark.usefixtures("one_process")
     @pytest.mark.parametrize("pattern_phi", [0.0, 7.0])
     @pytest.mark.parametrize("size", [1, 3, 4])
     def test_the_beampattern_is_the_evaluated_design(self, monkeypatch, size, pattern_phi):
@@ -526,6 +553,7 @@ class TestBatches:
 
     @pytest.mark.parametrize("size, units", [(2, [[-3.0, 0.0], [4.5, 7.0], [9.0]]),
                                              (3, [[-3.0, 0.0, 4.5], [7.0, 9.0]])])
+    @pytest.mark.usefixtures("one_process")
     def test_phase_extraction_runs_once_per_unit(self, monkeypatch, size, units):
         scn = table1_scenario(m=16)
         cfg = dataclasses.replace(self.SETTINGS, beamformers=("geb", "pe"))
@@ -705,3 +733,197 @@ class TestLinkBudget:
             assert errors == ({None} if faulty_trial is None else {
                 None, "SingularBinError: effective channel at bin 0 of trial "
                       f"{faulty_trial} is rank deficient"})
+
+
+_WORKER = metrics._Worker
+
+
+def _cpus(monkeypatch, n):
+    """Let the sweep see n CPUs; returns the list of the workers it forks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    forked = []
+
+    def counted(work, what):
+        forked.append(what)
+        return _WORKER(work, what)
+
+    monkeypatch.setattr(metrics, "_Worker", counted)
+    return forked
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorkers:
+    """A sweep forks one worker per chunk of units but the first; no record, stage or CSV
+    byte depends on how many processes swept the grid."""
+
+    PHIS = [-3.0, -1.0, 0.0, 2.5, 4.5, 6.0, 7.0]
+    SETTINGS = SweepSettings(group=0, beamformers=("geb", "dft", "pe", "pe-am"),
+                             combiners=("zf", "lmmse"), estimator="lmmse", trials=2,
+                             block_length=32, seed=5)
+
+    def sweeps(self, monkeypatch, pattern_phi=None, unit=1):
+        """The sweep of PHIS at 1, 2 and 3 CPUs, in units of ``unit`` angles, with the
+        chunks of grid angles each sweep's workers took."""
+        scn = table1_scenario(m=16)
+        monkeypatch.setattr(metrics, "_UNIT_BYTES", unit * _mobile_bytes(scn))
+        results = []
+        for n in (1, 2, 3):
+            forked = _cpus(monkeypatch, n)
+            results.append((phi_sweep(scn, self.PHIS, self.SETTINGS, pattern_phi), forked))
+            _no_child_left()
+        return results
+
+    # 7 angles in 2 chunks are angles 0..2 and 3..6, in 3 chunks 0..1, 2..3 and 4..6
+    @pytest.mark.parametrize("pattern_phi", [None, -1.0, 6.0, 0.5])
+    @pytest.mark.parametrize("unit", [1, 2])
+    def test_any_process_count_gives_the_same_records_and_pattern(self, monkeypatch, unit,
+                                                                  pattern_phi):
+        (one, none), (two, forked_two), (three, forked_three) = self.sweeps(
+            monkeypatch, pattern_phi, unit)
+        assert none == []
+        assert forked_two == ["grid angles 3..6"]
+        assert forked_three == ["grid angles 2..3", "grid angles 4..6"]
+        assert not one.errors() and len(one.records) == len(self.PHIS) * 4 * 2
+        for result in (two, three):
+            _same_records(result, one)
+            if pattern_phi is None:
+                assert result.pattern is None
+            else:
+                _same_stages(result.pattern, one.pattern)
+
+    @pytest.mark.parametrize("fault", ["toeplitz", "psd"])
+    def test_failed_angles_read_the_same_in_a_worker(self, monkeypatch, fault):
+        # the planted CCM fault of TestFixedCovariances, at an angle of the last chunk
+        scn, bad = table1_scenario(m=16), 6.0
+        original, mu_bad = channel.ccm_one_ring, scn.groups[0].mean_aoa[0, 0] + bad
+
+        def planted(mu, delta, power, m, n_quad=channel.DEFAULT_N_QUAD):
+            out = original(mu, delta, power, m, n_quad)
+            hit = np.asarray(mu)[..., 0, 0] == mu_bad
+            if fault == "toeplitz":
+                out[hit, ..., 0, 1] += 0.5
+            else:
+                out[hit] -= 10.0 * np.eye(m)
+            return out
+
+        monkeypatch.setattr(channel, "ccm_one_ring", planted)
+        (one, _), (two, forked_two), (three, forked_three) = self.sweeps(monkeypatch, bad,
+                                                                         unit=2)
+        assert len(forked_two) == 1 and len(forked_three) == 2
+        assert {r.phi for r in one.errors()} == {bad}
+        assert len(one.errors()) == 4 * 2
+        for result in (two, three):
+            _same_records(result, one)
+            _same_stages(result.pattern, one.pattern)
+
+    def test_csvs_are_byte_identical(self, monkeypatch, tmp_path):
+        from jsdmsim import runner
+        text = resources.files("jsdmsim.configs").joinpath("table1.cfg").read_text()
+        for key, value in {"antennas": "16", "phi_start": "-3", "phi_stop": "3",
+                           "phi_step": "1", "trials": "3", "beampattern_phi": "2",
+                           "beamformers": "geb dft pe"}.items():
+            text, hits = re.subn(rf"(?m)^{key}\s*=.*$", f"{key} = {value}", text)
+            assert hits == 1, key
+        cfg = parse_config(text)
+        monkeypatch.setattr(metrics, "_UNIT_BYTES", 2 * _mobile_bytes(cfg.scenario))
+        outputs = []
+        for n in (1, 2, 3):
+            forked = _cpus(monkeypatch, n)
+            assert runner.run(cfg, tmp_path / str(n))["exit_code"] == 0
+            assert len(forked) == n - 1
+            outputs.append([(tmp_path / str(n) / name).read_bytes()
+                            for name in ("results.csv", "cdf.csv", "beampattern.csv")])
+        _no_child_left()
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_a_worker_error_propagates_with_its_type(self, monkeypatch):
+        # a programming error in a worker's chunk, not one of ANGLE_ERRORS
+        parent, original = os.getpid(), metrics.compute_geb
+
+        def broken_geb(stats, n_chains):
+            if os.getpid() != parent:
+                raise TypeError("planted")
+            return original(stats, n_chains)
+
+        monkeypatch.setattr(metrics, "compute_geb", broken_geb)
+        scn = table1_scenario(m=16)
+        monkeypatch.setattr(metrics, "_UNIT_BYTES", _mobile_bytes(scn))
+        forked = _cpus(monkeypatch, 3)
+        with pytest.raises(TypeError) as info:
+            phi_sweep(scn, self.PHIS, self.SETTINGS)
+        assert str(info.value) == "planted" and len(forked) == 2
+        assert "raised in the sweep worker for grid angles 2..3" in info.value.__notes__[0]
+        _no_child_left()
+
+    def test_an_error_that_cannot_be_pickled_names_its_type(self):
+        class Unpicklable(Exception):  # a local class: pickle cannot find it by name
+            pass
+
+        def broken():
+            raise Unpicklable("planted")
+
+        worker = metrics._Worker(broken, "a test")
+        with pytest.raises(RuntimeError) as info:
+            worker.result()
+        assert str(info.value) == "Unpicklable: planted"
+        worker.stop()
+        _no_child_left()
+
+    def test_a_dead_worker_is_named_with_its_exit_status(self, monkeypatch):
+        parent, original = os.getpid(), metrics._sweep_unit
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return original(*args)
+
+        monkeypatch.setattr(metrics, "_sweep_unit", dying)
+        scn = table1_scenario(m=16)
+        monkeypatch.setattr(metrics, "_UNIT_BYTES", _mobile_bytes(scn))
+        _cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="grid angles 3..6 died with exit status 3$"):
+            phi_sweep(scn, self.PHIS, self.SETTINGS)
+        _no_child_left()
+
+    def test_an_error_in_the_parent_stops_every_worker(self, monkeypatch):
+        parent, original = os.getpid(), metrics.compute_geb
+
+        def broken_geb(stats, n_chains):
+            if os.getpid() == parent:
+                raise TypeError("planted")
+            return original(stats, n_chains)
+
+        monkeypatch.setattr(metrics, "compute_geb", broken_geb)
+        scn = table1_scenario(m=16)
+        monkeypatch.setattr(metrics, "_UNIT_BYTES", _mobile_bytes(scn))
+        forked = _cpus(monkeypatch, 3)
+        with pytest.raises(TypeError, match="planted"):
+            phi_sweep(scn, self.PHIS, self.SETTINGS)
+        assert len(forked) == 2
+        _no_child_left()
+
+    @pytest.mark.parametrize("case", ["one-unit", "no-fork", "no-affinity", "threads"])
+    def test_one_process_sweeps(self, monkeypatch, case):
+        scn = table1_scenario(m=16)
+        forked = _cpus(monkeypatch, 2)
+        monkeypatch.setattr(metrics, "_UNIT_BYTES",
+                            (len(self.PHIS) if case == "one-unit" else 1) * _mobile_bytes(scn))
+        if case == "no-fork":
+            monkeypatch.delattr(os, "fork")
+        elif case == "no-affinity":
+            monkeypatch.delattr(os, "sched_getaffinity")
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        if case == "threads":
+            thread.start()
+        try:
+            result = phi_sweep(scn, self.PHIS[:3], self.SETTINGS)
+        finally:
+            done.set()
+            if case == "threads":
+                thread.join()
+        assert forked == [] and not result.errors()
