@@ -51,6 +51,7 @@ that path is unverified.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import functools
 import os
 import pickle
 import signal
@@ -366,10 +367,12 @@ def _evaluate_unit(entries: list, stages: list[dict], phis, tokens,
                   if isinstance(stages[a][name], Exception)} for a in standing}
     # each stage's one rank check, one stacked call over the grid
     checked = [(a, name) for a in standing for name in names if name not in failed[a]]
-    ranks = _each(lambda ms: [None if full else ValueError(statistics._RANK_MESSAGE)
-                              for full in statistics._full_rank(
-                                  np.stack([stages[a][name] for a, name in ms]))],
-                  lambda m: statistics._check_rank(stages[m[0]][m[1]]), checked)
+
+    def ranked(ms):
+        full = statistics._full_rank(np.stack([stages[a][name] for a, name in ms]))
+        return [None if ok else ValueError(statistics._RANK_MESSAGE) for ok in full]
+
+    ranks = _each(ranked, lambda m: statistics._check_rank(stages[m[0]][m[1]]), checked)
     for (a, name), exc in zip(checked, ranks):
         if exc is not None:
             failed[a][name] = exc
@@ -563,7 +566,7 @@ def phi_sweep(scn: Scenario, phi_grid, settings: SweepSettings,
         workers = []
         try:
             for start, stop in zip(edges[1:-1], edges[2:]):
-                workers.append(_Worker(lambda start=start, stop=stop: sweep(start, stop),
+                workers.append(_Worker(functools.partial(sweep, start, stop),
                                        f"grid angles {start}..{stop - 1}"))
             sweep(edges[0], edges[1])
             for worker in workers:
