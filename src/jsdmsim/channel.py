@@ -97,9 +97,6 @@ class SpecError(ValueError):
         super().__init__(rule if group is None else f"group {group}: {rule}")
         self.rule, self.field, self.group, self.delay = rule, field, group, delay
 
-    def __reduce__(self):  # a sweep worker sends its errors pickled
-        return type(self), (self.rule, self.field, self.group, self.delay)
-
 
 @dataclass(frozen=True)
 class GroupSpec:
