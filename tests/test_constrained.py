@@ -552,6 +552,18 @@ class TestMaskRule:
         with pytest.raises(MaskError, match="exactly one RF chain"):
             fixed_subarray(s_c[None], np.ones((1, 4, 2), dtype=int), seed=[0])
 
+    @pytest.mark.parametrize("entry, ok", [(0.5 * (1 + 9e-10), True), (0.5 * (1 - 9e-10), True),
+                                           (0.5 * (1 + 2e-9), False), (0.5j * (1 - 2e-9), False),
+                                           (np.nan, False), (np.inf, False)])
+    def test_connected_entries_have_modulus_one_over_sqrt_m_to_1e_9(self, entry, ok):
+        s_c = np.full((4, 2), 0.5, dtype=complex)
+        s_c[2, 1] = entry
+        if ok:
+            ConstrainedBeamformer(s_c, np.eye(2, dtype=complex), np.ones((4, 2), dtype=int))
+        else:
+            with pytest.raises(ValueError, match="modulus 1/sqrt"):
+                ConstrainedBeamformer(s_c, np.eye(2, dtype=complex), np.ones((4, 2), dtype=int))
+
 
 class TestDynamicSubarray:
     def test_single_restart_equals_fixed_refinement(self):
