@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, Scenario
+from .channel import Scenario
 
 __all__ = [
     "PilotBlock",
@@ -41,8 +41,6 @@ __all__ = [
     "nmse",
     "pilot_covariances",
     "pilots_from_sequences",
-    "receive_pilots",
-    "stack_effective",
     "stack_pilots",
 ]
 
@@ -117,41 +115,6 @@ def stack_pilots(blocks) -> PilotBlock:
                       np.stack([b.sequences for b in blocks]), np.stack([b.x for b in blocks]))
 
 
-def receive_pilots(pilots: PilotBlock, real: ChannelRealization, s: np.ndarray,
-                   seed) -> np.ndarray:
-    """Stacked post-beamformer observation over the pilot window of ``real.scenario``.
-
-    The intended group transmits its pilots (cyclic prefix absorbed through
-    cyclic indexing); every other group is in asynchronous data mode and
-    transmits random QPSK at its data energy.  Returns the (T*D,) vector of
-    vertically concatenated reduced observations.
-    """
-    scn = real.scenario
-    g = pilots.group
-    t_len = pilots.length
-    s = np.asarray(s, dtype=complex)
-    rng = np.random.default_rng(seed)
-
-    y = np.zeros((scn.n_antennas, t_len), dtype=complex)
-    pilot_syms = math.sqrt(pilots.energy) * pilots.sequences
-    for delay, h in real.taps[g].items():
-        y += h @ np.roll(pilot_syms, delay, axis=1)
-
-    width = t_len + scn.n_taps - 1  # columns represent times -(L-1) .. T-1
-    for other, spec in enumerate(scn.groups):
-        if other == g or not real.taps[other]:
-            continue
-        amp = math.sqrt(spec.symbol_energy / spec.n_users)
-        data = amp * np.exp(1j * (np.pi / 4 + np.pi / 2 * rng.integers(0, 4, (spec.n_users, width))))
-        for delay, h in real.taps[other].items():
-            start = scn.n_taps - 1 - delay
-            y += h @ data[:, start:start + t_len]
-
-    noise = (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)) / np.sqrt(2.0)
-    y += math.sqrt(scn.noise_power) * noise
-    return (s.conj().T @ y).T.reshape(-1)
-
-
 def effective_covariance(ccms: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Covariance R_h of a group's stacked active effective channel after ``s``.
 
@@ -172,14 +135,6 @@ def effective_covariance(ccms: np.ndarray, s: np.ndarray) -> np.ndarray:
     for j in range(n):
         r_h[..., j, :, j, :] = blocks[..., j, :, :]
     return r_h.reshape(blocks.shape[:-3] + (n * d, n * d))
-
-
-def stack_effective(real: ChannelRealization, s: np.ndarray, g: int) -> np.ndarray:
-    """Stack one realization's active intra-group effective channel (user, delay, stream)."""
-    s = np.asarray(s, dtype=complex)
-    # (D, K) per active delay -> (K, L, D)
-    eff = np.stack([s.conj().T @ h for h in real.taps[g].values()])
-    return eff.transpose(2, 0, 1).reshape(-1)
 
 
 @dataclass(frozen=True)

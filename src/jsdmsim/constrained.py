@@ -18,6 +18,8 @@ per member of every per-member argument.  The members run as one loop, each bit
 for bit a stack of itself alone; a stack fails as a whole when any member fails.
 Each returns a tuple of :class:`ConstrainedBeamformer` (the connection search: an
 (n, M, D) array of candidates) and, but for phase extraction, their :class:`AmTraces`.
+:func:`dft_beamformer` reads no GEB: it takes a scenario and a 1-D array of shifting
+angles and returns a tuple of one design per angle.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ class MaskError(ValueError):
     """A connection matrix violates the one-chain-per-antenna constraints."""
 
 
-class CandidateExhaustionError(RuntimeError):
+class CandidateExhaustionError(ValueError):
     """Every dynamic-connection restart left some RF chain unconnected."""
 
 
@@ -192,7 +194,7 @@ def _alternate(s: np.ndarray, cand: np.ndarray, step, tol: float,
 # Fully connected designs
 
 
-def dft_beamformer(scn: Scenario, g: int, phis=None):
+def dft_beamformer(scn: Scenario, g: int, phis) -> tuple[ConstrainedBeamformer, ...]:
     """Select DFT codebook columns pointing at the group's MPC clusters.
 
     Column k of the codebook is the unit-modulus vector with spatial frequency
@@ -205,17 +207,15 @@ def dft_beamformer(scn: Scenario, g: int, phis=None):
     ``phis``, a 1-D array of shifting angles used instead of the scenario's own,
     gives a tuple of one design per angle: the targets and nearest columns of every
     angle are found as arrays and the codebook columns come from one ``exp``, each
-    design bit for bit the one of ``scn.with_phi(phi)`` on its own.
+    design bit for bit the one of a unit of one at its angle.
     """
     m = scn.n_antennas
     d = scn.groups[g].n_chains  # Scenario keeps it <= m
-    lone = phis is None
-    if not lone:
-        phis = np.asarray(phis, dtype=float)
+    phis = np.asarray(phis, dtype=float)
 
     cluster_aoa = scn.effective_aoa(g, phis).mean(axis=-2)
     targets = np.pi * np.sin(np.deg2rad(cluster_aoa))
-    targets = np.broadcast_to(targets, (1 if lone else len(phis), targets.shape[-1]))
+    targets = np.broadcast_to(targets, (len(phis), targets.shape[-1]))
     freqs = 2.0 * np.pi * np.arange(m) / m
     # distance of each (angle, cluster) target to each codebook frequency, mod 2*pi
     dist = np.abs((freqs - targets[..., None] + np.pi) % (2.0 * np.pi) - np.pi)
@@ -224,9 +224,8 @@ def dft_beamformer(scn: Scenario, g: int, phis=None):
     cols = np.array([_dft_columns(base, dist, d, m)
                      for base, dist in zip(bases.tolist(), dists.tolist())])
     s_c = np.exp(2j * np.pi * (np.arange(m)[:, None] * cols[:, None, :]) / m) / np.sqrt(m)
-    designs = tuple(ConstrainedBeamformer(s, np.eye(d, dtype=complex),
-                                          np.ones((m, d), dtype=int)) for s in s_c)
-    return designs[0] if lone else designs
+    return tuple(ConstrainedBeamformer(s, np.eye(d, dtype=complex), np.ones((m, d), dtype=int))
+                 for s in s_c)
 
 
 def _dft_columns(base: list[int], dists: list[float], d: int, m: int) -> list[int]:

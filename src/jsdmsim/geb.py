@@ -37,7 +37,8 @@ class UnconstrainedBeamformer:
             raise ValueError("beamformer columns must be orthonormal")
 
     def angle(self, b: int) -> "UnconstrainedBeamformer":
-        """Angle b of a block; a lone beamformer is every angle's."""
+        """Angle b of a block; one that does not move with the angle (no group of the
+        statistics moves) is every angle's."""
         return self if self.s.ndim == 2 else UnconstrainedBeamformer(self.s[b],
                                                                      self.gen_eigenvalues[b])
 

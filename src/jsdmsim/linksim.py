@@ -1,4 +1,4 @@
-"""SC-FDE uplink block simulation and semi-analytic link evaluation.
+"""Semi-analytic SC-FDE uplink link evaluation and the sweep's one retry rule.
 
 Capacity evaluation is semi-analytic: given an instantaneous intra-group
 effective channel, the soft symbol estimate decomposes into a scaled true
@@ -22,9 +22,12 @@ then follow in closed form (:func:`digital.zf_capacity`,
 channel and no combiner formed.  The explicit path (``sample_channels``,
 ``effective_channel``, the combiner banks, ``_link_moments``, ``_capacity`` and
 :func:`bussgang_report`) computes the same capacities from explicit combiners;
-the tests compare the two.  The symbol-level simulator (:func:`simulate_block`)
-exists as an independent cross-validation path (unit-energy QPSK); it applies
-the channel circularly, so the cyclic prefix is implicit.
+the tests compare the two, and a symbol-level QPSK simulator kept with the tests
+checks both.
+
+A stacked call that raises a ValueError is made again member by member, each as a
+stack of one (:func:`_each`): the pass's one eigendecomposition call here, and every
+stacked stage of the sweep in :mod:`jsdmsim.metrics`.
 """
 
 from __future__ import annotations
@@ -34,13 +37,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, CovarianceSet, white_coefficients
+from .channel import CovarianceSet, white_coefficients
 from .digital import (CombinerBank, EffectiveChannel, SingularBinError, bin_grams, gram,
                       lmmse_capacity, zf_capacity)
 from .linalg import DefinitenessError, hermitian_inverse
 
 __all__ = [
-    "BlockResult",
     "COMBINER_NAMES",
     "CapacityEstimate",
     "LinkPass",
@@ -48,7 +50,6 @@ __all__ = [
     "bussgang_report",
     "equal_blocks",
     "ergodic_capacity",
-    "simulate_block",
 ]
 
 # The per-bin digital combiners ergodic_capacity can apply.
@@ -75,14 +76,6 @@ class UserLinkReport:
     b_power: float
     sinr: float
     capacity: float
-
-
-@dataclass(frozen=True)
-class BlockResult:
-    """Transmitted symbols and soft estimates of one simulated block."""
-
-    symbols: dict[int, np.ndarray]
-    estimates: dict[int, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -133,47 +126,6 @@ class LinkPass:
         stderr = (samples.std(axis=0, ddof=1) / math.sqrt(trials) if trials > 1
                   else np.zeros_like(mean))
         return CapacityEstimate(mean, stderr, samples)
-
-
-def _qpsk(rng: np.random.Generator, shape) -> np.ndarray:
-    return np.exp(1j * (np.pi / 4 + np.pi / 2 * rng.integers(0, 4, shape)))
-
-
-def simulate_block(real: ChannelRealization, beamformers: dict[int, np.ndarray],
-                   combiners: dict[int, CombinerBank], n: int, seed) -> BlockResult:
-    """Run one SC-FDE block of length ``n`` through the full receive chain.
-
-    All groups of ``real.scenario`` transmit i.i.d. QPSK at per-user energy
-    E_s/K; the circular channel applies each active tap to the cyclically
-    delayed symbol stream.  Groups listed in ``beamformers``/``combiners``
-    get demodulated: analog projection, normalized DFT, per-bin combining,
-    inverse DFT.
-    """
-    scn = real.scenario
-    if n < scn.n_taps:
-        raise ValueError(f"block length {n} shorter than delay spread {scn.n_taps}")
-    rng = np.random.default_rng(seed)
-
-    symbols: dict[int, np.ndarray] = {}
-    y = np.zeros((scn.n_antennas, n), dtype=complex)
-    for g, spec in enumerate(scn.groups):
-        x = _qpsk(rng, (spec.n_users, n)) * math.sqrt(spec.symbol_energy / spec.n_users)
-        symbols[g] = x
-        for delay, h in real.taps[g].items():
-            y += h @ np.roll(x, delay, axis=1)
-    noise = (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)) / np.sqrt(2.0)
-    y += math.sqrt(scn.noise_power) * noise
-
-    estimates: dict[int, np.ndarray] = {}
-    for g, s in beamformers.items():
-        bank = combiners[g]
-        if bank.n_bins != n:
-            raise ValueError(f"combiner bank of group {g} built for N={bank.n_bins}, not {n}")
-        y_red = np.asarray(s, dtype=complex).conj().T @ y
-        y_freq = np.fft.fft(y_red, axis=1) / np.sqrt(n)
-        x_freq = np.einsum("dkn,dn->kn", bank.w.conj(), y_freq)
-        estimates[g] = np.fft.ifft(x_freq, axis=1) * np.sqrt(n)
-    return BlockResult(symbols, estimates)
 
 
 def _link_moments(eff: EffectiveChannel, combiners: CombinerBank, r_eta_rd: np.ndarray,
@@ -268,6 +220,31 @@ def equal_blocks(count: int, most: int) -> list[slice]:
     return [slice(i, min(i + size, count)) for i in range(0, count, size)]
 
 
+def _each(call, members: list) -> list:
+    """One result per member: ``call(members)``, or, when that raises a ValueError, each
+    member's ``call([member])`` (or the ValueError it raised).
+
+    This is the sweep's one retry rule, for every stage from the angles' designs to the
+    link pass: a failure stays with its member, with the message of its own unit of one,
+    and the other members keep their results, bit for bit.  A call of one member is made
+    once.
+    """
+    if not members:
+        return []
+    try:
+        return call(members)
+    except ValueError as exc:
+        if len(members) == 1:
+            return [exc]
+    results = []
+    for member in members:
+        try:
+            results.extend(call([member]))
+        except ValueError as exc:
+            results.append(exc)
+    return results
+
+
 def _blocks(pairs: list, trials: int) -> list[tuple[list, slice]]:
     """Equal blocks of (pairs, trials) of at most _BLOCK_ELEMENTS triples, in pair order.
 
@@ -303,7 +280,8 @@ def ergodic_capacity(cov, designs, group: int, combiners: tuple[str, ...] = ("zf
     own factors), the draws ``sample_channels(cov, seed, [group], trials)`` colours, so
     results are reproducible, trial t's do not depend on the trial count, and none depend
     on the other angles, the other pairs or the blocks.  Each design projects its angle's
-    factors once (:func:`_eigenbasis`).  The (angle, design, trial) triples are cut into
+    factors once, in one :func:`_eigenbasis` call for the pass, made again design by
+    design when it fails (:func:`_each`).  The (angle, design, trial) triples are cut into
     equal blocks (:func:`_blocks`); per block, one :func:`digital.bin_grams` call forms
     every per-bin K x K matrix from the taps' lag cross-products, with each pair's own
     weights, and one :func:`digital.zf_capacity` and one :func:`digital.lmmse_capacity`
@@ -350,17 +328,8 @@ def ergodic_capacity(cov, designs, group: int, combiners: tuple[str, ...] = ("zf
                                          factors)
         return list(zip(projected, weights))
 
-    try:
-        # one eigendecomposition call for every design of the pass
-        bases = prepare(given) if given else []
-    except ValueError:
-        # the stack failed: each design again on its own, so a failure stays with its pair
-        bases = []
-        for member in given:
-            try:
-                bases.extend(prepare([member]))
-            except ValueError as exc:
-                bases.append(exc)
+    # one eigendecomposition call for every design of the pass
+    bases = _each(prepare, given)
     if "lmmse" in combiners and given:
         # R must pass the pivot test and have positive eigenvalues (a positive 1 / sigma row)
         indefinite = hermitian_inverse(np.stack([x[3] for x in given], axis=-1))[1]

@@ -6,24 +6,25 @@ unit's mobile-group CCMs within one byte budget (``_UNIT_BYTES``).  A unit
 makes one :func:`angle_design` call (one covariance build, one pencil call and
 one pivoted-Cholesky call, with a shared R_eta factored once) and one call per
 design of the one design table, :data:`DESIGNS`, whose entries take a
-:class:`Unit` and return the stage of each member.  The sweep has one retry
-rule (:func:`_each`): a stacked call that raises one of :data:`ANGLE_ERRORS` is
-made again member by member as lone calls, so a failure stays with its member
-and reads as in a one-angle run, and the other members keep their results bit
-for bit.  A unit of one angle makes the lone calls only.  The unit is then
-evaluated as one (:func:`_evaluate_unit`): one stacked rank check covers its
-stages, each member ranked on its own, and its (design, angle) grid of stages
-gets one
+:class:`Unit` and return the stage of each member.  A unit is the only shape
+the sweep computes in: a lone angle is a unit of one.  Every stage follows the
+sweep's one retry rule (:func:`~jsdmsim.linksim._each`): a stacked call that
+raises a ValueError is made again member by member, each as a unit of one, so a
+failure stays with its member and reads as in a one-angle run, and the other
+members keep their results bit for bit.  The unit is then evaluated as one
+(:func:`_evaluate_unit`): one stacked rank check covers its stages, each member
+ranked on its own, and its (design, angle) grid of stages gets one
 :func:`~jsdmsim.statistics.reduce` (S^H R_eta S, which serves the estimation
 and the link pass), one expected-SINR call and, optionally, one
 channel-estimation nMSE call per block of angles within the link's element
-budget, with each angle's pilots built once from the angle's own seed.  One link pass (:func:`~jsdmsim.linksim.ergodic_capacity`)
-then evaluates the capacity of every angle's surviving designs with every
-combiner, each angle against its own channel draws.  No record depends on the
-unit or on the link's blocks.  A numerical failure records an error marker for
-the angle, design or (angle, design, combiner) it belongs to and the sweep
-continues; any other exception propagates.  Everything is deterministic given
-the master seed.
+budget, with each angle's pilots built once from the angle's own seed.  One
+link pass (:func:`~jsdmsim.linksim.ergodic_capacity`) then evaluates the
+capacity of every angle's surviving designs with every combiner, each angle
+against its own channel draws.  No record depends on the unit or on the link's
+blocks.  A numerical failure (a ValueError, which numpy's LinAlgError is)
+records an error marker for the angle, design or (angle, design, combiner) it
+belongs to and the sweep continues; any other exception propagates.  Everything
+is deterministic given the master seed.
 
 The beampattern angle's stages go to the runner in
 :attr:`SweepResult.pattern`.  On the grid they are its exact twin's, the stages
@@ -69,7 +70,6 @@ from .linksim import COMBINER_NAMES
 from .statistics import GroupStatistics, expected_sinr, group_statistics, reduce
 
 __all__ = [
-    "ANGLE_ERRORS",
     "DESIGNS",
     "ESTIMATOR_NAMES",
     "NUMERICS_RULES",
@@ -90,10 +90,6 @@ __all__ = [
 
 # The design table below, COMBINER_NAMES and this are the only name lists.
 ESTIMATOR_NAMES = ("none", "lmmse", "ls")
-
-# Failures that belong to one angle or one design: ValueError covers the
-# package's error types and numpy.linalg.LinAlgError.
-ANGLE_ERRORS = (ValueError, constrained.CandidateExhaustionError)
 
 # Bytes of mobile-group CCMs in one unit of angles (3 MiB; a unit always holds
 # at least one angle): on table1, 32 angles at 32 antennas and 2 at 128 (six
@@ -290,7 +286,8 @@ def build_beamformer(name: str, scn: Scenario, stats, group: int, cfg: SweepSett
     :data:`DESIGNS` entry on a unit of one.
 
     ``geb`` is the angle's unconstrained design (:func:`angle_design`), so
-    each angle solves the covariance pencil once for all its designs.
+    each angle solves the covariance pencil once for all its designs.  The sweep
+    calls the table on whole units; this is the one-design, one-angle entry.
     """
     check_names("beamformer", (name,), DESIGNS)
     [stage] = DESIGNS[name](Unit(group, (scn,), (stats,), (geb,), (seed,)), cfg)
@@ -307,9 +304,8 @@ def angle_design(fixed: FixedCovariances, phi, cfg: SweepSettings
                                  UnconstrainedBeamformer]]:
     """Scenario, covariances, evaluated-group statistics and GEB at each angle of a unit.
 
-    ``phi`` is a 1-D unit of shifting angles within the scan range, or one angle:
-    the lone case, with no unit axis anywhere, so a failure reads as a one-angle
-    run's.  Each mobile group's CCMs of the unit come from one
+    ``phi`` is a 1-D unit of shifting angles within the scan range; one angle is a
+    unit of one (``np.atleast_1d``).  Each mobile group's CCMs of the unit come from one
     :func:`~jsdmsim.channel.ccm_one_ring` call, the statistics sum along the
     unit axis (R_eta stays one matrix when no other group moves) and one
     pencil call solves every angle, mapping, checking and factoring a shared
@@ -320,18 +316,15 @@ def angle_design(fixed: FixedCovariances, phi, cfg: SweepSettings
     angle computes (and fails on) its own factors when its link pass projects
     them.
     """
+    phi = np.atleast_1d(phi)
     check_scan_range(phi)
-    lone = np.ndim(phi) == 0
-    cov = build_covariances(fixed.scenario.with_phi(phi) if lone else fixed.scenario,
-                            n_quad=cfg.n_quad, fixed=fixed, phis=None if lone else phi)
+    cov = build_covariances(fixed.scenario, n_quad=cfg.n_quad, fixed=fixed, phis=phi)
     stats = group_statistics(cov, cfg.group)
     geb = compute_geb(stats, fixed.scenario.groups[cfg.group].n_chains)
     try:
         cov.factors(cfg.group)
-    except ANGLE_ERRORS:
+    except ValueError:
         pass
-    if lone:
-        return [(cov.scenario, cov, stats, geb)]
     return [(angle.scenario, angle, stats.angle(b), geb.angle(b))
             for b, angle in enumerate(cov.angles())]
 
@@ -352,14 +345,15 @@ def _evaluate_unit(entries: list, stages: list[dict], phis, tokens,
     (or the errors they raised) and stages (design name -> stage, or the error it raised).
 
     ``tokens`` are the angles' seed tokens.  One stacked rank check covers the stages, made
-    again member by member when its SVD fails (:func:`_each`); the
+    again member by member when its SVD fails (:func:`~jsdmsim.linksim._each`); the
     standing angles' stages then form one (design, angle) grid, a failed design's place
     held by its angle's GEB, against the angles' statistics, CCMs and pilots stacked along
     the angle axis (or shared).  One :func:`~jsdmsim.statistics.reduce` and one
     :func:`~jsdmsim.statistics.expected_sinr` call cover the grid, and one estimation nMSE
     call each block of angles that holds at most ``linksim._BLOCK_ELEMENTS`` (angle,
-    design) pairs, made again member by member when it fails (:func:`_each`); one link
-    pass evaluates every angle's surviving designs.
+    design) pairs, made again as a 1 x 1 grid per member when it fails
+    (:func:`~jsdmsim.linksim._each`); one link pass evaluates every angle's surviving
+    designs.
     """
     names = cfg.beamformers
     standing = [a for a, entry in enumerate(entries) if not isinstance(entry, Exception)]
@@ -372,7 +366,7 @@ def _evaluate_unit(entries: list, stages: list[dict], phis, tokens,
         full = statistics._full_rank(np.stack([stages[a][name] for a, name in ms]))
         return [None if ok else ValueError(statistics._RANK_MESSAGE) for ok in full]
 
-    ranks = _each(ranked, lambda m: statistics._check_rank(stages[m[0]][m[1]]), checked)
+    ranks = linksim._each(ranked, checked)
     for (a, name), exc in zip(checked, ranks):
         if exc is not None:
             failed[a][name] = exc
@@ -393,24 +387,24 @@ def _evaluate_unit(entries: list, stages: list[dict], phis, tokens,
                                            _derived_seed(cfg.seed, tokens[a], 3),
                                            energy=cfg.pilot_energy)
                       for scn, a in zip(scns, standing)]
-            args = (scns[0].groups[cfg.group].delays, cfg)
+            delays = scns[0].groups[cfg.group].delays
             ccms = [cov.stacks[cfg.group] for cov in covs]
 
-            def lone(m):
-                i, b = m
-                return _estimation_nmse(ccms[b], s[m], r_eta_rd[m], pilots[b], *args)
+            def grid(ms):
+                # one call on the sub-grid of the members' designs and angles
+                rows, cols = sorted({i for i, _ in ms}), sorted({b for _, b in ms})
+                sub = np.ix_(rows, cols)
+                values = _estimation_nmse(_stacked([ccms[b] for b in cols]), s[sub],
+                                          r_eta_rd[sub],
+                                          chanest.stack_pilots([pilots[b] for b in cols]),
+                                          delays, cfg)
+                return [values[rows.index(i), cols.index(b)] for i, b in ms]
 
             # blocks of angles, within the link's element budget of (angle, design) pairs
             for block in linksim.equal_blocks(len(standing),
                                               linksim._BLOCK_ELEMENTS // len(names)):
-                def grid(ms, block=block):
-                    values = _estimation_nmse(_stacked(ccms[block]), s[:, block],
-                                              r_eta_rd[:, block],
-                                              chanest.stack_pilots(pilots[block]), *args)
-                    return [values[i, b - block.start] for i, b in ms]
-
                 ms = [(i, b) for i, b in members if block.start <= b < block.stop]
-                for (i, b), value in zip(ms, _each(grid, lone, ms)):
+                for (i, b), value in zip(ms, linksim._each(grid, ms)):
                     if isinstance(value, Exception):
                         failed[standing[b]][names[i]] = value
                     else:
@@ -443,8 +437,8 @@ def _evaluate_unit(entries: list, stages: list[dict], phis, tokens,
 
 def _estimation_nmse(ccms: np.ndarray, s: np.ndarray, r_eta_rd: np.ndarray,
                      pilots: chanest.PilotBlock, delays, cfg: SweepSettings) -> np.ndarray:
-    """The estimator's nMSE of each design of a grid (or of one design), from the CCMs, pilots
-    and reduced covariances that broadcast with it."""
+    """The estimator's nMSE of each (design, angle) of a grid, from the CCMs, pilots and
+    reduced covariances that broadcast with it."""
     r_h = chanest.effective_covariance(ccms, s)
     pc = chanest.pilot_covariances(pilots, delays, r_h, r_eta_rd)
     if cfg.estimator == "lmmse":
@@ -454,39 +448,18 @@ def _estimation_nmse(ccms: np.ndarray, s: np.ndarray, r_eta_rd: np.ndarray,
     return chanest.nmse(z, pc)
 
 
-def _each(stacked, lone, members) -> list:
-    """One result per member: ``stacked(members)``, or each member's ``lone(member)`` (or
-    the error it raised) when there is one member or the stacked call raises one of
-    ANGLE_ERRORS.
-
-    This is the sweep's one retry rule: a failure stays with its member, with its lone
-    call's message, and the other members keep their results, bit for bit.
-    """
-    if len(members) > 1:
-        try:
-            return stacked(members)
-        except ANGLE_ERRORS:
-            pass
-    results = []
-    for member in members:
-        try:
-            results.append(lone(member))
-        except ANGLE_ERRORS as exc:
-            results.append(exc)
-    return results
-
-
 def _design_unit(fixed: FixedCovariances, phis, tokens, cfg: SweepSettings
                  ) -> tuple[list, list[dict]]:
     """The :func:`angle_design` entry of each angle of a unit (or the error it raised) and
-    each angle's stages (design name -> effective stage, or the error its lone call raised).
+    each angle's stages (design name -> effective stage, or the error its unit of one
+    raised).
 
     ``tokens`` are the angles' seed tokens; every design of the unit is one stacked call
-    over the angles whose entry stands.
+    over the angles whose entry stands, made again member by member when it fails
+    (:func:`~jsdmsim.linksim._each`).
     """
-    entries = _each(lambda angles: angle_design(fixed, np.array(angles), cfg),
-                    lambda phi: angle_design(fixed, phi, cfg)[0],
-                    [float(phi) for phi in phis])
+    entries = linksim._each(lambda angles: angle_design(fixed, angles, cfg),
+                            [float(phi) for phi in phis])
     seeds = [_derived_seed(cfg.seed, token, 1) for token in tokens]
     stages = [dict.fromkeys(cfg.beamformers, entry) if isinstance(entry, Exception) else {}
               for entry in entries]
@@ -496,12 +469,8 @@ def _design_unit(fixed: FixedCovariances, phis, tokens, cfg: SweepSettings
         scns, _, stats, gebs = zip(*(entries[k] for k in ks))
         return Unit(cfg.group, scns, stats, gebs, tuple(seeds[k] for k in ks))
 
-    def lone(name, k):
-        scn, _, stats, geb = entries[k]
-        return build_beamformer(name, scn, stats, cfg.group, cfg, seeds[k], geb)
-
     for name in cfg.beamformers:
-        made = _each(lambda ks: DESIGNS[name](unit(ks), cfg), lambda k: lone(name, k), members)
+        made = linksim._each(lambda ks: DESIGNS[name](unit(ks), cfg), members)
         for k, stage in zip(members, made):
             stages[k][name] = stage
     return entries, stages

@@ -26,7 +26,7 @@ from . import __version__
 from .channel import steering_matrix
 from .config import ExperimentConfig, OutputSettings, grid_values
 from .linalg import one_blas_thread, qr
-from .metrics import ANGLE_ERRORS, PhiRecord, SweepResult, beampattern, cdf, phi_sweep, _error
+from .metrics import PhiRecord, SweepResult, beampattern, cdf, phi_sweep, _error
 
 __all__ = ["run"]
 
@@ -143,7 +143,7 @@ def _write_beampattern(path: Path, out_cfg: OutputSettings, result: SweepResult,
         if name not in errors:
             try:
                 live[name], _ = qr(stage)  # rank deficiency surfaces here as RankError
-            except ANGLE_ERRORS as exc:  # flagged in the manifest instead
+            except ValueError as exc:  # flagged in the manifest instead
                 errors[name] = exc
     powers = {name: [] for name in live}
     thetas = grid_values(out_cfg.beampattern_start, out_cfg.beampattern_stop,

@@ -35,6 +35,7 @@ from jsdmsim.linalg import svd
 from jsdmsim.metrics import SweepSettings, _derived_seed, build_beamformer
 from jsdmsim.runner import run
 
+import oracles
 from conftest import (
     merged_group_scenario,
     random_orthonormal,
@@ -348,8 +349,8 @@ def test_criterion_12_nmse_grid():
     err = ref = 0.0
     for t in range(5000):
         real = sample_channels(cov, [1012, t])
-        ybar = chanest.receive_pilots(pilots, real, geb.s, seed=[1013, t])
-        truth = chanest.stack_effective(real, geb.s, 0)
+        ybar = oracles.receive_pilots(pilots, real, geb.s, seed=[1013, t])
+        truth = oracles.stack_effective(real, geb.s, 0)
         err += np.sum(np.abs(z.conj().T @ ybar - truth) ** 2)
         ref += np.sum(np.abs(truth) ** 2)
     mc = err / ref
@@ -401,7 +402,7 @@ def test_criterion_13_bussgang_cross_validation():
                 fresh = sample_channels(cov, [1016, case, t], groups=others)
                 merged = [real.taps[0]] + [fresh.taps[g] for g in others]
                 block_real = type(real)(scn, merged)
-            res = linksim.simulate_block(block_real, {0: geb.s}, {0: bank}, n,
+            res = oracles.simulate_block(block_real, {0: geb.s}, {0: bank}, n,
                                          seed=[1015, case, t])
             x = res.symbols[0][user]
             xh = res.estimates[0][user]

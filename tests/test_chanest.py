@@ -24,12 +24,11 @@ from jsdmsim.chanest import (
     nmse,
     pilot_covariances,
     pilots_from_sequences,
-    receive_pilots,
-    stack_effective,
 )
-from jsdmsim.metrics import ANGLE_ERRORS, DESIGNS, SweepSettings, build_beamformer
+from jsdmsim.metrics import DESIGNS, SweepSettings, build_beamformer
 
 from conftest import ccm, random_orthonormal, table1_scenario, two_group_toy
+from oracles import receive_pilots, stack_effective
 
 
 def sparse_single_group(m=6, taps=8, delays=(0, 3), users=1, noise=0.1, energy=10.0):
@@ -278,7 +277,7 @@ class TestNmse:
             s = build_beamformer(design, scn, stats, 0, SweepSettings(group=0), seed,
                                  geb=compute_geb(stats, chains))
             rd = reduce(stats, s)
-        except ANGLE_ERRORS:  # a design that cannot be built here has no estimate
+        except ValueError:  # a design that cannot be built here has no estimate
             hypothesis.reject()
         delays = scn.groups[0].delays
         energy = None if energy_db is None else 10.0 ** (energy_db / 10.0)

@@ -55,16 +55,16 @@ class TestDftBeamformer:
         scn = Scenario(16, 1, 1.0, (
             GroupSpec(1, 1, 1.0, (0,), np.array([[0.0]]), 2.0, 1.0),
         ))
-        cb = dft_beamformer(scn, 0)
+        [cb] = dft_beamformer(scn, 0, [scn.phi])
         assert_allclose(cb.s_c[:, 0], np.full(16, 1 / 4.0, dtype=complex), atol=1e-12)
 
     def test_columns_orthonormal(self):
-        cb = dft_beamformer(table1_scenario(m=64), 0)
+        [cb] = dft_beamformer(table1_scenario(m=64), 0, [0.0])
         assert np.linalg.norm(cb.s_c.conj().T @ cb.s_c - np.eye(4)) <= 1e-10
 
     def test_table1_group2_exhaustive_oracle(self):
         scn = table1_scenario(m=128)
-        cb = dft_beamformer(scn, 1)  # clusters near 41 and 21 degrees
+        [cb] = dft_beamformer(scn, 1, [scn.phi])  # clusters near 41 and 21 degrees
         m = 128
         # independent exhaustive search over all codebook indices
         def wrap(x):
@@ -96,19 +96,19 @@ class TestDftBeamformer:
     def test_beam_points_at_cluster(self):
         from jsdmsim import beampattern, steering_matrix
         scn = table1_scenario(m=64)
-        cb = dft_beamformer(scn, 1)
+        [cb] = dft_beamformer(scn, 1, [scn.phi])
         own = beampattern(cb.effective(), steering_matrix([41.0, 21.0], 64))
         assert np.all(own > 0.5)
 
     def test_fewer_chains_than_clusters(self):
         scn = table1_scenario(m=32, chains=2)  # group 0 has 3 clusters
-        cb = dft_beamformer(scn, 0)
+        [cb] = dft_beamformer(scn, 0, [scn.phi])
         assert cb.s_c.shape == (32, 2)
         assert len(set(column_indices(cb.s_c))) == 2
 
     def test_no_duplicate_columns(self):
         scn = table1_scenario(m=32)
-        cb = dft_beamformer(scn, 3)  # single cluster, 4 chains -> adjacent fill
+        [cb] = dft_beamformer(scn, 3, [scn.phi])  # single cluster, 4 chains -> adjacent fill
         idx = column_indices(cb.s_c)
         assert len(set(idx.tolist())) == 4
 
@@ -121,7 +121,7 @@ class TestDftBeamformer:
         stack = dft_beamformer(scn, g, phis)
         assert len(stack) == len(phis)
         for phi, cb in zip(phis, stack):
-            lone = dft_beamformer(scn.with_phi(float(phi)), g)
+            [lone] = dft_beamformer(scn, g, [float(phi)])
             assert np.array_equal(cb.s_c, lone.s_c)
             assert np.array_equal(cb.effective(), lone.effective())
 

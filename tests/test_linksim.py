@@ -26,10 +26,11 @@ from jsdmsim.channel import white_coefficients
 from jsdmsim.digital import (SingularBinError, bin_grams, effective_channel, lmmse_capacity,
                              lmmse_combiners, zf_capacity, zf_combiners)
 from jsdmsim.linksim import _eigenbasis as linksim_eigenbasis
-from jsdmsim.linksim import bussgang_report, ergodic_capacity, simulate_block
+from jsdmsim.linksim import bussgang_report, ergodic_capacity
 
 from conftest import (ccm, one_trial, random_orthonormal, random_unitary, two_group_toy,
                       with_reduced)
+from oracles import simulate_block
 
 
 def flat_single_user(noise=0.0, m=4):
@@ -308,7 +309,7 @@ def three_designs():
     geb = compute_geb(stats, 4)
     return cov, with_reduced(stats, {"geb": geb.s,
                                      "pe": phase_extraction(geb.s[None])[0].effective(),
-                                     "dft": dft_beamformer(scn, 0).effective()})
+                                     "dft": dft_beamformer(scn, 0, [scn.phi])[0].effective()})
 
 
 class TestLinkPass:
@@ -541,18 +542,25 @@ class TestLinkPassMemory:
         assert block <= peak <= 4 << 20
 
 
+def two_angles():
+    """Two angles of the toy scenario, each with its covariances and its GEB and DFT
+    designs."""
+    angles = []
+    for phi in (0.0, 7.0):
+        scn = two_group_toy(phi=phi)
+        cov = build_covariances(scn)
+        stats = group_statistics(cov, 0)
+        geb = compute_geb(stats, 4)
+        [dft] = dft_beamformer(scn, 0, [phi])
+        angles.append((cov, with_reduced(stats, {"geb": geb.s, "dft": dft.effective()})))
+    return angles
+
+
 class TestUnitPass:
     def test_each_angle_equals_its_own_pass(self):
         # two angles, one of them missing a design, in one pass: each angle's rows are bit
         # for bit its own one-angle pass
-        angles = []
-        for phi in (0.0, 7.0):
-            scn = two_group_toy(phi=phi)
-            cov = build_covariances(scn)
-            stats = group_statistics(cov, 0)
-            geb = compute_geb(stats, 4)
-            angles.append((cov, with_reduced(stats, {"geb": geb.s,
-                                                     "dft": dft_beamformer(scn, 0).effective()})))
+        angles = two_angles()
         del angles[1][1]["dft"]
         seeds = [11, 12]
         link = ergodic_capacity([cov for cov, _ in angles], [d for _, d in angles], 0,
@@ -569,3 +577,34 @@ class TestUnitPass:
                     assert np.array_equal(link.samples[a * 37:(a + 1) * 37, i, j],
                                           alone.estimate(name, comb).samples)
                     assert np.array_equal(means[a, i, j], alone.estimate(name, comb).mean)
+
+    def test_a_failed_stacked_eigenbasis_fails_only_its_member(self, monkeypatch):
+        # the pass's one stacked _eigenbasis call raises while it holds angle 1's DFT
+        # design: it is made again design by design, so only that (angle, design)'s pairs
+        # fail, with the message of its own stack of one, and every other pair's samples
+        # are bit for bit a clean pass's
+        angles = two_angles()
+        covs, designs = [cov for cov, _ in angles], [d for _, d in angles]
+        args = (0, ("zf", "lmmse"))
+        kwargs = {"n": 16, "trials": 9, "seed": [11, 12]}
+        clean = ergodic_capacity(covs, designs, *args, **kwargs)
+        bad, original, stacks = designs[1]["dft"][0], linksim._eigenbasis, []
+
+        def planted(s, r_eta_rd, factors):
+            stacks.append(len(s))
+            if any(np.array_equal(member, bad) for member in s):
+                raise ValueError(f"planted fault in a stack of {len(s)}")
+            return original(s, r_eta_rd, factors)
+
+        monkeypatch.setattr(linksim, "_eigenbasis", planted)
+        link = ergodic_capacity(covs, designs, *args, **kwargs)
+        assert stacks == [4, 1, 1, 1, 1]
+        assert link.failures[0] == {}
+        assert {pair: str(exc) for pair, exc in link.failures[1].items()} == {
+            ("dft", comb): "planted fault in a stack of 1" for comb in ("zf", "lmmse")}
+        dft = link.designs.index("dft")
+        assert np.isnan(link.samples[9:, dft]).all()
+        kept = np.ones(link.samples.shape[:3], dtype=bool)
+        kept[9:, dft] = False
+        assert not np.isnan(clean.samples).any()
+        assert np.array_equal(link.samples[kept], clean.samples[kept])

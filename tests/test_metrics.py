@@ -266,6 +266,33 @@ class TestPhiSweep:
                 assert rec.error is None
                 assert np.array_equal(rec.capacity, ref.capacity)
 
+    @pytest.mark.usefixtures("one_process")
+    def test_a_failed_estimation_grid_fails_only_its_member(self, monkeypatch):
+        # the unit's one estimation call raises while its grid holds PE at the bad angle:
+        # each (design, angle) is estimated again as a 1 x 1 grid, so only that pair's
+        # records fail, with its own grid's message, and the others keep theirs bit for bit
+        scn, phis, bad = table1_scenario(m=16), [-3.0, 0.0, 4.5], 0.0
+        settings = SweepSettings(group=0, beamformers=("geb", "dft", "pe"), combiners=("zf",),
+                                 estimator="lmmse", trials=2, block_length=32, seed=5)
+        clean = phi_sweep(scn, phis, settings, pattern_phi=bad)
+        stage, original, grids = clean.pattern["pe"], chanest.effective_covariance, []
+
+        def planted(ccms, s):
+            grids.append(s.shape[:-2])
+            if any(np.array_equal(member, stage) for member in s.reshape(-1, *stage.shape)):
+                raise ValueError(f"planted fault in a grid of {s.shape[:-2]}")
+            return original(ccms, s)
+
+        monkeypatch.setattr(chanest, "effective_covariance", planted)
+        result = phi_sweep(scn, phis, settings)
+        assert grids == [(3, 3)] + [(1, 1)] * 9
+        assert [(r.phi, r.beamformer, r.error) for r in result.errors()] == [
+            (bad, "pe", "ValueError: planted fault in a grid of (1, 1)")]
+        for rec, ref in zip(result.records, clean.records, strict=True):
+            if rec.error is None:
+                assert np.array_equal(rec.capacity, ref.capacity)
+                assert (rec.expected_sinr, rec.nmse) == (ref.expected_sinr, ref.nmse)
+
 
 class TestSweepSettings:
     """A name list holds at least one name and none twice, in settings and configs alike."""
@@ -348,15 +375,14 @@ class TestFixedCovariances:
         monkeypatch.setattr(metrics, "_evaluate_unit", recording_evaluate)
         monkeypatch.setattr(channel, "psd_factor", counting_factor)
         # units of 1, 2 and 5 angles (one unit, larger than the grid); a unit of one is a
-        # lone build, with no unit axis
+        # build of one angle, with a unit axis
         for size in (1, 2, 5):
             monkeypatch.setattr(metrics, "_UNIT_BYTES", size * _mobile_bytes(scn))
             built, solved, blocks, factored = [], [], [], []
             result = phi_sweep(scn, phis, settings)
             assert not result.errors()
             units = [phis[i:i + size] for i in range(0, 3, size)]
-            assert [None if b is None else list(b) for b in blocks] == [
-                unit if len(unit) > 1 else None for unit in units]
+            assert [list(b) for b in blocks] == units
             # one factor call per unit, before the link pass needs it
             assert len(factored) == len(units)
             assert [s.phi for s, _ in built] == phis and len(solved) == len(phis)
@@ -407,9 +433,7 @@ class TestFixedCovariances:
         original_build = metrics.build_covariances
 
         def recording_build(scn_phi, **kwargs):
-            # a unit of one is a lone build at its own angle, with no unit axis
-            lone = kwargs["phis"] is None
-            units.append([scn_phi.phi] if lone else list(kwargs["phis"]))
+            units.append(list(kwargs["phis"]))
             return original_build(scn_phi, **kwargs)
 
         monkeypatch.setattr(metrics, "build_covariances", recording_build)
@@ -424,7 +448,8 @@ class TestFixedCovariances:
             with pytest.raises(ValueError) as info:
                 metrics.angle_design(result.fixed, bad, settings)
             expected = f"ValueError: {info.value}"
-            assert expected.startswith("ValueError: A is not Hermitian Toeplitz")
+            # the failing matrix is named by its index in the angle's unit of one
+            assert expected.startswith("ValueError: A[0] is not Hermitian Toeplitz")
         else:
             [(_, cov, stats, _)] = metrics.angle_design(result.fixed, bad, settings)
             with pytest.raises(ValueError) as info:
@@ -437,6 +462,23 @@ class TestFixedCovariances:
                 assert rec.error is None
                 assert np.array_equal(rec.capacity, ref.capacity)
                 assert rec.expected_sinr == ref.expected_sinr
+
+    def test_with_no_mobile_group_every_angle_shares_one_geb(self, monkeypatch):
+        # nothing moves with the angle: a unit's statistics and GEB are one matrix each,
+        # every angle's; units of three angles and of one agree bit for bit, and the GEB
+        # is the one-angle rebuild's
+        scn = table1_scenario(m=16)
+        scn = dataclasses.replace(scn, groups=tuple(dataclasses.replace(spec, mobile=False)
+                                                    for spec in scn.groups))
+        phis = [-3.0, 0.0, 4.5]
+        settings = SweepSettings(group=0, beamformers=("geb", "dft", "pe"), combiners=("zf",),
+                                 trials=2, block_length=32, seed=5)
+        whole = phi_sweep(scn, phis, settings, pattern_phi=0.0)
+        assert not whole.errors() and len(whole.records) == 9
+        monkeypatch.setattr(metrics, "_UNIT_BYTES", 1)  # units of one angle
+        _same_records(phi_sweep(scn, phis, settings, pattern_phi=0.0), whole)
+        geb = compute_geb(group_statistics(build_covariances(scn), 0), 4)
+        assert np.array_equal(whole.pattern["geb"], geb.s)
 
     def test_shared_only_with_their_own_scenario_and_quadrature(self):
         scn = two_group_toy()
@@ -513,7 +555,7 @@ class TestBatches:
         assert stacks == {"pe_am": [4], "dynamic_subarray": [4]}
         assert not whole.errors()
         _same_stages(whole.pattern, self.lone_stages(scn, 0.0, self.SETTINGS))
-        # units of one, two and three angles; a unit of one makes lone calls, stacks of one
+        # units of one, two and three angles; a unit of one makes stacks of one
         for size, pe_am, dynamic in ((1, [1, 1, 1, 1], [1, 1, 1, 1]), (2, [2, 2], [2, 2]),
                                      (3, [3, 1], [3, 1])):
             monkeypatch.setattr(metrics, "_UNIT_BYTES", size * _mobile_bytes(scn))
@@ -572,8 +614,7 @@ class TestBatches:
         fixed = fixed_covariances(scn, cfg.n_quad)
         assert len(calls) == len(units)
         for s, unit in zip(calls, units):
-            phis = np.array(unit) if len(unit) > 1 else unit[0]  # a unit of one: no unit axis
-            entries = metrics.angle_design(fixed, phis, cfg)
+            entries = metrics.angle_design(fixed, unit, cfg)
             assert np.array_equal(s, np.stack([geb.s for *_, geb in entries]))
 
     def test_off_grid_pattern_angle_is_a_batch_of_its_own(self, monkeypatch):
@@ -593,7 +634,7 @@ class TestBatches:
         monkeypatch.setattr(metrics, "build_covariances", recording_build)
         result = phi_sweep(scn, self.PHIS, self.SETTINGS, pattern_phi=0.5)
         assert stacks == [4, 1]
-        assert len(builds) == 2 and builds[1] is None  # one unit, then a unit of one
+        assert [list(b) for b in builds] == [self.PHIS, [0.5]]  # one unit, then a unit of one
         _same_stages(result.pattern, self.lone_stages(scn, 0.5, self.SETTINGS))
         _same_records(result, phi_sweep(scn, self.PHIS, self.SETTINGS))
 
@@ -844,7 +885,7 @@ class TestWorkers:
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     def test_a_worker_error_propagates_with_its_type(self, monkeypatch):
-        # a programming error in a worker's chunk, not one of ANGLE_ERRORS
+        # a programming error in a worker's chunk, not a ValueError
         parent, original = os.getpid(), metrics.compute_geb
 
         def broken_geb(stats, n_chains):
