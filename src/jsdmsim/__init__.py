@@ -17,7 +17,6 @@ from .channel import (
     build_covariances,
     ccm_one_ring,
     sample_channels,
-    steering,
     steering_matrix,
 )
 from .constrained import (
@@ -67,6 +66,5 @@ __all__ = [
     "reduce",
     "reduced_mutual_info",
     "sample_channels",
-    "steering",
     "steering_matrix",
 ]

@@ -31,7 +31,6 @@ __all__ = [
     "ccm_one_ring",
     "fixed_covariances",
     "sample_channels",
-    "steering",
     "steering_matrix",
     "white_coefficients",
 ]
@@ -50,11 +49,6 @@ def steering_matrix(thetas_deg, m: int) -> np.ndarray:
     k = np.arange(m)[:, None]
     s = np.sin(np.deg2rad(np.asarray(thetas_deg, dtype=float)))[None, :]
     return np.exp(1j * np.pi * k * s) / np.sqrt(m)
-
-
-def steering(theta_deg: float, m: int) -> np.ndarray:
-    """The steering vector of one angle: the one column of :func:`steering_matrix`."""
-    return steering_matrix([theta_deg], m)[:, 0]
 
 
 def ccm_one_ring(mu, delta, power, m: int, n_quad: int = DEFAULT_N_QUAD) -> np.ndarray:
@@ -321,9 +315,10 @@ def sample_channels(cov: CovarianceSet, seed, groups: list[int] | None = None,
     group in turn (:func:`white_coefficients` of its factors, ``groups`` in order, all
     groups by default; the others come back as zero taps), and each tap is L z.  With
     ``trials``, a count, every tap gains a leading trial axis; without it, one realization,
-    trial 0's.  So ``sample_channels(cov, seed, [g], trials)`` colours exactly the draws of
-    ``linksim.ergodic_capacity(cov, ..., g, trials=trials, seed=seed)``, which projects
-    them before colouring and never forms these M-antenna taps.
+    trial 0's.  So ``sample_channels(cov, seed, [g], trials)`` colours exactly the draws a
+    link pass of group g (:func:`linksim.ergodic_capacity`) makes for an angle of
+    covariances ``cov`` and seed ``seed``; the pass projects them before colouring and
+    never forms these M-antenna taps.
     """
     scn = cov.scenario
     rng = np.random.default_rng(seed)

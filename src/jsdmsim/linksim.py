@@ -6,12 +6,12 @@ symbol plus uncorrelated residual (Bussgang), whose moments are closed-form
 in the per-bin channel and the reduced interference-plus-noise covariance
 R = S^H R_eta S (:func:`statistics.reduce`), the one statistical input.
 Monte Carlo enters only across channel realizations.  One link pass per unit
-of angles (:func:`ergodic_capacity`; one angle is a unit of one) evaluates
-every (angle, design, combiner) against each angle's own draws, in the reduced
-dimension: each tap is L z, with L the M x r pivoted-Cholesky factor of its CCM
-(r the group's largest rank at that angle, far below M), so each design projects
-its angle's factors once, P = (S U)^H L with R = U diag(sigma) U^H, and each
-angle draws its white coefficients z once, from its own generator.  The pass
+of angles (:func:`ergodic_capacity`) evaluates every (angle, design, combiner)
+against each angle's own draws, in the reduced dimension: each tap is L z, with
+L the M x r pivoted-Cholesky factor of its CCM (r the group's largest rank at
+that angle, far below M), so each design projects its angle's factors once,
+P = (S U)^H L with R = U diag(sigma) U^H, and each angle draws its white
+coefficients z once, from its own generator.  The pass
 cuts its (angle, design, trial) triples into equal blocks under one element
 budget (``_BLOCK_ELEMENTS``).  Per block, every per-bin K x K matrix comes
 from the cross-products of the taps P z at each pair of active delays and one
@@ -37,14 +37,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CovarianceSet, white_coefficients
+from .channel import white_coefficients
 from .digital import (CombinerBank, EffectiveChannel, SingularBinError, bin_grams, gram,
                       lmmse_capacity, zf_capacity)
 from .linalg import DefinitenessError, hermitian_inverse
 
 __all__ = [
     "COMBINER_NAMES",
-    "CapacityEstimate",
     "LinkPass",
     "UserLinkReport",
     "bussgang_report",
@@ -79,53 +78,24 @@ class UserLinkReport:
 
 
 @dataclass(frozen=True)
-class CapacityEstimate:
-    """Per-user ergodic capacity estimate with Monte Carlo standard error."""
-
-    mean: np.ndarray
-    stderr: np.ndarray
-    samples: np.ndarray
-
-
-@dataclass(frozen=True)
 class LinkPass:
     """Capacity samples of every (angle, design, combiner) of one link pass.
 
     ``samples[a * trials + t, i, j]`` holds angle a's trial t per-user capacities of
-    design ``designs[i]`` with combiner ``combiners[j]``: one row per (angle, trial)
-    draw.  An entry of a failed pair, or of a design the angle was not given, is NaN;
+    design ``designs[i]`` with the pass's combiner j: one row per (angle, trial) draw.
+    An entry of a failed pair, or of a design the angle was not given, is NaN;
     ``failures[a]`` maps each of angle a's failed (design, combiner) pairs to its
     ValueError.
     """
 
     designs: tuple[str, ...]
-    combiners: tuple[str, ...]
     samples: np.ndarray
     failures: tuple[dict[tuple[str, str], ValueError], ...]
 
-    @property
-    def errors(self) -> dict[tuple[str, str], ValueError]:
-        """The failed pairs of a one-angle pass."""
-        [errors] = self.failures
-        return errors
-
     def means(self) -> np.ndarray:
         """Each (angle, design, combiner)'s per-user mean capacity, (A, designs, combiners,
-        K), NaN for a failed pair: bit for bit the ``mean`` of :meth:`estimate`."""
+        K), NaN for a failed pair."""
         return self.samples.reshape(len(self.failures), -1, *self.samples.shape[1:]).mean(axis=1)
-
-    def estimate(self, design: str, combiner: str) -> CapacityEstimate:
-        """A one-angle pass's mean, standard error and samples of the pair; raises the
-        pair's error."""
-        if (design, combiner) in self.errors:
-            raise self.errors[(design, combiner)]
-        samples = np.ascontiguousarray(
-            self.samples[:, self.designs.index(design), self.combiners.index(combiner)])
-        trials = len(samples)
-        mean = samples.mean(axis=0)
-        stderr = (samples.std(axis=0, ddof=1) / math.sqrt(trials) if trials > 1
-                  else np.zeros_like(mean))
-        return CapacityEstimate(mean, stderr, samples)
 
 
 def _link_moments(eff: EffectiveChannel, combiners: CombinerBank, r_eta_rd: np.ndarray,
@@ -265,15 +235,15 @@ def _singular_trial(bad: np.ndarray, first: int) -> SingularBinError:
                             " is rank deficient")
 
 
-def ergodic_capacity(cov, designs, group: int, combiners: tuple[str, ...] = ("zf",),
-                     n: int = 64, trials: int = 200, seed=0) -> LinkPass:
+def ergodic_capacity(covs, designs, group: int, combiners: tuple[str, ...] = ("zf",),
+                     n: int = 64, trials: int = 200, *, seeds) -> LinkPass:
     """Per-user capacity of every (angle, design, combiner) over each angle's channel draws.
 
-    ``cov``, ``designs`` and ``seed`` are one angle's :class:`~jsdmsim.channel.CovarianceSet`,
-    designs and seed, or equal-length sequences of them, one entry per angle of a unit.
-    An angle's designs map a name to its effective analog stage S and its reduced
-    interference-plus-noise covariance S^H R_eta S (:func:`statistics.reduce`); every S
-    of a pass is M x D, as the pass stacks them.  Only
+    ``covs``, ``designs`` and ``seeds`` are equal-length sequences, one entry per angle of
+    a unit: its :class:`~jsdmsim.channel.CovarianceSet`, designs and seed; unequal lengths
+    raise a ValueError.  An angle's designs map a name to its effective analog stage S and
+    its reduced interference-plus-noise covariance S^H R_eta S (:func:`statistics.reduce`);
+    every S of a pass is M x D, as the pass stacks them.  Only
     group ``group``'s channels are drawn; interference enters through the reduced
     covariance.  Each angle draws one (trials, L, K, 2, r) standard-normal array from
     ``default_rng`` of its seed, trial-major (:func:`channel.white_coefficients` of its
@@ -294,13 +264,11 @@ def ergodic_capacity(cov, designs, group: int, combiners: tuple[str, ...] = ("zf
     for comb in combiners:
         if comb not in COMBINER_NAMES:
             raise ValueError(f"unknown combiner {comb!r}")
-    if isinstance(cov, CovarianceSet):
-        cov, designs, seed = [cov], [designs], [seed]
-    spec = cov[0].scenario.groups[group]
+    spec = covs[0].scenario.groups[group]
     k = spec.n_users
     names = tuple(dict.fromkeys(name for angle in designs for name in angle))
-    samples = np.full((len(cov) * trials, len(names), len(combiners), k), np.nan)
-    failures = tuple({} for _ in cov)
+    samples = np.full((len(covs) * trials, len(names), len(combiners), k), np.nan)
+    failures = tuple({} for _ in covs)
 
     def pending(pair):
         return [comb for comb in combiners
@@ -313,7 +281,7 @@ def ergodic_capacity(cov, designs, group: int, combiners: tuple[str, ...] = ("zf
                 [combiners.index(comb) for comb in combs]] = np.nan
 
     given = []  # (angle, design name, S, S^H R_eta S, the angle's factors)
-    for a, (angle, members) in enumerate(zip(cov, designs)):
+    for a, (angle, members, _) in enumerate(zip(covs, designs, seeds, strict=True)):
         try:
             factors = angle.factors(group)
         except ValueError as exc:
@@ -349,8 +317,8 @@ def ergodic_capacity(cov, designs, group: int, combiners: tuple[str, ...] = ("zf
         if a not in z:
             # (T, L, K, r, 1): one matrix-vector product per (trial, delay, user), so no
             # trial's taps depend on how many trials share its block
-            z[a] = white_coefficients(np.random.default_rng(seed[a]), trials,
-                                      cov[a].factors(group))[..., np.newaxis]
+            z[a] = white_coefficients(np.random.default_rng(seeds[a]), trials,
+                                      covs[a].factors(group))[..., np.newaxis]
     pairs = [pair for pair in pairs if pending(pair)]
     for block, trial in _blocks(pairs, trials):
         block = [pair for pair in block if pending(pair)]
@@ -360,7 +328,7 @@ def ergodic_capacity(cov, designs, group: int, combiners: tuple[str, ...] = ("zf
         active = np.stack([(pair.projected @ z[pair.angle][trial])[..., 0]
                            for pair in block]).transpose(4, 3, 0, 1, 2)
         try:
-            g, h, m = bin_grams(active, spec.delays, cov[0].scenario.n_taps, n,
+            g, h, m = bin_grams(active, spec.delays, covs[0].scenario.n_taps, n,
                                 np.stack([pair.weights for pair in block]))
         except ValueError as exc:
             for pair in block:
@@ -389,4 +357,4 @@ def ergodic_capacity(cov, designs, group: int, combiners: tuple[str, ...] = ("zf
                     continue
                 first = pair.angle * trials
                 samples[first + trial.start:first + trial.stop, pair.design, j] = capacity[row]
-    return LinkPass(names, tuple(combiners), samples, failures)
+    return LinkPass(names, samples, failures)

@@ -413,7 +413,7 @@ def _evaluate_unit(entries: list, stages: list[dict], phis, tokens,
             list(covs), [{name: (s[i, b], r_eta_rd[i, b]) for i, name in enumerate(names)
                           if name not in failed[a]} for b, a in enumerate(standing)],
             cfg.group, cfg.combiners, n=cfg.block_length, trials=cfg.trials,
-            seed=[_derived_seed(cfg.seed, tokens[a], 2) for a in standing])
+            seeds=[_derived_seed(cfg.seed, tokens[a], 2) for a in standing])
         means = link.means()
 
     records: list[PhiRecord] = []

@@ -250,10 +250,10 @@ def test_criterion_09_fully_connected_capacity_ordering():
         cfg = SweepSettings(group=0)
         for n in names:
             s = build_beamformer(n, scn, stats, 0, cfg, _derived_seed(3, i, 1), geb)
-            cap = linksim.ergodic_capacity(cov, with_reduced(stats, {n: s}), 0, ("lmmse",), n=64,
-                                           trials=200, seed=_derived_seed(3, i, 2)
-                                           ).estimate(n, "lmmse")
-            samples[n].append(cap.samples.mean(axis=1))
+            link = linksim.ergodic_capacity([cov], [with_reduced(stats, {n: s})], 0, ("lmmse",),
+                                            n=64, trials=200, seeds=[_derived_seed(3, i, 2)])
+            assert link.failures == ({},), link.failures
+            samples[n].append(link.samples[:, 0, 0].mean(axis=1))
     arr = {n: np.concatenate(v) for n, v in samples.items()}
     means = {n: arr[n].mean() for n in names}
     stderr = {n: arr[n].std(ddof=1) / np.sqrt(arr[n].size) for n in names}
@@ -284,10 +284,11 @@ def test_criterion_10_subarray_capacity_ordering():
         (cb_i,), _ = fixed_subarray(geb.s[None], interlaced_mask(m, d)[None], seed=[seed])
         for name, cb in (("dynamic", dyn), ("ordered", cb_o), ("interlaced", cb_i)):
             for comb in ("zf", "lmmse"):
-                cap = linksim.ergodic_capacity(cov, with_reduced(stats, {name: cb.effective()}),
-                                               0, (comb,), n=64, trials=200,
-                                               seed=_derived_seed(3, i, 2)).estimate(name, comb)
-                caps[(name, comb)].append(cap.samples.mean(axis=1))
+                link = linksim.ergodic_capacity(
+                    [cov], [with_reduced(stats, {name: cb.effective()})], 0, (comb,), n=64,
+                    trials=200, seeds=[_derived_seed(3, i, 2)])
+                assert link.failures == ({},), link.failures
+                caps[(name, comb)].append(link.samples[:, 0, 0].mean(axis=1))
     arr = {k: np.concatenate(v) for k, v in caps.items()}
     for comb in ("zf", "lmmse"):
         for hi, lo in (("dynamic", "ordered"), ("ordered", "interlaced")):
@@ -427,9 +428,9 @@ def test_criterion_14_expected_sinr_hand_values():
     s = random_orthonormal(rng, 4, 2)
     assert abs(expected_sinr(stats, s) - 12.0) <= 1e-12 * 12.0
     # pencil 3: orthogonal steering directions (broadside vs endfire, M=4)
-    from jsdmsim import steering
-    u0 = steering(0.0, 4)
-    u90 = steering(90.0, 4)
+    from jsdmsim import steering_matrix
+    u0 = steering_matrix([0.0], 4)[:, 0]
+    u90 = steering_matrix([90.0], 4)[:, 0]
     stats = GroupStatistics(8.0 * np.outer(u0, u0.conj()),
                             16.0 * np.outer(u90, u90.conj()) + 0.5 * np.eye(4))
     assert abs(expected_sinr(stats, u0[:, None]) - 16.0) <= 1e-12 * 16.0

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from jsdmsim import (build_covariances, ccm_one_ring, metrics, sample_channels, steering,
-                     steering_matrix)
+from jsdmsim import build_covariances, ccm_one_ring, metrics, sample_channels, steering_matrix
 from jsdmsim.channel import fixed_covariances
 
 from conftest import ccm, ccm_factor, table1_scenario, two_group_toy
@@ -17,16 +16,17 @@ from conftest import ccm, ccm_factor, table1_scenario, two_group_toy
 
 class TestSteering:
     def test_broadside_uniform(self):
-        u = steering(0.0, 8)
+        u = steering_matrix([0.0], 8)[:, 0]
         assert_allclose(u, np.full(8, 1 / np.sqrt(8), dtype=complex), atol=1e-15)
 
     def test_unit_norm(self):
         for theta in (-73.2, -11.0, 4.5, 30.0, 88.9):
-            assert_allclose(np.linalg.norm(steering(theta, 64)), 1.0, atol=1e-13)
+            u = steering_matrix([theta], 64)[:, 0]
+            assert_allclose(np.linalg.norm(u), 1.0, atol=1e-13)
 
     def test_thirty_degree_phases(self):
         # sin 30 deg = 1/2, so entry phases advance by pi/2
-        u = steering(30.0, 4)
+        u = steering_matrix([30.0], 4)[:, 0]
         phases = np.angle(u * np.sqrt(4))
         expected = np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
         assert_allclose(np.mod(phases, 2 * np.pi), expected, atol=1e-12)
@@ -35,15 +35,14 @@ class TestSteering:
         rng = np.random.default_rng(5)
         for _ in range(50):
             t1, t2 = rng.uniform(-90, 90, 2)
-            val = np.abs(np.vdot(steering(t1, 32), steering(t2, 32)))
+            u1, u2 = steering_matrix([t1], 32)[:, 0], steering_matrix([t2], 32)[:, 0]
+            val = np.abs(np.vdot(u1, u2))
             assert val <= 1.0 + 1e-12
 
     def test_each_column_of_the_matrix_is_the_single_vector(self):
         thetas = np.array([-73.2, -11.0, 0.0, 4.5, 30.0, 88.9])
         u = steering_matrix(thetas, 64)
         assert u.shape == (64, thetas.size)
-        for i, theta in enumerate(thetas):
-            assert np.array_equal(u[:, i], steering(theta, 64))
         with pytest.raises(ValueError, match="antenna count"):
             steering_matrix(thetas, 0)
 
@@ -52,7 +51,7 @@ class TestOneRingCcm:
     def test_narrow_spread_is_rank_one(self):
         power = 0.8
         r = ccm_one_ring(17.0, 1e-4, power, 16)
-        u = steering(17.0, 16)
+        u = steering_matrix([17.0], 16)[:, 0]
         vals = np.linalg.eigvalsh(r)
         assert_allclose(vals[-1], power, rtol=1e-6)
         assert np.linalg.norm(r - power * np.outer(u, u.conj())) <= 1e-4 * power
@@ -254,7 +253,7 @@ class TestScenarioValidation:
             Scenario(4, 2, 1.0, ())
 
     def test_single_antenna_steering(self):
-        assert_allclose(steering(25.0, 1), [1.0 + 0.0j])
+        assert_allclose(steering_matrix([25.0], 1)[:, 0], [1.0 + 0.0j])
 
 
 class TestSampleChannels:

@@ -618,10 +618,11 @@ class TestDynamicSubarray:
             for name, cb, tr in (("dynamic", dyn, tr_d), ("ordered", cb_o, tr_o),
                                  ("interlaced", cb_i, tr_i)):
                 fits[name].append(tr.residuals[-1])
-                cap = linksim.ergodic_capacity(cov, with_reduced(stats, {name: cb.effective()}),
-                                               0, ("lmmse",), n=32, trials=25,
-                                               seed=60 + i).estimate(name, "lmmse")
-                caps[name].append(cap.mean.mean())
+                link = linksim.ergodic_capacity(
+                    [cov], [with_reduced(stats, {name: cb.effective()})], 0, ("lmmse",), n=32,
+                    trials=25, seeds=[60 + i])
+                assert link.failures == ({},), link.failures
+                caps[name].append(link.means()[0, 0, 0].mean())
         assert np.mean(caps["dynamic"]) >= np.mean(caps["ordered"])
         assert np.mean(caps["dynamic"]) >= np.mean(caps["interlaced"])
         assert np.mean(fits["dynamic"]) <= np.mean(fits["ordered"])

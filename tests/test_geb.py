@@ -14,7 +14,6 @@ from jsdmsim import (
     compute_geb,
     group_statistics,
     reduced_mutual_info,
-    steering,
     steering_matrix,
 )
 from jsdmsim.linalg import generalized_hermitian_eig
@@ -32,7 +31,7 @@ def toy_stats():
 class TestComputeGeb:
     def test_rank_one_signal_white_noise(self):
         # a steering vector's outer product is Hermitian Toeplitz
-        u = steering(23.7, 6)
+        u = steering_matrix([23.7], 6)[:, 0]
         stats = GroupStatistics(np.outer(u, u.conj()), np.eye(6, dtype=complex))
         geb = compute_geb(stats, 1)
         assert_allclose(np.abs(np.vdot(geb.s[:, 0], u)), 1.0, atol=1e-10)

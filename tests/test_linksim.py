@@ -231,9 +231,9 @@ class TestErgodicCapacity:
             cov = build_covariances(scn)
             stats = group_statistics(cov, 0)
             geb = compute_geb(stats, 4)
-            cap = ergodic_capacity(cov, with_reduced(stats, {"geb": geb.s}), 0, ("zf",), n=16,
-                                   trials=30, seed=77).estimate("geb", "zf")
-            means.append(cap.mean.mean())
+            link = ergodic_capacity([cov], [with_reduced(stats, {"geb": geb.s})], 0, ("zf",),
+                                    n=16, trials=30, seeds=[77])
+            means.append(link.means()[0, 0, 0].mean())
         assert np.all(np.diff(means) > 0)
 
     def test_mean_and_stderr_shapes(self):
@@ -241,11 +241,11 @@ class TestErgodicCapacity:
         cov = build_covariances(scn)
         stats = group_statistics(cov, 0)
         geb = compute_geb(stats, 4)
-        cap = ergodic_capacity(cov, with_reduced(stats, {"geb": geb.s}), 0, ("lmmse",), n=16,
-                               trials=12, seed=5).estimate("geb", "lmmse")
-        assert cap.mean.shape == (2,) and cap.stderr.shape == (2,)
-        assert cap.samples.shape == (12, 2)
-        assert np.all(cap.stderr >= 0)
+        link = ergodic_capacity([cov], [with_reduced(stats, {"geb": geb.s})], 0, ("lmmse",),
+                                n=16, trials=12, seeds=[5])
+        assert link.failures == ({},)
+        assert link.means().shape == (1, 1, 1, 2)
+        assert link.samples.shape == (12, 1, 1, 2)
 
     def test_reproducible(self):
         scn = two_group_toy()
@@ -253,8 +253,8 @@ class TestErgodicCapacity:
         stats = group_statistics(cov, 0)
         geb = compute_geb(stats, 4)
         designs = with_reduced(stats, {"geb": geb.s})
-        a = ergodic_capacity(cov, designs, 0, ("zf",), n=16, trials=8, seed=13)
-        b = ergodic_capacity(cov, designs, 0, ("zf",), n=16, trials=8, seed=13)
+        a = ergodic_capacity([cov], [designs], 0, ("zf",), n=16, trials=8, seeds=[13])
+        b = ergodic_capacity([cov], [designs], 0, ("zf",), n=16, trials=8, seeds=[13])
         assert np.array_equal(a.samples, b.samples)
 
     @pytest.mark.parametrize("combiner", ["zf", "lmmse"])
@@ -266,8 +266,8 @@ class TestErgodicCapacity:
         geb = compute_geb(stats, 4)
         rd = reduce(stats, geb.s)
         spec = scn.groups[0]
-        cap = ergodic_capacity(cov, with_reduced(stats, {"geb": geb.s}), 0, (combiner,), n=16,
-                               trials=37, seed=2024).estimate("geb", combiner)
+        samples = ergodic_capacity([cov], [with_reduced(stats, {"geb": geb.s})], 0, (combiner,),
+                                   n=16, trials=37, seeds=[2024]).samples[:, 0, 0]
         block = sample_channels(cov, 2024, groups=[0], trials=37)
         for t in range(37):
             eff = effective_channel(geb.s, one_trial(block, t), 0, 16)
@@ -277,7 +277,7 @@ class TestErgodicCapacity:
                 bank = lmmse_combiners(eff, rd, spec.symbol_energy, spec.n_users)
             expected = [bussgang_report(eff, bank, rd, spec.symbol_energy, spec.n_users,
                                         user).capacity for user in range(spec.n_users)]
-            assert_allclose(cap.samples[t], expected, rtol=1e-12)
+            assert_allclose(samples[t], expected, rtol=1e-12)
 
     @pytest.mark.parametrize("combiner, pinned", [
         ("zf", {0: [7.1491026502554735, 8.809209695740932],
@@ -295,10 +295,10 @@ class TestErgodicCapacity:
         cov = build_covariances(scn)
         stats = group_statistics(cov, 0)
         geb = compute_geb(stats, 4)
-        cap = ergodic_capacity(cov, with_reduced(stats, {"geb": geb.s}), 0, (combiner,), n=16,
-                               trials=37, seed=2024).estimate("geb", combiner)
+        samples = ergodic_capacity([cov], [with_reduced(stats, {"geb": geb.s})], 0, (combiner,),
+                                   n=16, trials=37, seeds=[2024]).samples[:, 0, 0]
         for t, values in pinned.items():
-            assert_allclose(cap.samples[t], values, rtol=1e-12)
+            assert_allclose(samples[t], values, rtol=1e-12)
 
 
 def three_designs():
@@ -318,17 +318,16 @@ class TestLinkPass:
     def test_every_pair_equals_its_own_pass(self):
         # 37 trials: the last trial block is partial
         cov, designs = three_designs()
-        link = ergodic_capacity(cov, designs, 0, ("zf", "lmmse"), n=16, trials=37, seed=2024)
-        assert link.samples.shape == (37, 3, 2, 2) and not link.errors
+        link = ergodic_capacity([cov], [designs], 0, ("zf", "lmmse"), n=16, trials=37,
+                                seeds=[2024])
+        assert link.samples.shape == (37, 3, 2, 2) and link.failures == ({},)
+        means = link.means()
         for i, name in enumerate(designs):
             for j, comb in enumerate(("zf", "lmmse")):
-                alone = ergodic_capacity(cov, {name: designs[name]}, 0, (comb,), n=16,
-                                         trials=37, seed=2024)
+                alone = ergodic_capacity([cov], [{name: designs[name]}], 0, (comb,), n=16,
+                                         trials=37, seeds=[2024])
                 assert np.array_equal(link.samples[:, i, j], alone.samples[:, 0, 0])
-                est, ref = link.estimate(name, comb), alone.estimate(name, comb)
-                assert np.array_equal(est.samples, ref.samples)
-                assert np.array_equal(est.mean, ref.mean)
-                assert np.array_equal(est.stderr, ref.stderr)
+                assert np.array_equal(means[0, i, j], alone.means()[0, 0, 0])
 
     def test_block_size_leaves_every_sample_unchanged(self, monkeypatch):
         # trial t's capacities are bit for bit the same whatever block it shares
@@ -336,8 +335,8 @@ class TestLinkPass:
         runs = []
         for block in (1, 5, 16, 64):
             monkeypatch.setattr(linksim, "_BLOCK_ELEMENTS", block)
-            runs.append(ergodic_capacity(cov, designs, 0, ("zf", "lmmse"), n=16, trials=37,
-                                         seed=2024).samples)
+            runs.append(ergodic_capacity([cov], [designs], 0, ("zf", "lmmse"), n=16, trials=37,
+                                         seeds=[2024]).samples)
         for samples in runs[1:]:
             assert np.array_equal(samples, runs[0])
 
@@ -352,8 +351,9 @@ class TestLinkPass:
             return white_coefficients(rng, trials, factors)
 
         monkeypatch.setattr(linksim, "white_coefficients", counting_draw)
-        link = ergodic_capacity(cov, designs, 0, ("zf", "lmmse"), n=16, trials=37, seed=2024)
-        assert not link.errors
+        link = ergodic_capacity([cov], [designs], 0, ("zf", "lmmse"), n=16, trials=37,
+                                seeds=[2024])
+        assert link.failures == ({},)
         assert len(drawn) == 1 and drawn[0][0] == 37 and drawn[0][1] is cov.factors(0)
 
     def test_singular_bin_fails_only_its_pair(self, monkeypatch):
@@ -363,7 +363,8 @@ class TestLinkPass:
         # equal blocks, of 13, 13 and 11 trials
         monkeypatch.setattr(linksim, "_BLOCK_ELEMENTS", 16)
         cov, designs = three_designs()
-        clean = ergodic_capacity(cov, designs, 0, ("zf", "lmmse"), n=16, trials=37, seed=2024)
+        clean = ergodic_capacity([cov], [designs], 0, ("zf", "lmmse"), n=16, trials=37,
+                                 seeds=[2024])
         pe_weights, pe_grams, faulty_zf, pe_lmmse = [], [], [], []
 
         def recording_eigenbasis(s, r_eta_rd, factors):
@@ -400,12 +401,14 @@ class TestLinkPass:
         monkeypatch.setattr(linksim, "bin_grams", recording_grams)
         monkeypatch.setattr(linksim, "zf_capacity", planted_zf)
         monkeypatch.setattr(linksim, "lmmse_capacity", recording_lmmse)
-        link = ergodic_capacity(cov, designs, 0, ("zf", "lmmse"), n=16, trials=37, seed=2024)
-        assert list(link.errors) == [("pe", "zf")]
-        message = "effective channel at bin 3 of trial 21 is rank deficient"
-        with pytest.raises(SingularBinError) as excinfo:
-            link.estimate("pe", "zf")
-        assert str(excinfo.value) == message
+        link = ergodic_capacity([cov], [designs], 0, ("zf", "lmmse"), n=16, trials=37,
+                                seeds=[2024])
+        [failures] = link.failures
+        assert list(failures) == [("pe", "zf")]
+        error = failures[("pe", "zf")]
+        assert isinstance(error, SingularBinError)
+        assert str(error) == "effective channel at bin 3 of trial 21 is rank deficient"
+        assert np.isnan(link.samples[:, link.designs.index("pe"), 0]).all()
         # the failed pair is not evaluated in the third block; pe's lmmse pair is
         assert len(faulty_zf) == 2 and len(pe_lmmse) == 3
         for i, name in enumerate(designs):
@@ -434,9 +437,10 @@ class TestLinkPassProperties:
     @given(**LINK_CASES)
     def test_lmmse_at_least_zf_per_trial_and_user(self, m, trials, chains, phi, draw, seed):
         cov, stats, s, _ = random_link_case(m, trials, chains, phi, draw)
-        link = ergodic_capacity(cov, with_reduced(stats, {"s": s}), 0, ("zf", "lmmse"), n=16,
-                                trials=trials, seed=seed)
-        zf, lmmse = link.estimate("s", "zf").samples, link.estimate("s", "lmmse").samples
+        link = ergodic_capacity([cov], [with_reduced(stats, {"s": s})], 0, ("zf", "lmmse"),
+                                n=16, trials=trials, seeds=[seed])
+        assert link.failures == ({},)
+        zf, lmmse = link.samples[:, 0, 0], link.samples[:, 0, 1]
         assert np.all(lmmse >= zf - 1e-9 * (1.0 + zf))
 
     @hypothesis.seed(20261019)
@@ -446,9 +450,9 @@ class TestLinkPassProperties:
                                                            seed):
         cov, stats, s, rng = random_link_case(m, trials, chains, phi, draw)
         designs = {"s": s, "su": s @ random_unitary(rng, chains)}
-        link = ergodic_capacity(cov, with_reduced(stats, designs), 0, ("zf", "lmmse"), n=16,
-                                trials=trials, seed=seed)
-        assert not link.errors
+        link = ergodic_capacity([cov], [with_reduced(stats, designs)], 0, ("zf", "lmmse"),
+                                n=16, trials=trials, seeds=[seed])
+        assert link.failures == ({},)
         assert_allclose(link.samples[:, 1], link.samples[:, 0], rtol=1e-9, atol=1e-12)
 
 
@@ -483,9 +487,9 @@ class TestLinkPassMatchesOracle:
         s = random_orthonormal(np.random.default_rng(case["draw"]), case["m"], case["chains"])
         rd = reduce(stats, s)
         spec, seed = scn.groups[0], case["seed"]
-        link = ergodic_capacity(cov, {"s": (s, rd)}, 0, ("zf", "lmmse"), n=16,
-                                trials=case["trials"], seed=seed)
-        assert not link.errors
+        link = ergodic_capacity([cov], [{"s": (s, rd)}], 0, ("zf", "lmmse"), n=16,
+                                trials=case["trials"], seeds=[seed])
+        assert link.failures == ({},)
         block = sample_channels(cov, seed, groups=[0], trials=case["trials"])
         for t in range(case["trials"]):
             eff = effective_channel(s, one_trial(block, t), 0, 16)
@@ -557,6 +561,18 @@ def two_angles():
 
 
 class TestUnitPass:
+    @pytest.mark.parametrize("short", ["covs", "designs", "seeds"])
+    def test_unequal_lengths_raise(self, short):
+        # one entry per angle of the unit: a short sequence is an error, not an angle of
+        # NaN samples with no failure recorded
+        angles = two_angles()
+        unit = {"covs": [cov for cov, _ in angles], "designs": [d for _, d in angles],
+                "seeds": [11, 12]}
+        unit[short] = unit[short][:1]
+        with pytest.raises(ValueError):
+            ergodic_capacity(unit["covs"], unit["designs"], 0, ("zf",), n=16, trials=3,
+                             seeds=unit["seeds"])
+
     def test_each_angle_equals_its_own_pass(self):
         # two angles, one of them missing a design, in one pass: each angle's rows are bit
         # for bit its own one-angle pass
@@ -564,19 +580,19 @@ class TestUnitPass:
         del angles[1][1]["dft"]
         seeds = [11, 12]
         link = ergodic_capacity([cov for cov, _ in angles], [d for _, d in angles], 0,
-                                ("zf", "lmmse"), n=16, trials=37, seed=seeds)
+                                ("zf", "lmmse"), n=16, trials=37, seeds=seeds)
         assert link.samples.shape == (2 * 37, 2, 2, 2)
         assert np.isnan(link.samples[37:, 1]).all()
         means = link.means()
         for a, ((cov, designs), seed) in enumerate(zip(angles, seeds)):
-            alone = ergodic_capacity(cov, designs, 0, ("zf", "lmmse"), n=16, trials=37,
-                                     seed=seed)
-            assert link.failures[a] == alone.errors == {}
+            alone = ergodic_capacity([cov], [designs], 0, ("zf", "lmmse"), n=16, trials=37,
+                                     seeds=[seed])
+            assert link.failures[a] == alone.failures[0] == {}
             for i, name in enumerate(designs):
                 for j, comb in enumerate(("zf", "lmmse")):
                     assert np.array_equal(link.samples[a * 37:(a + 1) * 37, i, j],
-                                          alone.estimate(name, comb).samples)
-                    assert np.array_equal(means[a, i, j], alone.estimate(name, comb).mean)
+                                          alone.samples[:, i, j])
+                    assert np.array_equal(means[a, i, j], alone.means()[0, i, j])
 
     def test_a_failed_stacked_eigenbasis_fails_only_its_member(self, monkeypatch):
         # the pass's one stacked _eigenbasis call raises while it holds angle 1's DFT
@@ -586,7 +602,7 @@ class TestUnitPass:
         angles = two_angles()
         covs, designs = [cov for cov, _ in angles], [d for _, d in angles]
         args = (0, ("zf", "lmmse"))
-        kwargs = {"n": 16, "trials": 9, "seed": [11, 12]}
+        kwargs = {"n": 16, "trials": 9, "seeds": [11, 12]}
         clean = ergodic_capacity(covs, designs, *args, **kwargs)
         bad, original, stacks = designs[1]["dft"][0], linksim._eigenbasis, []
 

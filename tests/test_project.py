@@ -1,6 +1,9 @@
-"""The package metadata declares the versions the code needs."""
+"""The package metadata declares the versions the code needs, and the README's code runs."""
 
+import os
 import re
+import subprocess
+import sys
 import tomllib
 from pathlib import Path
 
@@ -23,3 +26,15 @@ def test_metadata_floors_cover_the_apis_the_code_calls():
     readme = (ROOT / "README.md").read_text()
     python = project["requires-python"].removeprefix(">=")
     assert f"Requires Python ≥ {python} and numpy ≥ {numpy.removeprefix('numpy>=')}" in readme
+
+
+def test_every_python_block_of_the_readme_runs(tmp_path):
+    # the README's examples use the public API: a block that no longer runs is stale
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                        re.DOTALL | re.MULTILINE)
+    assert blocks
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for block in blocks:
+        proc = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True,
+                              cwd=tmp_path, env=env, timeout=300)
+        assert proc.returncode == 0, f"{block}\n{proc.stderr}"

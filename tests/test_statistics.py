@@ -14,7 +14,7 @@ from jsdmsim import (
     expected_sinr,
     group_statistics,
     reduce,
-    steering,
+    steering_matrix,
 )
 from jsdmsim.channel import fixed_covariances
 from jsdmsim.config import parse_config
@@ -146,8 +146,8 @@ class TestExpectedSinr:
         # rank-1 clusters at 0 and 90 degrees, M=4, D=1: the 90-degree steering
         # vector is exactly orthogonal to broadside, so the hand value is E1/N0.
         m = 4
-        u0 = steering(0.0, m)
-        u90 = steering(90.0, m)
+        u0 = steering_matrix([0.0], m)[:, 0]
+        u90 = steering_matrix([90.0], m)[:, 0]
         e1, e2, n0 = 4.0, 7.0, 0.5
         stats = GroupStatistics(e1 * np.outer(u0, u0.conj()),
                                 e2 * np.outer(u90, u90.conj()) + n0 * np.eye(m))
