@@ -13,6 +13,7 @@ on every mobile group's stack and one call per group for the whole block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -42,13 +43,20 @@ def steering_matrix(thetas_deg, m: int) -> np.ndarray:
     """Unit-norm steering vectors of an M-antenna half-wavelength ULA, as columns.
 
     Column i is exp(j * k * pi * sin(theta_i)) / sqrt(M) for k = 0..M-1; the
-    result has shape (M, len(thetas_deg)).
+    result has shape (M, len(thetas_deg)).  With k = a * n + c, n = ceil(sqrt(M)),
+    each entry is the product of two table entries, exp(j a n pi sin theta) and
+    exp(j c pi sin theta) / sqrt(M), so a direction costs n + ceil(M / n) ``exp``
+    calls where one per antenna would cost M.  The two phases round apart from
+    the one phase k pi sin theta, which is itself rounded to about k eps, so an
+    entry moves by that much (below 1e-14 at 128 antennas).
     """
     if m < 1:
         raise ValueError("antenna count must be >= 1")
-    k = np.arange(m)[:, None]
-    s = np.sin(np.deg2rad(np.asarray(thetas_deg, dtype=float)))[None, :]
-    return np.exp(1j * np.pi * k * s) / np.sqrt(m)
+    n = math.isqrt(m - 1) + 1
+    s = np.sin(np.deg2rad(np.asarray(thetas_deg, dtype=float)))
+    coarse = np.exp(1j * np.pi * (n * np.arange(-(-m // n)))[:, None] * s)
+    fine = np.exp(1j * np.pi * np.arange(n)[:, None] * s) / np.sqrt(m)
+    return (coarse[:, None, :] * fine[None, :, :]).reshape(-1, s.size)[:m]
 
 
 def ccm_one_ring(mu, delta, power, m: int, n_quad: int = DEFAULT_N_QUAD) -> np.ndarray:

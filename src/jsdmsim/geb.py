@@ -3,7 +3,9 @@
 The beamformer maximizing the reduced-dimension mutual information between the
 post-beamformer observation and the intended group's signal is spanned by the
 dominant generalized eigenvectors of the (signal, interference-plus-noise)
-covariance pencil.  Columns are QR-orthonormalized, which leaves the cost
+covariance pencil.  The signal covariance is a weighted sum of low-rank CCMs,
+so the pencil is solved from their factors, in the rank of R_s rather than as
+an M x M problem.  Columns are QR-orthonormalized, which leaves the cost
 unchanged (any invertible right-factor does).
 """
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import fix_phases, generalized_hermitian_eig, qr
+from .linalg import factor_pencil, qr
 from .statistics import GroupStatistics, _check_rank
 
 __all__ = ["UnconstrainedBeamformer", "compute_geb", "reduced_mutual_info"]
@@ -43,21 +45,28 @@ class UnconstrainedBeamformer:
                                                                      self.gen_eigenvalues[b])
 
 
-def compute_geb(stats: GroupStatistics, n_chains: int) -> UnconstrainedBeamformer:
+def compute_geb(stats: GroupStatistics, factors: np.ndarray,
+                n_chains: int) -> UnconstrainedBeamformer:
     """Dominant generalized eigenvectors of (r_s, r_eta), QR-orthonormalized.
 
-    Eigenvector phases are fixed (largest entry real positive) before QR so
-    the output is deterministic across runs.  Statistics of a block of angles
-    (either matrix stacked along a leading axis) are solved in one pencil call,
-    each angle exactly as on its own, into a stacked beamformer.
+    ``factors`` is the group's CCM factor stack (..., L, K, M, r) of
+    :meth:`~jsdmsim.channel.CovarianceSet.factors`, with r_s = ``stats.energy`` times the
+    sum of L L^H over its delays and users.  Side by side these factors are one M x LKr
+    factor F, r_s = energy F F^H, and :func:`~jsdmsim.linalg.factor_pencil` solves
+    (F F^H, r_eta) from it: the same eigenvectors, and eigenvalues 1 / energy of r_s's.
+    r_s itself is not read.  The eigenvectors are phase-fixed once, by factor_pencil's
+    rule, before QR, so the output is deterministic across runs.  Statistics and factors of a block of angles (stacked along a leading
+    axis where they move with the angle) are solved in one call, each angle exactly as on
+    its own, into a stacked beamformer.
     """
-    m = stats.r_s.shape[-1]
+    m = stats.r_eta.shape[-1]
     if n_chains > m:
         raise ValueError(f"cannot allocate {n_chains} chains on {m} antennas")
-    dec = generalized_hermitian_eig(stats.r_s, stats.r_eta)
-    top = fix_phases(dec.vectors[..., :n_chains])
-    q, _ = qr(top)
-    return UnconstrainedBeamformer(q, dec.values[..., :n_chains].copy())
+    # (..., M, L, K, r) -> (..., M, LKr): delays and users side by side
+    f = np.moveaxis(factors, -2, -4)
+    values, vectors = factor_pencil(f.reshape(f.shape[:-3] + (-1,)), stats.r_eta, n_chains)
+    q, _ = qr(vectors)
+    return UnconstrainedBeamformer(q, stats.energy * values)
 
 
 def reduced_mutual_info(stats: GroupStatistics, s: np.ndarray) -> float:

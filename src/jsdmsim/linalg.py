@@ -17,12 +17,15 @@ W = Q^H R Q with the same eigenvalues, and real vectors x back to Q x (Lee,
 *Unitary ESPRIT*, IEEE TSP 1995).  Q has two nonzeros per column, so the map
 to W is O(M^2), each entry combining the entries (i, j), (i, M-1-j), (M-1-i, j)
 and (M-1-i, M-1-j), and the map back is O(M) per vector.
-:func:`psd_factor`, :func:`psd_sqrt` and :func:`generalized_hermitian_eig`
-take Hermitian Toeplitz input and run every decomposition on W in real
-arithmetic, on one path with no complex fallback.  The check is what the map needs: Q^H R Q must
-be real and symmetric to a relative 1e-6 (R Hermitian and centro-Hermitian,
-which every Hermitian Toeplitz matrix is); anything else is rejected, naming
-the matrix of a stack that failed.
+:func:`psd_factor` and :func:`psd_sqrt` take Hermitian Toeplitz input and run
+every decomposition on W in real arithmetic, on one path with no complex
+fallback.  The check is what the map needs: Q^H R Q must be real and symmetric
+to a relative 1e-6 (R Hermitian and centro-Hermitian, which every Hermitian
+Toeplitz matrix is); anything else is rejected, naming the matrix of a stack
+that failed.  A factor of such a matrix keeps the structure: psd_factor's
+R = F F^H has F = Q X with X real, and :func:`factor_pencil` solves the pencil
+(F F^H, B) from X and W_B alone, in the rank of F rather than as an M x M
+pencil.
 
 Stacks of many small matrices (the per-bin K x K systems of the link layer)
 are inverted by :func:`hermitian_inverse` as elementwise array operations
@@ -47,16 +50,14 @@ from __future__ import annotations
 
 import ctypes
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "DefinitenessError",
-    "EigDecomposition",
     "PsdError",
     "RankError",
-    "generalized_hermitian_eig",
+    "factor_pencil",
     "hermitian_inverse",
     "one_blas_thread",
     "psd_factor",
@@ -90,19 +91,6 @@ class PsdError(ValueError):
 
 class RankError(ValueError):
     """An input does not have the rank the operation requires."""
-
-
-@dataclass(frozen=True)
-class EigDecomposition:
-    """Eigenvalues sorted descending with matching unit-norm eigenvectors.
-
-    ``vectors[:, i]`` belongs to ``values[i]``.  Columns are normalized to
-    unit Euclidean norm and phase-fixed (largest-magnitude entry real
-    positive) so results are deterministic across runs.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
 
 
 def _as_complex_stack(a, name: str) -> np.ndarray:
@@ -203,32 +191,45 @@ def fix_phases(v: np.ndarray) -> np.ndarray:
     return v * phase.conj()[..., np.newaxis, :]
 
 
-def generalized_hermitian_eig(a, b) -> EigDecomposition:
-    """Solve A v = lambda B v for Hermitian Toeplitz A and positive-definite Hermitian Toeplitz B.
+def factor_pencil(f, b, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The d dominant eigenpairs of the pencil (F F^H, B), for a factor F (..., M, r) and a
+    positive-definite Hermitian Toeplitz B (..., M, M).
 
-    Both are mapped to real symmetric W_A, W_B (see the module docstring), and
-    W_B's Cholesky factor L reduces the pencil to the standard real symmetric
-    problem L^-1 W_A L^-T; each of its eigenvectors x gives v = Q L^-T x.
-    Eigenvalues come back descending, eigenvectors are B-orthogonal and
-    normalized to unit Euclidean norm.  Entries i and M-1-i of such a v are
-    complex conjugates, so their magnitudes tie exactly and the phase fix
-    takes the first of them.
+    F must be Q X with X real, as :func:`psd_factor` returns it (its second half mirrors its
+    first, conjugated, and a middle row is real), and X is read off its first half.  With
+    W_B = C C^T (Cholesky), the pencil is the standard problem Y Y^T u = lambda u with
+    Y = C^-1 X and v = C^-T u, solved by the thin SVD of the M x r matrix Y: O(M^2 r) per
+    pencil once B is factored, where the M x M pencil's products and ``eigh`` cost O(M^3)
+    (Golub and Van Loan, *Matrix Computations*, 8.7).  Fewer
+    than d nonzero columns take a full SVD, whose extra vectors complete the d with lambda = 0.
 
-    A and B may be stacks (..., M, M) whose leading shapes broadcast, one pencil
-    per matrix of the result; a lone B shared by a stack of A is mapped,
-    checked and factored once.  Each pencil is solved exactly as it would be
-    on its own, and a failure names the matrix of a stack it belongs to.
+    Eigenvalues come back descending, (..., d); eigenvectors (..., M, d) are B-orthogonal, of
+    unit norm and phase-fixed once by :func:`fix_phases`, whose tie between the conjugate
+    entries i and M-1-i of such a v goes to the first.  Leading shapes broadcast, one pencil
+    per matrix; a lone B shared by a stack of F is mapped, checked and factored once.  B's
+    smallest eigenvalue must exceed 1e-12 times its largest (DefinitenessError names the
+    matrix of a stack).  Each pencil drops F's zero columns, so a factor padded with zero
+    columns (a block's common rank) gives its unpadded self's bits, and each matrix of a
+    stack those of its own call.
     """
-    a = _as_complex_stack(a, "A")
+    f = _as_complex_stack(f, "F")
     b = _as_complex_stack(b, "B")
-    _require_square(a, "A")
     _require_square(b, "B")
-    if a.shape[-1] != b.shape[-1]:
-        raise ValueError(f"A and B must have equal shape, got {a.shape} vs {b.shape}")
-    np.broadcast_shapes(a.shape, b.shape)  # ValueError unless the stacks broadcast
-    w_a = _to_real(a, "A")
-    w_b = _to_real(b, "B")
+    m = b.shape[-1]
+    if f.shape[-2] != m:
+        raise ValueError(f"F must have as many rows as B, got shapes {f.shape} and {b.shape}")
+    n = m // 2
+    k = m - n
+    if (not np.array_equal(f[..., ::-1, :][..., :n, :], f[..., :n, :].conj())
+            or np.any(f[..., n:k, :].imag)):
+        raise ValueError("F must be Q X with X real: its second half must mirror its first,"
+                         " conjugated, as psd_factor's factors do")
+    x = np.empty(f.shape)
+    np.divide(f[..., :n, :].real, _SQRT_HALF, out=x[..., :n, :])
+    x[..., n:k, :] = f[..., n:k, :].real
+    np.divide(f[..., :n, :].imag, _SQRT_HALF, out=x[..., k:, :])
 
+    w_b = _to_real(b, "B")
     b_eigs = np.linalg.eigvalsh(w_b)
     scale = np.abs(b_eigs).max(axis=-1, initial=0.0)
     bad = ~(b_eigs[..., 0] > 1e-12 * scale)
@@ -238,14 +239,22 @@ def generalized_hermitian_eig(a, b) -> EigDecomposition:
             f"B{_index(at)} is not positive definite: smallest eigenvalue {b_eigs[at][0]:.6e}"
             f" (largest {scale[at]:.6e})"
         )
-
-    # L^-1 from numpy's LU (see the module docstring), applied by three products
+    # C^-1 from numpy's LU (see the module docstring), applied by two products
     inv = np.linalg.inv(np.linalg.cholesky(w_b))
-    inv_t = inv.swapaxes(-1, -2)
-    values, vectors = np.linalg.eigh(inv @ w_a @ inv_t)
-    vectors = inv_t @ vectors[..., ::-1]
+
+    batch = np.broadcast_shapes(x.shape[:-2], inv.shape[:-2])
+    x = np.broadcast_to(x, batch + x.shape[-2:])
+    inv = np.broadcast_to(inv, batch + (m, m))
+    values = np.zeros(batch + (d,))
+    vectors = np.empty(batch + (m, d))
+    for at in np.ndindex(batch):
+        own = x[at]
+        y = inv[at] @ own[:, np.any(own, axis=0)]
+        u, s, _ = np.linalg.svd(y, full_matrices=y.shape[-1] < d)
+        values[at][:len(s)] = s[:d] ** 2
+        vectors[at] = inv[at].T @ u[:, :d]
     vectors /= np.linalg.norm(vectors, axis=-2, keepdims=True)
-    return EigDecomposition(values[..., ::-1].copy(), fix_phases(_q_times(vectors)))
+    return values, fix_phases(_q_times(vectors))
 
 
 def hermitian_inverse(a) -> tuple[np.ndarray, np.ndarray]:

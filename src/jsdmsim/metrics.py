@@ -3,9 +3,9 @@
 The sweep moves the mobile group's angular profile and does all of its
 pre-link work in units: contiguous runs of grid angles, as many as keep the
 unit's mobile-group CCMs within one byte budget (``_UNIT_BYTES``).  A unit
-makes one :func:`angle_design` call (one covariance build, one pencil call and
-one pivoted-Cholesky call, with a shared R_eta factored once) and one call per
-design of the one design table, :data:`DESIGNS`, whose entries take a
+makes one :func:`angle_design` call (one covariance build, one pivoted-Cholesky
+call and one GEB call from those factors, with a shared R_eta factored once)
+and one call per design of the one design table, :data:`DESIGNS`, whose entries take a
 :class:`Unit` and return the stage of each member.  A unit is the only shape
 the sweep computes in: a lone angle is a unit of one.  Every stage follows the
 sweep's one retry rule (:func:`~jsdmsim.linksim._each`): a stacked call that
@@ -201,11 +201,16 @@ def beampattern(s: np.ndarray, steering: np.ndarray, orthonormal: bool = False) 
     u as columns, an M x n :func:`~jsdmsim.channel.steering_matrix`, so a
     pass over several designs builds it once.  ``orthonormal=True`` says ``s``
     is already the Q of its :func:`~jsdmsim.linalg.qr`, so a pass over several
-    chunks of directions orthonormalizes each design once.
+    chunks of directions orthonormalizes each design once.  A stack of
+    beamformers (k, M, D) gives one pattern per row of a (k, n) array, from one
+    product of their stacked Q^H with the steering matrix; each row is bit for
+    bit that beamformer's own pattern.
     """
     s = np.asarray(s, dtype=complex)
     q = s if orthonormal else qr(s)[0]  # rank deficiency surfaces in qr as RankError
-    return np.sum(np.abs(q.conj().T @ steering) ** 2, axis=0)
+    q_h = q.conj().swapaxes(-1, -2)
+    p = (q_h.reshape(-1, q.shape[-2]) @ steering).reshape(q_h.shape[:-1] + steering.shape[-1:])
+    return np.sum(np.abs(p) ** 2, axis=-2)
 
 
 def cdf(values, grid) -> np.ndarray:
@@ -306,25 +311,27 @@ def angle_design(fixed: FixedCovariances, phi, cfg: SweepSettings
 
     ``phi`` is a 1-D unit of shifting angles within the scan range; one angle is a
     unit of one (``np.atleast_1d``).  Each mobile group's CCMs of the unit come from one
-    :func:`~jsdmsim.channel.ccm_one_ring` call, the statistics sum along the
-    unit axis (R_eta stays one matrix when no other group moves) and one
-    pencil call solves every angle, mapping, checking and factoring a shared
-    R_eta once; each angle's results are bit for bit a one-angle run's.  The
-    non-mobile groups' CCMs come from ``fixed``, built once per sweep.  One
+    :func:`~jsdmsim.channel.ccm_one_ring` call and the statistics sum along the
+    unit axis (R_eta stays one matrix when no other group moves).  One
     :func:`~jsdmsim.linalg.psd_factor` call on the evaluated group's CCMs fills
-    every angle's factor cache; when it fails, the caches stay empty and each
-    angle computes (and fails on) its own factors when its link pass projects
-    them.
+    every angle's factor cache, which the link pass samples from, and one GEB call
+    solves every angle from those factors, mapping, checking and factoring a shared
+    R_eta once; each angle's results are bit for bit a one-angle run's.  The
+    non-mobile groups' CCMs come from ``fixed``, built once per sweep.  When the
+    factor call fails, the error raised is the first failing angle's own, which names
+    the CCM by its (delay, user) index, as a one-angle set's factor call does.
     """
     phi = np.atleast_1d(phi)
     check_scan_range(phi)
     cov = build_covariances(fixed.scenario, n_quad=cfg.n_quad, fixed=fixed, phis=phi)
     stats = group_statistics(cov, cfg.group)
-    geb = compute_geb(stats, fixed.scenario.groups[cfg.group].n_chains)
     try:
-        cov.factors(cfg.group)
+        factors = cov.factors(cfg.group)
     except ValueError:
-        pass
+        for angle in cov.angles():
+            angle.factors(cfg.group)
+        raise
+    geb = compute_geb(stats, factors, fixed.scenario.groups[cfg.group].n_chains)
     return [(angle.scenario, angle, stats.angle(b), geb.angle(b))
             for b, angle in enumerate(cov.angles())]
 
@@ -375,7 +382,7 @@ def _evaluate_unit(entries: list, stages: list[dict], phis, tokens,
         s = np.stack([[gebs[b].s if name in failed[a] else stages[a][name]
                        for b, a in enumerate(standing)] for name in names])
         grid_stats = GroupStatistics(_stacked([st.r_s for st in stats]),
-                                     _stacked([st.r_eta for st in stats]))
+                                     _stacked([st.r_eta for st in stats]), stats[0].energy)
         r_eta_rd = reduce(grid_stats, s)
         scores = expected_sinr(grid_stats, s)
         members = [(i, b) for i, name in enumerate(names) for b, a in enumerate(standing)

@@ -133,8 +133,10 @@ def _write_beampattern(path: Path, out_cfg: OutputSettings, result: SweepResult,
 
     The sweep designed every beamformer at the reference angle (``result.pattern``, on
     the grid the designs its results score); this pass orthonormalizes each design once,
-    builds the steering matrix one chunk of directions at a time and projects every
-    design onto each chunk.
+    builds the steering matrix one chunk of directions at a time and projects the stack
+    of every design onto each chunk in one product.  Each design's lines come from one
+    ``%`` of one template, a ``"<name>,<theta>,%.9g"`` line per direction, which prints
+    what one f-string with ``.9g`` per line prints.
     """
     phi, stages = out_cfg.beampattern_phi, result.pattern
     errors = {name: stage for name, stage in stages.items() if isinstance(stage, Exception)}
@@ -145,19 +147,20 @@ def _write_beampattern(path: Path, out_cfg: OutputSettings, result: SweepResult,
                 live[name], _ = qr(stage)  # rank deficiency surfaces here as RankError
             except ValueError as exc:  # flagged in the manifest instead
                 errors[name] = exc
-    powers = {name: [] for name in live}
-    thetas = grid_values(out_cfg.beampattern_start, out_cfg.beampattern_stop,
-                         out_cfg.beampattern_step) if live else np.empty(0)
-    m = result.fixed.scenario.n_antennas
-    for start in range(0, len(thetas), PATTERN_CHUNK):
-        steering = steering_matrix(thetas[start:start + PATTERN_CHUNK], m)
-        for name, q in live.items():
-            powers[name].append(beampattern(q, steering, orthonormal=True))
-    lines = [f"beamformer,theta,{'power_db' if db else 'power'}"]
-    theta_col = [f"{theta:.9g}" for theta in thetas.tolist()]
-    for name, chunks in powers.items():
-        values = np.concatenate(chunks).tolist()
-        values = [_db(v) for v in values] if db else values
-        lines.extend(f"{name},{theta},{power:.9g}" for theta, power in zip(theta_col, values))
-    path.write_text("\n".join(lines) + "\n")
+    text = [f"beamformer,theta,{'power_db' if db else 'power'}\n"]
+    if live:
+        thetas = grid_values(out_cfg.beampattern_start, out_cfg.beampattern_stop,
+                             out_cfg.beampattern_step)
+        q = np.stack(list(live.values()))
+        m = result.fixed.scenario.n_antennas
+        powers = np.concatenate(
+            [beampattern(q, steering_matrix(thetas[start:start + PATTERN_CHUNK], m),
+                         orthonormal=True)
+             for start in range(0, len(thetas), PATTERN_CHUNK)], axis=-1)
+        theta_col = [f"{theta:.9g}" for theta in thetas.tolist()]
+        for name, values in zip(live, powers.tolist()):
+            values = [_db(v) for v in values] if db else values
+            text.append("".join([f"{name},{theta},%.9g\n" for theta in theta_col])
+                        % tuple(values))
+    path.write_text("".join(text))
     return [_error(phi, name, "(beampattern)", errors[name]) for name in stages if name in errors]

@@ -31,14 +31,19 @@ class GroupStatistics:
     :class:`~jsdmsim.channel.CovarianceSet`) stack either matrix along a
     leading axis, one entry per angle, when it moves with the angle; a matrix
     that does not move stays one M x M matrix.  :meth:`angle` picks one angle.
+    ``energy`` is the weight of each of the group's CCMs in r_s, its per-user
+    symbol energy E_s / K (1 for a plain sum); the GEB weighs the CCMs' factors
+    by it (:func:`~jsdmsim.geb.compute_geb`).
     """
 
     r_s: np.ndarray
     r_eta: np.ndarray
+    energy: float = 1.0
 
     def angle(self, b: int) -> "GroupStatistics":
         """Angle b of a block."""
-        return GroupStatistics(*(x if x.ndim == 2 else x[b] for x in (self.r_s, self.r_eta)))
+        return GroupStatistics(*(x if x.ndim == 2 else x[b] for x in (self.r_s, self.r_eta)),
+                               self.energy)
 
 
 def _group_sum(cov: CovarianceSet, g: int) -> np.ndarray:
@@ -58,7 +63,8 @@ def group_statistics(cov: CovarianceSet, g: int) -> GroupStatistics:
     r_s   = (E_s / K_g)  * sum over g's users and delays of the CCMs,
     r_eta = sum over other groups g' of (E_s' / K_g') * their CCM sum
             + N_0 * I,
-    summed in that order (groups, then users, then delays).  For a block
+    summed in that order (groups, then users, then delays), with ``energy``
+    the weight E_s / K_g of g's CCMs.  For a block
     ``cov`` each sum runs along the block axis, and r_eta stays one M x M
     matrix when no other group moves with the angle.
     """
@@ -66,14 +72,16 @@ def group_statistics(cov: CovarianceSet, g: int) -> GroupStatistics:
     if not 0 <= g < scn.n_groups:
         raise ValueError(f"unknown group index {g}")
     m = scn.n_antennas
-    r_s = (scn.groups[g].symbol_energy / scn.groups[g].n_users) * _group_sum(cov, g)
+    energy = scn.groups[g].symbol_energy / scn.groups[g].n_users
+    r_s = energy * _group_sum(cov, g)
     r_eta = scn.noise_power * np.eye(m, dtype=complex)
     for other in range(scn.n_groups):
         if other == g:
             continue
         spec = scn.groups[other]
         r_eta = r_eta + (spec.symbol_energy / spec.n_users) * _group_sum(cov, other)
-    return GroupStatistics(*(0.5 * (r + r.conj().swapaxes(-1, -2)) for r in (r_s, r_eta)))
+    return GroupStatistics(*(0.5 * (r + r.conj().swapaxes(-1, -2)) for r in (r_s, r_eta)),
+                           energy)
 
 
 _RANK_MESSAGE = "beamformer must have full column rank"

@@ -1,11 +1,12 @@
-"""Verification oracles reached only by the tests: a symbol-level SC-FDE simulator and
-an explicit pilot receiver.
+"""Verification oracles reached only by the tests: a symbol-level SC-FDE simulator, an
+explicit pilot receiver and the full M x M GEB pencil.
 
-They draw symbols and noise and apply each channel tap to the signal, where
-``jsdmsim.linksim`` and ``jsdmsim.chanest`` work from closed-form moments and
-covariances, so the tests can check one against the other.  The simulator runs
-unit-energy QPSK and applies the channel circularly, so the cyclic prefix is
-implicit.
+The simulator and the receiver draw symbols and noise and apply each channel tap to
+the signal, where ``jsdmsim.linksim`` and ``jsdmsim.chanest`` work from closed-form
+moments and covariances, so the tests can check one against the other.  The simulator
+runs unit-energy QPSK and applies the channel circularly, so the cyclic prefix is
+implicit.  The pencil solves (R_s, R_eta) from the matrices themselves, where
+``jsdmsim.geb`` works from the factors of R_s.
 """
 
 import math
@@ -16,6 +17,76 @@ import numpy as np
 from jsdmsim.channel import ChannelRealization
 from jsdmsim.chanest import PilotBlock
 from jsdmsim.digital import CombinerBank
+from jsdmsim.geb import UnconstrainedBeamformer
+from jsdmsim.linalg import (DefinitenessError, _as_complex_stack, _index, _q_times,
+                            _require_square, _to_real, fix_phases, qr)
+from jsdmsim.statistics import GroupStatistics
+
+
+@dataclass(frozen=True)
+class EigDecomposition:
+    """Eigenvalues sorted descending with matching unit-norm eigenvectors.
+
+    ``vectors[:, i]`` belongs to ``values[i]``.  Columns are normalized to
+    unit Euclidean norm and phase-fixed (largest-magnitude entry real
+    positive) so results are deterministic across runs.
+    """
+
+    values: np.ndarray
+    vectors: np.ndarray
+
+
+def generalized_hermitian_eig(a, b) -> EigDecomposition:
+    """Solve A v = lambda B v for Hermitian Toeplitz A and positive-definite Hermitian Toeplitz B.
+
+    Both are mapped to real symmetric W_A, W_B (see the ``jsdmsim.linalg`` docstring), and
+    W_B's Cholesky factor L reduces the pencil to the standard real symmetric
+    problem L^-1 W_A L^-T; each of its eigenvectors x gives v = Q L^-T x.
+    Eigenvalues come back descending, eigenvectors are B-orthogonal and
+    normalized to unit Euclidean norm.  Entries i and M-1-i of such a v are
+    complex conjugates, so their magnitudes tie exactly and the phase fix
+    takes the first of them.
+
+    A and B may be stacks (..., M, M) whose leading shapes broadcast, one pencil
+    per matrix of the result; a lone B shared by a stack of A is mapped,
+    checked and factored once.  Each pencil is solved exactly as it would be
+    on its own, and a failure names the matrix of a stack it belongs to.
+    """
+    a = _as_complex_stack(a, "A")
+    b = _as_complex_stack(b, "B")
+    _require_square(a, "A")
+    _require_square(b, "B")
+    if a.shape[-1] != b.shape[-1]:
+        raise ValueError(f"A and B must have equal shape, got {a.shape} vs {b.shape}")
+    np.broadcast_shapes(a.shape, b.shape)  # ValueError unless the stacks broadcast
+    w_a = _to_real(a, "A")
+    w_b = _to_real(b, "B")
+
+    b_eigs = np.linalg.eigvalsh(w_b)
+    scale = np.abs(b_eigs).max(axis=-1, initial=0.0)
+    bad = ~(b_eigs[..., 0] > 1e-12 * scale)
+    if np.any(bad):
+        at = tuple(np.argwhere(bad)[0])
+        raise DefinitenessError(
+            f"B{_index(at)} is not positive definite: smallest eigenvalue {b_eigs[at][0]:.6e}"
+            f" (largest {scale[at]:.6e})"
+        )
+
+    # L^-1 from numpy's LU, applied by three products
+    inv = np.linalg.inv(np.linalg.cholesky(w_b))
+    inv_t = inv.swapaxes(-1, -2)
+    values, vectors = np.linalg.eigh(inv @ w_a @ inv_t)
+    vectors = inv_t @ vectors[..., ::-1]
+    vectors /= np.linalg.norm(vectors, axis=-2, keepdims=True)
+    return EigDecomposition(values[..., ::-1].copy(), fix_phases(_q_times(vectors)))
+
+
+def pencil_geb(stats: GroupStatistics, n_chains: int) -> UnconstrainedBeamformer:
+    """The GEB from the M x M pencil (stats.r_s, stats.r_eta): its top ``n_chains``
+    eigenvectors, phase-fixed once by the pencil, QR-orthonormalized."""
+    dec = generalized_hermitian_eig(stats.r_s, stats.r_eta)
+    q, _ = qr(dec.vectors[..., :n_chains])
+    return UnconstrainedBeamformer(q, dec.values[..., :n_chains].copy())
 
 
 @dataclass(frozen=True)

@@ -240,4 +240,6 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # the configs are written through this checkout's jsdmsim, with or without PYTHONPATH
+    sys.path.insert(0, str(ROOT / "src"))
     sys.exit(main())

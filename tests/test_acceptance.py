@@ -68,9 +68,10 @@ def test_criterion_01_geb_optimality():
     rng = np.random.default_rng(1001)
     for _ in range(10):
         scn = random_desk_scenario(rng)
-        stats = group_statistics(build_covariances(scn), 0)
+        cov = build_covariances(scn)
+        stats = group_statistics(cov, 0)
         d = 4
-        geb = compute_geb(stats, d)
+        geb = compute_geb(stats, cov.factors(0), d)
         best = reduced_mutual_info(stats, geb.s)
         for _ in range(1000):
             s = random_orthonormal(rng, scn.n_antennas, d)
@@ -80,8 +81,9 @@ def test_criterion_01_geb_optimality():
 
 def test_criterion_02_cost_and_beampattern_invariance():
     scn = table1_scenario(m=32, phi=10.0)
-    stats = group_statistics(build_covariances(scn), 0)
-    geb = compute_geb(stats, 4)
+    cov = build_covariances(scn)
+    stats = group_statistics(cov, 0)
+    geb = compute_geb(stats, cov.factors(0), 4)
     base_cost = reduced_mutual_info(stats, geb.s)
     grid = steering_matrix(np.arange(-90.0, 90.01, 0.5), 32)
     base_pattern = beampattern(geb.s, grid)
@@ -103,7 +105,7 @@ def test_criterion_03_reduced_covariance_matches_model():
     scn = table1_scenario(m=32, phi=10.0)
     cov = build_covariances(scn)
     stats = group_statistics(cov, 0)
-    geb = compute_geb(stats, 4)
+    geb = compute_geb(stats, cov.factors(0), 4)
     spec = scn.groups[0]
     model = geb.s.conj().T @ stats.r_s @ geb.s
 
@@ -202,7 +204,7 @@ def test_criterion_07_zf_contract_and_lmmse_limit():
     scn = table1_scenario(m=32, phi=10.0)
     cov = build_covariances(scn)
     stats = group_statistics(cov, 0)
-    geb = compute_geb(stats, 4)
+    geb = compute_geb(stats, cov.factors(0), 4)
     for t in range(20):
         real = sample_channels(cov, [1007, t], groups=[0])
         eff = effective_channel(geb.s, real, 0, 64)
@@ -222,7 +224,7 @@ def test_criterion_08_lmmse_at_least_zf():
     scn = table1_scenario(m=32, phi=10.0)
     cov = build_covariances(scn)
     stats = group_statistics(cov, 0)
-    geb = compute_geb(stats, 4)
+    geb = compute_geb(stats, cov.factors(0), 4)
     s_eff = phase_extraction(geb.s[None])[0].effective()  # leaves residual interference
     rd = reduce(stats, s_eff)
     spec = scn.groups[0]
@@ -246,7 +248,7 @@ def test_criterion_09_fully_connected_capacity_ordering():
         scn = table1_scenario(m=32, mobile_db=40.0, interferer_db=20.0, chains=6, phi=phi)
         cov = build_covariances(scn)
         stats = group_statistics(cov, 0)
-        geb = compute_geb(stats, 6)
+        geb = compute_geb(stats, cov.factors(0), 6)
         cfg = SweepSettings(group=0)
         for n in names:
             s = build_beamformer(n, scn, stats, 0, cfg, _derived_seed(3, i, 1), geb)
@@ -277,7 +279,7 @@ def test_criterion_10_subarray_capacity_ordering():
         scn = merged_group_scenario(m=m, chains=d, phi=float(phi))
         cov = build_covariances(scn)
         stats = group_statistics(cov, 0)
-        geb = compute_geb(stats, d)
+        geb = compute_geb(stats, cov.factors(0), d)
         seed = _derived_seed(3, i, 1)
         (dyn,), _ = dynamic_subarray(geb.s[None], [stats], [seed], n_restarts=20)
         (cb_o,), _ = fixed_subarray(geb.s[None], ordered_mask(m, d)[None], seed=[seed])
@@ -304,9 +306,10 @@ def test_criterion_10_subarray_capacity_ordering():
 
 def test_criterion_11_geb_nulls_below_dft():
     scn = table1_scenario(m=32, mobile_db=40.0, interferer_db=40.0, phi=10.0)
-    stats = group_statistics(build_covariances(scn), 0)
+    cov = build_covariances(scn)
+    stats = group_statistics(cov, 0)
     cfg = SweepSettings(group=0)
-    geb = compute_geb(stats, 4)
+    geb = compute_geb(stats, cov.factors(0), 4)
     s_geb = build_beamformer("geb", scn, stats, 0, cfg, 0, geb)
     s_dft = build_beamformer("dft", scn, stats, 0, cfg, 0, geb)
     own = scn.effective_aoa(0).ravel()
@@ -325,7 +328,7 @@ def test_criterion_12_nmse_grid():
     scn = table1_scenario(m=32, phi=10.0)
     cov = build_covariances(scn)
     stats = group_statistics(cov, 0)
-    geb = compute_geb(stats, 4)
+    geb = compute_geb(stats, cov.factors(0), 4)
     rd = reduce(stats, geb.s)
     r_h = chanest.effective_covariance(cov.stacks[0], geb.s)
     t_grid = (8, 12, 16, 24)
@@ -380,7 +383,7 @@ def test_criterion_13_bussgang_cross_validation():
         scn = Scenario(m, taps, 1.0, tuple(groups))
         cov = build_covariances(scn)
         stats = group_statistics(cov, 0)
-        geb = compute_geb(stats, d)
+        geb = compute_geb(stats, cov.factors(0), d)
         rd = reduce(stats, geb.s)
         real = sample_channels(cov, [1014, case], groups=[0])
         n = 128

@@ -94,7 +94,7 @@ class TestReceivePilots:
         scn = two_group_toy(m=8)
         cov = build_covariances(scn)
         stats = group_statistics(cov, 0)
-        geb = compute_geb(stats, 2)
+        geb = compute_geb(stats, cov.factors(0), 2)
         rd = reduce(stats, geb.s)
         pilots = build_pilots(scn, 0, 4, seed=11)
         r_h = effective_covariance(cov.stacks[0], geb.s)
@@ -114,7 +114,7 @@ class TestReceivePilots:
         cov = build_covariances(scn)
         real = sample_channels(cov, 1)
         stats = group_statistics(cov, 0)
-        geb = compute_geb(stats, 4)
+        geb = compute_geb(stats, cov.factors(0), 4)
         for t_len in (4, 8):
             pilots = build_pilots(scn, 0, t_len, seed=2)
             assert receive_pilots(pilots, real, geb.s, seed=3).shape == (t_len * 4,)
@@ -152,7 +152,7 @@ class TestLmmseEstimator:
         assert_allclose(gram, t_len * np.eye(4), atol=1e-9)  # ideal autocorrelation
         cov = build_covariances(scn)
         stats = group_statistics(cov, 0)
-        geb = compute_geb(stats, 2)
+        geb = compute_geb(stats, cov.factors(0), 2)
         rd = reduce(stats, geb.s)
         r_h = effective_covariance(cov.stacks[0], geb.s)
         z_lm = lmmse_estimator(pilot_covariances(pilots, scn.groups[0].delays, r_h, rd))
@@ -198,7 +198,7 @@ class TestLsEstimator:
         scn = sparse_single_group(m=4, taps=8, delays=(0, 3), users=1, noise=0.5)
         cov = build_covariances(scn)
         stats = group_statistics(cov, 0)
-        geb = compute_geb(stats, 2)
+        geb = compute_geb(stats, cov.factors(0), 2)
         rd = reduce(stats, geb.s)
         r_h = effective_covariance(cov.stacks[0], geb.s)
         # the same covariance over all 8 taps: zero blocks at the inactive ones
@@ -227,7 +227,7 @@ class TestNmse:
         scn = two_group_toy(m=8)
         cov = build_covariances(scn)
         stats = group_statistics(cov, 0)
-        geb = compute_geb(stats, 3)
+        geb = compute_geb(stats, cov.factors(0), 3)
         rd = reduce(stats, geb.s)
         r_h = effective_covariance(cov.stacks[0], geb.s)
         return scn, cov, geb, rd, r_h
@@ -275,7 +275,7 @@ class TestNmse:
         stats = group_statistics(cov, 0)
         try:
             s = build_beamformer(design, scn, stats, 0, SweepSettings(group=0), seed,
-                                 geb=compute_geb(stats, chains))
+                                 geb=compute_geb(stats, cov.factors(0), chains))
             rd = reduce(stats, s)
         except ValueError:  # a design that cannot be built here has no estimate
             hypothesis.reject()
@@ -360,7 +360,7 @@ class TestOtherGroupRobustness:
         scn = two_group_toy(m=16)
         cov = build_covariances(scn)
         stats = group_statistics(cov, 0)
-        geb = compute_geb(stats, 4)
+        geb = compute_geb(stats, cov.factors(0), 4)
         rd = reduce(stats, geb.s)
         r_h = effective_covariance(cov.stacks[0], geb.s)
         pilots = build_pilots(scn, 0, 8, seed=8)

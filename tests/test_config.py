@@ -126,9 +126,10 @@ class TestNameTable:
     @pytest.mark.parametrize("name", list(DESIGNS))
     def test_every_design_builds_an_m_by_d_beamformer(self, name):
         scn = two_group_toy()
-        stats = group_statistics(build_covariances(scn, n_quad=64), 0)
+        cov = build_covariances(scn, n_quad=64)
+        stats = group_statistics(cov, 0)
         settings = SweepSettings(group=0, beamformers=(name,), n_quad=64, n_restarts=3)
-        geb = compute_geb(stats, scn.groups[0].n_chains)
+        geb = compute_geb(stats, cov.factors(0), scn.groups[0].n_chains)
         s_eff = build_beamformer(name, scn, stats, 0, settings, seed=1, geb=geb)
         assert s_eff.shape == (scn.n_antennas, scn.groups[0].n_chains)
         assert np.all(np.isfinite(s_eff))

@@ -33,8 +33,9 @@ from conftest import (random_orthonormal, random_unitary, table1_scenario, two_g
 
 
 def geb_for(scn, g=0, d=None):
-    stats = group_statistics(build_covariances(scn), g)
-    return compute_geb(stats, d or scn.groups[g].n_chains), stats
+    cov = build_covariances(scn)
+    stats = group_statistics(cov, g)
+    return compute_geb(stats, cov.factors(g), d or scn.groups[g].n_chains), stats
 
 
 def column_indices(s_c):
@@ -609,7 +610,7 @@ class TestDynamicSubarray:
             scn = merged_group_scenario(m=m, chains=d, phi=phi)
             cov = build_covariances(scn)
             stats = group_statistics(cov, 0)
-            geb = compute_geb(stats, d)
+            geb = compute_geb(stats, cov.factors(0), d)
             (dyn,), (tr_d,) = dynamic_subarray(geb.s[None], [stats], [50 + i], n_restarts=15)
             (cb_o,), (tr_o,) = fixed_subarray(geb.s[None], ordered_mask(m, d)[None],
                                               seed=[50 + i])

@@ -19,7 +19,7 @@ def toy_effective(n=16, seed=3):
     scn = two_group_toy()
     cov = build_covariances(scn)
     stats = group_statistics(cov, 0)
-    geb = compute_geb(stats, 4)
+    geb = compute_geb(stats, cov.factors(0), 4)
     real = sample_channels(cov, seed)
     eff = effective_channel(geb.s, real, 0, n)
     return scn, stats, geb, eff
@@ -93,7 +93,7 @@ class TestLayout:
         scn = two_group_toy()
         cov = build_covariances(scn)
         stats = group_statistics(cov, 0)
-        s = compute_geb(stats, 4).s
+        s = compute_geb(stats, cov.factors(0), 4).s
         real = sample_channels(cov, 4, groups=[0], trials=3)
         n = 16
         eff = effective_channel(s, real, 0, n)
@@ -237,7 +237,7 @@ class TestLmmseBeatsZf:
         scn = two_group_toy(e1_db=20.0, e2_db=25.0)
         cov = build_covariances(scn)
         stats = group_statistics(cov, 0)
-        geb = compute_geb(stats, 4)
+        geb = compute_geb(stats, cov.factors(0), 4)
         s_eff = phase_extraction(geb.s[None])[0].effective()
         r_eta_rd = reduce(stats, s_eff)
         spec = scn.groups[0]

@@ -21,7 +21,7 @@ from jsdmsim.linalg import (
     _openblas_thread_controls,
     _q_times,
     _to_real,
-    generalized_hermitian_eig,
+    factor_pencil,
     hermitian_inverse,
     one_blas_thread,
     psd_factor,
@@ -32,6 +32,7 @@ from jsdmsim.linalg import (
 
 from conftest import (random_hermitian, random_toeplitz, random_toeplitz_pd, random_toeplitz_psd,
                       table1_scenario, toeplitz_from_column)
+from oracles import generalized_hermitian_eig
 
 
 def standard_eig(a):
@@ -152,6 +153,67 @@ class TestGeneralizedEig:
             generalized_hermitian_eig(np.eye(5), random_toeplitz_psd(rng, 5, rank=3))
 
 
+class TestFactorPencil:
+    """The pencil (F F^H, B) from a psd_factor factor F, against the M x M pencil."""
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 16, 33])
+    def test_matches_the_full_pencil(self, m):
+        rng = np.random.default_rng(40 + m)
+        for rank in sorted({1, max(1, m // 3), m}):
+            a = random_toeplitz_psd(rng, m, rank=rank)
+            b = random_toeplitz_pd(rng, m)
+            f = psd_factor(a)
+            d = min(m, rank + 1)
+            values, vectors = factor_pencil(f, b, d)
+            ref = generalized_hermitian_eig(f @ f.conj().T, b)
+            scale = np.abs(ref.values).max()
+            assert_allclose(values, ref.values[:d], rtol=0, atol=1e-10 * scale)
+            assert np.all(values[f.shape[-1]:] == 0.0)
+            res = np.linalg.norm(a @ vectors - (b @ vectors) * values)
+            assert res <= 1e-8 * (np.linalg.norm(a) + np.linalg.norm(b))
+            assert_allclose(np.linalg.norm(vectors, axis=0), np.ones(d), atol=1e-12)
+            gram = vectors.conj().T @ b @ vectors
+            assert np.linalg.norm(gram - np.diag(np.diag(gram))) <= 1e-8 * np.linalg.norm(b)
+
+    def test_zero_columns_and_stacks_keep_the_bits(self):
+        rng = np.random.default_rng(44)
+        m = 12
+        f = np.stack([psd_factor(random_toeplitz_psd(rng, m, rank=r))[:, :3] for r in (3, 5)])
+        f = np.concatenate([f, np.zeros_like(f)], axis=-1)[..., [0, 3, 1, 4, 2, 5]]
+        b = random_toeplitz_pd(rng, m)
+        values, vectors = factor_pencil(f, b, 4)
+        for i in range(2):
+            alone = factor_pencil(f[i][:, [0, 2, 4]], b, 4)
+            assert np.array_equal(values[i], alone[0])
+            assert np.array_equal(vectors[i], alone[1])
+        b_stack = np.stack([b, random_toeplitz_pd(rng, m)])
+        values, vectors = factor_pencil(f[0], b_stack, 4)
+        for i in range(2):
+            alone = factor_pencil(f[0], b_stack[i], 4)
+            assert np.array_equal(values[i], alone[0])
+            assert np.array_equal(vectors[i], alone[1])
+
+    def test_bad_input_rejected(self):
+        rng = np.random.default_rng(45)
+        m = 6
+        f = psd_factor(random_toeplitz_psd(rng, m))
+        b = random_toeplitz_pd(rng, m)
+        with pytest.raises(DefinitenessError, match=r"B\[1\] is not positive definite"):
+            factor_pencil(f, np.stack([b, random_toeplitz_psd(rng, m, rank=3)]), 2)
+        with pytest.raises(DefinitenessError, match="B is not positive definite"):
+            factor_pencil(f, -b, 1)
+        bent = b.copy()
+        bent[0, 0] += 1e-3 * np.linalg.norm(b)
+        with pytest.raises(ValueError, match="B is not Hermitian Toeplitz"):
+            factor_pencil(f, bent, 2)
+        # a factor of a Hermitian Toeplitz matrix that is not Q X with X real
+        u = np.exp(1j * 0.3 * np.arange(m))[:, np.newaxis]
+        with pytest.raises(ValueError, match="mirror"):
+            factor_pencil(u, b, 1)
+        with pytest.raises(ValueError, match="as many rows"):
+            factor_pencil(f[:-1], b, 1)
+
+
 def test_package_never_loads_scipy_linalg():
     # numpy and scipy each bundle an OpenBLAS with its own thread pool; the
     # package keeps to numpy's, so neither importing the runner nor a sweep
@@ -210,8 +272,8 @@ class TestOneBlasThread:
         u = np.exp(1j * rng.standard_normal((48, 3601)))
 
         def work():
-            dec = generalized_hermitian_eig(a, b)
-            return dec.values, dec.vectors, psd_sqrt(b), s.conj().T @ u
+            return (*factor_pencil(psd_factor(a @ a.conj().T), b, 4), psd_sqrt(b),
+                    s.conj().T @ u)
 
         threaded = work()
         with one_blas_thread():

@@ -71,7 +71,7 @@ class TestSimulateBlock:
         cov = build_covariances(scn)
         real = sample_channels(cov, 2)
         stats = group_statistics(cov, 0)
-        geb = compute_geb(stats, 4)
+        geb = compute_geb(stats, cov.factors(0), 4)
         eff = effective_channel(geb.s, real, 0, 16)
         bank = zf_combiners(eff)
         a = simulate_block(real, {0: geb.s}, {0: bank}, 16, seed=9)
@@ -113,7 +113,7 @@ class TestBussgangReport:
         scn = two_group_toy()
         cov = build_covariances(scn)
         stats = group_statistics(cov, 0)
-        geb = compute_geb(stats, 4)
+        geb = compute_geb(stats, cov.factors(0), 4)
         real = sample_channels(cov, 4)
         eff = effective_channel(geb.s, real, 0, 8)
         bank = zf_combiners(eff)
@@ -147,7 +147,7 @@ class TestBussgangReport:
         scn = two_group_toy(m=8)
         cov = build_covariances(scn)
         stats = group_statistics(cov, 0)
-        geb = compute_geb(stats, 4)
+        geb = compute_geb(stats, cov.factors(0), 4)
         rd = reduce(stats, geb.s)
         real = sample_channels(cov, 31)
         n, blocks = 64, 160  # ~1e4 symbols
@@ -177,7 +177,7 @@ class TestBussgangReport:
         scn = two_group_toy(m=8, e1_db=15.0, e2_db=15.0)
         cov = build_covariances(scn)
         stats = group_statistics(cov, 0)
-        geb = compute_geb(stats, 4)
+        geb = compute_geb(stats, cov.factors(0), 4)
         rd = reduce(stats, geb.s)
         real = sample_channels(cov, 17)
         n = 128
@@ -230,7 +230,7 @@ class TestErgodicCapacity:
             scn = two_group_toy(e1_db=e_db)
             cov = build_covariances(scn)
             stats = group_statistics(cov, 0)
-            geb = compute_geb(stats, 4)
+            geb = compute_geb(stats, cov.factors(0), 4)
             link = ergodic_capacity([cov], [with_reduced(stats, {"geb": geb.s})], 0, ("zf",),
                                     n=16, trials=30, seeds=[77])
             means.append(link.means()[0, 0, 0].mean())
@@ -240,7 +240,7 @@ class TestErgodicCapacity:
         scn = two_group_toy()
         cov = build_covariances(scn)
         stats = group_statistics(cov, 0)
-        geb = compute_geb(stats, 4)
+        geb = compute_geb(stats, cov.factors(0), 4)
         link = ergodic_capacity([cov], [with_reduced(stats, {"geb": geb.s})], 0, ("lmmse",),
                                 n=16, trials=12, seeds=[5])
         assert link.failures == ({},)
@@ -251,7 +251,7 @@ class TestErgodicCapacity:
         scn = two_group_toy()
         cov = build_covariances(scn)
         stats = group_statistics(cov, 0)
-        geb = compute_geb(stats, 4)
+        geb = compute_geb(stats, cov.factors(0), 4)
         designs = with_reduced(stats, {"geb": geb.s})
         a = ergodic_capacity([cov], [designs], 0, ("zf",), n=16, trials=8, seeds=[13])
         b = ergodic_capacity([cov], [designs], 0, ("zf",), n=16, trials=8, seeds=[13])
@@ -263,7 +263,7 @@ class TestErgodicCapacity:
         scn = two_group_toy()
         cov = build_covariances(scn)
         stats = group_statistics(cov, 0)
-        geb = compute_geb(stats, 4)
+        geb = compute_geb(stats, cov.factors(0), 4)
         rd = reduce(stats, geb.s)
         spec = scn.groups[0]
         samples = ergodic_capacity([cov], [with_reduced(stats, {"geb": geb.s})], 0, (combiner,),
@@ -294,7 +294,7 @@ class TestErgodicCapacity:
         scn = two_group_toy()
         cov = build_covariances(scn)
         stats = group_statistics(cov, 0)
-        geb = compute_geb(stats, 4)
+        geb = compute_geb(stats, cov.factors(0), 4)
         samples = ergodic_capacity([cov], [with_reduced(stats, {"geb": geb.s})], 0, (combiner,),
                                    n=16, trials=37, seeds=[2024]).samples[:, 0, 0]
         for t, values in pinned.items():
@@ -306,7 +306,7 @@ def three_designs():
     scn = two_group_toy()
     cov = build_covariances(scn)
     stats = group_statistics(cov, 0)
-    geb = compute_geb(stats, 4)
+    geb = compute_geb(stats, cov.factors(0), 4)
     return cov, with_reduced(stats, {"geb": geb.s,
                                      "pe": phase_extraction(geb.s[None])[0].effective(),
                                      "dft": dft_beamformer(scn, 0, [scn.phi])[0].effective()})
@@ -554,7 +554,7 @@ def two_angles():
         scn = two_group_toy(phi=phi)
         cov = build_covariances(scn)
         stats = group_statistics(cov, 0)
-        geb = compute_geb(stats, 4)
+        geb = compute_geb(stats, cov.factors(0), 4)
         [dft] = dft_beamformer(scn, 0, [phi])
         angles.append((cov, with_reduced(stats, {"geb": geb.s, "dft": dft.effective()})))
     return angles

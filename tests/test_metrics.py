@@ -68,7 +68,7 @@ class TestBeampattern:
         cov = build_covariances(scn)
         stats = group_statistics(cov, 0)
         settings = SweepSettings(group=0)
-        geb = compute_geb(stats, 4)
+        geb = compute_geb(stats, cov.factors(0), 4)
         s_geb = build_beamformer("geb", scn, stats, 0, settings, 0, geb)
         s_dft = build_beamformer("dft", scn, stats, 0, settings, 0, geb)
         own = np.concatenate([scn.effective_aoa(0).ravel()])
@@ -129,7 +129,7 @@ class TestPhiSweep:
         scn_phi = scn.with_phi(4.0)
         cov = build_covariances(scn_phi, n_quad=settings.n_quad)
         stats = group_statistics(cov, 0)
-        geb = compute_geb(stats, 4)
+        geb = compute_geb(stats, cov.factors(0), 4)
         link = ergodic_capacity([cov], [with_reduced(stats, {"geb": geb.s})], 0, ("zf",), n=16,
                                 trials=5, seeds=[_derived_seed(11, 0, 2)])
         assert link.failures == ({},), link.failures
@@ -185,7 +185,7 @@ class TestPhiSweep:
 
     def test_programming_error_propagates(self, monkeypatch):
         # only numerical failures become failed angles; a bug must surface
-        def broken_geb(stats, n_chains):
+        def broken_geb(stats, factors, n_chains):
             raise TypeError("planted")
 
         monkeypatch.setattr(metrics, "compute_geb", broken_geb)
@@ -391,7 +391,8 @@ class TestFixedCovariances:
                 ref_scn = scn.with_phi(phi)
                 ref_cov = build_covariances(ref_scn, n_quad=settings.n_quad)
                 ref_stats = group_statistics(ref_cov, group)
-                ref_geb = compute_geb(ref_stats, ref_scn.groups[group].n_chains)
+                ref_geb = compute_geb(ref_stats, ref_cov.factors(group),
+                                      ref_scn.groups[group].n_chains)
                 assert scn_phi == ref_scn
                 for g, spec in enumerate(scn.groups):
                     # the non-mobile groups' CCMs are the sweep's, built once
@@ -410,8 +411,8 @@ class TestFixedCovariances:
 
     @pytest.mark.parametrize("fault", ["toeplitz", "psd"])
     def test_failure_stays_with_its_angle(self, fault, monkeypatch):
-        """A fault planted at the middle angle of a 3-angle unit fails that angle alone,
-        with the message its one-angle design or link pass gives."""
+        """A fault planted at the middle angle of a 3-angle unit fails that angle alone, with
+        the message of a one-angle set's own factor call, which the GEB needs."""
         scn = table1_scenario(m=16)
         phis, bad = [-3.0, 0.0, 4.5], 0.0
         settings = SweepSettings(group=0, beamformers=("geb", "dft"), combiners=("zf", "lmmse"),
@@ -424,7 +425,7 @@ class TestFixedCovariances:
             hit = np.asarray(mu)[..., 0, 0] == mu_bad
             if fault == "toeplitz":  # Hermitian once summed, but not Toeplitz
                 out[hit, ..., 0, 1] += 0.5
-            else:  # Toeplitz, but indefinite: the GEB stands, the sampling factors fail
+            else:  # Toeplitz, but indefinite
                 out[hit] -= 10.0 * np.eye(m)
             return out
 
@@ -439,23 +440,20 @@ class TestFixedCovariances:
         monkeypatch.setattr(metrics, "build_covariances", recording_build)
         result = phi_sweep(scn, phis, settings)
         assert units[0] == phis
-        # a failed factor leaves the unit standing; a failed design is made again as units
-        # of one
-        assert units[1:] == ([] if fault == "psd" else [[phi] for phi in phis])
+        # the failed unit is designed again as units of one
+        assert units[1:] == [[phi] for phi in phis]
         failed = result.errors()
         assert len(failed) == 4 and {r.phi for r in failed} == {bad}
-        if fault == "toeplitz":
+        with pytest.raises(ValueError) as info:
+            build_covariances(scn.with_phi(bad)).factors(0)
+        expected = f"{type(info.value).__name__}: {info.value}"
+        # the failing CCM is named by its (delay, user) index, not by its place in a unit
+        assert expected.startswith("ValueError: R[0, 0] is not Hermitian Toeplitz"
+                                   if fault == "toeplitz" else "PsdError: R[0, 0] is not PSD")
+        for phi in (bad, [-3.0, bad]):
             with pytest.raises(ValueError) as info:
-                metrics.angle_design(result.fixed, bad, settings)
-            expected = f"ValueError: {info.value}"
-            # the failing matrix is named by its index in the angle's unit of one
-            assert expected.startswith("ValueError: A[0] is not Hermitian Toeplitz")
-        else:
-            [(_, cov, stats, _)] = metrics.angle_design(result.fixed, bad, settings)
-            with pytest.raises(ValueError) as info:
-                cov.factors(0)
-            expected = f"PsdError: {info.value}"
-            assert expected.startswith("PsdError: R[0, 0] is not PSD")
+                metrics.angle_design(result.fixed, phi, settings)
+            assert f"{type(info.value).__name__}: {info.value}" == expected
         assert all(r.error == expected for r in failed)
         for rec, ref in zip(result.records, clean.records):
             if rec.phi != bad:
@@ -477,7 +475,8 @@ class TestFixedCovariances:
         assert not whole.errors() and len(whole.records) == 9
         monkeypatch.setattr(metrics, "_UNIT_BYTES", 1)  # units of one angle
         _same_records(phi_sweep(scn, phis, settings, pattern_phi=0.0), whole)
-        geb = compute_geb(group_statistics(build_covariances(scn), 0), 4)
+        cov = build_covariances(scn)
+        geb = compute_geb(group_statistics(cov, 0), cov.factors(0), 4)
         assert np.array_equal(whole.pattern["geb"], geb.s)
 
     def test_shared_only_with_their_own_scenario_and_quadrature(self):
@@ -716,6 +715,17 @@ class TestPatternChunks:
                 assert np.array_equal(part, whole[:, start:start + chunk])
                 assert np.array_equal(beampattern(s, part), powers[start:start + chunk])
 
+    @pytest.mark.parametrize("m", [16, 128])
+    def test_a_stack_of_designs_gives_each_design_own_pattern(self, m):
+        # the runner projects every design onto a chunk in one product
+        rng = np.random.default_rng(m)
+        stack = np.stack([random_orthonormal(rng, m, 4) for _ in range(7)])
+        part = steering_matrix(-90.0 + 0.05 * np.arange(512), m)
+        powers = beampattern(stack, part, orthonormal=True)
+        assert powers.shape == (7, 512)
+        for q, row in zip(stack, powers):
+            assert np.array_equal(row, beampattern(q, part, orthonormal=True))
+
 
 class TestLinkBudget:
     """A unit's link pass gives every record, failure and sample bit for bit alike at any
@@ -888,10 +898,10 @@ class TestWorkers:
         # a programming error in a worker's chunk, not a ValueError
         parent, original = os.getpid(), metrics.compute_geb
 
-        def broken_geb(stats, n_chains):
+        def broken_geb(stats, factors, n_chains):
             if os.getpid() != parent:
                 raise TypeError("planted")
-            return original(stats, n_chains)
+            return original(stats, factors, n_chains)
 
         monkeypatch.setattr(metrics, "compute_geb", broken_geb)
         scn = table1_scenario(m=16)
@@ -937,7 +947,7 @@ class TestWorkers:
         # the workers would take a minute; the parent's error kills them at once
         parent = os.getpid()
 
-        def broken_geb(stats, n_chains):
+        def broken_geb(stats, factors, n_chains):
             if os.getpid() == parent:
                 raise TypeError("planted")
             time.sleep(60)

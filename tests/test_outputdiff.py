@@ -1,7 +1,10 @@
 """The output comparator finds no difference between reruns and fires on planted faults."""
 
+import os
 import re
 import shutil
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -101,3 +104,16 @@ def test_against_reports_a_planted_difference(tmp_path, capsys):
                         r"\(\d+/\d+ fields differ\)", out[1]), out[1]
     assert out[2:] == ["  cdf.csv          bytes equal", "  beampattern.csv  bytes equal",
                        "  manifest.json    differs only in wall_time_s"]
+
+
+def test_against_runs_without_pythonpath(tmp_path):
+    # a workload config is written through jsdmsim, which the script finds in its own
+    # checkout; the tree compared with itself differs only in wall time
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, str(root / "tests" / "outputdiff.py"), "--against",
+                           str(root / "src"), "--only", "desk-sweep", "--work", str(tmp_path)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.count("bytes equal") == len(KEYS)
+    assert "differs only in wall_time_s" in proc.stdout

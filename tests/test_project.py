@@ -1,4 +1,5 @@
-"""The package metadata declares the versions the code needs, and the README's code runs."""
+"""The package metadata declares the versions the code needs, the README's code runs and
+the benchmark's self-test passes."""
 
 import os
 import re
@@ -38,3 +39,12 @@ def test_every_python_block_of_the_readme_runs(tmp_path):
         proc = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True,
                               cwd=tmp_path, env=env, timeout=300)
         assert proc.returncode == 0, f"{block}\n{proc.stderr}"
+
+
+def test_benchmark_self_test_passes():
+    # the benchmark's output checks pass on this tree's outputs and fire on their planted
+    # faults, so a change that breaks them fails here, before the benchmark is run
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--self-test"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "self-test passed"
