@@ -41,12 +41,13 @@ class TestSteering:
 
     @pytest.mark.parametrize("m", [1, 2, 5, 16, 127, 128, 512])
     def test_two_tables_give_one_exponential_per_antenna(self, m):
-        # entry k is exp(j k pi sin theta) / sqrt(M) from two table entries; the phase
-        # k pi sin theta is rounded to about k eps either way
+        # entry k is exp(j k pi sin theta) / sqrt(M) from two table entries; either way the
+        # phase k pi sin theta is rounded to about 2 pi k eps, so the two differ by at most
+        # about 4 pi M eps (3.6 M eps seen at 512 antennas)
         thetas = np.linspace(-90.0, 90.0, 721)
         k = np.arange(m)[:, None]
         one = np.exp(1j * np.pi * k * np.sin(np.deg2rad(thetas))) / np.sqrt(m)
-        assert np.max(np.abs(steering_matrix(thetas, m) - one)) * np.sqrt(m) <= 4 * m * 2.0**-52
+        assert np.max(np.abs(steering_matrix(thetas, m) - one)) * np.sqrt(m) <= 16 * m * 2.0**-52
 
     def test_each_column_of_the_matrix_is_the_single_vector(self):
         thetas = np.array([-73.2, -11.0, 0.0, 4.5, 30.0, 88.9])
